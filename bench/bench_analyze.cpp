@@ -20,9 +20,10 @@
 //   parallel    — `ParallelAnalyzer::feed_probes` slicing shared batches
 //                 across workers, feeder-side observers as in the CLI.
 // All paths must agree on campaign count, tracker counters, observer
-// totals, and the campaigns JSONL bytes (reference vs batched vs
-// parallel); the binary exits non-zero on divergence, so the baseline
-// doubles as a correctness smoke.
+// totals, and the `analyze --json` bytes — counters line plus campaign
+// JSONL — byte for byte (reference vs batched vs parallel); the binary
+// exits non-zero on divergence, so the baseline doubles as a
+// correctness smoke.
 //
 // Usage: bench_analyze [--frames=N] [--label=STR] [--seed=N]
 //                      [--workers=N] [--check-ratio=R]
@@ -32,7 +33,6 @@
 // same process on the same capture, so the ratio is stable where
 // absolute throughput is not).
 // Output: one JSON object on stdout.
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -40,7 +40,6 @@
 #include <cstring>
 #include <filesystem>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -174,7 +173,7 @@ struct PathResult {
   std::uint64_t port_packets = 0;
   std::uint64_t type_sources = 0;
   std::uint64_t geo_packets = 0;
-  std::string campaigns_jsonl;
+  std::string report;  ///< counters line + campaign JSONL, as `analyze --json`
 };
 
 core::IngestOptions warm_options() {
@@ -225,9 +224,9 @@ void fill_result(PathResult& result, core::PipelineResult pipeline_result,
   result.port_packets = ports.total_packets();
   result.type_sources = types.total_sources();
   result.geo_packets = geo.total_packets();
-  std::ostringstream jsonl;
-  report::write_campaigns_jsonl(jsonl, pipeline_result.campaigns);
-  result.campaigns_jsonl = jsonl.str();
+  report::append_counters_json(result.report, pipeline_result);
+  result.report.push_back('\n');
+  report::append_campaigns_jsonl(result.report, pipeline_result.campaigns);
 }
 
 /// Per-probe reference: every row materialized, observers on `on_probe`.
@@ -242,13 +241,15 @@ PathResult run_reference(const fs::path& path) {
   pipeline.add_observer(types);
   pipeline.add_observer(geo);
   const auto start = std::chrono::steady_clock::now();
-  (void)core::ingest_capture(path, bench_telescope(), warm_options(),
-                             [&](const telescope::ProbeBatch& batch) {
-                               result.probes += batch.size();
-                               for (std::size_t i = 0; i < batch.size(); ++i) {
-                                 pipeline.feed_probe(batch.get(i));
-                               }
-                             });
+  const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
+                                           [&](const telescope::ProbeBatch& batch) {
+                                             result.probes += batch.size();
+                                             for (std::size_t i = 0; i < batch.size();
+                                                  ++i) {
+                                               pipeline.feed_probe(batch.get(i));
+                                             }
+                                           });
+  pipeline.absorb_sensor_counters(ingest.sensor);
   auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -268,11 +269,12 @@ PathResult run_batched(const fs::path& path) {
   pipeline.add_observer(types);
   pipeline.add_observer(geo);
   const auto start = std::chrono::steady_clock::now();
-  (void)core::ingest_capture(path, bench_telescope(), warm_options(),
-                             [&](const telescope::ProbeBatch& batch) {
-                               result.probes += batch.size();
-                               pipeline.feed_probes(batch);
-                             });
+  const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
+                                           [&](const telescope::ProbeBatch& batch) {
+                                             result.probes += batch.size();
+                                             pipeline.feed_probes(batch);
+                                           });
+  pipeline.absorb_sensor_counters(ingest.sensor);
   auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -291,7 +293,7 @@ PathResult run_parallel(const fs::path& path, std::size_t workers) {
   core::GeoTally geo(registry);
   std::vector<std::uint32_t> rows;
   const auto start = std::chrono::steady_clock::now();
-  (void)core::ingest_capture(
+  const auto ingest = core::ingest_capture(
       path, bench_telescope(), warm_options(),
       [&](const telescope::ProbeBatch& batch) {
         result.probes += batch.size();
@@ -305,6 +307,7 @@ PathResult run_parallel(const fs::path& path, std::size_t workers) {
         types.observe_batch(batch, all);
         geo.observe_batch(batch, all);
       });
+  analyzer.absorb_sensor_counters(ingest.sensor);
   auto pipeline_result = analyzer.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -316,30 +319,6 @@ bool same_counters(const PathResult& a, const PathResult& b) {
   return a.probes == b.probes && a.campaigns == b.campaigns &&
          a.tracker_probes == b.tracker_probes && a.port_packets == b.port_packets &&
          a.type_sources == b.type_sources && a.geo_packets == b.geo_packets;
-}
-
-/// JSONL rows with the `id` field stripped, sorted — the parallel merge
-/// re-orders campaigns and re-issues ids (deterministically, but
-/// differently from the serial close order), so serial vs parallel
-/// compares on this canonical form; serial vs serial compares raw bytes.
-std::string canonical_jsonl(const std::string& jsonl) {
-  std::vector<std::string> lines;
-  std::istringstream in(jsonl);
-  for (std::string line; std::getline(in, line);) {
-    const auto id_pos = line.find("\"id\":");
-    if (id_pos != std::string::npos) {
-      const auto comma = line.find(',', id_pos);
-      if (comma != std::string::npos) line.erase(id_pos, comma - id_pos + 1);
-    }
-    lines.push_back(std::move(line));
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const auto& line : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace
@@ -366,20 +345,15 @@ int main(int argc, char** argv) {
 
   if (!same_counters(reference, batched) || !same_counters(reference, parallel) ||
       warm.probes != reference.probes || cold.probes != warm.probes ||
-      reference.campaigns_jsonl != batched.campaigns_jsonl ||
-      canonical_jsonl(reference.campaigns_jsonl) !=
-          canonical_jsonl(parallel.campaigns_jsonl)) {
+      reference.report != batched.report || reference.report != parallel.report) {
     std::fprintf(stderr,
                  "bench_analyze: path divergence (probes %" PRIu64 "/%" PRIu64
                  "/%" PRIu64 "/%" PRIu64 ", campaigns %" PRIu64 "/%" PRIu64
-                 "/%" PRIu64 ", jsonl %s/%s)\n",
+                 "/%" PRIu64 ", report %s/%s)\n",
                  warm.probes, reference.probes, batched.probes, parallel.probes,
                  reference.campaigns, batched.campaigns, parallel.campaigns,
-                 reference.campaigns_jsonl == batched.campaigns_jsonl ? "ok" : "DIFF",
-                 canonical_jsonl(reference.campaigns_jsonl) ==
-                         canonical_jsonl(parallel.campaigns_jsonl)
-                     ? "ok"
-                     : "DIFF");
+                 reference.report == batched.report ? "ok" : "DIFF",
+                 reference.report == parallel.report ? "ok" : "DIFF");
     return 1;
   }
 

@@ -25,6 +25,7 @@
 
 #include "core/analysis_summary.h"
 #include "core/daily_series.h"
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "core/volatility.h"
@@ -188,13 +189,27 @@ inline const enrich::InternetRegistry& shared_registry() {
   return enrich::InternetRegistry::synthetic_default();
 }
 
+/// Simulates one window into `pipeline` the way production feeds it:
+/// frames classified in batches by `core::FrameBatcher`, each probe
+/// batch through `feed_probes`, the sensor counters absorbed at the end.
+inline simgen::GeneratorStats generate_into(core::Pipeline& pipeline,
+                                            simgen::YearConfig config) {
+  simgen::TrafficGenerator generator(std::move(config), shared_telescope(),
+                                     shared_registry());
+  core::FrameBatcher batcher(shared_telescope(), [&](const telescope::ProbeBatch& batch) {
+    pipeline.feed_probes(batch);
+  });
+  const auto stats = generator.run([&](const net::RawFrame& f) { batcher.push(f); });
+  pipeline.absorb_sensor_counters(batcher.finish());
+  return stats;
+}
+
 /// Runs one window through the pipeline with the requested observers.
 inline YearRun run_window(simgen::YearConfig config, const Observers& observers = {}) {
   YearRun run;
   run.config = config;
-  const auto& telescope = shared_telescope();
 
-  core::Pipeline pipeline(telescope);
+  core::Pipeline pipeline(shared_telescope());
   if (observers.port_tally) pipeline.add_observer(run.tally);
   if (observers.volatility) {
     run.volatility.emplace(config.start_time);
@@ -205,10 +220,9 @@ inline YearRun run_window(simgen::YearConfig config, const Observers& observers 
     pipeline.add_observer(*run.daily);
   }
 
-  simgen::TrafficGenerator generator(std::move(config), telescope, shared_registry());
   {
     obs::ScopedTimer generate("bench.generate_and_feed");
-    run.generated = generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+    run.generated = generate_into(pipeline, std::move(config));
   }
   {
     const obs::ScopedTimer finish("bench.finish");

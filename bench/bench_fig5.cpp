@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
   core::TypeTally types(bench::shared_registry());
   core::Pipeline pipeline(bench::shared_telescope());
   pipeline.add_observer(types);
-  simgen::TrafficGenerator generator(config, bench::shared_telescope(),
-                                     bench::shared_registry());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  bench::generate_into(pipeline, config);
   (void)pipeline.finish();
 
   auto ports = types.top_ports(15);

@@ -29,9 +29,7 @@ int main(int argc, char** argv) {
     core::TypeTally types(bench::shared_registry());
     core::Pipeline pipeline(bench::shared_telescope());
     pipeline.add_observer(types);
-    simgen::TrafficGenerator generator(config, bench::shared_telescope(),
-                                       bench::shared_registry());
-    (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+    bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
 
     const auto coverage =

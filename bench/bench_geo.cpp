@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
     core::GeoTally geo(bench::shared_registry());
     core::Pipeline pipeline(bench::shared_telescope());
     pipeline.add_observer(geo);
-    simgen::TrafficGenerator generator(config, bench::shared_telescope(),
-                                       bench::shared_registry());
-    (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+    bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
 
     std::vector<std::string> row{std::to_string(year)};

@@ -3,6 +3,10 @@
 // toolkit sustains telescope-scale packet rates.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/ingest.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/tracker.h"
@@ -117,13 +121,24 @@ void BM_TrackerFeed(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackerFeed);
 
+/// Frames -> `core::FrameBatcher` -> `sink`; returns the sensor counters.
+telescope::SensorCounters feed_batched(const telescope::Telescope& telescope,
+                                       const std::vector<net::RawFrame>& frames,
+                                       core::ProbeBatchSink sink) {
+  core::FrameBatcher batcher(telescope, std::move(sink));
+  for (const auto& frame : frames) batcher.push(frame);
+  return batcher.finish();
+}
+
 void BM_EndToEndPipeline(benchmark::State& state) {
   const auto telescope = telescope::Telescope::paper_default();
   const auto frames = sample_frames(4096);
   for (auto unused : state) {
     (void)unused;
     core::Pipeline pipeline(telescope);
-    for (const auto& frame : frames) pipeline.feed_frame(frame);
+    pipeline.absorb_sensor_counters(feed_batched(
+        telescope, frames,
+        [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); }));
     benchmark::DoNotOptimize(pipeline.finish());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frames.size()));
@@ -141,7 +156,9 @@ void BM_EndToEndPipelineObsOn(benchmark::State& state) {
   for (auto unused : state) {
     (void)unused;
     core::Pipeline pipeline(telescope);
-    for (const auto& frame : frames) pipeline.feed_frame(frame);
+    pipeline.absorb_sensor_counters(feed_batched(
+        telescope, frames,
+        [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); }));
     benchmark::DoNotOptimize(pipeline.finish());
   }
   obs::set_enabled(false);
@@ -184,7 +201,9 @@ void BM_ParallelPipeline(benchmark::State& state) {
   for (auto unused : state) {
     (void)unused;
     core::ParallelAnalyzer analyzer(telescope, workers);
-    for (const auto& frame : frames) analyzer.feed_frame(frame);
+    analyzer.absorb_sensor_counters(feed_batched(
+        telescope, frames,
+        [&](const telescope::ProbeBatch& batch) { analyzer.feed_probes(batch); }));
     benchmark::DoNotOptimize(analyzer.finish());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frames.size()));

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string_view>
 
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "report/table.h"
 #include "simgen/ecosystem.h"
@@ -42,7 +43,11 @@ int main(int argc, char** argv) {
 
   simgen::TrafficGenerator generator(config, telescope,
                                      enrich::InternetRegistry::synthetic_default());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    pipeline.feed_probes(batch);
+  });
+  (void)generator.run([&](const net::RawFrame& f) { batcher.push(f); });
+  pipeline.absorb_sensor_counters(batcher.finish());
   const auto result = pipeline.finish();
   if (result.campaigns.empty()) {
     std::cout << "no campaigns detected\n";

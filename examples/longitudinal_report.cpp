@@ -11,6 +11,7 @@
 
 #include "core/analysis_campaigns.h"
 #include "core/analysis_summary.h"
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "report/table.h"
@@ -36,7 +37,11 @@ EraView study_of(int year, double scale) {
   pipeline.add_observer(tally);
   simgen::TrafficGenerator generator(simgen::year_config(year, scale), telescope,
                                      enrich::InternetRegistry::synthetic_default());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    pipeline.feed_probes(batch);
+  });
+  (void)generator.run([&](const net::RawFrame& f) { batcher.push(f); });
+  pipeline.absorb_sensor_counters(batcher.finish());
   const auto result = pipeline.finish();
 
   EraView view;

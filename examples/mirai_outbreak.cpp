@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "core/analysis_campaigns.h"
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "report/table.h"
@@ -33,7 +34,11 @@ int main(int argc, char** argv) {
 
   simgen::TrafficGenerator generator(simgen::year_config(2017, scale), telescope,
                                      enrich::InternetRegistry::synthetic_default());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    pipeline.feed_probes(batch);
+  });
+  (void)generator.run([&](const net::RawFrame& f) { batcher.push(f); });
+  pipeline.absorb_sensor_counters(batcher.finish());
   const auto result = pipeline.finish();
 
   const auto shares = core::tool_shares(result.campaigns);

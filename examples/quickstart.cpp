@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/analysis_summary.h"
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "pcap/pcap.h"
@@ -70,15 +71,16 @@ int main(int argc, char** argv) {
   }
 
   // --- 3 + 4. Replay the capture through the pipeline -------------------
+  // ingest_capture classifies the frames in batches (and leaves a `.spc`
+  // probe cache next to the capture for the next replay).
   core::Pipeline pipeline(telescope);
   core::PortTally tally;
   pipeline.add_observer(tally);
 
-  auto reader = pcap::Reader::open(capture_path);
-  net::RawFrame frame;
-  while (reader.next(frame) == pcap::ReadStatus::kOk) {
-    pipeline.feed_frame(frame);
-  }
+  const auto ingested = core::ingest_capture(
+      capture_path, telescope, core::IngestOptions{},
+      [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
+  pipeline.absorb_sensor_counters(ingested.sensor);
   const auto result = pipeline.finish();
 
   std::cout << "\nsensor: " << result.sensor.scan_probes << " SYN probes, "

@@ -11,6 +11,7 @@
 
 #include "core/analysis_campaigns.h"
 #include "core/analysis_types.h"
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "enrich/etl.h"
 #include "report/table.h"
@@ -31,7 +32,11 @@ int main(int argc, char** argv) {
   core::Pipeline pipeline(telescope);
   simgen::TrafficGenerator generator(simgen::year_config(2024, scale), telescope,
                                      registry);
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    pipeline.feed_probes(batch);
+  });
+  (void)generator.run([&](const net::RawFrame& f) { batcher.push(f); });
+  pipeline.absorb_sensor_counters(batcher.finish());
   const auto result = pipeline.finish();
 
   const auto census = core::vertical_scan_census(result.campaigns);

@@ -57,7 +57,7 @@ struct IngestMetrics {
 /// Classifier sink for the fused record walk (`ChunkReader::scan`):
 /// consumes records straight off the walk, assembling SIMD lane groups
 /// in place instead of staging `net::FrameView`s, and hands off one
-/// `ProbeBatch` per `batch_frames` frames. Group formation restarts at
+/// `ProbeBatch` per `kIngestBatchFrames` frames. Group formation restarts at
 /// every batch boundary (the trailing partial group is classified by the
 /// scalar reference), exactly like `Sensor::classify_batch` over the
 /// same windows — probes, probe order and counters are bit-identical to
@@ -71,11 +71,8 @@ class FusedClassifier {
                            telescope::SensorCounters&, telescope::detail::ProbeCursor&,
                            std::uint64_t&);
 
-  FusedClassifier(const telescope::Telescope& telescope, std::size_t batch_frames,
-                  Deliver deliver)
-      : telescope_(&telescope),
-        batch_frames_(batch_frames),
-        deliver_(std::move(deliver)) {
+  FusedClassifier(const telescope::Telescope& telescope, Deliver deliver)
+      : telescope_(&telescope), deliver_(std::move(deliver)) {
     switch (telescope::simd::active_level()) {
       case telescope::simd::SimdLevel::kAvx2:
         group_size_ = 8;
@@ -110,7 +107,7 @@ class FusedClassifier {
         pending_.count = 0;
       }
     }
-    if (++window_frames_ == batch_frames_) flush_batch();
+    if (++window_frames_ == kIngestBatchFrames) flush_batch();
   }
 
   /// Delivers the final partial batch (if any frames were consumed since
@@ -129,16 +126,16 @@ class FusedClassifier {
   /// and points the cursor at the column bases; resize() keeps capacity
   /// on a recycled batch, so steady state re-arms without allocating.
   void arm_batch() {
-    batch_.timestamp_us.resize(batch_frames_);
-    batch_.source.resize(batch_frames_);
-    batch_.destination.resize(batch_frames_);
-    batch_.source_port.resize(batch_frames_);
-    batch_.destination_port.resize(batch_frames_);
-    batch_.sequence.resize(batch_frames_);
-    batch_.acknowledgment.resize(batch_frames_);
-    batch_.ip_id.resize(batch_frames_);
-    batch_.window.resize(batch_frames_);
-    batch_.ttl.resize(batch_frames_);
+    batch_.timestamp_us.resize(kIngestBatchFrames);
+    batch_.source.resize(kIngestBatchFrames);
+    batch_.destination.resize(kIngestBatchFrames);
+    batch_.source_port.resize(kIngestBatchFrames);
+    batch_.destination_port.resize(kIngestBatchFrames);
+    batch_.sequence.resize(kIngestBatchFrames);
+    batch_.acknowledgment.resize(kIngestBatchFrames);
+    batch_.ip_id.resize(kIngestBatchFrames);
+    batch_.window.resize(kIngestBatchFrames);
+    batch_.ttl.resize(kIngestBatchFrames);
     cursor_ = telescope::detail::ProbeCursor{
         batch_.timestamp_us.data(), batch_.source.data(),
         batch_.destination.data(),  batch_.source_port.data(),
@@ -173,7 +170,6 @@ class FusedClassifier {
   }
 
   const telescope::Telescope* telescope_;
-  std::size_t batch_frames_;
   Deliver deliver_;
   std::size_t group_size_ = 0;  ///< kernel lane width; 0 = scalar loop
   GroupFn group_fn_ = nullptr;
@@ -222,12 +218,41 @@ class ChunkMerge {
 
 }  // namespace
 
+FrameBatcher::FrameBatcher(const telescope::Telescope& telescope, ProbeBatchSink sink)
+    : sensor_(telescope), sink_(std::move(sink)), buffer_(kIngestBatchFrames) {
+  views_.reserve(kIngestBatchFrames);
+  batch_.reserve(kIngestBatchFrames);
+}
+
+void FrameBatcher::push(const net::RawFrame& frame) {
+  // Slots keep their byte buffers, so steady state copies without
+  // allocating.
+  auto& slot = buffer_[filled_];
+  slot.timestamp_us = frame.timestamp_us;
+  slot.bytes.assign(frame.bytes.begin(), frame.bytes.end());
+  ++frames_;
+  if (++filled_ == buffer_.size()) flush();
+}
+
+const telescope::SensorCounters& FrameBatcher::finish() {
+  if (filled_ > 0) flush();
+  return sensor_.counters();
+}
+
+void FrameBatcher::flush() {
+  views_.clear();
+  for (std::size_t i = 0; i < filled_; ++i) views_.push_back(net::as_view(buffer_[i]));
+  filled_ = 0;
+  batch_.clear();
+  sensor_.classify_batch(views_, batch_);
+  sink_(batch_);
+}
+
 IngestResult ingest_capture(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
                             const IngestOptions& options, const ProbeBatchSink& sink) {
   const IngestMetrics metrics;
   IngestResult result;
-  const auto batch_frames = std::max<std::size_t>(std::size_t{1}, options.batch_frames);
 
   // Streams and FIFOs have no stable identity, so they are never cached.
   const auto identity =
@@ -265,12 +290,12 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   std::optional<ProbeCacheWriter> writer;
   if (identity) {
     try {
-      writer.emplace(cache_path, *identity, options.cache_codec);
+      writer.emplace(cache_path, *identity);
     } catch (const std::exception&) {
     }
   }
 
-  const auto deliver_batch = [&](telescope::ProbeBatch& batch) {
+  const auto deliver_batch = [&](const telescope::ProbeBatch& batch) {
     ++result.batches;
     if (metrics.batches != nullptr) metrics.batches->add();
     if (batch.empty()) return;
@@ -282,7 +307,7 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   /// classified straight off the walk.
   const auto run_serial = [&](pcap::MappedReader& reader) {
     result.chunks = 1;
-    FusedClassifier classifier(telescope, batch_frames, deliver_batch);
+    FusedClassifier classifier(telescope, deliver_batch);
     pcap::ChunkReader chunk(
         reader.bytes(), reader.info(),
         {std::min<std::size_t>(pcap::kGlobalHeaderSize, reader.bytes().size()),
@@ -311,15 +336,14 @@ IngestResult ingest_capture(const std::filesystem::path& path,
       std::vector<std::thread> workers;
       workers.reserve(chunks.size());
       for (std::size_t i = 0; i < chunks.size(); ++i) {
-        workers.emplace_back([&telescope, &reader, &chunks, &merge, batch_frames, i] {
+        workers.emplace_back([&telescope, &reader, &chunks, &merge, i] {
           // Workers accumulate into a private outcome and publish it
           // whole; nothing shared is touched until the final handoff.
           ChunkOutcome outcome;
           try {
-            FusedClassifier classifier(telescope, batch_frames,
-                                       [&outcome](telescope::ProbeBatch& batch) {
-                                         outcome.batches.push_back(std::move(batch));
-                                       });
+            FusedClassifier classifier(telescope, [&outcome](telescope::ProbeBatch& batch) {
+              outcome.batches.push_back(std::move(batch));
+            });
             pcap::ChunkReader chunk(reader.bytes(), reader.info(), chunks[i]);
             outcome.status = chunk.scan([&classifier](net::TimeUs timestamp_us,
                                                       const std::uint8_t* data,
@@ -377,34 +401,14 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     // frames are still classified in batches.
     auto reader = pcap::NgReader::open(path);
     if (metrics.fallback_reads != nullptr) metrics.fallback_reads->add();
-    telescope::Sensor sensor(telescope);
-    telescope::ProbeBatch batch;
-    batch.reserve(batch_frames);
-    std::vector<net::RawFrame> frames(batch_frames);
-    std::vector<net::FrameView> views;
-    views.reserve(batch_frames);
-    for (;;) {
-      auto status = pcap::ReadStatus::kOk;
-      std::size_t filled = 0;
-      while (filled < batch_frames &&
-             (status = reader.next(frames[filled])) == pcap::ReadStatus::kOk) {
-        ++filled;
-      }
-      if (filled > 0) {
-        views.clear();
-        for (std::size_t i = 0; i < filled; ++i) views.push_back(net::as_view(frames[i]));
-        batch.clear();
-        sensor.classify_batch(views, batch);
-        result.frames += filled;
-        deliver_batch(batch);
-      }
-      if (status != pcap::ReadStatus::kOk) {
-        result.status = status;
-        break;
-      }
+    FrameBatcher batcher(telescope, deliver_batch);
+    net::RawFrame frame;
+    while ((result.status = reader.next(frame)) == pcap::ReadStatus::kOk) {
+      batcher.push(frame);
     }
-    result.sensor = sensor.counters();
-    result.simd_rows = sensor.simd_rows();
+    result.sensor = batcher.finish();
+    result.frames = batcher.frames();
+    result.simd_rows = batcher.simd_rows();
     if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
   } else if (!options.use_mmap) {
     std::ifstream stream(path, std::ios::binary);

@@ -15,14 +15,20 @@
 // After a cold decode of a regular file the probes are written back as a
 // cache (best-effort: cache I/O failures never fail the run), so the
 // second replay of the same capture takes path 1.
+//
+// Producers that are not capture files — the traffic generator, tests
+// building frames by hand — reach analysis the same way, through
+// `FrameBatcher`, the batching step the pcapng path runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <vector>
 
 #include "core/probe_cache.h"
+#include "net/packet.h"
 #include "pcap/pcap.h"
 #include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
@@ -30,13 +36,14 @@
 
 namespace synscan::core {
 
+/// Frames classified per batch on every decode path.
+inline constexpr std::size_t kIngestBatchFrames = 4096;
+
 struct IngestOptions {
   /// Map regular classic-pcap files instead of streaming them.
   bool use_mmap = true;
   /// Read and write the sibling `.spc` probe cache.
   bool use_cache = true;
-  /// Frames classified per batch on the decode paths.
-  std::size_t batch_frames = 4096;
   /// Cold-scan parallelism: the capture's record region is split into
   /// this many record-aligned chunks (`pcap::partition_records`), each
   /// scanned and classified by its own thread, and the per-chunk probe
@@ -46,8 +53,6 @@ struct IngestOptions {
   /// captures stay serial regardless: splitting pays off only once the
   /// scan outweighs thread startup.
   std::size_t scan_chunks = 0;
-  /// Chunk encoding for caches this run writes (reads auto-detect).
-  CacheCodec cache_codec = CacheCodec::kDeltaVarint;
   /// Cache location override; empty means `<capture>.spc`.
   std::filesystem::path cache_path;
 };
@@ -66,6 +71,47 @@ struct IngestResult {
 /// Receives each probe batch in capture order. The batch is only valid
 /// for the duration of the call (buffers are recycled).
 using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
+
+/// The frame→batch step for producers that hold one frame at a time
+/// (pcapng records, the traffic generator): buffers raw frames,
+/// classifies every `kIngestBatchFrames` of them with
+/// `Sensor::classify_batch` and hands the resulting batch — possibly
+/// empty — to the sink. Typical use feeds a pipeline:
+///
+///   FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& b) {
+///     pipeline.feed_probes(b);
+///   });
+///   generator.run([&](const net::RawFrame& f) { batcher.push(f); });
+///   pipeline.absorb_sensor_counters(batcher.finish());
+class FrameBatcher {
+ public:
+  /// The sensor keeps a pointer; a temporary telescope would dangle.
+  FrameBatcher(const telescope::Telescope& telescope, ProbeBatchSink sink);
+  FrameBatcher(const telescope::Telescope&&, ProbeBatchSink) = delete;
+
+  /// Copies one frame into the buffer; a full buffer is classified and
+  /// delivered before this returns.
+  void push(const net::RawFrame& frame);
+
+  /// Classifies and delivers the buffered frames, if any. Returns the
+  /// sensor counters over every frame pushed so far.
+  const telescope::SensorCounters& finish();
+
+  [[nodiscard]] std::uint64_t frames() const noexcept { return frames_; }
+  /// Frames resolved on a vector lane (`Sensor::simd_rows`).
+  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return sensor_.simd_rows(); }
+
+ private:
+  void flush();
+
+  telescope::Sensor sensor_;
+  ProbeBatchSink sink_;
+  std::vector<net::RawFrame> buffer_;  ///< kIngestBatchFrames reusable slots
+  std::vector<net::FrameView> views_;
+  telescope::ProbeBatch batch_;
+  std::size_t filled_ = 0;   ///< slots holding frames not yet classified
+  std::uint64_t frames_ = 0;  ///< frames pushed
+};
 
 /// Replays `path` (classic pcap or pcapng) through the fastest available
 /// ingest path and feeds every scan probe to `sink` in capture order.

@@ -4,20 +4,19 @@
 // archives at that volume wants more than one core. Campaign tracking is
 // embarrassingly parallel across *sources* — a campaign never spans two
 // source addresses — so the driver dispatches work to a worker chosen by
-// source-address hash. Two entry shapes exist: raw/decoded frames are
-// queued per worker and classified there, while pre-sensed probe batches
-// (the batched ingest path) are shared as-is — the feeder copies each
-// `ProbeBatch` once into a shared columnar buffer and hands every worker
-// a *slice*, a vector of row indices into the shared columns. No
-// `ScanProbe` is ever materialized or copied on the feeder; workers
-// run batched observers and the tracker straight off the columns via
+// source-address hash. Probes arrive as classified batches: the feeder
+// copies each `ProbeBatch` once into a shared columnar buffer and hands
+// every worker a *slice*, a vector of row indices into the shared
+// columns. No `ScanProbe` is ever materialized or copied on the feeder;
+// workers run the tracker straight off the columns via
 // `Pipeline::feed_probe_rows`. `finish()` joins the workers and merges
 // campaigns and counters into one result, ordered deterministically.
 //
 // Streaming observers attached on the feeder thread consume the same
-// batches in file order (see `cli::analyze_capture`); per-worker
-// pipelines carry no observers of their own. Equivalence with the serial
-// `Pipeline` is covered by tests.
+// batches in file order (see `core::analyze_capture`); per-worker
+// pipelines carry no observers of their own. The merged report is
+// byte-identical to the serial `Pipeline`'s at any worker count
+// (covered by tests).
 #pragma once
 
 #include <cstdint>
@@ -34,49 +33,34 @@ namespace synscan::core {
 
 class ParallelAnalyzer {
  public:
-  /// `workers` must be >= 1. The telescope must outlive the analyzer.
+  /// `workers` must be >= 1.
   ParallelAnalyzer(const telescope::Telescope& telescope, std::size_t workers,
                    TrackerConfig tracker_config = {});
-  ParallelAnalyzer(const telescope::Telescope&&, std::size_t, TrackerConfig = {}) =
-      delete;
 
   ~ParallelAnalyzer();
   ParallelAnalyzer(const ParallelAnalyzer&) = delete;
   ParallelAnalyzer& operator=(const ParallelAnalyzer&) = delete;
 
-  /// Decodes and dispatches one frame. Call from one thread only.
-  void feed_frame(const net::RawFrame& frame);
-
-  /// Dispatches an already decoded frame (callers that decode on the
-  /// feeding thread anyway, e.g. to drive streaming observers, avoid a
-  /// second decode).
-  void feed_decoded(net::TimeUs timestamp_us, net::DecodedFrame frame);
-
-  /// Dispatches a batch of pre-sensed probes (the batched ingest path:
-  /// classification already happened on the feeder). The batch's columns
-  /// are copied once into a shared buffer; workers receive row-index
-  /// slices into it. Call from one thread only; do not interleave with
-  /// the frame-feeding entry points.
+  /// Dispatches a batch of classified probes. The batch's columns are
+  /// copied once into a shared buffer; workers receive row-index slices
+  /// into it. Call from one thread only.
   void feed_probes(const telescope::ProbeBatch& batch);
 
-  /// Folds counters from the feeder-side sensor into `finish()`'s
-  /// merged result (workers never saw the raw frames on the probe path).
+  /// Folds the producer's sensor counters into `finish()`'s merged
+  /// result (workers see probes, never frames).
   void absorb_sensor_counters(const telescope::SensorCounters& counters);
 
-  /// Flushes queues, joins workers and merges everything. Call once.
-  /// When observability is on, publishes `parallel.*` metrics (per-worker
-  /// peak queue depth and item counts, batch-size distribution, merge
+  /// Joins the workers and merges everything. Call once. Every worker
+  /// finishes against the stream's last timestamp (the latest any worker
+  /// saw), so `expired_flows` matches the serial pipeline. When
+  /// observability is on, publishes `parallel.*` metrics (per-worker
+  /// peak queue depth and row counts, slice-size distribution, merge
   /// time) to the global registry.
   [[nodiscard]] PipelineResult finish();
 
   [[nodiscard]] std::size_t workers() const noexcept { return workers_.size(); }
 
  private:
-  struct Item {
-    net::TimeUs timestamp_us;
-    net::DecodedFrame frame;
-  };
-
   /// One worker's share of a shared probe batch: the rows (in batch
   /// order) whose sources hash to that worker. The `shared_ptr` keeps
   /// the columns alive until every worker holding a slice has drained it.
@@ -96,36 +80,24 @@ class ParallelAnalyzer {
     Pipeline pipeline;
     Mutex mutex;
     CondVar ready;
-    std::vector<Item> queue SYNSCAN_GUARDED_BY(mutex);
-    std::vector<Slice> slice_queue SYNSCAN_GUARDED_BY(mutex);
+    std::vector<Slice> queue SYNSCAN_GUARDED_BY(mutex);
     bool done SYNSCAN_GUARDED_BY(mutex) = false;
     std::thread thread;
     // Feeder-side stats, updated under `mutex` on enqueue; cheap enough
     // to keep unconditionally.
-    std::uint64_t items SYNSCAN_GUARDED_BY(mutex) = 0;    ///< frames + probe rows
-    std::uint64_t batches SYNSCAN_GUARDED_BY(mutex) = 0;  ///< flushes / slices
-    /// Deepest pending entry count observed.
+    std::uint64_t items SYNSCAN_GUARDED_BY(mutex) = 0;  ///< probe rows
+    /// Deepest pending slice count observed.
     std::size_t peak_queue SYNSCAN_GUARDED_BY(mutex) = 0;
   };
 
-  void flush(std::size_t index);
-
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::vector<Item>> pending_;  ///< feeder-side frame batches
   /// Per-worker row-index scratch, refilled for every shared batch.
   std::vector<std::vector<std::uint32_t>> slice_rows_;
-  telescope::SensorCounters absorbed_;  ///< feeder-side sensor counters
-  std::uint64_t undecodable_ = 0;
-  /// Feeder-side batch reallocations. Zero in steady state (batches are
-  /// pre-sized to kBatch and recycled); published as
-  /// `parallel.feeder_reallocs` so capacity regressions are visible.
-  std::uint64_t feeder_reallocs_ = 0;
+  telescope::SensorCounters absorbed_;  ///< the producer's sensor counters
   std::uint64_t slices_ = 0;  ///< probe slices enqueued across workers
   bool finished_ = false;
-  /// Batch-size distribution; resolved at construction iff obs is on.
+  /// Slice-size distribution; resolved at construction iff obs is on.
   obs::Histogram* obs_batch_items_ = nullptr;
-
-  static constexpr std::size_t kBatch = 256;
 };
 
 }  // namespace synscan::core

@@ -7,36 +7,16 @@
 namespace synscan::core {
 
 Pipeline::Pipeline(const telescope::Telescope& telescope, TrackerConfig tracker_config)
-    : telescope_(&telescope),
-      sensor_(telescope),
-      tracker_(tracker_config, telescope.monitored_count(),
+    : tracker_(tracker_config, telescope.monitored_count(),
                [this](Campaign&& campaign) { campaigns_.push_back(std::move(campaign)); }) {
   if (obs::enabled()) {
     auto& registry = obs::MetricsRegistry::global();
-    obs_frames_ = &registry.counter("pipeline.frames");
     obs_probes_ = &registry.counter("pipeline.probes");
     obs_batches_ = &registry.counter("pipeline.batches");
   }
 }
 
 void Pipeline::add_observer(ProbeObserver& observer) { observers_.push_back(&observer); }
-
-void Pipeline::feed_frame(const net::RawFrame& frame) {
-  if (obs_frames_ != nullptr) obs_frames_->add();
-  telescope::ScanProbe probe;
-  if (sensor_.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-    feed_probe(probe);
-  }
-}
-
-void Pipeline::feed_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame) {
-  if (obs_frames_ != nullptr) obs_frames_->add();
-  telescope::ScanProbe probe;
-  if (sensor_.classify_decoded(timestamp_us, frame, probe) ==
-      telescope::FrameClass::kScanProbe) {
-    feed_probe(probe);
-  }
-}
 
 void Pipeline::feed_probe(const telescope::ScanProbe& probe) {
   if (obs_probes_ != nullptr) obs_probes_->add();
@@ -70,10 +50,10 @@ void Pipeline::absorb_sensor_counters(const telescope::SensorCounters& counters)
   absorbed_.add(counters);
 }
 
-PipelineResult Pipeline::finish() {
+PipelineResult Pipeline::finish(net::TimeUs stream_end) {
   {
     obs::ScopedTimer finish_timer("pipeline.finish");
-    tracker_.finish();
+    tracker_.finish(stream_end);
   }
   PipelineResult result;
   result.campaigns = std::move(campaigns_);
@@ -88,8 +68,7 @@ PipelineResult Pipeline::finish() {
             });
   std::uint64_t next_id = 1;
   for (auto& campaign : result.campaigns) campaign.id = next_id++;
-  result.sensor = sensor_.counters();
-  result.sensor.add(absorbed_);
+  result.sensor = absorbed_;
   result.tracker = tracker_.counters();
   campaigns_.clear();
   return result;

@@ -1,9 +1,14 @@
-// The end-to-end pipeline: frames -> sensor -> campaign tracker and
-// streaming observers -> finalized campaigns.
+// The analysis pipeline: classified probe batches -> campaign tracker
+// and streaming observers -> finalized campaigns.
+//
+// Probes arrive already sensed. Every producer classifies frames in
+// batches first — `core::ingest_capture` for capture files,
+// `core::FrameBatcher` for frame-at-a-time sources such as the traffic
+// generator — and hands its sensor counters over through
+// `absorb_sensor_counters`.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,28 +28,21 @@ struct PipelineResult {
   TrackerCounters tracker;
 };
 
-/// Single-pass analysis driver. Attach observers, feed frames (or
-/// pre-sensed probes), then call `finish()` exactly once.
+/// Single-pass analysis driver. Attach observers, feed probe batches,
+/// then call `finish()` exactly once.
 class Pipeline {
  public:
+  /// The telescope sizes the tracker's extrapolation model.
   Pipeline(const telescope::Telescope& telescope, TrackerConfig tracker_config = {});
-  /// The pipeline keeps a pointer; a temporary telescope would dangle.
-  Pipeline(const telescope::Telescope&&, TrackerConfig = {}) = delete;
 
   /// Registers a streaming observer; not owned, must outlive the run.
   void add_observer(ProbeObserver& observer);
 
-  /// Feeds one raw frame through sensor, observers and tracker.
-  void feed_frame(const net::RawFrame& frame);
-
-  /// Feeds an already decoded frame (generator fast path).
-  void feed_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame);
-
-  /// Feeds a probe that already passed a sensor (e.g. loaded from a
-  /// probe log). Observers and tracker see it; sensor counters do not.
+  /// Feeds one probe through `on_probe` and the tracker: the per-probe
+  /// reference the batched path is tested against.
   void feed_probe(const telescope::ScanProbe& probe);
 
-  /// Feeds a whole batch of pre-sensed probes (the batched ingest path).
+  /// Feeds a whole batch of probes — the one production entry point.
   /// Observers see the batch through `observe_batch`; the tracker feeds
   /// row by row (its state machine is inherently per-probe).
   void feed_probes(const telescope::ProbeBatch& batch);
@@ -56,15 +54,17 @@ class Pipeline {
   void feed_probe_rows(const telescope::ProbeBatch& batch,
                        std::span<const std::uint32_t> rows);
 
-  /// Folds counters from an external front-end sensor (the batched
-  /// ingest classifies on the feeder, not here) into `finish()`'s result.
+  /// Folds the producer's sensor counters into `finish()`'s result.
   void absorb_sensor_counters(const telescope::SensorCounters& counters);
 
   /// Flushes the tracker and returns all results. Campaigns come back in
   /// canonical order — by first packet, then source, ids re-issued 1..N —
   /// the same order `ParallelAnalyzer::finish()` produces, so reports are
-  /// identical whatever the worker count.
-  [[nodiscard]] PipelineResult finish();
+  /// identical whatever the worker count. A pipeline that saw only part
+  /// of the stream (one `ParallelAnalyzer` worker) passes the stream's
+  /// last timestamp as `stream_end`, so flows that went quiet before it
+  /// count as expired exactly as in a serial run.
+  [[nodiscard]] PipelineResult finish(net::TimeUs stream_end = 0);
 
   /// Carry mode only (TrackerConfig::carry_boundary_flows): moves out the
   /// boundary flow segments the tracker exported. Call after `finish()`.
@@ -75,15 +75,8 @@ class Pipeline {
   /// Maximum probe timestamp the tracker observed (the stream's "now").
   [[nodiscard]] net::TimeUs max_timestamp() const noexcept { return tracker_.now(); }
 
-  [[nodiscard]] const telescope::Telescope& telescope() const noexcept { return *telescope_; }
-  [[nodiscard]] const telescope::SensorCounters& sensor_counters() const noexcept {
-    return sensor_.counters();
-  }
-
  private:
-  const telescope::Telescope* telescope_;
-  telescope::Sensor sensor_;
-  telescope::SensorCounters absorbed_;  ///< external sensor counters
+  telescope::SensorCounters absorbed_;  ///< the producers' sensor counters
   std::vector<Campaign> campaigns_;
   CampaignTracker tracker_;
   std::vector<ProbeObserver*> observers_;
@@ -91,8 +84,7 @@ class Pipeline {
   /// and reused so `feed_probes` allocates only when batches grow.
   std::vector<std::uint32_t> identity_rows_;
   // Resolved once at construction iff obs is enabled; null pointers keep
-  // the per-frame cost at one predictable branch when it is off.
-  obs::Counter* obs_frames_ = nullptr;
+  // the per-batch cost at one predictable branch when it is off.
   obs::Counter* obs_probes_ = nullptr;
   obs::Counter* obs_batches_ = nullptr;
 };

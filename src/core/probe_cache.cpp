@@ -17,9 +17,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x31637073;  // "spc1" on disk
 constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 136;
-constexpr std::size_t kBytesPerRow = 33;  ///< sum of the ten column widths
-/// Raw bytes per row of the seven columns kDeltaVarint leaves unencoded.
-constexpr std::size_t kFixedTailBytes = kBytesPerRow - 8 - 4 - 4;
+/// Bytes per row of the seven fixed-width columns: ports (2 + 2),
+/// sequence and acknowledgment (4 + 4), ip_id and window (2 + 2), ttl.
+constexpr std::size_t kFixedTailBytes = 2 + 2 + 4 + 4 + 2 + 2 + 1;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -169,19 +169,13 @@ bool decode_delta_column(const std::uint8_t*& p, const std::uint8_t* end,
 
 /// Serializes `rows` probes starting at `begin` as one chunk.
 void encode_chunk(const telescope::ProbeBatch& batch, std::size_t begin,
-                  std::size_t rows, CacheCodec codec, std::vector<std::uint8_t>& out) {
+                  std::size_t rows, std::vector<std::uint8_t>& out) {
   out.clear();
   out.resize(8);
   net::store_le64(out.data(), rows);
-  if (codec == CacheCodec::kDeltaVarint) {
-    append_delta_column(out, batch.timestamp_us.data() + begin, rows);
-    append_delta_column(out, batch.source.data() + begin, rows);
-    append_delta_column(out, batch.destination.data() + begin, rows);
-  } else {
-    append_raw_column(out, batch.timestamp_us.data() + begin, rows);
-    append_raw_column(out, batch.source.data() + begin, rows);
-    append_raw_column(out, batch.destination.data() + begin, rows);
-  }
+  append_delta_column(out, batch.timestamp_us.data() + begin, rows);
+  append_delta_column(out, batch.source.data() + begin, rows);
+  append_delta_column(out, batch.destination.data() + begin, rows);
   append_raw_column(out, batch.source_port.data() + begin, rows);
   append_raw_column(out, batch.destination_port.data() + begin, rows);
   append_raw_column(out, batch.sequence.data() + begin, rows);
@@ -195,21 +189,13 @@ void encode_chunk(const telescope::ProbeBatch& batch, std::size_t begin,
 /// advancing `p` past everything consumed. Fully bounds-checked: a
 /// malformed body returns false without ever reading past `end`.
 bool decode_chunk_body(const std::uint8_t*& p, const std::uint8_t* end,
-                       std::size_t rows, CacheCodec codec,
-                       telescope::ProbeBatch& out) {
-  if (codec == CacheCodec::kDeltaVarint) {
-    if (!decode_delta_column(p, end, rows, out.timestamp_us) ||
-        !decode_delta_column(p, end, rows, out.source) ||
-        !decode_delta_column(p, end, rows, out.destination)) {
-      return false;
-    }
-    if (static_cast<std::size_t>(end - p) < rows * kFixedTailBytes) return false;
-  } else {
-    if (static_cast<std::size_t>(end - p) < rows * kBytesPerRow) return false;
-    copy_column_out(p, rows, out.timestamp_us);
-    copy_column_out(p, rows, out.source);
-    copy_column_out(p, rows, out.destination);
+                       std::size_t rows, telescope::ProbeBatch& out) {
+  if (!decode_delta_column(p, end, rows, out.timestamp_us) ||
+      !decode_delta_column(p, end, rows, out.source) ||
+      !decode_delta_column(p, end, rows, out.destination)) {
+    return false;
   }
+  if (static_cast<std::size_t>(end - p) < rows * kFixedTailBytes) return false;
   copy_column_out(p, rows, out.source_port);
   copy_column_out(p, rows, out.destination_port);
   copy_column_out(p, rows, out.sequence);
@@ -220,7 +206,7 @@ bool decode_chunk_body(const std::uint8_t*& p, const std::uint8_t* end,
   return true;
 }
 
-void encode_header(std::uint8_t* p, const CacheIdentity& identity, CacheCodec codec,
+void encode_header(std::uint8_t* p, const CacheIdentity& identity,
                    std::uint64_t frame_count, std::uint64_t probe_count,
                    pcap::ReadStatus terminal_status,
                    const telescope::SensorCounters& sensor, std::uint64_t checksum) {
@@ -231,7 +217,7 @@ void encode_header(std::uint8_t* p, const CacheIdentity& identity, CacheCodec co
   net::store_le64(p + 24, frame_count);
   net::store_le64(p + 32, probe_count);
   net::store_le32(p + 40, static_cast<std::uint32_t>(terminal_status));
-  net::store_le32(p + 44, static_cast<std::uint32_t>(codec));
+  net::store_le32(p + 44, kCacheCodecDeltaVarint);
   net::store_le64(p + 48, sensor.scan_probes);
   net::store_le64(p + 56, sensor.backscatter);
   net::store_le64(p + 64, sensor.xmas_or_null);
@@ -262,7 +248,7 @@ const char* parse_header(std::span<const std::uint8_t> bytes, CacheFileInfo& inf
     return "corrupt terminal status";
   }
   info.terminal_status = static_cast<pcap::ReadStatus>(status);
-  info.codec = static_cast<CacheCodec>(net::load_le32(h + 44));
+  info.codec = net::load_le32(h + 44);
   info.sensor.scan_probes = net::load_le64(h + 48);
   info.sensor.backscatter = net::load_le64(h + 56);
   info.sensor.xmas_or_null = net::load_le64(h + 64);
@@ -279,16 +265,11 @@ const char* parse_header(std::span<const std::uint8_t> bytes, CacheFileInfo& inf
 }
 
 /// Structural acceptance for replay: does this reader understand the
-/// file at all? (Version gate: a future v3 reads as "stale", never as
-/// garbage probes.)
+/// file at all? Any other version or codec — an older layout or a
+/// future one — reads as "no cache", never as garbage probes.
 const char* check_header(const CacheFileInfo& info) {
-  if (info.version != 1 && info.version != kVersion) return "unsupported version";
-  if (info.version == 1 && info.codec != CacheCodec::kRaw) {
-    return "v1 file with nonzero reserved field";
-  }
-  if (info.codec != CacheCodec::kRaw && info.codec != CacheCodec::kDeltaVarint) {
-    return "unknown codec";
-  }
+  if (info.version != kVersion) return "unsupported version";
+  if (info.codec != kCacheCodecDeltaVarint) return "unknown codec";
   // Every encoding spends well over one byte per row, so a probe count
   // beyond the file size is corrupt; it also bounds the chunk-size
   // arithmetic below against overflow.
@@ -312,23 +293,17 @@ const char* walk_chunks(std::span<const std::uint8_t> bytes, const CacheFileInfo
     if (bytes.size() - offset < 8) return "truncated chunk header";
     const auto rows = net::load_le64(bytes.data() + offset);
     if (rows == 0 || rows > info.probe_count) return "implausible chunk row count";
-    std::size_t body = 0;
-    if (info.codec == CacheCodec::kDeltaVarint) {
-      // Three length-prefixed varint streams, then the fixed-width tail.
-      std::size_t at = offset + 8;
-      for (int column = 0; column < 3; ++column) {
-        if (bytes.size() - at < 8) return "truncated column length";
-        const auto length = net::load_le64(bytes.data() + at);
-        at += 8;
-        if (bytes.size() - at < length) return "truncated compressed column";
-        at += static_cast<std::size_t>(length);
-      }
-      if (bytes.size() - at < rows * kFixedTailBytes) return "truncated column";
-      body = at + rows * kFixedTailBytes - (offset + 8);
-    } else {
-      if (bytes.size() - offset - 8 < rows * kBytesPerRow) return "truncated column";
-      body = rows * kBytesPerRow;
+    // Three length-prefixed varint streams, then the fixed-width tail.
+    std::size_t at = offset + 8;
+    for (int column = 0; column < 3; ++column) {
+      if (bytes.size() - at < 8) return "truncated column length";
+      const auto length = net::load_le64(bytes.data() + at);
+      at += 8;
+      if (bytes.size() - at < length) return "truncated compressed column";
+      at += static_cast<std::size_t>(length);
     }
+    if (bytes.size() - at < rows * kFixedTailBytes) return "truncated column";
+    const std::size_t body = at + rows * kFixedTailBytes - (offset + 8);
     checksum = fnv1a(bytes.subspan(offset, 8 + body), checksum);
     ++chunks_seen;
     rows_seen += rows;
@@ -410,13 +385,12 @@ CacheVerifyReport cache_verify(const std::filesystem::path& path,
 }
 
 ProbeCacheWriter::ProbeCacheWriter(std::filesystem::path path,
-                                   const CacheIdentity& identity, CacheCodec codec)
+                                   const CacheIdentity& identity)
     : path_(std::move(path)),
       tmp_path_(path_.native() + ".tmp"),
       stream_(tmp_path_, std::ios::binary | std::ios::trunc),
       checksum_(kFnvOffset),
-      identity_(identity),
-      codec_(codec) {
+      identity_(identity) {
   if (!stream_.is_open()) {
     throw std::runtime_error("probe cache: cannot create " + tmp_path_.string());
   }
@@ -428,7 +402,7 @@ ProbeCacheWriter::ProbeCacheWriter(std::filesystem::path path,
 ProbeCacheWriter::~ProbeCacheWriter() { abandon(); }
 
 void ProbeCacheWriter::emit_chunk(std::size_t begin, std::size_t rows) {
-  encode_chunk(staging_, begin, rows, codec_, scratch_);
+  encode_chunk(staging_, begin, rows, scratch_);
   checksum_ = fnv1a(scratch_, checksum_);
   probe_count_ += rows;
   stream_.write(reinterpret_cast<const char*>(scratch_.data()),
@@ -488,7 +462,7 @@ bool ProbeCacheWriter::commit(std::uint64_t frame_count, pcap::ReadStatus termin
   if (!open_) return false;
   flush_staging(true);
   std::array<std::uint8_t, kHeaderSize> header{};
-  encode_header(header.data(), identity_, codec_, frame_count, probe_count_,
+  encode_header(header.data(), identity_, frame_count, probe_count_,
                 terminal_status, sensor, checksum_);
   stream_.seekp(0);
   stream_.write(reinterpret_cast<const char*>(header.data()),
@@ -542,7 +516,6 @@ std::optional<ProbeCacheReader> ProbeCacheReader::open(
 
   reader.frame_count_ = info.frame_count;
   reader.probe_count_ = info.probe_count;
-  reader.codec_ = info.codec;
   reader.terminal_status_ = info.terminal_status;
   reader.sensor_ = info.sensor;
   reader.offset_ = kHeaderSize;
@@ -560,7 +533,7 @@ bool ProbeCacheReader::next_chunk(telescope::ProbeBatch& out) {
   // inconsistency as end-of-cache.
   const auto rows = static_cast<std::size_t>(net::load_le64(bytes.data() + offset_));
   const std::uint8_t* p = bytes.data() + offset_ + 8;
-  if (!decode_chunk_body(p, bytes.data() + bytes.size(), rows, codec_, out)) {
+  if (!decode_chunk_body(p, bytes.data() + bytes.size(), rows, out)) {
     out.clear();
     offset_ = bytes.size();
     return false;

@@ -9,32 +9,33 @@
 //
 // Layout (all integers little-endian):
 //   header (136 bytes):
-//     u32 magic "spc1"        u32 version (=2; v1 files stay readable)
+//     u32 magic "spc1"        u32 version (=2)
 //     u64 source_size         u64 source_mtime_ns
 //     u64 frame_count         u64 probe_count
-//     u32 terminal_status     u32 codec (CacheCodec; v1 wrote 0 here)
+//     u32 terminal_status     u32 codec (=1, kCacheCodecDeltaVarint)
 //     u64 x 10 sensor counters (SensorCounters field order)
 //     u64 checksum            FNV-1a (64-bit words) over every chunk byte
 //   chunks, until probe_count rows are consumed:
 //     u64 row_count, then the ten probe columns back-to-back in
 //     ProbeBatch field order (timestamp u64; source, destination,
 //     sequence, acknowledgment u32; ports, ip_id, window u16; ttl u8).
-//     codec kRaw: every column is a plain little-endian array.
-//     codec kDeltaVarint: the three high-entropy-but-correlated columns
-//     (timestamp_us, source, destination) are each stored as
-//     `u64 byte_length` + a zigzag-LEB128 stream of row-over-row deltas
-//     (first delta is against 0, so every chunk decodes standalone);
-//     the remaining seven columns stay raw.
+//     The three high-entropy-but-correlated columns (timestamp_us,
+//     source, destination) are each stored as `u64 byte_length` + a
+//     zigzag-LEB128 stream of row-over-row deltas (first delta is
+//     against 0, so every chunk decodes standalone); the remaining seven
+//     columns are plain little-endian arrays.
 //
-// A v2 writer normalizes chunking to a fixed row count per chunk
+// The writer normalizes chunking to a fixed row count per chunk
 // (kCacheRowsPerChunk), independent of how the classifier batched its
 // appends — the cache bytes are a pure function of the probe stream, so
 // serial, chunked-parallel and SIMD-dispatch ingests commit identical
 // files (pinned by tests/integration/ingest_differential_test.cpp).
 //
 // Validity = magic + version + codec + source identity (byte size and
-// mtime in nanoseconds) + chunk framing + checksum. Any mismatch
-// invalidates the cache; callers fall back to decoding and rewrite it.
+// mtime in nanoseconds) + chunk framing + checksum. Any mismatch —
+// including a file of an older layout (v1, or v2 with the retired raw
+// codec 0) — invalidates the cache; callers fall back to decoding and
+// rewrite it. The cache is disposable, so there are no legacy readers.
 // Writes go to a sibling ".tmp" and rename into place so a crashed run
 // never leaves a torn cache.
 #pragma once
@@ -52,14 +53,11 @@
 
 namespace synscan::core {
 
-/// Chunk encoding, stored at header offset 44. v1 files predate the
-/// field and always decode as kRaw (they wrote 0 there as "reserved").
-enum class CacheCodec : std::uint32_t {
-  kRaw = 0,          ///< plain little-endian column arrays
-  kDeltaVarint = 1,  ///< delta+zigzag LEB128 on timestamp/source/destination
-};
+/// The chunk encoding stored at header offset 44: delta+zigzag LEB128
+/// on timestamp/source/destination. The only codec read or written.
+inline constexpr std::uint32_t kCacheCodecDeltaVarint = 1;
 
-/// Rows per chunk a v2 writer emits (the last chunk may be shorter).
+/// Rows per chunk the writer emits (the last chunk may be shorter).
 inline constexpr std::size_t kCacheRowsPerChunk = 65536;
 
 /// What ties a cache file to its source capture.
@@ -76,7 +74,7 @@ struct CacheIdentity {
 /// Header fields of a cache file, as stored (no chunk validation).
 struct CacheFileInfo {
   std::uint32_t version = 0;
-  CacheCodec codec = CacheCodec::kRaw;
+  std::uint32_t codec = 0;
   std::uint64_t source_size = 0;
   std::uint64_t source_mtime_ns = 0;
   std::uint64_t frame_count = 0;
@@ -87,9 +85,9 @@ struct CacheFileInfo {
   std::uint64_t file_size = 0;
 };
 
-/// Parses just the header (magic + version + codec sanity). nullopt when
-/// the file is missing, too short, or not an spc file. Powers the
-/// `synscan cache stat` subcommand.
+/// Parses just the header. nullopt when the file is missing, too short,
+/// or not an spc file; any version and codec are reported as stored.
+/// Powers the `synscan cache stat` subcommand.
 [[nodiscard]] std::optional<CacheFileInfo> cache_stat(const std::filesystem::path& path);
 
 /// Outcome of a full offline validation pass (`synscan cache verify`).
@@ -116,8 +114,7 @@ class ProbeCacheWriter {
  public:
   /// Starts writing `path`'s sibling temp file. Throws when the temp
   /// file cannot be created.
-  ProbeCacheWriter(std::filesystem::path path, const CacheIdentity& identity,
-                   CacheCodec codec = CacheCodec::kDeltaVarint);
+  ProbeCacheWriter(std::filesystem::path path, const CacheIdentity& identity);
   ~ProbeCacheWriter();
   ProbeCacheWriter(const ProbeCacheWriter&) = delete;
   ProbeCacheWriter& operator=(const ProbeCacheWriter&) = delete;
@@ -146,7 +143,6 @@ class ProbeCacheWriter {
   std::uint64_t probe_count_ = 0;
   std::uint64_t checksum_;
   CacheIdentity identity_;
-  CacheCodec codec_;
   bool open_ = false;
 };
 
@@ -168,7 +164,6 @@ class ProbeCacheReader {
   }
   [[nodiscard]] std::uint64_t frame_count() const noexcept { return frame_count_; }
   [[nodiscard]] std::uint64_t probe_count() const noexcept { return probe_count_; }
-  [[nodiscard]] CacheCodec codec() const noexcept { return codec_; }
   [[nodiscard]] pcap::ReadStatus terminal_status() const noexcept {
     return terminal_status_;
   }
@@ -181,7 +176,6 @@ class ProbeCacheReader {
   telescope::SensorCounters sensor_;
   std::uint64_t frame_count_ = 0;
   std::uint64_t probe_count_ = 0;
-  CacheCodec codec_ = CacheCodec::kRaw;
   pcap::ReadStatus terminal_status_ = pcap::ReadStatus::kEndOfFile;
 };
 

@@ -110,8 +110,10 @@ class CampaignTracker {
   /// timestamp counts as expired — the scan had ended, the stream end
   /// merely delivered the verdict — which keeps `expired_flows` a pure
   /// function of the probe timestamps (and therefore shard-mergeable)
-  /// instead of an artifact of sweep scheduling.
-  void finish();
+  /// instead of an artifact of sweep scheduling. A tracker fed only part
+  /// of the stream passes the stream's last timestamp as `stream_end`;
+  /// "now" is the later of it and the last timestamp this tracker saw.
+  void finish(net::TimeUs stream_end = 0);
 
   /// Carry mode only: the boundary segments collected so far (heads as
   /// they closed, tails at `finish()`). Moves the collection out.

@@ -33,8 +33,8 @@ struct ProbeCursor {
 };
 
 /// One frame of the batched fast path (defined in sensor.cpp). Every
-/// early return mirrors a rejection in decode_frame/classify_decoded so
-/// the counter histogram stays bit-identical to the record-at-a-time
+/// early return mirrors a rejection in decode_frame/`Sensor::classify`
+/// so the counter histogram stays bit-identical to the record-at-a-time
 /// path. The SIMD kernels call this for every frame their vector
 /// predicate cannot fully classify.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,

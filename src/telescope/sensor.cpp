@@ -10,17 +10,14 @@
 
 namespace synscan::telescope {
 
-FrameClass Sensor::classify(const net::RawFrame& frame, ScanProbe& probe) {
-  const auto decoded = net::decode_frame(frame.bytes);
+FrameClass Sensor::classify(const net::RawFrame& raw, ScanProbe& probe) {
+  const auto decoded = net::decode_frame(raw.bytes);
   if (!decoded) {
     ++counters_.malformed;
     return FrameClass::kMalformed;
   }
-  return classify_decoded(frame.timestamp_us, *decoded, probe);
-}
-
-FrameClass Sensor::classify_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame,
-                                    ScanProbe& probe) {
+  const net::DecodedFrame& frame = *decoded;
+  const net::TimeUs timestamp_us = raw.timestamp_us;
   if (!telescope_->monitors(frame.ip.destination)) {
     ++counters_.not_monitored;
     return FrameClass::kNotMonitored;
@@ -76,8 +73,8 @@ namespace detail {
 
 // One frame of the batched fast path (shared with the SIMD kernels via
 // classify_detail.h). Every early return mirrors a rejection in
-// decode_frame/classify_decoded so the counter histogram stays
-// bit-identical to the record-at-a-time path.
+// decode_frame/classify so the counter histogram stays bit-identical to
+// the record-at-a-time path.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
                         std::span<const std::uint8_t> bytes, SensorCounters& counters,
                         ProbeCursor& out) {

@@ -90,12 +90,8 @@ class Sensor {
   explicit Sensor(const Telescope&&) = delete;
 
   /// Classifies a raw frame; fills `probe` when the result is kScanProbe.
-  FrameClass classify(const net::RawFrame& frame, ScanProbe& probe);
-
-  /// Classifies an already decoded frame (generator fast path that skips
-  /// re-decoding).
-  FrameClass classify_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame,
-                              ScanProbe& probe);
+  /// The scalar reference `classify_batch` is tested against.
+  FrameClass classify(const net::RawFrame& raw, ScanProbe& probe);
 
   /// Classifies a whole batch of frame views (e.g. straight out of
   /// `pcap::MappedReader`), appending every scan probe to `out` in frame

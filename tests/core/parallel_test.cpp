@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
 
 #include "simgen/generator.h"
 #include "test_support.h"
@@ -60,11 +62,11 @@ TEST(ParallelAnalyzer, MatchesSerialPipeline) {
   const auto frames = workload();
 
   Pipeline serial(test_telescope());
-  for (const auto& frame : frames) serial.feed_frame(frame);
+  testing::feed_per_frame(serial, test_telescope(), frames);
   const auto serial_result = serial.finish();
 
   ParallelAnalyzer parallel(test_telescope(), 4);
-  for (const auto& frame : frames) parallel.feed_frame(frame);
+  testing::feed_batched(parallel, test_telescope(), frames);
   const auto parallel_result = parallel.finish();
 
   EXPECT_EQ(parallel_result.sensor.scan_probes, serial_result.sensor.scan_probes);
@@ -83,7 +85,7 @@ TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {
   std::vector<PipelineResult> results;
   for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
     ParallelAnalyzer analyzer(test_telescope(), workers);
-    for (const auto& frame : frames) analyzer.feed_frame(frame);
+    testing::feed_batched(analyzer, test_telescope(), frames);
     results.push_back(analyzer.finish());
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -96,14 +98,6 @@ TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {
       EXPECT_EQ(results[i].campaigns[c].id, c + 1);
     }
   }
-}
-
-TEST(ParallelAnalyzer, UndecodableFramesCountedAsMalformed) {
-  ParallelAnalyzer analyzer(test_telescope(), 2);
-  analyzer.feed_frame({1, {0xde, 0xad}});
-  analyzer.feed_frame({2, {}});
-  const auto result = analyzer.finish();
-  EXPECT_EQ(result.sensor.malformed, 2u);
 }
 
 TEST(ParallelAnalyzer, RejectsZeroWorkers) {
@@ -119,9 +113,8 @@ TEST(ParallelAnalyzer, FinishTwiceThrows) {
 TEST(ParallelAnalyzer, DestructorWithoutFinishIsClean) {
   const auto frames = workload();
   ParallelAnalyzer analyzer(test_telescope(), 3);
-  for (std::size_t i = 0; i < std::min<std::size_t>(500, frames.size()); ++i) {
-    analyzer.feed_frame(frames[i]);
-  }
+  testing::feed_batched(analyzer, test_telescope(),
+                        std::span(frames).first(std::min<std::size_t>(500, frames.size())));
   // No finish(): the destructor must join without deadlock or leak.
 }
 

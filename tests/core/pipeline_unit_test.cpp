@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "test_support.h"
 
 namespace synscan::core {
@@ -13,22 +15,6 @@ const telescope::Telescope& tiny_telescope() {
   static const telescope::Telescope telescope(
       {{*net::Ipv4Prefix::parse("203.0.113.0/24"), 1000}}, {});
   return telescope;
-}
-
-TEST(Pipeline, FeedDecodedSkipsReparsing) {
-  Pipeline pipeline(tiny_telescope());
-  net::TcpFrameSpec spec;
-  spec.src_ip = net::Ipv4Address::from_octets(9, 9, 9, 9);
-  spec.dst_ip = net::Ipv4Address::from_octets(203, 0, 113, 7);
-  spec.dst_port = 80;
-  const auto bytes = net::build_tcp_frame(spec);
-  const auto decoded = net::decode_frame(bytes);
-  ASSERT_TRUE(decoded.has_value());
-
-  pipeline.feed_decoded(42, *decoded);
-  EXPECT_EQ(pipeline.sensor_counters().scan_probes, 1u);
-  const auto result = pipeline.finish();
-  EXPECT_EQ(result.tracker.probes, 1u);
 }
 
 TEST(Pipeline, FinishIsTerminalAndMovesCampaigns) {
@@ -90,12 +76,15 @@ TEST(Pipeline, NonProbeFramesDoNotReachObservers) {
   Pipeline pipeline(tiny_telescope());
   pipeline.add_observer(counter);
   // A RST (backscatter) frame to a monitored address.
-  const auto bytes = testing::syn_frame(net::Ipv4Address::from_octets(9, 9, 9, 9),
-                                        net::Ipv4Address::from_octets(203, 0, 113, 7),
-                                        80, net::flag_bit(net::TcpFlag::kRst));
-  pipeline.feed_frame({5, bytes});
+  const net::RawFrame frame{
+      5, testing::syn_frame(net::Ipv4Address::from_octets(9, 9, 9, 9),
+                            net::Ipv4Address::from_octets(203, 0, 113, 7), 80,
+                            net::flag_bit(net::TcpFlag::kRst))};
+  testing::feed_batched(pipeline, tiny_telescope(), std::span(&frame, 1));
   EXPECT_EQ(counter.count, 0u);
-  EXPECT_EQ(pipeline.sensor_counters().backscatter, 1u);
+  const auto result = pipeline.finish();
+  EXPECT_EQ(result.sensor.backscatter, 1u);
+  EXPECT_EQ(result.tracker.probes, 0u);
 }
 
 }  // namespace

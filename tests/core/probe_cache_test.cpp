@@ -6,8 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/ingest.h"
+#include "pcap/pcap.h"
 #include "test_support.h"
 
 namespace synscan::core {
@@ -26,8 +29,19 @@ class ProbeCacheTest : public ::testing::Test {
     fs::create_directories(dir_);
     source_ = dir_ / "capture.pcap";
     cache_ = dir_ / "capture.pcap.spc";
-    std::ofstream out(source_, std::ios::binary);
-    out << "stand-in capture bytes";
+    // A real (tiny) capture, so invalid-cache cases can rescan it: five
+    // SYN probes to the dark net and one RST backscatter frame.
+    std::vector<net::RawFrame> frames;
+    for (std::uint8_t i = 0; i < 5; ++i) {
+      frames.push_back({net::TimeUs{i} * 1000,
+                        testing::syn_frame(net::Ipv4Address::from_octets(5, 6, 7, 8),
+                                           net::Ipv4Address::from_octets(198, 51, 0, i),
+                                           80)});
+    }
+    frames.push_back({9000, testing::syn_frame(net::Ipv4Address::from_octets(5, 6, 7, 9),
+                                               net::Ipv4Address::from_octets(198, 51, 0, 1),
+                                               80, net::flag_bit(net::TcpFlag::kRst))});
+    pcap::write_file(source_, frames);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
@@ -52,13 +66,117 @@ class ProbeCacheTest : public ::testing::Test {
   }
 
   /// Writes `batch` to `path` in one append, all rows as probes.
-  void write_cache(const fs::path& path, const telescope::ProbeBatch& batch,
-                   CacheCodec codec) const {
+  void write_cache(const fs::path& path, const telescope::ProbeBatch& batch) const {
     telescope::SensorCounters sensor;
     sensor.scan_probes = batch.size();
-    ProbeCacheWriter writer(path, *cache_identity(source_), codec);
+    ProbeCacheWriter writer(path, *cache_identity(source_));
     writer.append(batch);
     ASSERT_TRUE(writer.commit(batch.size(), pcap::ReadStatus::kEndOfFile, sensor));
+  }
+
+  /// Hand-builds a cache in a retired layout: raw little-endian columns
+  /// in one chunk and codec 0 at offset 44 (v1 called it "reserved"),
+  /// with a valid checksum and the source's identity — so only the
+  /// version/codec gate can reject it.
+  void write_raw_layout(std::uint32_t version, const telescope::ProbeBatch& batch) const {
+    std::vector<std::uint8_t> chunk;
+    const auto le = [&chunk](std::uint64_t v, int width) {
+      for (int i = 0; i < width; ++i) {
+        chunk.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    le(batch.size(), 8);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.timestamp_us[i], 8);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source[i], 4);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination[i], 4);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source_port[i], 2);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination_port[i], 2);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.sequence[i], 4);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.acknowledgment[i], 4);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.ip_id[i], 2);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.window[i], 2);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.ttl[i], 1);
+
+    // FNV-1a over little-endian 64-bit words, zero-padded tail.
+    std::uint64_t checksum = 0xcbf29ce484222325ull;
+    for (std::size_t at = 0; at < chunk.size(); at += 8) {
+      std::uint64_t word = 0;
+      for (std::size_t i = 0; i < 8 && at + i < chunk.size(); ++i) {
+        word |= static_cast<std::uint64_t>(chunk[at + i]) << (8 * i);
+      }
+      checksum = (checksum ^ word) * 0x100000001b3ull;
+    }
+
+    const auto id = identity();
+    std::vector<std::uint8_t> header;
+    const auto hle = [&header](std::uint64_t v, int width) {
+      for (int i = 0; i < width; ++i) {
+        header.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    hle(0x31637073, 4);  // "spc1"
+    hle(version, 4);
+    hle(id.source_size, 8);
+    hle(id.source_mtime_ns, 8);
+    hle(batch.size(), 8);  // frame_count
+    hle(batch.size(), 8);  // probe_count
+    hle(0, 4);             // kEndOfFile
+    hle(0, 4);             // codec: raw
+    hle(batch.size(), 8);  // scan_probes
+    for (int i = 0; i < 9; ++i) hle(0, 8);
+    hle(checksum, 8);
+    ASSERT_EQ(header.size(), 136u);
+
+    std::ofstream out(cache_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(header.data()),
+              static_cast<std::streamsize>(header.size()));
+    out.write(reinterpret_cast<const char*>(chunk.data()),
+              static_cast<std::streamsize>(chunk.size()));
+  }
+
+  /// Replays the fixture capture through `ingest_capture`, collecting
+  /// every probe in capture order.
+  [[nodiscard]] std::pair<IngestResult, telescope::ProbeBatch> ingest(bool use_cache) const {
+    static const telescope::Telescope telescope(
+        {{*net::Ipv4Prefix::parse("198.51.0.0/20"), 1000}}, {});
+    IngestOptions options;
+    options.use_cache = use_cache;
+    telescope::ProbeBatch probes;
+    const auto result = ingest_capture(source_, telescope, options,
+                                       [&probes](const telescope::ProbeBatch& batch) {
+                                         for (std::size_t i = 0; i < batch.size(); ++i) {
+                                           probes.push_back(batch.get(i));
+                                         }
+                                       });
+    return {result, probes};
+  }
+
+  /// The cache at `cache_` must read as "no cache": ingest rescans the
+  /// capture, gets the uncached result, and rewrites the file in the
+  /// current layout (v2, delta codec), which the next run replays.
+  void expect_rescan_rewrites_cache() const {
+    EXPECT_FALSE(ProbeCacheReader::open(cache_, identity()).has_value());
+    const auto [want, want_probes] = ingest(/*use_cache=*/false);
+    ASSERT_EQ(want_probes.size(), 5u);
+
+    const auto [rescanned, rescanned_probes] = ingest(/*use_cache=*/true);
+    EXPECT_FALSE(rescanned.from_cache);
+    EXPECT_EQ(rescanned.frames, want.frames);
+    EXPECT_EQ(rescanned.status, want.status);
+    EXPECT_EQ(rescanned.sensor.scan_probes, want.sensor.scan_probes);
+    EXPECT_EQ(rescanned.sensor.backscatter, want.sensor.backscatter);
+    EXPECT_EQ(rescanned.sensor.total(), want.sensor.total());
+    ASSERT_EQ(rescanned_probes.size(), want_probes.size());
+    expect_rows_equal(rescanned_probes, 0, want_probes, 0, want_probes.size());
+
+    const auto info = cache_stat(cache_);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->version, 2u);
+    EXPECT_EQ(info->codec, kCacheCodecDeltaVarint);
+    const auto [warm, warm_probes] = ingest(/*use_cache=*/true);
+    EXPECT_TRUE(warm.from_cache);
+    ASSERT_EQ(warm_probes.size(), want_probes.size());
+    expect_rows_equal(warm_probes, 0, want_probes, 0, want_probes.size());
   }
 
   static void expect_rows_equal(const telescope::ProbeBatch& got, std::size_t at,
@@ -81,16 +199,6 @@ class ProbeCacheTest : public ::testing::Test {
   static std::vector<std::uint8_t> slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  }
-
-  /// Reads every chunk back as one concatenated batch.
-  static telescope::ProbeBatch drain(ProbeCacheReader& reader) {
-    telescope::ProbeBatch all;
-    telescope::ProbeBatch chunk;
-    while (reader.next_chunk(chunk)) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) all.push_back(chunk.get(i));
-    }
-    return all;
   }
 
   fs::path dir_;
@@ -118,7 +226,6 @@ TEST_F(ProbeCacheTest, WriteReadRoundTrip) {
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->frame_count(), 42u);
   EXPECT_EQ(reader->probe_count(), 7u);
-  EXPECT_EQ(reader->codec(), CacheCodec::kDeltaVarint);
   EXPECT_EQ(reader->terminal_status(), pcap::ReadStatus::kEndOfFile);
   EXPECT_EQ(reader->sensor().scan_probes, 7u);
   EXPECT_EQ(reader->sensor().malformed, 3u);
@@ -135,27 +242,15 @@ TEST_F(ProbeCacheTest, WriteReadRoundTrip) {
   EXPECT_TRUE(chunk.empty());
 }
 
-TEST_F(ProbeCacheTest, RawCodecRoundTrip) {
-  const auto batch = sample_batch(9, 31);
-  write_cache(cache_, batch, CacheCodec::kRaw);
-  auto reader = ProbeCacheReader::open(cache_, identity());
-  ASSERT_TRUE(reader.has_value());
-  EXPECT_EQ(reader->codec(), CacheCodec::kRaw);
-  telescope::ProbeBatch chunk;
-  ASSERT_TRUE(reader->next_chunk(chunk));
-  ASSERT_EQ(chunk.size(), 9u);
-  expect_rows_equal(chunk, 0, batch, 0, 9);
-}
-
 TEST_F(ProbeCacheTest, FileBytesIndependentOfAppendBatching) {
   const auto batch = sample_batch(23, 500);
   const auto whole = dir_ / "whole.spc";
   const auto split = dir_ / "split.spc";
-  write_cache(whole, batch, CacheCodec::kDeltaVarint);
+  write_cache(whole, batch);
   {
     telescope::SensorCounters sensor;
     sensor.scan_probes = batch.size();
-    ProbeCacheWriter writer(split, identity(), CacheCodec::kDeltaVarint);
+    ProbeCacheWriter writer(split, identity());
     telescope::ProbeBatch piece;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       piece.push_back(batch.get(i));
@@ -171,7 +266,7 @@ TEST_F(ProbeCacheTest, FileBytesIndependentOfAppendBatching) {
 
 TEST_F(ProbeCacheTest, FixedRowGridSplitsLargeStreams) {
   const auto batch = sample_batch(kCacheRowsPerChunk + 3, 9);
-  write_cache(cache_, batch, CacheCodec::kDeltaVarint);
+  write_cache(cache_, batch);
   auto reader = ProbeCacheReader::open(cache_, identity());
   ASSERT_TRUE(reader.has_value());
   telescope::ProbeBatch chunk;
@@ -184,13 +279,11 @@ TEST_F(ProbeCacheTest, FixedRowGridSplitsLargeStreams) {
 
 TEST_F(ProbeCacheTest, DeltaCodecCompressesCorrelatedColumns) {
   // Sequential timestamps and near-sequential addresses — the shape of
-  // real probe streams — must come out smaller than the raw layout.
+  // real probe streams — must come out smaller than fixed-width columns
+  // (33 bytes per row after the header and the row count).
   const auto batch = sample_batch(4096, 1000);
-  const auto raw = dir_ / "raw.spc";
-  const auto packed = dir_ / "packed.spc";
-  write_cache(raw, batch, CacheCodec::kRaw);
-  write_cache(packed, batch, CacheCodec::kDeltaVarint);
-  EXPECT_LT(fs::file_size(packed), fs::file_size(raw));
+  write_cache(cache_, batch);
+  EXPECT_LT(fs::file_size(cache_), 136u + 8u + batch.size() * 33u);
 }
 
 TEST_F(ProbeCacheTest, PreservesTruncatedTerminalStatus) {
@@ -209,7 +302,7 @@ TEST_F(ProbeCacheTest, PreservesTruncatedTerminalStatus) {
 
 TEST_F(ProbeCacheTest, StaleIdentityIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(1, 1), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(1, 1));
   auto changed = id;
   changed.source_size += 1;
   EXPECT_FALSE(ProbeCacheReader::open(cache_, changed).has_value());
@@ -221,7 +314,7 @@ TEST_F(ProbeCacheTest, StaleIdentityIsRejected) {
 
 TEST_F(ProbeCacheTest, BitFlipInCompressedStreamIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(64, 77), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(64, 77));
   ASSERT_TRUE(ProbeCacheReader::open(cache_, id).has_value());
   // 136 = header, +8 row count, +8 length prefix: this lands inside the
   // timestamp varint stream. The checksum must catch the flip.
@@ -240,7 +333,7 @@ TEST_F(ProbeCacheTest, BitFlipInCompressedStreamIsRejected) {
 
 TEST_F(ProbeCacheTest, TruncatedCompressedColumnIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(64, 3), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(64, 3));
   // Cut into the fixed-width tail, then deep into the varint region;
   // both must read as "no cache", never as partial probes.
   fs::resize_file(cache_, fs::file_size(cache_) - 5);
@@ -253,108 +346,64 @@ TEST_F(ProbeCacheTest, TruncatedCompressedColumnIsRejected) {
 }
 
 TEST_F(ProbeCacheTest, UnsupportedVersionIsRejected) {
-  const auto id = identity();
-  write_cache(cache_, sample_batch(4, 8), CacheCodec::kDeltaVarint);
+  // A future version 3, and a complete file of the retired v1 layout:
+  // neither is read; both fall back to a rescan that rewrites the cache.
   {
-    std::fstream file(cache_, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(4);
-    file.put('\x03');  // version 3: a future format must read as stale
+    SCOPED_TRACE("version 3");
+    write_cache(cache_, sample_batch(4, 8));
+    {
+      std::fstream file(cache_, std::ios::binary | std::ios::in | std::ios::out);
+      file.seekp(4);
+      file.put('\x03');
+    }
+    const auto report = cache_verify(cache_);
+    EXPECT_FALSE(report.ok);
+    EXPECT_NE(report.error.find("version"), std::string::npos);
+    expect_rescan_rewrites_cache();
   }
-  EXPECT_FALSE(ProbeCacheReader::open(cache_, id).has_value());
-  const auto report = cache_verify(cache_);
-  EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("version"), std::string::npos);
+  {
+    SCOPED_TRACE("version 1");
+    write_raw_layout(1, sample_batch(2, 55));
+    const auto info = cache_stat(cache_);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->version, 1u);
+    EXPECT_NE(cache_verify(cache_).error.find("version"), std::string::npos);
+    expect_rescan_rewrites_cache();
+  }
 }
 
 TEST_F(ProbeCacheTest, UnknownCodecIsRejected) {
-  const auto id = identity();
-  write_cache(cache_, sample_batch(4, 8), CacheCodec::kDeltaVarint);
+  // An unknown codec 9, and a complete v2 file in the retired raw codec
+  // 0: neither is read; both fall back to a rescan that rewrites the
+  // cache with the delta codec.
   {
-    std::fstream file(cache_, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(44);
-    file.put('\x09');
-  }
-  EXPECT_FALSE(ProbeCacheReader::open(cache_, id).has_value());
-  EXPECT_NE(cache_verify(cache_).error.find("codec"), std::string::npos);
-}
-
-TEST_F(ProbeCacheTest, VersionOneFilesStayReadable) {
-  // A v1 file hand-built to the original layout: raw columns, one chunk
-  // per append, zero in the (then reserved) codec slot.
-  const auto id = identity();
-  const auto batch = sample_batch(2, 55);
-  std::vector<std::uint8_t> chunk;
-  const auto le = [&chunk](std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) chunk.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  le(batch.size(), 8);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.timestamp_us[i], 8);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source_port[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination_port[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.sequence[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.acknowledgment[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.ip_id[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.window[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.ttl[i], 1);
-
-  // FNV-1a over little-endian 64-bit words, zero-padded tail.
-  std::uint64_t checksum = 0xcbf29ce484222325ull;
-  for (std::size_t at = 0; at < chunk.size(); at += 8) {
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < 8 && at + i < chunk.size(); ++i) {
-      word |= static_cast<std::uint64_t>(chunk[at + i]) << (8 * i);
+    SCOPED_TRACE("codec 9");
+    write_cache(cache_, sample_batch(4, 8));
+    {
+      std::fstream file(cache_, std::ios::binary | std::ios::in | std::ios::out);
+      file.seekp(44);
+      file.put('\x09');
     }
-    checksum = (checksum ^ word) * 0x100000001b3ull;
+    EXPECT_NE(cache_verify(cache_).error.find("codec"), std::string::npos);
+    expect_rescan_rewrites_cache();
   }
-
-  std::vector<std::uint8_t> header;
-  const auto hle = [&header](std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      header.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  hle(0x31637073, 4);  // "spc1"
-  hle(1, 4);           // version 1
-  hle(id.source_size, 8);
-  hle(id.source_mtime_ns, 8);
-  hle(batch.size(), 8);  // frame_count
-  hle(batch.size(), 8);  // probe_count
-  hle(0, 4);             // kEndOfFile
-  hle(0, 4);             // reserved (pre-codec)
-  hle(batch.size(), 8);  // scan_probes
-  for (int i = 0; i < 9; ++i) hle(0, 8);
-  hle(checksum, 8);
-  ASSERT_EQ(header.size(), 136u);
-
   {
-    std::ofstream out(cache_, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(header.data()),
-              static_cast<std::streamsize>(header.size()));
-    out.write(reinterpret_cast<const char*>(chunk.data()),
-              static_cast<std::streamsize>(chunk.size()));
+    SCOPED_TRACE("raw codec 0");
+    write_raw_layout(2, sample_batch(9, 31));
+    const auto info = cache_stat(cache_);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->codec, 0u);
+    EXPECT_NE(cache_verify(cache_).error.find("codec"), std::string::npos);
+    expect_rescan_rewrites_cache();
   }
-
-  auto reader = ProbeCacheReader::open(cache_, id);
-  ASSERT_TRUE(reader.has_value());
-  EXPECT_EQ(reader->codec(), CacheCodec::kRaw);
-  const auto got = drain(*reader);
-  ASSERT_EQ(got.size(), batch.size());
-  expect_rows_equal(got, 0, batch, 0, batch.size());
-
-  const auto info = cache_stat(cache_);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->version, 1u);
-  EXPECT_EQ(info->codec, CacheCodec::kRaw);
 }
 
 TEST_F(ProbeCacheTest, StatAndVerifyReportTheFile) {
-  write_cache(cache_, sample_batch(12, 42), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(12, 42));
   const auto info = cache_stat(cache_);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->version, 2u);
-  EXPECT_EQ(info->codec, CacheCodec::kDeltaVarint);
+  EXPECT_EQ(info->codec, kCacheCodecDeltaVarint);
   EXPECT_EQ(info->probe_count, 12u);
   EXPECT_EQ(info->frame_count, 12u);
   EXPECT_EQ(info->sensor.scan_probes, 12u);

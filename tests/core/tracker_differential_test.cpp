@@ -216,8 +216,9 @@ TEST(TrackerDifferential, SimulatedWindowMatchesReference) {
 }
 
 TEST(TrackerDifferential, SerialAndParallelMergeDeterministic) {
-  // The same simulated window through the serial pipeline and through
-  // 1/2/4-worker parallel analyzers: identical campaign sets, and the
+  // The same simulated window through the per-frame serial reference and
+  // through 1/2/4-worker parallel analyzers fed in batches: identical
+  // campaign sets, and the
   // parallel merges bit-identical to each other (deterministic order and
   // ids regardless of worker count).
   const telescope::Telescope telescope(
@@ -247,13 +248,13 @@ TEST(TrackerDifferential, SerialAndParallelMergeDeterministic) {
   generator.run([&](const net::RawFrame& frame) { frames.push_back(frame); });
 
   Pipeline serial(telescope);
-  for (const auto& frame : frames) serial.feed_frame(frame);
+  testing::feed_per_frame(serial, telescope, frames);
   auto serial_result = serial.finish();
 
   std::vector<PipelineResult> parallel_results;
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ParallelAnalyzer analyzer(telescope, workers);
-    for (const auto& frame : frames) analyzer.feed_frame(frame);
+    testing::feed_batched(analyzer, telescope, frames);
     parallel_results.push_back(analyzer.finish());
   }
 

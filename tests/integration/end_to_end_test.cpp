@@ -10,6 +10,7 @@
 #include "enrich/registry.h"
 #include "simgen/ecosystem.h"
 #include "simgen/generator.h"
+#include "test_support.h"
 
 namespace synscan {
 namespace {
@@ -34,9 +35,7 @@ const YearRun& run_year(int year) {
   const auto& telescope = telescope::Telescope::paper_default();
   core::Pipeline pipeline(telescope);
   pipeline.add_observer(run.tally);
-  simgen::TrafficGenerator generator(run.config, telescope,
-                                     enrich::InternetRegistry::synthetic_default());
-  run.generated = generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  run.generated = testing::generate_into(pipeline, telescope, run.config);
   run.result = pipeline.finish();
   return run;
 }

@@ -1,7 +1,8 @@
 // Differential test for the batched ingest front-end: every ingest path
 // (mmap, stream fallback, warm probe cache, parallel feeder) must produce
 // the exact sensor counters, tracker counters and campaigns that the
-// original per-frame `Pipeline::feed_frame` path produces.
+// per-frame reference — `Sensor::classify` into `Pipeline::feed_probe`
+// — produces.
 #include "core/ingest.h"
 
 #include <gtest/gtest.h>
@@ -113,7 +114,10 @@ std::multimap<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> summarize(
 class IngestDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_ingest_differential";
+    // Unique per test case: ctest runs cases as parallel processes.
+    dir_ = fs::temp_directory_path() /
+           (std::string("synscan_ingest_differential_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     capture_ = dir_ / "window.pcap";
@@ -126,12 +130,14 @@ class IngestDifferential : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// The original path: pcap::Reader record-at-a-time into feed_frame.
+  /// The reference: pcap::Reader record-at-a-time, classified and fed
+  /// frame by frame.
   [[nodiscard]] core::PipelineResult reference_result() const {
     core::Pipeline pipeline(test_telescope());
     auto reader = pcap::Reader::open(capture_);
-    net::RawFrame frame;
-    while (reader.next(frame) == pcap::ReadStatus::kOk) pipeline.feed_frame(frame);
+    const auto [frames, status] = reader.read_all();
+    EXPECT_EQ(status, pcap::ReadStatus::kEndOfFile);
+    testing::feed_per_frame(pipeline, test_telescope(), frames);
     return pipeline.finish();
   }
 
@@ -228,7 +234,10 @@ TEST_F(IngestDifferential, ParallelProbeFeedMatchesSerialReference) {
 class IngestDialects : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_ingest_dialects";
+    // Unique per test case: ctest runs cases as parallel processes.
+    dir_ = fs::temp_directory_path() /
+           (std::string("synscan_ingest_dialects_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -354,7 +363,8 @@ class SimdLevelGuard {
 };
 
 /// The full cold-path configuration matrix — SIMD dispatch × scan
-/// parallelism × cache codec — pinned to one scalar/serial reference.
+/// parallelism — pinned to one scalar/serial reference, cache bytes
+/// included.
 /// The capture must clear the 4 MiB chunked-scan floor in
 /// core/ingest.cpp, so it is synthesized directly (~7 MB) rather than
 /// through the slower simgen pipeline.
@@ -467,49 +477,42 @@ TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
   ASSERT_EQ(reference.result.status, pcap::ReadStatus::kEndOfFile);
   ASSERT_EQ(reference.result.chunks, 1u);
 
-  // Cache bytes must depend only on the probe stream and codec, never on
-  // which classify kernel or how many scan chunks produced them.
-  std::map<core::CacheCodec, std::vector<char>> cache_bytes;
+  // Cache bytes must depend only on the probe stream, never on which
+  // classify kernel or how many scan chunks produced them.
+  std::vector<char> first_cache;
 
   int combo = 0;
   for (const auto level : {simd::SimdLevel::kScalar, simd::detected_level()}) {
     for (const std::size_t chunks : {std::size_t{1}, std::size_t{4}}) {
-      for (const auto codec :
-           {core::CacheCodec::kRaw, core::CacheCodec::kDeltaVarint}) {
-        SCOPED_TRACE(std::string("level=") + simd::to_string(level) +
-                     " chunks=" + std::to_string(chunks) +
-                     " codec=" + (codec == core::CacheCodec::kRaw ? "raw" : "delta"));
-        simd::set_active_level(level);
-        core::IngestOptions options;
-        options.scan_chunks = chunks;
-        options.cache_codec = codec;
-        options.cache_path = dir_ / ("matrix_" + std::to_string(combo++) + ".spc");
-        const auto cold = run(options);
+      SCOPED_TRACE(std::string("level=") + simd::to_string(level) +
+                   " chunks=" + std::to_string(chunks));
+      simd::set_active_level(level);
+      core::IngestOptions options;
+      options.scan_chunks = chunks;
+      options.cache_path = dir_ / ("matrix_" + std::to_string(combo++) + ".spc");
+      const auto cold = run(options);
 
-        EXPECT_FALSE(cold.result.from_cache);
-        EXPECT_EQ(cold.result.frames, reference.result.frames);
-        EXPECT_EQ(cold.result.status, reference.result.status);
-        if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
-        expect_same_probes(cold.probes, reference.probes);
-        expect_same_sensor(cold.result.sensor, reference.result.sensor);
+      EXPECT_FALSE(cold.result.from_cache);
+      EXPECT_EQ(cold.result.frames, reference.result.frames);
+      EXPECT_EQ(cold.result.status, reference.result.status);
+      if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
+      expect_same_probes(cold.probes, reference.probes);
+      expect_same_sensor(cold.result.sensor, reference.result.sensor);
 
-        const auto bytes = slurp(options.cache_path);
-        ASSERT_FALSE(bytes.empty());
-        const auto [it, inserted] = cache_bytes.emplace(codec, bytes);
-        EXPECT_TRUE(inserted || it->second == bytes)
-            << "cache bytes differ from the first " << (codec == core::CacheCodec::kRaw ? "raw" : "delta")
-            << " file: the .spc is not path-independent";
+      const auto bytes = slurp(options.cache_path);
+      ASSERT_FALSE(bytes.empty());
+      if (first_cache.empty()) first_cache = bytes;
+      EXPECT_TRUE(first_cache == bytes)
+          << "cache bytes differ from the first file: the .spc is not "
+             "path-independent";
 
-        // And the warm read of what this combo wrote round-trips.
-        const auto warm = run(options);
-        EXPECT_TRUE(warm.result.from_cache);
-        expect_same_probes(warm.probes, reference.probes);
-        expect_same_sensor(warm.result.sensor, reference.result.sensor);
-      }
+      // And the warm read of what this combo wrote round-trips.
+      const auto warm = run(options);
+      EXPECT_TRUE(warm.result.from_cache);
+      expect_same_probes(warm.probes, reference.probes);
+      expect_same_sensor(warm.result.sensor, reference.result.sensor);
     }
   }
-  EXPECT_NE(cache_bytes[core::CacheCodec::kRaw],
-            cache_bytes[core::CacheCodec::kDeltaVarint]);
 }
 
 TEST_F(IngestMatrix, CorruptCacheFallsBackToRescanAndRewrites) {

@@ -1,11 +1,13 @@
-// Integration: frames through sensor, tracker and observers, including
-// the pcap round trip (generate -> write -> read -> analyze).
+// Integration: frames through the batched sensor front door, tracker and
+// observers, including the pcap round trip (generate -> write ->
+// ingest -> analyze).
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "core/ingest.h"
 #include "core/port_tally.h"
 #include "core/volatility.h"
 #include "pcap/pcap.h"
@@ -47,10 +49,7 @@ simgen::YearConfig pipeline_config() {
 
 TEST(PipelineIntegration, SensorSeparatesTrafficClasses) {
   core::Pipeline pipeline(test_telescope());
-  simgen::TrafficGenerator generator(pipeline_config(), test_telescope(),
-                                     enrich::InternetRegistry::synthetic_default());
-  const auto gen_stats =
-      generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  const auto gen_stats = testing::generate_into(pipeline, test_telescope(), pipeline_config());
   const auto result = pipeline.finish();
 
   // Every generated frame was classified as *something*.
@@ -68,9 +67,7 @@ TEST(PipelineIntegration, ObserversSeeExactlyTheProbes) {
   core::Pipeline pipeline(test_telescope());
   core::PortTally tally;
   pipeline.add_observer(tally);
-  simgen::TrafficGenerator generator(pipeline_config(), test_telescope(),
-                                     enrich::InternetRegistry::synthetic_default());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  testing::generate_into(pipeline, test_telescope(), pipeline_config());
   const auto result = pipeline.finish();
   EXPECT_EQ(tally.total_packets(), result.sensor.scan_probes);
   EXPECT_EQ(result.tracker.probes, result.sensor.scan_probes);
@@ -91,21 +88,24 @@ TEST(PipelineIntegration, PcapRoundTripPreservesAnalysis) {
     auto writer = pcap::Writer::create(path);
     simgen::TrafficGenerator generator(pipeline_config(), test_telescope(),
                                        enrich::InternetRegistry::synthetic_default());
+    core::FrameBatcher batcher(test_telescope(), [&](const telescope::ProbeBatch& batch) {
+      live.feed_probes(batch);
+    });
     (void)generator.run([&](const net::RawFrame& f) {
       writer.write(f);
-      live.feed_frame(f);
+      batcher.push(f);
     });
+    live.absorb_sensor_counters(batcher.finish());
     writer.flush();
   }
   const auto live_result = live.finish();
 
-  // Pass 2: read the capture back and re-analyze.
+  // Pass 2: ingest the capture back and re-analyze.
   core::Pipeline replay(test_telescope());
-  auto reader = pcap::Reader::open(path);
-  net::RawFrame frame;
-  while (reader.next(frame) == pcap::ReadStatus::kOk) {
-    replay.feed_frame(frame);
-  }
+  const auto ingested = core::ingest_capture(
+      path, test_telescope(), core::IngestOptions{},
+      [&](const telescope::ProbeBatch& batch) { replay.feed_probes(batch); });
+  replay.absorb_sensor_counters(ingested.sensor);
   const auto replay_result = replay.finish();
 
   EXPECT_EQ(replay_result.sensor.scan_probes, live_result.sensor.scan_probes);
@@ -138,9 +138,7 @@ TEST(PipelineIntegration, VolatilityObserverIntegrates) {
   core::Pipeline pipeline(test_telescope());
   core::VolatilityTracker volatility(0, net::kMicrosPerDay);  // daily buckets
   pipeline.add_observer(volatility);
-  simgen::TrafficGenerator generator(pipeline_config(), test_telescope(),
-                                     enrich::InternetRegistry::synthetic_default());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  testing::generate_into(pipeline, test_telescope(), pipeline_config());
   auto result = pipeline.finish();
   for (const auto& campaign : result.campaigns) volatility.on_campaign(campaign);
   const auto vol = volatility.result();

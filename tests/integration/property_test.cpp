@@ -9,6 +9,7 @@
 #include "pcap/pcap.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
+#include "test_support.h"
 
 namespace synscan {
 namespace {
@@ -203,9 +204,7 @@ TEST(GeneratorProperty, ObserversAndTrackerAgree) {
   core::Pipeline pipeline(telescope);
   core::PortTally tally;
   pipeline.add_observer(tally);
-  simgen::TrafficGenerator generator(config, telescope,
-                                     enrich::InternetRegistry::synthetic_default());
-  const auto stats = generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  const auto stats = testing::generate_into(pipeline, telescope, config);
   const auto result = pipeline.finish();
 
   EXPECT_EQ(stats.scan_frames, result.sensor.scan_probes);

@@ -72,7 +72,11 @@ std::string report_bytes(const core::AnalyzedCapture& analysis) {
 class RollupDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_rollup_differential";
+    // Unique per test case: ctest runs cases as parallel processes, and
+    // a shared dir would let one case's TearDown delete another's files.
+    dir_ = fs::temp_directory_path() /
+           (std::string("synscan_rollup_differential_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     whole_ = dir_ / "whole.pcap";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 namespace synscan::net {
@@ -36,6 +37,13 @@ struct ParseCase {
   const char* text;
   bool valid;
 };
+
+// Names each case by its input. Without it the case prints as a byte dump
+// of the struct, which holds the string's address, so the discovered test
+// names would change from build to build.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" " << (c.valid ? "valid" : "invalid");
+}
 
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <fstream>
 #include <sstream>
 
@@ -16,7 +17,11 @@ namespace fs = std::filesystem;
 class PcapTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_pcap_test";
+    // Unique per test case: ctest runs cases as parallel processes, and
+    // a shared dir would let one case's TearDown delete another's files.
+    dir_ = fs::temp_directory_path() /
+           (std::string("synscan_pcap_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <fstream>
+#include <vector>
 
+#include "core/ingest.h"
 #include "net/endian.h"
+#include "pcap/pcap.h"
+#include "telescope/probe_batch.h"
+#include "test_support.h"
 
 namespace synscan::pcap {
 namespace {
@@ -112,7 +118,11 @@ class NgBuilder {
 class PcapngTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_pcapng_test";
+    // Unique per test case: ctest runs cases as parallel processes, and
+    // a shared dir would let one case's TearDown delete another's files.
+    dir_ = fs::temp_directory_path() /
+           (std::string("synscan_pcapng_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -257,6 +267,76 @@ TEST_F(PcapngTest, FormatDispatchReadsBoth) {
   EXPECT_EQ(status, ReadStatus::kEndOfFile);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].timestamp_us, 123);
+}
+
+TEST_F(PcapngTest, IngestBatchesMatchClassicPcap) {
+  // pcapng ingest runs record-at-a-time through core::FrameBatcher; the
+  // same frames as a classic pcap take the mapped fused scan. Both must
+  // deliver identical probes, counters and batch boundaries. 5000 frames
+  // span a full batch and a partial one.
+  const telescope::Telescope telescope({{*net::Ipv4Prefix::parse("198.51.0.0/20"), 1000}},
+                                       {});
+  std::vector<net::RawFrame> frames;
+  NgBuilder builder;
+  builder.section_header().interface_block();
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    const auto dark = net::Ipv4Address(0xc6330000u + i % 4096);
+    net::RawFrame frame{static_cast<net::TimeUs>(i) * 10, {}};
+    switch (i % 5) {
+      case 0:  // backscatter
+        frame.bytes = synscan::testing::syn_frame(net::Ipv4Address(0x05000000u + i), dark, 80,
+                                                  net::flag_bit(net::TcpFlag::kRst));
+        break;
+      case 1:  // off the telescope
+        frame.bytes = synscan::testing::syn_frame(net::Ipv4Address(0x05000000u + i),
+                                                  net::Ipv4Address(0x08080808u), 443);
+        break;
+      case 2:  // malformed
+        frame.bytes = {0x01, 0x02, 0x03};
+        break;
+      default:  // scan probe
+        frame.bytes = synscan::testing::syn_frame(net::Ipv4Address(0x05000000u + i % 64),
+                                                  dark, 443);
+        break;
+    }
+    builder.enhanced_packet(0, static_cast<std::uint64_t>(frame.timestamp_us), frame.bytes);
+    frames.push_back(std::move(frame));
+  }
+  builder.write(path("ingest.pcapng"));
+  write_file(path("ingest.pcap"), frames);
+
+  const auto ingest = [&](const fs::path& capture, telescope::ProbeBatch& probes) {
+    core::IngestOptions options;
+    options.use_cache = false;
+    return core::ingest_capture(capture, telescope, options,
+                                [&probes](const telescope::ProbeBatch& batch) {
+                                  for (std::size_t i = 0; i < batch.size(); ++i) {
+                                    probes.push_back(batch.get(i));
+                                  }
+                                });
+  };
+  telescope::ProbeBatch ng_probes;
+  telescope::ProbeBatch classic_probes;
+  const auto ng = ingest(path("ingest.pcapng"), ng_probes);
+  const auto classic = ingest(path("ingest.pcap"), classic_probes);
+
+  EXPECT_EQ(ng.frames, 5000u);
+  EXPECT_EQ(ng.frames, classic.frames);
+  EXPECT_EQ(ng.status, ReadStatus::kEndOfFile);
+  EXPECT_EQ(ng.status, classic.status);
+  EXPECT_EQ(ng.batches, 2u);
+  EXPECT_EQ(ng.batches, classic.batches);
+  EXPECT_EQ(ng.sensor.scan_probes, 2000u);
+  EXPECT_EQ(ng.sensor.scan_probes, classic.sensor.scan_probes);
+  EXPECT_EQ(ng.sensor.backscatter, classic.sensor.backscatter);
+  EXPECT_EQ(ng.sensor.not_monitored, classic.sensor.not_monitored);
+  EXPECT_EQ(ng.sensor.malformed, classic.sensor.malformed);
+  EXPECT_EQ(ng.sensor.total(), classic.sensor.total());
+  EXPECT_EQ(ng_probes.timestamp_us, classic_probes.timestamp_us);
+  EXPECT_EQ(ng_probes.source, classic_probes.source);
+  EXPECT_EQ(ng_probes.destination, classic_probes.destination);
+  EXPECT_EQ(ng_probes.sequence, classic_probes.sequence);
+  EXPECT_EQ(ng_probes.ip_id, classic_probes.ip_id);
 }
 
 }  // namespace

@@ -66,9 +66,7 @@ std::uint64_t global_counter(const std::string& name) {
 
 TEST_F(ObsIntegration, SensorProbesEqualTrackerProbes) {
   core::Pipeline pipeline(test_telescope());
-  simgen::TrafficGenerator generator(small_config(), test_telescope(),
-                                     enrich::InternetRegistry::synthetic_default());
-  generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  testing::generate_into(pipeline, test_telescope(), small_config());
   const auto result = pipeline.finish();
 
   const auto report = obs::RunReport::capture("integration", &result);
@@ -82,7 +80,7 @@ TEST_F(ObsIntegration, SensorProbesEqualTrackerProbes) {
   EXPECT_EQ(global_counter("sensor.scan_probes"), global_counter("tracker.probes"));
   // The pipeline-level tallies agree with the stage-level ones.
   EXPECT_EQ(global_counter("pipeline.probes"), result.sensor.scan_probes);
-  EXPECT_GT(global_counter("pipeline.frames"), 0u);
+  EXPECT_GT(global_counter("pipeline.batches"), 0u);
 
   // The captured report carries the same numbers.
   bool found = false;
@@ -98,20 +96,17 @@ TEST_F(ObsIntegration, SensorProbesEqualTrackerProbes) {
 TEST_F(ObsIntegration, ParallelAnalyzerPublishesWorkerMetrics) {
   constexpr std::size_t kWorkers = 3;
   core::ParallelAnalyzer analyzer(test_telescope(), kWorkers);
-  simgen::TrafficGenerator generator(small_config(), test_telescope(),
-                                     enrich::InternetRegistry::synthetic_default());
-  const auto stats =
-      generator.run([&](const net::RawFrame& f) { analyzer.feed_frame(f); });
+  testing::generate_into(analyzer, test_telescope(), small_config());
   const auto result = analyzer.finish();
 
   auto& registry = obs::MetricsRegistry::global();
   EXPECT_EQ(registry.gauge("parallel.workers").value(),
             static_cast<std::int64_t>(kWorkers));
-  // Every decodable frame was dispatched to exactly one worker.
-  EXPECT_EQ(global_counter("parallel.items") + global_counter("parallel.undecodable"),
-            stats.total_frames);
-  EXPECT_GT(global_counter("parallel.batches"), 0u);
-  EXPECT_GT(registry.histogram("parallel.batch_items").data().count, 0u);
+  // Every probe was dispatched to exactly one worker, one slice at a time.
+  EXPECT_EQ(global_counter("parallel.items"), result.sensor.scan_probes);
+  EXPECT_GT(global_counter("parallel.slices"), 0u);
+  EXPECT_EQ(registry.histogram("parallel.batch_items").data().count,
+            global_counter("parallel.slices"));
   for (std::size_t i = 0; i < kWorkers; ++i) {
     const auto prefix = "parallel.worker." + std::to_string(i);
     EXPECT_TRUE(registry.contains(prefix + ".items")) << prefix;
@@ -149,9 +144,7 @@ TEST_F(ObsIntegration, TrackerExposesFlowTableLifecycle) {
   core::TrackerConfig config;
   config.sweep_interval = 64;
   core::Pipeline pipeline(test_telescope(), config);
-  simgen::TrafficGenerator generator(small_config(), test_telescope(),
-                                     enrich::InternetRegistry::synthetic_default());
-  generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  testing::generate_into(pipeline, test_telescope(), small_config());
   const auto result = pipeline.finish();
 
   EXPECT_GT(result.tracker.peak_open_flows, 0u);

@@ -7,6 +7,7 @@
 #include "core/pipeline.h"
 #include "enrich/known_scanners.h"
 #include "simgen/ecosystem.h"
+#include "test_support.h"
 
 namespace synscan::simgen {
 namespace {
@@ -117,9 +118,7 @@ TEST(TrafficGenerator, FramesAreWireValid) {
 
 TEST(TrafficGenerator, CampaignsAreDetectableByTracker) {
   core::Pipeline pipeline(small_telescope());
-  TrafficGenerator generator(tiny_config(), small_telescope(),
-                             enrich::InternetRegistry::synthetic_default());
-  (void)generator.run([&](const net::RawFrame& f) { pipeline.feed_frame(f); });
+  testing::generate_into(pipeline, small_telescope(), tiny_config());
   const auto result = pipeline.finish();
   // 6 planned campaigns with ~300 hits each; all should qualify.
   EXPECT_EQ(result.campaigns.size(), 6u);

@@ -2,9 +2,15 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "core/ingest.h"
+#include "core/pipeline.h"
+#include "enrich/registry.h"
 #include "net/packet.h"
+#include "simgen/generator.h"
 #include "telescope/sensor.h"
 
 namespace synscan::testing {
@@ -68,6 +74,51 @@ inline std::vector<std::uint8_t> syn_frame(net::Ipv4Address src, net::Ipv4Addres
   spec.sequence = 42;
   spec.flags = flags;
   return net::build_tcp_frame(spec);
+}
+
+/// The production front door over in-memory frames: `core::FrameBatcher`
+/// classifies them in batches into `analyzer.feed_probes` (a
+/// `core::Pipeline` or `core::ParallelAnalyzer`), then the sensor
+/// counters are absorbed.
+template <typename Analyzer>
+void feed_batched(Analyzer& analyzer, const telescope::Telescope& telescope,
+                  std::span<const net::RawFrame> frames) {
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    analyzer.feed_probes(batch);
+  });
+  for (const auto& frame : frames) batcher.push(frame);
+  analyzer.absorb_sensor_counters(batcher.finish());
+}
+
+/// Simulates `config` straight into `analyzer` through the same front
+/// door as `feed_batched`.
+template <typename Analyzer>
+simgen::GeneratorStats generate_into(Analyzer& analyzer,
+                                     const telescope::Telescope& telescope,
+                                     simgen::YearConfig config) {
+  simgen::TrafficGenerator generator(std::move(config), telescope,
+                                     enrich::InternetRegistry::synthetic_default());
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    analyzer.feed_probes(batch);
+  });
+  const auto stats = generator.run([&](const net::RawFrame& frame) { batcher.push(frame); });
+  analyzer.absorb_sensor_counters(batcher.finish());
+  return stats;
+}
+
+/// The per-frame reference the batched front door is tested against:
+/// each frame through `Sensor::classify`, each probe through
+/// `Pipeline::feed_probe`, then the sensor counters are absorbed.
+inline void feed_per_frame(core::Pipeline& pipeline, const telescope::Telescope& telescope,
+                           std::span<const net::RawFrame> frames) {
+  telescope::Sensor sensor(telescope);
+  for (const auto& frame : frames) {
+    telescope::ScanProbe probe;
+    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
+      pipeline.feed_probe(probe);
+    }
+  }
+  pipeline.absorb_sensor_counters(sensor.counters());
 }
 
 }  // namespace synscan::testing
