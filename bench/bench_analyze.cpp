@@ -17,8 +17,9 @@
 //   batched     — the batch-native serial path: `Pipeline::feed_probes`,
 //                 observers on their column-direct `observe_batch`
 //                 overloads;
-//   parallel    — `ParallelAnalyzer::feed_probes` slicing shared batches
-//                 across workers, feeder-side observers as in the CLI.
+//   parallel    — `Pipeline(telescope, workers)::feed_probes` slicing
+//                 shared batches across worker trackers, observers on
+//                 the feeder as in the CLI.
 // All paths must agree on campaign count, tracker counters, observer
 // totals, and the `analyze --json` bytes — counters line plus campaign
 // JSONL — byte for byte (reference vs batched vs parallel); the binary
@@ -39,14 +40,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/analysis_geo.h"
 #include "core/analysis_types.h"
 #include "core/ingest.h"
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "enrich/registry.h"
@@ -282,33 +281,26 @@ PathResult run_batched(const fs::path& path) {
   return result;
 }
 
-/// Batch-slice sharding across workers, feeder-side observers (the CLI
+/// Tracking sharded across workers, observers on the feeder (the CLI
 /// `analyze --workers=N` shape).
 PathResult run_parallel(const fs::path& path, std::size_t workers) {
   PathResult result;
   const auto& registry = enrich::InternetRegistry::synthetic_default();
-  core::ParallelAnalyzer analyzer(bench_telescope(), workers);
+  core::Pipeline pipeline(bench_telescope(), workers);
   core::PortTally ports;
   core::TypeTally types(registry);
   core::GeoTally geo(registry);
-  std::vector<std::uint32_t> rows;
+  pipeline.add_observer(ports);
+  pipeline.add_observer(types);
+  pipeline.add_observer(geo);
   const auto start = std::chrono::steady_clock::now();
-  const auto ingest = core::ingest_capture(
-      path, bench_telescope(), warm_options(),
-      [&](const telescope::ProbeBatch& batch) {
-        result.probes += batch.size();
-        analyzer.feed_probes(batch);
-        const std::size_t n = batch.size();
-        while (rows.size() < n) {
-          rows.push_back(static_cast<std::uint32_t>(rows.size()));
-        }
-        const std::span<const std::uint32_t> all(rows.data(), n);
-        ports.observe_batch(batch, all);
-        types.observe_batch(batch, all);
-        geo.observe_batch(batch, all);
-      });
-  analyzer.absorb_sensor_counters(ingest.sensor);
-  auto pipeline_result = analyzer.finish();
+  const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
+                                           [&](const telescope::ProbeBatch& batch) {
+                                             result.probes += batch.size();
+                                             pipeline.feed_probes(batch);
+                                           });
+  pipeline.absorb_sensor_counters(ingest.sensor);
+  auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   fill_result(result, std::move(pipeline_result), ports, types, geo);

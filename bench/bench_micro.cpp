@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/ingest.h"
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/tracker.h"
 #include "fingerprint/classifier.h"
@@ -200,11 +199,11 @@ void BM_ParallelPipeline(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   for (auto unused : state) {
     (void)unused;
-    core::ParallelAnalyzer analyzer(telescope, workers);
-    analyzer.absorb_sensor_counters(feed_batched(
+    core::Pipeline pipeline(telescope, workers);
+    pipeline.absorb_sensor_counters(feed_batched(
         telescope, frames,
-        [&](const telescope::ProbeBatch& batch) { analyzer.feed_probes(batch); }));
-    benchmark::DoNotOptimize(analyzer.finish());
+        [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); }));
+    benchmark::DoNotOptimize(pipeline.finish());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frames.size()));
 }

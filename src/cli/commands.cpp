@@ -83,12 +83,10 @@ std::size_t default_workers() {
 }
 
 /// The ingest switches every command shares: `--no-probe-cache` skips
-/// the `.spc` cache in both directions, `--no-mmap` forces the stream
-/// fallback.
+/// the `.spc` cache in both directions.
 core::IngestOptions ingest_options(const Args& args) {
   core::IngestOptions options;
   options.use_cache = !args.flag("no-probe-cache");
-  options.use_mmap = !args.flag("no-mmap");
   options.scan_chunks =
       static_cast<std::size_t>(args.number("scan-chunks", 0));  // 0 = auto
   return options;
@@ -254,8 +252,8 @@ int run_serve(const std::vector<std::string>& args) {
   if (config.unix_socket.empty() && !config.tcp) {
     throw std::invalid_argument("serve requires --socket=<path> and/or --port=<n>");
   }
-  // `--workers` matches analyze's flag on purpose: query bytes are only
-  // comparable across the two when the analysis worker count matches.
+  // `--workers` is analyze's flag and default: LOAD runs the same
+  // analysis, whose bytes do not depend on the worker count.
   config.analysis_workers = static_cast<std::size_t>(
       parsed.number("workers", static_cast<double>(default_workers())));
   config.workers = static_cast<std::size_t>(parsed.number("io-workers", 2));

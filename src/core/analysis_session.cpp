@@ -1,9 +1,7 @@
 #include "core/analysis_session.h"
 
-#include <span>
-#include <vector>
+#include <algorithm>
 
-#include "core/parallel.h"
 #include "obs/timer.h"
 #include "telescope/probe_batch.h"
 
@@ -14,58 +12,22 @@ AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                 const enrich::InternetRegistry& registry,
                                 std::size_t workers, const IngestOptions& options) {
   AnalyzedCapture analysis(registry);
-  if (workers <= 1) {
-    Pipeline pipeline(telescope);
-    pipeline.add_observer(analysis.ports);
-    pipeline.add_observer(analysis.types);
-    pipeline.add_observer(analysis.geo);
-
-    {
-      obs::ScopedTimer ingest("analyze.ingest");
-      const auto ingested = ingest_capture(
-          path, telescope, options,
-          [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
-      pipeline.absorb_sensor_counters(ingested.sensor);
-      analysis.frames = ingested.frames;
-      analysis.final_status = ingested.status;
-      analysis.from_cache = ingested.from_cache;
-    }
-    const obs::ScopedTimer finish("analyze.finish");
-    analysis.result = pipeline.finish();
-    return analysis;
-  }
-
-  // Multi-core replay: campaign tracking runs sharded by source across
-  // the workers (each worker receives row-index slices into a shared
-  // copy of the batch columns). Classification already happened once on
-  // the ingest thread, so the same batch drives both the workers and the
-  // (not thread-safe) streaming observers in file order.
-  ParallelAnalyzer analyzer(telescope, workers);
-  std::vector<std::uint32_t> rows;
+  Pipeline pipeline(telescope, std::max<std::size_t>(workers, 1));
+  pipeline.add_observer(analysis.ports);
+  pipeline.add_observer(analysis.types);
+  pipeline.add_observer(analysis.geo);
   {
     obs::ScopedTimer ingest("analyze.ingest");
     const auto ingested = ingest_capture(
-        path, telescope, options, [&](const telescope::ProbeBatch& batch) {
-          analyzer.feed_probes(batch);
-          const auto n = batch.size();
-          if (rows.size() < n) {
-            const auto old = static_cast<std::uint32_t>(rows.size());
-            rows.resize(n);
-            for (std::uint32_t i = old; i < n; ++i) rows[i] = i;
-          }
-          const std::span<const std::uint32_t> all(rows.data(), n);
-          const obs::ScopedTimer observers("analyze.observers");
-          analysis.ports.observe_batch(batch, all);
-          analysis.types.observe_batch(batch, all);
-          analysis.geo.observe_batch(batch, all);
-        });
-    analyzer.absorb_sensor_counters(ingested.sensor);
+        path, telescope, options,
+        [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
+    pipeline.absorb_sensor_counters(ingested.sensor);
     analysis.frames = ingested.frames;
     analysis.final_status = ingested.status;
     analysis.from_cache = ingested.from_cache;
   }
   const obs::ScopedTimer finish("analyze.finish");
-  analysis.result = analyzer.finish();
+  analysis.result = pipeline.finish();
   return analysis;
 }
 

@@ -42,10 +42,9 @@ struct AnalyzedCapture {
 };
 
 /// Replays `path` through the pipeline with all standard observers.
-/// `workers <= 1` runs the serial pipeline; otherwise campaign tracking
-/// is sharded by source across a `ParallelAnalyzer` while the streaming
-/// observers consume the same batches in file order on the feeder.
-/// The telescope and registry must outlive the returned value.
+/// `workers` is the pipeline's tracker count (0 counts as 1); the
+/// report is the same at any worker count. The telescope and registry
+/// must outlive the returned value.
 [[nodiscard]] AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                               const telescope::Telescope& telescope,
                                               const enrich::InternetRegistry& registry,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <exception>
-#include <fstream>
 #include <optional>
-#include <stdexcept>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -396,11 +394,21 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
   };
 
-  if (pcap::looks_like_pcapng(path)) {
+  // Open the capture once and sniff the bytes already in hand: a FIFO
+  // hands its bytes to one reader only.
+  auto file = pcap::MappedFile::open(path);
+  result.mapped = file.mapped();
+  const bool pcapng = pcap::looks_like_pcapng(file.bytes());
+  if (result.mapped && metrics.mmap_bytes != nullptr) {
+    metrics.mmap_bytes->add(file.bytes().size());
+  }
+  if ((pcapng || !result.mapped) && metrics.fallback_reads != nullptr) {
+    metrics.fallback_reads->add();
+  }
+  if (pcapng) {
     // pcapng stays record-at-a-time (variable block framing), but the
     // frames are still classified in batches.
-    auto reader = pcap::NgReader::open(path);
-    if (metrics.fallback_reads != nullptr) metrics.fallback_reads->add();
+    auto reader = pcap::NgReader::over(file.bytes());
     FrameBatcher batcher(telescope, deliver_batch);
     net::RawFrame frame;
     while ((result.status = reader.next(frame)) == pcap::ReadStatus::kOk) {
@@ -410,22 +418,8 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     result.frames = batcher.frames();
     result.simd_rows = batcher.simd_rows();
     if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
-  } else if (!options.use_mmap) {
-    std::ifstream stream(path, std::ios::binary);
-    if (!stream.is_open()) {
-      throw std::runtime_error("pcap: cannot open " + path.string());
-    }
-    auto reader = pcap::MappedReader::open_stream(stream);
-    if (metrics.fallback_reads != nullptr) metrics.fallback_reads->add();
-    run_cold(reader);
   } else {
-    auto reader = pcap::MappedReader::open(path);
-    result.mapped = reader.mapped();
-    if (result.mapped) {
-      if (metrics.mmap_bytes != nullptr) metrics.mmap_bytes->add(reader.byte_size());
-    } else if (metrics.fallback_reads != nullptr) {
-      metrics.fallback_reads->add();
-    }
+    pcap::MappedReader reader(std::move(file));
     run_cold(reader);
   }
 

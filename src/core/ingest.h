@@ -4,13 +4,16 @@
 // path for the input —
 //   1. a validated columnar probe cache (`.spc`, core/probe_cache.h):
 //      skip decode and classification entirely;
-//   2. a memory-mapped classic pcap (`pcap::MappedReader`): zero-copy
-//      frame views, batched classification via `Sensor::classify_batch`;
-//   3. record-at-a-time fallback (pcapng input, non-mappable files, or
-//      `use_mmap = false`), still classified in batches —
+//   2. a classic pcap walked in place (`pcap::MappedReader`): the
+//      capture is mmap'ed, or bulk-read when it cannot be (a FIFO), and
+//      its records are classified in batches via
+//      `Sensor::classify_batch`;
+//   3. pcapng input, read record-at-a-time from the same bytes and still
+//      classified in batches —
 // and hands the probes to the caller one `ProbeBatch` at a time. The
-// three paths produce bit-identical probes and sensor counters (held
-// together by tests/integration/ingest_differential_test.cpp).
+// capture is opened exactly once, so input that can be read only once
+// works too. The paths produce bit-identical probes and sensor counters
+// (held together by tests/integration/ingest_differential_test.cpp).
 //
 // After a cold decode of a regular file the probes are written back as a
 // cache (best-effort: cache I/O failures never fail the run), so the
@@ -40,8 +43,6 @@ namespace synscan::core {
 inline constexpr std::size_t kIngestBatchFrames = 4096;
 
 struct IngestOptions {
-  /// Map regular classic-pcap files instead of streaming them.
-  bool use_mmap = true;
   /// Read and write the sibling `.spc` probe cache.
   bool use_cache = true;
   /// Cold-scan parallelism: the capture's record region is split into

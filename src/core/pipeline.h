@@ -6,10 +6,18 @@
 // `core::FrameBatcher` for frame-at-a-time sources such as the traffic
 // generator — and hands its sensor counters over through
 // `absorb_sensor_counters`.
+//
+// A campaign is one source's probe sequence (§3.4), so tracking splits
+// by source without changing any result. With one worker the tracker runs
+// on the feeding thread. With more, each worker thread tracks the sources
+// that hash to it, reading row-index slices of one shared copy of each
+// batch; observers stay on the feeding thread and run after the
+// dispatch, overlapping the workers. `finish()` merges into the canonical
+// campaign order, so results are byte-identical at any worker count.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "core/observers.h"
@@ -32,61 +40,72 @@ struct PipelineResult {
 /// then call `finish()` exactly once.
 class Pipeline {
  public:
-  /// The telescope sizes the tracker's extrapolation model.
-  Pipeline(const telescope::Telescope& telescope, TrackerConfig tracker_config = {});
+  /// The telescope sizes the tracker's extrapolation model. `workers`
+  /// (>= 1) trackers split the sources; more than one run on threads.
+  explicit Pipeline(const telescope::Telescope& telescope, std::size_t workers = 1,
+                    TrackerConfig tracker_config = {});
+
+  /// Joins the worker threads of a pipeline that was never finished.
+  ~Pipeline();
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
 
   /// Registers a streaming observer; not owned, must outlive the run.
   void add_observer(ProbeObserver& observer);
 
   /// Feeds one probe through `on_probe` and the tracker: the per-probe
-  /// reference the batched path is tested against.
+  /// reference the batched path is tested against. One worker only
+  /// (throws `std::logic_error` otherwise).
   void feed_probe(const telescope::ScanProbe& probe);
 
   /// Feeds a whole batch of probes — the one production entry point.
-  /// Observers see the batch through `observe_batch`; the tracker feeds
-  /// row by row (its state machine is inherently per-probe).
+  /// Observers see the batch through `observe_batch`; trackers feed row
+  /// by row (their state machine is inherently per-probe). Call from one
+  /// thread only.
   void feed_probes(const telescope::ProbeBatch& batch);
-
-  /// Feeds a slice of a batch: the rows listed in `rows`, in order. This
-  /// is the parallel path — workers receive index slices into a shared
-  /// batch instead of per-probe copies. The batch (and `rows`) are only
-  /// borrowed for the duration of the call.
-  void feed_probe_rows(const telescope::ProbeBatch& batch,
-                       std::span<const std::uint32_t> rows);
 
   /// Folds the producer's sensor counters into `finish()`'s result.
   void absorb_sensor_counters(const telescope::SensorCounters& counters);
 
-  /// Flushes the tracker and returns all results. Campaigns come back in
-  /// canonical order — by first packet, then source, ids re-issued 1..N —
-  /// the same order `ParallelAnalyzer::finish()` produces, so reports are
-  /// identical whatever the worker count. A pipeline that saw only part
-  /// of the stream (one `ParallelAnalyzer` worker) passes the stream's
-  /// last timestamp as `stream_end`, so flows that went quiet before it
-  /// count as expired exactly as in a serial run.
-  [[nodiscard]] PipelineResult finish(net::TimeUs stream_end = 0);
+  /// Joins the workers, flushes every tracker against the stream's last
+  /// timestamp and returns all results, campaigns in canonical order
+  /// (`sort_canonical`). Publishes the `parallel.*` metrics when obs is
+  /// on and there are several workers. A second call throws
+  /// `std::logic_error`.
+  [[nodiscard]] PipelineResult finish();
 
   /// Carry mode only (TrackerConfig::carry_boundary_flows): moves out the
-  /// boundary flow segments the tracker exported. Call after `finish()`.
-  [[nodiscard]] std::vector<FlowSegment> take_carried_segments() {
-    return tracker_.take_boundary_segments();
-  }
+  /// boundary flow segments the trackers exported. Call after `finish()`.
+  [[nodiscard]] std::vector<FlowSegment> take_carried_segments();
 
-  /// Maximum probe timestamp the tracker observed (the stream's "now").
-  [[nodiscard]] net::TimeUs max_timestamp() const noexcept { return tracker_.now(); }
+  /// The stream's last probe timestamp (its "now"). Call after `finish()`.
+  [[nodiscard]] net::TimeUs max_timestamp() const noexcept;
 
  private:
+  /// One worker: a tracker, its campaigns, and (with several workers)
+  /// the thread and slice queue that drive it.
+  struct Shard;
+
+  /// Queues each worker the slice of a shared copy of `batch` holding
+  /// the rows of its sources.
+  void dispatch(const telescope::ProbeBatch& batch);
+  /// Tells the worker threads to drain their queues and joins them.
+  void join_workers();
+
+  std::vector<std::unique_ptr<Shard>> shards_;
   telescope::SensorCounters absorbed_;  ///< the producers' sensor counters
-  std::vector<Campaign> campaigns_;
-  CampaignTracker tracker_;
   std::vector<ProbeObserver*> observers_;
-  /// Identity row indices [0, n) for full-batch feeds; grown on demand
-  /// and reused so `feed_probes` allocates only when batches grow.
+  /// Identity row indices [0, n) for full-batch feeds, grown on demand.
   std::vector<std::uint32_t> identity_rows_;
+  /// Per-worker row-index scratch, refilled for every dispatched batch.
+  std::vector<std::vector<std::uint32_t>> slice_rows_;
+  std::uint64_t slices_ = 0;  ///< probe slices queued across workers
+  bool finished_ = false;
   // Resolved once at construction iff obs is enabled; null pointers keep
   // the per-batch cost at one predictable branch when it is off.
   obs::Counter* obs_probes_ = nullptr;
   obs::Counter* obs_batches_ = nullptr;
+  obs::Histogram* obs_slice_rows_ = nullptr;
 };
 
 }  // namespace synscan::core

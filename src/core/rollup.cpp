@@ -8,24 +8,6 @@
 #include "obs/timer.h"
 
 namespace synscan::core {
-namespace {
-
-/// The canonical campaign order every finish path emits (see
-/// Pipeline::finish / ParallelAnalyzer::finish).
-void canonicalize(std::vector<Campaign>& campaigns) {
-  std::sort(campaigns.begin(), campaigns.end(),
-            [](const Campaign& a, const Campaign& b) {
-              if (a.first_seen_us != b.first_seen_us) {
-                return a.first_seen_us < b.first_seen_us;
-              }
-              return a.source < b.source;
-            });
-  std::uint64_t next_id = 1;
-  for (auto& campaign : campaigns) campaign.id = next_id++;
-}
-
-}  // namespace
-
 CaptureRollup analyze_shard(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
                             const enrich::InternetRegistry& registry,
@@ -36,7 +18,7 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
 
   TrackerConfig config = tracker_config;
   config.carry_boundary_flows = true;
-  Pipeline pipeline(telescope, config);
+  Pipeline pipeline(telescope, 1, config);
   pipeline.add_observer(rollup.ports);
   pipeline.add_observer(rollup.types);
   pipeline.add_observer(rollup.geo);
@@ -127,43 +109,16 @@ void RollupMerger::finalize_segment(FlowSegment&& segment, bool gap_closed) {
   if (gap_closed || now_ - segment.last_seen_us > config_.expiry) {
     ++counters.expired_flows;
   }
-
-  // The same qualification rule as CampaignTracker::close_flow, applied
-  // to the joined segment.
-  const auto hits = static_cast<double>(segment.packets);
-  const double duration = [&] {
-    const auto us = segment.last_seen_us - segment.first_seen_us;
-    return us < net::kMicrosPerSecond
-               ? 1.0
-               : static_cast<double>(us) / static_cast<double>(net::kMicrosPerSecond);
-  }();
-  const double pps = model_.extrapolate_pps(hits, duration);
-
-  if (segment.destinations.size() >= config_.min_distinct_destinations &&
-      pps >= config_.min_internet_pps) {
-    Campaign campaign;
-    campaign.source = segment.source;
-    campaign.first_seen_us = segment.first_seen_us;
-    campaign.last_seen_us = segment.last_seen_us;
-    campaign.packets = segment.packets;
-    campaign.distinct_destinations =
-        static_cast<std::uint32_t>(segment.destinations.size());
-    for (const auto& [port, packets] : segment.port_packets) {
-      campaign.port_packets.add(port, packets);
-    }
-    campaign.tool =
-        fingerprint::ToolEvidence::from_state(config_.classifier, segment.evidence)
-            .verdict();
-    campaign.extrapolated_pps = pps;
-    campaign.extrapolated_packets = model_.extrapolate_probes(hits);
-    campaign.coverage_fraction =
-        model_.coverage_fraction(static_cast<double>(segment.destinations.size()));
-    ++counters.campaigns;
-    merged_.result.campaigns.push_back(std::move(campaign));
-  } else {
-    ++counters.subthreshold_flows;
-    counters.subthreshold_packets += segment.packets;
+  auto campaign = qualify(config_, model_, segment.source, segment.first_seen_us,
+                          segment.last_seen_us, segment.packets,
+                          segment.destinations.size(), counters);
+  if (!campaign) return;
+  for (const auto& [port, packets] : segment.port_packets) {
+    campaign->port_packets.add(port, packets);
   }
+  campaign->tool =
+      fingerprint::ToolEvidence::from_state(config_.classifier, segment.evidence).verdict();
+  merged_.result.campaigns.push_back(std::move(*campaign));
 }
 
 void RollupMerger::add(CaptureRollup&& shard) {
@@ -179,21 +134,7 @@ void RollupMerger::add(CaptureRollup&& shard) {
   now_ = std::max(now_, shard.max_timestamp_us);
 
   merged_.result.sensor.add(shard.sensor);
-  auto& counters = merged_.result.tracker;
-  const auto& theirs = shard.tracker;
-  counters.probes += theirs.probes;
-  counters.campaigns += theirs.campaigns;
-  counters.subthreshold_flows += theirs.subthreshold_flows;
-  counters.subthreshold_packets += theirs.subthreshold_packets;
-  counters.expired_flows += theirs.expired_flows;
-  counters.sweeps += theirs.sweeps;
-  counters.flow_reuses += theirs.flow_reuses;
-  counters.dest_promotions += theirs.dest_promotions;
-  counters.port_promotions += theirs.port_promotions;
-  counters.table_rehashes += theirs.table_rehashes;
-  // Shards run one at a time conceptually, but the sum still bounds the
-  // peak (same convention as ParallelAnalyzer::finish).
-  counters.peak_open_flows += theirs.peak_open_flows;
+  merged_.result.tracker.add(shard.tracker);
 
   merged_.result.campaigns.insert(merged_.result.campaigns.end(),
                                   std::make_move_iterator(shard.campaigns.begin()),
@@ -241,7 +182,7 @@ AnalyzedCapture RollupMerger::finish() {
   });
   open_tails_.clear();
 
-  canonicalize(merged_.result.campaigns);
+  sort_canonical(merged_.result.campaigns);
   if (!any_shard_) merged_.from_cache = false;
   return std::move(merged_);
 }

@@ -11,8 +11,8 @@
 // `RollupMerger` left-folds rollups in capture-time order: a shard's
 // head segment joins the previous shard's open tail when the gap is
 // within the tracker expiry, exactly as the whole-capture tracker would
-// have kept the flow alive; everything else finalizes through the same
-// qualification rule `CampaignTracker::close_flow` applies. The result
+// have kept the flow alive; everything else finalizes through
+// `qualify` (core/tracker.h), the §3.4 rule the tracker applies. The result
 // is an `AnalyzedCapture` whose JSON report is byte-identical to
 // analyzing the concatenated captures in one pass (pinned by
 // tests/integration/rollup_differential_test.cpp).
@@ -88,11 +88,11 @@ class RollupMerger {
   [[nodiscard]] AnalyzedCapture finish();
 
  private:
-  /// Applies the tracker's qualification rule to a (possibly joined)
-  /// boundary segment. `gap_closed` marks segments that were followed by
-  /// more same-source traffic after an expiry gap (always expired);
-  /// stream-end closes are expired only when the final "now" is more
-  /// than `expiry` past the segment's last packet.
+  /// Judges a (possibly joined) boundary segment by `qualify`.
+  /// `gap_closed` marks segments that were followed by more same-source
+  /// traffic after an expiry gap (always expired); stream-end closes are
+  /// expired only when the final "now" is more than `expiry` past the
+  /// segment's last packet.
   void finalize_segment(FlowSegment&& segment, bool gap_closed);
 
   /// Joins `later` (a head segment) onto `earlier` (the previous open

@@ -10,20 +10,21 @@
 #include "core/sync.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
+#include "pcap/pcapng.h"
 
 namespace synscan::core {
 namespace {
 
 /// Reads just far enough into a capture to learn its first record
-/// timestamp: the 24-byte global header plus one record. Unreadable,
-/// empty or non-pcap files report 0 — the plan still includes them, and
-/// `run_shards` surfaces the real error.
+/// timestamp: the header plus one record, in either capture format.
+/// Unreadable, empty or unrecognized files report 0 — the plan still
+/// includes them, and `run_shards` surfaces the real error.
 net::TimeUs peek_first_timestamp(const std::filesystem::path& path) {
   try {
-    auto reader = pcap::Reader::open(path);
     net::RawFrame frame;
-    if (reader.next(frame) != pcap::ReadStatus::kOk) return 0;
-    return frame.timestamp_us;
+    const auto status = pcap::looks_like_pcapng(path) ? pcap::NgReader::open(path).next(frame)
+                                                      : pcap::Reader::open(path).next(frame);
+    return status == pcap::ReadStatus::kOk ? frame.timestamp_us : 0;
   } catch (const std::exception&) {
     return 0;
   }

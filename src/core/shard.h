@@ -36,7 +36,8 @@ struct ShardPlan {
 };
 
 /// Orders `captures` by first record timestamp (path as tie-break).
-/// Reads only the global header and one record header per file.
+/// Reads only the header and first record of each file, classic pcap or
+/// pcapng.
 [[nodiscard]] ShardPlan plan_shards(std::span<const std::filesystem::path> captures);
 
 struct ShardRunOptions {

@@ -81,40 +81,46 @@ void CampaignTracker::feed_batch(const telescope::ProbeBatch& batch,
   for (const auto row : rows) feed(batch.get(row));
 }
 
-void CampaignTracker::close_flow(net::Ipv4Address source, Flow& flow) {
-  const auto hits = static_cast<double>(flow.packets);
-  const double duration = [&] {
-    const auto us = flow.last_seen_us - flow.first_seen_us;
-    return us < net::kMicrosPerSecond
-               ? 1.0
-               : static_cast<double>(us) / static_cast<double>(net::kMicrosPerSecond);
-  }();
-  const double pps = model_.extrapolate_pps(hits, duration);
-
-  if (flow.destinations.size() >= config_.min_distinct_destinations &&
-      pps >= config_.min_internet_pps) {
-    Campaign campaign;
-    campaign.id = next_id_++;
-    campaign.source = source;
-    campaign.first_seen_us = flow.first_seen_us;
-    campaign.last_seen_us = flow.last_seen_us;
-    campaign.packets = flow.packets;
-    campaign.distinct_destinations = static_cast<std::uint32_t>(flow.destinations.size());
-    campaign.port_packets = std::move(flow.port_packets);
-    campaign.tool = flow.evidence.verdict();
-    campaign.extrapolated_pps = pps;
-    campaign.extrapolated_packets = model_.extrapolate_probes(hits);
-    campaign.coverage_fraction =
-        model_.coverage_fraction(static_cast<double>(flow.destinations.size()));
-    ++counters_.campaigns;
-    sink_(std::move(campaign));
-    // The move stole the port map's backing store (it now belongs to the
-    // campaign); leave the flow coherent for its next reuse.
-    flow.port_packets.clear();
-  } else {
-    ++counters_.subthreshold_flows;
-    counters_.subthreshold_packets += flow.packets;
+std::optional<Campaign> qualify(const TrackerConfig& config,
+                                const stats::TelescopeModel& model, net::Ipv4Address source,
+                                net::TimeUs first_seen_us, net::TimeUs last_seen_us,
+                                std::uint64_t packets, std::size_t distinct_destinations,
+                                TrackerCounters& counters) {
+  const auto hits = static_cast<double>(packets);
+  const double pps =
+      model.extrapolate_pps(hits, flow_duration_seconds(first_seen_us, last_seen_us));
+  const bool qualifies = distinct_destinations >= config.min_distinct_destinations &&
+                         pps >= config.min_internet_pps;
+  if (!qualifies) {
+    ++counters.subthreshold_flows;
+    counters.subthreshold_packets += packets;
+    return std::nullopt;
   }
+  Campaign campaign;
+  campaign.source = source;
+  campaign.first_seen_us = first_seen_us;
+  campaign.last_seen_us = last_seen_us;
+  campaign.packets = packets;
+  campaign.distinct_destinations = static_cast<std::uint32_t>(distinct_destinations);
+  campaign.extrapolated_pps = pps;
+  campaign.extrapolated_packets = model.extrapolate_probes(hits);
+  campaign.coverage_fraction =
+      model.coverage_fraction(static_cast<double>(distinct_destinations));
+  ++counters.campaigns;
+  return campaign;
+}
+
+void CampaignTracker::close_flow(net::Ipv4Address source, Flow& flow) {
+  auto campaign = qualify(config_, model_, source, flow.first_seen_us, flow.last_seen_us,
+                          flow.packets, flow.destinations.size(), counters_);
+  if (!campaign) return;
+  campaign->id = next_id_++;
+  campaign->port_packets = std::move(flow.port_packets);
+  campaign->tool = flow.evidence.verdict();
+  sink_(std::move(*campaign));
+  // The move stole the port map's backing store (it now belongs to the
+  // campaign); leave the flow coherent for its next reuse.
+  flow.port_packets.clear();
 }
 
 void CampaignTracker::export_segment(net::Ipv4Address source, const Flow& flow,

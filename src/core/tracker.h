@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -82,7 +83,34 @@ struct TrackerCounters {
   std::uint64_t dest_promotions = 0;  ///< destination sets grown past the inline array
   std::uint64_t port_promotions = 0;  ///< port tallies grown past the inline array
   std::uint64_t table_rehashes = 0;   ///< flow-index table growth events
+
+  /// Sums another tracker's counters in. Summed trackers hold disjoint
+  /// flows (split by source or time), so the peak sum bounds their peak.
+  void add(const TrackerCounters& other) noexcept {
+    probes += other.probes;
+    campaigns += other.campaigns;
+    subthreshold_flows += other.subthreshold_flows;
+    subthreshold_packets += other.subthreshold_packets;
+    expired_flows += other.expired_flows;
+    sweeps += other.sweeps;
+    peak_open_flows += other.peak_open_flows;
+    flow_reuses += other.flow_reuses;
+    dest_promotions += other.dest_promotions;
+    port_promotions += other.port_promotions;
+    table_rehashes += other.table_rehashes;
+  }
 };
+
+/// The §3.4 campaign rule, the one definition the tracker and the rollup
+/// merger share: a closed flow is a campaign when it hit
+/// `min_distinct_destinations` dark addresses at an inferred Internet-wide
+/// rate (duration floored at 1 s) of at least `min_internet_pps`. Counts
+/// the verdict in `counters`; a campaign comes back with its span, volume
+/// and estimates, leaving ports, tool and id to the caller.
+[[nodiscard]] std::optional<Campaign> qualify(
+    const TrackerConfig& config, const stats::TelescopeModel& model,
+    net::Ipv4Address source, net::TimeUs first_seen_us, net::TimeUs last_seen_us,
+    std::uint64_t packets, std::size_t distinct_destinations, TrackerCounters& counters);
 
 /// Streaming campaign detector. Feed probes in timestamp order; expired
 /// qualifying flows are emitted through the sink as they close, and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -18,6 +19,18 @@
 namespace synscan::pcap {
 namespace {
 
+#ifdef SYNSCAN_HAVE_MMAP
+/// Reads `fd` to end of input into `bytes`; false on a read error.
+bool drain_descriptor(int fd, std::vector<std::uint8_t>& bytes) {
+  std::array<std::uint8_t, 1 << 16> chunk{};
+  for (;;) {
+    const auto got = ::read(fd, chunk.data(), chunk.size());
+    if (got == 0) return true;
+    if (got > 0) bytes.insert(bytes.end(), chunk.data(), chunk.data() + got);
+    if (got < 0 && errno != EINTR) return false;
+  }
+}
+#else
 std::vector<std::uint8_t> drain_stream(std::istream& stream) {
   std::vector<std::uint8_t> bytes;
   std::array<char, 1 << 16> chunk{};
@@ -27,6 +40,7 @@ std::vector<std::uint8_t> drain_stream(std::istream& stream) {
   }
   return bytes;
 }
+#endif
 
 /// Appends up to `max_frames` record views from `bytes[offset, end)` to
 /// `out`, advancing `offset` past every record consumed. kOk means the
@@ -153,47 +167,40 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 MappedFile MappedFile::open(const std::filesystem::path& path) {
+  MappedFile file;
 #ifdef SYNSCAN_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st {};
-    const bool mappable = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
-    if (mappable && st.st_size == 0) {
+  if (fd < 0) throw std::runtime_error("pcap: cannot open " + path.string());
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    if (st.st_size == 0) {
       ::close(fd);
-      return {};  // empty file: a valid, empty window
+      return file;  // empty file: a valid, empty window
     }
-    if (mappable) {
-      void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
-                          MAP_PRIVATE, fd, 0);
+    void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
+                        MAP_PRIVATE, fd, 0);
+    if (addr != MAP_FAILED) {
       ::close(fd);
-      if (addr != MAP_FAILED) {
-        ::madvise(addr, static_cast<std::size_t>(st.st_size), MADV_SEQUENTIAL);
-        MappedFile file;
-        file.data_ = static_cast<const std::uint8_t*>(addr);
-        file.size_ = static_cast<std::size_t>(st.st_size);
-        file.mapped_ = true;
-        return file;
-      }
-    } else {
-      ::close(fd);
+      ::madvise(addr, static_cast<std::size_t>(st.st_size), MADV_SEQUENTIAL);
+      file.data_ = static_cast<const std::uint8_t*>(addr);
+      file.size_ = static_cast<std::size_t>(st.st_size);
+      file.mapped_ = true;
+      return file;
     }
   }
-#endif
-  // Fallback: bulk-read the file (FIFO, /proc entry, mmap refusal, or a
-  // platform without mmap).
+  // Fallback: bulk-read this same descriptor (FIFO, /proc entry, mmap
+  // refusal). Opening the path again would lose every byte a FIFO has
+  // already handed to this reader.
+  const bool drained = drain_descriptor(fd, file.fallback_);
+  ::close(fd);
+  if (!drained) throw std::runtime_error("pcap: cannot read " + path.string());
+#else
   std::ifstream stream(path, std::ios::binary);
-  if (!stream.is_open()) {
-    throw std::runtime_error("pcap: cannot open " + path.string());
-  }
-  return from_stream(stream);
-}
-
-MappedFile MappedFile::from_stream(std::istream& stream) {
-  MappedFile file;
+  if (!stream.is_open()) throw std::runtime_error("pcap: cannot open " + path.string());
   file.fallback_ = drain_stream(stream);
+#endif
   file.data_ = file.fallback_.data();
   file.size_ = file.fallback_.size();
-  file.mapped_ = false;
   return file;
 }
 
@@ -217,10 +224,6 @@ MappedReader::MappedReader(MappedFile file) : file_(std::move(file)) {
 
 MappedReader MappedReader::open(const std::filesystem::path& path) {
   return MappedReader(MappedFile::open(path));
-}
-
-MappedReader MappedReader::open_stream(std::istream& stream) {
-  return MappedReader(MappedFile::from_stream(stream));
 }
 
 ReadStatus MappedReader::next(net::FrameView& out) {

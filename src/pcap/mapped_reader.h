@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <istream>
 #include <optional>
 #include <span>
 #include <vector>
@@ -38,12 +37,10 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
   /// Maps `path` read-only; falls back to reading it into memory when
-  /// mapping is unavailable. Throws `std::runtime_error` if the file
-  /// cannot be opened at all.
+  /// mapping is unavailable, from the same open descriptor, so input
+  /// that can be read only once (a FIFO) arrives whole. Throws
+  /// `std::runtime_error` if the file cannot be opened or read.
   [[nodiscard]] static MappedFile open(const std::filesystem::path& path);
-
-  /// Drains a non-seekable stream into an owned buffer (never mapped).
-  [[nodiscard]] static MappedFile from_stream(std::istream& stream);
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return {data_, size_};
@@ -257,10 +254,6 @@ class MappedReader {
   explicit MappedReader(MappedFile file);
 
   [[nodiscard]] static MappedReader open(const std::filesystem::path& path);
-
-  /// Fallback entry point for non-seekable input: drains the stream
-  /// into memory first, then walks it exactly like a mapping.
-  [[nodiscard]] static MappedReader open_stream(std::istream& stream);
 
   [[nodiscard]] const FileInfo& info() const noexcept { return info_; }
   [[nodiscard]] bool mapped() const noexcept { return file_.mapped(); }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <streambuf>
 
 #include "net/endian.h"
 
@@ -23,6 +24,24 @@ std::uint16_t load16(const std::uint8_t* p, bool big_endian) {
 std::uint32_t load32(const std::uint8_t* p, bool big_endian) {
   return big_endian ? net::load_be32(p) : net::load_le32(p);
 }
+
+/// Read-only istream over borrowed bytes: parses a capture in memory
+/// without a copy.
+class ByteStream final : public std::istream {
+ public:
+  explicit ByteStream(std::span<const std::uint8_t> bytes) : std::istream(nullptr) {
+    // The get area is `char*` by interface; reads never write through it.
+    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast)
+    auto* begin = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
+    buffer_.view(begin, begin + bytes.size());
+    rdbuf(&buffer_);
+  }
+
+ private:
+  struct Buffer final : std::streambuf {
+    void view(char* begin, char* end) { setg(begin, begin, end); }
+  } buffer_;
+};
 
 }  // namespace
 
@@ -75,6 +94,10 @@ NgReader NgReader::open(const std::filesystem::path& path) {
     throw std::runtime_error("pcapng: cannot open " + path.string());
   }
   return NgReader(std::move(stream));
+}
+
+NgReader NgReader::over(std::span<const std::uint8_t> bytes) {
+  return NgReader(std::make_unique<ByteStream>(bytes));
 }
 
 void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
@@ -209,11 +232,15 @@ std::pair<std::vector<net::RawFrame>, ReadStatus> NgReader::read_all() {
   }
 }
 
+bool looks_like_pcapng(std::span<const std::uint8_t> head) {
+  return head.size() >= 4 && net::load_le32(head.data()) == kSectionHeaderBlock;
+}
+
 bool looks_like_pcapng(const std::filesystem::path& path) {
   std::ifstream stream(path, std::ios::binary);
   std::array<std::uint8_t, 4> head{};
   stream.read(reinterpret_cast<char*>(head.data()), 4);
-  return stream.gcount() == 4 && net::load_le32(head.data()) == kSectionHeaderBlock;
+  return stream.gcount() == 4 && looks_like_pcapng(head);
 }
 
 std::pair<std::vector<net::RawFrame>, ReadStatus> read_any_capture(

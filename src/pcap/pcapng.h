@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <istream>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/packet.h"
@@ -31,6 +32,10 @@ class NgReader {
   explicit NgReader(std::unique_ptr<std::istream> stream);
 
   [[nodiscard]] static NgReader open(const std::filesystem::path& path);
+
+  /// Reads a pcapng capture already in memory (a `MappedFile`'s bytes)
+  /// without copying it. The bytes must outlive the reader.
+  [[nodiscard]] static NgReader over(std::span<const std::uint8_t> bytes);
 
   /// Reads the next packet (from an EPB or SPB), skipping interleaved
   /// non-packet blocks. Timestamps are normalized to µs; Simple Packet
@@ -61,8 +66,12 @@ class NgReader {
   std::uint64_t packets_read_ = 0;
 };
 
-/// True if the file starts with the pcapng Section Header Block magic
+/// True if the bytes start with the pcapng Section Header Block magic
 /// (use to dispatch between `Reader` and `NgReader`).
+[[nodiscard]] bool looks_like_pcapng(std::span<const std::uint8_t> head);
+
+/// The same test on a file's first bytes. It opens the path, so use the
+/// bytes overload on input that can be read only once (a FIFO).
 [[nodiscard]] bool looks_like_pcapng(const std::filesystem::path& path);
 
 /// Format-dispatching convenience: reads classic pcap or pcapng.

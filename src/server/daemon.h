@@ -46,10 +46,9 @@ struct DaemonConfig {
   /// Query worker threads (>= 1). Queries and LOADs run here; the event
   /// loop never blocks on them.
   std::size_t workers = 2;
-  /// Worker count passed to `core::analyze_capture` during LOAD. Keep
-  /// identical between daemon and offline runs when comparing report
-  /// bytes: the parallel merge orders campaigns deterministically, but
-  /// differently from the serial close order.
+  /// Worker count passed to `core::analyze_capture` during LOAD. It
+  /// changes only how fast a capture loads: reports are byte-identical
+  /// at any worker count, offline or resident.
   std::size_t analysis_workers = 2;
   /// Close connections with no traffic and no pending responses after
   /// this long. 0 disables the sweep.

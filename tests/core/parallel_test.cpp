@@ -1,4 +1,7 @@
-#include "core/parallel.h"
+// The multi-worker pipeline: tracking sharded by source across worker
+// threads must give the serial result. The suite keeps its name, which
+// the sanitizer CI job selects with `Parallel*`.
+#include "core/pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -65,7 +68,7 @@ TEST(ParallelAnalyzer, MatchesSerialPipeline) {
   testing::feed_per_frame(serial, test_telescope(), frames);
   const auto serial_result = serial.finish();
 
-  ParallelAnalyzer parallel(test_telescope(), 4);
+  Pipeline parallel(test_telescope(), 4);
   testing::feed_batched(parallel, test_telescope(), frames);
   const auto parallel_result = parallel.finish();
 
@@ -84,7 +87,7 @@ TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {
   const auto frames = workload();
   std::vector<PipelineResult> results;
   for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
-    ParallelAnalyzer analyzer(test_telescope(), workers);
+    Pipeline analyzer(test_telescope(), workers);
     testing::feed_batched(analyzer, test_telescope(), frames);
     results.push_back(analyzer.finish());
   }
@@ -101,18 +104,18 @@ TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {
 }
 
 TEST(ParallelAnalyzer, RejectsZeroWorkers) {
-  EXPECT_THROW(ParallelAnalyzer(test_telescope(), 0), std::invalid_argument);
+  EXPECT_THROW(Pipeline(test_telescope(), 0), std::invalid_argument);
 }
 
 TEST(ParallelAnalyzer, FinishTwiceThrows) {
-  ParallelAnalyzer analyzer(test_telescope(), 2);
+  Pipeline analyzer(test_telescope(), 2);
   (void)analyzer.finish();
   EXPECT_THROW((void)analyzer.finish(), std::logic_error);
 }
 
 TEST(ParallelAnalyzer, DestructorWithoutFinishIsClean) {
   const auto frames = workload();
-  ParallelAnalyzer analyzer(test_telescope(), 3);
+  Pipeline analyzer(test_telescope(), 3);
   testing::feed_batched(analyzer, test_telescope(),
                         std::span(frames).first(std::min<std::size_t>(500, frames.size())));
   // No finish(): the destructor must join without deadlock or leak.

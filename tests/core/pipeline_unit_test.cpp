@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
 
 #include "test_support.h"
 
@@ -27,9 +28,8 @@ TEST(Pipeline, FinishIsTerminalAndMovesCampaigns) {
   }
   const auto first = pipeline.finish();
   EXPECT_EQ(first.campaigns.size(), 1u);
-  // A second finish on the drained pipeline yields nothing new.
-  const auto second = pipeline.finish();
-  EXPECT_TRUE(second.campaigns.empty());
+  // The pipeline is drained: a second finish is a caller bug.
+  EXPECT_THROW((void)pipeline.finish(), std::logic_error);
 }
 
 TEST(Pipeline, ObserversRunBeforeTracker) {

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/tracker.h"
 #include "reference_tracker.h"
@@ -253,7 +252,7 @@ TEST(TrackerDifferential, SerialAndParallelMergeDeterministic) {
 
   std::vector<PipelineResult> parallel_results;
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    ParallelAnalyzer analyzer(telescope, workers);
+    Pipeline analyzer(telescope, workers);
     testing::feed_batched(analyzer, telescope, frames);
     parallel_results.push_back(analyzer.finish());
   }

@@ -16,7 +16,6 @@
 #include "core/analysis_geo.h"
 #include "core/analysis_types.h"
 #include "core/daily_series.h"
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "core/volatility.h"
@@ -392,7 +391,7 @@ TEST(BatchedPipelineDifferential, WorkerSliceShardingMatchesSerial) {
 
   for (const std::size_t workers : {2u, 3u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    core::ParallelAnalyzer analyzer(test_telescope(), workers);
+    core::Pipeline analyzer(test_telescope(), workers);
     for (const auto& batch : batches) analyzer.feed_probes(batch);
     const auto result = analyzer.finish();
 

@@ -1,8 +1,8 @@
 // Differential test for the batched ingest front-end: every ingest path
-// (mmap, stream fallback, warm probe cache, parallel feeder) must produce
-// the exact sensor counters, tracker counters and campaigns that the
-// per-frame reference — `Sensor::classify` into `Pipeline::feed_probe`
-// — produces.
+// (mmap, bulk read of a FIFO, warm probe cache, multi-worker pipeline)
+// must produce the exact sensor counters, tracker counters and campaigns
+// that the per-frame reference — `Sensor::classify` into
+// `Pipeline::feed_probe` — produces.
 #include "core/ingest.h"
 
 #include <gtest/gtest.h>
@@ -11,13 +11,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "net/endian.h"
 #include "pcap/pcap.h"
@@ -111,6 +109,38 @@ std::multimap<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> summarize(
   return out;
 }
 
+/// Every probe one ingest delivered, in capture order, and its result.
+struct Ingested {
+  telescope::ProbeBatch probes;
+  core::IngestResult result;
+};
+
+[[nodiscard]] Ingested ingest_probes(const fs::path& capture,
+                                     const core::IngestOptions& options) {
+  Ingested out;
+  out.result = core::ingest_capture(capture, test_telescope(), options,
+                                    [&](const telescope::ProbeBatch& batch) {
+                                      for (std::size_t i = 0; i < batch.size(); ++i) {
+                                        out.probes.push_back(batch.get(i));
+                                      }
+                                    });
+  return out;
+}
+
+void expect_same_probes(const telescope::ProbeBatch& got, const telescope::ProbeBatch& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.timestamp_us, want.timestamp_us);
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(got.destination, want.destination);
+  EXPECT_EQ(got.source_port, want.source_port);
+  EXPECT_EQ(got.destination_port, want.destination_port);
+  EXPECT_EQ(got.sequence, want.sequence);
+  EXPECT_EQ(got.acknowledgment, want.acknowledgment);
+  EXPECT_EQ(got.ip_id, want.ip_id);
+  EXPECT_EQ(got.window, want.window);
+  EXPECT_EQ(got.ttl, want.ttl);
+}
+
 class IngestDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -141,13 +171,14 @@ class IngestDifferential : public ::testing::Test {
     return pipeline.finish();
   }
 
-  /// Serial ingest through the given options; also returns the
-  /// IngestResult so callers can assert which path ran.
+  /// Serial ingest of `input` (default: the capture file) through the
+  /// given options; also returns the IngestResult so callers can assert
+  /// which path ran.
   [[nodiscard]] std::pair<core::PipelineResult, core::IngestResult> ingest_result(
-      const core::IngestOptions& options) const {
+      const core::IngestOptions& options, const fs::path& input = {}) const {
     core::Pipeline pipeline(test_telescope());
     const auto ingest = core::ingest_capture(
-        capture_, test_telescope(), options,
+        input.empty() ? capture_ : input, test_telescope(), options,
         [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
     pipeline.absorb_sensor_counters(ingest.sensor);
     return {pipeline.finish(), ingest};
@@ -172,8 +203,8 @@ TEST_F(IngestDifferential, MmapStreamAndCachePathsMatchFrameByFrameReference) {
 
   core::IngestOptions stream_options;
   stream_options.use_cache = false;
-  stream_options.use_mmap = false;
-  const auto [streamed, streamed_ingest] = ingest_result(stream_options);
+  const testing::FifoFeed fifo(dir_ / "window.fifo", capture_);
+  const auto [streamed, streamed_ingest] = ingest_result(stream_options, fifo.path());
   EXPECT_FALSE(streamed_ingest.mapped);
   expect_same_sensor(streamed.sensor, reference.sensor);
   expect_same_tracking(streamed, reference);
@@ -204,12 +235,31 @@ TEST_F(IngestDifferential, MmapStreamAndCachePathsMatchFrameByFrameReference) {
   (void)stale;
 }
 
+TEST_F(IngestDifferential, FifoInputMatchesRegularFile) {
+  // A FIFO hands its bytes to whichever reader opens it, once. Ingest
+  // must open the capture once and sniff the format from the bytes it
+  // read, or the probes, counters and terminal status diverge from the
+  // file's.
+  core::IngestOptions options;
+  options.use_cache = false;
+  const auto file = ingest_probes(capture_, options);
+  ASSERT_GT(file.probes.size(), 0u);
+
+  const testing::FifoFeed fifo(dir_ / "window.fifo", capture_);
+  const auto piped = ingest_probes(fifo.path(), options);
+  EXPECT_FALSE(piped.result.mapped);
+  EXPECT_EQ(piped.result.frames, file.result.frames);
+  EXPECT_EQ(piped.result.status, file.result.status);
+  expect_same_sensor(piped.result.sensor, file.result.sensor);
+  expect_same_probes(piped.probes, file.probes);
+}
+
 TEST_F(IngestDifferential, ParallelProbeFeedMatchesSerialReference) {
   const auto reference = reference_result();
 
   core::IngestOptions options;
   options.use_cache = false;
-  core::ParallelAnalyzer analyzer(test_telescope(), 3);
+  core::Pipeline analyzer(test_telescope(), 3);
   const auto ingest = core::ingest_capture(
       capture_, test_telescope(), options,
       [&](const telescope::ProbeBatch& batch) { analyzer.feed_probes(batch); });
@@ -290,14 +340,15 @@ class IngestDialects : public ::testing::Test {
       ASSERT_EQ(reader.next(frame), pcap::ReadStatus::kOk);
       EXPECT_EQ(frame.timestamp_us, expected_us);
     }
-    // …and every ingest path yields exactly one probe carrying it.
-    for (const bool use_mmap : {true, false}) {
+    // …and both read paths — the mapped file and the bulk read of a FIFO
+    // carrying it — yield exactly one probe carrying it.
+    const testing::FifoFeed fifo(path.string() + ".fifo", path);
+    for (const auto& input : {path, fifo.path()}) {
       core::IngestOptions options;
       options.use_cache = false;
-      options.use_mmap = use_mmap;
       std::vector<net::TimeUs> stamps;
       const auto ingest = core::ingest_capture(
-          path, test_telescope(), options, [&](const telescope::ProbeBatch& batch) {
+          input, test_telescope(), options, [&](const telescope::ProbeBatch& batch) {
             stamps.insert(stamps.end(), batch.timestamp_us.begin(),
                           batch.timestamp_us.end());
           });
@@ -422,41 +473,8 @@ class IngestMatrix : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  struct MatrixRun {
-    telescope::ProbeBatch probes;  ///< every probe, capture order
-    core::IngestResult result;
-  };
-
-  [[nodiscard]] MatrixRun run(const core::IngestOptions& options) const {
-    MatrixRun out;
-    out.result = core::ingest_capture(
-        capture_, test_telescope(), options,
-        [&](const telescope::ProbeBatch& batch) {
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            out.probes.push_back(batch.get(i));
-          }
-        });
-    return out;
-  }
-
-  static void expect_same_probes(const telescope::ProbeBatch& got,
-                                 const telescope::ProbeBatch& want) {
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_EQ(got.timestamp_us, want.timestamp_us);
-    EXPECT_EQ(got.source, want.source);
-    EXPECT_EQ(got.destination, want.destination);
-    EXPECT_EQ(got.source_port, want.source_port);
-    EXPECT_EQ(got.destination_port, want.destination_port);
-    EXPECT_EQ(got.sequence, want.sequence);
-    EXPECT_EQ(got.acknowledgment, want.acknowledgment);
-    EXPECT_EQ(got.ip_id, want.ip_id);
-    EXPECT_EQ(got.window, want.window);
-    EXPECT_EQ(got.ttl, want.ttl);
-  }
-
-  [[nodiscard]] static std::vector<char> slurp(const fs::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  [[nodiscard]] Ingested run(const core::IngestOptions& options) const {
+    return ingest_probes(capture_, options);
   }
 
   static constexpr std::uint64_t kFrames = 110'000;
@@ -499,7 +517,7 @@ TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
       expect_same_probes(cold.probes, reference.probes);
       expect_same_sensor(cold.result.sensor, reference.result.sensor);
 
-      const auto bytes = slurp(options.cache_path);
+      const auto bytes = testing::slurp(options.cache_path);
       ASSERT_FALSE(bytes.empty());
       if (first_cache.empty()) first_cache = bytes;
       EXPECT_TRUE(first_cache == bytes)

@@ -20,6 +20,7 @@
 #include "pcap/pcap.h"
 #include "report/json.h"
 #include "simgen/generator.h"
+#include "test_support.h"
 
 namespace synscan {
 namespace {
@@ -89,10 +90,10 @@ class RollupDifferential : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Splits the whole capture's records into `count` files at uneven
-  /// boundaries (shard i gets a slice proportional to i+1, so the seams
-  /// never align with anything natural in the traffic).
-  [[nodiscard]] std::vector<fs::path> split_capture(std::size_t count) const {
+  /// Splits the whole capture's records into `count` consecutive runs
+  /// at uneven boundaries (run i gets a slice proportional to i+1, so the
+  /// seams never align with anything natural in the traffic).
+  [[nodiscard]] std::vector<std::vector<net::RawFrame>> split_frames(std::size_t count) const {
     std::uint64_t total = 0;
     {
       auto reader = pcap::Reader::open(whole_);
@@ -101,26 +102,36 @@ class RollupDifferential : public ::testing::Test {
     }
     const std::uint64_t weight_sum = count * (count + 1) / 2;
 
-    std::vector<fs::path> shards;
+    std::vector<std::vector<net::RawFrame>> runs(count);
     auto reader = pcap::Reader::open(whole_);
     net::RawFrame frame;
     std::uint64_t written = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      auto path = dir_ / ("shard_" + std::to_string(count) + "_" +
-                          std::to_string(i) + ".pcap");
-      auto writer = pcap::Writer::create(path);
-      // Last shard takes the remainder.
+      // Last run takes the remainder.
       const std::uint64_t quota =
           i + 1 == count ? total - written : total * (i + 1) / weight_sum;
       for (std::uint64_t n = 0; n < quota && reader.next(frame) == pcap::ReadStatus::kOk;
            ++n) {
-        writer.write(frame);
+        runs[i].push_back(frame);
         ++written;
       }
+    }
+    EXPECT_EQ(written, total);
+    return runs;
+  }
+
+  /// `split_frames` written out as `count` classic pcap shards.
+  [[nodiscard]] std::vector<fs::path> split_capture(std::size_t count) const {
+    std::vector<fs::path> shards;
+    const auto runs = split_frames(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      auto path = dir_ / ("shard_" + std::to_string(count) + "_" +
+                          std::to_string(i) + ".pcap");
+      auto writer = pcap::Writer::create(path);
+      for (const auto& frame : runs[i]) writer.write(frame);
       writer.flush();
       shards.push_back(std::move(path));
     }
-    EXPECT_EQ(written, total);
     return shards;
   }
 
@@ -198,6 +209,40 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
   EXPECT_EQ(incremental.stats.store_misses, 1u);
   EXPECT_EQ(incremental.stats.store_writes, 1u);
   EXPECT_EQ(report_bytes(incremental.analysis), reference);
+}
+
+TEST_F(RollupDifferential, PcapngShardsPlanByCaptureTime) {
+  // The same day as three time-ordered pcapng shards whose names run
+  // against capture time: the plan must order them by first record, not
+  // by path, for the merge to match the whole capture.
+  core::IngestOptions ingest;
+  ingest.use_cache = false;
+  const auto whole = core::analyze_capture(whole_, test_telescope(),
+                                           enrich::InternetRegistry::synthetic_default(),
+                                           1, ingest);
+  const auto reference = report_bytes(whole);
+
+  const auto runs = split_frames(3);
+  std::vector<fs::path> shards;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    testing::NgBuilder builder;
+    builder.section_header().interface_block();
+    for (const auto& frame : runs[i]) {
+      builder.enhanced_packet(0, static_cast<std::uint64_t>(frame.timestamp_us), frame.bytes);
+    }
+    // shard_c.pcapng holds the earliest traffic, shard_a.pcapng the latest.
+    shards.push_back(dir_ / ("shard_" + std::string(1, static_cast<char>('c' - i)) + ".pcapng"));
+    builder.write(shards.back());
+  }
+
+  const auto plan = core::plan_shards(shards);
+  ASSERT_EQ(plan.shards.size(), shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    EXPECT_EQ(plan.shards[i].capture, shards[i]) << "plan position " << i;
+  }
+  const auto merged = run(shards, false, 2);
+  EXPECT_EQ(merged.analysis.frames, whole.frames);
+  EXPECT_EQ(report_bytes(merged.analysis), reference);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "net/endian.h"
+#include "test_support.h"
 
 namespace synscan::pcap {
 namespace {
@@ -67,8 +68,10 @@ TEST_F(MappedReaderTest, StreamFallbackWalksIdentically) {
   const std::vector<net::RawFrame> frames = {frame(5, {9, 8, 7}), frame(6, {1})};
   write_file(path("stream.pcap"), frames);
 
-  std::ifstream stream(path("stream.pcap"), std::ios::binary);
-  auto reader = MappedReader::open_stream(stream);
+  // A FIFO cannot be mapped: the reader bulk-reads it and walks the
+  // buffer exactly like a mapping.
+  const synscan::testing::FifoFeed fifo(path("stream.fifo"), path("stream.pcap"));
+  auto reader = MappedReader::open(fifo.path());
   EXPECT_FALSE(reader.mapped());
 
   net::FrameView view;

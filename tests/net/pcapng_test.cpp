@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/ingest.h"
-#include "net/endian.h"
 #include "pcap/pcap.h"
 #include "telescope/probe_batch.h"
 #include "test_support.h"
@@ -18,102 +17,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Byte-level pcapng builder for tests.
-class NgBuilder {
- public:
-  explicit NgBuilder(bool big_endian = false) : big_endian_(big_endian) {}
-
-  NgBuilder& section_header() {
-    std::vector<std::uint8_t> body;
-    u32(body, 0x1A2B3C4D);  // byte-order magic
-    u16(body, 1);           // major
-    u16(body, 0);           // minor
-    u64(body, 0xffffffffffffffffull);  // section length: unknown
-    block(0x0A0D0D0A, body);
-    return *this;
-  }
-
-  /// Adds an IDB; tsresol 6 = microseconds, 9 = nanoseconds, 0x80|n = 2^-n.
-  NgBuilder& interface_block(std::uint8_t tsresol = 6) {
-    std::vector<std::uint8_t> body;
-    u16(body, 1);  // LINKTYPE_ETHERNET
-    u16(body, 0);  // reserved
-    u32(body, 65535);  // snaplen
-    // if_tsresol option.
-    u16(body, 9);
-    u16(body, 1);
-    body.push_back(tsresol);
-    body.insert(body.end(), 3, 0);  // pad to 32 bits
-    // opt_endofopt.
-    u16(body, 0);
-    u16(body, 0);
-    block(1, body);
-    return *this;
-  }
-
-  NgBuilder& enhanced_packet(std::uint32_t interface_id, std::uint64_t ticks,
-                             std::vector<std::uint8_t> data) {
-    std::vector<std::uint8_t> body;
-    u32(body, interface_id);
-    u32(body, static_cast<std::uint32_t>(ticks >> 32));
-    u32(body, static_cast<std::uint32_t>(ticks & 0xffffffff));
-    u32(body, static_cast<std::uint32_t>(data.size()));  // captured
-    u32(body, static_cast<std::uint32_t>(data.size()));  // original
-    body.insert(body.end(), data.begin(), data.end());
-    while (body.size() % 4 != 0) body.push_back(0);
-    block(6, body);
-    return *this;
-  }
-
-  NgBuilder& simple_packet(std::vector<std::uint8_t> data) {
-    std::vector<std::uint8_t> body;
-    u32(body, static_cast<std::uint32_t>(data.size()));
-    body.insert(body.end(), data.begin(), data.end());
-    while (body.size() % 4 != 0) body.push_back(0);
-    block(3, body);
-    return *this;
-  }
-
-  NgBuilder& unknown_block() {
-    std::vector<std::uint8_t> body = {1, 2, 3, 4, 5, 6, 7, 8};
-    block(0x0BAD0000, body);
-    return *this;
-  }
-
-  void write(const fs::path& path) const {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes_.data()),
-              static_cast<std::streamsize>(bytes_.size()));
-  }
-
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
-
- private:
-  void u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    std::uint8_t b[2];
-    big_endian_ ? net::store_be16(b, v) : net::store_le16(b, v);
-    out.insert(out.end(), b, b + 2);
-  }
-  void u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    std::uint8_t b[4];
-    big_endian_ ? net::store_be32(b, v) : net::store_le32(b, v);
-    out.insert(out.end(), b, b + 4);
-  }
-  void u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    u32(out, static_cast<std::uint32_t>(big_endian_ ? v >> 32 : v & 0xffffffff));
-    u32(out, static_cast<std::uint32_t>(big_endian_ ? v & 0xffffffff : v >> 32));
-  }
-  void block(std::uint32_t type, const std::vector<std::uint8_t>& body) {
-    const auto total = static_cast<std::uint32_t>(12 + body.size());
-    u32(bytes_, type);
-    u32(bytes_, total);
-    bytes_.insert(bytes_.end(), body.begin(), body.end());
-    u32(bytes_, total);
-  }
-
-  bool big_endian_;
-  std::vector<std::uint8_t> bytes_;
-};
+using synscan::testing::NgBuilder;
 
 class PcapngTest : public ::testing::Test {
  protected:

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <string>
 
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "obs/run_report.h"
 #include "pcap/pcap.h"
@@ -95,9 +94,9 @@ TEST_F(ObsIntegration, SensorProbesEqualTrackerProbes) {
 
 TEST_F(ObsIntegration, ParallelAnalyzerPublishesWorkerMetrics) {
   constexpr std::size_t kWorkers = 3;
-  core::ParallelAnalyzer analyzer(test_telescope(), kWorkers);
-  testing::generate_into(analyzer, test_telescope(), small_config());
-  const auto result = analyzer.finish();
+  core::Pipeline pipeline(test_telescope(), kWorkers);
+  testing::generate_into(pipeline, test_telescope(), small_config());
+  const auto result = pipeline.finish();
 
   auto& registry = obs::MetricsRegistry::global();
   EXPECT_EQ(registry.gauge("parallel.workers").value(),
@@ -112,7 +111,7 @@ TEST_F(ObsIntegration, ParallelAnalyzerPublishesWorkerMetrics) {
     EXPECT_TRUE(registry.contains(prefix + ".items")) << prefix;
     EXPECT_TRUE(registry.contains(prefix + ".peak_queue")) << prefix;
   }
-  EXPECT_GT(registry.timing("parallel.merge").data().count, 0u);
+  EXPECT_EQ(registry.timing("pipeline.finish").data().count, 1u);
 
   // Tracker merge preserved the new counters.
   EXPECT_EQ(result.tracker.probes, result.sensor.scan_probes);
@@ -143,7 +142,7 @@ TEST_F(ObsIntegration, PcapReaderCountsFramesAndBytes) {
 TEST_F(ObsIntegration, TrackerExposesFlowTableLifecycle) {
   core::TrackerConfig config;
   config.sweep_interval = 64;
-  core::Pipeline pipeline(test_telescope(), config);
+  core::Pipeline pipeline(test_telescope(), 1, config);
   testing::generate_into(pipeline, test_telescope(), small_config());
   const auto result = pipeline.finish();
 
