@@ -5,7 +5,7 @@
 // One run measures five paths over the same generated capture; the
 // analyze paths are all fed from the warm `.spc` probe cache so ingest
 // cost is identical and the analytics stages are what differs:
-//   cold_ingest — pure decode+classify ingest (mmap + classify_batch,
+//   cold_ingest — pure decode+classify ingest (mmap + FrameBatcher,
 //                 no cache): what reading the capture costs — the
 //                 "analyze within ~2x of ingest" budget compares
 //                 against this;
@@ -198,7 +198,7 @@ PathResult run_warm_ingest(const fs::path& path) {
   return result;
 }
 
-/// Pure decode+classify ingest (mmap + classify_batch, cache off): what
+/// Pure decode+classify ingest (mmap + FrameBatcher, cache off): what
 /// "ingesting the capture" costs when no .spc exists — the ~2x budget
 /// in docs/PERFORMANCE.md compares analyze against this.
 PathResult run_cold_ingest(const fs::path& path) {

@@ -22,7 +22,9 @@
 #include "core/shard.h"
 #include "fingerprint/evidence_table.h"
 #include "obs/run_report.h"
+#include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
+#include "pcap/pcapng.h"
 #include "report/json.h"
 #include "report/table.h"
 #include "server/client.h"
@@ -358,18 +360,9 @@ int run_info(const std::vector<std::string>& args) {
     throw std::invalid_argument("info requires a capture path");
   }
   const auto& path = parsed.positional().front();
-  auto reader = pcap::Reader::open(path);
-  const auto& info = reader.info();
-  std::cout << "capture:      " << path << "\n"
-            << "byte order:   " << (info.big_endian ? "big" : "little") << "-endian\n"
-            << "timestamps:   " << (info.nanosecond ? "nanosecond" : "microsecond")
-            << "\n"
-            << "version:      " << info.version_major << "." << info.version_minor
-            << "\n"
-            << "snap length:  " << info.snap_length << "\n"
-            << "link type:    "
-            << (info.link_type == pcap::LinkType::kEthernet ? "ethernet" : "other")
-            << "\n";
+  // Read once and sniff the bytes in hand: a pipe hands its bytes to one
+  // reader only.
+  const auto file = pcap::MappedFile::open(path);
 
   const auto& telescope = shared_telescope();
   telescope::Sensor sensor(telescope);
@@ -377,20 +370,41 @@ int run_info(const std::vector<std::string>& args) {
   telescope::ScanProbe probe;
   net::TimeUs first = 0;
   net::TimeUs last = 0;
-  bool any = false;
+  std::uint64_t frames = 0;
   pcap::ReadStatus status;
-  while ((status = reader.next(frame)) == pcap::ReadStatus::kOk) {
-    (void)sensor.classify(frame, probe);
-    if (!any) first = frame.timestamp_us;
-    last = frame.timestamp_us;
-    any = true;
+  const auto walk = [&](auto& reader) {
+    while ((status = reader.next(frame)) == pcap::ReadStatus::kOk) {
+      (void)sensor.classify(frame, probe);
+      if (frames++ == 0) first = frame.timestamp_us;
+      last = frame.timestamp_us;
+    }
+  };
+  if (pcap::looks_like_pcapng(file.bytes())) {
+    auto reader = pcap::NgReader::over(file.bytes());
+    std::cout << "capture:      " << path << "\n"
+              << "format:       pcapng\n";
+    walk(reader);
+  } else {
+    auto reader = pcap::Reader::over(file.bytes());
+    const auto& info = reader.info();
+    std::cout << "capture:      " << path << "\n"
+              << "byte order:   " << (info.big_endian ? "big" : "little") << "-endian\n"
+              << "timestamps:   " << (info.nanosecond ? "nanosecond" : "microsecond")
+              << "\n"
+              << "version:      " << info.version_major << "." << info.version_minor
+              << "\n"
+              << "snap length:  " << info.snap_length << "\n"
+              << "link type:    "
+              << (info.link_type == pcap::LinkType::kEthernet ? "ethernet" : "other")
+              << "\n";
+    walk(reader);
   }
 
   const auto& counters = sensor.counters();
-  std::cout << "frames:       " << reader.frames_read() << " ("
+  std::cout << "frames:       " << frames << " ("
             << (status == pcap::ReadStatus::kEndOfFile ? "clean end" : "truncated/corrupt")
             << ")\n";
-  if (any) {
+  if (frames > 0) {
     std::cout << "time span:    "
               << report::fixed(static_cast<double>(last - first) /
                                    static_cast<double>(net::kMicrosPerDay),

@@ -13,8 +13,6 @@
 #include "obs/metrics.h"
 #include "pcap/mapped_reader.h"
 #include "pcap/pcapng.h"
-#include "telescope/classify_detail.h"
-#include "telescope/classify_lanes.h"
 #include "telescope/simd.h"
 
 namespace synscan::core {
@@ -52,140 +50,36 @@ struct IngestMetrics {
   }
 };
 
-/// Classifier sink for the fused record walk (`ChunkReader::scan`):
-/// consumes records straight off the walk, assembling SIMD lane groups
-/// in place instead of staging `net::FrameView`s, and hands off one
-/// `ProbeBatch` per `kIngestBatchFrames` frames. Group formation restarts at
-/// every batch boundary (the trailing partial group is classified by the
-/// scalar reference), exactly like `Sensor::classify_batch` over the
-/// same windows — probes, probe order and counters are bit-identical to
-/// the scalar loop on any dispatch level. The deliver callback may move
-/// the batch away; buffers are re-armed either way.
-class FusedClassifier {
- public:
-  using Deliver = std::function<void(telescope::ProbeBatch&)>;
-  using GroupFn = void (*)(const telescope::Telescope&,
-                           const telescope::detail::PendingLanes&,
-                           telescope::SensorCounters&, telescope::detail::ProbeCursor&,
-                           std::uint64_t&);
-
-  FusedClassifier(const telescope::Telescope& telescope, Deliver deliver)
-      : telescope_(&telescope), deliver_(std::move(deliver)) {
-    switch (telescope::simd::active_level()) {
-      case telescope::simd::SimdLevel::kAvx2:
-        group_size_ = 8;
-        group_fn_ = &telescope::detail::classify_group_avx2;
-        break;
-      case telescope::simd::SimdLevel::kSse2:
-        group_size_ = 4;
-        group_fn_ = &telescope::detail::classify_group_sse2;
-        break;
-      case telescope::simd::SimdLevel::kScalar:
-        break;
-    }
-    arm_batch();
-  }
-
-  /// One record, in capture order; the bytes must stay valid until the
-  /// batch holding this frame's probe has been delivered (they point
-  /// into the capture window, which outlives the scan).
-  void consume(net::TimeUs timestamp_us, const std::uint8_t* data,
-               std::uint32_t captured_length) {
-    if (group_size_ == 0 || captured_length < telescope::detail::kMinLaneBytes) {
-      // Short frames can never emit a probe (no room for a full TCP
-      // header), so classifying them immediately preserves probe order.
-      telescope::detail::classify_raw(*telescope_, timestamp_us,
-                                      {data, captured_length}, counters_, cursor_);
-    } else {
-      pending_.ptr[pending_.count] = data;
-      pending_.caplen[pending_.count] = captured_length;
-      pending_.ts[pending_.count] = timestamp_us;
-      if (++pending_.count == group_size_) {
-        group_fn_(*telescope_, pending_, counters_, cursor_, simd_rows_);
-        pending_.count = 0;
-      }
-    }
-    if (++window_frames_ == kIngestBatchFrames) flush_batch();
-  }
-
-  /// Delivers the final partial batch (if any frames were consumed since
-  /// the last flush). Call exactly once, after the walk ends.
-  void finish() {
-    if (window_frames_ > 0) flush_batch();
-  }
-
-  [[nodiscard]] const telescope::SensorCounters& counters() const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return simd_rows_; }
-
- private:
-  /// Sizes every column to the window's worst case (all frames probes)
-  /// and points the cursor at the column bases; resize() keeps capacity
-  /// on a recycled batch, so steady state re-arms without allocating.
-  void arm_batch() {
-    batch_.timestamp_us.resize(kIngestBatchFrames);
-    batch_.source.resize(kIngestBatchFrames);
-    batch_.destination.resize(kIngestBatchFrames);
-    batch_.source_port.resize(kIngestBatchFrames);
-    batch_.destination_port.resize(kIngestBatchFrames);
-    batch_.sequence.resize(kIngestBatchFrames);
-    batch_.acknowledgment.resize(kIngestBatchFrames);
-    batch_.ip_id.resize(kIngestBatchFrames);
-    batch_.window.resize(kIngestBatchFrames);
-    batch_.ttl.resize(kIngestBatchFrames);
-    cursor_ = telescope::detail::ProbeCursor{
-        batch_.timestamp_us.data(), batch_.source.data(),
-        batch_.destination.data(),  batch_.source_port.data(),
-        batch_.destination_port.data(), batch_.sequence.data(),
-        batch_.acknowledgment.data(), batch_.ip_id.data(),
-        batch_.window.data(),       batch_.ttl.data()};
-  }
-
-  void flush_batch() {
-    // Scalar tail for the incomplete lane group, exactly like the batch
-    // kernels: group formation restarts at every window boundary.
-    for (std::size_t i = 0; i < pending_.count; ++i) {
-      telescope::detail::classify_raw(*telescope_, pending_.ts[i],
-                                      {pending_.ptr[i], pending_.caplen[i]}, counters_,
-                                      cursor_);
-    }
-    pending_.count = 0;
-    const auto rows = cursor_.count;
-    batch_.timestamp_us.resize(rows);
-    batch_.source.resize(rows);
-    batch_.destination.resize(rows);
-    batch_.source_port.resize(rows);
-    batch_.destination_port.resize(rows);
-    batch_.sequence.resize(rows);
-    batch_.acknowledgment.resize(rows);
-    batch_.ip_id.resize(rows);
-    batch_.window.resize(rows);
-    batch_.ttl.resize(rows);
-    deliver_(batch_);
-    window_frames_ = 0;
-    arm_batch();
-  }
-
-  const telescope::Telescope* telescope_;
-  Deliver deliver_;
-  std::size_t group_size_ = 0;  ///< kernel lane width; 0 = scalar loop
-  GroupFn group_fn_ = nullptr;
-  telescope::detail::PendingLanes pending_;
-  telescope::SensorCounters counters_;
-  std::uint64_t simd_rows_ = 0;
-  std::size_t window_frames_ = 0;  ///< frames consumed since last flush
-  telescope::ProbeBatch batch_;
-  telescope::detail::ProbeCursor cursor_{};
-};
-
-/// Everything one scan worker produced, merged on the caller's thread.
-struct ChunkOutcome {
-  std::vector<telescope::ProbeBatch> batches;
+/// What one chunk scan produced besides its batches.
+struct ChunkTally {
   telescope::SensorCounters counters;
   std::uint64_t frames = 0;
   std::uint64_t simd_rows = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
+};
+
+/// Walks one record-aligned chunk of a mapped capture, every record
+/// classified straight off the walk.
+ChunkTally scan_chunk(const telescope::Telescope& telescope,
+                      const pcap::MappedReader& reader, pcap::ScanChunk chunk,
+                      FrameBatcher::Deliver deliver) {
+  FrameBatcher batcher(telescope, std::move(deliver));
+  pcap::ChunkReader scanner(reader.bytes(), reader.info(), chunk);
+  ChunkTally tally;
+  tally.status = scanner.scan([&batcher](net::TimeUs timestamp_us, const std::uint8_t* data,
+                                         std::uint32_t captured_length) {
+    batcher.consume(timestamp_us, data, captured_length);
+  });
+  tally.counters = batcher.finish();
+  tally.frames = scanner.frames_read();
+  tally.simd_rows = batcher.simd_rows();
+  return tally;
+}
+
+/// Everything one scan worker produced, merged on the caller's thread.
+struct ChunkOutcome {
+  std::vector<telescope::ProbeBatch> batches;
+  ChunkTally tally;
   std::exception_ptr error;
 };
 
@@ -216,34 +110,84 @@ class ChunkMerge {
 
 }  // namespace
 
-FrameBatcher::FrameBatcher(const telescope::Telescope& telescope, ProbeBatchSink sink)
-    : sensor_(telescope), sink_(std::move(sink)), buffer_(kIngestBatchFrames) {
-  views_.reserve(kIngestBatchFrames);
-  batch_.reserve(kIngestBatchFrames);
+FrameBatcher::FrameBatcher(const telescope::Telescope& telescope, Deliver deliver)
+    : telescope_(&telescope), deliver_(std::move(deliver)) {
+  switch (telescope::simd::active_level()) {
+    case telescope::simd::SimdLevel::kAvx2:
+      group_size_ = 8;
+      group_fn_ = &telescope::detail::classify_group_avx2;
+      break;
+    case telescope::simd::SimdLevel::kSse2:
+      group_size_ = 4;
+      group_fn_ = &telescope::detail::classify_group_sse2;
+      break;
+    case telescope::simd::SimdLevel::kScalar:
+      break;
+  }
+  arm_batch();
 }
 
 void FrameBatcher::push(const net::RawFrame& frame) {
-  // Slots keep their byte buffers, so steady state copies without
-  // allocating.
-  auto& slot = buffer_[filled_];
-  slot.timestamp_us = frame.timestamp_us;
-  slot.bytes.assign(frame.bytes.begin(), frame.bytes.end());
-  ++frames_;
-  if (++filled_ == buffer_.size()) flush();
+  // A slot is rewritten only in the next window, after the batch whose
+  // lanes point into it has been delivered.
+  if (slots_.empty()) slots_.resize(kIngestBatchFrames);
+  auto& slot = slots_[window_frames_];
+  slot.assign(frame.bytes.begin(), frame.bytes.end());
+  consume(frame.timestamp_us, slot.data(), static_cast<std::uint32_t>(slot.size()));
 }
 
 const telescope::SensorCounters& FrameBatcher::finish() {
-  if (filled_ > 0) flush();
-  return sensor_.counters();
+  if (window_frames_ > 0) flush_batch();
+  return counters_;
 }
 
-void FrameBatcher::flush() {
-  views_.clear();
-  for (std::size_t i = 0; i < filled_; ++i) views_.push_back(net::as_view(buffer_[i]));
-  filled_ = 0;
-  batch_.clear();
-  sensor_.classify_batch(views_, batch_);
-  sink_(batch_);
+void FrameBatcher::arm_batch() {
+  // Every column sized to the window's worst case (all frames probes),
+  // so probes are written through the raw cursor; resize() keeps
+  // capacity on a recycled batch, so steady state re-arms without
+  // allocating.
+  batch_.timestamp_us.resize(kIngestBatchFrames);
+  batch_.source.resize(kIngestBatchFrames);
+  batch_.destination.resize(kIngestBatchFrames);
+  batch_.source_port.resize(kIngestBatchFrames);
+  batch_.destination_port.resize(kIngestBatchFrames);
+  batch_.sequence.resize(kIngestBatchFrames);
+  batch_.acknowledgment.resize(kIngestBatchFrames);
+  batch_.ip_id.resize(kIngestBatchFrames);
+  batch_.window.resize(kIngestBatchFrames);
+  batch_.ttl.resize(kIngestBatchFrames);
+  cursor_ = telescope::detail::ProbeCursor{
+      batch_.timestamp_us.data(), batch_.source.data(),
+      batch_.destination.data(),  batch_.source_port.data(),
+      batch_.destination_port.data(), batch_.sequence.data(),
+      batch_.acknowledgment.data(), batch_.ip_id.data(),
+      batch_.window.data(),       batch_.ttl.data()};
+}
+
+void FrameBatcher::flush_batch() {
+  // The incomplete lane group takes the scalar reference: group
+  // formation restarts at every batch boundary.
+  for (std::size_t i = 0; i < pending_.count; ++i) {
+    telescope::detail::classify_raw(*telescope_, pending_.ts[i],
+                                    {pending_.ptr[i], pending_.caplen[i]}, counters_,
+                                    cursor_);
+  }
+  pending_.count = 0;
+  const auto rows = cursor_.count;
+  batch_.timestamp_us.resize(rows);
+  batch_.source.resize(rows);
+  batch_.destination.resize(rows);
+  batch_.source_port.resize(rows);
+  batch_.destination_port.resize(rows);
+  batch_.sequence.resize(rows);
+  batch_.acknowledgment.resize(rows);
+  batch_.ip_id.resize(rows);
+  batch_.window.resize(rows);
+  batch_.ttl.resize(rows);
+  frames_ += window_frames_;
+  window_frames_ = 0;
+  deliver_(batch_);
+  arm_batch();
 }
 
 IngestResult ingest_capture(const std::filesystem::path& path,
@@ -301,34 +245,32 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     sink(batch);
   };
 
-  /// Serial fused scan: one walk over the whole record region, records
-  /// classified straight off the walk.
-  const auto run_serial = [&](pcap::MappedReader& reader) {
-    result.chunks = 1;
-    FusedClassifier classifier(telescope, deliver_batch);
-    pcap::ChunkReader chunk(
-        reader.bytes(), reader.info(),
-        {std::min<std::size_t>(pcap::kGlobalHeaderSize, reader.bytes().size()),
-         reader.bytes().size()});
-    result.status = chunk.scan([&classifier](net::TimeUs timestamp_us,
-                                             const std::uint8_t* data,
-                                             std::uint32_t captured_length) {
-      classifier.consume(timestamp_us, data, captured_length);
-    });
-    classifier.finish();
-    result.frames = chunk.frames_read();
-    result.sensor = classifier.counters();
-    result.simd_rows = classifier.simd_rows();
+  const auto absorb = [&result](const ChunkTally& tally) {
+    result.frames += tally.frames;
+    result.sensor.add(tally.counters);
+    result.simd_rows += tally.simd_rows;
+    result.status = tally.status;
   };
 
-  /// Parallel fused scan: each chunk is walked and classified by its own
-  /// thread into private batches, then everything is merged back on this
-  /// thread in capture order. A defect stops `partition_records` from
-  /// splitting further, so non-final chunks always end kEndOfFile; the
-  /// merge enforces the serial contract anyway — the first non-EOF
-  /// status is terminal and every later chunk is discarded.
-  const auto run_chunked = [&](pcap::MappedReader& reader,
-                               const std::vector<pcap::ScanChunk>& chunks) {
+  /// Cold scan of a classic capture. A single chunk is walked on this
+  /// thread, its batches delivered as they fill. Several chunks are
+  /// walked by one thread each into private batches, merged back here in
+  /// capture order. A defect stops `partition_records` from splitting
+  /// further, so non-final chunks always end kEndOfFile; the merge
+  /// enforces the serial contract anyway — the first non-EOF status is
+  /// terminal and every later chunk is discarded.
+  const auto run_cold = [&](const pcap::MappedReader& reader) {
+    auto want = options.scan_chunks;
+    if (want == 0) {
+      want = std::max<std::size_t>(std::size_t{1}, std::thread::hardware_concurrency());
+    }
+    if (reader.byte_size() < kMinChunkedBytes) want = 1;
+    const auto chunks = reader.partition(std::min(want, kMaxScanChunks));
+    result.chunks = chunks.size();
+    if (chunks.size() == 1) {
+      absorb(scan_chunk(telescope, reader, chunks.front(), deliver_batch));
+      return;
+    }
     ChunkMerge merge(chunks.size());
     {
       std::vector<std::thread> workers;
@@ -339,19 +281,10 @@ IngestResult ingest_capture(const std::filesystem::path& path,
           // whole; nothing shared is touched until the final handoff.
           ChunkOutcome outcome;
           try {
-            FusedClassifier classifier(telescope, [&outcome](telescope::ProbeBatch& batch) {
-              outcome.batches.push_back(std::move(batch));
-            });
-            pcap::ChunkReader chunk(reader.bytes(), reader.info(), chunks[i]);
-            outcome.status = chunk.scan([&classifier](net::TimeUs timestamp_us,
-                                                      const std::uint8_t* data,
-                                                      std::uint32_t captured_length) {
-              classifier.consume(timestamp_us, data, captured_length);
-            });
-            classifier.finish();
-            outcome.frames = chunk.frames_read();
-            outcome.counters = classifier.counters();
-            outcome.simd_rows = classifier.simd_rows();
+            outcome.tally = scan_chunk(telescope, reader, chunks[i],
+                                       [&outcome](telescope::ProbeBatch& batch) {
+                                         outcome.batches.push_back(std::move(batch));
+                                       });
           } catch (...) {
             outcome.error = std::current_exception();
           }
@@ -360,38 +293,12 @@ IngestResult ingest_capture(const std::filesystem::path& path,
       }
       for (auto& worker : workers) worker.join();
     }
-    result.chunks = chunks.size();
-    auto outcomes = merge.take();
-    for (auto& outcome : outcomes) {
+    for (auto& outcome : merge.take()) {
       if (outcome.error) std::rethrow_exception(outcome.error);
       for (auto& batch : outcome.batches) deliver_batch(batch);
-      result.frames += outcome.frames;
-      result.sensor.add(outcome.counters);
-      result.simd_rows += outcome.simd_rows;
-      if (outcome.status != pcap::ReadStatus::kEndOfFile) {
-        result.status = outcome.status;
-        break;
-      }
+      absorb(outcome.tally);
+      if (outcome.tally.status != pcap::ReadStatus::kEndOfFile) break;
     }
-  };
-
-  const auto run_cold = [&](pcap::MappedReader& reader) {
-    auto want = options.scan_chunks;
-    if (want == 0) {
-      want = std::max<std::size_t>(std::size_t{1}, std::thread::hardware_concurrency());
-    }
-    want = std::min(want, kMaxScanChunks);
-    if (want > 1 && reader.byte_size() >= kMinChunkedBytes) {
-      if (auto chunks = reader.partition(want); chunks.size() > 1) {
-        run_chunked(reader, chunks);
-      } else {
-        run_serial(reader);
-      }
-    } else {
-      run_serial(reader);
-    }
-    if (metrics.chunks != nullptr) metrics.chunks->add(result.chunks);
-    if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
   };
 
   // Open the capture once and sniff the bytes already in hand: a FIFO
@@ -406,8 +313,8 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     metrics.fallback_reads->add();
   }
   if (pcapng) {
-    // pcapng stays record-at-a-time (variable block framing), but the
-    // frames are still classified in batches.
+    // pcapng stays record-at-a-time (variable block framing); each
+    // frame is copied into the batcher.
     auto reader = pcap::NgReader::over(file.bytes());
     FrameBatcher batcher(telescope, deliver_batch);
     net::RawFrame frame;
@@ -417,11 +324,11 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     result.sensor = batcher.finish();
     result.frames = batcher.frames();
     result.simd_rows = batcher.simd_rows();
-    if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
   } else {
-    pcap::MappedReader reader(std::move(file));
-    run_cold(reader);
+    run_cold(pcap::MappedReader(std::move(file)));
+    if (metrics.chunks != nullptr) metrics.chunks->add(result.chunks);
   }
+  if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
 
   if (writer) {
     (void)writer->commit(result.frames, result.status, result.sensor);

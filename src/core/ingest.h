@@ -4,12 +4,11 @@
 // path for the input —
 //   1. a validated columnar probe cache (`.spc`, core/probe_cache.h):
 //      skip decode and classification entirely;
-//   2. a classic pcap walked in place (`pcap::MappedReader`): the
-//      capture is mmap'ed, or bulk-read when it cannot be (a FIFO), and
-//      its records are classified in batches via
-//      `Sensor::classify_batch`;
-//   3. pcapng input, read record-at-a-time from the same bytes and still
-//      classified in batches —
+//   2. a classic pcap walked in place: the capture is mmap'ed, or
+//      bulk-read when it cannot be (a FIFO), and `pcap::ChunkReader::scan`
+//      hands every record straight to `FrameBatcher::consume`;
+//   3. pcapng input, read record-at-a-time from the same bytes and
+//      handed to `FrameBatcher::push` —
 // and hands the probes to the caller one `ProbeBatch` at a time. The
 // capture is opened exactly once, so input that can be read only once
 // works too. The paths produce bit-identical probes and sensor counters
@@ -21,7 +20,7 @@
 //
 // Producers that are not capture files — the traffic generator, tests
 // building frames by hand — reach analysis the same way, through
-// `FrameBatcher`, the batching step the pcapng path runs.
+// `FrameBatcher::push`.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +32,7 @@
 #include "core/probe_cache.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
+#include "telescope/classify_lanes.h"
 #include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
 #include "telescope/telescope.h"
@@ -73,45 +73,99 @@ struct IngestResult {
 /// for the duration of the call (buffers are recycled).
 using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 
-/// The frame→batch step for producers that hold one frame at a time
-/// (pcapng records, the traffic generator): buffers raw frames,
-/// classifies every `kIngestBatchFrames` of them with
-/// `Sensor::classify_batch` and hands the resulting batch — possibly
-/// empty — to the sink. Typical use feeds a pipeline:
+/// The one frame→batch classifier: every producer's frames become
+/// `ProbeBatch`es here. Frames arrive in capture order through `consume`
+/// (records whose bytes outlive the batch, such as a mapped capture
+/// walked by `pcap::ChunkReader::scan`) or `push` (frames held one at a
+/// time: pcapng records, the traffic generator). Every
+/// `kIngestBatchFrames` frames the batch — possibly empty — goes to the
+/// deliver callback. Typical use feeds a pipeline:
 ///
 ///   FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& b) {
 ///     pipeline.feed_probes(b);
 ///   });
 ///   generator.run([&](const net::RawFrame& f) { batcher.push(f); });
 ///   pipeline.absorb_sensor_counters(batcher.finish());
+///
+/// Frames of at least `detail::kMinLaneBytes` are classified in SIMD lane
+/// groups (telescope/classify_lanes.h); shorter frames, the trailing
+/// partial group of each batch and the scalar level take the scalar
+/// reference. Group formation restarts at every batch boundary. Probes,
+/// probe order and counters are bit-identical to `Sensor::classify` on
+/// any dispatch level.
 class FrameBatcher {
  public:
-  /// The sensor keeps a pointer; a temporary telescope would dangle.
-  FrameBatcher(const telescope::Telescope& telescope, ProbeBatchSink sink);
-  FrameBatcher(const telescope::Telescope&&, ProbeBatchSink) = delete;
+  /// Receives each batch; it may move the batch away, the columns are
+  /// re-armed either way.
+  using Deliver = std::function<void(telescope::ProbeBatch&)>;
 
-  /// Copies one frame into the buffer; a full buffer is classified and
-  /// delivered before this returns.
+  /// Fixes the SIMD kernel for the instance's lifetime from
+  /// `telescope::simd::active_level()`. The batcher keeps a pointer to
+  /// the telescope; a temporary would dangle.
+  FrameBatcher(const telescope::Telescope& telescope, Deliver deliver);
+  FrameBatcher(const telescope::Telescope&&, Deliver) = delete;
+  /// The write cursor points into the batcher's own batch.
+  FrameBatcher(const FrameBatcher&) = delete;
+  FrameBatcher& operator=(const FrameBatcher&) = delete;
+
+  /// Copies one frame into the slot its position in the batch window
+  /// owns, then consumes it. Slots keep their buffers, so steady state
+  /// copies without allocating.
   void push(const net::RawFrame& frame);
 
-  /// Classifies and delivers the buffered frames, if any. Returns the
-  /// sensor counters over every frame pushed so far.
+  /// One record, in capture order. The bytes must stay valid until the
+  /// batch holding this frame has been delivered. Defined here so it
+  /// inlines into the record walk.
+  void consume(net::TimeUs timestamp_us, const std::uint8_t* data,
+               std::uint32_t captured_length) {
+    if (group_size_ == 0 || captured_length < telescope::detail::kMinLaneBytes) {
+      // Short frames can never emit a probe (no room for a full TCP
+      // header), so classifying them at once keeps probe order.
+      telescope::detail::classify_raw(*telescope_, timestamp_us,
+                                      {data, captured_length}, counters_, cursor_);
+    } else {
+      pending_.ptr[pending_.count] = data;
+      pending_.caplen[pending_.count] = captured_length;
+      pending_.ts[pending_.count] = timestamp_us;
+      if (++pending_.count == group_size_) {
+        group_fn_(*telescope_, pending_, counters_, cursor_, simd_rows_);
+        pending_.count = 0;
+      }
+    }
+    if (++window_frames_ == kIngestBatchFrames) flush_batch();
+  }
+
+  /// Delivers the partial batch, if any frame arrived since the last
+  /// delivery. Returns the sensor counters over every frame so far.
   const telescope::SensorCounters& finish();
 
-  [[nodiscard]] std::uint64_t frames() const noexcept { return frames_; }
-  /// Frames resolved on a vector lane (`Sensor::simd_rows`).
-  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return sensor_.simd_rows(); }
+  [[nodiscard]] std::uint64_t frames() const noexcept { return frames_ + window_frames_; }
+  /// Frames resolved on a vector lane. Feeds the `ingest.simd_rows`
+  /// metric; kept out of `SensorCounters`, which `.spc` caches store and
+  /// which must not depend on the dispatch level.
+  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return simd_rows_; }
 
  private:
-  void flush();
+  using GroupFn = void (*)(const telescope::Telescope&,
+                           const telescope::detail::PendingLanes&,
+                           telescope::SensorCounters&, telescope::detail::ProbeCursor&,
+                           std::uint64_t&);
 
-  telescope::Sensor sensor_;
-  ProbeBatchSink sink_;
-  std::vector<net::RawFrame> buffer_;  ///< kIngestBatchFrames reusable slots
-  std::vector<net::FrameView> views_;
+  void arm_batch();
+  void flush_batch();
+
+  const telescope::Telescope* telescope_;
+  Deliver deliver_;
+  std::size_t group_size_ = 0;  ///< kernel lane width; 0 = scalar loop
+  GroupFn group_fn_ = nullptr;
+  telescope::detail::PendingLanes pending_;
+  telescope::SensorCounters counters_;
+  std::uint64_t simd_rows_ = 0;
+  std::uint64_t frames_ = 0;       ///< frames in delivered batches
+  std::size_t window_frames_ = 0;  ///< frames since the last delivery
+  std::vector<std::vector<std::uint8_t>> slots_;  ///< `push` copies, by window position
   telescope::ProbeBatch batch_;
-  std::size_t filled_ = 0;   ///< slots holding frames not yet classified
-  std::uint64_t frames_ = 0;  ///< frames pushed
+  telescope::detail::ProbeCursor cursor_{};
 };
 
 /// Replays `path` (classic pcap or pcapng) through the fastest available

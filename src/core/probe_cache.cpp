@@ -20,31 +20,7 @@ constexpr std::size_t kHeaderSize = 136;
 /// Bytes per row of the seven fixed-width columns: ports (2 + 2),
 /// sequence and acknowledgment (4 + 4), ip_id and window (2 + 2), ttl.
 constexpr std::size_t kFixedTailBytes = 2 + 2 + 4 + 4 + 2 + 2 + 1;
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// FNV-1a over the stream taken as little-endian 64-bit words, the tail
-/// word zero-padded. Word-at-a-time keeps the validating pass in open()
-/// (which hashes the whole file before releasing a single probe) at
-/// one multiply per 8 bytes instead of per byte.
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t state) {
-  const std::size_t words = bytes.size() / 8;
-  const std::uint8_t* p = bytes.data();
-  for (std::size_t i = 0; i < words; ++i, p += 8) {
-    state ^= net::load_le64(p);
-    state *= kFnvPrime;
-  }
-  const std::size_t tail = bytes.size() % 8;
-  if (tail != 0) {
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < tail; ++i) {
-      word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    state ^= word;
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 /// Bulk column copy: the on-disk layout is little-endian, so on a
 /// little-endian host each column is one memcpy; big-endian hosts take
@@ -315,6 +291,25 @@ const char* walk_chunks(std::span<const std::uint8_t> bytes, const CacheFileInfo
 }
 
 }  // namespace
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t state) noexcept {
+  const std::size_t words = bytes.size() / 8;
+  const std::uint8_t* p = bytes.data();
+  for (std::size_t i = 0; i < words; ++i, p += 8) {
+    state ^= net::load_le64(p);
+    state *= kFnvPrime;
+  }
+  const std::size_t tail = bytes.size() % 8;
+  if (tail != 0) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < tail; ++i) {
+      word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+    state ^= word;
+    state *= kFnvPrime;
+  }
+  return state;
+}
 
 std::optional<CacheIdentity> cache_identity(const std::filesystem::path& source) {
   std::error_code ec;

@@ -44,6 +44,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "pcap/mapped_reader.h"
@@ -59,6 +60,18 @@ inline constexpr std::uint32_t kCacheCodecDeltaVarint = 1;
 
 /// Rows per chunk the writer emits (the last chunk may be shorter).
 inline constexpr std::size_t kCacheRowsPerChunk = 65536;
+
+/// FNV-1a offset basis: the hash state before any byte.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// FNV-1a over `bytes` taken as little-endian 64-bit words, the tail
+/// word zero-padded, continuing from `state`. Word-at-a-time keeps the
+/// validating pass (which hashes a whole `.spc` before releasing a
+/// single probe) at one multiply per 8 bytes instead of per byte. The
+/// `.spc` chunk checksum; the `.spr` rollup store checksums its payload
+/// with it too.
+[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                                  std::uint64_t state = kFnvOffset) noexcept;
 
 /// What ties a cache file to its source capture.
 struct CacheIdentity {

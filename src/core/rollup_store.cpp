@@ -17,29 +17,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x31727073;  // "spr1" on disk
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 64;
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// FNV-1a over the stream taken as little-endian 64-bit words, the tail
-/// word zero-padded — the same hash the `.spc` cache uses.
-std::uint64_t fnv1a(const std::uint8_t* bytes, std::size_t size, std::uint64_t state) {
-  const std::size_t words = size / 8;
-  const std::uint8_t* p = bytes;
-  for (std::size_t i = 0; i < words; ++i, p += 8) {
-    state ^= net::load_le64(p);
-    state *= kFnvPrime;
-  }
-  const std::size_t tail = size % 8;
-  if (tail != 0) {
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < tail; ++i) {
-      word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    state ^= word;
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 /// `TimeUs` is signed; timestamps store as their two's-complement bits.
 inline std::uint64_t time_bits(net::TimeUs t) { return static_cast<std::uint64_t>(t); }
@@ -452,12 +429,9 @@ std::uint64_t analysis_fingerprint(const TrackerConfig& config,
       std::bit_cast<std::uint64_t>(config.classifier.min_fraction),
       monitored_addresses,
   };
-  std::uint64_t state = kFnvOffset;
-  for (const auto word : words) {
-    state ^= word;
-    state *= kFnvPrime;
-  }
-  return state;
+  std::uint8_t bytes[sizeof(words)];
+  for (std::size_t i = 0; i < std::size(words); ++i) net::store_le64(bytes + 8 * i, words[i]);
+  return fnv1a(bytes);
 }
 
 std::filesystem::path rollup_path_for(const std::filesystem::path& capture) {
@@ -513,7 +487,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   net::store_le64(header + 32, rollup.campaigns.size());
   net::store_le64(header + 40, rollup.segments.size());
   net::store_le64(header + 48, payload.size());
-  net::store_le64(header + 56, fnv1a(payload.data(), payload.size(), kFnvOffset));
+  net::store_le64(header + 56, fnv1a(payload));
 
   const auto tmp = std::filesystem::path(path.native() + ".tmp");
   {
@@ -562,7 +536,7 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
   if (stream.gcount() != static_cast<std::streamsize>(payload.size())) {
     return std::nullopt;
   }
-  if (fnv1a(payload.data(), payload.size(), kFnvOffset) != info->checksum) {
+  if (fnv1a(payload) != info->checksum) {
     return std::nullopt;
   }
 

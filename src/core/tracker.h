@@ -29,6 +29,7 @@
 #include "core/port_map.h"
 #include "fingerprint/classifier.h"
 #include "stats/telescope_model.h"
+#include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
 
 namespace synscan::core {

@@ -32,19 +32,6 @@ struct RawFrame {
   std::vector<std::uint8_t> bytes;
 };
 
-/// A non-owning view of a captured frame — e.g. directly into an mmap'd
-/// capture file. The viewed bytes must outlive the view; batch consumers
-/// (`telescope::Sensor::classify_batch`) copy out only the probe fields.
-struct FrameView {
-  TimeUs timestamp_us = 0;
-  std::span<const std::uint8_t> bytes;
-};
-
-/// A borrowing view of an owned frame.
-[[nodiscard]] inline FrameView as_view(const RawFrame& frame) noexcept {
-  return {frame.timestamp_us, frame.bytes};
-}
-
 /// A fully decoded IPv4-over-Ethernet frame. The transport member holds
 /// whichever header the IP protocol field announced; frames with other
 /// protocols decode with `transport` left as `std::monostate`.

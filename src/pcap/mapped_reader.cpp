@@ -42,21 +42,6 @@ std::vector<std::uint8_t> drain_stream(std::istream& stream) {
 }
 #endif
 
-/// Appends up to `max_frames` record views from `bytes[offset, end)` to
-/// `out`, advancing `offset` past every record consumed. kOk means the
-/// batch filled.
-detail::WalkEnd walk_records(std::span<const std::uint8_t> bytes, const FileInfo& info,
-                             std::size_t& offset, std::size_t end,
-                             std::vector<net::FrameView>& out, std::size_t max_frames) {
-  return detail::scan_records(
-      bytes, info, offset, end,
-      [&out, max_frames](net::TimeUs timestamp_us, const std::uint8_t* data,
-                         std::uint32_t captured_length) {
-        out.push_back(net::FrameView{timestamp_us, {data, captured_length}});
-        return out.size() < max_frames;
-      });
-}
-
 }  // namespace
 
 std::vector<ScanChunk> partition_records(std::span<const std::uint8_t> bytes,
@@ -82,7 +67,6 @@ std::vector<ScanChunk> partition_records(std::span<const std::uint8_t> bytes,
           chunks.push_back({chunk_begin, offset});
           chunk_begin = offset;
         }
-        return true;
       });
   // A defect (or clean EOF) ends the walk; either way the final chunk
   // runs to the end of the file, where its scanner re-derives the exact
@@ -105,36 +89,6 @@ ChunkReader::ChunkReader(std::span<const std::uint8_t> bytes, const FileInfo& in
     obs_truncated_ = &registry.counter("pcap.truncated");
     obs_bad_records_ = &registry.counter("pcap.bad_records");
   }
-}
-
-ReadStatus ChunkReader::next_batch(std::vector<net::FrameView>& out,
-                                   std::size_t max_frames) {
-  out.clear();
-  if (pending_) {
-    const auto status = *pending_;
-    pending_.reset();
-    return status;
-  }
-  if (done_ || max_frames == 0) return done_ ? ReadStatus::kEndOfFile : ReadStatus::kOk;
-  const auto walk = walk_records(bytes_, info_, offset_, end_, out, max_frames);
-  frames_read_ += out.size();
-  if (obs_frames_ != nullptr && !out.empty()) {
-    obs_frames_->add(out.size());
-    obs_bytes_->add(walk.bytes);
-  }
-  if (walk.status == ReadStatus::kOk) return ReadStatus::kOk;  // batch filled
-  done_ = true;
-  if (walk.status == ReadStatus::kTruncated && obs_truncated_ != nullptr) {
-    obs_truncated_->add();
-  }
-  if (walk.status == ReadStatus::kBadRecord && obs_bad_records_ != nullptr) {
-    obs_bad_records_->add();
-  }
-  if (out.empty()) return walk.status;
-  // Deliver the partial batch now; owe the non-EOF terminal status to
-  // the next call (kEndOfFile re-emerges from done_ by itself).
-  if (walk.status != ReadStatus::kEndOfFile) pending_ = walk.status;
-  return ReadStatus::kOk;
 }
 
 MappedFile::~MappedFile() {
@@ -213,85 +167,10 @@ MappedReader::MappedReader(MappedFile file) : file_(std::move(file)) {
             : "pcap: unknown magic number");
   }
   info_ = *info;
-  if (obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    obs_frames_ = &registry.counter("pcap.frames");
-    obs_bytes_ = &registry.counter("pcap.bytes");
-    obs_truncated_ = &registry.counter("pcap.truncated");
-    obs_bad_records_ = &registry.counter("pcap.bad_records");
-  }
 }
 
 MappedReader MappedReader::open(const std::filesystem::path& path) {
   return MappedReader(MappedFile::open(path));
-}
-
-ReadStatus MappedReader::next(net::FrameView& out) {
-  if (done_) return ReadStatus::kEndOfFile;
-  const auto bytes = file_.bytes();
-  const auto remaining = bytes.size() - offset_;
-  if (remaining == 0) {
-    done_ = true;
-    return ReadStatus::kEndOfFile;
-  }
-  if (remaining < kRecordHeaderSize) {
-    // The capture stops inside a record header (killed mid-write).
-    done_ = true;
-    if (obs_truncated_ != nullptr) obs_truncated_->add();
-    return ReadStatus::kTruncated;
-  }
-  RecordHeader header;
-  if (parse_record_header(bytes.subspan(offset_, kRecordHeaderSize), info_, header) !=
-      ReadStatus::kOk) {
-    done_ = true;
-    if (obs_bad_records_ != nullptr) obs_bad_records_->add();
-    return ReadStatus::kBadRecord;
-  }
-  if (remaining - kRecordHeaderSize < header.captured_length) {
-    done_ = true;
-    if (obs_truncated_ != nullptr) obs_truncated_->add();
-    return ReadStatus::kTruncated;
-  }
-  out.timestamp_us = header.timestamp_us;
-  out.bytes = bytes.subspan(offset_ + kRecordHeaderSize, header.captured_length);
-  offset_ += kRecordHeaderSize + header.captured_length;
-  ++frames_read_;
-  if (obs_frames_ != nullptr) {
-    obs_frames_->add();
-    obs_bytes_->add(header.captured_length);
-  }
-  return ReadStatus::kOk;
-}
-
-ReadStatus MappedReader::next_batch(std::vector<net::FrameView>& out,
-                                    std::size_t max_frames) {
-  out.clear();
-  if (pending_) {
-    const auto status = *pending_;
-    pending_.reset();
-    return status;
-  }
-  if (done_ || max_frames == 0) return done_ ? ReadStatus::kEndOfFile : ReadStatus::kOk;
-  const auto bytes = file_.bytes();
-  const auto walk = walk_records(bytes, info_, offset_, bytes.size(), out, max_frames);
-  frames_read_ += out.size();
-  if (obs_frames_ != nullptr && !out.empty()) {
-    obs_frames_->add(out.size());
-    obs_bytes_->add(walk.bytes);
-  }
-  if (walk.status == ReadStatus::kOk) return ReadStatus::kOk;  // batch filled
-  done_ = true;
-  if (walk.status == ReadStatus::kTruncated && obs_truncated_ != nullptr) {
-    obs_truncated_->add();
-  }
-  if (walk.status == ReadStatus::kBadRecord && obs_bad_records_ != nullptr) {
-    obs_bad_records_->add();
-  }
-  if (out.empty()) return walk.status;
-  // Deliver the partial batch now; owe the non-EOF terminal status to
-  // the next call (kEndOfFile re-emerges from done_ by itself).
-  if (walk.status != ReadStatus::kEndOfFile) pending_ = walk.status;
-  return ReadStatus::kOk;
 }
 
 }  // namespace synscan::pcap

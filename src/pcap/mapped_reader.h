@@ -1,21 +1,24 @@
-// Zero-copy classic-pcap reader over a memory-mapped capture.
+// Zero-copy classic-pcap walk over a memory-mapped capture.
 //
 // `pcap::Reader` pulls one record at a time through `std::istream`: two
 // buffered reads plus a per-record byte-vector copy. At telescope scale
 // (§3: 45 B packets before any analysis) that per-record overhead is the
 // front-end bottleneck once tracking is fast. `MappedReader` maps the
-// whole file read-only and yields `net::FrameView`s that point directly
-// into the mapping — no stream calls, no copies — in caller-sized
-// batches. Input that cannot be mapped (pipes, non-regular files, or a
-// failed mmap) degrades gracefully to a single bulk read into an owned
-// buffer; the record walk is identical either way.
+// whole file read-only and `ChunkReader::scan` walks its records in
+// place, handing each one's timestamp and bytes — pointers straight into
+// the mapping, no stream calls, no copies — to a consumer inlined into
+// the loop (`core::FrameBatcher::consume`, core/ingest.h). The walk
+// covers the whole record region or one record-aligned chunk of it, so
+// chunks can be scanned in parallel. Input that cannot be mapped (pipes,
+// non-regular files, or a failed mmap) degrades gracefully to a single
+// bulk read into an owned buffer; the record walk is identical either
+// way.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -93,23 +96,20 @@ namespace detail {
 #endif
 inline constexpr std::size_t kWalkPrefetchBytes = 2048;
 
-/// Outcome of one bulk record walk.
+/// Outcome of one record walk.
 struct WalkEnd {
-  /// kOk: the sink asked to pause; otherwise the terminal status at the
-  /// stop position.
-  ReadStatus status = ReadStatus::kOk;
+  ReadStatus status = ReadStatus::kEndOfFile;  ///< terminal status at the stop position
   std::uint64_t frames = 0;  ///< records consumed by this walk
   std::uint64_t bytes = 0;   ///< sum of their captured lengths
 };
 
-/// Core record walk shared by `MappedReader`, `ChunkReader` and the
-/// fused scan-and-classify loop (core/ingest.cpp): invokes
-/// `frame(timestamp_us, data, captured_length) -> bool` for every record
-/// in `bytes[offset, end)`, advancing `offset` past each one consumed; a
-/// false return pauses the walk (the record IS consumed). Defined in the
-/// header so the sink inlines into the loop. Record validation is
-/// bit-identical to `parse_record_header`: the dominant little-endian
-/// layout is decoded inline, big-endian captures take the shared parser.
+/// Core record walk shared by `ChunkReader::scan` and
+/// `partition_records`: invokes `frame(timestamp_us, data,
+/// captured_length)` for every record in `bytes[offset, end)`, advancing
+/// `offset` past each one before the call. Defined in the header so the
+/// consumer inlines into the loop. Record validation is bit-identical to
+/// `parse_record_header`: the dominant little-endian layout is decoded
+/// inline, big-endian captures take the shared parser.
 template <typename F>
 WalkEnd scan_records(std::span<const std::uint8_t> bytes, const FileInfo& info,
                      std::size_t& offset, std::size_t end, F&& frame) {
@@ -150,7 +150,7 @@ WalkEnd scan_records(std::span<const std::uint8_t> bytes, const FileInfo& info,
       offset += kRecordHeaderSize + caplen;
       ++walk.frames;
       walk.bytes += caplen;
-      if (!frame(timestamp_us, data, caplen)) return walk;
+      frame(timestamp_us, data, caplen);
     }
   }
   for (;;) {
@@ -173,46 +173,34 @@ WalkEnd scan_records(std::span<const std::uint8_t> bytes, const FileInfo& info,
     offset += kRecordHeaderSize + header.captured_length;
     ++walk.frames;
     walk.bytes += header.captured_length;
-    if (!frame(header.timestamp_us, data, header.captured_length)) return walk;
+    frame(header.timestamp_us, data, header.captured_length);
   }
 }
 
 }  // namespace detail
 
-/// Scans one `ScanChunk` of a capture window. Same status contract as
-/// `MappedReader::next_batch`, scoped to the chunk: kEndOfFile means the
-/// chunk is exhausted (its last record ends exactly at `chunk.end`);
-/// kTruncated / kBadRecord surface defects, which `partition_records`
-/// confines to the final chunk. Holds only views — the `MappedReader`
-/// (or `MappedFile`) owning the bytes must outlive every chunk reader.
-/// Each instance is independent, so chunks can be scanned from separate
-/// threads; the pcap.* metric counters it bumps are atomic.
+/// Scans one `ScanChunk` of a capture window: the only walk over the
+/// records of a mapped classic pcap. kEndOfFile means the chunk is
+/// exhausted (its last record ends exactly at `chunk.end`); kTruncated /
+/// kBadRecord surface defects, which `partition_records` confines to the
+/// final chunk. Like `Reader`, a terminal status is reported once: a
+/// second `scan` returns kEndOfFile. Holds only views — the
+/// `MappedReader` (or `MappedFile`) owning the bytes must outlive every
+/// chunk reader. Each instance is independent, so chunks can be scanned
+/// from separate threads; the pcap.* metric counters it bumps are atomic.
 class ChunkReader {
  public:
   ChunkReader(std::span<const std::uint8_t> bytes, const FileInfo& info,
               ScanChunk chunk) noexcept;
 
-  /// Clears `out` and appends up to `max_frames` views; same partial-
-  /// batch / owed-status contract as `MappedReader::next_batch`.
-  [[nodiscard]] ReadStatus next_batch(std::vector<net::FrameView>& out,
-                                      std::size_t max_frames);
-
-  /// Fused scan: invokes `frame(timestamp_us, data, captured_length)`
-  /// for every remaining record, inlined into the walk loop — no view
-  /// staging between the record walk and the consumer. Returns the
-  /// chunk's terminal status directly (kEndOfFile once exhausted). Do
-  /// not interleave with `next_batch`.
+  /// Invokes `frame(timestamp_us, data, captured_length)` for every
+  /// remaining record, inlined into the walk loop, and returns the
+  /// chunk's terminal status.
   template <typename F>
   [[nodiscard]] ReadStatus scan(F&& frame) {
     if (done_) return ReadStatus::kEndOfFile;
     done_ = true;
-    const auto walk =
-        detail::scan_records(bytes_, info_, offset_, end_,
-                             [&frame](net::TimeUs timestamp_us, const std::uint8_t* data,
-                                      std::uint32_t captured_length) {
-                               frame(timestamp_us, data, captured_length);
-                               return true;
-                             });
+    const auto walk = detail::scan_records(bytes_, info_, offset_, end_, frame);
     frames_read_ += walk.frames;
     if (obs_frames_ != nullptr && walk.frames != 0) {
       obs_frames_->add(walk.frames);
@@ -236,17 +224,14 @@ class ChunkReader {
   std::size_t end_;
   std::uint64_t frames_read_ = 0;
   bool done_ = false;
-  std::optional<ReadStatus> pending_;
   obs::Counter* obs_frames_ = nullptr;
   obs::Counter* obs_bytes_ = nullptr;
   obs::Counter* obs_truncated_ = nullptr;
   obs::Counter* obs_bad_records_ = nullptr;
 };
 
-/// Batch-oriented reader over a `MappedFile` holding a classic pcap
-/// capture. Mirrors `Reader`'s status contract: a terminal status
-/// (kEndOfFile / kTruncated / kBadRecord) is reported exactly once;
-/// subsequent calls return kEndOfFile.
+/// A classic pcap capture held in a `MappedFile`, its global header
+/// parsed. Its records are walked by `ChunkReader`s over `bytes()`.
 class MappedReader {
  public:
   /// Throws `std::runtime_error` when the global header is missing or
@@ -265,35 +250,15 @@ class MappedReader {
     return file_.bytes();
   }
   /// Splits the record region into up to `max_chunks` record-aligned
-  /// ranges (see `partition_records`). Independent of the read cursor.
+  /// ranges (see `partition_records`); `partition(1)` is the whole
+  /// record region.
   [[nodiscard]] std::vector<ScanChunk> partition(std::size_t max_chunks) const {
     return partition_records(file_.bytes(), info_, max_chunks);
   }
 
-  /// Yields the next frame as a view into the mapping.
-  [[nodiscard]] ReadStatus next(net::FrameView& out);
-
-  /// Clears `out` and appends up to `max_frames` views. Returns kOk when
-  /// at least one frame was produced; a terminal status interrupting a
-  /// partially filled batch is delivered by the *next* call, so no frame
-  /// and no status is ever lost. Do not interleave with `next()`.
-  [[nodiscard]] ReadStatus next_batch(std::vector<net::FrameView>& out,
-                                      std::size_t max_frames);
-
-  [[nodiscard]] std::uint64_t frames_read() const noexcept { return frames_read_; }
-
  private:
   MappedFile file_;
   FileInfo info_;
-  std::size_t offset_ = kGlobalHeaderSize;
-  std::uint64_t frames_read_ = 0;
-  bool done_ = false;  ///< a terminal status has been reported
-  std::optional<ReadStatus> pending_;  ///< terminal status owed after a partial batch
-  // Resolved once at construction iff obs is enabled; null otherwise.
-  obs::Counter* obs_frames_ = nullptr;
-  obs::Counter* obs_bytes_ = nullptr;
-  obs::Counter* obs_truncated_ = nullptr;
-  obs::Counter* obs_bad_records_ = nullptr;
 };
 
 }  // namespace synscan::pcap

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 
 #include "net/endian.h"
 
@@ -22,6 +23,24 @@ std::uint16_t load16(const std::uint8_t* p, bool big_endian) {
 std::uint32_t load32(const std::uint8_t* p, bool big_endian) {
   return big_endian ? net::load_be32(p) : net::load_le32(p);
 }
+
+/// Read-only istream over borrowed bytes: parses a capture in memory
+/// without a copy.
+class ByteStream final : public std::istream {
+ public:
+  explicit ByteStream(std::span<const std::uint8_t> bytes) : std::istream(nullptr) {
+    // The get area is `char*` by interface; reads never write through it.
+    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast)
+    auto* begin = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
+    buffer_.view(begin, begin + bytes.size());
+    rdbuf(&buffer_);
+  }
+
+ private:
+  struct Buffer final : std::streambuf {
+    void view(char* begin, char* end) { setg(begin, begin, end); }
+  } buffer_;
+};
 
 }  // namespace
 
@@ -105,12 +124,20 @@ Reader::Reader(std::unique_ptr<std::istream> stream) : stream_(std::move(stream)
   }
 }
 
+std::unique_ptr<std::istream> borrowed_stream(std::span<const std::uint8_t> bytes) {
+  return std::make_unique<ByteStream>(bytes);
+}
+
 Reader Reader::open(const std::filesystem::path& path) {
   auto stream = std::make_unique<std::ifstream>(path, std::ios::binary);
   if (!stream->is_open()) {
     throw std::runtime_error("pcap: cannot open " + path.string());
   }
   return Reader(std::move(stream));
+}
+
+Reader Reader::over(std::span<const std::uint8_t> bytes) {
+  return Reader(borrowed_stream(bytes));
 }
 
 ReadStatus Reader::next(net::RawFrame& out) {

@@ -70,6 +70,11 @@ struct RecordHeader {
                                              const FileInfo& info,
                                              RecordHeader& out) noexcept;
 
+/// A read-only stream over borrowed bytes, for `Reader::over` and
+/// `NgReader::over`. The bytes must outlive the stream.
+[[nodiscard]] std::unique_ptr<std::istream> borrowed_stream(
+    std::span<const std::uint8_t> bytes);
+
 /// Streaming reader over any `std::istream`.
 class Reader {
  public:
@@ -79,6 +84,10 @@ class Reader {
 
   /// Opens a capture file from disk.
   [[nodiscard]] static Reader open(const std::filesystem::path& path);
+
+  /// Reads a capture already in memory (a `MappedFile`'s bytes) without
+  /// copying it. The bytes must outlive the reader.
+  [[nodiscard]] static Reader over(std::span<const std::uint8_t> bytes);
 
   [[nodiscard]] const FileInfo& info() const noexcept { return info_; }
 

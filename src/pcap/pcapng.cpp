@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <streambuf>
 
 #include "net/endian.h"
 
@@ -24,24 +23,6 @@ std::uint16_t load16(const std::uint8_t* p, bool big_endian) {
 std::uint32_t load32(const std::uint8_t* p, bool big_endian) {
   return big_endian ? net::load_be32(p) : net::load_le32(p);
 }
-
-/// Read-only istream over borrowed bytes: parses a capture in memory
-/// without a copy.
-class ByteStream final : public std::istream {
- public:
-  explicit ByteStream(std::span<const std::uint8_t> bytes) : std::istream(nullptr) {
-    // The get area is `char*` by interface; reads never write through it.
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast)
-    auto* begin = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
-    buffer_.view(begin, begin + bytes.size());
-    rdbuf(&buffer_);
-  }
-
- private:
-  struct Buffer final : std::streambuf {
-    void view(char* begin, char* end) { setg(begin, begin, end); }
-  } buffer_;
-};
 
 }  // namespace
 
@@ -97,7 +78,7 @@ NgReader NgReader::open(const std::filesystem::path& path) {
 }
 
 NgReader NgReader::over(std::span<const std::uint8_t> bytes) {
-  return NgReader(std::make_unique<ByteStream>(bytes));
+  return NgReader(borrowed_stream(bytes));
 }
 
 void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {

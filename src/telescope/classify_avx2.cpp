@@ -3,10 +3,11 @@
 // The front half loads the nine fixed-offset header dwords of eight
 // frames with one 32-bit-index gather per field: lane addresses are
 // expressed relative to the group's first frame, which always fits a
-// signed 32-bit offset for views into one mapped capture (a group spans
-// at most eight records). Heap-backed frames (pcapng) can straddle more
-// than ±1 GiB; such groups take the per-lane scalar reference instead —
-// same counters, same probes, just not vector-resolved. The fields are
+// signed 32-bit offset for records of one mapped capture (a group spans
+// at most eight records). Frames copied into heap slots by
+// `core::FrameBatcher::push` can straddle more than ±1 GiB; such groups
+// take the per-lane scalar reference instead — same counters, same
+// probes, just not vector-resolved. The fields are
 // byte-swapped and split into `LaneGroup` columns with vector shuffles,
 // and the eligibility predicates are evaluated eight lanes at a time.
 // The back half (`finish_lanes`, classify_lanes.h) is shared with the
@@ -52,12 +53,14 @@ inline unsigned lane_mask(__m256i v) {
   return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(v)));
 }
 
+}  // namespace
+
 /// Vector front half for one full group of eight eligible frames.
-inline void process_group(const Telescope& telescope, const PendingLanes& pending,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows) {
-  // Lane addresses as 32-bit offsets from the group's first frame. Views
-  // into one capture window always fit; arbitrary heap frames may not —
+void classify_group_avx2(const Telescope& telescope, const PendingLanes& pending,
+                         SensorCounters& counters, ProbeCursor& out,
+                         std::uint64_t& simd_rows) {
+  // Lane addresses as 32-bit offsets from the group's first frame.
+  // Records of one capture window always fit; heap slots may not —
   // those groups take the scalar reference lane by lane.
   const std::uint8_t* base = pending.ptr[0];
   alignas(32) std::int32_t offset_lanes[8];
@@ -151,40 +154,6 @@ inline void process_group(const Telescope& telescope, const PendingLanes& pendin
                counters, out, simd_rows);
 }
 
-}  // namespace
-
-void classify_group_avx2(const Telescope& telescope, const PendingLanes& pending,
-                         SensorCounters& counters, ProbeCursor& out,
-                         std::uint64_t& simd_rows) {
-  process_group(telescope, pending, counters, out, simd_rows);
-}
-
-void classify_frames_avx2(const Telescope& telescope,
-                          std::span<const net::FrameView> frames,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows) {
-  PendingLanes pending;
-  for (const auto& frame : frames) {
-    if (frame.bytes.size() < kMinLaneBytes) {
-      // Cannot be a probe (see classify_lanes.h): classify immediately,
-      // order does not matter for pure counter updates.
-      classify_raw(telescope, frame.timestamp_us, frame.bytes, counters, out);
-      continue;
-    }
-    pending.ptr[pending.count] = frame.bytes.data();
-    pending.caplen[pending.count] = static_cast<std::uint32_t>(frame.bytes.size());
-    pending.ts[pending.count] = frame.timestamp_us;
-    if (++pending.count == 8) {
-      process_group(telescope, pending, counters, out, simd_rows);
-      pending.count = 0;
-    }
-  }
-  for (std::size_t i = 0; i < pending.count; ++i) {
-    classify_raw(telescope, pending.ts[i], {pending.ptr[i], pending.caplen[i]},
-                 counters, out);
-  }
-}
-
 #pragma GCC pop_options
 
 #else  // !SYNSCAN_AVX2_KERNEL
@@ -196,16 +165,6 @@ void classify_group_avx2(const Telescope& telescope, const PendingLanes& pending
   for (std::size_t i = 0; i < pending.count; ++i) {
     classify_raw(telescope, pending.ts[i], {pending.ptr[i], pending.caplen[i]},
                  counters, out);
-  }
-}
-
-void classify_frames_avx2(const Telescope& telescope,
-                          std::span<const net::FrameView> frames,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows) {
-  (void)simd_rows;  // never selected by dispatch; scalar loop for safety
-  for (const auto& frame : frames) {
-    classify_raw(telescope, frame.timestamp_us, frame.bytes, counters, out);
   }
 }
 

@@ -1,9 +1,10 @@
-// Internal plumbing shared between the scalar batch classifier
-// (sensor.cpp) and the SIMD kernels (classify_sse2.cpp /
-// classify_avx2.cpp). Not part of the telescope public surface: the
-// kernels need the raw probe cursor and the scalar per-frame reference
-// so that every lane they cannot prove eligible for the vector fast
-// path falls back to *exactly* the code the differential tests pin.
+// Internal plumbing shared between the batch classifier
+// (`core::FrameBatcher`, core/ingest.h) and the SIMD kernels
+// (classify_sse2.cpp / classify_avx2.cpp). Not part of the telescope
+// public surface: the batcher and the kernels write probes through the
+// raw cursor, and every frame or lane they cannot prove eligible for the
+// vector fast path falls back to *exactly* the scalar code the
+// differential tests pin.
 #pragma once
 
 #include <cstdint>
@@ -32,39 +33,26 @@ struct ProbeCursor {
   std::size_t count = 0;
 };
 
-/// One frame of the batched fast path (defined in sensor.cpp). Every
-/// early return mirrors a rejection in decode_frame/`Sensor::classify`
-/// so the counter histogram stays bit-identical to the record-at-a-time
-/// path. The SIMD kernels call this for every frame their vector
-/// predicate cannot fully classify.
+/// One frame of the scalar batch classifier (defined in sensor.cpp).
+/// Every early return mirrors a rejection in decode_frame /
+/// `Sensor::classify` so the counter histogram stays bit-identical to
+/// the record-at-a-time path. The batcher calls this for short frames,
+/// trailing partial groups and the scalar level; the SIMD kernels for
+/// every lane their vector predicate cannot fully classify.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
                         std::span<const std::uint8_t> bytes, SensorCounters& counters,
                         ProbeCursor& out);
 
-/// Vectorized batch kernels: classify `frames` in capture order,
-/// appending probes through `out` and bumping `simd_rows` once per frame
-/// that was fully resolved on the vector lane (frames taking the scalar
-/// fallback are not counted). Counters, probes and probe order are
-/// bit-identical to running `classify_raw` over the batch. On targets
-/// without the instruction set the definitions degrade to the scalar
-/// loop; `simd::detected_level()` never selects them there.
-void classify_frames_sse2(const Telescope& telescope,
-                          std::span<const net::FrameView> frames,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows);
-void classify_frames_avx2(const Telescope& telescope,
-                          std::span<const net::FrameView> frames,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows);
-
 struct PendingLanes;  // classify_lanes.h
 
-/// One full vector group: classify the `pending` lanes in order. The
-/// group size is the kernel's lane width — 8 for AVX2, 4 for SSE2 —
-/// and `pending.count` must equal it (the no-kernel stubs accept any
-/// count and run the scalar reference). Entry point for the fused
-/// scan-and-classify loop in core/ingest.cpp, which assembles lanes
-/// straight off the record walk instead of staging `FrameView`s.
+/// One full vector group: classify the `pending` lanes in order,
+/// appending probes through `out` and bumping `simd_rows` once per lane
+/// fully resolved on the vector lane (lanes taking the scalar fallback
+/// are not counted). The group size is the kernel's lane width — 8 for
+/// AVX2, 4 for SSE2 — and `pending.count` must equal it (the no-kernel
+/// stubs accept any count and run the scalar reference; `simd::`
+/// dispatch never selects them). `core::FrameBatcher` assembles the
+/// lanes as frames arrive.
 void classify_group_sse2(const Telescope& telescope, const PendingLanes& pending,
                          SensorCounters& counters, ProbeCursor& out,
                          std::uint64_t& simd_rows);

@@ -20,9 +20,10 @@
 //
 // Only frames of at least kMinLaneBytes enter a lane. Shorter frames
 // cannot carry a complete TCP header (14 + 20 + 20 bytes), so they can
-// never emit a probe; the kernels classify them scalar immediately,
-// which keeps probe order exact without any reordering bookkeeping, and
-// it bounds every lane gather (max offset 46 + 4) inside the frame.
+// never emit a probe; `core::FrameBatcher` classifies them scalar
+// immediately, which keeps probe order exact without any reordering
+// bookkeeping, and it bounds every lane gather (max offset 46 + 4)
+// inside the frame.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,8 @@ namespace synscan::telescope::detail {
 inline constexpr std::size_t kMinLaneBytes =
     net::EthernetHeader::kSize + net::Ipv4Header::kMinSize + net::TcpHeader::kMinSize;
 
-/// Frames waiting for a full vector group, in capture order.
+/// Frames waiting for a full vector group, in capture order
+/// (`core::FrameBatcher` fills it).
 struct PendingLanes {
   const std::uint8_t* ptr[8];
   alignas(32) std::uint32_t caplen[8];

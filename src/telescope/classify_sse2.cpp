@@ -62,12 +62,14 @@ inline unsigned lane_mask(__m128i v) {
   return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(v)));
 }
 
+}  // namespace
+
 /// Vector front half for one full group of four eligible frames. The
 /// predicate and extraction logic mirrors classify_avx2.cpp lane for
 /// lane; see that file for the field map.
-inline void process_group(const Telescope& telescope, const PendingLanes& pending,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows) {
+void classify_group_sse2(const Telescope& telescope, const PendingLanes& pending,
+                         SensorCounters& counters, ProbeCursor& out,
+                         std::uint64_t& simd_rows) {
   const __m128i g12 = load_field(pending, 12);
   const __m128i g16 = load_field(pending, 16);
   const __m128i g20 = load_field(pending, 20);
@@ -123,38 +125,6 @@ inline void process_group(const Telescope& telescope, const PendingLanes& pendin
                counters, out, simd_rows);
 }
 
-}  // namespace
-
-void classify_group_sse2(const Telescope& telescope, const PendingLanes& pending,
-                         SensorCounters& counters, ProbeCursor& out,
-                         std::uint64_t& simd_rows) {
-  process_group(telescope, pending, counters, out, simd_rows);
-}
-
-void classify_frames_sse2(const Telescope& telescope,
-                          std::span<const net::FrameView> frames,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows) {
-  PendingLanes pending;
-  for (const auto& frame : frames) {
-    if (frame.bytes.size() < kMinLaneBytes) {
-      classify_raw(telescope, frame.timestamp_us, frame.bytes, counters, out);
-      continue;
-    }
-    pending.ptr[pending.count] = frame.bytes.data();
-    pending.caplen[pending.count] = static_cast<std::uint32_t>(frame.bytes.size());
-    pending.ts[pending.count] = frame.timestamp_us;
-    if (++pending.count == 4) {
-      process_group(telescope, pending, counters, out, simd_rows);
-      pending.count = 0;
-    }
-  }
-  for (std::size_t i = 0; i < pending.count; ++i) {
-    classify_raw(telescope, pending.ts[i], {pending.ptr[i], pending.caplen[i]},
-                 counters, out);
-  }
-}
-
 #else  // !SYNSCAN_SSE2_KERNEL
 
 void classify_group_sse2(const Telescope& telescope, const PendingLanes& pending,
@@ -164,16 +134,6 @@ void classify_group_sse2(const Telescope& telescope, const PendingLanes& pending
   for (std::size_t i = 0; i < pending.count; ++i) {
     classify_raw(telescope, pending.ts[i], {pending.ptr[i], pending.caplen[i]},
                  counters, out);
-  }
-}
-
-void classify_frames_sse2(const Telescope& telescope,
-                          std::span<const net::FrameView> frames,
-                          SensorCounters& counters, ProbeCursor& out,
-                          std::uint64_t& simd_rows) {
-  (void)simd_rows;
-  for (const auto& frame : frames) {
-    classify_raw(telescope, frame.timestamp_us, frame.bytes, counters, out);
   }
 }
 

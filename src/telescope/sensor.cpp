@@ -5,8 +5,6 @@
 #include "net/endian.h"
 #include "net/headers.h"
 #include "telescope/classify_detail.h"
-#include "telescope/probe_batch.h"
-#include "telescope/simd.h"
 
 namespace synscan::telescope {
 
@@ -71,8 +69,8 @@ FrameClass Sensor::classify(const net::RawFrame& raw, ScanProbe& probe) {
 
 namespace detail {
 
-// One frame of the batched fast path (shared with the SIMD kernels via
-// classify_detail.h). Every early return mirrors a rejection in
+// One frame of the batch classifier (shared with the SIMD kernels and
+// core::FrameBatcher via classify_detail.h). Every early return mirrors a rejection in
 // decode_frame/classify so the counter histogram stays bit-identical to
 // the record-at-a-time path.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
@@ -183,64 +181,5 @@ FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
 }
 
 }  // namespace detail
-
-std::size_t Sensor::classify_batch(std::span<const net::FrameView> frames,
-                                   ProbeBatch& out) {
-  // Pre-size every column to the worst case (all frames are probes) so
-  // classify_raw can write through raw pointers, then trim to the actual
-  // probe count. clear() retains capacity, so a recycled batch re-sizes
-  // without reallocating.
-  const auto before = out.size();
-  const auto limit = before + frames.size();
-  out.timestamp_us.resize(limit);
-  out.source.resize(limit);
-  out.destination.resize(limit);
-  out.source_port.resize(limit);
-  out.destination_port.resize(limit);
-  out.sequence.resize(limit);
-  out.acknowledgment.resize(limit);
-  out.ip_id.resize(limit);
-  out.window.resize(limit);
-  out.ttl.resize(limit);
-  detail::ProbeCursor cursor{out.timestamp_us.data() + before,
-                             out.source.data() + before,
-                             out.destination.data() + before,
-                             out.source_port.data() + before,
-                             out.destination_port.data() + before,
-                             out.sequence.data() + before,
-                             out.acknowledgment.data() + before,
-                             out.ip_id.data() + before,
-                             out.window.data() + before,
-                             out.ttl.data() + before};
-  // Widest kernel the host (and SYNSCAN_SIMD) allows; every tier is
-  // bit-identical to the scalar loop — the kernels fall back to
-  // classify_raw per frame for anything their predicates cannot prove.
-  switch (simd::active_level()) {
-    case simd::SimdLevel::kAvx2:
-      detail::classify_frames_avx2(*telescope_, frames, counters_, cursor, simd_rows_);
-      break;
-    case simd::SimdLevel::kSse2:
-      detail::classify_frames_sse2(*telescope_, frames, counters_, cursor, simd_rows_);
-      break;
-    case simd::SimdLevel::kScalar:
-      for (const auto& frame : frames) {
-        detail::classify_raw(*telescope_, frame.timestamp_us, frame.bytes, counters_,
-                             cursor);
-      }
-      break;
-  }
-  const auto count = before + cursor.count;
-  out.timestamp_us.resize(count);
-  out.source.resize(count);
-  out.destination.resize(count);
-  out.source_port.resize(count);
-  out.destination_port.resize(count);
-  out.sequence.resize(count);
-  out.acknowledgment.resize(count);
-  out.ip_id.resize(count);
-  out.window.resize(count);
-  out.ttl.resize(count);
-  return cursor.count;
-}
 
 }  // namespace synscan::telescope

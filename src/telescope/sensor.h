@@ -8,9 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <span>
 
 #include "net/packet.h"
 #include "telescope/telescope.h"
@@ -79,8 +76,6 @@ struct SensorCounters {
   }
 };
 
-struct ProbeBatch;
-
 /// Stateless-per-frame classifier bound to a telescope. Thread-compatible:
 /// use one sensor per thread and merge counters.
 class Sensor {
@@ -90,37 +85,18 @@ class Sensor {
   explicit Sensor(const Telescope&&) = delete;
 
   /// Classifies a raw frame; fills `probe` when the result is kScanProbe.
-  /// The scalar reference `classify_batch` is tested against.
+  /// The per-frame reference the batch classifier (`core::FrameBatcher`)
+  /// is tested against: it decodes every header into a `DecodedFrame`,
+  /// where the batch path reads the raw bytes, and the differential tests
+  /// in tests/telescope/probe_batch_test.cpp hold the two together.
   FrameClass classify(const net::RawFrame& raw, ScanProbe& probe);
 
-  /// Classifies a whole batch of frame views (e.g. straight out of
-  /// `pcap::MappedReader`), appending every scan probe to `out` in frame
-  /// order. Decode, SYN filtering and the dark-address check run inline
-  /// over the raw bytes — no `DecodedFrame` is materialized — but the
-  /// classification (and therefore every counter) is bit-identical to
-  /// feeding each frame through `classify`; the differential tests in
-  /// tests/telescope/probe_batch_test.cpp hold the two paths together.
-  /// Dispatches to the widest SIMD kernel the host supports
-  /// (telescope/simd.h; `SYNSCAN_SIMD=off` forces the scalar loop).
-  /// Returns the number of probes appended.
-  std::size_t classify_batch(std::span<const net::FrameView> frames, ProbeBatch& out);
-
   [[nodiscard]] const SensorCounters& counters() const noexcept { return counters_; }
-  /// Frames fully resolved on a vector lane by `classify_batch` (frames
-  /// that took the per-frame scalar fallback are not counted). Feeds the
-  /// `ingest.simd_rows` metric; not part of `SensorCounters` because the
-  /// counter histogram is serialized into `.spc` caches and must stay
-  /// independent of the dispatch choice.
-  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return simd_rows_; }
-  void reset_counters() noexcept {
-    counters_ = {};
-    simd_rows_ = 0;
-  }
+  void reset_counters() noexcept { counters_ = {}; }
 
  private:
   const Telescope* telescope_;
   SensorCounters counters_;
-  std::uint64_t simd_rows_ = 0;
 };
 
 }  // namespace synscan::telescope

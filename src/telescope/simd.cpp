@@ -27,7 +27,8 @@ SimdLevel cpu_level() noexcept {
 SimdLevel env_level(SimdLevel detected) noexcept {
   // getenv is mt-unsafe only against concurrent setenv; this process
   // never writes the environment, and the value is read exactly once
-  // (static init of active_cell) before worker threads exist.
+  // (static init of active_cell, which the language serializes even when
+  // the first batchers are constructed on scan worker threads).
   const char* env = std::getenv("SYNSCAN_SIMD");  // NOLINT(concurrency-mt-unsafe)
   if (env == nullptr) return detected;
   if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||

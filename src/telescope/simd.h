@@ -1,14 +1,14 @@
 // Runtime SIMD dispatch for the batch classifier.
 //
-// `Sensor::classify_batch` picks the widest kernel the host supports
-// (detected once via cpuid): AVX2 gathers eight frames per group, SSE2
-// four, and the scalar loop remains both the fallback and the
-// differential reference. The choice can be overridden for tests,
-// benches and incident triage:
+// Each `core::FrameBatcher` picks, when it is constructed, the widest
+// kernel the host supports (detected once via cpuid): AVX2 gathers eight
+// frames per group, SSE2 four, and the scalar loop remains both the
+// fallback and the differential reference. The choice can be overridden
+// for tests, benches and incident triage:
 //   - environment: SYNSCAN_SIMD=off|scalar|sse2|avx2|auto (read once,
-//     at the first classification);
+//     when the first batcher is constructed);
 //   - programmatically: `set_active_level` (clamped to what the host
-//     can actually run).
+//     can actually run), which batchers constructed afterwards obey.
 #pragma once
 
 namespace synscan::telescope::simd {
@@ -20,8 +20,8 @@ enum class SimdLevel { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 /// Constant for the process lifetime.
 [[nodiscard]] SimdLevel detected_level() noexcept;
 
-/// The level `classify_batch` dispatches on right now: `detected_level`
-/// lowered by SYNSCAN_SIMD and/or `set_active_level`.
+/// The level a `core::FrameBatcher` constructed now dispatches on:
+/// `detected_level` lowered by SYNSCAN_SIMD and/or `set_active_level`.
 [[nodiscard]] SimdLevel active_level() noexcept;
 
 /// Overrides the active level (tests force every tier; benches pin a

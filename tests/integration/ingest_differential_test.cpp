@@ -12,12 +12,15 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "net/endian.h"
+#include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
@@ -278,9 +281,9 @@ TEST_F(IngestDifferential, ParallelProbeFeedMatchesSerialReference) {
   }
 }
 
-/// Hand-crafted single-probe captures in the three classic pcap on-disk
-/// dialects (LE microseconds, LE nanoseconds, BE microseconds): the
-/// batched ingest must read all of them exactly like pcap::Reader.
+/// Hand-crafted captures in the four classic pcap on-disk dialects (LE
+/// or BE, microseconds or nanoseconds): the batched ingest must read all
+/// of them exactly like pcap::Reader, whole, cut short or corrupted.
 class IngestDialects : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -293,16 +296,24 @@ class IngestDialects : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// One SYN to the dark net, timestamped 3.000005s.
+  /// One SYN to the dark net.
   [[nodiscard]] static std::vector<std::uint8_t> probe_frame() {
     return testing::syn_frame(net::Ipv4Address::from_octets(93, 184, 216, 34),
                               net::Ipv4Address::from_octets(198, 51, 0, 9), 80);
   }
 
+  /// One record as stored: the sub-second field is in the unit the
+  /// capture's magic names.
+  struct Record {
+    std::uint32_t seconds = 0;
+    std::uint32_t subsec = 0;
+    std::vector<std::uint8_t> bytes;
+  };
+
   /// Writes a classic pcap by hand so the magic/byte order/sub-second
   /// unit are exactly what the test names.
-  [[nodiscard]] fs::path write_capture(const char* name, std::uint32_t magic,
-                                       bool big_endian, std::uint32_t subsec) {
+  [[nodiscard]] fs::path write_capture(const std::string& name, std::uint32_t magic,
+                                       bool big_endian, const std::vector<Record>& records) {
     const auto path = dir_ / name;
     std::ofstream out(path, std::ios::binary);
     const auto u16 = [&](std::uint16_t v) {
@@ -322,13 +333,14 @@ class IngestDialects : public ::testing::Test {
     u32(0);
     u32(65535);
     u32(1);  // ethernet
-    const auto frame = probe_frame();
-    u32(3);       // seconds
-    u32(subsec);  // microseconds or nanoseconds, per magic
-    u32(static_cast<std::uint32_t>(frame.size()));
-    u32(static_cast<std::uint32_t>(frame.size()));
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size()));
+    for (const auto& record : records) {
+      u32(record.seconds);
+      u32(record.subsec);
+      u32(static_cast<std::uint32_t>(record.bytes.size()));
+      u32(static_cast<std::uint32_t>(record.bytes.size()));
+      out.write(reinterpret_cast<const char*>(record.bytes.data()),
+                static_cast<std::streamsize>(record.bytes.size()));
+    }
     return path;
   }
 
@@ -365,14 +377,18 @@ class IngestDialects : public ::testing::Test {
 
 TEST_F(IngestDialects, MicrosecondNanosecondAndBigEndianCapturesAgree) {
   const net::TimeUs expected = 3 * net::kMicrosPerSecond + 5;
-  expect_one_probe_at(write_capture("le_us.pcap", 0xa1b2c3d4, false, 5), expected);
-  expect_one_probe_at(write_capture("le_ns.pcap", 0xa1b23c4d, false, 5000), expected);
-  expect_one_probe_at(write_capture("be_us.pcap", 0xa1b2c3d4, true, 5), expected);
-  expect_one_probe_at(write_capture("be_ns.pcap", 0xa1b23c4d, true, 5000), expected);
+  expect_one_probe_at(write_capture("le_us.pcap", 0xa1b2c3d4, false, {{3, 5, probe_frame()}}),
+                      expected);
+  expect_one_probe_at(
+      write_capture("le_ns.pcap", 0xa1b23c4d, false, {{3, 5000, probe_frame()}}), expected);
+  expect_one_probe_at(write_capture("be_us.pcap", 0xa1b2c3d4, true, {{3, 5, probe_frame()}}),
+                      expected);
+  expect_one_probe_at(write_capture("be_ns.pcap", 0xa1b23c4d, true, {{3, 5000, probe_frame()}}),
+                      expected);
 }
 
 TEST_F(IngestDialects, TruncatedCaptureKeepsProbesAndReportsStatus) {
-  const auto path = write_capture("trunc.pcap", 0xa1b2c3d4, false, 5);
+  const auto path = write_capture("trunc.pcap", 0xa1b2c3d4, false, {{3, 5, probe_frame()}});
   // Append 7 bytes of a second record header: one whole probe survives,
   // the terminal status flips to kTruncated, and the cache preserves it.
   {
@@ -399,6 +415,178 @@ TEST_F(IngestDialects, TruncatedCaptureKeepsProbesAndReportsStatus) {
   EXPECT_EQ(warm.frames, 1u);
   EXPECT_EQ(probes, 1u);
   expect_same_sensor(warm.sensor, cold.sensor);
+}
+
+/// What one read path made of a capture.
+struct Outcome {
+  bool threw = false;
+  std::uint64_t frames = 0;
+  pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
+  telescope::SensorCounters sensor;
+  telescope::ProbeBatch probes;
+};
+
+void expect_same_outcome(const Outcome& got, const Outcome& want) {
+  ASSERT_EQ(got.threw, want.threw);
+  EXPECT_EQ(got.frames, want.frames);
+  EXPECT_EQ(got.status, want.status);
+  expect_same_sensor(got.sensor, want.sensor);
+  expect_same_probes(got.probes, want.probes);
+}
+
+/// The reference: `pcap::Reader` record-at-a-time into `Sensor::classify`.
+Outcome reference_outcome(std::span<const std::uint8_t> image) {
+  Outcome out;
+  try {
+    auto reader = pcap::Reader::over(image);
+    telescope::Sensor sensor(test_telescope());
+    net::RawFrame frame;
+    telescope::ScanProbe probe;
+    while ((out.status = reader.next(frame)) == pcap::ReadStatus::kOk) {
+      ++out.frames;
+      if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
+        out.probes.push_back(probe);
+      }
+    }
+    out.sensor = sensor.counters();
+  } catch (const std::runtime_error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+Outcome ingest_outcome(const fs::path& capture) {
+  Outcome out;
+  try {
+    core::IngestOptions options;
+    options.use_cache = false;
+    auto ingested = ingest_probes(capture, options);
+    out.frames = ingested.result.frames;
+    out.status = ingested.result.status;
+    out.sensor = ingested.result.sensor;
+    out.probes = std::move(ingested.probes);
+  } catch (const std::runtime_error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+/// `image` split by `partition_records` into up to `chunks` pieces, each
+/// walked by `ChunkReader::scan` in capture order into one
+/// `FrameBatcher`. As in the chunked cold scan, the first status other
+/// than kEndOfFile ends the capture.
+Outcome chunked_outcome(std::span<const std::uint8_t> image, std::size_t chunks) {
+  Outcome out;
+  const auto info = pcap::parse_global_header(image);
+  if (!info) {
+    out.threw = true;
+    return out;
+  }
+  core::FrameBatcher batcher(test_telescope(), [&out](const telescope::ProbeBatch& batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) out.probes.push_back(batch.get(i));
+  });
+  for (const auto& chunk : pcap::partition_records(image, *info, chunks)) {
+    pcap::ChunkReader scanner(image, *info, chunk);
+    out.status = scanner.scan(
+        [&batcher](net::TimeUs timestamp_us, const std::uint8_t* data,
+                   std::uint32_t captured_length) {
+          batcher.consume(timestamp_us, data, captured_length);
+        });
+    out.frames += scanner.frames_read();
+    if (out.status != pcap::ReadStatus::kEndOfFile) break;
+  }
+  out.sensor = batcher.finish();
+  return out;
+}
+
+TEST_F(IngestDialects, EveryTruncationAndHeaderByteFlipMatchesStreamReader) {
+  // A small capture of every sensor class, cut at every length and with
+  // each record-header byte flipped, in all four dialects. Every path
+  // must agree with the reference on the throw, the frames, the terminal
+  // status, the counters and the probes.
+  const auto dark = [](std::uint32_t i) { return net::Ipv4Address(0xc6330000u + i); };
+  const auto source = [](std::uint32_t i) { return net::Ipv4Address(0x5db8d800u + i % 5); };
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    switch (i % 6) {
+      case 0:
+        frames.push_back(testing::syn_frame(source(i), dark(i), 80));
+        break;
+      case 1:
+        frames.push_back(testing::syn_frame(source(i), net::Ipv4Address(0x08080800u + i), 80));
+        break;
+      case 2:
+        frames.push_back(testing::syn_frame(
+            source(i), dark(i), 443,
+            net::flag_bit(net::TcpFlag::kSyn) | net::flag_bit(net::TcpFlag::kAck)));
+        break;
+      case 3:
+        frames.push_back(testing::syn_frame(source(i), dark(i), 23));  // ingress blocked
+        break;
+      case 4: {
+        net::UdpFrameSpec udp;
+        udp.src_ip = source(i);
+        udp.dst_ip = dark(i);
+        frames.push_back(net::build_udp_frame(udp));
+        break;
+      }
+      default:
+        frames.push_back({0x01, 0x02, 0x03});  // malformed
+        break;
+    }
+  }
+
+  struct Dialect {
+    const char* name;
+    std::uint32_t magic;
+    bool big_endian;
+    std::uint32_t subsec_per_us;
+  };
+  const auto variant = dir_ / "variant.pcap";
+  for (const auto& dialect : {Dialect{"le_us", 0xa1b2c3d4, false, 1},
+                              Dialect{"le_ns", 0xa1b23c4d, false, 1000},
+                              Dialect{"be_us", 0xa1b2c3d4, true, 1},
+                              Dialect{"be_ns", 0xa1b23c4d, true, 1000}}) {
+    std::vector<Record> records;
+    std::vector<std::size_t> header_offsets;
+    std::size_t offset = pcap::kGlobalHeaderSize;
+    for (std::uint32_t i = 0; i < frames.size(); ++i) {
+      records.push_back({3 + i / 7, i * 7919 * dialect.subsec_per_us, frames[i]});
+      header_offsets.push_back(offset);
+      offset += pcap::kRecordHeaderSize + frames[i].size();
+    }
+    const auto whole = testing::slurp(
+        write_capture(std::string(dialect.name) + ".pcap", dialect.magic, dialect.big_endian,
+                      records));
+    const std::vector<std::uint8_t> image(whole.begin(), whole.end());
+
+    const auto check = [&](std::span<const std::uint8_t> bytes, const std::string& label) {
+      SCOPED_TRACE(std::string(dialect.name) + " " + label);
+      {
+        std::ofstream out(variant, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+      }
+      const auto want = reference_outcome(bytes);
+      expect_same_outcome(ingest_outcome(variant), want);
+      for (const std::size_t chunks : {2, 3, 5}) {
+        SCOPED_TRACE("chunks " + std::to_string(chunks));
+        expect_same_outcome(chunked_outcome(bytes, chunks), want);
+      }
+    };
+
+    for (std::size_t cut = 0; cut <= image.size() && !HasFailure(); ++cut) {
+      check(std::span(image).first(cut), "cut at " + std::to_string(cut));
+    }
+    auto flipped = image;
+    for (const auto at : header_offsets) {
+      for (std::size_t byte = at; byte < at + pcap::kRecordHeaderSize && !HasFailure(); ++byte) {
+        flipped[byte] ^= 0xff;
+        check(flipped, "byte " + std::to_string(byte) + " flipped");
+        flipped[byte] ^= 0xff;
+      }
+    }
+  }
 }
 
 /// Restores the SIMD dispatch level a test overrode.

@@ -38,6 +38,19 @@ class MappedReaderTest : public ::testing::Test {
     return f;
   }
 
+  /// A chunk reader over the whole record region of `reader`.
+  static ChunkReader whole(const MappedReader& reader) {
+    return {reader.bytes(), reader.info(), reader.partition(1).front()};
+  }
+
+  /// Runs `scanner.scan`, appending a copy of every frame to `out`.
+  static ReadStatus scan_into(ChunkReader& scanner, std::vector<net::RawFrame>& out) {
+    return scanner.scan([&out](net::TimeUs timestamp_us, const std::uint8_t* data,
+                               std::uint32_t captured_length) {
+      out.push_back({timestamp_us, {data, data + captured_length}});
+    });
+  }
+
   fs::path dir_;
 };
 
@@ -53,15 +66,15 @@ TEST_F(MappedReaderTest, MapsRegularFilesAndMatchesReader) {
   EXPECT_TRUE(reader.mapped());
   EXPECT_EQ(reader.info().link_type, LinkType::kEthernet);
 
-  net::FrameView view;
-  for (const auto& expected : frames) {
-    ASSERT_EQ(reader.next(view), ReadStatus::kOk);
-    EXPECT_EQ(view.timestamp_us, expected.timestamp_us);
-    EXPECT_EQ(std::vector<std::uint8_t>(view.bytes.begin(), view.bytes.end()),
-              expected.bytes);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(got[i].timestamp_us, frames[i].timestamp_us);
+    EXPECT_EQ(got[i].bytes, frames[i].bytes);
   }
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
-  EXPECT_EQ(reader.frames_read(), 3u);
+  EXPECT_EQ(scanner.frames_read(), 3u);
 }
 
 TEST_F(MappedReaderTest, StreamFallbackWalksIdentically) {
@@ -74,19 +87,21 @@ TEST_F(MappedReaderTest, StreamFallbackWalksIdentically) {
   auto reader = MappedReader::open(fifo.path());
   EXPECT_FALSE(reader.mapped());
 
-  net::FrameView view;
-  ASSERT_EQ(reader.next(view), ReadStatus::kOk);
-  EXPECT_EQ(view.bytes.size(), 3u);
-  ASSERT_EQ(reader.next(view), ReadStatus::kOk);
-  EXPECT_EQ(view.bytes.size(), 1u);
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].bytes.size(), 3u);
+  EXPECT_EQ(got[1].bytes.size(), 1u);
 }
 
 TEST_F(MappedReaderTest, EmptyCaptureIsValid) {
   write_file(path("empty.pcap"), {});
   auto reader = MappedReader::open(path("empty.pcap"));
-  net::FrameView view;
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST_F(MappedReaderTest, ThrowsOnUnknownMagicAndShortHeader) {
@@ -114,11 +129,12 @@ TEST_F(MappedReaderTest, MidHeaderTruncationReportedOnceThenEndOfFile) {
   fs::resize_file(path("midhdr.pcap"), size - 2 - 9);  // 7 bytes of record 2's header
 
   auto reader = MappedReader::open(path("midhdr.pcap"));
-  net::FrameView view;
-  ASSERT_EQ(reader.next(view), ReadStatus::kOk);
-  EXPECT_EQ(reader.next(view), ReadStatus::kTruncated);
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kTruncated);
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
+  EXPECT_EQ(got.size(), 1u);
 }
 
 TEST_F(MappedReaderTest, MidBodyTruncationReportedOnceThenEndOfFile) {
@@ -130,9 +146,11 @@ TEST_F(MappedReaderTest, MidBodyTruncationReportedOnceThenEndOfFile) {
   fs::resize_file(path("midbody.pcap"), size - 4);
 
   auto reader = MappedReader::open(path("midbody.pcap"));
-  net::FrameView view;
-  EXPECT_EQ(reader.next(view), ReadStatus::kTruncated);
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kTruncated);
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST_F(MappedReaderTest, BigEndianMidHeaderTruncationMatchesContract) {
@@ -165,11 +183,12 @@ TEST_F(MappedReaderTest, BigEndianMidHeaderTruncationMatchesContract) {
 
   auto reader = MappedReader::open(path("midhdr_be.pcap"));
   EXPECT_TRUE(reader.info().big_endian);
-  net::FrameView view;
-  ASSERT_EQ(reader.next(view), ReadStatus::kOk);
-  EXPECT_EQ(view.timestamp_us, 10 * net::kMicrosPerSecond);
-  EXPECT_EQ(reader.next(view), ReadStatus::kTruncated);
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kTruncated);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].timestamp_us, 10 * net::kMicrosPerSecond);
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
 }
 
 TEST_F(MappedReaderTest, BadRecordReportedOnceThenEndOfFile) {
@@ -185,53 +204,11 @@ TEST_F(MappedReaderTest, BadRecordReportedOnceThenEndOfFile) {
   file.close();
 
   auto reader = MappedReader::open(path("bad.pcap"));
-  net::FrameView view;
-  EXPECT_EQ(reader.next(view), ReadStatus::kBadRecord);
-  EXPECT_EQ(reader.next(view), ReadStatus::kEndOfFile);
-}
-
-TEST_F(MappedReaderTest, NextBatchChunksAndPreservesOrder) {
-  std::vector<net::RawFrame> frames;
-  for (std::uint8_t i = 0; i < 10; ++i) {
-    frames.push_back(frame(i, {i, static_cast<std::uint8_t>(i + 1)}));
-  }
-  write_file(path("batch.pcap"), frames);
-
-  auto reader = MappedReader::open(path("batch.pcap"));
-  std::vector<net::FrameView> batch;
-  std::size_t seen = 0;
-  ReadStatus status;
-  while ((status = reader.next_batch(batch, 4)) == ReadStatus::kOk) {
-    EXPECT_LE(batch.size(), 4u);
-    for (const auto& view : batch) {
-      EXPECT_EQ(view.timestamp_us, static_cast<net::TimeUs>(seen));
-      EXPECT_EQ(view.bytes[0], static_cast<std::uint8_t>(seen));
-      ++seen;
-    }
-  }
-  EXPECT_EQ(status, ReadStatus::kEndOfFile);
-  EXPECT_EQ(seen, 10u);
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST_F(MappedReaderTest, NextBatchOwesTerminalStatusAfterPartialBatch) {
-  {
-    const std::vector<net::RawFrame> frames = {frame(1, {1}), frame(2, {2}),
-                                               frame(3, {3})};
-    write_file(path("owed.pcap"), frames);
-  }
-  const auto size = fs::file_size(path("owed.pcap"));
-  fs::resize_file(path("owed.pcap"), size - 1 - 8);  // into record 3's header
-
-  auto reader = MappedReader::open(path("owed.pcap"));
-  std::vector<net::FrameView> batch;
-  // All readable frames arrive as one kOk batch; the truncation is owed
-  // to the next call, and after that the reader settles on kEndOfFile.
-  ASSERT_EQ(reader.next_batch(batch, 8), ReadStatus::kOk);
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(reader.next_batch(batch, 8), ReadStatus::kTruncated);
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(reader.next_batch(batch, 8), ReadStatus::kEndOfFile);
+  auto scanner = whole(reader);
+  std::vector<net::RawFrame> got;
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kBadRecord);
+  EXPECT_EQ(scan_into(scanner, got), ReadStatus::kEndOfFile);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST_F(MappedReaderTest, PartitionSplitsOnRecordBoundariesAndCoversEveryRecord) {
@@ -321,7 +298,7 @@ TEST_F(MappedReaderTest, PartitionConfinesTruncationToTheFinalChunk) {
   EXPECT_EQ(seen, frames.size() - 1);
 }
 
-TEST_F(MappedReaderTest, ChunkScanAndNextBatchAgree) {
+TEST_F(MappedReaderTest, ChunkScanAndStreamReaderAgree) {
   std::vector<net::RawFrame> frames;
   for (std::uint32_t i = 0; i < 40; ++i) {
     frames.push_back(frame(1000 + i, {}));
@@ -330,11 +307,8 @@ TEST_F(MappedReaderTest, ChunkScanAndNextBatchAgree) {
   write_file(path("scan_agree.pcap"), frames);
 
   auto reader = MappedReader::open(path("scan_agree.pcap"));
-  const ScanChunk whole{kGlobalHeaderSize,
-                        static_cast<std::size_t>(reader.byte_size())};
-
   std::vector<net::TimeUs> scanned;
-  ChunkReader fused(reader.bytes(), reader.info(), whole);
+  auto fused = whole(reader);
   EXPECT_EQ(fused.scan([&](net::TimeUs timestamp_us, const std::uint8_t*,
                            std::uint32_t) { scanned.push_back(timestamp_us); }),
             ReadStatus::kEndOfFile);
@@ -345,15 +319,16 @@ TEST_F(MappedReaderTest, ChunkScanAndNextBatchAgree) {
   }),
             ReadStatus::kEndOfFile);
 
-  std::vector<net::TimeUs> batched;
-  ChunkReader stepper(reader.bytes(), reader.info(), whole);
-  std::vector<net::FrameView> views;
+  // The streaming reader is the record-at-a-time reference.
+  std::vector<net::TimeUs> streamed;
+  auto stream = Reader::open(path("scan_agree.pcap"));
+  net::RawFrame record;
   ReadStatus status;
-  while ((status = stepper.next_batch(views, 7)) == ReadStatus::kOk) {
-    for (const auto& view : views) batched.push_back(view.timestamp_us);
+  while ((status = stream.next(record)) == ReadStatus::kOk) {
+    streamed.push_back(record.timestamp_us);
   }
   EXPECT_EQ(status, ReadStatus::kEndOfFile);
-  EXPECT_EQ(batched, scanned);
+  EXPECT_EQ(streamed, scanned);
 }
 
 }  // namespace

@@ -174,8 +174,9 @@ TEST_F(PcapngTest, FormatDispatchReadsBoth) {
 }
 
 TEST_F(PcapngTest, IngestBatchesMatchClassicPcap) {
-  // pcapng ingest runs record-at-a-time through core::FrameBatcher; the
-  // same frames as a classic pcap take the mapped fused scan. Both must
+  // pcapng records reach core::FrameBatcher through `push`; the same
+  // frames as a classic pcap through the mapped `ChunkReader::scan` walk
+  // into `consume`. Both must
   // deliver identical probes, counters and batch boundaries. 5000 frames
   // span a full batch and a partial one.
   const telescope::Telescope telescope({{*net::Ipv4Prefix::parse("198.51.0.0/20"), 1000}},

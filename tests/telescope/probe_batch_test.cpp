@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/ingest.h"
 #include "net/endian.h"
 #include "telescope/simd.h"
 #include "test_support.h"
@@ -58,8 +59,8 @@ class ClassifyBatchDifferential : public ::testing::Test {
       : telescope_({{*net::Ipv4Prefix::parse("203.0.113.0/24"), 1000}},
                    {{23, 1000 * net::kMicrosPerSecond}}) {}
 
-  /// Runs the same frames through `classify` and `classify_batch` and
-  /// asserts identical probes and counters.
+  /// Runs the same frames through `classify` and `core::FrameBatcher`
+  /// and asserts identical probes and counters.
   void expect_equivalent(const std::vector<net::RawFrame>& frames) {
     Sensor reference(telescope_);
     std::vector<ScanProbe> expected;
@@ -70,20 +71,35 @@ class ClassifyBatchDifferential : public ::testing::Test {
       }
     }
 
-    Sensor batched(telescope_);
-    std::vector<net::FrameView> views;
-    views.reserve(frames.size());
-    for (const auto& frame : frames) views.push_back(net::as_view(frame));
-    ProbeBatch batch;
-    const auto appended = batched.classify_batch(views, batch);
+    const auto batched = batch_frames(frames);
+    const auto& batch = batched.probes;
 
-    EXPECT_TRUE(same_counters(reference.counters(), batched.counters()))
+    EXPECT_TRUE(same_counters(reference.counters(), batched.counters))
         << "counter histograms diverged";
-    ASSERT_EQ(appended, expected.size());
     ASSERT_EQ(batch.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_TRUE(same_probe(batch.get(i), expected[i])) << "probe " << i;
     }
+  }
+
+  /// What a `core::FrameBatcher` made of a frame sequence.
+  struct Batched {
+    ProbeBatch probes;  ///< every delivered batch, concatenated
+    SensorCounters counters;
+    std::uint64_t simd_rows = 0;
+  };
+
+  /// Pushes `frames` through a `core::FrameBatcher` at the active SIMD
+  /// level.
+  Batched batch_frames(const std::vector<net::RawFrame>& frames) {
+    Batched out;
+    core::FrameBatcher batcher(telescope_, [&out](const ProbeBatch& batch) {
+      for (std::size_t i = 0; i < batch.size(); ++i) out.probes.push_back(batch.get(i));
+    });
+    for (const auto& frame : frames) batcher.push(frame);
+    out.counters = batcher.finish();
+    out.simd_rows = batcher.simd_rows();
+    return out;
   }
 
   net::Ipv4Address dark_dst() { return net::Ipv4Address::from_octets(203, 0, 113, 7); }
@@ -165,23 +181,15 @@ TEST_F(ClassifyBatchDifferential, SimdRowsCountOnlyVectorResolvedFrames) {
     frames.push_back({static_cast<net::TimeUs>(i),
                       testing::syn_frame(src(), dark_dst(), 80)});
   }
-  std::vector<net::FrameView> views;
-  views.reserve(frames.size());
-  for (const auto& frame : frames) views.push_back(net::as_view(frame));
-
   simd::set_active_level(simd::SimdLevel::kScalar);
-  Sensor scalar(telescope_);
-  ProbeBatch scalar_batch;
-  (void)scalar.classify_batch(views, scalar_batch);
-  EXPECT_EQ(scalar.simd_rows(), 0u);
+  const auto scalar = batch_frames(frames);
+  EXPECT_EQ(scalar.simd_rows, 0u);
 
   if (simd::detected_level() != simd::SimdLevel::kScalar) {
     simd::set_active_level(simd::detected_level());
-    Sensor vectored(telescope_);
-    ProbeBatch vector_batch;
-    (void)vectored.classify_batch(views, vector_batch);
-    EXPECT_GT(vectored.simd_rows(), 0u);
-    EXPECT_EQ(vector_batch.size(), scalar_batch.size());
+    const auto vectored = batch_frames(frames);
+    EXPECT_GT(vectored.simd_rows, 0u);
+    EXPECT_EQ(vectored.probes.size(), scalar.probes.size());
   }
 }
 
