@@ -6,8 +6,8 @@
 //   pre        — the original path: pcap::Reader (buffered istream, one
 //                byte-vector copy per record) + per-frame
 //                Sensor::classify through decode_frame;
-//   mmap_batch — core::ingest_capture with the cache off: fused
-//                chunked scan + SIMD batch classify, SoA ProbeBatch;
+//   mmap_batch — core::ingest_capture with the cache off: chunked
+//                mapped walk + batch classify, SoA ProbeBatch;
 //   cache_warm — core::ingest_capture over the .spc probe cache the
 //                cold pass just wrote (decode and classify skipped).
 // The probe counts of all paths must agree; the binary exits non-zero

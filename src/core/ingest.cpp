@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "pcap/mapped_reader.h"
 #include "pcap/pcapng.h"
-#include "telescope/simd.h"
 
 namespace synscan::core {
 namespace {
@@ -29,7 +28,6 @@ constexpr std::size_t kMaxScanChunks = 64;
 struct IngestMetrics {
   obs::Counter* batches = nullptr;
   obs::Counter* chunks = nullptr;
-  obs::Counter* simd_rows = nullptr;
   obs::Counter* mmap_bytes = nullptr;
   obs::Counter* fallback_reads = nullptr;
   obs::Counter* cache_hits = nullptr;
@@ -41,7 +39,6 @@ struct IngestMetrics {
     auto& registry = obs::MetricsRegistry::global();
     batches = &registry.counter("ingest.batches");
     chunks = &registry.counter("ingest.chunks");
-    simd_rows = &registry.counter("ingest.simd_rows");
     mmap_bytes = &registry.counter("ingest.mmap_bytes");
     fallback_reads = &registry.counter("ingest.fallback_reads");
     cache_hits = &registry.counter("ingest.cache_hits");
@@ -54,7 +51,6 @@ struct IngestMetrics {
 struct ChunkTally {
   telescope::SensorCounters counters;
   std::uint64_t frames = 0;
-  std::uint64_t simd_rows = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
 };
 
@@ -72,7 +68,6 @@ ChunkTally scan_chunk(const telescope::Telescope& telescope,
   });
   tally.counters = batcher.finish();
   tally.frames = scanner.frames_read();
-  tally.simd_rows = batcher.simd_rows();
   return tally;
 }
 
@@ -112,28 +107,7 @@ class ChunkMerge {
 
 FrameBatcher::FrameBatcher(const telescope::Telescope& telescope, Deliver deliver)
     : telescope_(&telescope), deliver_(std::move(deliver)) {
-  switch (telescope::simd::active_level()) {
-    case telescope::simd::SimdLevel::kAvx2:
-      group_size_ = 8;
-      group_fn_ = &telescope::detail::classify_group_avx2;
-      break;
-    case telescope::simd::SimdLevel::kSse2:
-      group_size_ = 4;
-      group_fn_ = &telescope::detail::classify_group_sse2;
-      break;
-    case telescope::simd::SimdLevel::kScalar:
-      break;
-  }
   arm_batch();
-}
-
-void FrameBatcher::push(const net::RawFrame& frame) {
-  // A slot is rewritten only in the next window, after the batch whose
-  // lanes point into it has been delivered.
-  if (slots_.empty()) slots_.resize(kIngestBatchFrames);
-  auto& slot = slots_[window_frames_];
-  slot.assign(frame.bytes.begin(), frame.bytes.end());
-  consume(frame.timestamp_us, slot.data(), static_cast<std::uint32_t>(slot.size()));
 }
 
 const telescope::SensorCounters& FrameBatcher::finish() {
@@ -165,14 +139,6 @@ void FrameBatcher::arm_batch() {
 }
 
 void FrameBatcher::flush_batch() {
-  // The incomplete lane group takes the scalar reference: group
-  // formation restarts at every batch boundary.
-  for (std::size_t i = 0; i < pending_.count; ++i) {
-    telescope::detail::classify_raw(*telescope_, pending_.ts[i],
-                                    {pending_.ptr[i], pending_.caplen[i]}, counters_,
-                                    cursor_);
-  }
-  pending_.count = 0;
   const auto rows = cursor_.count;
   batch_.timestamp_us.resize(rows);
   batch_.source.resize(rows);
@@ -248,7 +214,6 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   const auto absorb = [&result](const ChunkTally& tally) {
     result.frames += tally.frames;
     result.sensor.add(tally.counters);
-    result.simd_rows += tally.simd_rows;
     result.status = tally.status;
   };
 
@@ -313,8 +278,7 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     metrics.fallback_reads->add();
   }
   if (pcapng) {
-    // pcapng stays record-at-a-time (variable block framing); each
-    // frame is copied into the batcher.
+    // pcapng stays record-at-a-time (variable block framing).
     auto reader = pcap::NgReader::over(file.bytes());
     FrameBatcher batcher(telescope, deliver_batch);
     net::RawFrame frame;
@@ -323,12 +287,10 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     }
     result.sensor = batcher.finish();
     result.frames = batcher.frames();
-    result.simd_rows = batcher.simd_rows();
   } else {
     run_cold(pcap::MappedReader(std::move(file)));
     if (metrics.chunks != nullptr) metrics.chunks->add(result.chunks);
   }
-  if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
 
   if (writer) {
     (void)writer->commit(result.frames, result.status, result.sensor);

@@ -27,12 +27,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <vector>
 
 #include "core/probe_cache.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
-#include "telescope/classify_lanes.h"
+#include "telescope/classify_detail.h"
 #include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
 #include "telescope/telescope.h"
@@ -63,10 +62,9 @@ struct IngestResult {
   std::uint64_t frames = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
   std::uint64_t batches = 0;
-  std::uint64_t chunks = 0;     ///< scan chunks used by the cold path
-  std::uint64_t simd_rows = 0;  ///< frames resolved on a vector lane
-  bool from_cache = false;      ///< probes came from a validated cache
-  bool mapped = false;          ///< capture bytes were mmap'ed
+  std::uint64_t chunks = 0;  ///< scan chunks used by the cold path
+  bool from_cache = false;   ///< probes came from a validated cache
+  bool mapped = false;       ///< capture bytes were mmap'ed
 };
 
 /// Receives each probe batch in capture order. The batch is only valid
@@ -74,12 +72,13 @@ struct IngestResult {
 using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 
 /// The one frame→batch classifier: every producer's frames become
-/// `ProbeBatch`es here. Frames arrive in capture order through `consume`
-/// (records whose bytes outlive the batch, such as a mapped capture
-/// walked by `pcap::ChunkReader::scan`) or `push` (frames held one at a
-/// time: pcapng records, the traffic generator). Every
-/// `kIngestBatchFrames` frames the batch — possibly empty — goes to the
-/// deliver callback. Typical use feeds a pipeline:
+/// `ProbeBatch`es here, each classified by `telescope::detail::classify_raw`.
+/// Frames arrive in capture order through `consume` (record bytes, such
+/// as a mapped capture walked by `pcap::ChunkReader::scan`) or `push`
+/// (a whole frame: pcapng records, the traffic generator). Both read a
+/// frame's bytes only during the call, so callers may reuse their
+/// buffer. Every `kIngestBatchFrames` frames the batch — possibly empty —
+/// goes to the deliver callback. Typical use feeds a pipeline:
 ///
 ///   FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& b) {
 ///     pipeline.feed_probes(b);
@@ -87,51 +86,34 @@ using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 ///   generator.run([&](const net::RawFrame& f) { batcher.push(f); });
 ///   pipeline.absorb_sensor_counters(batcher.finish());
 ///
-/// Frames of at least `detail::kMinLaneBytes` are classified in SIMD lane
-/// groups (telescope/classify_lanes.h); shorter frames, the trailing
-/// partial group of each batch and the scalar level take the scalar
-/// reference. Group formation restarts at every batch boundary. Probes,
-/// probe order and counters are bit-identical to `Sensor::classify` on
-/// any dispatch level.
+/// Probes, probe order and counters are bit-identical to
+/// `Sensor::classify`.
 class FrameBatcher {
  public:
   /// Receives each batch; it may move the batch away, the columns are
   /// re-armed either way.
   using Deliver = std::function<void(telescope::ProbeBatch&)>;
 
-  /// Fixes the SIMD kernel for the instance's lifetime from
-  /// `telescope::simd::active_level()`. The batcher keeps a pointer to
-  /// the telescope; a temporary would dangle.
+  /// The batcher keeps a pointer to the telescope; a temporary would
+  /// dangle.
   FrameBatcher(const telescope::Telescope& telescope, Deliver deliver);
   FrameBatcher(const telescope::Telescope&&, Deliver) = delete;
   /// The write cursor points into the batcher's own batch.
   FrameBatcher(const FrameBatcher&) = delete;
   FrameBatcher& operator=(const FrameBatcher&) = delete;
 
-  /// Copies one frame into the slot its position in the batch window
-  /// owns, then consumes it. Slots keep their buffers, so steady state
-  /// copies without allocating.
-  void push(const net::RawFrame& frame);
+  /// One frame, in capture order.
+  void push(const net::RawFrame& frame) {
+    consume(frame.timestamp_us, frame.bytes.data(),
+            static_cast<std::uint32_t>(frame.bytes.size()));
+  }
 
-  /// One record, in capture order. The bytes must stay valid until the
-  /// batch holding this frame has been delivered. Defined here so it
-  /// inlines into the record walk.
+  /// One record, in capture order. Defined here so it inlines into the
+  /// record walk.
   void consume(net::TimeUs timestamp_us, const std::uint8_t* data,
                std::uint32_t captured_length) {
-    if (group_size_ == 0 || captured_length < telescope::detail::kMinLaneBytes) {
-      // Short frames can never emit a probe (no room for a full TCP
-      // header), so classifying them at once keeps probe order.
-      telescope::detail::classify_raw(*telescope_, timestamp_us,
-                                      {data, captured_length}, counters_, cursor_);
-    } else {
-      pending_.ptr[pending_.count] = data;
-      pending_.caplen[pending_.count] = captured_length;
-      pending_.ts[pending_.count] = timestamp_us;
-      if (++pending_.count == group_size_) {
-        group_fn_(*telescope_, pending_, counters_, cursor_, simd_rows_);
-        pending_.count = 0;
-      }
-    }
+    telescope::detail::classify_raw(*telescope_, timestamp_us, {data, captured_length},
+                                    counters_, cursor_);
     if (++window_frames_ == kIngestBatchFrames) flush_batch();
   }
 
@@ -140,30 +122,16 @@ class FrameBatcher {
   const telescope::SensorCounters& finish();
 
   [[nodiscard]] std::uint64_t frames() const noexcept { return frames_ + window_frames_; }
-  /// Frames resolved on a vector lane. Feeds the `ingest.simd_rows`
-  /// metric; kept out of `SensorCounters`, which `.spc` caches store and
-  /// which must not depend on the dispatch level.
-  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return simd_rows_; }
 
  private:
-  using GroupFn = void (*)(const telescope::Telescope&,
-                           const telescope::detail::PendingLanes&,
-                           telescope::SensorCounters&, telescope::detail::ProbeCursor&,
-                           std::uint64_t&);
-
   void arm_batch();
   void flush_batch();
 
   const telescope::Telescope* telescope_;
   Deliver deliver_;
-  std::size_t group_size_ = 0;  ///< kernel lane width; 0 = scalar loop
-  GroupFn group_fn_ = nullptr;
-  telescope::detail::PendingLanes pending_;
   telescope::SensorCounters counters_;
-  std::uint64_t simd_rows_ = 0;
   std::uint64_t frames_ = 0;       ///< frames in delivered batches
   std::size_t window_frames_ = 0;  ///< frames since the last delivery
-  std::vector<std::vector<std::uint8_t>> slots_;  ///< `push` copies, by window position
   telescope::ProbeBatch batch_;
   telescope::detail::ProbeCursor cursor_{};
 };

@@ -28,8 +28,8 @@
 // The writer normalizes chunking to a fixed row count per chunk
 // (kCacheRowsPerChunk), independent of how the classifier batched its
 // appends — the cache bytes are a pure function of the probe stream, so
-// serial, chunked-parallel and SIMD-dispatch ingests commit identical
-// files (pinned by tests/integration/ingest_differential_test.cpp).
+// serial and chunked-parallel ingests commit identical files (pinned by
+// tests/integration/ingest_differential_test.cpp).
 //
 // Validity = magic + version + codec + source identity (byte size and
 // mtime in nanoseconds) + chunk framing + checksum. Any mismatch —

@@ -79,22 +79,22 @@ class Reader {
   }
   double f64() { return std::bit_cast<double>(u64()); }
 
-  /// A stored element count, sanity-bounded by the remaining bytes so a
-  /// corrupt length cannot drive a multi-gigabyte reserve.
-  std::size_t count(std::size_t min_bytes_each) {
-    const auto n = u64();
-    if (min_bytes_each != 0 &&
-        n > static_cast<std::uint64_t>(end_ - p_) / min_bytes_each) {
-      throw ParseError{};
-    }
-    return static_cast<std::size_t>(n);
-  }
+  /// A stored element count (u64; `count32` for a u32 field),
+  /// sanity-bounded by the remaining bytes so a corrupt length cannot
+  /// drive a multi-gigabyte reserve. `min_bytes_each` must be nonzero.
+  std::size_t count(std::size_t min_bytes_each) { return bounded(u64(), min_bytes_each); }
+  std::size_t count32(std::size_t min_bytes_each) { return bounded(u32(), min_bytes_each); }
 
   [[nodiscard]] bool exhausted() const noexcept { return p_ == end_; }
 
  private:
   void need(std::size_t n) {
     if (static_cast<std::size_t>(end_ - p_) < n) throw ParseError{};
+  }
+
+  std::size_t bounded(std::uint64_t n, std::size_t min_bytes_each) const {
+    if (n > static_cast<std::uint64_t>(end_ - p_) / min_bytes_each) throw ParseError{};
+    return static_cast<std::size_t>(n);
   }
 
   const std::uint8_t* p_;
@@ -147,8 +147,8 @@ void put_port_map(Writer& out, const PortPacketMap& map) {
 }
 
 void get_port_map(Reader& in, PortPacketMap& map) {
-  const auto n = in.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
+  const auto n = in.count32(10);
+  for (std::size_t i = 0; i < n; ++i) {
     const auto port = in.u16();
     map.add(port, in.u64());
   }
@@ -278,9 +278,9 @@ FlowSegment get_segment(Reader& in) {
   const auto destinations = in.count(4);
   segment.destinations.reserve(destinations);
   for (std::size_t i = 0; i < destinations; ++i) segment.destinations.push_back(in.u32());
-  const auto ports = in.u32();
+  const auto ports = in.count32(10);
   segment.port_packets.reserve(ports);
-  for (std::uint32_t i = 0; i < ports; ++i) {
+  for (std::size_t i = 0; i < ports; ++i) {
     const auto port = in.u16();
     segment.port_packets.emplace_back(port, in.u64());
   }
@@ -333,9 +333,9 @@ struct RollupTallyIo {
     const auto sources = in.count(8);
     for (std::size_t i = 0; i < sources; ++i) {
       const auto source = in.u32();
-      const auto ports = in.u32();
+      const auto ports = in.count32(2);
       auto& set = tally.ports_per_source_[source];
-      for (std::uint32_t j = 0; j < ports; ++j) {
+      for (std::size_t j = 0; j < ports; ++j) {
         const auto port = in.u16();
         set.insert(port);
         // `sources_per_port_` is the per-port projection of this map.
@@ -545,7 +545,11 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
     CaptureRollup rollup(registry);
     rollup.capture = path;
     rollup.frames = in.u64();
-    rollup.final_status = static_cast<pcap::ReadStatus>(in.u32());
+    const auto status = in.u32();
+    if (status > static_cast<std::uint32_t>(pcap::ReadStatus::kBadRecord)) {
+      return std::nullopt;  // as `.spc`: a corrupt terminal status
+    }
+    rollup.final_status = static_cast<pcap::ReadStatus>(status);
     rollup.from_cache = in.u8() != 0;
     rollup.max_timestamp_us = time_from(in.u64());
     get_sensor(in, rollup.sensor);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -18,8 +19,12 @@ namespace {
 /// Reads just far enough into a capture to learn its first record
 /// timestamp: the header plus one record, in either capture format.
 /// Unreadable, empty or unrecognized files report 0 — the plan still
-/// includes them, and `run_shards` surfaces the real error.
+/// includes them, and `run_shards` surfaces the real error. Anything but
+/// a regular file reports 0 unread: a pipe hands its bytes to one reader
+/// only, and that reader must be the analysis.
 net::TimeUs peek_first_timestamp(const std::filesystem::path& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return 0;
   try {
     net::RawFrame frame;
     const auto status = pcap::looks_like_pcapng(path) ? pcap::NgReader::open(path).next(frame)

@@ -24,9 +24,10 @@ namespace synscan::core {
 /// One capture in execution order.
 struct ShardPlanEntry {
   std::filesystem::path capture;
-  /// First record timestamp; 0 when the capture is unreadable or empty
-  /// (such shards sort first and fail later, at analysis time, with a
-  /// real error instead of a planning error).
+  /// First record timestamp; 0 when the capture is unreadable, empty or
+  /// not a regular file (such shards sort first; an unreadable one fails
+  /// later, at analysis time, with a real error instead of a planning
+  /// error, and a pipe is read once, by the analysis).
   net::TimeUs first_timestamp_us = 0;
 };
 
@@ -36,8 +37,8 @@ struct ShardPlan {
 };
 
 /// Orders `captures` by first record timestamp (path as tie-break).
-/// Reads only the header and first record of each file, classic pcap or
-/// pcapng.
+/// Reads only the header and first record of each regular file, classic
+/// pcap or pcapng; any other path plans at 0 unread.
 [[nodiscard]] ShardPlan plan_shards(std::span<const std::filesystem::path> captures);
 
 struct ShardRunOptions {

@@ -69,10 +69,10 @@ FrameClass Sensor::classify(const net::RawFrame& raw, ScanProbe& probe) {
 
 namespace detail {
 
-// One frame of the batch classifier (shared with the SIMD kernels and
-// core::FrameBatcher via classify_detail.h). Every early return mirrors a rejection in
-// decode_frame/classify so the counter histogram stays bit-identical to
-// the record-at-a-time path.
+// One frame of the batch classifier (core::FrameBatcher's only
+// classifier, via classify_detail.h). Every early return mirrors a
+// rejection in decode_frame/classify so the counter histogram stays
+// bit-identical to the record-at-a-time path.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
                         std::span<const std::uint8_t> bytes, SensorCounters& counters,
                         ProbeCursor& out) {

@@ -10,10 +10,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/shard.h"
+#include "net/endian.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
 #include "report/json.h"
@@ -115,6 +120,26 @@ struct StoreFixture : ::testing::Test {
     file.seekp(pos);
     file.write(&byte, 1);
   }
+
+  /// Overwrites the u32 at `payload_offset` and recomputes the header
+  /// checksum, so the crafted payload passes every header check and
+  /// reaches the parser (FNV-1a detects accidents, not forgeries).
+  void rewrite_payload_u32(std::size_t payload_offset, std::uint32_t value) const {
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in(rollup_path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_GE(bytes.size(), kHeader + payload_offset + 4);
+    net::store_le32(bytes.data() + kHeader + payload_offset, value);
+    net::store_le64(bytes.data() + 56, fnv1a(std::span(bytes).subspan(kHeader)));
+    std::ofstream out(rollup_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// `.spr` v1 header size; the payload follows it.
+  static constexpr std::size_t kHeader = 64;
 };
 
 /// The equality surface: the report JSON the merged analysis serves.
@@ -226,29 +251,58 @@ TEST_F(StoreFixture, SweepIntervalDoesNotInvalidateRollup) {
 
 TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   const auto reference = report_of(capture, false);
-
-  // Build the store, then corrupt it: the run must re-analyze (a miss),
-  // rewrite the rollup, and still produce the reference report.
-  {
+  const auto run_store = [&] {
     const auto plan = plan_shards(std::vector<fs::path>{capture});
     ShardRunOptions options;
     options.workers = 1;
     options.ingest.use_cache = false;
-    const auto built = run_shards(plan, test_telescope(),
-                                  enrich::InternetRegistry::synthetic_default(),
-                                  TrackerConfig{}, options);
+    return run_shards(plan, test_telescope(),
+                      enrich::InternetRegistry::synthetic_default(), TrackerConfig{},
+                      options);
+  };
+
+  // Build the store.
+  {
+    const auto built = run_store();
     EXPECT_EQ(built.stats.store_misses, 1u);
     EXPECT_EQ(built.stats.store_writes, 1u);
   }
-  corrupt_byte(10);
+  const auto stored = load();
+  ASSERT_TRUE(stored.has_value());
+  ASSERT_FALSE(stored->segments.empty());
+
+  // Payload offset of the first segment's u32 port count: the fixed
+  // prefix (frames, status, from_cache, max timestamp, 10 sensor and 11
+  // tracker counters), the campaign count and rows, the segment count,
+  // then the segment's fixed fields and destination list.
+  std::size_t first_ports = 8 + 4 + 1 + 8 + 10 * 8 + 11 * 8 + 8;
+  for (const auto& campaign : stored->campaigns) {
+    first_ports += 69 + 10 * campaign.port_packets.size();
+  }
+  first_ports += 8 + 4 + 1 + 3 * 8 + 8 + 4 * stored->segments.front().destinations.size();
   {
-    const auto plan = plan_shards(std::vector<fs::path>{capture});
-    ShardRunOptions options;
-    options.workers = 1;
-    options.ingest.use_cache = false;
-    auto run = run_shards(plan, test_telescope(),
-                          enrich::InternetRegistry::synthetic_default(),
-                          TrackerConfig{}, options);
+    std::ifstream in(rollup_path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(kHeader + first_ports));
+    std::uint8_t word[4] = {};
+    in.read(reinterpret_cast<char*>(word), 4);
+    ASSERT_EQ(net::load_le32(word), stored->segments.front().port_packets.size())
+        << "the .spr layout moved; re-derive the port count offset";
+  }
+
+  // Each defect must cost a re-analysis (a miss), rewrite the rollup and
+  // still produce the reference report; the rewrite heals the store, so
+  // the next run hits.
+  const std::vector<std::pair<std::string, std::function<void()>>> defects = {
+      {"flipped payload byte", [&] { corrupt_byte(10); }},
+      {"first segment's port count 0xfffffff0",
+       [&] { rewrite_payload_u32(first_ports, 0xfffffff0u); }},
+      {"terminal status 9", [&] { rewrite_payload_u32(8, 9); }},
+  };
+  for (const auto& [label, corrupt] : defects) {
+    SCOPED_TRACE(label);
+    corrupt();
+    EXPECT_FALSE(load().has_value());
+    auto run = run_store();
     EXPECT_EQ(run.stats.store_hits, 0u);
     EXPECT_EQ(run.stats.store_misses, 1u);
     EXPECT_EQ(run.stats.store_writes, 1u);
@@ -257,9 +311,8 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
     out.push_back('\n');
     report::append_campaigns_jsonl(out, run.analysis.result.campaigns);
     EXPECT_EQ(out, reference);
+    EXPECT_EQ(report_of(capture, true), reference);
   }
-  // The rewrite healed the store: the next run hits.
-  EXPECT_EQ(report_of(capture, true), reference);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "pcap/pcap.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
-#include "telescope/simd.h"
 #include "test_support.h"
 
 namespace synscan {
@@ -589,21 +588,8 @@ TEST_F(IngestDialects, EveryTruncationAndHeaderByteFlipMatchesStreamReader) {
   }
 }
 
-/// Restores the SIMD dispatch level a test overrode.
-class SimdLevelGuard {
- public:
-  SimdLevelGuard() : saved_(telescope::simd::active_level()) {}
-  ~SimdLevelGuard() { telescope::simd::set_active_level(saved_); }
-  SimdLevelGuard(const SimdLevelGuard&) = delete;
-  SimdLevelGuard& operator=(const SimdLevelGuard&) = delete;
-
- private:
-  telescope::simd::SimdLevel saved_;
-};
-
-/// The full cold-path configuration matrix — SIMD dispatch × scan
-/// parallelism — pinned to one scalar/serial reference, cache bytes
-/// included.
+/// The cold-path configuration matrix — scan parallelism — pinned to
+/// one serial reference, cache bytes included.
 /// The capture must clear the 4 MiB chunked-scan floor in
 /// core/ingest.cpp, so it is synthesized directly (~7 MB) rather than
 /// through the slower simgen pipeline.
@@ -671,10 +657,6 @@ class IngestMatrix : public ::testing::Test {
 };
 
 TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
-  const SimdLevelGuard guard;
-  namespace simd = telescope::simd;
-
-  simd::set_active_level(simd::SimdLevel::kScalar);
   core::IngestOptions reference_options;
   reference_options.use_cache = false;
   reference_options.scan_chunks = 1;
@@ -683,41 +665,36 @@ TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
   ASSERT_EQ(reference.result.status, pcap::ReadStatus::kEndOfFile);
   ASSERT_EQ(reference.result.chunks, 1u);
 
-  // Cache bytes must depend only on the probe stream, never on which
-  // classify kernel or how many scan chunks produced them.
+  // Cache bytes must depend only on the probe stream, never on how many
+  // scan chunks produced them.
   std::vector<char> first_cache;
 
-  int combo = 0;
-  for (const auto level : {simd::SimdLevel::kScalar, simd::detected_level()}) {
-    for (const std::size_t chunks : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(std::string("level=") + simd::to_string(level) +
-                   " chunks=" + std::to_string(chunks));
-      simd::set_active_level(level);
-      core::IngestOptions options;
-      options.scan_chunks = chunks;
-      options.cache_path = dir_ / ("matrix_" + std::to_string(combo++) + ".spc");
-      const auto cold = run(options);
+  for (const std::size_t chunks : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    core::IngestOptions options;
+    options.scan_chunks = chunks;
+    options.cache_path = dir_ / ("matrix_" + std::to_string(chunks) + ".spc");
+    const auto cold = run(options);
 
-      EXPECT_FALSE(cold.result.from_cache);
-      EXPECT_EQ(cold.result.frames, reference.result.frames);
-      EXPECT_EQ(cold.result.status, reference.result.status);
-      if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
-      expect_same_probes(cold.probes, reference.probes);
-      expect_same_sensor(cold.result.sensor, reference.result.sensor);
+    EXPECT_FALSE(cold.result.from_cache);
+    EXPECT_EQ(cold.result.frames, reference.result.frames);
+    EXPECT_EQ(cold.result.status, reference.result.status);
+    if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
+    expect_same_probes(cold.probes, reference.probes);
+    expect_same_sensor(cold.result.sensor, reference.result.sensor);
 
-      const auto bytes = testing::slurp(options.cache_path);
-      ASSERT_FALSE(bytes.empty());
-      if (first_cache.empty()) first_cache = bytes;
-      EXPECT_TRUE(first_cache == bytes)
-          << "cache bytes differ from the first file: the .spc is not "
-             "path-independent";
+    const auto bytes = testing::slurp(options.cache_path);
+    ASSERT_FALSE(bytes.empty());
+    if (first_cache.empty()) first_cache = bytes;
+    EXPECT_TRUE(first_cache == bytes)
+        << "cache bytes differ from the first file: the .spc is not "
+           "path-independent";
 
-      // And the warm read of what this combo wrote round-trips.
-      const auto warm = run(options);
-      EXPECT_TRUE(warm.result.from_cache);
-      expect_same_probes(warm.probes, reference.probes);
-      expect_same_sensor(warm.result.sensor, reference.result.sensor);
-    }
+    // And the warm read of what this configuration wrote round-trips.
+    const auto warm = run(options);
+    EXPECT_TRUE(warm.result.from_cache);
+    expect_same_probes(warm.probes, reference.probes);
+    expect_same_sensor(warm.result.sensor, reference.result.sensor);
   }
 }
 

@@ -245,5 +245,15 @@ TEST_F(RollupDifferential, PcapngShardsPlanByCaptureTime) {
   EXPECT_EQ(report_bytes(merged.analysis), reference);
 }
 
+TEST_F(RollupDifferential, FifoShardMatchesRegularFile) {
+  // A capture that can be read only once (a FIFO, `/dev/stdin`) must
+  // reach the analysis whole: planning may not read it first.
+  const auto reference = run({whole_}, true, 1);
+  const testing::FifoFeed fifo(dir_ / "whole.fifo", whole_);
+  const auto piped = run({fifo.path()}, true, 1);
+  EXPECT_EQ(piped.analysis.frames, reference.analysis.frames);
+  EXPECT_EQ(report_bytes(piped.analysis), report_bytes(reference.analysis));
+}
+
 }  // namespace
 }  // namespace synscan

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/ingest.h"
 #include "net/endian.h"
-#include "telescope/simd.h"
 #include "test_support.h"
 
 namespace synscan::telescope {
@@ -41,27 +41,28 @@ TEST(ProbeBatch, PushBackGetRoundTrip) {
   EXPECT_TRUE(batch.empty());
 }
 
-/// Restores the SIMD dispatch level a test overrode.
-class SimdLevelGuard {
- public:
-  SimdLevelGuard() : saved_(simd::active_level()) {}
-  ~SimdLevelGuard() { simd::set_active_level(saved_); }
-  SimdLevelGuard(const SimdLevelGuard&) = delete;
-  SimdLevelGuard& operator=(const SimdLevelGuard&) = delete;
-
- private:
-  simd::SimdLevel saved_;
-};
-
 class ClassifyBatchDifferential : public ::testing::Test {
  protected:
   ClassifyBatchDifferential()
       : telescope_({{*net::Ipv4Prefix::parse("203.0.113.0/24"), 1000}},
                    {{23, 1000 * net::kMicrosPerSecond}}) {}
 
+  /// What a `core::FrameBatcher` made of a frame sequence.
+  struct Batched {
+    ProbeBatch probes;  ///< every delivered batch, concatenated
+    SensorCounters counters;
+  };
+
   /// Runs the same frames through `classify` and `core::FrameBatcher`
   /// and asserts identical probes and counters.
   void expect_equivalent(const std::vector<net::RawFrame>& frames) {
+    expect_matches_reference(frames, batch_frames(frames));
+  }
+
+  /// Asserts that `batched` holds exactly the probes and counters
+  /// `Sensor::classify` makes of `frames`.
+  void expect_matches_reference(const std::vector<net::RawFrame>& frames,
+                                const Batched& batched) {
     Sensor reference(telescope_);
     std::vector<ScanProbe> expected;
     ScanProbe probe;
@@ -71,7 +72,6 @@ class ClassifyBatchDifferential : public ::testing::Test {
       }
     }
 
-    const auto batched = batch_frames(frames);
     const auto& batch = batched.probes;
 
     EXPECT_TRUE(same_counters(reference.counters(), batched.counters))
@@ -82,31 +82,30 @@ class ClassifyBatchDifferential : public ::testing::Test {
     }
   }
 
-  /// What a `core::FrameBatcher` made of a frame sequence.
-  struct Batched {
-    ProbeBatch probes;  ///< every delivered batch, concatenated
-    SensorCounters counters;
-    std::uint64_t simd_rows = 0;
-  };
-
-  /// Pushes `frames` through a `core::FrameBatcher` at the active SIMD
-  /// level.
-  Batched batch_frames(const std::vector<net::RawFrame>& frames) {
+  /// Runs one `core::FrameBatcher` through `feed` and collects what it
+  /// delivered.
+  template <class Feed>
+  Batched run_batcher(Feed feed) {
     Batched out;
     core::FrameBatcher batcher(telescope_, [&out](const ProbeBatch& batch) {
       for (std::size_t i = 0; i < batch.size(); ++i) out.probes.push_back(batch.get(i));
     });
-    for (const auto& frame : frames) batcher.push(frame);
+    feed(batcher);
     out.counters = batcher.finish();
-    out.simd_rows = batcher.simd_rows();
     return out;
+  }
+
+  /// Pushes `frames` through a `core::FrameBatcher`.
+  Batched batch_frames(const std::vector<net::RawFrame>& frames) {
+    return run_batcher([&frames](core::FrameBatcher& batcher) {
+      for (const auto& frame : frames) batcher.push(frame);
+    });
   }
 
   net::Ipv4Address dark_dst() { return net::Ipv4Address::from_octets(203, 0, 113, 7); }
   net::Ipv4Address src() { return net::Ipv4Address::from_octets(93, 184, 216, 34); }
 
-  /// One frame of every sensor class — the decision-table sweep shared
-  /// by the per-level differential runs.
+  /// One frame of every sensor class — the decision-table sweep.
   std::vector<net::RawFrame> class_sweep_frames();
 
   Telescope telescope_;
@@ -150,47 +149,30 @@ TEST_F(ClassifyBatchDifferential, EveryFrameClassMatches) {
   expect_equivalent(class_sweep_frames());
 }
 
-TEST_F(ClassifyBatchDifferential, EveryCompiledSimdLevelMatchesScalarReference) {
-  // The per-frame `classify` reference inside expect_equivalent is
-  // always scalar, so forcing each dispatch tier turns the existing
-  // differential into a kernel-vs-reference matrix. Requests above what
-  // the host can run are clamped, so this passes (vacuously narrower)
-  // everywhere.
-  const SimdLevelGuard guard;
-  for (const auto level : {simd::SimdLevel::kScalar, simd::SimdLevel::kSse2,
-                           simd::SimdLevel::kAvx2}) {
-    simd::set_active_level(level);
-    SCOPED_TRACE(simd::to_string(simd::active_level()));
-    auto frames = class_sweep_frames();
-    // Long uniform probe runs fill complete 4/8-wide lane groups; the
-    // sweep's irregular frames force groups to break, flush scalar and
-    // reform mid-batch.
-    for (std::uint32_t i = 0; i < 64; ++i) {
-      frames.push_back({static_cast<net::TimeUs>(100 + i),
-                        testing::syn_frame(src(), dark_dst(),
-                                           static_cast<std::uint16_t>(80 + i % 3))});
+TEST_F(ClassifyBatchDifferential, ConsumeReadsBytesOnlyDuringTheCall) {
+  // `consume` borrows a frame's bytes for the call alone. Every frame
+  // here passes through one buffer that is overwritten with 0xff right
+  // after the call, so a batcher that kept the pointer past the call —
+  // to classify frames in groups, say — would classify garbage.
+  auto frames = class_sweep_frames();
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    frames.push_back({static_cast<net::TimeUs>(100 + i),
+                      testing::syn_frame(src(), dark_dst(),
+                                         static_cast<std::uint16_t>(80 + i % 3))});
+  }
+  std::size_t longest = 0;
+  for (const auto& frame : frames) longest = std::max(longest, frame.bytes.size());
+
+  std::vector<std::uint8_t> buffer(longest, 0xff);
+  const auto batched = run_batcher([&](core::FrameBatcher& batcher) {
+    for (const auto& frame : frames) {
+      std::copy(frame.bytes.begin(), frame.bytes.end(), buffer.begin());
+      batcher.consume(frame.timestamp_us, buffer.data(),
+                      static_cast<std::uint32_t>(frame.bytes.size()));
+      std::fill(buffer.begin(), buffer.end(), std::uint8_t{0xff});
     }
-    expect_equivalent(frames);
-  }
-}
-
-TEST_F(ClassifyBatchDifferential, SimdRowsCountOnlyVectorResolvedFrames) {
-  const SimdLevelGuard guard;
-  std::vector<net::RawFrame> frames;
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    frames.push_back({static_cast<net::TimeUs>(i),
-                      testing::syn_frame(src(), dark_dst(), 80)});
-  }
-  simd::set_active_level(simd::SimdLevel::kScalar);
-  const auto scalar = batch_frames(frames);
-  EXPECT_EQ(scalar.simd_rows, 0u);
-
-  if (simd::detected_level() != simd::SimdLevel::kScalar) {
-    simd::set_active_level(simd::detected_level());
-    const auto vectored = batch_frames(frames);
-    EXPECT_GT(vectored.simd_rows, 0u);
-    EXPECT_EQ(vectored.probes.size(), scalar.probes.size());
-  }
+  });
+  expect_matches_reference(frames, batched);
 }
 
 TEST_F(ClassifyBatchDifferential, MutatedFramesNeverDiverge) {
