@@ -216,13 +216,13 @@ PathResult run_cold_ingest(const fs::path& path) {
 }
 
 void fill_result(PathResult& result, core::PipelineResult pipeline_result,
-                 const core::PortTally& ports, const core::TypeTally& types,
-                 const core::GeoTally& geo) {
+                 const core::PortTally& ports) {
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
   result.campaigns = pipeline_result.campaigns.size();
   result.tracker_probes = pipeline_result.tracker.probes;
   result.port_packets = ports.total_packets();
-  result.type_sources = types.total_sources();
-  result.geo_packets = geo.total_packets();
+  result.type_sources = core::TypeView(ports, registry).total_sources();
+  result.geo_packets = core::GeoView(ports, registry).total_packets();
   report::append_counters_json(result.report, pipeline_result);
   result.report.push_back('\n');
   report::append_campaigns_jsonl(result.report, pipeline_result.campaigns);
@@ -231,14 +231,9 @@ void fill_result(PathResult& result, core::PipelineResult pipeline_result,
 /// Per-probe reference: every row materialized, observers on `on_probe`.
 PathResult run_reference(const fs::path& path) {
   PathResult result;
-  const auto& registry = enrich::InternetRegistry::synthetic_default();
   core::Pipeline pipeline(bench_telescope());
   core::PortTally ports;
-  core::TypeTally types(registry);
-  core::GeoTally geo(registry);
   pipeline.add_observer(ports);
-  pipeline.add_observer(types);
-  pipeline.add_observer(geo);
   const auto start = std::chrono::steady_clock::now();
   const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
                                            [&](const telescope::ProbeBatch& batch) {
@@ -252,21 +247,16 @@ PathResult run_reference(const fs::path& path) {
   auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  fill_result(result, std::move(pipeline_result), ports, types, geo);
+  fill_result(result, std::move(pipeline_result), ports);
   return result;
 }
 
 /// Batch-native serial path: `feed_probes` + `observe_batch`.
 PathResult run_batched(const fs::path& path) {
   PathResult result;
-  const auto& registry = enrich::InternetRegistry::synthetic_default();
   core::Pipeline pipeline(bench_telescope());
   core::PortTally ports;
-  core::TypeTally types(registry);
-  core::GeoTally geo(registry);
   pipeline.add_observer(ports);
-  pipeline.add_observer(types);
-  pipeline.add_observer(geo);
   const auto start = std::chrono::steady_clock::now();
   const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
                                            [&](const telescope::ProbeBatch& batch) {
@@ -277,7 +267,7 @@ PathResult run_batched(const fs::path& path) {
   auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  fill_result(result, std::move(pipeline_result), ports, types, geo);
+  fill_result(result, std::move(pipeline_result), ports);
   return result;
 }
 
@@ -285,14 +275,9 @@ PathResult run_batched(const fs::path& path) {
 /// `analyze --workers=N` shape).
 PathResult run_parallel(const fs::path& path, std::size_t workers) {
   PathResult result;
-  const auto& registry = enrich::InternetRegistry::synthetic_default();
   core::Pipeline pipeline(bench_telescope(), workers);
   core::PortTally ports;
-  core::TypeTally types(registry);
-  core::GeoTally geo(registry);
   pipeline.add_observer(ports);
-  pipeline.add_observer(types);
-  pipeline.add_observer(geo);
   const auto start = std::chrono::steady_clock::now();
   const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
                                            [&](const telescope::ProbeBatch& batch) {
@@ -303,7 +288,7 @@ PathResult run_parallel(const fs::path& path, std::size_t workers) {
   auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  fill_result(result, std::move(pipeline_result), ports, types, geo);
+  fill_result(result, std::move(pipeline_result), ports);
   return result;
 }
 

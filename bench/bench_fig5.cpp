@@ -17,13 +17,15 @@ int main(int argc, char** argv) {
   auto config = simgen::year_config(year, options.scale);
   if (options.seed) config.seed = *options.seed;
 
-  core::TypeTally types(bench::shared_registry());
+  core::PortTally tally;
   core::Pipeline pipeline(bench::shared_telescope());
-  pipeline.add_observer(types);
+  pipeline.add_observer(tally);
   bench::generate_into(pipeline, config);
   (void)pipeline.finish();
+  const core::TypeView types(tally, bench::shared_registry());
 
-  auto ports = types.top_ports(15);
+  std::vector<std::uint16_t> ports;
+  for (const auto& row : tally.top_ports_by_packets(15)) ports.push_back(row.port);
   // Always include the paper's two call-out ports.
   for (const std::uint16_t wanted : {static_cast<std::uint16_t>(443),
                                      static_cast<std::uint16_t>(8545)}) {

@@ -18,11 +18,12 @@ int main(int argc, char** argv) {
     if (options.year && year != *options.year) continue;
     auto config = simgen::year_config(year, options.scale);
     if (options.seed) config.seed = *options.seed;
-    core::GeoTally geo(bench::shared_registry());
+    core::PortTally tally;
     core::Pipeline pipeline(bench::shared_telescope());
-    pipeline.add_observer(geo);
+    pipeline.add_observer(tally);
     bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
+    const core::GeoView geo(tally, bench::shared_registry());
 
     std::vector<std::string> row{std::to_string(year)};
     for (const auto& share : geo.top_countries(5)) {
@@ -82,7 +83,6 @@ int main(int argc, char** argv) {
       }
     }
     if (year == 2018) {
-      core::GeoTally unused(bench::shared_registry());
       const auto masscan_mix = core::tool_country_mix(result.campaigns,
                                                       bench::shared_registry(),
                                                       fingerprint::Tool::kMasscan, 2);

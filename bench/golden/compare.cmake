@@ -1,20 +1,23 @@
-# Runs one paper bench and compares its stdout, byte for byte, with the
+# Runs one binary and compares its stdout, byte for byte, with the
 # checked-in golden file. On a mismatch the test fails and prints the
-# first differing line of each.
+# first differing line of each. ARGS is the binary's argument list, as
+# one space-separated string.
 #
-#   cmake -DBENCH=<bench binary> -DGOLDEN=<golden file> -DSCALE=64 -P compare.cmake
+#   cmake -DBINARY=<binary> -DARGS=<arguments> -DGOLDEN=<golden file> -P compare.cmake
 #
 # A deliberate output change regenerates the golden file, so the change
 # shows up as its diff:
 #
 #   build/bench/bench_table1 --scale=64 > bench/golden/bench_table1.txt
+#   (cd build/examples && ./quickstart quickstart.pcap) > examples/golden/quickstart.txt
 cmake_minimum_required(VERSION 3.22)
 
-execute_process(COMMAND "${BENCH}" "--scale=${SCALE}"
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${BINARY}" ${args}
   OUTPUT_VARIABLE actual
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "${BENCH} --scale=${SCALE} exited with status ${status}")
+  message(FATAL_ERROR "${BINARY} ${ARGS} exited with status ${status}")
 endif()
 file(READ "${GOLDEN}" expected)
 if(actual STREQUAL expected)
@@ -49,6 +52,6 @@ foreach(side expected actual)
     string(APPEND ${side}_line "<no newline at end of output>")
   endif()
 endforeach()
-message(FATAL_ERROR "${BENCH} --scale=${SCALE} differs from ${GOLDEN} at line ${line}:\n"
+message(FATAL_ERROR "${BINARY} ${ARGS} differs from ${GOLDEN} at line ${line}:\n"
   "  golden: ${expected_line}\n"
-  "  bench:  ${actual_line}")
+  "  actual: ${actual_line}")

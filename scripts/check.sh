@@ -70,6 +70,19 @@ cmp "${workdir}/offline.jsonl" "${workdir}/daemon.jsonl" || {
   echo "synscand smoke: daemon QUERY analyze diverged from offline --json" >&2
   exit 1
 }
+# ROLLUP: the window plus one from another year as a shard set. The
+# daemon's merge must be byte-identical to the offline store-off
+# rollup query of the same captures.
+"${cli}" simulate --year=2021 --scale=128 --days=1 --out="${workdir}/window2021.pcap"
+"${cli}" rollup query "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
+  --no-rollup-store --json="${workdir}/rollup_offline.jsonl" > /dev/null
+"${cli}" query --socket="${sock}" ROLLUP "${workdir}/window.pcap" \
+  "${workdir}/window2021.pcap" > /dev/null
+"${cli}" query --socket="${sock}" QUERY analyze > "${workdir}/rollup_daemon.jsonl"
+cmp "${workdir}/rollup_offline.jsonl" "${workdir}/rollup_daemon.jsonl" || {
+  echo "synscand smoke: daemon ROLLUP diverged from offline rollup query" >&2
+  exit 1
+}
 "${cli}" query --socket="${sock}" SHUTDOWN
 wait "${serve_pid}"
 trap - EXIT

@@ -186,8 +186,8 @@ int run_analyze(const std::vector<std::string>& args) {
   }
   std::cout << "-- top ports by packets --\n" << ports << "\n";
 
-  const auto type_table = core::type_share_table(
-      analysis.types, campaigns, enrich::InternetRegistry::synthetic_default());
+  const auto type_table =
+      core::type_share_table(analysis.types(), campaigns, *analysis.registry);
   report::Table types({"scanner type", "sources", "scans", "packets"});
   for (const auto& row : type_table) {
     types.add_row({std::string(enrich::to_string(row.type)),
@@ -198,7 +198,7 @@ int run_analyze(const std::vector<std::string>& args) {
   std::cout << "-- scanner types --\n" << types << "\n";
 
   report::Table countries({"country", "packets", "share"});
-  for (const auto& row : analysis.geo.top_countries(top_n)) {
+  for (const auto& row : analysis.geo().top_countries(top_n)) {
     countries.add_row({row.country.to_string(), std::to_string(row.packets),
                        report::percent(row.share)});
   }

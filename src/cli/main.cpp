@@ -59,7 +59,8 @@ void print_usage(std::ostream& os) {
         "            [--workers=<n>] [--io-workers=<n>] [--idle-timeout-ms=<n>]\n"
         "            [--poll] [--metrics]   protocol spec: docs/SYNSCAND.md\n"
         "  query:    --socket=<path> | --port=<n> [--host=<ip>] <command...>\n"
-        "            e.g. PING | STATUS | LOAD <pcap> | QUERY analyze | SHUTDOWN\n"
+        "            e.g. PING | STATUS | LOAD <pcap> | ROLLUP <pcap...> |\n"
+        "            QUERY analyze | SHUTDOWN\n"
         "  cache:    stat <file.spc> | verify <file.spc> [--capture=<pcap>] |\n"
         "            build <capture.pcap> [--out=<file.spc>]\n"
         "            [--force] [--scan-chunks=<n>]\n"

@@ -1,23 +1,23 @@
 #include "core/analysis_geo.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace synscan::core {
 namespace {
 
-constexpr std::uint32_t port_country_key(std::uint16_t port,
-                                         enrich::CountryCode country) noexcept {
-  return (static_cast<std::uint32_t>(port) << 16) | country.packed();
+constexpr std::uint32_t port_country_key(std::uint16_t port, std::uint32_t packed) noexcept {
+  return (static_cast<std::uint32_t>(port) << 16) | packed;
 }
 
-std::vector<GeoTally::CountryShare> rank(std::vector<GeoTally::CountryShare> rows,
-                                         std::uint64_t total, std::size_t n) {
-  std::sort(rows.begin(), rows.end(),
-            [](const GeoTally::CountryShare& a, const GeoTally::CountryShare& b) {
-              return a.packets != b.packets ? a.packets > b.packets
-                                            : a.country < b.country;
-            });
+enrich::CountryCode country_from(std::uint32_t packed) {
+  return enrich::CountryCode::from_packed(static_cast<std::uint16_t>(packed));
+}
+
+std::vector<CountryShare> rank(std::vector<CountryShare> rows, std::uint64_t total,
+                               std::size_t n) {
+  std::sort(rows.begin(), rows.end(), [](const CountryShare& a, const CountryShare& b) {
+    return a.packets != b.packets ? a.packets > b.packets : a.country < b.country;
+  });
   if (rows.size() > n) rows.resize(n);
   for (auto& row : rows) {
     row.share =
@@ -28,103 +28,68 @@ std::vector<GeoTally::CountryShare> rank(std::vector<GeoTally::CountryShare> row
 
 }  // namespace
 
-void GeoTally::on_probe(const telescope::ScanProbe& probe) {
-  const auto country = registry_->country_of(probe.source);
-  ++total_;
-  ++packets_per_country_[country.packed()];
-  ++packets_per_port_country_[port_country_key(probe.destination_port, country)];
-  packets_per_port_.add(probe.destination_port, 1);
-}
-
-void GeoTally::observe_batch(const telescope::ProbeBatch& batch,
-                             std::span<const std::uint32_t> rows) {
-  total_ += rows.size();
-  for (const auto row : rows) {
-    const auto source = batch.source[row];
-    if (!memo_valid_ || source != memo_source_) {
-      memo_country_ = registry_->country_of(net::Ipv4Address(source));
-      memo_source_ = source;
-      memo_valid_ = true;
+GeoView::GeoView(const PortTally& ports, const enrich::InternetRegistry& registry) {
+  for (const auto& [source, port_packets] : ports.per_source()) {
+    const auto packed = registry.country_of(net::Ipv4Address(source)).packed();
+    std::uint64_t source_packets = 0;
+    for (const auto [port, packets] : port_packets) {
+      packets_per_port_country_[port_country_key(port, packed)] += packets;
+      source_packets += packets;
     }
-    const auto port = batch.destination_port[row];
-    ++packets_per_country_[memo_country_.packed()];
-    ++packets_per_port_country_[port_country_key(port, memo_country_)];
-    packets_per_port_.add(port, 1);
+    packets_per_country_[packed] += source_packets;
+    total_ += source_packets;
   }
 }
 
-void GeoTally::merge(const GeoTally& other) {
-  if (registry_ != other.registry_) {
-    throw std::invalid_argument("GeoTally::merge: registry mismatch");
-  }
-  total_ += other.total_;
-  other.packets_per_country_.for_each(
-      [&](std::uint32_t packed, std::uint64_t packets) {
-        packets_per_country_[packed] += packets;
-      });
-  other.packets_per_port_country_.for_each(
-      [&](std::uint32_t key, std::uint64_t packets) {
-        packets_per_port_country_[key] += packets;
-      });
-  for (const auto [port, packets] : other.packets_per_port_) {
-    packets_per_port_.add(port, packets);
-  }
-}
-
-std::vector<GeoTally::CountryShare> GeoTally::top_countries(std::size_t n) const {
+std::vector<CountryShare> GeoView::top_countries(std::size_t n) const {
   std::vector<CountryShare> rows;
   rows.reserve(packets_per_country_.size());
   for (const auto& [packed, packets] : packets_per_country_) {
-    rows.push_back({enrich::CountryCode::from_packed(static_cast<std::uint16_t>(packed)),
-                    packets, 0.0});
+    rows.push_back({country_from(packed), packets, 0.0});
   }
   return rank(std::move(rows), total_, n);
 }
 
-double GeoTally::country_share(enrich::CountryCode country) const {
+double GeoView::country_share(enrich::CountryCode country) const {
   const auto* packets = packets_per_country_.find(country.packed());
   if (packets == nullptr || total_ == 0) return 0.0;
   return static_cast<double>(*packets) / static_cast<double>(total_);
 }
 
 // The result is a one-shot summary; see the header for why the std map
-// type stays.  synscan-lint: allow-file(hot-path-container)
-std::unordered_map<enrich::CountryCode, std::uint32_t> GeoTally::dominated_ports(
+// type stays.
+// synscan-lint: allow(hot-path-container)
+std::unordered_map<enrich::CountryCode, std::uint32_t> GeoView::dominated_ports(
     double threshold, std::uint64_t min_packets) const {
+  PortPacketMap port_totals;
+  for (const auto& [key, packets] : packets_per_port_country_) {
+    port_totals.add(static_cast<std::uint16_t>(key >> 16), packets);
+  }
+  // synscan-lint: allow(hot-path-container)
   std::unordered_map<enrich::CountryCode, std::uint32_t> dominated;
-  for (const auto& [port, port_total] : packets_per_port_) {
-    if (port_total < min_packets) continue;
-    for (const auto& [packed, unused] : packets_per_country_) {
-      const auto country =
-          enrich::CountryCode::from_packed(static_cast<std::uint16_t>(packed));
-      const auto* packets =
-          packets_per_port_country_.find(port_country_key(port, country));
-      if (packets == nullptr) continue;
-      if (static_cast<double>(*packets) > threshold * static_cast<double>(port_total)) {
-        ++dominated[country];
-        break;  // at most one country can exceed a >50% threshold
-      }
+  for (const auto& [key, packets] : packets_per_port_country_) {
+    const auto port_total = port_totals.get(static_cast<std::uint16_t>(key >> 16));
+    if (port_total >= min_packets &&
+        static_cast<double>(packets) > threshold * static_cast<double>(port_total)) {
+      ++dominated[country_from(key & 0xffffu)];
     }
   }
   return dominated;
 }
 
-std::vector<GeoTally::CountryShare> GeoTally::port_country_mix(std::uint16_t port,
-                                                               std::size_t n) const {
+std::vector<CountryShare> GeoView::port_country_mix(std::uint16_t port, std::size_t n) const {
   std::vector<CountryShare> rows;
   std::uint64_t port_total = 0;
   for (const auto& [packed, unused] : packets_per_country_) {
-    const auto country =
-        enrich::CountryCode::from_packed(static_cast<std::uint16_t>(packed));
-    const auto* packets = packets_per_port_country_.find(port_country_key(port, country));
+    const auto* packets = packets_per_port_country_.find(port_country_key(port, packed));
     if (packets == nullptr) continue;
-    rows.push_back({country, *packets, 0.0});
+    rows.push_back({country_from(packed), *packets, 0.0});
     port_total += *packets;
   }
   return rank(std::move(rows), port_total, n);
 }
 
-std::vector<GeoTally::NormalizedIntensity> GeoTally::normalized_intensity(
+std::vector<NormalizedIntensity> GeoView::normalized_intensity(
     const enrich::InternetRegistry& registry, std::size_t n) const {
   FlatHashMap<std::uint32_t, std::uint64_t> addresses;
   for (const auto& record : registry.records()) {
@@ -135,7 +100,7 @@ std::vector<GeoTally::NormalizedIntensity> GeoTally::normalized_intensity(
     const auto* allocation = addresses.find(packed);
     if (allocation == nullptr || *allocation == 0) continue;
     NormalizedIntensity row;
-    row.country = enrich::CountryCode::from_packed(static_cast<std::uint16_t>(packed));
+    row.country = country_from(packed);
     row.packets = packets;
     row.addresses = *allocation;
     row.packets_per_k_addresses =
@@ -144,37 +109,25 @@ std::vector<GeoTally::NormalizedIntensity> GeoTally::normalized_intensity(
   }
   std::sort(rows.begin(), rows.end(),
             [](const NormalizedIntensity& a, const NormalizedIntensity& b) {
-              return a.packets_per_k_addresses > b.packets_per_k_addresses;
+              return a.packets_per_k_addresses != b.packets_per_k_addresses
+                         ? a.packets_per_k_addresses > b.packets_per_k_addresses
+                         : a.country < b.country;
             });
   if (rows.size() > n) rows.resize(n);
   return rows;
 }
 
-std::vector<GeoTally::CountryShare> campaign_country_shares(
-    std::span<const Campaign> campaigns, const enrich::InternetRegistry& registry,
-    std::size_t n) {
+std::vector<CountryShare> campaign_country_shares(std::span<const Campaign> campaigns,
+                                                  const enrich::InternetRegistry& registry,
+                                                  std::size_t n) {
   FlatHashMap<std::uint32_t, std::uint64_t> counts;
   for (const auto& campaign : campaigns) {
     ++counts[registry.country_of(campaign.source).packed()];
   }
-  std::vector<GeoTally::CountryShare> rows;
+  std::vector<CountryShare> rows;
   rows.reserve(counts.size());
-  for (const auto& [packed, scans] : counts) {
-    rows.push_back({enrich::CountryCode::from_packed(static_cast<std::uint16_t>(packed)),
-                    scans, 0.0});
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const GeoTally::CountryShare& a, const GeoTally::CountryShare& b) {
-              return a.packets != b.packets ? a.packets > b.packets
-                                            : a.country < b.country;
-            });
-  if (rows.size() > n) rows.resize(n);
-  for (auto& row : rows) {
-    row.share = campaigns.empty() ? 0.0
-                                  : static_cast<double>(row.packets) /
-                                        static_cast<double>(campaigns.size());
-  }
-  return rows;
+  for (const auto& [packed, scans] : counts) rows.push_back({country_from(packed), scans, 0.0});
+  return rank(std::move(rows), campaigns.size(), n);
 }
 
 }  // namespace synscan::core

@@ -10,90 +10,86 @@
 #include "core/campaign.h"
 #include "core/flat_map.h"
 #include "core/observers.h"
-#include "core/port_map.h"
+#include "core/port_tally.h"
 #include "enrich/registry.h"
 
 namespace synscan::core {
 
-/// Streaming accumulator of per-country and per-(port, country) traffic.
-class GeoTally final : public ProbeObserver {
+/// A country's share of some total (packets or campaigns).
+struct CountryShare {
+  enrich::CountryCode country;
+  std::uint64_t packets = 0;
+  double share = 0.0;
+};
+
+/// §4.2: packets normalized by a country's allocated address space
+/// (packets per thousand addresses). Under this lens the historically
+/// "aggressive" countries stop standing out and the Netherlands — with
+/// its small allocation but big hosting business — tops the list.
+struct NormalizedIntensity {
+  enrich::CountryCode country;
+  std::uint64_t packets = 0;
+  std::uint64_t addresses = 0;
+  double packets_per_k_addresses = 0.0;
+};
+
+/// Per-country and per-(port, country) packets, derived from a
+/// `PortTally` with one registry lookup per source. The registry must be
+/// the one the analysis ran with.
+class GeoView {
  public:
-  explicit GeoTally(const enrich::InternetRegistry& registry) : registry_(&registry) {}
+  GeoView(const PortTally& ports, const enrich::InternetRegistry& registry);
 
-  void on_probe(const telescope::ScanProbe& probe) override;
-
-  /// Column-direct tally with a one-entry source→country memo (probes
-  /// arrive in per-source bursts). Bit-identical to `on_probe`.
-  void observe_batch(const telescope::ProbeBatch& batch,
-                     std::span<const std::uint32_t> rows) override;
-
-  /// Folds another tally in (order-independent sums, so shard merges
-  /// equal whole-capture tallying). Both tallies must be bound to the
-  /// same registry; throws `std::invalid_argument` otherwise.
-  void merge(const GeoTally& other);
-
-  /// A country's share of the total packet volume.
-  struct CountryShare {
-    enrich::CountryCode country;
-    std::uint64_t packets = 0;
-    double share = 0.0;
-  };
-
-  /// Countries ranked by packet volume.
+  /// Countries ranked by packet volume (ties by country code).
   [[nodiscard]] std::vector<CountryShare> top_countries(std::size_t n) const;
 
   /// Packet share of one country.
   [[nodiscard]] double country_share(enrich::CountryCode country) const;
 
-  /// Ports where a single country originates more than `threshold` of
-  /// the packets (the §5.4 "China > 80% on 14,444 ports" census).
-  /// Returns, per country, the number of such dominated ports; only
-  /// ports with at least `min_packets` are considered. The result is a
-  /// one-shot summary handed to report code, so the std map type stays.
+  /// Ports where one country originates more than `threshold` of the
+  /// packets (the §5.4 "China > 80% on 14,444 ports" census). Returns,
+  /// per country, the number of such dominated ports; only ports with at
+  /// least `min_packets` are considered. Below a threshold of 0.5 a port
+  /// can count for several countries. The result is a one-shot summary
+  /// handed to report code, so the std map type stays.
   // synscan-lint: allow(hot-path-container)
   [[nodiscard]] std::unordered_map<enrich::CountryCode, std::uint32_t> dominated_ports(
       double threshold = 0.8, std::uint64_t min_packets = 10) const;
 
-  /// The country mix on one port, ranked by packets.
+  /// The country mix on one port, ranked by packets (ties by country
+  /// code).
   [[nodiscard]] std::vector<CountryShare> port_country_mix(std::uint16_t port,
                                                            std::size_t n) const;
 
-  /// §4.2: packets normalized by a country's allocated address space
-  /// (packets per thousand addresses). Under this lens the historically
-  /// "aggressive" countries stop standing out and the Netherlands — with
-  /// its small allocation but big hosting business — tops the list.
-  struct NormalizedIntensity {
-    enrich::CountryCode country;
-    std::uint64_t packets = 0;
-    std::uint64_t addresses = 0;
-    double packets_per_k_addresses = 0.0;
-  };
+  /// Countries ranked by packets per thousand allocated addresses (ties
+  /// by country code).
   [[nodiscard]] std::vector<NormalizedIntensity> normalized_intensity(
       const enrich::InternetRegistry& registry, std::size_t n) const;
 
   [[nodiscard]] std::uint64_t total_packets() const noexcept { return total_; }
 
  private:
-  const enrich::InternetRegistry* registry_;
-  // Last resolved source, carried across batches.
-  std::uint32_t memo_source_ = 0;
-  enrich::CountryCode memo_country_;
-  bool memo_valid_ = false;
-  // Keyed by CountryCode::packed(); per-probe tallies use the flat
-  // accumulator maps (docs/PERFORMANCE.md).
+  // Keyed by CountryCode::packed(), in first-seen order.
   FlatHashMap<std::uint32_t, std::uint64_t> packets_per_country_;
-  // (port << 16) | packed country works poorly since packed country is
-  // 16 bits of char data; key is (port << 16) ^ packed, collision-free
-  // because port and packed occupy disjoint halves of the 32-bit key.
+  // (port << 16) | packed country: port and packed code occupy disjoint
+  // halves of the 32-bit key.
   FlatHashMap<std::uint32_t, std::uint64_t> packets_per_port_country_;
-  PortPacketMap packets_per_port_;
   std::uint64_t total_ = 0;
+};
 
-  friend struct RollupTallyIo;  ///< `.spr` serialization (rollup_store.cpp)
+/// No-op observer. The traced benchmark tour (perfbench/harness/tour.cpp)
+/// still attaches one and times it as `observers.geo`; delete it when
+/// ROADMAP item 8 moves the tour onto `PortTally` alone.
+class GeoTally final : public ProbeObserver {
+ public:
+  explicit GeoTally(const enrich::InternetRegistry& /*registry*/) {}
+  void on_probe(const telescope::ScanProbe& /*probe*/) override {}
+  void observe_batch(const telescope::ProbeBatch& /*batch*/,
+                     std::span<const std::uint32_t> /*rows*/) override {}
 };
 
 /// Country shares weighted by campaigns instead of packets.
-[[nodiscard]] std::vector<GeoTally::CountryShare> campaign_country_shares(
+[[nodiscard]] std::vector<CountryShare> campaign_country_shares(
     std::span<const Campaign> campaigns, const enrich::InternetRegistry& registry,
     std::size_t n);
 

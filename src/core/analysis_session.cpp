@@ -14,8 +14,6 @@ AnalyzedCapture analyze_capture(const std::filesystem::path& path,
   AnalyzedCapture analysis(registry);
   Pipeline pipeline(telescope, std::max<std::size_t>(workers, 1));
   pipeline.add_observer(analysis.ports);
-  pipeline.add_observer(analysis.types);
-  pipeline.add_observer(analysis.geo);
   {
     obs::ScopedTimer ingest("analyze.ingest");
     const auto ingested = ingest_capture(

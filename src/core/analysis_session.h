@@ -2,12 +2,12 @@
 //
 // `analyze_capture` is the one shared definition of "run the paper's
 // analysis over a capture": batched ingest (mmap + `.spc` cache) feeding
-// the campaign pipeline plus the standard streaming observers (ports,
-// scanner types, geography). The CLI `analyze` command and the
-// `synscand` daemon both call it; the daemon keeps the returned
-// `AnalyzedCapture` resident behind a shared_ptr and serves concurrent
-// queries from it, so every query entry point takes `const&` — nothing
-// here mutates after the analysis finishes.
+// the campaign pipeline plus the one probe-level tally (`PortTally`),
+// whose scanner-type and country views derive on read. The CLI
+// `analyze` command and the `synscand` daemon both call it; the daemon
+// keeps the returned `AnalyzedCapture` resident behind a shared_ptr and
+// serves concurrent queries from it, so every query entry point takes
+// `const&` — nothing here mutates after the analysis finishes.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +29,23 @@ namespace synscan::core {
 /// is what makes concurrent daemon queries against a shared instance
 /// safe without locks.
 struct AnalyzedCapture {
-  explicit AnalyzedCapture(const enrich::InternetRegistry& registry)
-      : types(registry), geo(registry) {}
+  explicit AnalyzedCapture(const enrich::InternetRegistry& internet) : registry(&internet) {}
+
+  /// Scanner-type view of `ports` (Table 2, Fig. 5).
+  [[nodiscard]] TypeView types() const { return {ports, *registry}; }
+  /// Country view of `ports` (§4.2, §5.4).
+  [[nodiscard]] GeoView geo() const { return {ports, *registry}; }
 
   PipelineResult result;
   PortTally ports;
-  TypeTally types;
-  GeoTally geo;
+  /// The registry the analysis ran with; the views attribute through it.
+  const enrich::InternetRegistry* registry;
   std::uint64_t frames = 0;
   pcap::ReadStatus final_status = pcap::ReadStatus::kEndOfFile;
   bool from_cache = false;  ///< probes came from a validated `.spc` cache
 };
 
-/// Replays `path` through the pipeline with all standard observers.
+/// Replays `path` through the pipeline with the `PortTally` observer.
 /// `workers` is the pipeline's tracker count (0 counts as 1); the
 /// report is the same at any worker count. The telescope and registry
 /// must outlive the returned value.

@@ -1,103 +1,61 @@
 #include "core/analysis_types.h"
 
-// One-shot reducers over the final campaign list — not the per-probe
-// hot path, so std containers are fine.
-// synscan-lint: allow-file(hot-path-container)
-
 #include <algorithm>
-#include <stdexcept>
+// The Fig. 7 and Figs. 8-10 reducers below run once over the final
+// campaign list, not per probe. synscan-lint: allow(hot-path-container)
+#include <unordered_map>
+#include <unordered_set>  // synscan-lint: allow(hot-path-container)
 
 namespace synscan::core {
 namespace {
 
-constexpr std::uint32_t port_type_key(std::uint16_t port, enrich::ScannerType type) noexcept {
-  return (static_cast<std::uint32_t>(port) << 3) |
-         static_cast<std::uint32_t>(enrich::scanner_type_index(type));
+constexpr std::uint32_t port_type_key(std::uint16_t port, std::size_t type_index) noexcept {
+  return (static_cast<std::uint32_t>(port) << 3) | static_cast<std::uint32_t>(type_index);
 }
 
 }  // namespace
 
-void TypeTally::on_probe(const telescope::ScanProbe& probe) {
-  const auto type = registry_->type_of(probe.source);
-  const auto index = enrich::scanner_type_index(type);
-  ++total_packets_;
-  ++packets_[index];
-  sources_[index].insert(probe.source.value());
-  ++port_type_packets_[port_type_key(probe.destination_port, type)];
-  port_packets_.add(probe.destination_port, 1);
-}
-
-void TypeTally::observe_batch(const telescope::ProbeBatch& batch,
-                              std::span<const std::uint32_t> rows) {
-  total_packets_ += rows.size();
-  for (const auto row : rows) {
-    const auto source = batch.source[row];
-    if (!memo_valid_ || source != memo_source_) {
-      memo_type_ = registry_->type_of(net::Ipv4Address(source));
-      memo_source_ = source;
-      memo_valid_ = true;
+TypeView::TypeView(const PortTally& ports, const enrich::InternetRegistry& registry) {
+  for (const auto& [source, port_packets] : ports.per_source()) {
+    const auto index = enrich::scanner_type_index(registry.type_of(net::Ipv4Address(source)));
+    ++sources_[index];
+    for (const auto [port, packets] : port_packets) {
+      packets_[index] += packets;
+      port_type_packets_[port_type_key(port, index)] += packets;
     }
-    const auto index = enrich::scanner_type_index(memo_type_);
-    const auto port = batch.destination_port[row];
-    ++packets_[index];
-    sources_[index].insert(source);
-    ++port_type_packets_[port_type_key(port, memo_type_)];
-    port_packets_.add(port, 1);
   }
 }
 
-void TypeTally::merge(const TypeTally& other) {
-  if (registry_ != other.registry_) {
-    throw std::invalid_argument("TypeTally::merge: registry mismatch");
-  }
-  total_packets_ += other.total_packets_;
-  for (std::size_t i = 0; i < enrich::kScannerTypeCount; ++i) {
-    packets_[i] += other.packets_[i];
-    sources_[i].insert(other.sources_[i].begin(), other.sources_[i].end());
-  }
-  for (const auto& [key, packets] : other.port_type_packets_) {
-    port_type_packets_[key] += packets;
-  }
-  for (const auto [port, packets] : other.port_packets_) {
-    port_packets_.add(port, packets);
-  }
-}
-
-std::uint64_t TypeTally::total_sources() const noexcept {
+std::uint64_t TypeView::total_packets() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& set : sources_) total += set.size();
+  for (const auto packets : packets_) total += packets;
   return total;
 }
 
-std::array<double, enrich::kScannerTypeCount> TypeTally::port_type_mix(
+std::uint64_t TypeView::total_sources() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto sources : sources_) total += sources;
+  return total;
+}
+
+std::array<double, enrich::kScannerTypeCount> TypeView::port_type_mix(
     std::uint16_t port) const {
+  std::array<std::uint64_t, enrich::kScannerTypeCount> packets{};
+  std::uint64_t port_total = 0;
+  for (std::size_t index = 0; index < enrich::kScannerTypeCount; ++index) {
+    const auto* found = port_type_packets_.find(port_type_key(port, index));
+    packets[index] = found == nullptr ? 0 : *found;
+    port_total += packets[index];
+  }
   std::array<double, enrich::kScannerTypeCount> mix{};
-  const auto port_total = port_packets_.get(port);
   if (port_total == 0) return mix;
-  const auto total = static_cast<double>(port_total);
-  for (const auto type : enrich::kAllScannerTypes) {
-    const auto pt = port_type_packets_.find(port_type_key(port, type));
-    if (pt != port_type_packets_.end()) {
-      mix[enrich::scanner_type_index(type)] = static_cast<double>(pt->second) / total;
-    }
+  for (std::size_t index = 0; index < enrich::kScannerTypeCount; ++index) {
+    mix[index] = static_cast<double>(packets[index]) / static_cast<double>(port_total);
   }
   return mix;
 }
 
-std::vector<std::uint16_t> TypeTally::top_ports(std::size_t n) const {
-  std::vector<std::pair<std::uint16_t, std::uint64_t>> rows(port_packets_.begin(),
-                                                            port_packets_.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  if (rows.size() > n) rows.resize(n);
-  std::vector<std::uint16_t> ports;
-  ports.reserve(rows.size());
-  for (const auto& [port, packets] : rows) ports.push_back(port);
-  return ports;
-}
-
-std::vector<TypeShareRow> type_share_table(const TypeTally& tally,
+std::vector<TypeShareRow> type_share_table(const TypeView& types,
                                            std::span<const Campaign> campaigns,
                                            const enrich::InternetRegistry& registry) {
   std::array<std::uint64_t, enrich::kScannerTypeCount> scans{};
@@ -105,8 +63,8 @@ std::vector<TypeShareRow> type_share_table(const TypeTally& tally,
     ++scans[enrich::scanner_type_index(registry.type_of(campaign.source))];
   }
 
-  const auto total_sources = tally.total_sources();
-  const auto total_packets = tally.total_packets();
+  const auto total_sources = types.total_sources();
+  const auto total_packets = types.total_packets();
   const auto total_scans = campaigns.size();
 
   std::vector<TypeShareRow> rows;
@@ -116,14 +74,14 @@ std::vector<TypeShareRow> type_share_table(const TypeTally& tally,
     const auto index = enrich::scanner_type_index(type);
     row.source_share = total_sources == 0
                            ? 0.0
-                           : static_cast<double>(tally.sources(type)) /
+                           : static_cast<double>(types.sources(type)) /
                                  static_cast<double>(total_sources);
     row.scan_share = total_scans == 0 ? 0.0
                                       : static_cast<double>(scans[index]) /
                                             static_cast<double>(total_scans);
     row.packet_share = total_packets == 0
                            ? 0.0
-                           : static_cast<double>(tally.packets(type)) /
+                           : static_cast<double>(types.packets(type)) /
                                  static_cast<double>(total_packets);
     rows.push_back(row);
   }
@@ -140,6 +98,7 @@ std::vector<TypeSpeedCoverage> type_speed_coverage(
     std::uint64_t campaigns = 0;
     enrich::ScannerType type = enrich::ScannerType::kUnknown;
   };
+  // synscan-lint: allow(hot-path-container)
   std::unordered_map<std::uint32_t, SourceAgg> per_source;
   for (const auto& campaign : campaigns) {
     auto& agg = per_source[campaign.source.value()];
@@ -186,10 +145,11 @@ std::vector<TypeSpeedCoverage> type_speed_coverage(
 std::vector<OrgPortCoverage> org_port_coverage(std::span<const Campaign> campaigns,
                                                const enrich::InternetRegistry& registry) {
   struct OrgAgg {
-    std::unordered_set<std::uint16_t> ports;
+    std::unordered_set<std::uint16_t> ports;  // synscan-lint: allow(hot-path-container)
     std::uint64_t campaigns = 0;
     std::uint64_t packets = 0;
   };
+  // synscan-lint: allow(hot-path-container)
   std::unordered_map<std::string, OrgAgg> per_org;
   for (const auto& campaign : campaigns) {
     const auto* record = registry.lookup(campaign.source);

@@ -1,76 +1,60 @@
 // Scanner-type analyses (§6.6–§6.8): Table 2, the per-port type mix
 // (Fig. 5), speed/coverage by type (Fig. 7) and the known-scanner port
 // census (Figs. 8–10).
-//
-// One-shot reducers over the final campaign list — not the per-probe
-// hot path, so std containers are fine.
-// synscan-lint: allow-file(hot-path-container)
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/flat_map.h"
 #include "core/observers.h"
+#include "core/port_tally.h"
 #include "enrich/registry.h"
 #include "stats/ecdf.h"
 
 namespace synscan::core {
 
-/// Streaming per-scanner-type tallies: packets, distinct sources, and
-/// per-(port, type) packets for the Fig. 5 mix.
-class TypeTally final : public ProbeObserver {
+/// Per-scanner-type packets, distinct sources and per-(port, type)
+/// packets (the Fig. 5 mix), derived from a `PortTally` with one
+/// registry lookup per source. The registry must be the one the
+/// analysis ran with.
+class TypeView {
  public:
-  explicit TypeTally(const enrich::InternetRegistry& registry) : registry_(&registry) {}
-
-  void on_probe(const telescope::ScanProbe& probe) override;
-
-  /// Column-direct tally with a one-entry source→type memo: scan probes
-  /// arrive in per-source bursts, so most rows skip the registry lookup
-  /// entirely. Bit-identical to `on_probe` (the registry is immutable).
-  void observe_batch(const telescope::ProbeBatch& batch,
-                     std::span<const std::uint32_t> rows) override;
-
-  /// Folds another tally in (order-independent sums and set unions, so
-  /// shard merges equal whole-capture tallying). Both tallies must be
-  /// bound to the same registry; throws `std::invalid_argument` otherwise.
-  void merge(const TypeTally& other);
+  TypeView(const PortTally& ports, const enrich::InternetRegistry& registry);
 
   [[nodiscard]] std::uint64_t packets(enrich::ScannerType type) const noexcept {
     return packets_[enrich::scanner_type_index(type)];
   }
   [[nodiscard]] std::uint64_t sources(enrich::ScannerType type) const noexcept {
-    return sources_[enrich::scanner_type_index(type)].size();
+    return sources_[enrich::scanner_type_index(type)];
   }
-  [[nodiscard]] std::uint64_t total_packets() const noexcept { return total_packets_; }
+  [[nodiscard]] std::uint64_t total_packets() const noexcept;
   [[nodiscard]] std::uint64_t total_sources() const noexcept;
 
   /// Per-type packet mix on one port (shares of that port's packets).
   [[nodiscard]] std::array<double, enrich::kScannerTypeCount> port_type_mix(
       std::uint16_t port) const;
 
-  /// The `n` ports with the most packets, for the Fig. 5 x-axis.
-  [[nodiscard]] std::vector<std::uint16_t> top_ports(std::size_t n) const;
-
  private:
-  const enrich::InternetRegistry* registry_;
-  // Last resolved source, carried across batches.
-  std::uint32_t memo_source_ = 0;
-  enrich::ScannerType memo_type_ = enrich::ScannerType::kUnknown;
-  bool memo_valid_ = false;
   std::array<std::uint64_t, enrich::kScannerTypeCount> packets_{};
-  std::array<std::unordered_set<std::uint32_t>, enrich::kScannerTypeCount> sources_;
+  std::array<std::uint64_t, enrich::kScannerTypeCount> sources_{};
   // (port << 3) | type — type fits in 3 bits.
-  std::unordered_map<std::uint32_t, std::uint64_t> port_type_packets_;
-  PortPacketMap port_packets_;
-  std::uint64_t total_packets_ = 0;
+  FlatHashMap<std::uint32_t, std::uint64_t> port_type_packets_;
+};
 
-  friend struct RollupTallyIo;  ///< `.spr` serialization (rollup_store.cpp)
+/// No-op observer. The traced benchmark tour (perfbench/harness/tour.cpp)
+/// still attaches one and times it as `observers.types`; delete it when
+/// ROADMAP item 8 moves the tour onto `PortTally` alone.
+class TypeTally final : public ProbeObserver {
+ public:
+  explicit TypeTally(const enrich::InternetRegistry& /*registry*/) {}
+  void on_probe(const telescope::ScanProbe& /*probe*/) override {}
+  void observe_batch(const telescope::ProbeBatch& /*batch*/,
+                     std::span<const std::uint32_t> /*rows*/) override {}
 };
 
 /// Table 2: share of sources / scans / packets per scanner type.
@@ -82,7 +66,7 @@ struct TypeShareRow {
 };
 
 [[nodiscard]] std::vector<TypeShareRow> type_share_table(
-    const TypeTally& tally, std::span<const Campaign> campaigns,
+    const TypeView& types, std::span<const Campaign> campaigns,
     const enrich::InternetRegistry& registry);
 
 /// Fig. 7: per-type speed (pps) and coverage (fraction) samples averaged

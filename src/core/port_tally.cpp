@@ -5,40 +5,37 @@
 namespace synscan::core {
 
 void PortTally::on_probe(const telescope::ScanProbe& probe) {
-  ++total_packets_;
-  packets_per_port_.add(probe.destination_port, 1);
-  if (ports_per_source_[probe.source.value()].insert(probe.destination_port)) {
-    sources_per_port_.add(probe.destination_port, 1);
-  }
+  add(probe.source.value(), probe.destination_port, 1);
 }
 
 void PortTally::observe_batch(const telescope::ProbeBatch& batch,
                               std::span<const std::uint32_t> rows) {
   total_packets_ += rows.size();
+  // The map reference dies at the next insertion, which only happens
+  // here, when the source changes.
+  PortPacketMap* ports = nullptr;
+  std::uint32_t current = 0;
   for (const auto row : rows) {
-    const auto port = batch.destination_port[row];
-    packets_per_port_.add(port, 1);
-    if (ports_per_source_[batch.source[row]].insert(port)) {
-      sources_per_port_.add(port, 1);
+    const auto source = batch.source[row];
+    if (ports == nullptr || source != current) {
+      ports = &per_source_[source];
+      current = source;
     }
+    ports->add(batch.destination_port[row], 1);
   }
 }
 
+void PortTally::add(std::uint32_t source, std::uint16_t port, std::uint64_t packets) {
+  per_source_[source].add(port, packets);
+  total_packets_ += packets;
+}
+
 void PortTally::merge(const PortTally& other) {
-  total_packets_ += other.total_packets_;
-  for (const auto [port, packets] : other.packets_per_port_) {
-    packets_per_port_.add(port, packets);
+  for (const auto& [source, ports] : other.per_source_) {
+    auto& mine = per_source_[source];
+    for (const auto [port, packets] : ports) mine.add(port, packets);
   }
-  // The per-source port sets drive the distinct-source counts exactly as
-  // in on_probe: an insert that returns true is a new (source, port) pair.
-  other.ports_per_source_.for_each([&](std::uint32_t source, const HybridU32Set& ports) {
-    auto& mine = ports_per_source_[source];
-    ports.for_each([&](std::uint32_t port) {
-      if (mine.insert(port)) {
-        sources_per_port_.add(static_cast<std::uint16_t>(port), 1);
-      }
-    });
-  });
+  total_packets_ += other.total_packets_;
 }
 
 namespace {
@@ -62,40 +59,59 @@ std::vector<PortCount> top_n(const PortPacketMap& counts, std::size_t n,
 
 }  // namespace
 
+PortPacketMap PortTally::packets_per_port() const {
+  PortPacketMap totals;
+  for (const auto& [source, ports] : per_source_) {
+    for (const auto [port, packets] : ports) totals.add(port, packets);
+  }
+  return totals;
+}
+
 std::vector<PortCount> PortTally::top_ports_by_packets(std::size_t n) const {
-  return top_n(packets_per_port_, n, total_packets_);
+  return top_n(packets_per_port(), n, total_packets_);
 }
 
 std::vector<PortCount> PortTally::top_ports_by_sources(std::size_t n) const {
-  return top_n(sources_per_port_, n, total_sources());
+  PortPacketMap sources;
+  for (const auto& [source, ports] : per_source_) {
+    for (const auto [port, packets] : ports) sources.add(port, 1);
+  }
+  return top_n(sources, n, total_sources());
 }
 
 std::uint64_t PortTally::packets_on_port(std::uint16_t port) const {
-  return packets_per_port_.get(port);
+  std::uint64_t total = 0;
+  for (const auto& [source, ports] : per_source_) total += ports.get(port);
+  return total;
 }
 
 std::uint64_t PortTally::sources_on_port(std::uint16_t port) const {
-  return sources_per_port_.get(port);
+  std::uint64_t total = 0;
+  for (const auto& [source, ports] : per_source_) {
+    if (ports.contains(port)) ++total;
+  }
+  return total;
 }
 
 std::size_t PortTally::ports_with_at_least(std::uint64_t min_packets) const {
   std::size_t count = 0;
-  for (const auto& [port, packets] : packets_per_port_) {
+  for (const auto& [port, packets] : packets_per_port()) {
     if (packets >= min_packets) ++count;
   }
   return count;
 }
 
 double PortTally::privileged_port_coverage(double noise_floor) const {
+  const auto totals = packets_per_port();
   std::uint64_t privileged_total = 0;
-  for (const auto& [port, packets] : packets_per_port_) {
+  for (const auto& [port, packets] : totals) {
     if (port >= 1 && port <= 1023) privileged_total += packets;
   }
   if (privileged_total == 0) return 0.0;
   const double threshold =
       noise_floor * static_cast<double>(privileged_total) / 1023.0;
   std::size_t above = 0;
-  for (const auto& [port, packets] : packets_per_port_) {
+  for (const auto& [port, packets] : totals) {
     if (port >= 1 && port <= 1023 && static_cast<double>(packets) > threshold) ++above;
   }
   return static_cast<double>(above) / 1023.0;
@@ -103,8 +119,8 @@ double PortTally::privileged_port_coverage(double noise_floor) const {
 
 std::vector<double> PortTally::ports_per_source_sample() const {
   std::vector<double> sample;
-  sample.reserve(ports_per_source_.size());
-  for (const auto& [source, ports] : ports_per_source_) {
+  sample.reserve(per_source_.size());
+  for (const auto& [source, ports] : per_source_) {
     sample.push_back(static_cast<double>(ports.size()));
   }
   return sample;
@@ -113,7 +129,7 @@ std::vector<double> PortTally::ports_per_source_sample() const {
 double PortTally::co_scan_fraction(std::uint16_t a, std::uint16_t b) const {
   std::uint64_t scans_a = 0;
   std::uint64_t scans_both = 0;
-  for (const auto& [source, ports] : ports_per_source_) {
+  for (const auto& [source, ports] : per_source_) {
     if (!ports.contains(a)) continue;
     ++scans_a;
     if (ports.contains(b)) ++scans_both;

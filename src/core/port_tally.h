@@ -1,15 +1,18 @@
-// Per-port and per-source port-breadth accumulation.
+// Packets per (source, destination port): the one probe-level tally.
 //
-// Feeds Table 1's "top ports by packets / by sources" blocks, the
-// port-space coverage analysis (§5.1) and the ports-per-source CDF
-// (Fig. 3).
+// Table 1's "top ports by packets / by sources" blocks, the port-space
+// coverage analysis (§5.1) and the ports-per-source CDF (Fig. 3) read
+// it directly. The scanner-type views (Table 2, Fig. 5;
+// core/analysis_types.h) and the country views (§4.2, §5.4;
+// core/analysis_geo.h) derive from it with one registry lookup per
+// source, because a source's type and country are fixed by the
+// registry.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/flat_map.h"
-#include "core/hybrid_set.h"
 #include "core/observers.h"
 #include "core/port_map.h"
 
@@ -24,26 +27,35 @@ struct PortCount {
 
 class PortTally final : public ProbeObserver {
  public:
+  /// Source -> packets per destination port, in first-seen source order.
+  using SourcePorts = FlatHashMap<std::uint32_t, PortPacketMap>;
+
   void on_probe(const telescope::ScanProbe& probe) override;
 
   /// Column-direct tally over a batch slice: reads only the source and
-  /// destination-port columns, no `ScanProbe` materialization. Must stay
+  /// destination-port columns, and looks a source up once per run of
+  /// its rows (scan probes arrive in per-source bursts). Must stay
   /// bit-identical to the `on_probe` reference (differential-tested).
   void observe_batch(const telescope::ProbeBatch& batch,
                      std::span<const std::uint32_t> rows) override;
 
-  /// Folds another tally in. All state is order-independent sums and
-  /// set unions, so merging per-shard tallies in any order equals
-  /// tallying the whole capture in one pass (the rollup invariant).
+  /// Adds `packets` to one (source, port) pair, as if that many probes
+  /// had been observed.
+  void add(std::uint32_t source, std::uint16_t port, std::uint64_t packets);
+
+  /// Folds another tally in. The state is a sum per (source, port), so
+  /// merging per-shard tallies in any order equals tallying the whole
+  /// capture in one pass (the rollup invariant).
   void merge(const PortTally& other);
+
+  /// The sufficient statistic itself.
+  [[nodiscard]] const SourcePorts& per_source() const noexcept { return per_source_; }
 
   /// Total probes observed.
   [[nodiscard]] std::uint64_t total_packets() const noexcept { return total_packets_; }
 
   /// Distinct source count.
-  [[nodiscard]] std::uint64_t total_sources() const noexcept {
-    return ports_per_source_.size();
-  }
+  [[nodiscard]] std::uint64_t total_sources() const noexcept { return per_source_.size(); }
 
   /// Top `n` ports by packet count, with shares.
   [[nodiscard]] std::vector<PortCount> top_ports_by_packets(std::size_t n) const;
@@ -76,16 +88,13 @@ class PortTally final : public ProbeObserver {
   [[nodiscard]] double co_scan_fraction(std::uint16_t a, std::uint16_t b) const;
 
  private:
-  // Flat inline-first tallies (see docs/PERFORMANCE.md): the per-source
-  // port sets answer "is this (source, port) pair new" from their insert
-  // result, so no separate seen-pair set is needed, and the 83%-of-
-  // sources-scan-one-port population (Fig. 3) never allocates.
-  PortPacketMap packets_per_port_;
-  PortPacketMap sources_per_port_;
-  FlatHashMap<std::uint32_t, HybridU32Set> ports_per_source_;
-  std::uint64_t total_packets_ = 0;
+  /// Packets per port summed over sources.
+  [[nodiscard]] PortPacketMap packets_per_port() const;
 
-  friend struct RollupTallyIo;  ///< `.spr` serialization (rollup_store.cpp)
+  // Flat inline-first maps (see docs/PERFORMANCE.md): the 83% of
+  // sources that scan one port (Fig. 3) never allocate a port table.
+  SourcePorts per_source_;
+  std::uint64_t total_packets_ = 0;
 };
 
 }  // namespace synscan::core

@@ -10,18 +10,16 @@
 namespace synscan::core {
 CaptureRollup analyze_shard(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
-                            const enrich::InternetRegistry& registry,
+                            const enrich::InternetRegistry& /*registry*/,
                             const TrackerConfig& tracker_config,
                             const IngestOptions& options) {
-  CaptureRollup rollup(registry);
+  CaptureRollup rollup;
   rollup.capture = path;
 
   TrackerConfig config = tracker_config;
   config.carry_boundary_flows = true;
   Pipeline pipeline(telescope, 1, config);
   pipeline.add_observer(rollup.ports);
-  pipeline.add_observer(rollup.types);
-  pipeline.add_observer(rollup.geo);
 
   {
     const obs::ScopedTimer ingest("rollup.analyze_shard");
@@ -140,8 +138,6 @@ void RollupMerger::add(CaptureRollup&& shard) {
                                   std::make_move_iterator(shard.campaigns.begin()),
                                   std::make_move_iterator(shard.campaigns.end()));
   merged_.ports.merge(shard.ports);
-  merged_.types.merge(shard.types);
-  merged_.geo.merge(shard.geo);
 
   for (auto& exported : shard.segments) {
     FlowSegment segment = std::move(exported);

@@ -36,9 +36,6 @@ namespace synscan::core {
 /// (or loaded from a `.spr` rollup file, core/rollup_store.h); consumed
 /// by `RollupMerger` in capture-time order.
 struct CaptureRollup {
-  explicit CaptureRollup(const enrich::InternetRegistry& registry)
-      : types(registry), geo(registry) {}
-
   std::filesystem::path capture;  ///< source capture path (diagnostics)
   std::uint64_t frames = 0;
   pcap::ReadStatus final_status = pcap::ReadStatus::kEndOfFile;
@@ -53,14 +50,15 @@ struct CaptureRollup {
   /// Boundary flows, sorted by (source, first_seen) for deterministic
   /// `.spr` bytes and merge order.
   std::vector<FlowSegment> segments;
+  /// The shard's one probe-level tally. It names no scanner type or
+  /// country, so a rollup does not depend on the registry.
   PortTally ports;
-  TypeTally types;
-  GeoTally geo;
 };
 
 /// Analyzes one capture as a shard: the serial batch-native pipeline
-/// with all standard observers, tracker in carry mode. The telescope and
-/// registry must outlive the returned value.
+/// with the `PortTally` observer, tracker in carry mode. The registry is
+/// not read (see `CaptureRollup::ports`); the benchmark harness still
+/// passes it, so it stays until ROADMAP item 8.
 [[nodiscard]] CaptureRollup analyze_shard(const std::filesystem::path& path,
                                           const telescope::Telescope& telescope,
                                           const enrich::InternetRegistry& registry,

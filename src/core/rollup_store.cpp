@@ -15,7 +15,7 @@ namespace synscan::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x31727073;  // "spr1" on disk
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 64;
 
 /// `TimeUs` is signed; timestamps store as their two's-complement bits.
@@ -298,124 +298,45 @@ FlowSegment get_segment(Reader& in) {
   return segment;
 }
 
+/// The tally section: sources in ascending order, each with its
+/// (port, packets) rows in ascending port order.
+void put_port_tally(Writer& out, const PortTally& tally) {
+  std::vector<std::pair<std::uint32_t, const PortPacketMap*>> sources;
+  sources.reserve(tally.per_source().size());
+  for (const auto& [source, ports] : tally.per_source()) sources.emplace_back(source, &ports);
+  std::sort(sources.begin(), sources.end());
+  out.u64(sources.size());
+  for (const auto& [source, ports] : sources) {
+    out.u32(source);
+    put_port_map(out, *ports);
+  }
+}
+
+/// Reads the tally section. Rows must be strictly ascending by
+/// (source, port) and carry packets, so a file that passes the checksum
+/// but repeats or reorders a row takes the fallback instead of loading a
+/// different statistic.
+void get_port_tally(Reader& in, PortTally& tally) {
+  const auto sources = in.count(4 + 4 + 10);  // a source has at least one row
+  std::uint64_t previous_source = 0;
+  for (std::size_t i = 0; i < sources; ++i) {
+    const auto source = in.u32();
+    if (i > 0 && source <= previous_source) throw ParseError{};
+    previous_source = source;
+    const auto rows = in.count32(10);
+    if (rows == 0) throw ParseError{};
+    std::uint32_t previous_port = 0;
+    for (std::size_t j = 0; j < rows; ++j) {
+      const auto port = in.u16();
+      const auto packets = in.u64();
+      if ((j > 0 && port <= previous_port) || packets == 0) throw ParseError{};
+      previous_port = port;
+      tally.add(source, port, packets);
+    }
+  }
+}
+
 }  // namespace
-
-/// `.spr` serialization of the tally internals; befriended by the three
-/// tally classes so the store can emit their flat accumulator maps in
-/// sorted canonical order and rebuild them exactly.
-struct RollupTallyIo {
-  static void save_ports(Writer& out, const PortTally& tally) {
-    put_port_map(out, tally.packets_per_port_);
-    std::vector<std::pair<std::uint32_t, std::vector<std::uint16_t>>> sources;
-    sources.reserve(tally.ports_per_source_.size());
-    tally.ports_per_source_.for_each([&](std::uint32_t source, const HybridU32Set& set) {
-      std::vector<std::uint16_t> ports;
-      ports.reserve(set.size());
-      set.for_each([&](std::uint32_t port) {
-        ports.push_back(static_cast<std::uint16_t>(port));
-      });
-      std::sort(ports.begin(), ports.end());
-      sources.emplace_back(source, std::move(ports));
-    });
-    std::sort(sources.begin(), sources.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.u64(sources.size());
-    for (const auto& [source, ports] : sources) {
-      out.u32(source);
-      out.u32(static_cast<std::uint32_t>(ports.size()));
-      for (const auto port : ports) out.u16(port);
-    }
-    out.u64(tally.total_packets_);
-  }
-
-  static void load_ports(Reader& in, PortTally& tally) {
-    get_port_map(in, tally.packets_per_port_);
-    const auto sources = in.count(8);
-    for (std::size_t i = 0; i < sources; ++i) {
-      const auto source = in.u32();
-      const auto ports = in.count32(2);
-      auto& set = tally.ports_per_source_[source];
-      for (std::size_t j = 0; j < ports; ++j) {
-        const auto port = in.u16();
-        set.insert(port);
-        // `sources_per_port_` is the per-port projection of this map.
-        tally.sources_per_port_.add(port, 1);
-      }
-    }
-    tally.total_packets_ = in.u64();
-  }
-
-  static void save_types(Writer& out, const TypeTally& tally) {
-    for (const auto packets : tally.packets_) out.u64(packets);
-    for (const auto& sources : tally.sources_) {
-      std::vector<std::uint32_t> sorted(sources.begin(), sources.end());
-      std::sort(sorted.begin(), sorted.end());
-      out.u64(sorted.size());
-      for (const auto source : sorted) out.u32(source);
-    }
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> rows(
-        tally.port_type_packets_.begin(), tally.port_type_packets_.end());
-    std::sort(rows.begin(), rows.end());
-    out.u64(rows.size());
-    for (const auto& [key, packets] : rows) {
-      out.u32(key);
-      out.u64(packets);
-    }
-    put_port_map(out, tally.port_packets_);
-    out.u64(tally.total_packets_);
-  }
-
-  static void load_types(Reader& in, TypeTally& tally) {
-    for (auto& packets : tally.packets_) packets = in.u64();
-    for (auto& sources : tally.sources_) {
-      const auto n = in.count(4);
-      sources.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) sources.insert(in.u32());
-    }
-    const auto rows = in.count(12);
-    tally.port_type_packets_.reserve(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const auto key = in.u32();
-      tally.port_type_packets_[key] = in.u64();
-    }
-    get_port_map(in, tally.port_packets_);
-    tally.total_packets_ = in.u64();
-  }
-
-  static void save_geo(Writer& out, const GeoTally& tally) {
-    const auto put_map = [&](const FlatHashMap<std::uint32_t, std::uint64_t>& map) {
-      std::vector<std::pair<std::uint32_t, std::uint64_t>> rows;
-      rows.reserve(map.size());
-      map.for_each([&](std::uint32_t key, const std::uint64_t& packets) {
-        rows.emplace_back(key, packets);
-      });
-      std::sort(rows.begin(), rows.end());
-      out.u64(rows.size());
-      for (const auto& [key, packets] : rows) {
-        out.u32(key);
-        out.u64(packets);
-      }
-    };
-    put_map(tally.packets_per_country_);
-    put_map(tally.packets_per_port_country_);
-    put_port_map(out, tally.packets_per_port_);
-    out.u64(tally.total_);
-  }
-
-  static void load_geo(Reader& in, GeoTally& tally) {
-    const auto get_map = [&](FlatHashMap<std::uint32_t, std::uint64_t>& map) {
-      const auto rows = in.count(12);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const auto key = in.u32();
-        map[key] = in.u64();
-      }
-    };
-    get_map(tally.packets_per_country_);
-    get_map(tally.packets_per_port_country_);
-    get_port_map(in, tally.packets_per_port_);
-    tally.total_ = in.u64();
-  }
-};
 
 std::uint64_t analysis_fingerprint(const TrackerConfig& config,
                                    std::uint64_t monitored_addresses) {
@@ -473,9 +394,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   for (const auto& campaign : rollup.campaigns) put_campaign(out, campaign);
   out.u64(rollup.segments.size());
   for (const auto& segment : rollup.segments) put_segment(out, segment);
-  RollupTallyIo::save_ports(out, rollup.ports);
-  RollupTallyIo::save_types(out, rollup.types);
-  RollupTallyIo::save_geo(out, rollup.geo);
+  put_port_tally(out, rollup.ports);
 
   const auto& payload = out.bytes();
   std::uint8_t header[kHeaderSize];
@@ -514,7 +433,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
 }
 
 std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
-                                         const enrich::InternetRegistry& registry,
+                                         const enrich::InternetRegistry& /*registry*/,
                                          const CacheIdentity& expected,
                                          std::uint64_t fingerprint) {
   const auto info = rollup_stat(path);
@@ -542,7 +461,7 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
 
   try {
     Reader in(payload.data(), payload.size());
-    CaptureRollup rollup(registry);
+    CaptureRollup rollup;
     rollup.capture = path;
     rollup.frames = in.u64();
     const auto status = in.u32();
@@ -564,9 +483,7 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
     for (std::size_t i = 0; i < segments; ++i) {
       rollup.segments.push_back(get_segment(in));
     }
-    RollupTallyIo::load_ports(in, rollup.ports);
-    RollupTallyIo::load_types(in, rollup.types);
-    RollupTallyIo::load_geo(in, rollup.geo);
+    get_port_tally(in, rollup.ports);
     if (!in.exhausted()) return std::nullopt;
     if (rollup.campaigns.size() != info->campaigns ||
         rollup.segments.size() != info->segments) {

@@ -14,15 +14,23 @@
 //
 // Layout (all integers little-endian):
 //   header (64 bytes):
-//     u32 magic "spr1"        u32 version (=1)
+//     u32 magic "spr1"        u32 version (=2)
 //     u64 source_size         u64 source_mtime_ns
 //     u64 analysis_fingerprint (see `analysis_fingerprint`)
 //     u64 campaign_count      u64 segment_count
 //     u64 payload_size        u64 checksum (FNV-1a over the payload)
 //   payload: meta, sensor counters, tracker counters, campaigns,
 //     boundary segments (with full fingerprint accumulator state) and
-//     the three tallies, every map emitted in sorted key order so the
-//     bytes are a pure function of the analysis result.
+//     one tally section, the `PortTally`:
+//       u64 source_count, then per source in ascending order:
+//       u32 source, u32 row_count (>= 1), then row_count rows of
+//       u16 port, u64 packets (> 0) in ascending port order.
+//     Every map is emitted in sorted key order so the bytes are a pure
+//     function of the analysis result. No section names a scanner type
+//     or country, so a rollup is valid under any registry.
+//
+// Version 1 files (three tally sections) load as misses and are
+// rewritten: the store is a disposable cache and keeps no old readers.
 //
 // The analysis fingerprint hashes every configuration knob that can
 // change the result — tracker thresholds, expiry, classifier thresholds
@@ -80,7 +88,8 @@ struct RollupFileInfo {
 /// Loads and fully validates a stored rollup: magic, version, source
 /// identity, analysis fingerprint, checksum and payload framing.
 /// nullopt on any defect — the caller re-analyzes and rewrites. The
-/// registry must be the one the analysis ran with (tally merges check).
+/// registry is not read (a rollup does not depend on it); the benchmark
+/// harness still passes it, so it stays until ROADMAP item 8.
 [[nodiscard]] std::optional<CaptureRollup> load_rollup(
     const std::filesystem::path& path, const enrich::InternetRegistry& registry,
     const CacheIdentity& expected, std::uint64_t fingerprint);

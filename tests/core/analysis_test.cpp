@@ -176,7 +176,7 @@ TEST(GeoTally, CountryAttribution) {
   ASSERT_FALSE(cn_pools.empty());
   ASSERT_FALSE(us_pools.empty());
 
-  GeoTally tally(registry);
+  PortTally tally;
   for (int i = 0; i < 80; ++i) {
     tally.on_probe(synscan::testing::ProbeBuilder()
                        .from(cn_pools[0]->prefix.at(10))
@@ -187,18 +187,19 @@ TEST(GeoTally, CountryAttribution) {
                        .from(us_pools[0]->prefix.at(10))
                        .port(443));
   }
-  EXPECT_NEAR(tally.country_share(enrich::CountryCode("CN")), 0.8, 1e-12);
-  EXPECT_NEAR(tally.country_share(enrich::CountryCode("US")), 0.2, 1e-12);
-  const auto top = tally.top_countries(1);
+  const GeoView geo(tally, registry);
+  EXPECT_NEAR(geo.country_share(enrich::CountryCode("CN")), 0.8, 1e-12);
+  EXPECT_NEAR(geo.country_share(enrich::CountryCode("US")), 0.2, 1e-12);
+  const auto top = geo.top_countries(1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].country, enrich::CountryCode("CN"));
 
   // Port 3389 is >80% Chinese; port 443 is >80% American.
-  const auto dominated = tally.dominated_ports(0.8, 10);
+  const auto dominated = geo.dominated_ports(0.8, 10);
   EXPECT_EQ(dominated.at(enrich::CountryCode("CN")), 1u);
   EXPECT_EQ(dominated.at(enrich::CountryCode("US")), 1u);
 
-  const auto mix = tally.port_country_mix(3389, 3);
+  const auto mix = geo.port_country_mix(3389, 3);
   ASSERT_FALSE(mix.empty());
   EXPECT_EQ(mix[0].country, enrich::CountryCode("CN"));
   EXPECT_DOUBLE_EQ(mix[0].share, 1.0);

@@ -178,7 +178,7 @@ TEST(OrgPortCoverage, UnionsPortsAcrossCampaigns) {
 
 TEST(TypeTally, Table2StyleShares) {
   const auto& reg = registry();
-  TypeTally tally(reg);
+  PortTally tally;
   const auto inst = institutional_source();
   const auto res = residential_source(1);
   for (int i = 0; i < 70; ++i) {
@@ -187,15 +187,16 @@ TEST(TypeTally, Table2StyleShares) {
   for (int i = 0; i < 30; ++i) {
     tally.on_probe(synscan::testing::ProbeBuilder().from(res).port(80));
   }
-  EXPECT_EQ(tally.packets(enrich::ScannerType::kInstitutional), 70u);
-  EXPECT_EQ(tally.sources(enrich::ScannerType::kInstitutional), 1u);
-  EXPECT_EQ(tally.total_sources(), 2u);
+  const TypeView types(tally, reg);
+  EXPECT_EQ(types.packets(enrich::ScannerType::kInstitutional), 70u);
+  EXPECT_EQ(types.sources(enrich::ScannerType::kInstitutional), 1u);
+  EXPECT_EQ(types.total_sources(), 2u);
 
   std::vector<Campaign> campaigns;
   campaigns.push_back(campaign_at(inst, 0));
   campaigns.push_back(campaign_at(res, 0));
   campaigns.push_back(campaign_at(res, kDay));
-  const auto table = type_share_table(tally, campaigns, reg);
+  const auto table = type_share_table(types, campaigns, reg);
   const auto& inst_row =
       table[enrich::scanner_type_index(enrich::ScannerType::kInstitutional)];
   EXPECT_DOUBLE_EQ(inst_row.source_share, 0.5);
@@ -203,12 +204,12 @@ TEST(TypeTally, Table2StyleShares) {
   EXPECT_DOUBLE_EQ(inst_row.packet_share, 0.7);
 
   // Fig. 5-style mix: port 443 is 100% institutional here.
-  const auto mix = tally.port_type_mix(443);
+  const auto mix = types.port_type_mix(443);
   EXPECT_DOUBLE_EQ(mix[enrich::scanner_type_index(enrich::ScannerType::kInstitutional)],
                    1.0);
-  const auto top = tally.top_ports(1);
+  const auto top = tally.top_ports_by_packets(1);
   ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0], 443);
+  EXPECT_EQ(top[0].port, 443);
 }
 
 }  // namespace

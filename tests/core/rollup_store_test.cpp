@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -36,8 +37,8 @@ const telescope::Telescope& test_telescope() {
 }
 
 /// A capture with two sources: one qualifying campaign plus one small
-/// flow left open at stream end, so the rollup exercises campaigns,
-/// boundary segments and all three tallies.
+/// two-port flow left open at stream end, so the rollup exercises
+/// campaigns, boundary segments and the tally.
 void write_capture(const fs::path& path) {
   auto writer = pcap::Writer::create(path);
   net::RawFrame frame;
@@ -57,7 +58,8 @@ void write_capture(const fs::path& path) {
     emit(0x05000001u, i, 1'000'000 + static_cast<net::TimeUs>(i) * 10'000, 80);
   }
   for (std::uint32_t i = 0; i < 10; ++i) {
-    emit(0x05000002u, i, 2'600'000 + static_cast<net::TimeUs>(i) * 10'000, 443);
+    emit(0x05000002u, i, 2'600'000 + static_cast<net::TimeUs>(i) * 10'000,
+         i % 2 == 0 ? 443 : 8080);
   }
   writer.flush();
 }
@@ -121,24 +123,28 @@ struct StoreFixture : ::testing::Test {
     file.write(&byte, 1);
   }
 
-  /// Overwrites the u32 at `payload_offset` and recomputes the header
-  /// checksum, so the crafted payload passes every header check and
-  /// reaches the parser (FNV-1a detects accidents, not forgeries).
-  void rewrite_payload_u32(std::size_t payload_offset, std::uint32_t value) const {
+  /// Overwrites the `width`-byte little-endian field at `payload_offset`
+  /// and recomputes the header checksum, so the crafted payload passes
+  /// every header check and reaches the parser (FNV-1a detects
+  /// accidents, not forgeries).
+  void rewrite_payload(std::size_t payload_offset, std::uint64_t value,
+                       std::size_t width) const {
     std::vector<std::uint8_t> bytes;
     {
       std::ifstream in(rollup_path, std::ios::binary);
       bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     }
-    ASSERT_GE(bytes.size(), kHeader + payload_offset + 4);
-    net::store_le32(bytes.data() + kHeader + payload_offset, value);
+    ASSERT_GE(bytes.size(), kHeader + payload_offset + width);
+    for (std::size_t i = 0; i < width; ++i) {
+      bytes[kHeader + payload_offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
     net::store_le64(bytes.data() + 56, fnv1a(std::span(bytes).subspan(kHeader)));
     std::ofstream out(rollup_path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
 
-  /// `.spr` v1 header size; the payload follows it.
+  /// `.spr` header size; the payload follows it.
   static constexpr std::size_t kHeader = 64;
 };
 
@@ -171,9 +177,13 @@ TEST_F(StoreFixture, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->campaigns.size(), rollup.campaigns.size());
   ASSERT_EQ(loaded->segments.size(), rollup.segments.size());
   EXPECT_EQ(loaded->ports.total_packets(), rollup.ports.total_packets());
-  EXPECT_EQ(loaded->ports.total_sources(), rollup.ports.total_sources());
-  EXPECT_EQ(loaded->types.total_packets(), rollup.types.total_packets());
-  EXPECT_EQ(loaded->geo.total_packets(), rollup.geo.total_packets());
+  ASSERT_EQ(loaded->ports.total_sources(), rollup.ports.total_sources());
+  for (const auto& [source, ports] : rollup.ports.per_source()) {
+    const auto* stored = loaded->ports.per_source().find(source);
+    ASSERT_NE(stored, nullptr) << source;
+    EXPECT_EQ(stored->size(), ports.size()) << source;
+    for (const auto [port, packets] : ports) EXPECT_EQ(stored->get(port), packets) << port;
+  }
 }
 
 TEST_F(StoreFixture, StatReportsStoredHeader) {
@@ -181,7 +191,7 @@ TEST_F(StoreFixture, StatReportsStoredHeader) {
   save(rollup);
   const auto info = rollup_stat(rollup_path);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->version, 1u);
+  EXPECT_EQ(info->version, 2u);
   EXPECT_EQ(info->source_size, identity.source_size);
   EXPECT_EQ(info->source_mtime_ns, identity.source_mtime_ns);
   EXPECT_EQ(info->analysis_fingerprint, fingerprint);
@@ -289,14 +299,49 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
         << "the .spr layout moved; re-derive the port count offset";
   }
 
+  // Payload offsets into the tally section, which ends the payload:
+  // u64 source count, then per ascending source a u32 source, a u32 row
+  // count and (u16 port, u64 packets) rows in ascending port order.
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint16_t>>> sources;
+  for (const auto& [source, ports] : stored->ports.per_source()) {
+    std::vector<std::uint16_t> sorted;
+    for (const auto [port, packets] : ports) sorted.push_back(port);
+    std::sort(sorted.begin(), sorted.end());
+    sources.emplace_back(source, std::move(sorted));
+  }
+  std::sort(sources.begin(), sources.end());
+  ASSERT_GE(sources.back().second.size(), 2u);
+  std::size_t tally_size = 8;
+  for (const auto& [source, ports] : sources) tally_size += 8 + 10 * ports.size();
+  const auto payload_size = static_cast<std::size_t>(rollup_stat(rollup_path)->payload_size);
+  const std::size_t first_rows = payload_size - tally_size + 8 + 4;
+  const std::size_t last_port = payload_size - 10;
+  const std::uint16_t repeated_port = sources.back().second.end()[-2];
+  {
+    std::ifstream in(rollup_path, std::ios::binary);
+    std::uint8_t word[4] = {};
+    in.seekg(static_cast<std::streamoff>(kHeader + first_rows));
+    in.read(reinterpret_cast<char*>(word), 4);
+    ASSERT_EQ(net::load_le32(word), sources.front().second.size())
+        << "the .spr layout moved; re-derive the row count offset";
+    in.seekg(static_cast<std::streamoff>(kHeader + last_port));
+    in.read(reinterpret_cast<char*>(word), 2);
+    ASSERT_EQ(net::load_le16(word), sources.back().second.back())
+        << "the .spr layout moved; re-derive the last port offset";
+  }
+
   // Each defect must cost a re-analysis (a miss), rewrite the rollup and
   // still produce the reference report; the rewrite heals the store, so
-  // the next run hits.
+  // the next run hits and serves the same report.
   const std::vector<std::pair<std::string, std::function<void()>>> defects = {
       {"flipped payload byte", [&] { corrupt_byte(10); }},
       {"first segment's port count 0xfffffff0",
-       [&] { rewrite_payload_u32(first_ports, 0xfffffff0u); }},
-      {"terminal status 9", [&] { rewrite_payload_u32(8, 9); }},
+       [&] { rewrite_payload(first_ports, 0xfffffff0u, 4); }},
+      {"terminal status 9", [&] { rewrite_payload(8, 9, 4); }},
+      {"first tally source's row count 0xfffffff0",
+       [&] { rewrite_payload(first_rows, 0xfffffff0u, 4); }},
+      {"last tally source's last port repeated",
+       [&] { rewrite_payload(last_port, repeated_port, 2); }},
   };
   for (const auto& [label, corrupt] : defects) {
     SCOPED_TRACE(label);
@@ -311,8 +356,36 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
     out.push_back('\n');
     report::append_campaigns_jsonl(out, run.analysis.result.campaigns);
     EXPECT_EQ(out, reference);
+    EXPECT_EQ(run_store().stats.store_hits, 1u);
     EXPECT_EQ(report_of(capture, true), reference);
   }
+}
+
+TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
+  save(analyze());
+  {
+    // The earlier layout's version number; the store keeps no reader
+    // for it, so the rest of the file does not matter.
+    std::fstream file(rollup_path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.is_open());
+    std::uint8_t version[4] = {};
+    net::store_le32(version, 1);
+    file.seekp(4);
+    file.write(reinterpret_cast<const char*>(version), 4);
+  }
+  ASSERT_EQ(rollup_stat(rollup_path)->version, 1u);
+  EXPECT_FALSE(load().has_value());
+
+  ShardRunOptions options;
+  options.workers = 1;
+  options.ingest.use_cache = false;
+  const auto run = run_shards(plan_shards(std::vector<fs::path>{capture}), test_telescope(),
+                              enrich::InternetRegistry::synthetic_default(), TrackerConfig{},
+                              options);
+  EXPECT_EQ(run.stats.store_misses, 1u);
+  EXPECT_EQ(run.stats.store_writes, 1u);
+  EXPECT_EQ(rollup_stat(rollup_path)->version, 2u);
+  EXPECT_TRUE(load().has_value());
 }
 
 }  // namespace

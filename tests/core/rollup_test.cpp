@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "core/daily_series.h"
 #include "core/port_tally.h"
+#include "core/reference_tallies.h"
 #include "core/volatility.h"
 #include "fingerprint/classifier.h"
 #include "net/packet.h"
@@ -87,60 +89,55 @@ TEST(RollupMerge, PortTallyMergeWithEmptyIsIdentity) {
   EXPECT_EQ(fresh.total_sources(), sources);
 }
 
-TEST(RollupMerge, TypeTallyMergeEqualsWhole) {
-  const auto& registry = enrich::InternetRegistry::synthetic_default();
-  const auto probes = sample_probes(200);
-  TypeTally whole(registry);
-  TypeTally left(registry);
-  TypeTally right(registry);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    whole.on_probe(probes[i]);
-    (i < 70 ? left : right).on_probe(probes[i]);
+/// Probes from sources spread over the registry's records (every
+/// scanner type, many countries) and one unallocated source, in
+/// per-source bursts over a few ports.
+std::vector<telescope::ScanProbe> attributed_probes(std::size_t n) {
+  const auto records = enrich::InternetRegistry::synthetic_default().records();
+  const std::uint16_t ports[] = {22, 80, 443, 8545, 3389};
+  std::vector<telescope::ScanProbe> probes;
+  probes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto burst = i / 4;
+    const auto source = burst % 9 == 8
+                            ? src(0)
+                            : records[(burst * 7) % records.size()].prefix.at(burst % 5);
+    probes.push_back(ProbeBuilder()
+                         .at(static_cast<net::TimeUs>(1'000'000 + i * 40))
+                         .from(source)
+                         .to(dst(static_cast<std::uint32_t>(i % 31)))
+                         .port(ports[(i + burst) % std::size(ports)]));
   }
-  left.merge(right);
-  EXPECT_EQ(left.total_packets(), whole.total_packets());
-  EXPECT_EQ(left.total_sources(), whole.total_sources());
-  for (std::size_t t = 0; t < enrich::kScannerTypeCount; ++t) {
-    const auto type = static_cast<enrich::ScannerType>(t);
-    EXPECT_EQ(left.packets(type), whole.packets(type));
-    EXPECT_EQ(left.sources(type), whole.sources(type));
-  }
-  EXPECT_EQ(left.top_ports(5), whole.top_ports(5));
+  return probes;
 }
 
-TEST(RollupMerge, TypeTallyRegistryMismatchThrows) {
-  const enrich::InternetRegistry other({});
-  TypeTally a(enrich::InternetRegistry::synthetic_default());
-  const TypeTally b(other);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
+/// Folds three shard tallies of `probes` (cut at uneven points) into
+/// the first.
+PortTally merged_thirds(const std::vector<telescope::ScanProbe>& probes) {
+  std::array<PortTally, 3> shards;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    shards[i * 6 < probes.size() ? 0 : i * 3 < probes.size() * 2 ? 1 : 2].on_probe(probes[i]);
+  }
+  shards[0].merge(shards[1]);
+  shards[0].merge(shards[2]);
+  return std::move(shards[0]);
+}
+
+TEST(RollupMerge, TypeTallyMergeEqualsWhole) {
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  const auto probes = attributed_probes(600);
+  testing::ReferenceTypeTally whole(registry);
+  for (const auto& probe : probes) whole.on_probe(probe);
+  testing::expect_type_view_matches(TypeView(merged_thirds(probes), registry), whole);
 }
 
 TEST(RollupMerge, GeoTallyMergeEqualsWhole) {
   const auto& registry = enrich::InternetRegistry::synthetic_default();
-  const auto probes = sample_probes(200);
-  GeoTally whole(registry);
-  GeoTally left(registry);
-  GeoTally right(registry);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    whole.on_probe(probes[i]);
-    (i < 130 ? left : right).on_probe(probes[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.total_packets(), whole.total_packets());
-  const auto merged_top = left.top_countries(5);
-  const auto whole_top = whole.top_countries(5);
-  ASSERT_EQ(merged_top.size(), whole_top.size());
-  for (std::size_t i = 0; i < whole_top.size(); ++i) {
-    EXPECT_EQ(merged_top[i].country, whole_top[i].country);
-    EXPECT_EQ(merged_top[i].packets, whole_top[i].packets);
-  }
-}
-
-TEST(RollupMerge, GeoTallyRegistryMismatchThrows) {
-  const enrich::InternetRegistry other({});
-  GeoTally a(enrich::InternetRegistry::synthetic_default());
-  const GeoTally b(other);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
+  const auto probes = attributed_probes(600);
+  testing::ReferenceGeoTally whole(registry);
+  for (const auto& probe : probes) whole.on_probe(probe);
+  ASSERT_GT(whole.packets.size(), 3u);
+  testing::expect_geo_view_matches(GeoView(merged_thirds(probes), registry), whole, registry);
 }
 
 TEST(RollupMerge, VolatilityMergeEqualsWhole) {
@@ -289,7 +286,7 @@ TEST(RollupMerger, AddAfterFinishThrows) {
   const auto& registry = enrich::InternetRegistry::synthetic_default();
   RollupMerger merger(test_telescope(), registry, TrackerConfig{});
   (void)merger.finish();
-  EXPECT_THROW(merger.add(CaptureRollup(registry)), std::logic_error);
+  EXPECT_THROW(merger.add(CaptureRollup{}), std::logic_error);
 }
 
 TEST(RollupMerger, EmptyMergeIsEmptyAnalysis) {

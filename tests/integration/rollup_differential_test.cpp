@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/analysis_session.h"
+#include "core/reference_tallies.h"
 #include "core/rollup_store.h"
 #include "pcap/pcap.h"
 #include "report/json.h"
@@ -169,13 +170,13 @@ TEST_F(RollupDifferential, MergedShardsMatchWholeCaptureByteForByte) {
     EXPECT_EQ(merged.stats.shards, count);
     EXPECT_EQ(report_bytes(merged.analysis), reference)
         << count << " shards diverged from the whole-capture analysis";
-    // The merged streaming tallies agree too (the report surface only
-    // covers counters + campaigns; these feed the analytics commands).
+    // The merged tally agrees too (the report surface only covers
+    // counters + campaigns; the tally feeds the analytics commands).
     EXPECT_EQ(merged.analysis.frames, whole.frames) << count << " shards";
     EXPECT_EQ(merged.analysis.ports.total_packets(), whole.ports.total_packets());
     EXPECT_EQ(merged.analysis.ports.total_sources(), whole.ports.total_sources());
-    EXPECT_EQ(merged.analysis.types.total_sources(), whole.types.total_sources());
-    EXPECT_EQ(merged.analysis.geo.total_packets(), whole.geo.total_packets());
+    EXPECT_EQ(merged.analysis.types().total_sources(), whole.types().total_sources());
+    EXPECT_EQ(merged.analysis.geo().total_packets(), whole.geo().total_packets());
   }
 }
 
@@ -189,17 +190,42 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
 
   const auto shards = split_capture(3);
 
+  // The scanner-type and country views of a merge must answer as
+  // per-probe tallies of the whole capture do.
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  testing::ReferenceTypeTally whole_types(registry);
+  testing::ReferenceGeoTally whole_geo(registry);
+  (void)core::ingest_capture(whole_, test_telescope(), ingest,
+                             [&](const telescope::ProbeBatch& batch) {
+                               for (std::size_t i = 0; i < batch.size(); ++i) {
+                                 whole_types.on_probe(batch.get(i));
+                                 whole_geo.on_probe(batch.get(i));
+                               }
+                             });
+  const auto expect_reference_views = [&](const core::AnalyzedCapture& analysis) {
+    testing::expect_type_view_matches(analysis.types(), whole_types);
+    testing::expect_geo_view_matches(analysis.geo(), whole_geo, registry);
+  };
+
   // Build pass: every shard analyzed and persisted.
   const auto built = run(shards, true, 2);
   EXPECT_EQ(built.stats.store_misses, 3u);
   EXPECT_EQ(built.stats.store_writes, 3u);
   EXPECT_EQ(report_bytes(built.analysis), reference);
+  {
+    SCOPED_TRACE("3-shard merge");
+    expect_reference_views(built.analysis);
+  }
 
   // Warm pass: everything served from the store.
   const auto warm = run(shards, true, 2);
   EXPECT_EQ(warm.stats.store_hits, 3u);
   EXPECT_EQ(warm.stats.store_misses, 0u);
   EXPECT_EQ(report_bytes(warm.analysis), reference);
+  {
+    SCOPED_TRACE("3 shards loaded from .spr");
+    expect_reference_views(warm.analysis);
+  }
 
   // Incremental pass: one rollup dropped — only that shard re-analyzes,
   // and the mixed loaded/recomputed merge still matches exactly.

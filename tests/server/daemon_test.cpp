@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/analysis_session.h"
+#include "core/shard.h"
 #include "enrich/registry.h"
 #include "report/json.h"
 #include "server/client.h"
@@ -95,17 +96,22 @@ std::string err_message(Client& client, std::string_view command) {
   return error;
 }
 
+/// The `analyze --json` bytes of an analysis: counters line, then the
+/// campaign JSONL.
+std::string report_bytes(const core::AnalyzedCapture& analysis) {
+  std::string out;
+  report::append_counters_json(out, analysis.result);
+  out.push_back('\n');
+  report::append_campaigns_jsonl(out, analysis.result.campaigns);
+  return out;
+}
+
 /// The exact bytes the offline `analyze --json` path writes for this
 /// capture at the given worker count.
 std::string offline_analyze_bytes(const std::string& capture, std::size_t workers) {
-  const auto analysis = core::analyze_capture(
-      capture, testing::server_telescope(),
-      enrich::InternetRegistry::synthetic_default(), workers, {});
-  std::string expected;
-  report::append_counters_json(expected, analysis.result);
-  expected.push_back('\n');
-  report::append_campaigns_jsonl(expected, analysis.result.campaigns);
-  return expected;
+  return report_bytes(core::analyze_capture(capture, testing::server_telescope(),
+                                            enrich::InternetRegistry::synthetic_default(),
+                                            workers, {}));
 }
 
 TEST(Daemon, PingAndStatusOnIdleDaemon) {
@@ -164,6 +170,67 @@ TEST(Daemon, LoadOfMissingCaptureReportsErrorAndStaysUp) {
   EXPECT_NE(err_message(client, "LOAD /nonexistent/window.pcap").find("load failed"),
             std::string::npos);
   EXPECT_EQ(ok_body(client, "PING"), "");  // daemon survived the throw
+}
+
+TEST(Daemon, RollupMatchesOfflineShardRunThenHitsTheStore) {
+  DaemonHarness harness;
+  harness.start();
+  std::vector<fs::path> shards;
+  std::string command = "ROLLUP";
+  for (const std::uint64_t seed : {11, 12, 13}) {
+    shards.push_back(harness.dir() / ("shard_" + std::to_string(seed) + ".pcap"));
+    testing::write_server_capture(shards.back(), 6'000, seed);
+    command += " " + shards.back().string();
+  }
+
+  // `synscan rollup query --no-rollup-store`: every shard re-analyzed.
+  core::ShardRunOptions offline_options;
+  offline_options.use_rollup_store = false;
+  const auto offline = core::run_shards(
+      core::plan_shards(shards), testing::server_telescope(),
+      enrich::InternetRegistry::synthetic_default(), core::TrackerConfig{}, offline_options);
+  ASSERT_GT(offline.analysis.result.campaigns.size(), 0u);
+  const auto hits_and_misses = [](std::uint64_t hits, std::uint64_t misses) {
+    return "\"store_hits\":" + std::to_string(hits) +
+           ",\"store_misses\":" + std::to_string(misses) + ",";
+  };
+
+  auto client = harness.connect();
+  const auto built = ok_body(client, command);
+  EXPECT_NE(built.find(hits_and_misses(offline.stats.store_hits, offline.stats.store_misses)),
+            std::string::npos)
+      << built;
+  EXPECT_EQ(ok_body(client, "QUERY analyze"), report_bytes(offline.analysis));
+
+  // The first ROLLUP wrote every shard's `.spr`.
+  const auto warm = ok_body(client, command);
+  EXPECT_NE(warm.find(hits_and_misses(3, 0)), std::string::npos) << warm;
+  EXPECT_EQ(ok_body(client, "QUERY analyze"), report_bytes(offline.analysis));
+}
+
+TEST(Daemon, FailedLoadOrRollupKeepsTheResidentCapture) {
+  DaemonHarness harness;
+  harness.start();
+  const auto capture = harness.capture();
+  auto client = harness.connect();
+  (void)ok_body(client, "LOAD " + capture);
+  const auto resident = ok_body(client, "QUERY analyze");
+  EXPECT_EQ(resident, offline_analyze_bytes(capture, 2));
+
+  const auto missing = (harness.dir() / "missing.pcap").string();
+  EXPECT_NE(err_message(client, "LOAD " + missing).find("load failed"), std::string::npos);
+  EXPECT_NE(err_message(client, "ROLLUP " + capture + " " + missing).find("rollup failed"),
+            std::string::npos);
+
+  EXPECT_EQ(ok_body(client, "QUERY analyze"), resident);
+  const auto status = ok_body(client, "STATUS");
+  EXPECT_NE(status.find("\"state\":\"ready\""), std::string::npos) << status;
+  EXPECT_NE(status.find("\"capture\":\"" + capture + "\""), std::string::npos) << status;
+  EXPECT_NE(status.find("\"loads\":1,"), std::string::npos) << status;
+
+  (void)ok_body(client, "LOAD " + capture);
+  EXPECT_NE(ok_body(client, "STATUS").find("\"loads\":2,"), std::string::npos);
+  EXPECT_EQ(ok_body(client, "QUERY analyze"), resident);
 }
 
 TEST(Daemon, PipelinedMixedRequestsComeBackInOrder) {

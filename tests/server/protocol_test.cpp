@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace synscan::server {
 namespace {
@@ -36,6 +37,17 @@ TEST(Protocol, LoadTakesPathVerbatimIncludingSpaces) {
 TEST(Protocol, LoadWithoutPathIsAnError) {
   EXPECT_NE(parse_err("LOAD").find("capture path"), std::string::npos);
   EXPECT_NE(parse_err("LOAD   ").find("capture path"), std::string::npos);
+}
+
+TEST(Protocol, RollupKeepsPathsInOrder) {
+  const auto request = parse_ok("ROLLUP b.pcap a.pcap");
+  EXPECT_EQ(request.kind, RequestKind::kRollup);
+  EXPECT_EQ(request.paths, (std::vector<std::string>{"b.pcap", "a.pcap"}));
+}
+
+TEST(Protocol, RollupWithoutPathsIsAnError) {
+  EXPECT_NE(parse_err("ROLLUP").find("capture path"), std::string::npos);
+  EXPECT_NE(parse_err("ROLLUP   ").find("capture path"), std::string::npos);
 }
 
 TEST(Protocol, QueryParsesReportAndFilters) {
