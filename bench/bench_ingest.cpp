@@ -6,8 +6,8 @@
 //   pre        — the original path: pcap::Reader (buffered istream, one
 //                byte-vector copy per record) + per-frame
 //                Sensor::classify through decode_frame;
-//   mmap_batch — core::ingest_capture with the cache off: chunked
-//                mapped walk + batch classify, SoA ProbeBatch;
+//   mmap_batch — core::ingest_capture with the cache off: one mapped
+//                walk + batch classify, SoA ProbeBatch;
 //   cache_warm — core::ingest_capture over the .spc probe cache the
 //                cold pass just wrote (decode and classify skipped).
 // The probe counts of all paths must agree; the binary exits non-zero
@@ -23,16 +23,8 @@
 // silently falling back to the per-record path) without the flakiness
 // of absolute-time assertions on shared runners.
 //
-// `--scan-chunks=LIST` (comma-separated chunk counts; 0 = auto) sweeps
-// the cold mmap_batch path's chunked-scan parallelism and reports one
-// row per setting in a `scan_chunk_sweep` column, so multi-core hosts
-// record the scaling curve next to the serial baseline (ROADMAP item:
-// multi-core ingest numbers). On a single-core host every row degrades
-// to the serial scan and the column simply pins that.
-//
 // Usage: bench_ingest [--frames=N] [--label=STR] [--seed=N]
 //                     [--iters=N] [--warmup=N] [--check-ratio=MIN]
-//                     [--scan-chunks=LIST]
 // Output: one JSON object on stdout.
 #include <chrono>
 #include <cinttypes>
@@ -86,27 +78,7 @@ struct Options {
   /// Minimum mmap_batch GB/s as a fraction of the measured memcpy GB/s
   /// baseline; < 0 disables the gate.
   double check_ratio = -1.0;
-  /// Chunked-scan settings to sweep on the cold path (0 = auto).
-  std::vector<std::size_t> scan_chunks = {1, 2, 4, 0};
 };
-
-std::vector<std::size_t> parse_chunk_list(const char* text) {
-  std::vector<std::size_t> values;
-  while (*text != '\0') {
-    char* end = nullptr;
-    values.push_back(static_cast<std::size_t>(std::strtoull(text, &end, 10)));
-    if (end == text) {
-      std::fprintf(stderr, "bad --scan-chunks list\n");
-      std::exit(2);
-    }
-    text = (*end == ',') ? end + 1 : end;
-  }
-  if (values.empty()) {
-    std::fprintf(stderr, "--scan-chunks needs at least one value\n");
-    std::exit(2);
-  }
-  return values;
-}
 
 Options parse(int argc, char** argv) {
   Options options;
@@ -124,8 +96,6 @@ Options parse(int argc, char** argv) {
       options.warmup = std::atoi(arg.c_str() + 9);
     } else if (arg.rfind("--check-ratio=", 0) == 0) {
       options.check_ratio = std::strtod(arg.c_str() + 14, nullptr);
-    } else if (arg.rfind("--scan-chunks=", 0) == 0) {
-      options.scan_chunks = parse_chunk_list(arg.c_str() + 14);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       std::exit(2);
@@ -189,7 +159,6 @@ struct PathResult {
   double seconds = 0.0;
   std::uint64_t frames = 0;
   std::uint64_t probes = 0;
-  std::uint64_t chunks = 0;  ///< scan chunks the cold path actually used
 };
 
 /// Measured memcpy bandwidth over a buffer the size of the capture —
@@ -229,12 +198,10 @@ PathResult run_reader_per_frame(const fs::path& path) {
   return result;
 }
 
-PathResult run_ingest(const fs::path& path, bool use_cache, bool expect_hit,
-                      std::size_t scan_chunks = 0) {
+PathResult run_ingest(const fs::path& path, bool use_cache, bool expect_hit) {
   PathResult result;
   core::IngestOptions options;
   options.use_cache = use_cache;
-  options.scan_chunks = scan_chunks;
   const auto start = std::chrono::steady_clock::now();
   const auto ingest =
       core::ingest_capture(path, bench_telescope(), options,
@@ -244,7 +211,6 @@ PathResult run_ingest(const fs::path& path, bool use_cache, bool expect_hit,
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   result.frames = ingest.frames;
-  result.chunks = ingest.chunks;
   if (ingest.from_cache != expect_hit) {
     std::fprintf(stderr, "bench_ingest: expected from_cache=%d\n", expect_hit ? 1 : 0);
     std::exit(1);
@@ -275,26 +241,8 @@ int main(int argc, char** argv) {
   const auto post = median([&] { return run_ingest(capture, false, false); });
   (void)run_ingest(capture, true, false);  // cold pass writes the .spc
   const auto warm = median([&] { return run_ingest(capture, true, true); });
-
-  // Chunked-scan scaling sweep over the cold path. Each row must agree
-  // with the serial paths on frames and probes — the sweep doubles as a
-  // chunking differential.
-  std::vector<PathResult> sweep;
-  sweep.reserve(options.scan_chunks.size());
-  for (const auto chunks : options.scan_chunks) {
-    sweep.push_back(median([&] { return run_ingest(capture, false, false, chunks); }));
-  }
   fs::remove_all(dir);
 
-  for (const auto& row : sweep) {
-    if (row.frames != pre.frames || row.probes != pre.probes) {
-      std::fprintf(stderr,
-                   "bench_ingest: scan-chunk sweep divergence at %" PRIu64
-                   " chunks (frames %" PRIu64 ", probes %" PRIu64 ")\n",
-                   row.chunks, row.frames, row.probes);
-      return 1;
-    }
-  }
   if (pre.probes != post.probes || pre.probes != warm.probes ||
       pre.frames != post.frames || pre.frames != warm.frames) {
     std::fprintf(stderr,
@@ -315,18 +263,6 @@ int main(int argc, char** argv) {
     return static_cast<double>(capture_bytes) / r.seconds / 1e9;
   };
   const double ratio = gbps(post) / memcpy_gbps;
-  std::string sweep_json = "[";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    char row[160];
-    std::snprintf(row, sizeof(row),
-                  "%s{\"requested\":%llu,\"chunks\":%" PRIu64
-                  ",\"seconds\":%.4f,\"frames_per_sec\":%.0f,\"gbps\":%.2f}",
-                  i == 0 ? "" : ",",
-                  static_cast<unsigned long long>(options.scan_chunks[i]),
-                  sweep[i].chunks, sweep[i].seconds, fps(sweep[i]), gbps(sweep[i]));
-    sweep_json.append(row);
-  }
-  sweep_json.push_back(']');
   std::printf(
       "{\"label\":\"%s\",\"frames\":%" PRIu64 ",\"probes\":%" PRIu64 ","
       "\"capture_bytes\":%" PRIu64 ",\"peak_rss_kb\":%ld,"
@@ -337,12 +273,12 @@ int main(int argc, char** argv) {
       "\"cache_warm_seconds\":%.4f,\"cache_warm_frames_per_sec\":%.0f,"
       "\"cache_warm_gbps\":%.2f,"
       "\"mmap_speedup\":%.2f,\"cache_speedup\":%.2f,"
-      "\"mmap_vs_memcpy\":%.3f,\"scan_chunk_sweep\":%s}\n",
+      "\"mmap_vs_memcpy\":%.3f}\n",
       options.label.c_str(), pre.frames, pre.probes,
       static_cast<std::uint64_t>(capture_bytes), peak_rss_kb(), options.iterations,
       options.warmup, memcpy_gbps, pre.seconds, fps(pre), gbps(pre), post.seconds,
       fps(post), gbps(post), warm.seconds, fps(warm), gbps(warm),
-      fps(post) / fps(pre), fps(warm) / fps(pre), ratio, sweep_json.c_str());
+      fps(post) / fps(pre), fps(warm) / fps(pre), ratio);
   if (options.check_ratio >= 0.0 && ratio < options.check_ratio) {
     std::fprintf(stderr,
                  "bench_ingest: mmap_batch %.2f GB/s is %.3fx memcpy "

@@ -89,8 +89,6 @@ std::size_t default_workers() {
 core::IngestOptions ingest_options(const Args& args) {
   core::IngestOptions options;
   options.use_cache = !args.flag("no-probe-cache");
-  options.scan_chunks =
-      static_cast<std::size_t>(args.number("scan-chunks", 0));  // 0 = auto
   return options;
 }
 
@@ -208,9 +206,7 @@ int run_analyze(const std::vector<std::string>& args) {
     // Serialize to a string first — the same append_* emission the
     // daemon sends over its socket — then write the bytes in one go.
     std::string payload;
-    report::append_counters_json(payload, analysis.result);
-    payload.push_back('\n');
-    report::append_campaigns_jsonl(payload, campaigns);
+    report::append_analyze_json(payload, analysis.result);
     std::ofstream json_out(*json_path, std::ios::trunc | std::ios::binary);
     if (!json_out.is_open()) {
       throw std::runtime_error("cannot write " + *json_path);
@@ -593,9 +589,7 @@ int run_rollup_query(const Args& parsed, std::span<const std::string> captures) 
   // The exact byte stream `analyze --json` writes for the concatenated
   // captures: counters line, then one campaign per line.
   std::string payload;
-  report::append_counters_json(payload, result.analysis.result);
-  payload.push_back('\n');
-  report::append_campaigns_jsonl(payload, result.analysis.result.campaigns);
+  report::append_analyze_json(payload, result.analysis.result);
   if (const auto json_path = parsed.flag("json")) {
     std::ofstream json_out(*json_path, std::ios::trunc | std::ios::binary);
     if (!json_out.is_open()) {

@@ -62,8 +62,7 @@ void print_usage(std::ostream& os) {
         "            e.g. PING | STATUS | LOAD <pcap> | ROLLUP <pcap...> |\n"
         "            QUERY analyze | SHUTDOWN\n"
         "  cache:    stat <file.spc> | verify <file.spc> [--capture=<pcap>] |\n"
-        "            build <capture.pcap> [--out=<file.spc>]\n"
-        "            [--force] [--scan-chunks=<n>]\n"
+        "            build <capture.pcap> [--out=<file.spc>] [--force]\n"
         "  rollup:   build|query <captures...> [--workers=<n>] [--json=<file>]\n"
         "            [--no-rollup-store] | stat <file.spr>   (docs/ARCHITECTURE.md\n"
         "            \"Rollup store\": merged reports match analyze --json bytes)\n";

@@ -5,14 +5,18 @@
 //   1. a validated columnar probe cache (`.spc`, core/probe_cache.h):
 //      skip decode and classification entirely;
 //   2. a classic pcap walked in place: the capture is mmap'ed, or
-//      bulk-read when it cannot be (a FIFO), and `pcap::ChunkReader::scan`
-//      hands every record straight to `FrameBatcher::consume`;
+//      bulk-read when it cannot be (a FIFO), and one
+//      `pcap::ChunkReader::scan` over the whole record region hands every
+//      record straight to `FrameBatcher::consume`;
 //   3. pcapng input, read record-at-a-time from the same bytes and
 //      handed to `FrameBatcher::push` —
-// and hands the probes to the caller one `ProbeBatch` at a time. The
-// capture is opened exactly once, so input that can be read only once
-// works too. The paths produce bit-identical probes and sensor counters
-// (held together by tests/integration/ingest_differential_test.cpp).
+// and hands the probes to the caller one `ProbeBatch` at a time. Every
+// path streams on the calling thread: one batch is in flight, handed to
+// the `.spc` writer and the sink as it fills, and ingest starts no
+// thread of its own. The capture is opened exactly once, so input that
+// can be read only once works too. The paths produce bit-identical
+// probes and sensor counters (held together by
+// tests/integration/ingest_differential_test.cpp).
 //
 // After a cold decode of a regular file the probes are written back as a
 // cache (best-effort: cache I/O failures never fail the run), so the
@@ -44,15 +48,6 @@ inline constexpr std::size_t kIngestBatchFrames = 4096;
 struct IngestOptions {
   /// Read and write the sibling `.spc` probe cache.
   bool use_cache = true;
-  /// Cold-scan parallelism: the capture's record region is split into
-  /// this many record-aligned chunks (`pcap::partition_records`), each
-  /// scanned and classified by its own thread, and the per-chunk probe
-  /// batches are merged back in capture order — probes, counters,
-  /// terminal status and `.spc` bytes are identical to the serial scan.
-  /// 0 = auto (one chunk per hardware thread), 1 = serial. Small
-  /// captures stay serial regardless: splitting pays off only once the
-  /// scan outweighs thread startup.
-  std::size_t scan_chunks = 0;
   /// Cache location override; empty means `<capture>.spc`.
   std::filesystem::path cache_path;
 };
@@ -62,9 +57,8 @@ struct IngestResult {
   std::uint64_t frames = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
   std::uint64_t batches = 0;
-  std::uint64_t chunks = 0;  ///< scan chunks used by the cold path
-  bool from_cache = false;   ///< probes came from a validated cache
-  bool mapped = false;       ///< capture bytes were mmap'ed
+  bool from_cache = false;  ///< probes came from a validated cache
+  bool mapped = false;      ///< capture bytes were mmap'ed
 };
 
 /// Receives each probe batch in capture order. The batch is only valid

@@ -26,9 +26,9 @@
 //     columns are plain little-endian arrays.
 //
 // The writer normalizes chunking to a fixed row count per chunk
-// (kCacheRowsPerChunk), independent of how the classifier batched its
-// appends — the cache bytes are a pure function of the probe stream, so
-// serial and chunked-parallel ingests commit identical files (pinned by
+// (kCacheRowsPerChunk), independent of how the producer batched its
+// appends — the cache bytes are a pure function of the probe stream and
+// never depend on a producer's batch boundaries (pinned by
 // tests/integration/ingest_differential_test.cpp).
 //
 // Validity = magic + version + codec + source identity (byte size and

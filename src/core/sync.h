@@ -1,9 +1,9 @@
 // Capability-annotated synchronization layer.
 //
 // Every lock in the concurrent core (the multi-worker `Pipeline`'s
-// slice queues, the synscand job/completion queues, the chunked-scan
-// merge, the obs metrics registry) goes through these wrappers instead of the
-// raw std primitives, for one reason: the wrappers carry Clang
+// slice queues, the synscand job/completion queues, the obs metrics
+// registry) goes through these wrappers instead of the raw std
+// primitives, for one reason: the wrappers carry Clang
 // Thread Safety Analysis attributes, which turn the protection rules
 // documented in docs/ARCHITECTURE.md ("Ownership and threading rules")
 // into *compile errors* under `-Wthread-safety`:

@@ -44,44 +44,8 @@ std::vector<std::uint8_t> drain_stream(std::istream& stream) {
 
 }  // namespace
 
-std::vector<ScanChunk> partition_records(std::span<const std::uint8_t> bytes,
-                                         const FileInfo& info, std::size_t max_chunks) {
-  const std::size_t size = bytes.size();
-  const std::size_t begin = std::min<std::size_t>(kGlobalHeaderSize, size);
-  if (max_chunks <= 1 || size - begin < 2 * kRecordHeaderSize) {
-    return {{begin, size}};
-  }
-  const std::size_t target = std::max<std::size_t>((size - begin) / max_chunks,
-                                                   kRecordHeaderSize);
-
-  std::vector<ScanChunk> chunks;
-  chunks.reserve(max_chunks);
-  std::size_t offset = begin;
-  std::size_t chunk_begin = begin;
-  (void)detail::scan_records(
-      bytes, info, offset, size,
-      [&](net::TimeUs /*timestamp_us*/, const std::uint8_t* /*data*/,
-          std::uint32_t /*captured_length*/) {
-        if (offset - chunk_begin >= target && offset < size &&
-            chunks.size() + 1 < max_chunks) {
-          chunks.push_back({chunk_begin, offset});
-          chunk_begin = offset;
-        }
-      });
-  // A defect (or clean EOF) ends the walk; either way the final chunk
-  // runs to the end of the file, where its scanner re-derives the exact
-  // terminal status.
-  chunks.push_back({chunk_begin, size});
-  return chunks;
-}
-
-ChunkReader::ChunkReader(std::span<const std::uint8_t> bytes, const FileInfo& info,
-                         ScanChunk chunk) noexcept
-    : bytes_(bytes),
-      info_(info),
-      offset_(std::min(chunk.begin, bytes.size())),
-      end_(std::min(chunk.end, bytes.size())) {
-  if (offset_ > end_) offset_ = end_;
+ChunkReader::ChunkReader(std::span<const std::uint8_t> bytes, const FileInfo& info) noexcept
+    : bytes_(bytes), info_(info), offset_(std::min(kGlobalHeaderSize, bytes.size())) {
   if (obs::enabled()) {
     auto& registry = obs::MetricsRegistry::global();
     obs_frames_ = &registry.counter("pcap.frames");

@@ -7,12 +7,11 @@
 // whole file read-only and `ChunkReader::scan` walks its records in
 // place, handing each one's timestamp and bytes — pointers straight into
 // the mapping, no stream calls, no copies — to a consumer inlined into
-// the loop (`core::FrameBatcher::consume`, core/ingest.h). The walk
-// covers the whole record region or one record-aligned chunk of it, so
-// chunks can be scanned in parallel. Input that cannot be mapped (pipes,
-// non-regular files, or a failed mmap) degrades gracefully to a single
-// bulk read into an owned buffer; the record walk is identical either
-// way.
+// the loop (`core::FrameBatcher::consume`, core/ingest.h). One walk
+// covers the whole record region, front to back. Input that cannot be
+// mapped (pipes, non-regular files, or a failed mmap) degrades
+// gracefully to a single bulk read into an owned buffer; the record walk
+// is identical either way.
 #pragma once
 
 #include <algorithm>
@@ -58,28 +57,6 @@ class MappedFile {
   std::vector<std::uint8_t> fallback_;  ///< owns the bytes when !mapped_
 };
 
-/// One record-aligned byte range of a capture, produced by
-/// `partition_records`: scanning `[begin, end)` yields complete records
-/// and starts exactly where the previous chunk's last record ended.
-struct ScanChunk {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Splits the record region of a classic-pcap byte window into up to
-/// `max_chunks` contiguous, record-aligned ranges of roughly equal size,
-/// so each can be scanned by an independent `ChunkReader` (the parallel
-/// cold-ingest path in core/ingest.cpp). Classic pcap has no sync
-/// markers, so boundaries come from one serial walk over the 16-byte
-/// record headers — a few cycles per record, far below decode+classify
-/// cost. The walk stops splitting at the first implausible header
-/// (truncation or lost framing) and extends the final chunk to the end
-/// of the file: the chunk scanner re-derives the exact terminal status
-/// there, byte-for-byte like the serial reader. Always returns at least
-/// one chunk covering `[kGlobalHeaderSize, bytes.size())`.
-[[nodiscard]] std::vector<ScanChunk> partition_records(
-    std::span<const std::uint8_t> bytes, const FileInfo& info, std::size_t max_chunks);
-
 namespace detail {
 
 // The next record's header address is `offset + 16 + captured_length`, a
@@ -103,11 +80,10 @@ struct WalkEnd {
   std::uint64_t bytes = 0;   ///< sum of their captured lengths
 };
 
-/// Core record walk shared by `ChunkReader::scan` and
-/// `partition_records`: invokes `frame(timestamp_us, data,
-/// captured_length)` for every record in `bytes[offset, end)`, advancing
-/// `offset` past each one before the call. Defined in the header so the
-/// consumer inlines into the loop. Record validation is bit-identical to
+/// The record walk behind `ChunkReader::scan`: invokes
+/// `frame(timestamp_us, data, captured_length)` for every record in
+/// `bytes[offset, end)`, advancing `offset` past each one before the
+/// call. Defined in the header so the consumer inlines into the loop. Record validation is bit-identical to
 /// `parse_record_header`: the dominant little-endian layout is decoded
 /// inline, big-endian captures take the shared parser.
 template <typename F>
@@ -179,28 +155,26 @@ WalkEnd scan_records(std::span<const std::uint8_t> bytes, const FileInfo& info,
 
 }  // namespace detail
 
-/// Scans one `ScanChunk` of a capture window: the only walk over the
-/// records of a mapped classic pcap. kEndOfFile means the chunk is
-/// exhausted (its last record ends exactly at `chunk.end`); kTruncated /
-/// kBadRecord surface defects, which `partition_records` confines to the
-/// final chunk. Like `Reader`, a terminal status is reported once: a
-/// second `scan` returns kEndOfFile. Holds only views — the
-/// `MappedReader` (or `MappedFile`) owning the bytes must outlive every
-/// chunk reader. Each instance is independent, so chunks can be scanned
-/// from separate threads; the pcap.* metric counters it bumps are atomic.
+/// Walks the records of a classic-pcap byte window — a mapped capture
+/// or an image in memory — from the end of the global header to the end
+/// of the window: the only walk over the records of a mapped classic
+/// pcap. kEndOfFile means the last record ends exactly at the end of the
+/// window; kTruncated / kBadRecord surface defects. Like `Reader`, a
+/// terminal status is reported once: a second `scan` returns kEndOfFile.
+/// Holds only views — the `MappedReader` (or `MappedFile`) owning the
+/// bytes must outlive the chunk reader.
 class ChunkReader {
  public:
-  ChunkReader(std::span<const std::uint8_t> bytes, const FileInfo& info,
-              ScanChunk chunk) noexcept;
+  ChunkReader(std::span<const std::uint8_t> bytes, const FileInfo& info) noexcept;
 
   /// Invokes `frame(timestamp_us, data, captured_length)` for every
   /// remaining record, inlined into the walk loop, and returns the
-  /// chunk's terminal status.
+  /// window's terminal status.
   template <typename F>
   [[nodiscard]] ReadStatus scan(F&& frame) {
     if (done_) return ReadStatus::kEndOfFile;
     done_ = true;
-    const auto walk = detail::scan_records(bytes_, info_, offset_, end_, frame);
+    const auto walk = detail::scan_records(bytes_, info_, offset_, bytes_.size(), frame);
     frames_read_ += walk.frames;
     if (obs_frames_ != nullptr && walk.frames != 0) {
       obs_frames_->add(walk.frames);
@@ -221,7 +195,6 @@ class ChunkReader {
   std::span<const std::uint8_t> bytes_;  ///< the whole capture window
   FileInfo info_;
   std::size_t offset_;
-  std::size_t end_;
   std::uint64_t frames_read_ = 0;
   bool done_ = false;
   obs::Counter* obs_frames_ = nullptr;
@@ -231,7 +204,7 @@ class ChunkReader {
 };
 
 /// A classic pcap capture held in a `MappedFile`, its global header
-/// parsed. Its records are walked by `ChunkReader`s over `bytes()`.
+/// parsed. Its records are walked by a `ChunkReader` over `bytes()`.
 class MappedReader {
  public:
   /// Throws `std::runtime_error` when the global header is missing or
@@ -242,18 +215,10 @@ class MappedReader {
 
   [[nodiscard]] const FileInfo& info() const noexcept { return info_; }
   [[nodiscard]] bool mapped() const noexcept { return file_.mapped(); }
-  /// Total capture size in bytes (mapped or buffered).
-  [[nodiscard]] std::uint64_t byte_size() const noexcept { return file_.bytes().size(); }
   /// The whole capture window (global header included). Valid while the
-  /// reader lives; `ChunkReader`s scanning it must not outlive it.
+  /// reader lives; a `ChunkReader` scanning it must not outlive it.
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return file_.bytes();
-  }
-  /// Splits the record region into up to `max_chunks` record-aligned
-  /// ranges (see `partition_records`); `partition(1)` is the whole
-  /// record region.
-  [[nodiscard]] std::vector<ScanChunk> partition(std::size_t max_chunks) const {
-    return partition_records(file_.bytes(), info_, max_chunks);
   }
 
  private:

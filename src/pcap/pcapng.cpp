@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "net/endian.h"
@@ -22,6 +24,38 @@ std::uint16_t load16(const std::uint8_t* p, bool big_endian) {
 }
 std::uint32_t load32(const std::uint8_t* p, bool big_endian) {
   return big_endian ? net::load_be32(p) : net::load_le32(p);
+}
+
+/// Ticks per second named by an `if_tsresol` byte (2^-n when the high bit
+/// is set, 10^-n otherwise), or nothing when they do not fit 64 bits.
+std::optional<std::uint64_t> tsresol_ticks_per_second(std::uint8_t resol) {
+  const unsigned exponent = resol & 0x7fu;
+  if ((resol & 0x80) != 0) {
+    if (exponent >= 64) return std::nullopt;
+    return std::uint64_t{1} << exponent;
+  }
+  if (exponent >= 20) return std::nullopt;  // 10^20 > 2^64
+  std::uint64_t ticks = 1;
+  for (unsigned i = 0; i < exponent; ++i) ticks *= 10;
+  return ticks;
+}
+
+__extension__ using Wide = unsigned __int128;
+
+/// `ticks` at `ticks_per_second` in whole microseconds, or nothing when
+/// that does not fit `net::TimeUs`.
+std::optional<net::TimeUs> ticks_to_us(std::uint64_t ticks, std::uint64_t ticks_per_second) {
+  // The seconds part exactly, the remainder scaled in 128 bits:
+  // remainder × 10^6 overflows 64 bits once the resolution is finer
+  // than about 2^-44 s.
+  constexpr auto kMax = std::numeric_limits<net::TimeUs>::max();
+  const auto seconds = ticks / ticks_per_second;
+  const auto frac_us = static_cast<net::TimeUs>(
+      Wide{ticks % ticks_per_second} * 1'000'000u / ticks_per_second);
+  if (seconds > static_cast<std::uint64_t>(kMax / net::kMicrosPerSecond)) return std::nullopt;
+  const auto whole_us = static_cast<net::TimeUs>(seconds) * net::kMicrosPerSecond;
+  if (frac_us > kMax - whole_us) return std::nullopt;
+  return whole_us + frac_us;
 }
 
 }  // namespace
@@ -81,7 +115,7 @@ NgReader NgReader::over(std::span<const std::uint8_t> bytes) {
   return NgReader(borrowed_stream(bytes));
 }
 
-void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
+bool NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
   Interface iface;
   if (body.size() >= 8) {
     iface.link_type = load16(body.data(), big_endian_);
@@ -94,21 +128,15 @@ void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
       if (code == 0) break;  // opt_endofopt
       if (offset + length > body.size()) break;
       if (code == 9 && length >= 1) {
-        const std::uint8_t resol = body[offset];
-        if ((resol & 0x80) != 0) {
-          iface.ticks_per_second = std::uint64_t{1} << (resol & 0x7f);
-        } else {
-          iface.ticks_per_second = 1;
-          for (std::uint8_t i = 0; i < (resol & 0x7f) && i < 19; ++i) {
-            iface.ticks_per_second *= 10;
-          }
-        }
+        const auto ticks = tsresol_ticks_per_second(body[offset]);
+        if (!ticks) return false;
+        iface.ticks_per_second = *ticks;
       }
       offset += (length + 3u) & ~3u;  // options pad to 32 bits
     }
   }
-  if (iface.ticks_per_second == 0) iface.ticks_per_second = 1'000'000;
   interfaces_.push_back(iface);
+  return true;
 }
 
 ReadStatus NgReader::next(net::RawFrame& out) {
@@ -159,7 +187,7 @@ ReadStatus NgReader::next(net::RawFrame& out) {
 
     switch (block_type) {
       case kInterfaceBlock:
-        parse_interface_block(body);
+        if (!parse_interface_block(body)) return ReadStatus::kBadRecord;
         continue;
       case kEnhancedPacketBlock: {
         if (body.size() < 20) return ReadStatus::kBadRecord;
@@ -171,17 +199,13 @@ ReadStatus NgReader::next(net::RawFrame& out) {
 
         const auto ticks =
             (static_cast<std::uint64_t>(ts_high) << 32) | ts_low;
-        std::uint64_t ticks_per_second = 1'000'000;
+        std::uint64_t resolution = 1'000'000;
         if (interface_id < interfaces_.size()) {
-          ticks_per_second = interfaces_[interface_id].ticks_per_second;
+          resolution = interfaces_[interface_id].ticks_per_second;
         }
-        // Convert to µs without overflowing: seconds part exactly, the
-        // remainder scaled.
-        const auto seconds = ticks / ticks_per_second;
-        const auto frac_ticks = ticks % ticks_per_second;
-        out.timestamp_us =
-            static_cast<net::TimeUs>(seconds) * net::kMicrosPerSecond +
-            static_cast<net::TimeUs>(frac_ticks * 1'000'000 / ticks_per_second);
+        const auto timestamp_us = ticks_to_us(ticks, resolution);
+        if (!timestamp_us) return ReadStatus::kBadRecord;
+        out.timestamp_us = *timestamp_us;
         out.bytes.assign(body.begin() + 20, body.begin() + 20 + captured);
         ++packets_read_;
         return ReadStatus::kOk;

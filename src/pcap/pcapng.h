@@ -9,6 +9,9 @@
 //   - Enhanced Packet Block (6) and the obsolete Simple Packet Block (3)
 // Unknown block types are skipped by length, as the spec requires.
 // Timestamps are normalized to microseconds, matching `net::RawFrame`.
+// A corrupt block ends the capture with kBadRecord, the frames before it
+// kept; that includes an `if_tsresol` whose ticks per second do not fit
+// 64 bits and a packet timestamp that does not fit `net::TimeUs`.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +61,8 @@ class NgReader {
   };
 
   [[nodiscard]] bool read_exact(void* buffer, std::size_t size);
-  void parse_interface_block(const std::vector<std::uint8_t>& body);
+  /// Records one interface; false when its `if_tsresol` is unusable.
+  [[nodiscard]] bool parse_interface_block(const std::vector<std::uint8_t>& body);
 
   std::unique_ptr<std::istream> stream_;
   bool big_endian_ = false;

@@ -2,17 +2,14 @@
 // (notebooks, SIEM ingestion, plotting) and for the `synscand` daemon's
 // in-memory query responses.
 //
-// Emission has two layers so file writing stays separate from string
-// building: the `append_*` functions serialize into a caller-owned
-// `std::string` (what the daemon sends to a client buffer without
-// touching the filesystem), and the `write_*` stream functions wrap
-// them with chunked flushing (integers via to_chars, doubles via "%g" —
-// byte-identical to the former per-field ostream output), so a
-// million-campaign JSONL export is not bound by per-field ostream
-// overhead and both paths produce the same bytes.
+// One emission path: the `append_*` functions serialize into a
+// caller-owned `std::string` (integers via to_chars, doubles via "%g").
+// The daemon sends that string to a client buffer without touching the
+// filesystem, and the CLI writes it to a file in one go, so
+// `QUERY analyze` and `analyze --json` are the same bytes by
+// construction.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 
@@ -39,16 +36,9 @@ void append_campaigns_jsonl(std::string& out, std::span<const core::Campaign> ca
 /// Appends the run's counters as one JSON object. No trailing newline.
 void append_counters_json(std::string& out, const core::PipelineResult& result);
 
-/// Writes one campaign as a single-line JSON object (same bytes as
-/// `append_campaign_json`).
-void write_campaign_json(std::ostream& os, const core::Campaign& campaign,
-                         std::size_t max_ports = 64);
-
-/// Writes every campaign as JSON lines.
-void write_campaigns_jsonl(std::ostream& os, std::span<const core::Campaign> campaigns,
-                           std::size_t max_ports = 64);
-
-/// Writes the run's counters as one JSON object.
-void write_counters_json(std::ostream& os, const core::PipelineResult& result);
+/// Appends the `analyze --json` report: the counters object, a newline,
+/// then the campaign JSONL. `QUERY analyze` and `rollup query` emit the
+/// same bytes.
+void append_analyze_json(std::string& out, const core::PipelineResult& result);
 
 }  // namespace synscan::report

@@ -91,9 +91,7 @@ bool run_query(const core::AnalyzedCapture& analysis, const Request& request,
       error = "analyze takes no filters";
       return false;
     }
-    report::append_counters_json(out, analysis.result);
-    out.push_back('\n');
-    report::append_campaigns_jsonl(out, analysis.result.campaigns);
+    report::append_analyze_json(out, analysis.result);
     return true;
   }
   error = "unknown report '" + request.argument +

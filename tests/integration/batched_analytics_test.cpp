@@ -2,14 +2,13 @@
 // column-direct fast path introduced by the ProbeBatch end-to-end
 // refactor — batched observers, the flat fingerprint evidence table,
 // the interval-indexed registry, batch-slice sharding in the parallel
-// analyzer, and the buffered JSON writer — must be bit-identical to its
+// analyzer, and the JSON report — must be bit-identical to its
 // per-probe (or linear-scan) reference on a mixed capture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -292,11 +291,9 @@ TEST(IntervalRegistryDifferential, MatchesLinearLongestPrefixScan) {
 /// The `analyze --json` bytes of a result: counters line, then the
 /// campaign JSONL.
 std::string report_json(const core::PipelineResult& result) {
-  std::ostringstream out;
-  report::write_counters_json(out, result);
-  out << '\n';
-  report::write_campaigns_jsonl(out, result.campaigns);
-  return out.str();
+  std::string out;
+  report::append_analyze_json(out, result);
+  return out;
 }
 
 /// JSON reports from the batched pipeline must be byte-identical to the

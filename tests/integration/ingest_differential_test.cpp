@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -20,8 +21,8 @@
 
 #include "core/pipeline.h"
 #include "net/endian.h"
-#include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
+#include "pcap/pcapng.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
 #include "test_support.h"
@@ -301,6 +302,53 @@ class IngestDialects : public ::testing::Test {
                               net::Ipv4Address::from_octets(198, 51, 0, 9), 80);
   }
 
+  /// `count` frames cycling through every sensor class: probes, traffic
+  /// off the telescope, backscatter, ingress-blocked probes, UDP and
+  /// malformed frames.
+  [[nodiscard]] static std::vector<std::vector<std::uint8_t>> every_class_frames(
+      std::uint32_t count) {
+    const auto dark = [](std::uint32_t i) { return net::Ipv4Address(0xc6330000u + i); };
+    const auto source = [](std::uint32_t i) { return net::Ipv4Address(0x5db8d800u + i % 5); };
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      switch (i % 6) {
+        case 0:
+          frames.push_back(testing::syn_frame(source(i), dark(i), 80));
+          break;
+        case 1:
+          frames.push_back(
+              testing::syn_frame(source(i), net::Ipv4Address(0x08080800u + i), 80));
+          break;
+        case 2:
+          frames.push_back(testing::syn_frame(
+              source(i), dark(i), 443,
+              net::flag_bit(net::TcpFlag::kSyn) | net::flag_bit(net::TcpFlag::kAck)));
+          break;
+        case 3:
+          frames.push_back(testing::syn_frame(source(i), dark(i), 23));  // ingress blocked
+          break;
+        case 4: {
+          net::UdpFrameSpec udp;
+          udp.src_ip = source(i);
+          udp.dst_ip = dark(i);
+          frames.push_back(net::build_udp_frame(udp));
+          break;
+        }
+        default:
+          frames.push_back({0x01, 0x02, 0x03});  // malformed
+          break;
+      }
+    }
+    return frames;
+  }
+
+  /// Replaces `path`'s contents with `bytes`.
+  static void write_bytes(const fs::path& path, std::span<const std::uint8_t> bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
   /// One record as stored: the sub-second field is in the unit the
   /// capture's magic names.
   struct Record {
@@ -419,6 +467,7 @@ TEST_F(IngestDialects, TruncatedCaptureKeepsProbesAndReportsStatus) {
 /// What one read path made of a capture.
 struct Outcome {
   bool threw = false;
+  bool from_cache = false;
   std::uint64_t frames = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
   telescope::SensorCounters sensor;
@@ -433,11 +482,13 @@ void expect_same_outcome(const Outcome& got, const Outcome& want) {
   expect_same_probes(got.probes, want.probes);
 }
 
-/// The reference: `pcap::Reader` record-at-a-time into `Sensor::classify`.
+/// The reference: `CaptureReader` (`pcap::Reader` or `pcap::NgReader`)
+/// record-at-a-time into `Sensor::classify`.
+template <typename CaptureReader>
 Outcome reference_outcome(std::span<const std::uint8_t> image) {
   Outcome out;
   try {
-    auto reader = pcap::Reader::over(image);
+    auto reader = CaptureReader::over(image);
     telescope::Sensor sensor(test_telescope());
     net::RawFrame frame;
     telescope::ScanProbe probe;
@@ -454,12 +505,13 @@ Outcome reference_outcome(std::span<const std::uint8_t> image) {
   return out;
 }
 
-Outcome ingest_outcome(const fs::path& capture) {
+Outcome ingest_outcome(const fs::path& capture, bool use_cache = false) {
   Outcome out;
   try {
     core::IngestOptions options;
-    options.use_cache = false;
+    options.use_cache = use_cache;
     auto ingested = ingest_probes(capture, options);
+    out.from_cache = ingested.result.from_cache;
     out.frames = ingested.result.frames;
     out.status = ingested.result.status;
     out.sensor = ingested.result.sensor;
@@ -470,70 +522,12 @@ Outcome ingest_outcome(const fs::path& capture) {
   return out;
 }
 
-/// `image` split by `partition_records` into up to `chunks` pieces, each
-/// walked by `ChunkReader::scan` in capture order into one
-/// `FrameBatcher`. As in the chunked cold scan, the first status other
-/// than kEndOfFile ends the capture.
-Outcome chunked_outcome(std::span<const std::uint8_t> image, std::size_t chunks) {
-  Outcome out;
-  const auto info = pcap::parse_global_header(image);
-  if (!info) {
-    out.threw = true;
-    return out;
-  }
-  core::FrameBatcher batcher(test_telescope(), [&out](const telescope::ProbeBatch& batch) {
-    for (std::size_t i = 0; i < batch.size(); ++i) out.probes.push_back(batch.get(i));
-  });
-  for (const auto& chunk : pcap::partition_records(image, *info, chunks)) {
-    pcap::ChunkReader scanner(image, *info, chunk);
-    out.status = scanner.scan(
-        [&batcher](net::TimeUs timestamp_us, const std::uint8_t* data,
-                   std::uint32_t captured_length) {
-          batcher.consume(timestamp_us, data, captured_length);
-        });
-    out.frames += scanner.frames_read();
-    if (out.status != pcap::ReadStatus::kEndOfFile) break;
-  }
-  out.sensor = batcher.finish();
-  return out;
-}
-
 TEST_F(IngestDialects, EveryTruncationAndHeaderByteFlipMatchesStreamReader) {
   // A small capture of every sensor class, cut at every length and with
-  // each record-header byte flipped, in all four dialects. Every path
-  // must agree with the reference on the throw, the frames, the terminal
+  // each record-header byte flipped, in all four dialects. Ingest must
+  // agree with the reference on the throw, the frames, the terminal
   // status, the counters and the probes.
-  const auto dark = [](std::uint32_t i) { return net::Ipv4Address(0xc6330000u + i); };
-  const auto source = [](std::uint32_t i) { return net::Ipv4Address(0x5db8d800u + i % 5); };
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (std::uint32_t i = 0; i < 48; ++i) {
-    switch (i % 6) {
-      case 0:
-        frames.push_back(testing::syn_frame(source(i), dark(i), 80));
-        break;
-      case 1:
-        frames.push_back(testing::syn_frame(source(i), net::Ipv4Address(0x08080800u + i), 80));
-        break;
-      case 2:
-        frames.push_back(testing::syn_frame(
-            source(i), dark(i), 443,
-            net::flag_bit(net::TcpFlag::kSyn) | net::flag_bit(net::TcpFlag::kAck)));
-        break;
-      case 3:
-        frames.push_back(testing::syn_frame(source(i), dark(i), 23));  // ingress blocked
-        break;
-      case 4: {
-        net::UdpFrameSpec udp;
-        udp.src_ip = source(i);
-        udp.dst_ip = dark(i);
-        frames.push_back(net::build_udp_frame(udp));
-        break;
-      }
-      default:
-        frames.push_back({0x01, 0x02, 0x03});  // malformed
-        break;
-    }
-  }
+  const auto frames = every_class_frames(48);
 
   struct Dialect {
     const char* name;
@@ -561,17 +555,8 @@ TEST_F(IngestDialects, EveryTruncationAndHeaderByteFlipMatchesStreamReader) {
 
     const auto check = [&](std::span<const std::uint8_t> bytes, const std::string& label) {
       SCOPED_TRACE(std::string(dialect.name) + " " + label);
-      {
-        std::ofstream out(variant, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char*>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-      }
-      const auto want = reference_outcome(bytes);
-      expect_same_outcome(ingest_outcome(variant), want);
-      for (const std::size_t chunks : {2, 3, 5}) {
-        SCOPED_TRACE("chunks " + std::to_string(chunks));
-        expect_same_outcome(chunked_outcome(bytes, chunks), want);
-      }
+      write_bytes(variant, bytes);
+      expect_same_outcome(ingest_outcome(variant), reference_outcome<pcap::Reader>(bytes));
     };
 
     for (std::size_t cut = 0; cut <= image.size() && !HasFailure(); ++cut) {
@@ -588,11 +573,62 @@ TEST_F(IngestDialects, EveryTruncationAndHeaderByteFlipMatchesStreamReader) {
   }
 }
 
-/// The cold-path configuration matrix — scan parallelism — pinned to
-/// one serial reference, cache bytes included.
-/// The capture must clear the 4 MiB chunked-scan floor in
-/// core/ingest.cpp, so it is synthesized directly (~7 MB) rather than
-/// through the slower simgen pipeline.
+TEST_F(IngestDialects, EveryPcapngTruncationAndByteFlipMatchesNgReader) {
+  // A small pcapng with a little-endian and a big-endian section, three
+  // timestamp resolutions, two interfaces, a Simple Packet Block and an
+  // unknown block, cut at every length and with every byte flipped. A
+  // cold ingest (which writes the `.spc`) and the warm replay from it
+  // must both agree with `NgReader` + `Sensor::classify` on the throw,
+  // the frames, the terminal status, the counters and the probes.
+  const auto frames = every_class_frames(24);
+  testing::NgBuilder le;
+  le.section_header().interface_block(6).interface_block(0x8a);
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    le.enhanced_packet(i % 2, (i % 2 == 0 ? 1'000'000ull : 1024ull) * (3 + i / 5) + i * 37,
+                       frames[i]);
+    if (i == 5) le.unknown_block();
+  }
+  le.simple_packet(frames[0]);
+  testing::NgBuilder be(/*big_endian=*/true);
+  be.section_header().interface_block(9);
+  for (std::uint32_t i = 12; i < frames.size(); ++i) {
+    be.enhanced_packet(0, 1'000'000'000ull * (5 + i / 5) + i * 7919, frames[i]);
+  }
+  std::vector<std::uint8_t> image = le.bytes();
+  image.insert(image.end(), be.bytes().begin(), be.bytes().end());
+
+  const auto variant = dir_ / "variant.pcapng";
+  const auto cache = fs::path(variant.native() + ".spc");
+  const auto check = [&](std::span<const std::uint8_t> bytes, const std::string& label) {
+    SCOPED_TRACE(label);
+    write_bytes(variant, bytes);
+    // Variants of one size can share an mtime, so a cache left by the
+    // previous variant could pass as this one's.
+    fs::remove(cache);
+    const auto want = reference_outcome<pcap::NgReader>(bytes);
+    const auto cold = ingest_outcome(variant, /*use_cache=*/true);
+    EXPECT_FALSE(cold.from_cache);
+    expect_same_outcome(cold, want);
+    const auto warm = ingest_outcome(variant, /*use_cache=*/true);
+    EXPECT_EQ(warm.from_cache, !want.threw);
+    expect_same_outcome(warm, want);
+  };
+
+  for (std::size_t cut = 0; cut <= image.size() && !HasFailure(); ++cut) {
+    check(std::span(image).first(cut), "cut at " + std::to_string(cut));
+  }
+  auto flipped = image;
+  for (std::size_t byte = 0; byte < image.size() && !HasFailure(); ++byte) {
+    flipped[byte] ^= 0xff;
+    check(flipped, "byte " + std::to_string(byte) + " flipped");
+    flipped[byte] ^= 0xff;
+  }
+}
+
+/// The cached ingest paths over a multi-megabyte capture — the cold
+/// scan that writes the `.spc` and the warm replay from it — pinned to
+/// the uncached scan. The capture (~7 MB: over 4 MiB, 27 batches) is
+/// synthesized directly rather than through the slower simgen pipeline.
 class IngestMatrix : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -642,8 +678,7 @@ class IngestMatrix : public ::testing::Test {
       writer.write(frame);
     }
     writer.flush();
-    ASSERT_GE(fs::file_size(capture_), std::size_t{4} << 20)
-        << "capture too small to engage the chunked scan";
+    ASSERT_GE(fs::file_size(capture_), std::size_t{4} << 20) << "capture below 4 MiB";
   }
   void TearDown() override { fs::remove_all(dir_); }
 
@@ -659,42 +694,60 @@ class IngestMatrix : public ::testing::Test {
 TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
   core::IngestOptions reference_options;
   reference_options.use_cache = false;
-  reference_options.scan_chunks = 1;
   const auto reference = run(reference_options);
   ASSERT_GT(reference.probes.size(), 0u);
   ASSERT_EQ(reference.result.status, pcap::ReadStatus::kEndOfFile);
-  ASSERT_EQ(reference.result.chunks, 1u);
 
-  // Cache bytes must depend only on the probe stream, never on how many
-  // scan chunks produced them.
+  // Two cold scans write the `.spc` to two places: the bytes depend only
+  // on the probe stream, and each warm read of them round-trips.
   std::vector<char> first_cache;
-
-  for (const std::size_t chunks : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+  for (const char* name : {"matrix_a.spc", "matrix_b.spc"}) {
+    SCOPED_TRACE(name);
     core::IngestOptions options;
-    options.scan_chunks = chunks;
-    options.cache_path = dir_ / ("matrix_" + std::to_string(chunks) + ".spc");
+    options.cache_path = dir_ / name;
     const auto cold = run(options);
 
     EXPECT_FALSE(cold.result.from_cache);
     EXPECT_EQ(cold.result.frames, reference.result.frames);
     EXPECT_EQ(cold.result.status, reference.result.status);
-    if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
+    EXPECT_EQ(cold.result.batches, reference.result.batches);
     expect_same_probes(cold.probes, reference.probes);
     expect_same_sensor(cold.result.sensor, reference.result.sensor);
 
     const auto bytes = testing::slurp(options.cache_path);
     ASSERT_FALSE(bytes.empty());
     if (first_cache.empty()) first_cache = bytes;
-    EXPECT_TRUE(first_cache == bytes)
-        << "cache bytes differ from the first file: the .spc is not "
-           "path-independent";
+    EXPECT_TRUE(first_cache == bytes) << "cache bytes differ from the first file";
 
-    // And the warm read of what this configuration wrote round-trips.
     const auto warm = run(options);
     EXPECT_TRUE(warm.result.from_cache);
+    EXPECT_EQ(warm.result.frames, reference.result.frames);
+    EXPECT_EQ(warm.result.status, reference.result.status);
     expect_same_probes(warm.probes, reference.probes);
     expect_same_sensor(warm.result.sensor, reference.result.sensor);
+  }
+}
+
+TEST_F(IngestMatrix, ColdScanAndWarmReplayStreamThroughOneBatchBuffer) {
+  // Nothing is buffered between stages beyond the current batch: the
+  // cold scan classifies into one batch and hands it over as it fills,
+  // and the warm replay decodes every `.spc` chunk into one batch. Each
+  // refills its buffer in place, so the sink sees a single address.
+  core::IngestOptions options;
+  options.cache_path = dir_ / "stream.spc";
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    std::set<const net::TimeUs*> buffers;
+    std::uint64_t probes = 0;
+    const auto ingest = core::ingest_capture(
+        capture_, test_telescope(), options, [&](const telescope::ProbeBatch& batch) {
+          buffers.insert(batch.timestamp_us.data());
+          probes += batch.size();
+        });
+    EXPECT_EQ(ingest.from_cache, warm);
+    EXPECT_GT(ingest.batches, 1u);
+    EXPECT_EQ(probes, ingest.sensor.scan_probes);
+    EXPECT_EQ(buffers.size(), 1u);
   }
 }
 

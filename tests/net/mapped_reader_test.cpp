@@ -40,7 +40,7 @@ class MappedReaderTest : public ::testing::Test {
 
   /// A chunk reader over the whole record region of `reader`.
   static ChunkReader whole(const MappedReader& reader) {
-    return {reader.bytes(), reader.info(), reader.partition(1).front()};
+    return {reader.bytes(), reader.info()};
   }
 
   /// Runs `scanner.scan`, appending a copy of every frame to `out`.
@@ -211,93 +211,6 @@ TEST_F(MappedReaderTest, BadRecordReportedOnceThenEndOfFile) {
   EXPECT_TRUE(got.empty());
 }
 
-TEST_F(MappedReaderTest, PartitionSplitsOnRecordBoundariesAndCoversEveryRecord) {
-  std::vector<net::RawFrame> frames;
-  for (std::uint32_t i = 0; i < 97; ++i) {
-    // Varying lengths so chunk boundaries cannot fall on a fixed stride.
-    frames.push_back(frame(i, {}));
-    frames.back().bytes.assign(1 + i % 13, static_cast<std::uint8_t>(i));
-  }
-  write_file(path("partition.pcap"), frames);
-
-  auto reader = MappedReader::open(path("partition.pcap"));
-  const auto chunks = reader.partition(5);
-  ASSERT_GE(chunks.size(), 2u);
-  ASSERT_LE(chunks.size(), 5u);
-
-  // Contiguous cover of the record region, first to last byte.
-  EXPECT_EQ(chunks.front().begin, kGlobalHeaderSize);
-  EXPECT_EQ(chunks.back().end, reader.byte_size());
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].begin, chunks[i - 1].end) << "gap before chunk " << i;
-  }
-
-  // Scanning the chunks in order yields the serial frame sequence.
-  std::size_t seen = 0;
-  for (const auto& chunk : chunks) {
-    ChunkReader scanner(reader.bytes(), reader.info(), chunk);
-    const auto status = scanner.scan([&](net::TimeUs timestamp_us,
-                                         const std::uint8_t* data,
-                                         std::uint32_t captured_length) {
-      ASSERT_LT(seen, frames.size());
-      EXPECT_EQ(timestamp_us, frames[seen].timestamp_us);
-      ASSERT_EQ(captured_length, frames[seen].bytes.size());
-      EXPECT_EQ(std::vector<std::uint8_t>(data, data + captured_length),
-                frames[seen].bytes);
-      ++seen;
-    });
-    EXPECT_EQ(status, ReadStatus::kEndOfFile);
-  }
-  EXPECT_EQ(seen, frames.size());
-}
-
-TEST_F(MappedReaderTest, PartitionDegeneratesToOneChunkOnTinyOrEmptyCaptures) {
-  const std::vector<net::RawFrame> tiny = {frame(1, {1, 2, 3})};
-  write_file(path("tiny.pcap"), tiny);
-  auto reader = MappedReader::open(path("tiny.pcap"));
-  const auto chunks = reader.partition(8);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].begin, kGlobalHeaderSize);
-  EXPECT_EQ(chunks[0].end, reader.byte_size());
-
-  write_file(path("empty2.pcap"), {});
-  auto empty = MappedReader::open(path("empty2.pcap"));
-  const auto none = empty.partition(8);
-  ASSERT_EQ(none.size(), 1u);
-  EXPECT_EQ(none[0].begin, none[0].end);
-}
-
-TEST_F(MappedReaderTest, PartitionConfinesTruncationToTheFinalChunk) {
-  std::vector<net::RawFrame> frames;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    frames.push_back(frame(i, {}));
-    frames.back().bytes.assign(32, static_cast<std::uint8_t>(i));
-  }
-  write_file(path("trunc_chunks.pcap"), frames);
-  const auto size = fs::file_size(path("trunc_chunks.pcap"));
-  fs::resize_file(path("trunc_chunks.pcap"), size - 7);  // cut into the last body
-
-  auto reader = MappedReader::open(path("trunc_chunks.pcap"));
-  const auto chunks = reader.partition(4);
-  ASSERT_GE(chunks.size(), 2u);
-  EXPECT_EQ(chunks.back().end, reader.byte_size());
-
-  std::size_t seen = 0;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    ChunkReader scanner(reader.bytes(), reader.info(), chunks[i]);
-    const auto status = scanner.scan(
-        [&](net::TimeUs, const std::uint8_t*, std::uint32_t) { ++seen; });
-    // Every chunk but the last ends exactly on a record boundary; only
-    // the final chunk may carry the defect.
-    if (i + 1 < chunks.size()) {
-      EXPECT_EQ(status, ReadStatus::kEndOfFile) << "chunk " << i;
-    } else {
-      EXPECT_EQ(status, ReadStatus::kTruncated);
-    }
-  }
-  EXPECT_EQ(seen, frames.size() - 1);
-}
-
 TEST_F(MappedReaderTest, ChunkScanAndStreamReaderAgree) {
   std::vector<net::RawFrame> frames;
   for (std::uint32_t i = 0; i < 40; ++i) {
@@ -315,7 +228,7 @@ TEST_F(MappedReaderTest, ChunkScanAndStreamReaderAgree) {
   EXPECT_EQ(fused.frames_read(), frames.size());
   // A second scan on the same reader is a no-op, not a rewind.
   EXPECT_EQ(fused.scan([&](net::TimeUs, const std::uint8_t*, std::uint32_t) {
-    FAIL() << "scan must not restart an exhausted chunk";
+    FAIL() << "scan must not restart an exhausted walk";
   }),
             ReadStatus::kEndOfFile);
 

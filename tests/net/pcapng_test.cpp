@@ -138,6 +138,60 @@ TEST_F(PcapngTest, CorruptTrailerIsBadRecord) {
   EXPECT_EQ(status, ReadStatus::kBadRecord);
 }
 
+TEST_F(PcapngTest, TsresolBeyondSixtyFourBitsIsBadRecord) {
+  // 2^-64 and finer, and 10^-20 and finer, name more ticks per second
+  // than 64 bits hold: the interface block is corrupt, and the capture
+  // ends there with the frames before it kept.
+  for (const std::uint8_t tsresol : {std::uint8_t{0x80 | 64}, std::uint8_t{0xff},
+                                     std::uint8_t{20}, std::uint8_t{0x7f}}) {
+    SCOPED_TRACE(static_cast<int>(tsresol));
+    NgBuilder builder;
+    builder.section_header()
+        .interface_block(6)
+        .enhanced_packet(0, 7'000'001, {0x01})
+        .interface_block(tsresol)
+        .enhanced_packet(1, 123'456, {0x02});
+    builder.write(path("tsresol.pcapng"));
+    auto [frames, status] = NgReader::open(path("tsresol.pcapng")).read_all();
+    EXPECT_EQ(status, ReadStatus::kBadRecord);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].timestamp_us, 7'000'001);
+  }
+}
+
+TEST_F(PcapngTest, TimestampBeyondTimeUsIsBadRecord) {
+  // A high word of 0xffffffff at microsecond resolution is ~1.8e19 µs,
+  // past INT64_MAX: the packet block is corrupt.
+  NgBuilder builder;
+  builder.section_header()
+      .interface_block(6)
+      .enhanced_packet(0, 9'000'000, {0x01})
+      .enhanced_packet(0, 0xffffffff00000000ull, {0x02})
+      .enhanced_packet(0, 9'000'001, {0x03});
+  builder.write(path("far.pcapng"));
+  auto [frames, status] = NgReader::open(path("far.pcapng")).read_all();
+  EXPECT_EQ(status, ReadStatus::kBadRecord);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].timestamp_us, 9'000'000);
+}
+
+TEST_F(PcapngTest, FinestRepresentableResolutionsConvertExactly) {
+  // 10^-19 and 2^-63 still fit 64 bits. Their sub-second remainders
+  // times 10^6 do not, and must not wrap.
+  NgBuilder builder;
+  builder.section_header()
+      .interface_block(19)
+      .interface_block(0x80 | 63)
+      .enhanced_packet(0, 15'000'000'000'000'000'000ull, {0x01})  // 1.5 s
+      .enhanced_packet(1, (1ull << 63) + (1ull << 62), {0x02});    // 1.5 s
+  builder.write(path("fine.pcapng"));
+  auto [frames, status] = NgReader::open(path("fine.pcapng")).read_all();
+  EXPECT_EQ(status, ReadStatus::kEndOfFile);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].timestamp_us, 1'500'000);
+  EXPECT_EQ(frames[1].timestamp_us, 1'500'000);
+}
+
 TEST_F(PcapngTest, MultipleSectionsResetInterfaces) {
   NgBuilder builder;
   builder.section_header()
