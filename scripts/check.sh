@@ -83,6 +83,22 @@ cmp "${workdir}/rollup_offline.jsonl" "${workdir}/rollup_daemon.jsonl" || {
   echo "synscand smoke: daemon ROLLUP diverged from offline rollup query" >&2
   exit 1
 }
+# The sidecars the daemon and the CLI wrote must read back through the
+# CLI: both `.spr` files the ROLLUP saved load as store hits (nothing is
+# re-saved), and the `.spc` the first analyze cut verifies.
+"${cli}" rollup build "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
+  > "${workdir}/rollup_build.txt"
+for needle in 'store hits:     2' 'rollups saved:  0'; do
+  grep -qxF "${needle}" "${workdir}/rollup_build.txt" || {
+    echo "sidecar smoke: rollup build after ROLLUP lacks '${needle}'" >&2
+    exit 1
+  }
+done
+"${cli}" cache verify "${workdir}/window.pcap.spc" > "${workdir}/cache_verify.txt" &&
+  grep -q '^valid' "${workdir}/cache_verify.txt" || {
+  echo "sidecar smoke: cache verify rejected window.pcap.spc" >&2
+  exit 1
+}
 "${cli}" query --socket="${sock}" SHUTDOWN
 wait "${serve_pid}"
 trap - EXIT

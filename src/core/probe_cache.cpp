@@ -1,13 +1,16 @@
 #include "core/probe_cache.h"
 
-#include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 #include <utility>
+
+#include <unistd.h>
 
 #include "net/endian.h"
 
@@ -182,29 +185,24 @@ bool decode_chunk_body(const std::uint8_t*& p, const std::uint8_t* end,
   return true;
 }
 
-void encode_header(std::uint8_t* p, const CacheIdentity& identity,
-                   std::uint64_t frame_count, std::uint64_t probe_count,
-                   pcap::ReadStatus terminal_status,
-                   const telescope::SensorCounters& sensor, std::uint64_t checksum) {
-  net::store_le32(p, kMagic);
-  net::store_le32(p + 4, kVersion);
-  net::store_le64(p + 8, identity.source_size);
-  net::store_le64(p + 16, identity.source_mtime_ns);
-  net::store_le64(p + 24, frame_count);
-  net::store_le64(p + 32, probe_count);
-  net::store_le32(p + 40, static_cast<std::uint32_t>(terminal_status));
-  net::store_le32(p + 44, kCacheCodecDeltaVarint);
-  net::store_le64(p + 48, sensor.scan_probes);
-  net::store_le64(p + 56, sensor.backscatter);
-  net::store_le64(p + 64, sensor.xmas_or_null);
-  net::store_le64(p + 72, sensor.other_tcp);
-  net::store_le64(p + 80, sensor.udp);
-  net::store_le64(p + 88, sensor.icmp);
-  net::store_le64(p + 96, sensor.not_monitored);
-  net::store_le64(p + 104, sensor.ingress_blocked);
-  net::store_le64(p + 112, sensor.malformed);
-  net::store_le64(p + 120, sensor.spoofed_source);
-  net::store_le64(p + 128, checksum);
+std::vector<std::uint8_t> encode_header(const CacheIdentity& identity,
+                                        std::uint64_t frame_count,
+                                        std::uint64_t probe_count,
+                                        pcap::ReadStatus terminal_status,
+                                        const telescope::SensorCounters& sensor,
+                                        std::uint64_t checksum) {
+  ByteWriter out;
+  out.u32(kMagic);
+  out.u32(kVersion);
+  out.u64(identity.source_size);
+  out.u64(identity.source_mtime_ns);
+  out.u64(frame_count);
+  out.u64(probe_count);
+  out.u32(static_cast<std::uint32_t>(terminal_status));
+  out.u32(kCacheCodecDeltaVarint);
+  put_sensor(out, sensor);
+  out.u64(checksum);
+  return out.bytes();
 }
 
 /// Raw header parse: everything `cache_stat` can report. Only rejects
@@ -212,37 +210,29 @@ void encode_header(std::uint8_t* p, const CacheIdentity& identity,
 /// terminal status outside the enum).
 const char* parse_header(std::span<const std::uint8_t> bytes, CacheFileInfo& info) {
   if (bytes.size() < kHeaderSize) return "file shorter than the spc header";
-  const std::uint8_t* h = bytes.data();
-  if (net::load_le32(h) != kMagic) return "bad magic (not an spc file)";
-  info.version = net::load_le32(h + 4);
-  info.source_size = net::load_le64(h + 8);
-  info.source_mtime_ns = net::load_le64(h + 16);
-  info.frame_count = net::load_le64(h + 24);
-  info.probe_count = net::load_le64(h + 32);
-  const auto status = net::load_le32(h + 40);
+  ByteReader in(bytes.first(kHeaderSize));
+  if (in.u32() != kMagic) return "bad magic (not an spc file)";
+  info.version = in.u32();
+  info.source_size = in.u64();
+  info.source_mtime_ns = in.u64();
+  info.frame_count = in.u64();
+  info.probe_count = in.u64();
+  const auto status = in.u32();
   if (status > static_cast<std::uint32_t>(pcap::ReadStatus::kBadRecord)) {
     return "corrupt terminal status";
   }
   info.terminal_status = static_cast<pcap::ReadStatus>(status);
-  info.codec = net::load_le32(h + 44);
-  info.sensor.scan_probes = net::load_le64(h + 48);
-  info.sensor.backscatter = net::load_le64(h + 56);
-  info.sensor.xmas_or_null = net::load_le64(h + 64);
-  info.sensor.other_tcp = net::load_le64(h + 72);
-  info.sensor.udp = net::load_le64(h + 80);
-  info.sensor.icmp = net::load_le64(h + 88);
-  info.sensor.not_monitored = net::load_le64(h + 96);
-  info.sensor.ingress_blocked = net::load_le64(h + 104);
-  info.sensor.malformed = net::load_le64(h + 112);
-  info.sensor.spoofed_source = net::load_le64(h + 120);
-  info.checksum = net::load_le64(h + 128);
+  info.codec = in.u32();
+  get_sensor(in, info.sensor);
+  info.checksum = in.u64();
   info.file_size = bytes.size();
   return nullptr;
 }
 
 /// Structural acceptance for replay: does this reader understand the
-/// file at all? Any other version or codec — an older layout or a
-/// future one — reads as "no cache", never as garbage probes.
+/// file at all, and do its header counters add up? Any other version or
+/// codec — an older layout or a future one — reads as "no cache", never
+/// as garbage probes.
 const char* check_header(const CacheFileInfo& info) {
   if (info.version != kVersion) return "unsupported version";
   if (info.codec != kCacheCodecDeltaVarint) return "unknown codec";
@@ -252,6 +242,11 @@ const char* check_header(const CacheFileInfo& info) {
   if (info.probe_count > info.file_size) return "probe count exceeds file size";
   if (info.sensor.scan_probes != info.probe_count) {
     return "probe count disagrees with sensor counters";
+  }
+  // The checksum covers only the chunks; this identity covers the rest
+  // of the counters: every frame lands in exactly one sensor counter.
+  if (info.sensor.total() != info.frame_count) {
+    return "sensor counters do not sum to the frame count";
   }
   return nullptr;
 }
@@ -290,6 +285,26 @@ const char* walk_chunks(std::span<const std::uint8_t> bytes, const CacheFileInfo
   return nullptr;
 }
 
+/// The one `.spc` validation, shared by `ProbeCacheReader::open` and
+/// `cache_verify`: header, its accounting identity, the source identity
+/// when `expected` is given, then chunk framing and checksum.
+CacheVerifyReport validate(std::span<const std::uint8_t> bytes,
+                           const std::optional<CacheIdentity>& expected,
+                           CacheFileInfo& info) {
+  CacheVerifyReport report;
+  const char* err = parse_header(bytes, info);
+  if (err == nullptr) err = check_header(info);
+  if (err == nullptr && expected &&
+      (info.source_size != expected->source_size ||
+       info.source_mtime_ns != expected->source_mtime_ns)) {
+    err = "stale: source capture changed since the cache was cut";
+  }
+  if (err == nullptr) err = walk_chunks(bytes, info, report.chunks, report.rows);
+  report.ok = err == nullptr;
+  if (err != nullptr) report.error = err;
+  return report;
+}
+
 }  // namespace
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t state) noexcept {
@@ -311,6 +326,85 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t state) no
   return state;
 }
 
+void put_sensor(ByteWriter& out, const telescope::SensorCounters& sensor) {
+  out.u64(sensor.scan_probes);
+  out.u64(sensor.backscatter);
+  out.u64(sensor.xmas_or_null);
+  out.u64(sensor.other_tcp);
+  out.u64(sensor.udp);
+  out.u64(sensor.icmp);
+  out.u64(sensor.not_monitored);
+  out.u64(sensor.ingress_blocked);
+  out.u64(sensor.malformed);
+  out.u64(sensor.spoofed_source);
+}
+
+void get_sensor(ByteReader& in, telescope::SensorCounters& sensor) {
+  sensor.scan_probes = in.u64();
+  sensor.backscatter = in.u64();
+  sensor.xmas_or_null = in.u64();
+  sensor.other_tcp = in.u64();
+  sensor.udp = in.u64();
+  sensor.icmp = in.u64();
+  sensor.not_monitored = in.u64();
+  sensor.ingress_blocked = in.u64();
+  sensor.malformed = in.u64();
+  sensor.spoofed_source = in.u64();
+}
+
+const char* map_sidecar(const std::filesystem::path& path, pcap::MappedFile& file) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec) || ec) return "not a regular file";
+  try {
+    file = pcap::MappedFile::open(path);
+  } catch (const std::exception&) {
+    return "cannot open file";
+  }
+  return nullptr;
+}
+
+SidecarWriter::SidecarWriter(std::filesystem::path target) : target_(std::move(target)) {
+  // Unique per writer: the pid separates processes, the counter writers
+  // within one. "x" refuses to reuse a name some other writer holds.
+  static std::atomic<std::uint64_t> next_temp{0};
+  temp_ = target_.native() + "." + std::to_string(::getpid()) + "." +
+          std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed)) + ".tmp";
+  file_ = std::fopen(temp_.c_str(), "wbx");
+  if (file_ == nullptr) {
+    throw std::runtime_error("sidecar: cannot create " + temp_.string());
+  }
+}
+
+SidecarWriter::~SidecarWriter() {
+  if (file_ == nullptr) return;  // committed
+  std::fclose(file_);
+  std::error_code ec;
+  std::filesystem::remove(temp_, ec);
+}
+
+void SidecarWriter::append(std::span<const std::uint8_t> bytes) {
+  if (file_ == nullptr) return;
+  ok_ = ok_ && std::fwrite(bytes.data(), 1, bytes.size(), file_) == bytes.size();
+}
+
+bool SidecarWriter::commit(std::span<const std::uint8_t> header) {
+  if (file_ == nullptr) return false;
+  if (!header.empty()) {
+    ok_ = ok_ && std::fseek(file_, 0, SEEK_SET) == 0 &&
+          std::fwrite(header.data(), 1, header.size(), file_) == header.size();
+  }
+  ok_ = ok_ && std::fflush(file_) == 0;
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  std::error_code ec;
+  if (ok_ && closed) {
+    std::filesystem::rename(temp_, target_, ec);
+    if (!ec) return true;
+  }
+  std::filesystem::remove(temp_, ec);
+  return false;
+}
+
 std::optional<CacheIdentity> cache_identity(const std::filesystem::path& source) {
   std::error_code ec;
   if (!std::filesystem::is_regular_file(source, ec) || ec) return std::nullopt;
@@ -328,14 +422,8 @@ std::optional<CacheIdentity> cache_identity(const std::filesystem::path& source)
 }
 
 std::optional<CacheFileInfo> cache_stat(const std::filesystem::path& path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) return std::nullopt;
   pcap::MappedFile file;
-  try {
-    file = pcap::MappedFile::open(path);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  if (map_sidecar(path, file) != nullptr) return std::nullopt;
   CacheFileInfo info;
   if (parse_header(file.bytes(), info) != nullptr) return std::nullopt;
   return info;
@@ -343,65 +431,27 @@ std::optional<CacheFileInfo> cache_stat(const std::filesystem::path& path) {
 
 CacheVerifyReport cache_verify(const std::filesystem::path& path,
                                const std::optional<CacheIdentity>& expected) {
-  CacheVerifyReport report;
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    report.error = "not a regular file";
-    return report;
-  }
   pcap::MappedFile file;
-  try {
-    file = pcap::MappedFile::open(path);
-  } catch (const std::exception&) {
-    report.error = "cannot open file";
+  if (const char* err = map_sidecar(path, file)) {
+    CacheVerifyReport report;
+    report.error = err;
     return report;
   }
-  const auto bytes = file.bytes();
   CacheFileInfo info;
-  if (const char* err = parse_header(bytes, info)) {
-    report.error = err;
-    return report;
-  }
-  if (const char* err = check_header(info)) {
-    report.error = err;
-    return report;
-  }
-  if (expected && (info.source_size != expected->source_size ||
-                   info.source_mtime_ns != expected->source_mtime_ns)) {
-    report.error = "stale: source capture changed since the cache was cut";
-    return report;
-  }
-  if (const char* err = walk_chunks(bytes, info, report.chunks, report.rows)) {
-    report.error = err;
-    return report;
-  }
-  report.ok = true;
-  return report;
+  return validate(file.bytes(), expected, info);
 }
 
-ProbeCacheWriter::ProbeCacheWriter(std::filesystem::path path,
+ProbeCacheWriter::ProbeCacheWriter(const std::filesystem::path& path,
                                    const CacheIdentity& identity)
-    : path_(std::move(path)),
-      tmp_path_(path_.native() + ".tmp"),
-      stream_(tmp_path_, std::ios::binary | std::ios::trunc),
-      checksum_(kFnvOffset),
-      identity_(identity) {
-  if (!stream_.is_open()) {
-    throw std::runtime_error("probe cache: cannot create " + tmp_path_.string());
-  }
-  const std::vector<char> placeholder(kHeaderSize, 0);
-  stream_.write(placeholder.data(), static_cast<std::streamsize>(placeholder.size()));
-  open_ = true;
+    : file_(path), identity_(identity) {
+  file_.append(std::vector<std::uint8_t>(kHeaderSize, 0));  // `commit` patches it
 }
-
-ProbeCacheWriter::~ProbeCacheWriter() { abandon(); }
 
 void ProbeCacheWriter::emit_chunk(std::size_t begin, std::size_t rows) {
   encode_chunk(staging_, begin, rows, scratch_);
   checksum_ = fnv1a(scratch_, checksum_);
   probe_count_ += rows;
-  stream_.write(reinterpret_cast<const char*>(scratch_.data()),
-                static_cast<std::streamsize>(scratch_.size()));
+  file_.append(scratch_);
 }
 
 void ProbeCacheWriter::flush_staging(bool final_flush) {
@@ -432,7 +482,7 @@ void ProbeCacheWriter::flush_staging(bool final_flush) {
 }
 
 void ProbeCacheWriter::append(const telescope::ProbeBatch& batch) {
-  if (!open_ || batch.empty()) return;
+  if (batch.empty()) return;
   // Restage through a fixed row grid: the emitted chunk boundaries — and
   // therefore the file bytes — depend only on the probe stream, not on
   // how the classifier happened to batch its appends.
@@ -454,65 +504,18 @@ void ProbeCacheWriter::append(const telescope::ProbeBatch& batch) {
 
 bool ProbeCacheWriter::commit(std::uint64_t frame_count, pcap::ReadStatus terminal_status,
                               const telescope::SensorCounters& sensor) {
-  if (!open_) return false;
   flush_staging(true);
-  std::array<std::uint8_t, kHeaderSize> header{};
-  encode_header(header.data(), identity_, frame_count, probe_count_,
-                terminal_status, sensor, checksum_);
-  stream_.seekp(0);
-  stream_.write(reinterpret_cast<const char*>(header.data()),
-                static_cast<std::streamsize>(header.size()));
-  stream_.flush();
-  const bool ok = stream_.good();
-  stream_.close();
-  open_ = false;
-  std::error_code ec;
-  if (ok) {
-    std::filesystem::rename(tmp_path_, path_, ec);
-    if (!ec) return true;
-  }
-  std::filesystem::remove(tmp_path_, ec);
-  return false;
-}
-
-void ProbeCacheWriter::abandon() {
-  if (!open_) return;
-  stream_.close();
-  open_ = false;
-  std::error_code ec;
-  std::filesystem::remove(tmp_path_, ec);
+  return file_.commit(encode_header(identity_, frame_count, probe_count_,
+                                    terminal_status, sensor, checksum_));
 }
 
 std::optional<ProbeCacheReader> ProbeCacheReader::open(
     const std::filesystem::path& path, const CacheIdentity& expected) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) return std::nullopt;
-
   ProbeCacheReader reader;
-  try {
-    reader.file_ = pcap::MappedFile::open(path);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  const auto bytes = reader.file_.bytes();
-  CacheFileInfo info;
-  if (parse_header(bytes, info) != nullptr || check_header(info) != nullptr) {
-    return std::nullopt;
-  }
-  if (info.source_size != expected.source_size ||
-      info.source_mtime_ns != expected.source_mtime_ns) {
-    return std::nullopt;  // stale: the capture changed since the cache was cut
-  }
+  if (map_sidecar(path, reader.file_) != nullptr) return std::nullopt;
   // Walk the chunk framing and checksum every byte before releasing any
   // probe: a torn write must read as "no cache", not as partial data.
-  std::uint64_t chunks = 0;
-  std::uint64_t rows = 0;
-  if (walk_chunks(bytes, info, chunks, rows) != nullptr) return std::nullopt;
-
-  reader.frame_count_ = info.frame_count;
-  reader.probe_count_ = info.probe_count;
-  reader.terminal_status_ = info.terminal_status;
-  reader.sensor_ = info.sensor;
+  if (!validate(reader.file_.bytes(), expected, reader.info_).ok) return std::nullopt;
   reader.offset_ = kHeaderSize;
   return reader;
 }

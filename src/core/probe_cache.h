@@ -32,21 +32,47 @@
 // tests/integration/ingest_differential_test.cpp).
 //
 // Validity = magic + version + codec + source identity (byte size and
-// mtime in nanoseconds) + chunk framing + checksum. Any mismatch —
-// including a file of an older layout (v1, or v2 with the retired raw
-// codec 0) — invalidates the cache; callers fall back to decoding and
-// rewrite it. The cache is disposable, so there are no legacy readers.
-// Writes go to a sibling ".tmp" and rename into place so a crashed run
-// never leaves a torn cache.
+// mtime in nanoseconds) + the header's accounting identity + chunk
+// framing + checksum. The checksum covers only the chunk bytes, so the
+// header's counters are held to what every real cache satisfies: each
+// frame lands in exactly one sensor counter (the ten sum to
+// frame_count) and every scan probe is a row (scan_probes ==
+// probe_count). Any mismatch — including a file of an older layout (v1,
+// or v2 with the retired raw codec 0) — invalidates the cache; callers
+// fall back to decoding and rewrite it. The cache is disposable, so
+// there are no legacy readers. `ProbeCacheReader::open` and
+// `cache_verify` run the same validation.
+//
+// The sidecar discipline. This module also owns what the `.spc` and
+// the `.spr` rollup store (core/rollup_store.h) share, so both files
+// are read and written one way:
+//   - `SidecarWriter`, the one commit: bytes go to a temp file named for
+//     this writer alone (`<target>.<pid>.<n>.tmp`, in the target's
+//     directory so the rename is atomic); the header is patched last,
+//     the file flushed and renamed into place. Readers see the old file
+//     or the whole new one, and two writers of one file each commit a
+//     whole file (the last rename wins). Any failure, and destruction
+//     without a commit, removes the temp file. A crashed writer leaves
+//     its uniquely named temp file behind; no reader ever opens it.
+//   - `map_sidecar`, the one read: a path that is not a regular file is
+//     rejected without being read; anything else is mapped read-only.
+//     Files are never written in place, so a mapping stays whole.
+//   - `ByteWriter` / `ByteReader`, the little-endian field codec (the
+//     reader bounds every read and every stored count by the bytes
+//     left), with `put_sensor` / `get_sensor` for the ten sensor
+//     counters that the `.spc` header and the `.spr` payload both carry.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "net/endian.h"
 #include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
 #include "telescope/probe_batch.h"
@@ -72,6 +98,125 @@ inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 /// with it too.
 [[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
                                   std::uint64_t state = kFnvOffset) noexcept;
+
+// --- the sidecar discipline (see the file comment) -------------------
+
+/// Appends little-endian fields to an owned byte buffer.
+class ByteWriter {
+ public:
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u16(std::uint16_t v) { net::store_le16(grow(2), v); }
+  void u32(std::uint32_t v) { net::store_le32(grow(4), v); }
+  void u64(std::uint64_t v) { net::store_le64(grow(8), v); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
+
+ private:
+  std::uint8_t* grow(std::size_t n) {
+    const auto at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
+  std::vector<std::uint8_t> out_;
+};
+
+/// Thrown by `ByteReader` on any read past its end; decoders catch it
+/// and take their fallback, so callers only ever see "no file".
+struct ParseError {};
+
+/// Reads little-endian fields from a byte window, never past its end.
+class ByteReader {
+ public:
+  explicit ByteReader(std::span<const std::uint8_t> bytes)
+      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+  std::uint8_t u8() {
+    need(1);
+    return *p_++;
+  }
+  std::uint16_t u16() {
+    need(2);
+    const auto v = net::load_le16(p_);
+    p_ += 2;
+    return v;
+  }
+  std::uint32_t u32() {
+    need(4);
+    const auto v = net::load_le32(p_);
+    p_ += 4;
+    return v;
+  }
+  std::uint64_t u64() {
+    need(8);
+    const auto v = net::load_le64(p_);
+    p_ += 8;
+    return v;
+  }
+  double f64() { return std::bit_cast<double>(u64()); }
+
+  /// A stored element count (u64; `count32` for a u32 field),
+  /// sanity-bounded by the remaining bytes so a corrupt length cannot
+  /// drive a multi-gigabyte reserve. `min_bytes_each` must be nonzero.
+  std::size_t count(std::size_t min_bytes_each) { return bounded(u64(), min_bytes_each); }
+  std::size_t count32(std::size_t min_bytes_each) { return bounded(u32(), min_bytes_each); }
+
+  [[nodiscard]] bool exhausted() const noexcept { return p_ == end_; }
+
+ private:
+  void need(std::size_t n) const {
+    if (static_cast<std::size_t>(end_ - p_) < n) throw ParseError{};
+  }
+
+  std::size_t bounded(std::uint64_t n, std::size_t min_bytes_each) const {
+    if (n > static_cast<std::uint64_t>(end_ - p_) / min_bytes_each) throw ParseError{};
+    return static_cast<std::size_t>(n);
+  }
+
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+};
+
+/// The ten sensor counters as u64s in `SensorCounters` field order.
+void put_sensor(ByteWriter& out, const telescope::SensorCounters& sensor);
+void get_sensor(ByteReader& in, telescope::SensorCounters& sensor);
+
+/// Maps the sidecar file at `path` read-only into `file`. Returns the
+/// defect, or nullptr: a path that is not a regular file is rejected
+/// without being opened.
+[[nodiscard]] const char* map_sidecar(const std::filesystem::path& path,
+                                      pcap::MappedFile& file);
+
+/// Writes one sidecar file through a temp file of its own and commits
+/// it with an atomic rename (see the file comment).
+class SidecarWriter {
+ public:
+  /// Creates the temp file beside `target`. Throws `std::runtime_error`
+  /// when it cannot be created (say, the directory does not exist).
+  explicit SidecarWriter(std::filesystem::path target);
+  /// Removes the temp file unless it was committed.
+  ~SidecarWriter();
+  SidecarWriter(const SidecarWriter&) = delete;
+  SidecarWriter& operator=(const SidecarWriter&) = delete;
+
+  /// Appends `bytes`; a failed write fails the commit.
+  void append(std::span<const std::uint8_t> bytes);
+
+  /// Overwrites the file's first `header.size()` bytes (the header is
+  /// written last, once the body is known), flushes, and renames the
+  /// temp file over the target. False — after removing the temp file —
+  /// when any step failed; sidecars are best-effort and never fail a run.
+  [[nodiscard]] bool commit(std::span<const std::uint8_t> header = {});
+
+ private:
+  std::filesystem::path target_;
+  std::filesystem::path temp_;
+  std::FILE* file_ = nullptr;
+  bool ok_ = true;
+};
+
+// --- the probe cache --------------------------------------------------
 
 /// What ties a cache file to its source capture.
 struct CacheIdentity {
@@ -111,9 +256,9 @@ struct CacheVerifyReport {
   std::uint64_t rows = 0;
 };
 
-/// Runs the same validation a replay would — header, optional source
-/// identity, chunk framing, checksum — and reports the first defect as
-/// text instead of silently falling back.
+/// Runs the validation a replay runs — header, its accounting identity,
+/// optional source identity, chunk framing, checksum — and reports the
+/// first defect as text instead of silently falling back.
 [[nodiscard]] CacheVerifyReport cache_verify(
     const std::filesystem::path& path,
     const std::optional<CacheIdentity>& expected = std::nullopt);
@@ -125,10 +270,9 @@ struct CacheVerifyReport {
 /// removes the temp file.
 class ProbeCacheWriter {
  public:
-  /// Starts writing `path`'s sibling temp file. Throws when the temp
-  /// file cannot be created.
-  ProbeCacheWriter(std::filesystem::path path, const CacheIdentity& identity);
-  ~ProbeCacheWriter();
+  /// Starts writing a temp file beside `path`. Throws when it cannot be
+  /// created.
+  ProbeCacheWriter(const std::filesystem::path& path, const CacheIdentity& identity);
   ProbeCacheWriter(const ProbeCacheWriter&) = delete;
   ProbeCacheWriter& operator=(const ProbeCacheWriter&) = delete;
 
@@ -141,22 +285,16 @@ class ProbeCacheWriter {
   [[nodiscard]] bool commit(std::uint64_t frame_count, pcap::ReadStatus terminal_status,
                             const telescope::SensorCounters& sensor);
 
-  /// Drops the temp file without committing.
-  void abandon();
-
  private:
   void emit_chunk(std::size_t begin, std::size_t rows);
   void flush_staging(bool final_flush);
 
-  std::filesystem::path path_;
-  std::filesystem::path tmp_path_;
-  std::ofstream stream_;
+  SidecarWriter file_;
   std::vector<std::uint8_t> scratch_;
   telescope::ProbeBatch staging_;
   std::uint64_t probe_count_ = 0;
-  std::uint64_t checksum_;
+  std::uint64_t checksum_ = kFnvOffset;
   CacheIdentity identity_;
-  bool open_ = false;
 };
 
 /// Validating reader over a mapped cache file. `open` fully verifies the
@@ -173,12 +311,12 @@ class ProbeCacheReader {
   bool next_chunk(telescope::ProbeBatch& out);
 
   [[nodiscard]] const telescope::SensorCounters& sensor() const noexcept {
-    return sensor_;
+    return info_.sensor;
   }
-  [[nodiscard]] std::uint64_t frame_count() const noexcept { return frame_count_; }
-  [[nodiscard]] std::uint64_t probe_count() const noexcept { return probe_count_; }
+  [[nodiscard]] std::uint64_t frame_count() const noexcept { return info_.frame_count; }
+  [[nodiscard]] std::uint64_t probe_count() const noexcept { return info_.probe_count; }
   [[nodiscard]] pcap::ReadStatus terminal_status() const noexcept {
-    return terminal_status_;
+    return info_.terminal_status;
   }
 
  private:
@@ -186,10 +324,7 @@ class ProbeCacheReader {
 
   pcap::MappedFile file_;
   std::size_t offset_ = 0;  ///< cursor into the chunk region
-  telescope::SensorCounters sensor_;
-  std::uint64_t frame_count_ = 0;
-  std::uint64_t probe_count_ = 0;
-  pcap::ReadStatus terminal_status_ = pcap::ReadStatus::kEndOfFile;
+  CacheFileInfo info_;
 };
 
 }  // namespace synscan::core

@@ -1,15 +1,10 @@
 #include "core/rollup_store.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
-#include <system_error>
+#include <exception>
+#include <span>
 #include <utility>
 #include <vector>
-
-#include "net/endian.h"
 
 namespace synscan::core {
 namespace {
@@ -22,88 +17,9 @@ constexpr std::size_t kHeaderSize = 64;
 inline std::uint64_t time_bits(net::TimeUs t) { return static_cast<std::uint64_t>(t); }
 inline net::TimeUs time_from(std::uint64_t v) { return static_cast<net::TimeUs>(v); }
 
-// --- payload writer ---------------------------------------------------
-
-class Writer {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) { grow(2, [&](std::uint8_t* p) { net::store_le16(p, v); }); }
-  void u32(std::uint32_t v) { grow(4, [&](std::uint8_t* p) { net::store_le32(p, v); }); }
-  void u64(std::uint64_t v) { grow(8, [&](std::uint8_t* p) { net::store_le64(p, v); }); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
-
- private:
-  template <typename Store>
-  void grow(std::size_t n, Store&& store) {
-    const auto at = out_.size();
-    out_.resize(at + n);
-    store(out_.data() + at);
-  }
-
-  std::vector<std::uint8_t> out_;
-};
-
-/// Thrown (and caught inside `load_rollup`) on any payload defect; the
-/// caller only ever sees nullopt.
-struct ParseError {};
-
-// --- payload reader ---------------------------------------------------
-
-class Reader {
- public:
-  Reader(const std::uint8_t* begin, std::size_t size) : p_(begin), end_(begin + size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return *p_++;
-  }
-  std::uint16_t u16() {
-    need(2);
-    const auto v = net::load_le16(p_);
-    p_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    const auto v = net::load_le32(p_);
-    p_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    const auto v = net::load_le64(p_);
-    p_ += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  /// A stored element count (u64; `count32` for a u32 field),
-  /// sanity-bounded by the remaining bytes so a corrupt length cannot
-  /// drive a multi-gigabyte reserve. `min_bytes_each` must be nonzero.
-  std::size_t count(std::size_t min_bytes_each) { return bounded(u64(), min_bytes_each); }
-  std::size_t count32(std::size_t min_bytes_each) { return bounded(u32(), min_bytes_each); }
-
-  [[nodiscard]] bool exhausted() const noexcept { return p_ == end_; }
-
- private:
-  void need(std::size_t n) {
-    if (static_cast<std::size_t>(end_ - p_) < n) throw ParseError{};
-  }
-
-  std::size_t bounded(std::uint64_t n, std::size_t min_bytes_each) const {
-    if (n > static_cast<std::uint64_t>(end_ - p_) / min_bytes_each) throw ParseError{};
-    return static_cast<std::size_t>(n);
-  }
-
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-};
-
 // --- shared pieces ----------------------------------------------------
 
-void put_probe(Writer& out, const telescope::ScanProbe& probe) {
+void put_probe(ByteWriter& out, const telescope::ScanProbe& probe) {
   out.u64(time_bits(probe.timestamp_us));
   out.u32(probe.source.value());
   out.u32(probe.destination.value());
@@ -116,7 +32,7 @@ void put_probe(Writer& out, const telescope::ScanProbe& probe) {
   out.u8(probe.ttl);
 }
 
-telescope::ScanProbe get_probe(Reader& in) {
+telescope::ScanProbe get_probe(ByteReader& in) {
   telescope::ScanProbe probe;
   probe.timestamp_us = time_from(in.u64());
   probe.source = net::Ipv4Address(in.u32());
@@ -134,7 +50,7 @@ telescope::ScanProbe get_probe(Reader& in) {
 /// Emits a PortPacketMap as sorted (port, packets) rows — the map's own
 /// iteration order is a function of insertion history, which must never
 /// leak into the file bytes.
-void put_port_map(Writer& out, const PortPacketMap& map) {
+void put_port_map(ByteWriter& out, const PortPacketMap& map) {
   std::vector<std::pair<std::uint16_t, std::uint64_t>> rows;
   rows.reserve(map.size());
   for (const auto& [port, packets] : map) rows.emplace_back(port, packets);
@@ -146,7 +62,7 @@ void put_port_map(Writer& out, const PortPacketMap& map) {
   }
 }
 
-void get_port_map(Reader& in, PortPacketMap& map) {
+void get_port_map(ByteReader& in, PortPacketMap& map) {
   const auto n = in.count32(10);
   for (std::size_t i = 0; i < n; ++i) {
     const auto port = in.u16();
@@ -154,33 +70,7 @@ void get_port_map(Reader& in, PortPacketMap& map) {
   }
 }
 
-void put_sensor(Writer& out, const telescope::SensorCounters& sensor) {
-  out.u64(sensor.scan_probes);
-  out.u64(sensor.backscatter);
-  out.u64(sensor.xmas_or_null);
-  out.u64(sensor.other_tcp);
-  out.u64(sensor.udp);
-  out.u64(sensor.icmp);
-  out.u64(sensor.not_monitored);
-  out.u64(sensor.ingress_blocked);
-  out.u64(sensor.malformed);
-  out.u64(sensor.spoofed_source);
-}
-
-void get_sensor(Reader& in, telescope::SensorCounters& sensor) {
-  sensor.scan_probes = in.u64();
-  sensor.backscatter = in.u64();
-  sensor.xmas_or_null = in.u64();
-  sensor.other_tcp = in.u64();
-  sensor.udp = in.u64();
-  sensor.icmp = in.u64();
-  sensor.not_monitored = in.u64();
-  sensor.ingress_blocked = in.u64();
-  sensor.malformed = in.u64();
-  sensor.spoofed_source = in.u64();
-}
-
-void put_tracker(Writer& out, const TrackerCounters& counters) {
+void put_tracker(ByteWriter& out, const TrackerCounters& counters) {
   out.u64(counters.probes);
   out.u64(counters.campaigns);
   out.u64(counters.subthreshold_flows);
@@ -194,7 +84,7 @@ void put_tracker(Writer& out, const TrackerCounters& counters) {
   out.u64(counters.table_rehashes);
 }
 
-void get_tracker(Reader& in, TrackerCounters& counters) {
+void get_tracker(ByteReader& in, TrackerCounters& counters) {
   counters.probes = in.u64();
   counters.campaigns = in.u64();
   counters.subthreshold_flows = in.u64();
@@ -208,7 +98,7 @@ void get_tracker(Reader& in, TrackerCounters& counters) {
   counters.table_rehashes = in.u64();
 }
 
-void put_campaign(Writer& out, const Campaign& campaign) {
+void put_campaign(ByteWriter& out, const Campaign& campaign) {
   out.u64(campaign.id);
   out.u32(campaign.source.value());
   out.u64(time_bits(campaign.first_seen_us));
@@ -222,7 +112,7 @@ void put_campaign(Writer& out, const Campaign& campaign) {
   put_port_map(out, campaign.port_packets);
 }
 
-Campaign get_campaign(Reader& in) {
+Campaign get_campaign(ByteReader& in) {
   Campaign campaign;
   campaign.id = in.u64();
   campaign.source = net::Ipv4Address(in.u32());
@@ -240,7 +130,7 @@ Campaign get_campaign(Reader& in) {
   return campaign;
 }
 
-void put_segment(Writer& out, const FlowSegment& segment) {
+void put_segment(ByteWriter& out, const FlowSegment& segment) {
   out.u32(segment.source.value());
   out.u8(static_cast<std::uint8_t>((segment.head ? 1 : 0) | (segment.tail ? 2 : 0)));
   out.u64(time_bits(segment.first_seen_us));
@@ -266,7 +156,7 @@ void put_segment(Writer& out, const FlowSegment& segment) {
   put_probe(out, evidence.previous);
 }
 
-FlowSegment get_segment(Reader& in) {
+FlowSegment get_segment(ByteReader& in) {
   FlowSegment segment;
   segment.source = net::Ipv4Address(in.u32());
   const auto flags = in.u8();
@@ -300,7 +190,7 @@ FlowSegment get_segment(Reader& in) {
 
 /// The tally section: sources in ascending order, each with its
 /// (port, packets) rows in ascending port order.
-void put_port_tally(Writer& out, const PortTally& tally) {
+void put_port_tally(ByteWriter& out, const PortTally& tally) {
   std::vector<std::pair<std::uint32_t, const PortPacketMap*>> sources;
   sources.reserve(tally.per_source().size());
   for (const auto& [source, ports] : tally.per_source()) sources.emplace_back(source, &ports);
@@ -316,7 +206,7 @@ void put_port_tally(Writer& out, const PortTally& tally) {
 /// (source, port) and carry packets, so a file that passes the checksum
 /// but repeats or reorders a row takes the fallback instead of loading a
 /// different statistic.
-void get_port_tally(Reader& in, PortTally& tally) {
+void get_port_tally(ByteReader& in, PortTally& tally) {
   const auto sources = in.count(4 + 4 + 10);  // a source has at least one row
   std::uint64_t previous_source = 0;
   for (std::size_t i = 0; i < sources; ++i) {
@@ -336,23 +226,38 @@ void get_port_tally(Reader& in, PortTally& tally) {
   }
 }
 
+/// Parses the 64-byte header; false when the file is shorter than it
+/// or not an spr file.
+bool parse_header(std::span<const std::uint8_t> bytes, RollupFileInfo& info) {
+  if (bytes.size() < kHeaderSize) return false;
+  ByteReader in(bytes.first(kHeaderSize));
+  if (in.u32() != kMagic) return false;
+  info.version = in.u32();
+  info.source_size = in.u64();
+  info.source_mtime_ns = in.u64();
+  info.analysis_fingerprint = in.u64();
+  info.campaigns = in.u64();
+  info.segments = in.u64();
+  info.payload_size = in.u64();
+  info.checksum = in.u64();
+  info.file_size = bytes.size();
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t analysis_fingerprint(const TrackerConfig& config,
                                    std::uint64_t monitored_addresses) {
   // Everything that can change the analysis result, and nothing that
   // cannot: sweep_interval is pure scheduling (see the header comment).
-  const std::uint64_t words[] = {
-      static_cast<std::uint64_t>(config.min_distinct_destinations),
-      std::bit_cast<std::uint64_t>(config.min_internet_pps),
-      static_cast<std::uint64_t>(config.expiry),
-      static_cast<std::uint64_t>(config.classifier.min_matches),
-      std::bit_cast<std::uint64_t>(config.classifier.min_fraction),
-      monitored_addresses,
-  };
-  std::uint8_t bytes[sizeof(words)];
-  for (std::size_t i = 0; i < std::size(words); ++i) net::store_le64(bytes + 8 * i, words[i]);
-  return fnv1a(bytes);
+  ByteWriter words;
+  words.u64(config.min_distinct_destinations);
+  words.f64(config.min_internet_pps);
+  words.u64(static_cast<std::uint64_t>(config.expiry));
+  words.u64(config.classifier.min_matches);
+  words.f64(config.classifier.min_fraction);
+  words.u64(monitored_addresses);
+  return fnv1a(words.bytes());
 }
 
 std::filesystem::path rollup_path_for(const std::filesystem::path& capture) {
@@ -360,107 +265,69 @@ std::filesystem::path rollup_path_for(const std::filesystem::path& capture) {
 }
 
 std::optional<RollupFileInfo> rollup_stat(const std::filesystem::path& path) {
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) return std::nullopt;
-  std::uint8_t header[kHeaderSize];
-  stream.read(reinterpret_cast<char*>(header), kHeaderSize);
-  if (stream.gcount() != static_cast<std::streamsize>(kHeaderSize)) return std::nullopt;
-  if (net::load_le32(header) != kMagic) return std::nullopt;
+  pcap::MappedFile file;
+  if (map_sidecar(path, file) != nullptr) return std::nullopt;
   RollupFileInfo info;
-  info.version = net::load_le32(header + 4);
-  info.source_size = net::load_le64(header + 8);
-  info.source_mtime_ns = net::load_le64(header + 16);
-  info.analysis_fingerprint = net::load_le64(header + 24);
-  info.campaigns = net::load_le64(header + 32);
-  info.segments = net::load_le64(header + 40);
-  info.payload_size = net::load_le64(header + 48);
-  info.checksum = net::load_le64(header + 56);
-  std::error_code ec;
-  info.file_size = std::filesystem::file_size(path, ec);
-  if (ec) return std::nullopt;
+  if (!parse_header(file.bytes(), info)) return std::nullopt;
   return info;
 }
 
 bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
                  const CacheIdentity& identity, std::uint64_t fingerprint) {
-  Writer out;
-  out.u64(rollup.frames);
-  out.u32(static_cast<std::uint32_t>(rollup.final_status));
-  out.u8(rollup.from_cache ? 1 : 0);
-  out.u64(time_bits(rollup.max_timestamp_us));
-  put_sensor(out, rollup.sensor);
-  put_tracker(out, rollup.tracker);
-  out.u64(rollup.campaigns.size());
-  for (const auto& campaign : rollup.campaigns) put_campaign(out, campaign);
-  out.u64(rollup.segments.size());
-  for (const auto& segment : rollup.segments) put_segment(out, segment);
-  put_port_tally(out, rollup.ports);
+  ByteWriter payload;
+  payload.u64(rollup.frames);
+  payload.u32(static_cast<std::uint32_t>(rollup.final_status));
+  payload.u8(rollup.from_cache ? 1 : 0);
+  payload.u64(time_bits(rollup.max_timestamp_us));
+  put_sensor(payload, rollup.sensor);
+  put_tracker(payload, rollup.tracker);
+  payload.u64(rollup.campaigns.size());
+  for (const auto& campaign : rollup.campaigns) put_campaign(payload, campaign);
+  payload.u64(rollup.segments.size());
+  for (const auto& segment : rollup.segments) put_segment(payload, segment);
+  put_port_tally(payload, rollup.ports);
 
-  const auto& payload = out.bytes();
-  std::uint8_t header[kHeaderSize];
-  net::store_le32(header, kMagic);
-  net::store_le32(header + 4, kVersion);
-  net::store_le64(header + 8, identity.source_size);
-  net::store_le64(header + 16, identity.source_mtime_ns);
-  net::store_le64(header + 24, fingerprint);
-  net::store_le64(header + 32, rollup.campaigns.size());
-  net::store_le64(header + 40, rollup.segments.size());
-  net::store_le64(header + 48, payload.size());
-  net::store_le64(header + 56, fnv1a(payload));
+  ByteWriter header;
+  header.u32(kMagic);
+  header.u32(kVersion);
+  header.u64(identity.source_size);
+  header.u64(identity.source_mtime_ns);
+  header.u64(fingerprint);
+  header.u64(rollup.campaigns.size());
+  header.u64(rollup.segments.size());
+  header.u64(payload.bytes().size());
+  header.u64(fnv1a(payload.bytes()));
 
-  const auto tmp = std::filesystem::path(path.native() + ".tmp");
-  {
-    std::ofstream stream(tmp, std::ios::binary | std::ios::trunc);
-    if (!stream) return false;
-    stream.write(reinterpret_cast<const char*>(header), kHeaderSize);
-    stream.write(reinterpret_cast<const char*>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
-    stream.flush();
-    if (!stream) {
-      stream.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  try {
+    SidecarWriter file(path);
+    file.append(header.bytes());
+    file.append(payload.bytes());
+    return file.commit();
+  } catch (const std::exception&) {
     return false;
   }
-  return true;
 }
 
 std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
                                          const enrich::InternetRegistry& /*registry*/,
                                          const CacheIdentity& expected,
                                          std::uint64_t fingerprint) {
-  const auto info = rollup_stat(path);
-  if (!info) return std::nullopt;
-  if (info->version != kVersion) return std::nullopt;
-  if (info->source_size != expected.source_size ||
-      info->source_mtime_ns != expected.source_mtime_ns) {
+  pcap::MappedFile file;
+  if (map_sidecar(path, file) != nullptr) return std::nullopt;
+  RollupFileInfo info;
+  if (!parse_header(file.bytes(), info)) return std::nullopt;
+  if (info.version != kVersion) return std::nullopt;
+  if (info.source_size != expected.source_size ||
+      info.source_mtime_ns != expected.source_mtime_ns) {
     return std::nullopt;  // stale: the capture changed under the rollup
   }
-  if (info->analysis_fingerprint != fingerprint) return std::nullopt;
-  if (info->file_size != kHeaderSize + info->payload_size) return std::nullopt;
-
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) return std::nullopt;
-  stream.seekg(static_cast<std::streamoff>(kHeaderSize));
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(info->payload_size));
-  stream.read(reinterpret_cast<char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-  if (stream.gcount() != static_cast<std::streamsize>(payload.size())) {
-    return std::nullopt;
-  }
-  if (fnv1a(payload) != info->checksum) {
-    return std::nullopt;
-  }
+  if (info.analysis_fingerprint != fingerprint) return std::nullopt;
+  if (info.file_size != kHeaderSize + info.payload_size) return std::nullopt;
+  const auto payload = file.bytes().subspan(kHeaderSize);
+  if (fnv1a(payload) != info.checksum) return std::nullopt;
 
   try {
-    Reader in(payload.data(), payload.size());
+    ByteReader in(payload);
     CaptureRollup rollup;
     rollup.capture = path;
     rollup.frames = in.u64();
@@ -485,8 +352,8 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
     }
     get_port_tally(in, rollup.ports);
     if (!in.exhausted()) return std::nullopt;
-    if (rollup.campaigns.size() != info->campaigns ||
-        rollup.segments.size() != info->segments) {
+    if (rollup.campaigns.size() != info.campaigns ||
+        rollup.segments.size() != info.segments) {
       return std::nullopt;
     }
     return rollup;

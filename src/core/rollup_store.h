@@ -5,12 +5,16 @@
 // expensive half of that bargain only pays off if the per-shard
 // analysis itself survives between runs — so a `CaptureRollup` persists
 // as a compact little-endian columnar file next to the capture, sibling
-// to its `.spc` probe cache and under the same discipline: identity
-// check against the source capture (byte size + mtime), an FNV-1a
-// checksum over the payload, tmp-file + rename commits, and full
-// validation before a single byte is trusted. Any mismatch — torn file,
-// stale capture, different analysis configuration — invalidates the
-// rollup and the caller falls back to re-analyzing the shard.
+// to its `.spc` probe cache and written and read by the same code
+// (core/probe_cache.h, "The sidecar discipline"): identity check against
+// the source capture (byte size + mtime), an FNV-1a checksum over the
+// payload, one commit through a temp file unique to the writer and an
+// atomic rename, and one mapped read — the payload decodes straight off
+// the mapping, with no copy — validated in full before a single byte is
+// trusted. A path that is not a regular file is a miss without being
+// read. Any mismatch — torn file, stale capture, different analysis
+// configuration — invalidates the rollup and the caller falls back to
+// re-analyzing the shard.
 //
 // Layout (all integers little-endian):
 //   header (64 bytes):
@@ -73,13 +77,14 @@ struct RollupFileInfo {
   std::uint64_t file_size = 0;
 };
 
-/// Parses just the header. nullopt when the file is missing, too short,
-/// or not an spr file.
+/// Parses just the header. nullopt when the path is not a regular file,
+/// or the file is too short or not an spr file.
 [[nodiscard]] std::optional<RollupFileInfo> rollup_stat(const std::filesystem::path& path);
 
-/// Writes `rollup` to `path` via a sibling ".tmp" and rename. Returns
-/// false on any I/O failure (after cleaning up the temp file) — rollup
-/// persistence is best-effort and must never fail the run.
+/// Writes `rollup` to `path` through a `SidecarWriter` (a temp file of
+/// its own, then a rename). Returns false on any I/O failure (after
+/// removing the temp file) — rollup persistence is best-effort and must
+/// never fail the run.
 [[nodiscard]] bool save_rollup(const std::filesystem::path& path,
                                const CaptureRollup& rollup,
                                const CacheIdentity& identity,

@@ -32,6 +32,7 @@
 #include "core/sync.h"
 #include "obs/metrics.h"
 #include "report/json.h"
+#include "server/frame.h"
 #include "server/protocol.h"
 #include "server/query.h"
 
@@ -39,6 +40,12 @@ namespace synscan::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Graceful-shutdown budget: in-flight queries may finish and flush for
+/// this long before the remaining connections are dropped.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+/// Disconnect a client whose unread response backlog exceeds this.
+constexpr std::size_t kMaxOutboxBytes = std::size_t{64} << 20;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   // std::system_error formats the errno message itself; std::strerror
@@ -243,8 +250,6 @@ struct ReadyResponse {
 };
 
 struct Connection {
-  explicit Connection(std::size_t max_frame_bytes) : decoder(max_frame_bytes) {}
-
   int fd = -1;
   std::uint32_t slot = 0;
   /// Distinguishes this connection from an earlier occupant of the same
@@ -755,7 +760,7 @@ struct Daemon::Impl {
   void begin_shutdown() {
     if (draining) return;
     draining = true;
-    drain_deadline = Clock::now() + std::chrono::milliseconds(config.drain_timeout_ms);
+    drain_deadline = Clock::now() + kDrainTimeout;
     if (unix_fd >= 0) {
       poller->remove(unix_fd);
       close_fd(unix_fd);
@@ -793,7 +798,7 @@ struct Daemon::Impl {
         slot = static_cast<std::uint32_t>(connections.size());
         connections.emplace_back();
       }
-      auto conn = std::make_unique<Connection>(config.max_frame_bytes);
+      auto conn = std::make_unique<Connection>();
       conn->fd = fd;
       conn->slot = slot;
       conn->id = next_conn_id++;
@@ -801,7 +806,6 @@ struct Daemon::Impl {
       poller->add(fd, conn.get(), false);
       connections[slot] = std::move(conn);
       ++open_connections;
-      ++accepts;
       if (obs_accepts != nullptr) obs_accepts->add();
       if (obs_connections != nullptr) {
         obs_connections->store(static_cast<std::int64_t>(open_connections));
@@ -837,7 +841,6 @@ struct Daemon::Impl {
       const ssize_t n = ::recv(conn.fd, buffer.data(), buffer.size(), 0);
       if (n > 0) {
         conn.last_activity = Clock::now();
-        bytes_in += static_cast<std::uint64_t>(n);
         if (obs_bytes_in != nullptr) obs_bytes_in->add(static_cast<std::uint64_t>(n));
         conn.decoder.absorb(
             std::string_view(buffer.data(), static_cast<std::size_t>(n)));
@@ -858,7 +861,6 @@ struct Daemon::Impl {
       const auto status = conn.decoder.next(payload);
       if (status == FrameDecoder::Status::kNeedMore) break;
       if (status == FrameDecoder::Status::kTooLarge) {
-        ++errors;
         if (obs_errors != nullptr) obs_errors->add();
         if (obs_rejected != nullptr) obs_rejected->add();
         respond_inline(conn,
@@ -875,12 +877,10 @@ struct Daemon::Impl {
   }
 
   void handle_frame(Connection& conn, std::string_view payload) {
-    ++frames;
     if (obs_frames != nullptr) obs_frames->add();
     Request request;
     std::string error;
     if (!parse_request(payload, request, error)) {
-      ++errors;
       if (obs_errors != nullptr) obs_errors->add();
       respond_inline(conn, error_response(error));
       return;
@@ -900,11 +900,9 @@ struct Daemon::Impl {
       case RequestKind::kLoad:
       case RequestKind::kRollup:
         if (draining) {
-          ++errors;
           if (obs_errors != nullptr) obs_errors->add();
           respond_inline(conn, error_response("daemon is shutting down"));
         } else if (loading.exchange(true, std::memory_order_acq_rel)) {
-          ++errors;
           if (obs_errors != nullptr) obs_errors->add();
           respond_inline(conn, error_response("a load is already in progress"));
         } else {
@@ -966,13 +964,11 @@ struct Daemon::Impl {
           ++queries;
           if (obs_queries != nullptr) obs_queries->add();
         } else {
-          ++errors;
           if (obs_errors != nullptr) obs_errors->add();
         }
       } else if (completion.ok) {
         ++loads;
       } else {
-        ++errors;
         if (obs_errors != nullptr) obs_errors->add();
       }
       Connection* conn = completion.slot < connections.size()
@@ -992,7 +988,6 @@ struct Daemon::Impl {
                                conn.outbox.size() - conn.outbox_sent, MSG_NOSIGNAL);
       if (n > 0) {
         conn.outbox_sent += static_cast<std::size_t>(n);
-        bytes_out += static_cast<std::uint64_t>(n);
         if (obs_bytes_out != nullptr) obs_bytes_out->add(static_cast<std::uint64_t>(n));
         conn.last_activity = Clock::now();
         continue;
@@ -1012,9 +1007,8 @@ struct Daemon::Impl {
       poller->update(conn.fd, false);
       return;
     }
-    if (conn.outbox.size() - conn.outbox_sent > config.max_outbox_bytes) {
+    if (conn.outbox.size() - conn.outbox_sent > kMaxOutboxBytes) {
       // The client stopped reading; shedding it beats buffering forever.
-      ++errors;
       if (obs_errors != nullptr) obs_errors->add();
       close_connection(conn);
       return;
@@ -1029,7 +1023,6 @@ struct Daemon::Impl {
       if (!conn || conn->fd < 0) continue;
       if (conn->responses_pending()) continue;
       if (now - conn->last_activity >= timeout) {
-        ++idle_closes;
         if (obs_idle_closes != nullptr) obs_idle_closes->add();
         close_connection(*conn);
       }
@@ -1082,14 +1075,8 @@ struct Daemon::Impl {
 
   // Plain tallies mirrored into obs cells; STATUS reads these so the
   // daemon reports activity even with observability off.
-  std::uint64_t accepts = 0;
-  std::uint64_t frames = 0;
   std::uint64_t queries = 0;
   std::uint64_t loads = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t idle_closes = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
   Clock::time_point started{};
 
   obs::Counter* obs_accepts = nullptr;

@@ -30,7 +30,6 @@
 #include <string>
 
 #include "core/analysis_session.h"
-#include "server/frame.h"
 
 namespace synscan::server {
 
@@ -53,14 +52,6 @@ struct DaemonConfig {
   /// Close connections with no traffic and no pending responses after
   /// this long. 0 disables the sweep.
   std::uint64_t idle_timeout_ms = 0;
-  /// Graceful-shutdown budget: in-flight queries may finish and flush
-  /// for this long before remaining connections are dropped.
-  std::uint64_t drain_timeout_ms = 5000;
-  /// Request frames larger than this poison the connection: the client
-  /// gets one ERR response and the connection closes after it flushes.
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Disconnect a client whose unread response backlog exceeds this.
-  std::size_t max_outbox_bytes = 64u << 20;
   /// Install SIGINT/SIGTERM handlers for the lifetime of `serve()` that
   /// trigger a graceful drain. At most one daemon per process may set
   /// this.

@@ -64,9 +64,6 @@ struct Request {
 /// The success envelope prefix; the body follows the newline.
 inline constexpr std::string_view kOkHeader = "OK\n";
 
-/// Appends the success header; the caller appends the body after it.
-inline void append_ok_header(std::string& out) { out.append(kOkHeader); }
-
 /// A complete error response payload ("ERR <message>").
 [[nodiscard]] std::string error_response(std::string_view message);
 

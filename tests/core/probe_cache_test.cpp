@@ -136,11 +136,13 @@ class ProbeCacheTest : public ::testing::Test {
 
   /// Replays the fixture capture through `ingest_capture`, collecting
   /// every probe in capture order.
-  [[nodiscard]] std::pair<IngestResult, telescope::ProbeBatch> ingest(bool use_cache) const {
+  [[nodiscard]] std::pair<IngestResult, telescope::ProbeBatch> ingest(
+      bool use_cache, const fs::path& cache_path = {}) const {
     static const telescope::Telescope telescope(
         {{*net::Ipv4Prefix::parse("198.51.0.0/20"), 1000}}, {});
     IngestOptions options;
     options.use_cache = use_cache;
+    options.cache_path = cache_path;
     telescope::ProbeBatch probes;
     const auto result = ingest_capture(source_, telescope, options,
                                        [&probes](const telescope::ProbeBatch& batch) {
@@ -196,6 +198,20 @@ class ProbeCacheTest : public ::testing::Test {
     }
   }
 
+  /// An ingest that could not write its cache must still deliver what
+  /// an uncached run delivers.
+  void expect_uncached_result(const IngestResult& got,
+                              const telescope::ProbeBatch& got_probes) const {
+    const auto [want, want_probes] = ingest(/*use_cache=*/false);
+    EXPECT_FALSE(got.from_cache);
+    EXPECT_EQ(got.frames, want.frames);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.sensor.scan_probes, want.sensor.scan_probes);
+    EXPECT_EQ(got.sensor.total(), want.sensor.total());
+    ASSERT_EQ(got_probes.size(), want_probes.size());
+    expect_rows_equal(got_probes, 0, want_probes, 0, want_probes.size());
+  }
+
   static std::vector<std::uint8_t> slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -212,6 +228,7 @@ TEST_F(ProbeCacheTest, WriteReadRoundTrip) {
   sensor.scan_probes = 7;
   sensor.malformed = 3;
   sensor.udp = 1;
+  sensor.backscatter = 31;  // every frame lands in one counter: 42 in all
 
   {
     ProbeCacheWriter writer(cache_, id);
@@ -219,8 +236,8 @@ TEST_F(ProbeCacheTest, WriteReadRoundTrip) {
     writer.append(sample_batch(3, 900));
     ASSERT_TRUE(writer.commit(42, pcap::ReadStatus::kEndOfFile, sensor));
   }
-  EXPECT_TRUE(fs::exists(cache_));
-  EXPECT_FALSE(fs::exists(cache_.native() + ".tmp"));
+  EXPECT_EQ(testing::dir_entries(dir_),
+            (std::vector<std::string>{"capture.pcap", "capture.pcap.spc"}));
 
   auto reader = ProbeCacheReader::open(cache_, id);
   ASSERT_TRUE(reader.has_value());
@@ -290,6 +307,7 @@ TEST_F(ProbeCacheTest, PreservesTruncatedTerminalStatus) {
   const auto id = identity();
   telescope::SensorCounters sensor;
   sensor.scan_probes = 2;
+  sensor.other_tcp = 7;  // every frame lands in one counter: 9 in all
   {
     ProbeCacheWriter writer(cache_, id);
     writer.append(sample_batch(2, 5));
@@ -430,8 +448,80 @@ TEST_F(ProbeCacheTest, AbandonLeavesNoFiles) {
     writer.append(sample_batch(4, 4));
     // no commit: destructor abandons
   }
-  EXPECT_FALSE(fs::exists(cache_));
-  EXPECT_FALSE(fs::exists(cache_.native() + ".tmp"));
+  EXPECT_EQ(testing::dir_entries(dir_), std::vector<std::string>{"capture.pcap"});
+}
+
+TEST_F(ProbeCacheTest, TwoWritersOfOneCacheEachCommitAWholeFile) {
+  // A daemon and a CLI may cut one capture's cache at the same time.
+  // Each writer has a temp file of its own, so each commit renames a
+  // whole file into place and the last rename wins. (With one shared
+  // temp name the second writer wrote on into the file the first had
+  // committed, which then stopped validating.)
+  const auto id = identity();
+  const auto first_batch = sample_batch(7, 100);
+  const auto second_batch = sample_batch(3, 900);
+  telescope::SensorCounters first_sensor;
+  first_sensor.scan_probes = first_batch.size();
+  telescope::SensorCounters second_sensor;
+  second_sensor.scan_probes = second_batch.size();
+
+  ProbeCacheWriter first(cache_, id);
+  first.append(first_batch);
+  ProbeCacheWriter second(cache_, id);
+  second.append(second_batch);
+  ASSERT_TRUE(first.commit(first_batch.size(), pcap::ReadStatus::kEndOfFile, first_sensor));
+  auto report = cache_verify(cache_, id);
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.rows, first_batch.size());
+
+  ASSERT_TRUE(second.commit(second_batch.size(), pcap::ReadStatus::kEndOfFile,
+                            second_sensor));
+  report = cache_verify(cache_, id);
+  EXPECT_TRUE(report.ok) << report.error;
+  auto reader = ProbeCacheReader::open(cache_, id);
+  ASSERT_TRUE(reader.has_value());
+  EXPECT_EQ(reader->probe_count(), second_batch.size());
+  telescope::ProbeBatch chunk;
+  ASSERT_TRUE(reader->next_chunk(chunk));
+  ASSERT_EQ(chunk.size(), second_batch.size());
+  expect_rows_equal(chunk, 0, second_batch, 0, second_batch.size());
+  EXPECT_EQ(testing::dir_entries(dir_),
+            (std::vector<std::string>{"capture.pcap", "capture.pcap.spc"}));
+}
+
+TEST_F(ProbeCacheTest, FailedCommitsLeaveTheRunUncachedAndNoTempFile) {
+  {
+    SCOPED_TRACE("the cache path is a directory, so the rename fails");
+    fs::create_directory(cache_);
+    std::ofstream(cache_ / "keep") << "obstacle";
+    const auto [got, got_probes] = ingest(/*use_cache=*/true);
+    expect_uncached_result(got, got_probes);
+    EXPECT_EQ(testing::dir_entries(dir_),
+              (std::vector<std::string>{"capture.pcap", "capture.pcap.spc"}));
+    EXPECT_EQ(testing::dir_entries(cache_), std::vector<std::string>{"keep"});
+
+    fs::remove_all(cache_);
+    const auto [cold, cold_probes] = ingest(/*use_cache=*/true);
+    expect_uncached_result(cold, cold_probes);
+    EXPECT_TRUE(cache_verify(cache_, identity()).ok);
+    EXPECT_TRUE(ingest(/*use_cache=*/true).first.from_cache);
+    fs::remove(cache_);
+  }
+  {
+    SCOPED_TRACE("the cache's directory does not exist, so creation fails");
+    const auto missing = dir_ / "missing";
+    const auto cache = missing / "capture.spc";
+    const auto [got, got_probes] = ingest(/*use_cache=*/true, cache);
+    expect_uncached_result(got, got_probes);
+    EXPECT_EQ(testing::dir_entries(dir_), std::vector<std::string>{"capture.pcap"});
+
+    fs::create_directory(missing);
+    const auto [cold, cold_probes] = ingest(/*use_cache=*/true, cache);
+    expect_uncached_result(cold, cold_probes);
+    EXPECT_EQ(testing::dir_entries(missing), std::vector<std::string>{"capture.spc"});
+    EXPECT_TRUE(cache_verify(cache, identity()).ok);
+    EXPECT_TRUE(ingest(/*use_cache=*/true, cache).first.from_cache);
+  }
 }
 
 TEST_F(ProbeCacheTest, MissingCacheAndNonRegularSourcesHandled) {

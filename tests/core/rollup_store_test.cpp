@@ -23,6 +23,7 @@
 #include "net/packet.h"
 #include "pcap/pcap.h"
 #include "report/json.h"
+#include "test_support.h"
 
 namespace synscan::core {
 namespace {
@@ -149,6 +150,14 @@ struct StoreFixture : ::testing::Test {
 };
 
 /// The equality surface: the report JSON the merged analysis serves.
+std::string report_text(const ShardRunResult& run) {
+  std::string out;
+  report::append_counters_json(out, run.analysis.result);
+  out.push_back('\n');
+  report::append_campaigns_jsonl(out, run.analysis.result.campaigns);
+  return out;
+}
+
 std::string report_of(const fs::path& capture_path, bool use_store) {
   const std::vector<fs::path> captures = {capture_path};
   const auto plan = plan_shards(captures);
@@ -156,14 +165,9 @@ std::string report_of(const fs::path& capture_path, bool use_store) {
   options.workers = 1;
   options.use_rollup_store = use_store;
   options.ingest.use_cache = false;
-  auto run = run_shards(plan, test_telescope(),
-                        enrich::InternetRegistry::synthetic_default(),
-                        TrackerConfig{}, options);
-  std::string out;
-  report::append_counters_json(out, run.analysis.result);
-  out.push_back('\n');
-  report::append_campaigns_jsonl(out, run.analysis.result.campaigns);
-  return out;
+  return report_text(run_shards(plan, test_telescope(),
+                                enrich::InternetRegistry::synthetic_default(),
+                                TrackerConfig{}, options));
 }
 
 TEST_F(StoreFixture, SaveLoadRoundTrip) {
@@ -386,6 +390,47 @@ TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
   EXPECT_EQ(run.stats.store_writes, 1u);
   EXPECT_EQ(rollup_stat(rollup_path)->version, 2u);
   EXPECT_TRUE(load().has_value());
+}
+
+TEST_F(StoreFixture, FailedCommitsRunStoreOffAndLeaveNoTempFile) {
+  // Two obstacles that fail a sidecar commit whatever the file
+  // permissions (the suite may run as root): a directory where the
+  // `.spr` goes, so its rename fails, and a `.spc` path in a directory
+  // that does not exist, so its temp file cannot be created. The run
+  // must serve the store-off report, write nothing and leave the
+  // obstacles as they were; once they are gone, the next run writes.
+  const auto reference = report_of(capture, false);
+  const auto spc_dir = dir / "missing";
+  const auto spc = spc_dir / "capture.spc";
+  const auto run_store = [&] {
+    ShardRunOptions options;
+    options.workers = 1;
+    options.ingest.cache_path = spc;
+    return run_shards(plan_shards(std::vector<fs::path>{capture}), test_telescope(),
+                      enrich::InternetRegistry::synthetic_default(), TrackerConfig{},
+                      options);
+  };
+  fs::create_directory(rollup_path);
+  std::ofstream(rollup_path / "keep") << "obstacle";
+
+  const auto blocked = run_store();
+  EXPECT_EQ(blocked.stats.store_hits, 0u);
+  EXPECT_EQ(blocked.stats.store_misses, 1u);
+  EXPECT_EQ(blocked.stats.store_writes, 0u);
+  EXPECT_EQ(report_text(blocked), reference);
+  EXPECT_EQ(testing::dir_entries(dir),
+            (std::vector<std::string>{"capture.pcap", "capture.pcap.spr"}));
+  EXPECT_EQ(testing::dir_entries(rollup_path), std::vector<std::string>{"keep"});
+
+  fs::remove_all(rollup_path);
+  fs::create_directory(spc_dir);
+  const auto healed = run_store();
+  EXPECT_EQ(healed.stats.store_writes, 1u);
+  EXPECT_EQ(report_text(healed), reference);
+  EXPECT_TRUE(load().has_value());
+  EXPECT_TRUE(cache_verify(spc, identity).ok);
+  EXPECT_EQ(testing::dir_entries(spc_dir), std::vector<std::string>{"capture.spc"});
+  EXPECT_EQ(run_store().stats.store_hits, 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "enrich/registry.h"
 #include "report/json.h"
 #include "server/client.h"
+#include "server/frame.h"
 #include "server/protocol.h"
 #include "server_test_util.h"
 
@@ -267,14 +269,16 @@ TEST(Daemon, GarbageFrameGetsErrAndConnectionSurvives) {
 }
 
 TEST(Daemon, OversizedFrameAnswersErrThenCloses) {
-  DaemonConfig config;
-  config.max_frame_bytes = 512;
-  DaemonHarness harness(std::move(config));
+  DaemonHarness harness;
   harness.start();
   auto client = harness.connect();
-  // A header advertising 1 MiB against the 512-byte cap poisons the
+  // A header advertising one byte past the request cap poisons the
   // stream: one ERR response, then the daemon hangs up.
-  const std::string huge_header("\x00\x00\x10\x00", 4);
+  const auto advertised = static_cast<std::uint32_t>(kDefaultMaxFrameBytes + 1);
+  std::string huge_header(kFrameHeaderBytes, '\0');
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
+    huge_header[i] = static_cast<char>((advertised >> (8 * i)) & 0xff);
+  }
   (void)::send(client.fd(), huge_header.data(), huge_header.size(), 0);
   std::string_view body;
   std::string error;

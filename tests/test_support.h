@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -228,6 +230,16 @@ class NgBuilder {
   bool big_endian_;
   std::vector<std::uint8_t> bytes_;
 };
+
+/// The names in `dir`, sorted: a temp file of any name shows up here.
+[[nodiscard]] inline std::vector<std::string> dir_entries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 /// A file's bytes.
 [[nodiscard]] inline std::vector<char> slurp(const std::filesystem::path& path) {
