@@ -83,6 +83,17 @@ cmp "${workdir}/rollup_offline.jsonl" "${workdir}/rollup_daemon.jsonl" || {
   echo "synscand smoke: daemon ROLLUP diverged from offline rollup query" >&2
   exit 1
 }
+# A rollup needs captures that do not overlap in time: the same window
+# twice is refused, with a message naming the overlap.
+if "${cli}" rollup query "${workdir}/window.pcap" "${workdir}/window.pcap" \
+  --no-rollup-store > /dev/null 2> "${workdir}/rollup_overlap.txt"; then
+  echo "rollup smoke: overlapping captures were merged" >&2
+  exit 1
+fi
+grep -qF 'shards overlap in time' "${workdir}/rollup_overlap.txt" || {
+  echo "rollup smoke: overlapping captures failed without the overlap message" >&2
+  exit 1
+}
 # The sidecars the daemon and the CLI wrote must read back through the
 # CLI: both `.spr` files the ROLLUP saved load as store hits (nothing is
 # re-saved), and the `.spc` the first analyze cut verifies.

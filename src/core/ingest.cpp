@@ -21,6 +21,7 @@ struct IngestMetrics {
   obs::Counter* cache_hits = nullptr;
   obs::Counter* cache_misses = nullptr;
   obs::Counter* cache_invalidations = nullptr;
+  obs::Counter* cache_write_failures = nullptr;
 
   IngestMetrics() {
     if (!obs::enabled()) return;
@@ -31,6 +32,7 @@ struct IngestMetrics {
     cache_hits = &registry.counter("ingest.cache_hits");
     cache_misses = &registry.counter("ingest.cache_misses");
     cache_invalidations = &registry.counter("ingest.cache_invalidations");
+    cache_write_failures = &registry.counter("ingest.cache_write_failures");
   }
 };
 
@@ -100,9 +102,15 @@ IngestResult ingest_capture(const std::filesystem::path& path,
                               ? std::filesystem::path(path.native() + ".spc")
                               : options.cache_path;
 
+  // Whether the cold path may write a cache: never over a path that
+  // something other than a regular file holds.
+  bool cache_writable = false;
   if (identity) {
     std::error_code ec;
-    if (std::filesystem::exists(cache_path, ec) && !ec) {
+    const auto present = std::filesystem::status(cache_path, ec);
+    const bool exists = std::filesystem::exists(present);
+    cache_writable = !exists || std::filesystem::is_regular_file(present);
+    if (exists) {
       if (auto reader = ProbeCacheReader::open(cache_path, *identity)) {
         telescope::ProbeBatch batch;
         while (reader->next_chunk(batch)) {
@@ -127,7 +135,7 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   // Cache creation is best-effort (a read-only capture directory must
   // not fail the run).
   std::optional<ProbeCacheWriter> writer;
-  if (identity) {
+  if (cache_writable) {
     try {
       writer.emplace(cache_path, *identity);
     } catch (const std::exception&) {
@@ -175,8 +183,12 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   result.sensor = batcher.finish();
   result.frames = batcher.frames();
 
-  if (writer) {
-    (void)writer->commit(result.frames, result.status, result.sensor);
+  if (identity) {
+    result.cache_written =
+        writer && writer->commit(result.frames, result.status, result.sensor);
+    if (!result.cache_written && metrics.cache_write_failures != nullptr) {
+      metrics.cache_write_failures->add();
+    }
   }
   return result;
 }

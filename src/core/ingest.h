@@ -19,8 +19,10 @@
 // tests/integration/ingest_differential_test.cpp).
 //
 // After a cold decode of a regular file the probes are written back as a
-// cache (best-effort: cache I/O failures never fail the run), so the
-// second replay of the same capture takes path 1.
+// cache (best-effort: cache I/O failures never fail the run, they only
+// leave `cache_written` false), so the second replay of the same capture
+// takes path 1. A cache path held by anything but a regular file (a
+// directory, say) is never written to.
 //
 // Producers that are not capture files — the traffic generator, tests
 // building frames by hand — reach analysis the same way, through
@@ -58,6 +60,7 @@ struct IngestResult {
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
   std::uint64_t batches = 0;
   bool from_cache = false;  ///< probes came from a validated cache
+  bool cache_written = false;  ///< this run committed a fresh cache
   bool mapped = false;      ///< capture bytes were mmap'ed
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -206,6 +207,16 @@ net::TimeUs Pipeline::max_timestamp() const noexcept {
   net::TimeUs latest = 0;
   for (const auto& shard : shards_) latest = std::max(latest, shard->tracker.now());
   return latest;
+}
+
+net::TimeUs Pipeline::first_timestamp() const noexcept {
+  std::optional<net::TimeUs> earliest;
+  for (const auto& shard : shards_) {
+    if (shard->tracker.counters().probes == 0) continue;
+    const auto first = shard->tracker.first_probe_us();
+    earliest = earliest ? std::min(*earliest, first) : first;
+  }
+  return earliest.value_or(0);
 }
 
 }  // namespace synscan::core

@@ -81,6 +81,10 @@ class Pipeline {
   /// The stream's last probe timestamp (its "now"). Call after `finish()`.
   [[nodiscard]] net::TimeUs max_timestamp() const noexcept;
 
+  /// The earliest of the trackers' first probe timestamps (0 when no
+  /// probe arrived): where carry mode's head horizon starts.
+  [[nodiscard]] net::TimeUs first_timestamp() const noexcept;
+
  private:
   /// One worker: a tracker, its campaigns, and (with several workers)
   /// the thread and slice queue that drive it.

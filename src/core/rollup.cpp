@@ -37,6 +37,7 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
   rollup.tracker = result.tracker;
   rollup.campaigns = std::move(result.campaigns);
   rollup.segments = pipeline.take_carried_segments();
+  rollup.first_probe_us = pipeline.first_timestamp();
   rollup.max_timestamp_us = pipeline.max_timestamp();
   // Export order depends on sweep timing and flow-table layout; the
   // rollup must not (it is checksummed on disk and folded in order).
@@ -121,6 +122,16 @@ void RollupMerger::finalize_segment(FlowSegment&& segment, bool gap_closed) {
 
 void RollupMerger::add(CaptureRollup&& shard) {
   if (finished_) throw std::logic_error("RollupMerger::add after finish");
+  if (shard.tracker.probes > 0) {
+    if (merged_.result.tracker.probes > 0 && shard.first_probe_us < now_) {
+      throw std::invalid_argument(
+          "shards overlap in time: " + shard.capture.string() + " starts at " +
+          std::to_string(shard.first_probe_us) + " us, before the last probe of " +
+          last_capture_.string() + " at " + std::to_string(now_) + " us");
+    }
+    last_capture_ = shard.capture;
+    now_ = std::max(now_, shard.max_timestamp_us);
+  }
 
   merged_.frames += shard.frames;
   if (merged_.final_status == pcap::ReadStatus::kEndOfFile) {
@@ -128,8 +139,6 @@ void RollupMerger::add(CaptureRollup&& shard) {
   }
   merged_.from_cache =
       any_shard_ ? (merged_.from_cache && shard.from_cache) : shard.from_cache;
-  any_shard_ = true;
-  now_ = std::max(now_, shard.max_timestamp_us);
 
   merged_.result.sensor.add(shard.sensor);
   merged_.result.tracker.add(shard.tracker);
@@ -137,23 +146,27 @@ void RollupMerger::add(CaptureRollup&& shard) {
   merged_.result.campaigns.insert(merged_.result.campaigns.end(),
                                   std::make_move_iterator(shard.campaigns.begin()),
                                   std::make_move_iterator(shard.campaigns.end()));
-  merged_.ports.merge(shard.ports);
+  if (any_shard_) {
+    merged_.ports.merge(shard.ports);
+  } else {
+    merged_.ports = std::move(shard.ports);  // same insertion order as a merge
+  }
+  any_shard_ = true;
 
   for (auto& exported : shard.segments) {
     FlowSegment segment = std::move(exported);
     const auto source = segment.source.value();
-    if (segment.head) {
-      auto& slot = tail_index_[source];
-      if (slot != 0) {
-        FlowSegment previous = std::move(open_tails_[slot - 1]);
-        slot = 0;
-        if (segment.first_seen_us - previous.last_seen_us <= config_.expiry) {
-          // The gap fits inside the expiry: the whole-capture tracker
-          // would have kept this flow alive across the boundary.
-          segment = join_segments(std::move(previous), std::move(segment));
-        } else {
-          finalize_segment(std::move(previous), /*gap_closed=*/true);
-        }
+    if (auto& slot = tail_index_[source]; slot != 0) {
+      FlowSegment previous = std::move(open_tails_[slot - 1]);
+      slot = 0;
+      if (segment.head && segment.first_seen_us - previous.last_seen_us <= config_.expiry) {
+        // The gap fits inside the expiry: the whole-capture tracker
+        // would have kept this flow alive across the boundary.
+        segment = join_segments(std::move(previous), std::move(segment));
+      } else {
+        // The source came back later than `expiry` after the tail
+        // (segments that are not heads start beyond the head horizon).
+        finalize_segment(std::move(previous), /*gap_closed=*/true);
       }
     }
     if (segment.tail) {

@@ -8,13 +8,21 @@
 // state (full destination set, port tally, fingerprint accumulator) that
 // flows spanning shard boundaries can be re-joined exactly.
 //
+// Shards must not overlap in time: each starts at or after the last
+// probe of every shard before it. A flow then crosses a cut only if it
+// comes within the tracker expiry of it, so a shard exports as heads
+// only flows starting within `expiry` of its first probe, and as tails
+// only flows last seen within `expiry` of its last probe (or that are
+// heads too); every other flow closes inside the shard.
+//
 // `RollupMerger` left-folds rollups in capture-time order: a shard's
-// head segment joins the previous shard's open tail when the gap is
-// within the tracker expiry, exactly as the whole-capture tracker would
-// have kept the flow alive; everything else finalizes through
-// `qualify` (core/tracker.h), the §3.4 rule the tracker applies. The result
-// is an `AnalyzedCapture` whose JSON report is byte-identical to
-// analyzing the concatenated captures in one pass (pinned by
+// head segment joins the source's open tail when the gap is within the
+// tracker expiry, exactly as the whole-capture tracker would have kept
+// the flow alive; any other next segment of that source finalizes the
+// tail as gap-closed, and everything else finalizes through `qualify`
+// (core/tracker.h), the §3.4 rule the tracker applies. The result is an
+// `AnalyzedCapture` whose JSON report is byte-identical to analyzing
+// the concatenated captures in one pass (pinned by
 // tests/integration/rollup_differential_test.cpp).
 #pragma once
 
@@ -40,6 +48,9 @@ struct CaptureRollup {
   std::uint64_t frames = 0;
   pcap::ReadStatus final_status = pcap::ReadStatus::kEndOfFile;
   bool from_cache = false;         ///< probes came from a `.spc` cache
+  /// The shard's first probe (0 without probes): its heads start
+  /// within `expiry` of it, and no earlier shard may end after it.
+  net::TimeUs first_probe_us = 0;
   net::TimeUs max_timestamp_us = 0;  ///< the shard tracker's final "now"
   telescope::SensorCounters sensor;
   /// Interior tracker counters only: boundary segments are not counted
@@ -47,8 +58,9 @@ struct CaptureRollup {
   TrackerCounters tracker;
   /// Campaigns that closed entirely inside the shard, canonical order.
   std::vector<Campaign> campaigns;
-  /// Boundary flows, sorted by (source, first_seen) for deterministic
-  /// `.spr` bytes and merge order.
+  /// Boundary flows — heads within `expiry` of `first_probe_us`, tails
+  /// within `expiry` of `max_timestamp_us` — sorted by (source,
+  /// first_seen) for deterministic `.spr` bytes and merge order.
   std::vector<FlowSegment> segments;
   /// The shard's one probe-level tally. It names no scanner type or
   /// country, so a rollup does not depend on the registry.
@@ -68,6 +80,8 @@ struct CaptureRollup {
 /// Left-fold reducer over shard rollups. `add` shards in capture-time
 /// order (ShardPlan order); `finish` closes the remaining open tails and
 /// returns the merged analysis. One-shot: use a fresh merger per query.
+/// Both boundary horizons rest on the shards not overlapping in time,
+/// so `add` refuses a shard that starts before an earlier one ends.
 class RollupMerger {
  public:
   /// `tracker_config` must match the configuration the shards were
@@ -78,7 +92,9 @@ class RollupMerger {
                const TrackerConfig& tracker_config);
 
   /// Folds the next shard in. Shards must arrive in capture-time order;
-  /// boundary segments of adjacent shards are joined here.
+  /// boundary segments of adjacent shards are joined here. Throws
+  /// `std::invalid_argument`, naming both captures, when the shard's
+  /// first probe precedes the last probe of an earlier shard.
   void add(CaptureRollup&& shard);
 
   /// Closes all still-open tail flows (stream end across the whole
@@ -108,6 +124,7 @@ class RollupMerger {
   FlatHashMap<std::uint32_t, std::uint32_t> tail_index_;
   std::vector<FlowSegment> open_tails_;
   net::TimeUs now_ = 0;  ///< max timestamp over all folded shards
+  std::filesystem::path last_capture_;  ///< the shard whose last probe is `now_`
   bool any_shard_ = false;
   bool finished_ = false;
 };

@@ -10,7 +10,7 @@ namespace synscan::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x31727073;  // "spr1" on disk
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr std::size_t kHeaderSize = 64;
 
 /// `TimeUs` is signed; timestamps store as their two's-complement bits.
@@ -278,6 +278,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   payload.u64(rollup.frames);
   payload.u32(static_cast<std::uint32_t>(rollup.final_status));
   payload.u8(rollup.from_cache ? 1 : 0);
+  payload.u64(time_bits(rollup.first_probe_us));
   payload.u64(time_bits(rollup.max_timestamp_us));
   put_sensor(payload, rollup.sensor);
   put_tracker(payload, rollup.tracker);
@@ -337,6 +338,7 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
     }
     rollup.final_status = static_cast<pcap::ReadStatus>(status);
     rollup.from_cache = in.u8() != 0;
+    rollup.first_probe_us = time_from(in.u64());
     rollup.max_timestamp_us = time_from(in.u64());
     get_sensor(in, rollup.sensor);
     get_tracker(in, rollup.tracker);

@@ -18,14 +18,18 @@
 //
 // Layout (all integers little-endian):
 //   header (64 bytes):
-//     u32 magic "spr1"        u32 version (=2)
+//     u32 magic "spr1"        u32 version (=3)
 //     u64 source_size         u64 source_mtime_ns
 //     u64 analysis_fingerprint (see `analysis_fingerprint`)
 //     u64 campaign_count      u64 segment_count
 //     u64 payload_size        u64 checksum (FNV-1a over the payload)
-//   payload: meta, sensor counters, tracker counters, campaigns,
-//     boundary segments (with full fingerprint accumulator state) and
-//     one tally section, the `PortTally`:
+//   payload: meta (frames, terminal status, from_cache, then the
+//     shard's first and last probe times, which the merger's time-order
+//     check and the boundary horizons rest on), sensor counters, tracker
+//     counters, campaigns, boundary segments (only the flows within
+//     `expiry` of the shard's first or last probe, each with its full
+//     fingerprint accumulator state) and one tally section, the
+//     `PortTally`:
 //       u64 source_count, then per source in ascending order:
 //       u32 source, u32 row_count (>= 1), then row_count rows of
 //       u16 port, u64 packets (> 0) in ascending port order.
@@ -33,7 +37,8 @@
 //     function of the analysis result. No section names a scanner type
 //     or country, so a rollup is valid under any registry.
 //
-// Version 1 files (three tally sections) load as misses and are
+// Version 1 (three tally sections) and version 2 (no first probe time;
+// a head segment for every source) files load as misses and are
 // rewritten: the store is a disposable cache and keeps no old readers.
 //
 // The analysis fingerprint hashes every configuration knob that can

@@ -34,6 +34,9 @@ void CampaignTracker::feed(const telescope::ScanProbe& probe) {
     Flow& fresh = pool_[slot];
     fresh.reset(config_.classifier);
     fresh.first_seen_us = probe.timestamp_us;
+    // The first probe always opens a flow, so the shard start is set
+    // here, off the per-probe path.
+    if (counters_.probes == 1) first_probe_us_ = probe.timestamp_us;
     // The table only grows on insertion, so the high-water mark can
     // only move here — keeps the per-probe path free of it.
     counters_.peak_open_flows =
@@ -44,9 +47,9 @@ void CampaignTracker::feed(const telescope::ScanProbe& probe) {
     // The source went quiet for longer than the expiry: that scan is
     // over; what follows is a new one. Reset in place — the containers
     // keep their backing stores (no realloc on restart).
-    if (config_.carry_boundary_flows && carried_sources_.insert(probe.source.value())) {
-      // The source's first flow in this shard: it may continue a
-      // previous shard's open flow, so export it unjudged.
+    if (config_.carry_boundary_flows && is_head(probe.source.value(), flow)) {
+      // It may continue a previous shard's open flow, so export it
+      // unjudged.
       export_segment(probe.source, flow, /*head=*/true, /*tail=*/false);
     } else {
       close_flow(probe.source, flow);
@@ -123,6 +126,13 @@ void CampaignTracker::close_flow(net::Ipv4Address source, Flow& flow) {
   flow.port_packets.clear();
 }
 
+bool CampaignTracker::is_head(std::uint32_t source, const Flow& flow) {
+  // A previous shard's tail ends at or before this shard's first probe,
+  // so a flow starting later than `expiry` after it cannot continue one.
+  return flow.first_seen_us - first_probe_us_ <= config_.expiry &&
+         carried_sources_.insert(source);
+}
+
 void CampaignTracker::export_segment(net::Ipv4Address source, const Flow& flow,
                                      bool head, bool tail) {
   FlowSegment segment;
@@ -157,7 +167,7 @@ void CampaignTracker::sweep(net::TimeUs now) {
   for (const auto source : sweep_keys_) {
     const auto* slot = table_.find(source);
     Flow& flow = pool_[*slot];
-    if (config_.carry_boundary_flows && carried_sources_.insert(source)) {
+    if (config_.carry_boundary_flows && is_head(source, flow)) {
       export_segment(net::Ipv4Address(source), flow, /*head=*/true, /*tail=*/false);
     } else {
       close_flow(net::Ipv4Address(source), flow);
@@ -173,14 +183,15 @@ void CampaignTracker::finish(net::TimeUs stream_end) {
   now_ = std::max(now_, stream_end);
   table_.for_each([&](std::uint32_t source, std::uint32_t slot) {
     Flow& flow = pool_[slot];
-    if (config_.carry_boundary_flows) {
-      // Every still-open flow may continue into the next shard; if no
-      // earlier flow of this source closed inside the shard, it is also
-      // the source's first (head and tail at once).
-      const bool head = carried_sources_.insert(source);
+    const bool expired = now_ - flow.last_seen_us > config_.expiry;
+    // Carry mode: a flow seen within `expiry` of the end may continue
+    // into the next shard, and a head may continue a previous shard's
+    // flow; either leaves unjudged, as a tail.
+    const bool head = config_.carry_boundary_flows && is_head(source, flow);
+    if (head || (config_.carry_boundary_flows && !expired)) {
       export_segment(net::Ipv4Address(source), flow, head, /*tail=*/true);
     } else {
-      if (now_ - flow.last_seen_us > config_.expiry) ++counters_.expired_flows;
+      if (expired) ++counters_.expired_flows;
       close_flow(net::Ipv4Address(source), flow);
     }
     flow.reset(config_.classifier);

@@ -44,11 +44,17 @@ struct TrackerConfig {
   fingerprint::ClassifierConfig classifier;
   /// Shard mode (core/rollup.h): instead of finalizing flows whose
   /// qualification could depend on traffic outside this capture's time
-  /// range, export them as `FlowSegment`s — each source's *first* flow
-  /// (it may continue a previous shard's open flow) and every flow still
-  /// open at stream end (it may continue into the next shard). Interior
-  /// flows close normally. `take_boundary_segments()` collects the
-  /// exports after `finish()`.
+  /// range, export them as `FlowSegment`s. Shards do not overlap in
+  /// time, so only a flow within `expiry` of a cut can cross it:
+  ///   - a head: a source's first flow, when it starts within `expiry`
+  ///     of the shard's first probe (it may continue a previous
+  ///     shard's open flow);
+  ///   - a tail: a flow still open at stream end whose last probe is
+  ///     within `expiry` of the shard's last probe (it may continue
+  ///     into the next shard), or that is also a head.
+  /// Every other flow closes inside the shard, exactly as the
+  /// single-pass tracker closes it. `take_boundary_segments()` collects
+  /// the exports after `finish()`.
   bool carry_boundary_flows = false;
 };
 
@@ -59,8 +65,12 @@ struct TrackerConfig {
 /// bit-identical to having tracked the whole capture in one pass.
 struct FlowSegment {
   net::Ipv4Address source;
-  bool head = false;  ///< first flow of this source in the shard
-  bool tail = false;  ///< still open at stream end
+  /// The source's first flow, starting within `expiry` of the shard's
+  /// first probe.
+  bool head = false;
+  /// Still open at stream end, last seen within `expiry` of the shard's
+  /// last probe (or a head).
+  bool tail = false;
   net::TimeUs first_seen_us = 0;
   net::TimeUs last_seen_us = 0;
   std::uint64_t packets = 0;
@@ -153,6 +163,10 @@ class CampaignTracker {
   /// Maximum probe timestamp observed ("now" for expiry decisions).
   [[nodiscard]] net::TimeUs now() const noexcept { return now_; }
 
+  /// Timestamp of the first probe fed (0 before any): the shard start
+  /// that carry mode measures heads from.
+  [[nodiscard]] net::TimeUs first_probe_us() const noexcept { return first_probe_us_; }
+
   [[nodiscard]] const TrackerCounters& counters() const noexcept { return counters_; }
 
   /// Number of currently open (unexpired) flows.
@@ -194,6 +208,10 @@ class CampaignTracker {
   std::uint32_t acquire_flow();
 
   void close_flow(net::Ipv4Address source, Flow& flow);
+  /// Carry mode: whether `flow`, `source`'s flow now leaving the table,
+  /// is its head — it starts within `expiry` of the shard's first probe
+  /// and no earlier flow of the source was one. A head marks the source.
+  bool is_head(std::uint32_t source, const Flow& flow);
   /// Copies `flow` out as a boundary segment (carry mode).
   void export_segment(net::Ipv4Address source, const Flow& flow, bool head, bool tail);
   void sweep(net::TimeUs now);
@@ -209,6 +227,7 @@ class CampaignTracker {
   HybridU32Set carried_sources_;  ///< carry mode: sources whose head was already exported
   TrackerCounters counters_;
   net::TimeUs now_ = 0;
+  net::TimeUs first_probe_us_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t feeds_since_sweep_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <concepts>
+#include <cstddef>
 #include <cstdio>
 #include <vector>
 
@@ -47,8 +48,10 @@ void append_campaign(Appender& out, const core::Campaign& campaign,
   std::vector<std::uint16_t> ports;
   ports.reserve(campaign.port_packets.size());
   for (const auto& [port, packets] : campaign.port_packets) ports.push_back(port);
-  std::sort(ports.begin(), ports.end());
+  // Only the listed prefix is printed, so only it needs sorting.
   const auto listed = std::min(ports.size(), max_ports);
+  std::partial_sort(ports.begin(), ports.begin() + static_cast<std::ptrdiff_t>(listed),
+                    ports.end());
 
   out.text("{\"id\":");
   out.number(campaign.id);

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/ingest.h"
+#include "obs/metrics.h"
 #include "pcap/pcap.h"
 #include "test_support.h"
 
@@ -490,11 +493,26 @@ TEST_F(ProbeCacheTest, TwoWritersOfOneCacheEachCommitAWholeFile) {
 }
 
 TEST_F(ProbeCacheTest, FailedCommitsLeaveTheRunUncachedAndNoTempFile) {
+  // Each run that leaves no cache says so in its result and in the
+  // `ingest.cache_write_failures` counter.
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.clear();
+  obs::set_enabled(true);
+  const auto write_failures = [&metrics] {
+    return metrics.counter("ingest.cache_write_failures").value();
+  };
   {
-    SCOPED_TRACE("the cache path is a directory, so the rename fails");
+    SCOPED_TRACE("the cache path is a directory, so no write starts");
     fs::create_directory(cache_);
     std::ofstream(cache_ / "keep") << "obstacle";
+    // A temp file created and removed beside the cache would move the
+    // directory's mtime past the clock tick it was set in.
+    const auto dir_mtime = fs::last_write_time(dir_);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
     const auto [got, got_probes] = ingest(/*use_cache=*/true);
+    EXPECT_EQ(fs::last_write_time(dir_), dir_mtime);
+    EXPECT_FALSE(got.cache_written);
+    EXPECT_EQ(write_failures(), 1u);
     expect_uncached_result(got, got_probes);
     EXPECT_EQ(testing::dir_entries(dir_),
               (std::vector<std::string>{"capture.pcap", "capture.pcap.spc"}));
@@ -502,9 +520,14 @@ TEST_F(ProbeCacheTest, FailedCommitsLeaveTheRunUncachedAndNoTempFile) {
 
     fs::remove_all(cache_);
     const auto [cold, cold_probes] = ingest(/*use_cache=*/true);
+    EXPECT_TRUE(cold.cache_written);
+    EXPECT_EQ(write_failures(), 1u);
     expect_uncached_result(cold, cold_probes);
     EXPECT_TRUE(cache_verify(cache_, identity()).ok);
-    EXPECT_TRUE(ingest(/*use_cache=*/true).first.from_cache);
+    const auto warm = ingest(/*use_cache=*/true).first;
+    EXPECT_TRUE(warm.from_cache);
+    EXPECT_FALSE(warm.cache_written);
+    EXPECT_EQ(write_failures(), 1u);
     fs::remove(cache_);
   }
   {
@@ -512,16 +535,22 @@ TEST_F(ProbeCacheTest, FailedCommitsLeaveTheRunUncachedAndNoTempFile) {
     const auto missing = dir_ / "missing";
     const auto cache = missing / "capture.spc";
     const auto [got, got_probes] = ingest(/*use_cache=*/true, cache);
+    EXPECT_FALSE(got.cache_written);
+    EXPECT_EQ(write_failures(), 2u);
     expect_uncached_result(got, got_probes);
     EXPECT_EQ(testing::dir_entries(dir_), std::vector<std::string>{"capture.pcap"});
 
     fs::create_directory(missing);
     const auto [cold, cold_probes] = ingest(/*use_cache=*/true, cache);
+    EXPECT_TRUE(cold.cache_written);
     expect_uncached_result(cold, cold_probes);
     EXPECT_EQ(testing::dir_entries(missing), std::vector<std::string>{"capture.spc"});
     EXPECT_TRUE(cache_verify(cache, identity()).ok);
     EXPECT_TRUE(ingest(/*use_cache=*/true, cache).first.from_cache);
+    EXPECT_EQ(write_failures(), 2u);
   }
+  obs::set_enabled(false);
+  metrics.clear();
 }
 
 TEST_F(ProbeCacheTest, MissingCacheAndNonRegularSourcesHandled) {

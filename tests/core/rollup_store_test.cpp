@@ -176,6 +176,8 @@ TEST_F(StoreFixture, SaveLoadRoundTrip) {
   const auto loaded = load();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->frames, rollup.frames);
+  EXPECT_EQ(loaded->first_probe_us, 1'000'000);
+  EXPECT_EQ(loaded->first_probe_us, rollup.first_probe_us);
   EXPECT_EQ(loaded->max_timestamp_us, rollup.max_timestamp_us);
   EXPECT_EQ(loaded->sensor.scan_probes, rollup.sensor.scan_probes);
   EXPECT_EQ(loaded->campaigns.size(), rollup.campaigns.size());
@@ -195,7 +197,7 @@ TEST_F(StoreFixture, StatReportsStoredHeader) {
   save(rollup);
   const auto info = rollup_stat(rollup_path);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->version, 2u);
+  EXPECT_EQ(info->version, 3u);
   EXPECT_EQ(info->source_size, identity.source_size);
   EXPECT_EQ(info->source_mtime_ns, identity.source_mtime_ns);
   EXPECT_EQ(info->analysis_fingerprint, fingerprint);
@@ -286,10 +288,11 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   ASSERT_FALSE(stored->segments.empty());
 
   // Payload offset of the first segment's u32 port count: the fixed
-  // prefix (frames, status, from_cache, max timestamp, 10 sensor and 11
-  // tracker counters), the campaign count and rows, the segment count,
-  // then the segment's fixed fields and destination list.
-  std::size_t first_ports = 8 + 4 + 1 + 8 + 10 * 8 + 11 * 8 + 8;
+  // prefix (frames, status, from_cache, first and max probe timestamps,
+  // 10 sensor and 11 tracker counters), the campaign count and rows,
+  // the segment count, then the segment's fixed fields and destination
+  // list.
+  std::size_t first_ports = 8 + 4 + 1 + 2 * 8 + 10 * 8 + 11 * 8 + 8;
   for (const auto& campaign : stored->campaigns) {
     first_ports += 69 + 10 * campaign.port_packets.size();
   }
@@ -366,30 +369,35 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
 }
 
 TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
-  save(analyze());
-  {
-    // The earlier layout's version number; the store keeps no reader
-    // for it, so the rest of the file does not matter.
-    std::fstream file(rollup_path, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file.is_open());
-    std::uint8_t version[4] = {};
-    net::store_le32(version, 1);
-    file.seekp(4);
-    file.write(reinterpret_cast<const char*>(version), 4);
-  }
-  ASSERT_EQ(rollup_stat(rollup_path)->version, 1u);
-  EXPECT_FALSE(load().has_value());
+  // Version 1 had three tally sections, version 2 no first probe time;
+  // the store keeps no reader for either, so the rest of the file does
+  // not matter.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(old_version));
+    save(analyze());
+    {
+      std::fstream file(rollup_path, std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file.is_open());
+      std::uint8_t version[4] = {};
+      net::store_le32(version, old_version);
+      file.seekp(4);
+      file.write(reinterpret_cast<const char*>(version), 4);
+    }
+    ASSERT_EQ(rollup_stat(rollup_path)->version, old_version);
+    EXPECT_FALSE(load().has_value());
 
-  ShardRunOptions options;
-  options.workers = 1;
-  options.ingest.use_cache = false;
-  const auto run = run_shards(plan_shards(std::vector<fs::path>{capture}), test_telescope(),
-                              enrich::InternetRegistry::synthetic_default(), TrackerConfig{},
-                              options);
-  EXPECT_EQ(run.stats.store_misses, 1u);
-  EXPECT_EQ(run.stats.store_writes, 1u);
-  EXPECT_EQ(rollup_stat(rollup_path)->version, 2u);
-  EXPECT_TRUE(load().has_value());
+    ShardRunOptions options;
+    options.workers = 1;
+    options.ingest.use_cache = false;
+    const auto run = run_shards(plan_shards(std::vector<fs::path>{capture}),
+                                test_telescope(),
+                                enrich::InternetRegistry::synthetic_default(),
+                                TrackerConfig{}, options);
+    EXPECT_EQ(run.stats.store_misses, 1u);
+    EXPECT_EQ(run.stats.store_writes, 1u);
+    EXPECT_EQ(rollup_stat(rollup_path)->version, 3u);
+    EXPECT_TRUE(load().has_value());
+  }
 }
 
 TEST_F(StoreFixture, FailedCommitsRunStoreOffAndLeaveNoTempFile) {

@@ -17,10 +17,12 @@
 #include "core/daily_series.h"
 #include "core/port_tally.h"
 #include "core/reference_tallies.h"
+#include "core/shard.h"
 #include "core/volatility.h"
 #include "fingerprint/classifier.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
+#include "report/json.h"
 #include "test_support.h"
 
 namespace synscan::core {
@@ -387,6 +389,278 @@ TEST(RollupMerger, ExpiryGapAcrossShardsSplitsCampaigns) {
   // The first flow was followed by same-source traffic after the gap, so
   // it counts as expired, like the whole-capture tracker would have it.
   EXPECT_EQ(merged.result.tracker.expired_flows, 1u);
+}
+
+// ---- boundary horizons ----------------------------------------------
+//
+// A shard exports a head only when it starts within `expiry` of the
+// shard's first probe, and a tail only when it was last seen within
+// `expiry` of the shard's last probe (or is a head). Each case below
+// sits on one edge of a horizon and must merge to the report of the
+// single-pass analysis of the concatenated shards.
+
+const net::TimeUs kExpiry = TrackerConfig{}.expiry;
+
+/// One `write_burst` call; `source` and `dest_base` index `src`/`dst`.
+struct Burst {
+  std::uint32_t source = 0;
+  std::uint32_t dest_base = 0;
+  std::uint32_t count = 0;
+  net::TimeUs start = 0;
+  net::TimeUs step = 10'000;
+
+  [[nodiscard]] net::TimeUs last() const {
+    return start + static_cast<net::TimeUs>(count - 1) * step;
+  }
+};
+
+/// A lone probe from its own source: pins a shard's first or last
+/// probe time.
+Burst marker(std::uint32_t source, net::TimeUs at) { return {source, 1000, 1, at}; }
+
+void write(pcap::Writer& writer, const Burst& burst) {
+  write_burst(writer, src(burst.source), burst.dest_base, burst.count, burst.start,
+              burst.step);
+}
+
+std::string report_bytes(const AnalyzedCapture& analysis) {
+  std::string out;
+  report::append_counters_json(out, analysis.result);
+  out.push_back('\n');
+  report::append_campaigns_jsonl(out, analysis.result.campaigns);
+  return out;
+}
+
+struct MergedShards {
+  AnalyzedCapture merged;
+  std::vector<std::vector<FlowSegment>> segments;  ///< each shard's exports
+};
+
+/// Writes each shard's bursts (in time order) as one capture and all of
+/// them as one whole capture, then folds the shards' rollups and expects
+/// the report of `analyze_capture(workers=1)` of the whole capture.
+MergedShards expect_merge_matches_whole(const char* name,
+                                        const std::vector<std::vector<Burst>>& shards) {
+  const ShardFixture fixture(name);
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  const auto whole_path = fixture.dir / "whole.pcap";
+  std::vector<fs::path> paths;
+  {
+    auto whole = pcap::Writer::create(whole_path);
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      paths.push_back(fixture.dir / ("shard" + std::to_string(i) + ".pcap"));
+      auto writer = pcap::Writer::create(paths.back());
+      for (const auto& burst : shards[i]) {
+        write(writer, burst);
+        write(whole, burst);
+      }
+      writer.flush();
+    }
+    whole.flush();
+  }
+
+  IngestOptions ingest;
+  ingest.use_cache = false;
+  const TrackerConfig config;
+  RollupMerger merger(test_telescope(), registry, config);
+  MergedShards out{AnalyzedCapture(registry), {}};
+  for (const auto& path : paths) {
+    auto rollup = analyze_shard(path, test_telescope(), registry, config, ingest);
+    out.segments.push_back(rollup.segments);
+    merger.add(std::move(rollup));
+  }
+  out.merged = merger.finish();
+  const auto whole = analyze_capture(whole_path, test_telescope(), registry, 1, ingest);
+  EXPECT_EQ(report_bytes(out.merged), report_bytes(whole));
+  return out;
+}
+
+std::size_t campaigns_of(const AnalyzedCapture& analysis, std::uint32_t source) {
+  return static_cast<std::size_t>(
+      std::count_if(analysis.result.campaigns.begin(), analysis.result.campaigns.end(),
+                    [&](const Campaign& c) { return c.source == src(source); }));
+}
+
+const FlowSegment* segment_of(const std::vector<FlowSegment>& segments,
+                              std::uint32_t source) {
+  for (const auto& segment : segments) {
+    if (segment.source == src(source)) return &segment;
+  }
+  return nullptr;
+}
+
+TEST(RollupHorizon, ShardExportsOnlyFlowsWithinExpiryOfItsEdges) {
+  const ShardFixture fixture("edges");
+  const Burst opening{1, 0, 120, 1'000'000};
+  const Burst middle{2, 0, 120, opening.last() + kExpiry + 1};
+  const Burst closing{3, 0, 120, middle.last() + kExpiry + 1};
+  {
+    auto writer = pcap::Writer::create(fixture.first);
+    for (const auto& burst : {opening, middle, closing}) write(writer, burst);
+    writer.flush();
+  }
+  IngestOptions ingest;
+  ingest.use_cache = false;
+  const auto rollup = analyze_shard(fixture.first, test_telescope(),
+                                    enrich::InternetRegistry::synthetic_default(),
+                                    TrackerConfig{}, ingest);
+  EXPECT_EQ(rollup.first_probe_us, opening.start);
+  EXPECT_EQ(rollup.max_timestamp_us, closing.last());
+  ASSERT_EQ(rollup.segments.size(), 2u);
+  // The opening flow may continue a previous shard's, so it leaves as
+  // a head (and, still open at the end, a tail too).
+  EXPECT_EQ(rollup.segments[0].source, src(1));
+  EXPECT_TRUE(rollup.segments[0].head);
+  EXPECT_TRUE(rollup.segments[0].tail);
+  // The closing flow may continue into the next shard.
+  EXPECT_EQ(rollup.segments[1].source, src(3));
+  EXPECT_FALSE(rollup.segments[1].head);
+  EXPECT_TRUE(rollup.segments[1].tail);
+  // The middle flow is judged inside the shard.
+  ASSERT_EQ(rollup.campaigns.size(), 1u);
+  EXPECT_EQ(rollup.campaigns[0].source, src(2));
+  EXPECT_EQ(rollup.tracker.expired_flows, 1u);
+}
+
+TEST(RollupHorizon, HeadExactlyExpiryAfterShardStartJoinsThePreviousTail) {
+  const Burst before{1, 0, 60, 1'000'000};
+  const auto start = before.last();  // the second shard starts where the first ends
+  const Burst after{1, 60, 60, start + kExpiry};
+  const auto run = expect_merge_matches_whole(
+      "head_at_horizon", {{before}, {marker(9, start), after}});
+  ASSERT_EQ(campaigns_of(run.merged, 1), 1u);
+  EXPECT_EQ(run.merged.result.campaigns[0].packets, 120u);
+  ASSERT_NE(segment_of(run.segments[1], 1), nullptr);
+  EXPECT_TRUE(segment_of(run.segments[1], 1)->head);
+}
+
+TEST(RollupHorizon, FirstFlowPastTheHeadHorizonClosesInsideItsShard) {
+  const Burst before{1, 0, 120, 1'000'000};
+  const auto start = before.last();
+  const Burst after{1, 120, 120, start + kExpiry + 1};
+  const auto run = expect_merge_matches_whole(
+      "head_past_horizon",
+      {{before}, {marker(9, start), after, marker(10, after.last() + kExpiry + 1)}});
+  EXPECT_EQ(campaigns_of(run.merged, 1), 2u);
+  EXPECT_EQ(segment_of(run.segments[1], 1), nullptr);
+  // Both of the source's flows expired, the tail by the gap and the
+  // second flow at the end of the capture, and so did the first marker.
+  EXPECT_EQ(run.merged.result.tracker.expired_flows, 3u);
+}
+
+TEST(RollupHorizon, TailExactlyExpiryBeforeShardEndJoinsTheNextHead) {
+  // The flow starts past the first shard's head horizon, so only the
+  // tail horizon can carry it across.
+  const net::TimeUs start = 1'000'000;
+  const Burst before{1, 0, 60, start + kExpiry + 1};
+  const auto end = before.last() + kExpiry;  // the first shard's last probe
+  const Burst after{1, 60, 60, end};
+  const auto run = expect_merge_matches_whole(
+      "tail_at_horizon", {{marker(8, start), before, marker(9, end)}, {after}});
+  ASSERT_EQ(campaigns_of(run.merged, 1), 1u);
+  EXPECT_EQ(run.merged.result.campaigns[0].packets, 120u);
+  const auto* crossing = segment_of(run.segments[0], 1);
+  ASSERT_NE(crossing, nullptr);
+  EXPECT_FALSE(crossing->head);
+  EXPECT_TRUE(crossing->tail);
+}
+
+TEST(RollupHorizon, TailFollowedByATailOnlySegmentIsFinalized) {
+  const Burst before{1, 0, 120, 1'000'000};
+  const auto start = before.last();
+  const Burst after{1, 120, 120, start + kExpiry + 1};
+  const auto run = expect_merge_matches_whole(
+      "tail_then_tail_only", {{before}, {marker(9, start), after}});
+  const auto* later = segment_of(run.segments[1], 1);
+  ASSERT_NE(later, nullptr);
+  EXPECT_FALSE(later->head);
+  EXPECT_TRUE(later->tail);
+  EXPECT_EQ(campaigns_of(run.merged, 1), 2u);
+}
+
+TEST(RollupHorizon, TailCrossesAShardShorterThanExpiry) {
+  constexpr net::TimeUs kMinute = 60'000'000;
+  const Burst x0{1, 0, 40, 1'000'000};
+  const Burst z0{2, 0, 60, x0.last() + 10'000};
+  const Burst x1{1, 40, 40, z0.last() + 20 * kMinute};  // the short shard
+  const Burst x2{1, 80, 40, x1.last() + 20 * kMinute};
+  const Burst z2{2, 60, 60, z0.last() + 50 * kMinute};
+  ASSERT_LT(x1.last() - x1.start, kExpiry);
+  ASSERT_GT(z2.start, x2.last());
+  const auto run =
+      expect_merge_matches_whole("short_shard", {{x0, z0}, {x1}, {x2, z2}});
+  EXPECT_EQ(segment_of(run.segments[1], 2), nullptr);
+  ASSERT_EQ(run.merged.result.campaigns.size(), 2u);
+  EXPECT_EQ(run.merged.result.campaigns[0].packets, 120u);
+  EXPECT_EQ(run.merged.result.campaigns[1].packets, 120u);
+}
+
+TEST(RollupHorizon, SourceReturnsTwoShardsAfterClosingInsideTheMiddleOne) {
+  const Burst first{1, 0, 120, 1'000'000};
+  const Burst middle{1, 120, 120, first.last() + kExpiry + 1};
+  const auto middle_end = middle.last() + kExpiry + 1;
+  const Burst last{1, 240, 120, middle_end + 1};
+  const auto run = expect_merge_matches_whole(
+      "returns_two_shards_later",
+      {{first}, {marker(9, first.last()), middle, marker(10, middle_end)}, {last}});
+  EXPECT_EQ(segment_of(run.segments[1], 1), nullptr);
+  ASSERT_NE(segment_of(run.segments[2], 1), nullptr);
+  EXPECT_TRUE(segment_of(run.segments[2], 1)->head);
+  EXPECT_EQ(campaigns_of(run.merged, 1), 3u);
+}
+
+// ---- time order ------------------------------------------------------
+
+TEST(RollupMerger, ShardsThatOverlapInTimeAreRefused) {
+  const ShardFixture fixture("overlap");
+  const auto empty = fixture.dir / "empty.pcap";
+  {
+    auto writer = pcap::Writer::create(fixture.first);
+    write_burst(writer, src(1), 0, 80, 1'000'000, 10'000);
+    writer.flush();
+  }
+  {
+    // Starts before the first shard's last probe.
+    auto writer = pcap::Writer::create(fixture.second);
+    write_burst(writer, src(2), 0, 80, 1'500'000, 10'000);
+    writer.flush();
+  }
+  pcap::Writer::create(empty).flush();
+
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  IngestOptions ingest;
+  ingest.use_cache = false;
+  const TrackerConfig config;
+  const auto shard = [&](const fs::path& path) {
+    return analyze_shard(path, test_telescope(), registry, config, ingest);
+  };
+  {
+    RollupMerger merger(test_telescope(), registry, config);
+    merger.add(shard(fixture.first));
+    merger.add(shard(empty));  // a shard without probes has no time span
+    try {
+      merger.add(shard(fixture.second));
+      ADD_FAILURE() << "an overlapping shard was merged";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("overlap in time"), std::string::npos) << message;
+      EXPECT_NE(message.find(fixture.first.string()), std::string::npos) << message;
+      EXPECT_NE(message.find(fixture.second.string()), std::string::npos) << message;
+    }
+  }
+
+  ShardRunOptions options;
+  options.workers = 1;
+  options.use_rollup_store = false;
+  options.ingest = ingest;
+  const std::vector<fs::path> captures{fixture.first, fixture.second};
+  EXPECT_THROW((void)run_shards(plan_shards(captures), test_telescope(), registry, config,
+                                options),
+               std::invalid_argument);
+  const std::vector<fs::path> repeated{fixture.first, fixture.first};
+  EXPECT_THROW((void)run_shards(plan_shards(repeated), test_telescope(), registry, config,
+                                options),
+               std::invalid_argument);
 }
 
 }  // namespace

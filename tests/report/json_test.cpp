@@ -55,6 +55,15 @@ TEST(CampaignJson, PortListCapRespected) {
   append_campaign_json(text, campaign, 10);
   EXPECT_NE(text.find("\"ports\":[1,2,3,4,5,6,7,8,9,10]"), std::string::npos);
   EXPECT_NE(text.find("\"distinct_ports\":100"), std::string::npos);
+
+  // Ports inserted in descending order: the listed prefix is still the
+  // smallest ports, ascending.
+  campaign.port_packets.clear();
+  for (std::uint16_t port = 12; port >= 1; --port) campaign.port_packets[port] = 1;
+  text.clear();
+  append_campaign_json(text, campaign, 8);
+  EXPECT_NE(text.find("\"ports\":[1,2,3,4,5,6,7,8]"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"distinct_ports\":12"), std::string::npos);
 }
 
 TEST(CampaignJson, JsonlOneLinePerCampaign) {

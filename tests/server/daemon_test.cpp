@@ -180,8 +180,11 @@ TEST(Daemon, RollupMatchesOfflineShardRunThenHitsTheStore) {
   std::vector<fs::path> shards;
   std::string command = "ROLLUP";
   for (const std::uint64_t seed : {11, 12, 13}) {
+    // Shards must not overlap in time: each gets its own second
+    // (6,000 frames span 0.24 s), close enough for flows to join.
     shards.push_back(harness.dir() / ("shard_" + std::to_string(seed) + ".pcap"));
-    testing::write_server_capture(shards.back(), 6'000, seed);
+    testing::write_server_capture(shards.back(), 6'000, seed,
+                                  static_cast<net::TimeUs>(seed - 11) * 1'000'000);
     command += " " + shards.back().string();
   }
 
@@ -222,6 +225,9 @@ TEST(Daemon, FailedLoadOrRollupKeepsTheResidentCapture) {
   const auto missing = (harness.dir() / "missing.pcap").string();
   EXPECT_NE(err_message(client, "LOAD " + missing).find("load failed"), std::string::npos);
   EXPECT_NE(err_message(client, "ROLLUP " + capture + " " + missing).find("rollup failed"),
+            std::string::npos);
+  // The same capture twice overlaps itself in time.
+  EXPECT_NE(err_message(client, "ROLLUP " + capture + " " + capture).find("overlap in time"),
             std::string::npos);
 
   EXPECT_EQ(ok_body(client, "QUERY analyze"), resident);

@@ -22,14 +22,15 @@ inline const telescope::Telescope& server_telescope() {
 }
 
 /// Burst-structured SYN traffic (per-source runs) with backscatter and
-/// off-telescope noise — enough campaigns for filters to bite.
+/// off-telescope noise — enough campaigns for filters to bite. Frames
+/// are 40 µs apart, the first at `start` + 40 µs.
 inline void write_server_capture(const std::filesystem::path& path,
                                  std::uint64_t frames = 20'000,
-                                 std::uint64_t seed = 99) {
+                                 std::uint64_t seed = 99, net::TimeUs start = 0) {
   simgen::Rng rng(seed);
   auto writer = pcap::Writer::create(path);
   net::RawFrame frame;
-  net::TimeUs now = 0;
+  net::TimeUs now = start;
   std::uint32_t burst_source = 0;
   std::uint16_t burst_port = 80;
   std::uint32_t burst_left = 0;
