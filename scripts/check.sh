@@ -94,6 +94,25 @@ grep -qF 'shards overlap in time' "${workdir}/rollup_overlap.txt" || {
   echo "rollup smoke: overlapping captures failed without the overlap message" >&2
   exit 1
 }
+# A capture given twice is refused before any shard runs, so even with
+# the store on no `.spc` or `.spr` appears beside it.
+twice="${workdir}/twice.pcap"
+rm -f "${twice}" "${twice}.spc" "${twice}.spr"
+cp -p "${workdir}/window.pcap" "${twice}"
+if "${cli}" rollup query "${twice}" "${twice}" > /dev/null 2> "${workdir}/rollup_twice.txt"; then
+  echo "rollup smoke: a capture given twice was merged" >&2
+  exit 1
+fi
+grep -qF 'shards overlap in time' "${workdir}/rollup_twice.txt" || {
+  echo "rollup smoke: a capture given twice failed without the overlap message" >&2
+  exit 1
+}
+for sidecar in "${twice}.spc" "${twice}.spr"; do
+  if [ -e "${sidecar}" ]; then
+    echo "rollup smoke: the refused capture left ${sidecar}" >&2
+    exit 1
+  fi
+done
 # The sidecars the daemon and the CLI wrote must read back through the
 # CLI: both `.spr` files the ROLLUP saved load as store hits (nothing is
 # re-saved), and the `.spc` the first analyze cut verifies.

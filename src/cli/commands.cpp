@@ -17,10 +17,11 @@
 #include "core/analysis_session.h"
 #include "core/analysis_summary.h"
 #include "core/analysis_types.h"
+#include "core/flat_map.h"
 #include "core/ingest.h"
 #include "core/rollup_store.h"
 #include "core/shard.h"
-#include "fingerprint/evidence_table.h"
+#include "fingerprint/classifier.h"
 #include "obs/run_report.h"
 #include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
@@ -321,31 +322,42 @@ int run_fingerprint(const std::vector<std::string>& args) {
     throw std::invalid_argument("fingerprint requires a capture path");
   }
   const auto& telescope = shared_telescope();
-  // Flat evidence table (fingerprint/evidence_table.h): the batch path
-  // resolves each source's record once per same-source run.
-  fingerprint::EvidenceTable evidence;
+  // Each source's evidence under the default ClassifierConfig.
+  using Evidence = core::FlatHashMap<std::uint32_t, fingerprint::ToolEvidence>;
+  Evidence evidence;
 
   (void)core::ingest_capture(
       parsed.positional().front(), telescope, ingest_options(parsed),
-      [&](const telescope::ProbeBatch& batch) { evidence.observe_batch(batch); });
+      [&](const telescope::ProbeBatch& batch) {
+        for (std::size_t row = 0; row < batch.size(); ++row) {
+          evidence[batch.source[row]].observe(batch.get(row));
+        }
+      });
+
+  std::vector<const Evidence::value_type*> by_source;
+  by_source.reserve(evidence.size());
+  for (const auto& entry : evidence) by_source.push_back(&entry);
+  std::sort(by_source.begin(), by_source.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
 
   report::Table table({"source", "probes", "verdict", "zmap", "masscan", "mirai",
                        "nmap-pairs", "unicorn-pairs"});
   std::size_t shown = 0;
-  for (const auto& [source, tool_evidence] : evidence.sorted_entries()) {
-    if (tool_evidence->probes() < 3) continue;  // skip one-off chatter
+  for (const auto* entry : by_source) {
+    const auto& [source, tool_evidence] = *entry;
+    if (tool_evidence.probes() < 3) continue;  // skip one-off chatter
     table.add_row({net::Ipv4Address(source).to_string(),
-                   std::to_string(tool_evidence->probes()),
-                   std::string(fingerprint::to_string(tool_evidence->verdict())),
-                   std::to_string(tool_evidence->matches(fingerprint::Tool::kZmap)),
-                   std::to_string(tool_evidence->matches(fingerprint::Tool::kMasscan)),
-                   std::to_string(tool_evidence->matches(fingerprint::Tool::kMirai)),
-                   std::to_string(tool_evidence->matches(fingerprint::Tool::kNmap)),
-                   std::to_string(tool_evidence->matches(fingerprint::Tool::kUnicorn))});
+                   std::to_string(tool_evidence.probes()),
+                   std::string(fingerprint::to_string(tool_evidence.verdict())),
+                   std::to_string(tool_evidence.matches(fingerprint::Tool::kZmap)),
+                   std::to_string(tool_evidence.matches(fingerprint::Tool::kMasscan)),
+                   std::to_string(tool_evidence.matches(fingerprint::Tool::kMirai)),
+                   std::to_string(tool_evidence.matches(fingerprint::Tool::kNmap)),
+                   std::to_string(tool_evidence.matches(fingerprint::Tool::kUnicorn))});
     if (++shown == 40) break;
   }
   std::cout << table;
-  std::cout << "(" << evidence.sources() << " sources total; showing up to 40 with >=3 "
+  std::cout << "(" << evidence.size() << " sources total; showing up to 40 with >=3 "
             << "probes)\n";
   return 0;
 }

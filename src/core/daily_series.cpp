@@ -1,7 +1,6 @@
 #include "core/daily_series.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace synscan::core {
 
@@ -26,17 +25,6 @@ void DailyPortSeries::observe_batch(const telescope::ProbeBatch& batch,
     ++counts_[(static_cast<std::uint64_t>(batch.destination_port[row]) << 32) | day];
     ++day_totals_[static_cast<std::uint32_t>(day)];
   }
-}
-
-void DailyPortSeries::merge(const DailyPortSeries& other) {
-  if (origin_ != other.origin_) {
-    throw std::invalid_argument("DailyPortSeries::merge: origin mismatch");
-  }
-  max_day_ = std::max(max_day_, other.max_day_);
-  other.counts_.for_each(
-      [&](std::uint64_t key, std::uint64_t count) { counts_[key] += count; });
-  other.day_totals_.for_each(
-      [&](std::uint32_t day, std::uint64_t count) { day_totals_[day] += count; });
 }
 
 std::vector<std::uint64_t> DailyPortSeries::series(std::uint16_t port) const {

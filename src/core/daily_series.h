@@ -24,12 +24,6 @@ class DailyPortSeries final : public ProbeObserver {
   void observe_batch(const telescope::ProbeBatch& batch,
                      std::span<const std::uint32_t> rows) override;
 
-  /// Folds another series in (per-bucket sums, so shard merges equal
-  /// whole-capture accumulation). Both series must share the same
-  /// origin; throws `std::invalid_argument` otherwise — day buckets
-  /// anchored at different origins do not line up.
-  void merge(const DailyPortSeries& other);
-
   /// Dense daily packet counts for a port over [0, days()).
   [[nodiscard]] std::vector<std::uint64_t> series(std::uint16_t port) const;
 

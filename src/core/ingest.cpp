@@ -38,7 +38,8 @@ struct IngestMetrics {
 
 }  // namespace
 
-FrameBatcher::FrameBatcher(const telescope::Telescope& telescope, Deliver deliver)
+FrameBatcher::FrameBatcher(const telescope::Telescope& telescope,
+                           ProbeBatchSink deliver)
     : telescope_(&telescope), deliver_(std::move(deliver)) {
   arm_batch();
 }

@@ -87,14 +87,10 @@ using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 /// `Sensor::classify`.
 class FrameBatcher {
  public:
-  /// Receives each batch; it may move the batch away, the columns are
-  /// re-armed either way.
-  using Deliver = std::function<void(telescope::ProbeBatch&)>;
-
   /// The batcher keeps a pointer to the telescope; a temporary would
   /// dangle.
-  FrameBatcher(const telescope::Telescope& telescope, Deliver deliver);
-  FrameBatcher(const telescope::Telescope&&, Deliver) = delete;
+  FrameBatcher(const telescope::Telescope& telescope, ProbeBatchSink deliver);
+  FrameBatcher(const telescope::Telescope&&, ProbeBatchSink) = delete;
   /// The write cursor points into the batcher's own batch.
   FrameBatcher(const FrameBatcher&) = delete;
   FrameBatcher& operator=(const FrameBatcher&) = delete;
@@ -125,7 +121,7 @@ class FrameBatcher {
   void flush_batch();
 
   const telescope::Telescope* telescope_;
-  Deliver deliver_;
+  ProbeBatchSink deliver_;
   telescope::SensorCounters counters_;
   std::uint64_t frames_ = 0;       ///< frames in delivered batches
   std::size_t window_frames_ = 0;  ///< frames since the last delivery

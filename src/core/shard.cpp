@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -32,6 +33,27 @@ net::TimeUs peek_first_timestamp(const std::filesystem::path& path) {
     return status == pcap::ReadStatus::kOk ? frame.timestamp_us : 0;
   } catch (const std::exception&) {
     return 0;
+  }
+}
+
+/// Refuses a plan that names one capture twice, before any shard is
+/// loaded or analyzed. The plan is sorted by first record time, so a
+/// repeated capture sits among the entries that share its twin's time;
+/// only those are compared, and distinct captures cost no `stat`. A path
+/// that cannot be stat'ed compares unequal and fails at analysis.
+void refuse_repeated_captures(const ShardPlan& plan) {
+  const auto& shards = plan.shards;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    for (std::size_t j = i + 1; j < shards.size() &&
+                                shards[j].first_timestamp_us == shards[i].first_timestamp_us;
+         ++j) {
+      std::error_code ec;
+      if (std::filesystem::equivalent(shards[i].capture, shards[j].capture, ec)) {
+        throw std::invalid_argument("shards overlap in time: " + shards[i].capture.string() +
+                                    " and " + shards[j].capture.string() +
+                                    " are the same capture");
+      }
+    }
   }
 }
 
@@ -70,6 +92,7 @@ ShardRunResult run_shards(const ShardPlan& plan,
                           const enrich::InternetRegistry& registry,
                           const TrackerConfig& tracker_config,
                           const ShardRunOptions& options) {
+  refuse_repeated_captures(plan);
   const auto shard_count = plan.shards.size();
   const auto fingerprint =
       analysis_fingerprint(tracker_config, telescope.monitored_count());

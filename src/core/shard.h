@@ -70,6 +70,9 @@ struct ShardRunResult {
 /// Executes `plan`: analyzes or loads every shard on a worker pool, then
 /// folds the rollups in plan order. Throws the first per-shard error
 /// (unopenable capture, bad global header) after the pool drains.
+/// Throws `std::invalid_argument` before any shard runs when the plan
+/// names one capture twice, and from the merge when shards overlap in
+/// time otherwise.
 [[nodiscard]] ShardRunResult run_shards(const ShardPlan& plan,
                                         const telescope::Telescope& telescope,
                                         const enrich::InternetRegistry& registry,

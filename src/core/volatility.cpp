@@ -1,6 +1,6 @@
 #include "core/volatility.h"
 
-#include <stdexcept>
+#include <algorithm>
 
 #include "stats/timeseries.h"
 
@@ -51,23 +51,6 @@ void VolatilityTracker::on_campaign(const Campaign& campaign) {
   max_week_ = std::max(max_week_, week);
   ++campaigns_[key_of(block, week)];
   active_blocks_.insert(block);
-}
-
-void VolatilityTracker::merge(const VolatilityTracker& other) {
-  if (origin_ != other.origin_ || week_ != other.week_) {
-    throw std::invalid_argument("VolatilityTracker::merge: origin/week mismatch");
-  }
-  max_week_ = std::max(max_week_, other.max_week_);
-  other.packets_.for_each(
-      [&](std::uint64_t key, std::uint64_t count) { packets_[key] += count; });
-  other.campaigns_.for_each(
-      [&](std::uint64_t key, std::uint64_t count) { campaigns_[key] += count; });
-  other.sources_.for_each([&](std::uint64_t key, const HybridU32Set& set) {
-    auto& mine = sources_[key];
-    set.for_each([&](std::uint32_t source) { mine.insert(source); });
-  });
-  other.active_blocks_.for_each(
-      [&](std::uint32_t block) { active_blocks_.insert(block); });
 }
 
 VolatilityTracker::Result VolatilityTracker::result() const {

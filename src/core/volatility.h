@@ -33,12 +33,6 @@ class VolatilityTracker final : public ProbeObserver {
   /// Campaigns are attributed to the week of their first packet.
   void on_campaign(const Campaign& campaign);
 
-  /// Folds another tracker in (per-bucket sums and source-set unions, so
-  /// shard merges equal whole-capture accumulation). Both trackers must
-  /// share origin and week width; throws `std::invalid_argument`
-  /// otherwise — differently anchored week buckets do not line up.
-  void merge(const VolatilityTracker& other);
-
   /// The three pooled change-factor distributions.
   struct Result {
     stats::Ecdf packet_change;

@@ -120,11 +120,6 @@ class ToolTally {
     return total_ == 0 ? 0.0 : 1.0 - share(Tool::kUnknown);
   }
 
-  void merge(const ToolTally& other) noexcept {
-    for (std::size_t i = 0; i < kToolCount; ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
-  }
-
  private:
   std::array<std::uint64_t, kToolCount> counts_{};
   std::uint64_t total_ = 0;

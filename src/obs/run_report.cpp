@@ -1,8 +1,8 @@
 #include "obs/run_report.h"
 
-#include <cctype>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "report/json.h"
 #include "report/table.h"
@@ -30,111 +30,6 @@ void write_histogram_json(std::ostream& os, const HistogramData& histogram) {
   }
   os << "}}";
 }
-
-/// Minimal recursive-descent parser for the subset of JSON this file
-/// emits: objects, string keys, unsigned/signed integers, strings.
-/// Enough to read a run report back; not a general-purpose parser.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
-  void fail() noexcept { failed_ = true; }
-
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_space();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      failed_ = true;
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_space();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  /// Parses a JSON string; handles the escapes report::json_escape emits.
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              failed_ = true;
-              return out;
-            }
-            c = static_cast<char>(std::stoi(std::string(text_.substr(pos_, 4)), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: c = esc; break;
-        }
-      }
-      out += c;
-    }
-    consume('"');
-    return out;
-  }
-
-  std::int64_t parse_int() {
-    skip_space();
-    bool negative = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      negative = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() || std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      failed_ = true;
-      return 0;
-    }
-    std::uint64_t value = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_++] - '0');
-    }
-    return negative ? -static_cast<std::int64_t>(value) : static_cast<std::int64_t>(value);
-  }
-
-  std::uint64_t parse_uint() { return static_cast<std::uint64_t>(parse_int()); }
-
-  /// Iterates `{"key": value}` pairs; `on_pair` must consume the value.
-  template <typename OnPair>
-  void parse_object(OnPair&& on_pair) {
-    if (!consume('{')) return;
-    if (peek('}')) {
-      consume('}');
-      return;
-    }
-    do {
-      const auto key = parse_string();
-      if (failed_ || !consume(':')) return;
-      on_pair(key);
-      if (failed_) return;
-    } while (peek(',') && consume(','));
-    consume('}');
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 }  // namespace
 
@@ -217,65 +112,6 @@ std::string RunReport::to_json() const {
   std::ostringstream os;
   write_json(os);
   return os.str();
-}
-
-std::optional<RunReport> RunReport::from_json(std::string_view json) {
-  RunReport report;
-  JsonCursor cursor(json);
-  bool schema_ok = false;
-
-  cursor.parse_object([&](const std::string& section) {
-    if (section == "schema") {
-      schema_ok = cursor.parse_string() == kSchema;
-    } else if (section == "label") {
-      report.label = cursor.parse_string();
-    } else if (section == "counters") {
-      cursor.parse_object([&](const std::string& name) {
-        report.metrics.counters.emplace_back(name, cursor.parse_uint());
-      });
-    } else if (section == "gauges") {
-      cursor.parse_object([&](const std::string& name) {
-        report.metrics.gauges.emplace_back(name, cursor.parse_int());
-      });
-    } else if (section == "timings") {
-      cursor.parse_object([&](const std::string& name) {
-        TimingData timing;
-        cursor.parse_object([&](const std::string& field) {
-          if (field == "count") timing.count = cursor.parse_uint();
-          else if (field == "wall_us") timing.wall_us = cursor.parse_uint();
-          else if (field == "cpu_us") timing.cpu_us = cursor.parse_uint();
-          else if (field == "max_wall_us") timing.max_wall_us = cursor.parse_uint();
-          else cursor.fail();
-        });
-        report.metrics.timings.emplace_back(name, timing);
-      });
-    } else if (section == "histograms") {
-      cursor.parse_object([&](const std::string& name) {
-        HistogramData histogram;
-        cursor.parse_object([&](const std::string& field) {
-          if (field == "count") histogram.count = cursor.parse_uint();
-          else if (field == "sum") histogram.sum = cursor.parse_uint();
-          else if (field == "min") histogram.min = cursor.parse_uint();
-          else if (field == "max") histogram.max = cursor.parse_uint();
-          else if (field == "buckets") {
-            cursor.parse_object([&](const std::string& index) {
-              const auto i = static_cast<std::size_t>(std::stoul(index));
-              const auto value = cursor.parse_uint();
-              if (i < histogram.buckets.size()) histogram.buckets[i] = value;
-            });
-          } else {
-            cursor.fail();
-          }
-        });
-        report.metrics.histograms.emplace_back(name, histogram);
-      });
-    } else {
-      cursor.fail();
-    }
-  });
-
-  if (cursor.failed() || !schema_ok) return std::nullopt;
-  return report;
 }
 
 std::string RunReport::to_table() const {

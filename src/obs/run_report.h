@@ -7,6 +7,8 @@
 //     docs/OBSERVABILITY.md) for machines: `synscan analyze
 //     --metrics=metrics.json`, bench `--metrics=...`.
 //   - An ASCII table (via report::Table) for eyeballs: bare `--metrics`.
+// Reports are written, never read back; tests/obs/run_report_test.cpp
+// pins the JSON bytes.
 //
 // This is the only obs component that depends on core/report; the
 // metric cells themselves (obs/metrics.h) stay dependency-free so the
@@ -14,9 +16,7 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/pipeline.h"
 #include "obs/metrics.h"
@@ -43,12 +43,6 @@ struct RunReport {
                                          const core::PipelineResult* result = nullptr,
                                          MetricsRegistry& registry =
                                              MetricsRegistry::global());
-
-  /// Parses a report previously produced by `write_json`. Returns
-  /// nullopt on malformed input. Derived histogram fields (mean, p50…)
-  /// are recomputed from the stored buckets, so
-  /// `from_json(r.to_json())->to_json() == r.to_json()`.
-  [[nodiscard]] static std::optional<RunReport> from_json(std::string_view json);
 
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string to_json() const;

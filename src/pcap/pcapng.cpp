@@ -207,7 +207,6 @@ ReadStatus NgReader::next(net::RawFrame& out) {
         if (!timestamp_us) return ReadStatus::kBadRecord;
         out.timestamp_us = *timestamp_us;
         out.bytes.assign(body.begin() + 20, body.begin() + 20 + captured);
-        ++packets_read_;
         return ReadStatus::kOk;
       }
       case kSimplePacketBlock: {
@@ -217,7 +216,6 @@ ReadStatus NgReader::next(net::RawFrame& out) {
             std::min<std::size_t>(original, body.size() - 4);
         out.timestamp_us = 0;  // SPBs carry no timestamp
         out.bytes.assign(body.begin() + 4, body.begin() + 4 + static_cast<std::ptrdiff_t>(captured));
-        ++packets_read_;
         return ReadStatus::kOk;
       }
       default:

@@ -48,7 +48,6 @@ class NgReader {
   /// Drains the stream.
   [[nodiscard]] std::pair<std::vector<net::RawFrame>, ReadStatus> read_all();
 
-  [[nodiscard]] std::uint64_t packets_read() const noexcept { return packets_read_; }
   [[nodiscard]] std::size_t interfaces_seen() const noexcept {
     return interfaces_.size();
   }
@@ -67,7 +66,6 @@ class NgReader {
   std::unique_ptr<std::istream> stream_;
   bool big_endian_ = false;
   std::vector<Interface> interfaces_;
-  std::uint64_t packets_read_ = 0;
 };
 
 /// True if the bytes start with the pcapng Section Header Block magic

@@ -23,24 +23,6 @@ double StreamingMoments::variance() const noexcept {
 
 double StreamingMoments::stddev() const noexcept { return std::sqrt(variance()); }
 
-void StreamingMoments::merge(const StreamingMoments& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double quantile_inplace(std::vector<double>& sample, double q) {
   if (sample.empty()) throw std::invalid_argument("quantile of empty sample");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile q outside [0,1]");

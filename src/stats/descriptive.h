@@ -24,9 +24,6 @@ class StreamingMoments {
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator (parallel reduction).
-  void merge(const StreamingMoments& other) noexcept;
-
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;

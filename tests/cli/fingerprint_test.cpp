@@ -1,0 +1,170 @@
+// `synscan fingerprint` against a per-probe reference: every frame goes
+// through `Sensor::classify`, each scan probe feeds its source's
+// evidence in a `std::map`, and the map's ascending-source walk is the
+// report the command must print.
+#include "cli/commands.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <exception>
+#include <filesystem>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "fingerprint/classifier.h"
+#include "net/packet.h"
+#include "pcap/pcap.h"
+#include "simgen/rng.h"
+#include "simgen/wire.h"
+#include "telescope/sensor.h"
+#include "telescope/telescope.h"
+#include "test_support.h"
+
+namespace synscan {
+namespace {
+
+namespace fs = std::filesystem;
+
+using Evidence = std::map<std::uint32_t, fingerprint::ToolEvidence>;
+
+/// 48 sources, six per wire tool, probing in turn, so every batch
+/// interleaves them; one-off chatter (one new source per round) and
+/// frames that are not probes (backscatter, a private source) between
+/// the rounds. The sources are scattered, so source order is not
+/// arrival order.
+std::vector<net::RawFrame> mixed_frames(const telescope::Telescope& telescope) {
+  constexpr simgen::WireTool kTools[] = {
+      simgen::WireTool::kZmap,  simgen::WireTool::kZmapStealth,
+      simgen::WireTool::kMasscan, simgen::WireTool::kMasscanStealth,
+      simgen::WireTool::kMirai, simgen::WireTool::kNmap,
+      simgen::WireTool::kUnicorn, simgen::WireTool::kCustom};
+  constexpr std::uint16_t kPorts[] = {22, 80, 443, 8080, 3389};
+  const auto dark = telescope.dark_addresses();
+  simgen::Rng rng(2024);
+  std::vector<net::Ipv4Address> sources;
+  std::vector<simgen::WireState> wires;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    sources.emplace_back(0x2d000000u + rng.next_u32() % 0x00ffffffu);
+    wires.emplace_back(kTools[i % std::size(kTools)], rng.fork(i));
+  }
+
+  std::vector<net::RawFrame> frames;
+  net::TimeUs now = 1'600'000'000 * net::kMicrosPerSecond;
+  const auto add = [&](std::vector<std::uint8_t> bytes) {
+    frames.push_back({now += 1000, std::move(bytes)});
+  };
+  for (std::uint32_t round = 0; round < 12; ++round) {
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      const auto destination = dark[rng.uniform(dark.size())];
+      net::TcpFrameSpec spec;
+      spec.src_ip = sources[s];
+      spec.dst_ip = destination;
+      wires[s].craft(spec, destination, kPorts[rng.uniform(std::size(kPorts))]);
+      add(net::build_tcp_frame(spec));
+    }
+    add(testing::syn_frame(net::Ipv4Address(0x5b000000u + round * 257), dark[round], 443));
+    add(testing::syn_frame(sources[round], dark[round], 80,
+                           net::flag_bit(net::TcpFlag::kSyn) |
+                               net::flag_bit(net::TcpFlag::kAck)));
+    add(testing::syn_frame(net::Ipv4Address(0x0a000001u), dark[round], 80));
+  }
+  return frames;
+}
+
+/// `synscan fingerprint <capture>`'s stdout.
+std::string fingerprint_output(const fs::path& capture) {
+  ::testing::internal::CaptureStdout();
+  int code = -1;
+  std::string error;
+  try {
+    code = cli::run_fingerprint({capture.string()});
+  } catch (const std::exception& thrown) {
+    error = thrown.what();
+  }
+  // Reported only once stdout is released, or the message is captured.
+  const auto out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(error, "") << capture;
+  EXPECT_EQ(code, 0) << capture;
+  return out;
+}
+
+std::vector<std::string> words(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> out;
+  for (std::string word; in >> word;) out.push_back(word);
+  return out;
+}
+
+/// The report rows the command must print for `reference`: sources in
+/// ascending order, those with three probes or more, at most 40.
+std::vector<std::vector<std::string>> expected_rows(const Evidence& reference) {
+  std::vector<std::vector<std::string>> rows;
+  for (const auto& [source, evidence] : reference) {
+    if (evidence.probes() < 3) continue;
+    rows.push_back({net::Ipv4Address(source).to_string(), std::to_string(evidence.probes()),
+                    std::string(fingerprint::to_string(evidence.verdict())),
+                    std::to_string(evidence.matches(fingerprint::Tool::kZmap)),
+                    std::to_string(evidence.matches(fingerprint::Tool::kMasscan)),
+                    std::to_string(evidence.matches(fingerprint::Tool::kMirai)),
+                    std::to_string(evidence.matches(fingerprint::Tool::kNmap)),
+                    std::to_string(evidence.matches(fingerprint::Tool::kUnicorn))});
+    if (rows.size() == 40) break;
+  }
+  return rows;
+}
+
+TEST(CliFingerprint, ReportMatchesPerProbeReference) {
+  const auto dir = fs::temp_directory_path() / "synscan_cli_fingerprint";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto telescope = telescope::Telescope::paper_default();
+  const auto frames = mixed_frames(telescope);
+  pcap::write_file(dir / "mixed.pcap", frames);
+
+  Evidence reference;
+  telescope::Sensor sensor(telescope);
+  telescope::ScanProbe probe;
+  for (const auto& frame : frames) {
+    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
+      reference[probe.source.value()].observe(probe);
+    }
+  }
+  // The capture exercises what the report filters and caps: chatter
+  // below three probes, more than 40 reportable sources, and a verdict
+  // for every tool.
+  std::set<fingerprint::Tool> verdicts;
+  std::size_t reportable = 0;
+  for (const auto& [source, evidence] : reference) {
+    verdicts.insert(evidence.verdict());
+    if (evidence.probes() >= 3) ++reportable;
+  }
+  ASSERT_EQ(reference.size(), 60u);
+  ASSERT_EQ(reportable, 48u);
+  ASSERT_EQ(verdicts.size(), fingerprint::kToolCount);
+
+  const auto want = expected_rows(reference);
+  // Cold, then from the `.spc` the first run wrote.
+  for (const char* pass : {"cold", "cached"}) {
+    std::istringstream out(fingerprint_output(dir / "mixed.pcap"));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(out, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), want.size() + 3) << pass;
+    EXPECT_EQ(words(lines[0]),
+              (std::vector<std::string>{"source", "probes", "verdict", "zmap", "masscan",
+                                        "mirai", "nmap-pairs", "unicorn-pairs"}))
+        << pass;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(words(lines[i + 2]), want[i]) << pass << " row " << i;
+    }
+    EXPECT_EQ(lines.back(), "(60 sources total; showing up to 40 with >=3 probes)") << pass;
+  }
+  EXPECT_TRUE(fs::exists(dir / "mixed.pcap.spc"));
+  fs::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace synscan

@@ -1,5 +1,5 @@
-// Unit tests for the mergeable-rollup layer (core/rollup.h): aggregate
-// merge() contracts, fingerprint-evidence splicing, and the
+// Unit tests for the mergeable-rollup layer (core/rollup.h): the
+// PortTally merge contract, fingerprint-evidence splicing, and the
 // RollupMerger boundary-join semantics. The whole-subsystem invariant —
 // merged shards byte-identical to whole-capture analysis — is pinned by
 // tests/integration/rollup_differential_test.cpp.
@@ -14,11 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "core/daily_series.h"
 #include "core/port_tally.h"
 #include "core/reference_tallies.h"
+#include "core/rollup_store.h"
 #include "core/shard.h"
-#include "core/volatility.h"
 #include "fingerprint/classifier.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
@@ -140,69 +139,6 @@ TEST(RollupMerge, GeoTallyMergeEqualsWhole) {
   for (const auto& probe : probes) whole.on_probe(probe);
   ASSERT_GT(whole.packets.size(), 3u);
   testing::expect_geo_view_matches(GeoView(merged_thirds(probes), registry), whole, registry);
-}
-
-TEST(RollupMerge, VolatilityMergeEqualsWhole) {
-  const net::TimeUs origin = 1'000'000;
-  VolatilityTracker whole(origin, net::kMicrosPerDay);
-  VolatilityTracker left(origin, net::kMicrosPerDay);
-  VolatilityTracker right(origin, net::kMicrosPerDay);
-  for (int i = 0; i < 300; ++i) {
-    const auto probe = ProbeBuilder()
-                           .at(origin + static_cast<net::TimeUs>(i) *
-                                            (net::kMicrosPerDay / 50))
-                           .from(src(static_cast<std::uint32_t>(i % 5) << 16))
-                           .to(dst(static_cast<std::uint32_t>(i)));
-    whole.on_probe(probe);
-    (i < 140 ? left : right).on_probe(probe);
-  }
-  left.merge(right);
-  const auto merged = left.result();
-  const auto expected = whole.result();
-  EXPECT_EQ(merged.netblocks, expected.netblocks);
-  EXPECT_EQ(merged.weeks, expected.weeks);
-  ASSERT_EQ(merged.packet_change.size(), expected.packet_change.size());
-  const auto merged_sorted = merged.packet_change.sorted();
-  const auto expected_sorted = expected.packet_change.sorted();
-  for (std::size_t i = 0; i < expected_sorted.size(); ++i) {
-    EXPECT_DOUBLE_EQ(merged_sorted[i], expected_sorted[i]);
-  }
-}
-
-TEST(RollupMerge, VolatilityOriginMismatchThrows) {
-  VolatilityTracker a(0);
-  const VolatilityTracker b(net::kMicrosPerDay);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  VolatilityTracker c(0, net::kMicrosPerDay);
-  const VolatilityTracker d(0, net::kMicrosPerWeek);
-  EXPECT_THROW(c.merge(d), std::invalid_argument);
-}
-
-TEST(RollupMerge, DailySeriesMergeEqualsWhole) {
-  const net::TimeUs origin = 0;
-  DailyPortSeries whole(origin);
-  DailyPortSeries left(origin);
-  DailyPortSeries right(origin);
-  for (int i = 0; i < 240; ++i) {
-    const auto probe = ProbeBuilder()
-                           .at(static_cast<net::TimeUs>(i) * (net::kMicrosPerDay / 40))
-                           .from(src(1))
-                           .to(dst(static_cast<std::uint32_t>(i)))
-                           .port(static_cast<std::uint16_t>(i % 2 == 0 ? 80 : 22));
-    whole.on_probe(probe);
-    (i % 3 == 0 ? left : right).on_probe(probe);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.days(), whole.days());
-  EXPECT_EQ(left.series(80), whole.series(80));
-  EXPECT_EQ(left.series(22), whole.series(22));
-  EXPECT_EQ(left.totals(), whole.totals());
-}
-
-TEST(RollupMerge, DailySeriesOriginMismatchThrows) {
-  DailyPortSeries a(0);
-  const DailyPortSeries b(net::kMicrosPerDay);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 // ---- fingerprint evidence splicing ----------------------------------
@@ -661,6 +597,42 @@ TEST(RollupMerger, ShardsThatOverlapInTimeAreRefused) {
   EXPECT_THROW((void)run_shards(plan_shards(repeated), test_telescope(), registry, config,
                                 options),
                std::invalid_argument);
+
+  // A capture given twice is refused before any shard is analyzed, so
+  // even with the store and the probe cache on nothing is written; a
+  // capture without probes, which the merger cannot order, is refused
+  // too.
+  const auto udp = fixture.dir / "udp.pcap";
+  {
+    auto writer = pcap::Writer::create(udp);
+    net::UdpFrameSpec spec;
+    spec.src_ip = src(3);
+    spec.dst_ip = dst(0);
+    spec.dst_port = 53;
+    for (net::TimeUs i = 0; i < 3; ++i) {
+      writer.write({5'000'000 + i * 10'000, net::build_udp_frame(spec)});
+    }
+    writer.flush();
+  }
+  ShardRunOptions stored;
+  stored.workers = 1;
+  const auto dotted = fixture.dir / "." / fixture.first.filename();
+  const std::vector<std::vector<fs::path>> twice{
+      {fixture.first, fixture.first}, {fixture.first, dotted}, {udp, udp}};
+  for (const auto& captures : twice) {
+    try {
+      (void)run_shards(plan_shards(captures), test_telescope(), registry, config, stored);
+      ADD_FAILURE() << "a repeated capture was merged: " << captures.back();
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("overlap in time"), std::string::npos) << message;
+      EXPECT_NE(message.find("are the same capture"), std::string::npos) << message;
+    }
+    for (const auto& capture : captures) {
+      EXPECT_FALSE(fs::exists(capture.string() + ".spc")) << capture;
+      EXPECT_FALSE(fs::exists(rollup_path_for(capture))) << capture;
+    }
+  }
 }
 
 }  // namespace

@@ -134,18 +134,6 @@ TEST(ToolTally, EmptyTallyHasZeroShares) {
   EXPECT_EQ(tally.known_share(), 0.0);
 }
 
-TEST(ToolTally, MergeAccumulates) {
-  ToolTally a;
-  a.add(Tool::kMirai, 5);
-  ToolTally b;
-  b.add(Tool::kMirai, 5);
-  b.add(Tool::kNmap, 10);
-  a.merge(b);
-  EXPECT_EQ(a.count(Tool::kMirai), 10u);
-  EXPECT_EQ(a.count(Tool::kNmap), 10u);
-  EXPECT_EQ(a.total(), 20u);
-}
-
 TEST(Tool, NamesRoundTrip) {
   for (const auto tool : kAllTools) {
     EXPECT_EQ(tool_from_string(to_string(tool)), tool);

@@ -1,14 +1,13 @@
 // Differential tests for the batch-native analytics path: every
 // column-direct fast path introduced by the ProbeBatch end-to-end
-// refactor — batched observers, the flat fingerprint evidence table,
-// the interval-indexed registry, batch-slice sharding in the parallel
-// analyzer, and the JSON report — must be bit-identical to its
-// per-probe (or linear-scan) reference on a mixed capture.
+// refactor — batched observers, the interval-indexed registry,
+// batch-slice sharding in the parallel analyzer, and the JSON report —
+// must be bit-identical to its per-probe (or linear-scan) reference on
+// a mixed capture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "core/reference_tallies.h"
 #include "core/volatility.h"
 #include "enrich/registry.h"
-#include "fingerprint/evidence_table.h"
 #include "report/json.h"
 #include "simgen/generator.h"
 #include "telescope/probe_batch.h"
@@ -211,41 +209,6 @@ TEST(BatchedObservers, VolatilityMatchesPerProbeReference) {
   EXPECT_TRUE(std::equal(got.source_change.sorted().begin(),
                          got.source_change.sorted().end(),
                          want.source_change.sorted().begin()));
-}
-
-TEST(EvidenceTableDifferential, MatchesMapReference) {
-  fingerprint::EvidenceTable table;
-  std::map<std::uint32_t, fingerprint::ToolEvidence> reference;
-  for (const auto& batch : probe_batches()) {
-    table.observe_batch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto probe = batch.get(i);
-      reference[probe.source.value()].observe(probe);
-    }
-  }
-
-  ASSERT_GT(reference.size(), 0u);
-  ASSERT_EQ(table.sources(), reference.size());
-  // sorted_entries() must reproduce the std::map's ascending-source
-  // iteration (the CLI report order), entry for entry.
-  const auto entries = table.sorted_entries();
-  ASSERT_EQ(entries.size(), reference.size());
-  std::size_t index = 0;
-  for (const auto& [source, want] : reference) {
-    const auto& [got_source, got] = entries[index++];
-    ASSERT_EQ(got_source, source);
-    EXPECT_EQ(got->probes(), want.probes());
-    EXPECT_EQ(got->verdict(), want.verdict());
-    for (const auto tool : fingerprint::kAllTools) {
-      EXPECT_EQ(got->matches(tool), want.matches(tool))
-          << net::Ipv4Address(source).to_string() << " "
-          << fingerprint::to_string(tool);
-    }
-    EXPECT_EQ(table.find(source), got);
-  }
-  // A source the capture cannot contain (multicast space) maps to null.
-  ASSERT_EQ(reference.count(0xeeeeeeeeu), 0u);
-  EXPECT_EQ(table.find(0xeeeeeeeeu), nullptr);
 }
 
 TEST(IntervalRegistryDifferential, MatchesLinearLongestPrefixScan) {

@@ -1,5 +1,5 @@
-// RunReport: publishing pipeline counters into the registry, JSON
-// serialization round-trip, and ASCII rendering.
+// RunReport: publishing pipeline counters into the registry, the JSON
+// bytes, and ASCII rendering.
 #include "obs/run_report.h"
 
 #include <gtest/gtest.h>
@@ -87,18 +87,24 @@ RunReport sample_report() {
   return RunReport::capture("round-trip \"label\"", nullptr, registry);
 }
 
+// Reports are written, never read back, so the writer's bytes are the
+// format: both cases pin the whole output.
 TEST(RunReport, JsonRoundTripIsExact) {
-  const auto report = sample_report();
-  const auto json = report.to_json();
-
-  const auto parsed = RunReport::from_json(json);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->label, report.label);
-  EXPECT_EQ(parsed->metrics.counters, report.metrics.counters);
-  EXPECT_EQ(parsed->metrics.gauges, report.metrics.gauges);
-  // Serialize again: byte-identical (timings and histogram buckets
-  // survive, derived quantiles are recomputed from the buckets).
-  EXPECT_EQ(parsed->to_json(), json);
+  EXPECT_EQ(sample_report().to_json(),
+            R"({"schema":"synscan.run_report/1","label":"round-trip \"label\"",)"
+            R"("counters":{"sensor.backscatter":20,"sensor.icmp":0,)"
+            R"("sensor.ingress_blocked":0,"sensor.malformed":1,"sensor.not_monitored":0,)"
+            R"("sensor.other_tcp":0,"sensor.scan_probes":100,"sensor.spoofed_source":0,)"
+            R"("sensor.udp":7,"sensor.xmas_or_null":0,"tracker.campaigns":3,)"
+            R"("tracker.dest_promotions":0,"tracker.expired_flows":4,)"
+            R"("tracker.flow_reuses":0,"tracker.port_promotions":0,"tracker.probes":100,)"
+            R"("tracker.subthreshold_flows":12,"tracker.subthreshold_packets":50,)"
+            R"("tracker.sweeps":2,"tracker.table_rehashes":0},)"
+            R"("gauges":{"parallel.workers":4,"tracker.peak_open_flows":17},)"
+            R"("timings":{"analyze.ingest":{"count":1,"wall_us":1234,"cpu_us":1100,)"
+            R"("max_wall_us":1234}},)"
+            R"("histograms":{"parallel.batch_items":{"count":5,"sum":829,"min":1,)"
+            R"("max":300,"buckets":{"1":1,"5":1,"9":3}}}})");
 }
 
 TEST(RunReport, JsonContainsSchemaAndSections) {
@@ -110,20 +116,11 @@ TEST(RunReport, JsonContainsSchemaAndSections) {
   EXPECT_NE(json.find("\"wall_us\":1234"), std::string::npos);
 }
 
-TEST(RunReport, FromJsonRejectsGarbage) {
-  EXPECT_FALSE(RunReport::from_json("").has_value());
-  EXPECT_FALSE(RunReport::from_json("{}").has_value());  // no schema
-  EXPECT_FALSE(RunReport::from_json("not json at all").has_value());
-  EXPECT_FALSE(
-      RunReport::from_json("{\"schema\":\"synscan.run_report/999\"}").has_value());
-}
-
 TEST(RunReport, EmptyRegistrySerializesAndParses) {
   MetricsRegistry registry;
-  const auto report = RunReport::capture("empty", nullptr, registry);
-  const auto parsed = RunReport::from_json(report.to_json());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->metrics.empty());
+  EXPECT_EQ(RunReport::capture("empty", nullptr, registry).to_json(),
+            R"({"schema":"synscan.run_report/1","label":"empty","counters":{},)"
+            R"("gauges":{},"timings":{},"histograms":{}})");
 }
 
 TEST(RunReport, TableListsMetricsAndStages) {

@@ -39,39 +39,6 @@ TEST(StreamingMoments, KnownSample) {
   EXPECT_DOUBLE_EQ(m.sum(), 40.0);
 }
 
-TEST(StreamingMoments, MergeMatchesSequential) {
-  simgen::Rng rng(3);
-  StreamingMoments whole;
-  StreamingMoments left;
-  StreamingMoments right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal() * 3.0 + 10.0;
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(StreamingMoments, MergeWithEmptyIsIdentity) {
-  StreamingMoments a;
-  a.add(1.0);
-  a.add(3.0);
-  StreamingMoments empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-  StreamingMoments b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(StreamingMoments, NumericallyStableAtLargeOffset) {
   StreamingMoments m;
   for (int i = 0; i < 1000; ++i) m.add(1e9 + (i % 2));
