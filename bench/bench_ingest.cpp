@@ -3,8 +3,8 @@
 //
 // One run measures all three ingest paths over the same generated
 // capture, so a single record carries its own baseline:
-//   pre        — the original path: pcap::Reader (buffered istream, one
-//                byte-vector copy per record) + per-frame
+//   pre        — record at a time: pcap::Reader::next, the mapped pull
+//                reader (one byte-vector copy per record), + per-frame
 //                Sensor::classify through decode_frame;
 //   mmap_batch — core::ingest_capture with the cache off: one mapped
 //                walk + batch classify, SoA ProbeBatch;
@@ -178,8 +178,10 @@ double measure_memcpy_gbps(const fs::path& capture, const Options& options) {
   return static_cast<double>(src.size()) / seconds / 1e9;
 }
 
-/// The original record-at-a-time path this PR replaced; kept in-tree as
-/// pcap::Reader, so the "pre" row stays measurable on every commit.
+/// The record-at-a-time path: `pcap::Reader::next` over the mapped
+/// capture, copying each record into a frame for `Sensor::classify`.
+/// The row once read through a buffered istream; it now reads through
+/// the mapped pull reader, and stays measurable on every commit.
 PathResult run_reader_per_frame(const fs::path& path) {
   PathResult result;
   const auto start = std::chrono::steady_clock::now();

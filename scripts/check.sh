@@ -113,6 +113,20 @@ for sidecar in "${twice}.spc" "${twice}.spr"; do
     exit 1
   fi
 done
+# A capture cut short mid-record, as a killed capture process leaves it:
+# `fingerprint` reports the readable prefix, exits 0 and says so on stderr.
+cut_capture="${workdir}/cut.pcap"
+rm -f "${cut_capture}" "${cut_capture}.spc"
+head -c "$(( $(wc -c < "${workdir}/window.pcap") - 7 ))" "${workdir}/window.pcap" \
+  > "${cut_capture}"
+"${cli}" fingerprint "${cut_capture}" > /dev/null 2> "${workdir}/fingerprint_cut.txt" || {
+  echo "fingerprint smoke: a capture cut short failed" >&2
+  exit 1
+}
+grep -qF 'capture ends mid-record' "${workdir}/fingerprint_cut.txt" || {
+  echo "fingerprint smoke: a capture cut short gave no truncation warning" >&2
+  exit 1
+}
 # The sidecars the daemon and the CLI wrote must read back through the
 # CLI: both `.spr` files the ROLLUP saved load as store hits (nothing is
 # re-saved), and the `.spc` the first analyze cut verifies.

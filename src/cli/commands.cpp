@@ -23,7 +23,6 @@
 #include "core/shard.h"
 #include "fingerprint/classifier.h"
 #include "obs/run_report.h"
-#include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
 #include "pcap/pcapng.h"
 #include "report/json.h"
@@ -104,13 +103,29 @@ core::AnalyzedCapture analyze_capture(const std::string& path, std::size_t worke
                                options);
 }
 
-void warn_on_truncation(const core::AnalyzedCapture& analysis) {
-  if (analysis.final_status == pcap::ReadStatus::kTruncated) {
+void warn_on_truncation(pcap::ReadStatus status) {
+  if (status == pcap::ReadStatus::kTruncated) {
     std::cerr << "warning: capture ends mid-record (truncated write?); analyzed the "
                  "readable prefix\n";
-  } else if (analysis.final_status == pcap::ReadStatus::kBadRecord) {
+  } else if (status == pcap::ReadStatus::kBadRecord) {
     std::cerr << "warning: capture framing is corrupt; analyzed the readable prefix\n";
   }
+}
+
+/// The frames of each sensor class, as `info` and `cache stat` print them.
+report::Table sensor_table(const telescope::SensorCounters& counters) {
+  report::Table table({"class", "frames"});
+  table.add_row({"scan probes", std::to_string(counters.scan_probes)});
+  table.add_row({"backscatter", std::to_string(counters.backscatter)});
+  table.add_row({"xmas/null", std::to_string(counters.xmas_or_null)});
+  table.add_row({"other tcp", std::to_string(counters.other_tcp)});
+  table.add_row({"udp", std::to_string(counters.udp)});
+  table.add_row({"icmp", std::to_string(counters.icmp)});
+  table.add_row({"not monitored", std::to_string(counters.not_monitored)});
+  table.add_row({"ingress blocked", std::to_string(counters.ingress_blocked)});
+  table.add_row({"malformed", std::to_string(counters.malformed)});
+  table.add_row({"spoofed source", std::to_string(counters.spoofed_source)});
+  return table;
 }
 
 }  // namespace
@@ -159,7 +174,7 @@ int run_analyze(const std::vector<std::string>& args) {
       "workers", static_cast<double>(default_workers())));
   auto analysis =
       analyze_capture(parsed.positional().front(), workers, ingest_options(parsed));
-  warn_on_truncation(analysis);
+  warn_on_truncation(analysis.final_status);
   const auto& campaigns = analysis.result.campaigns;
 
   std::cout << "frames: " << analysis.frames << ", scan probes "
@@ -326,13 +341,14 @@ int run_fingerprint(const std::vector<std::string>& args) {
   using Evidence = core::FlatHashMap<std::uint32_t, fingerprint::ToolEvidence>;
   Evidence evidence;
 
-  (void)core::ingest_capture(
+  const auto ingested = core::ingest_capture(
       parsed.positional().front(), telescope, ingest_options(parsed),
       [&](const telescope::ProbeBatch& batch) {
         for (std::size_t row = 0; row < batch.size(); ++row) {
           evidence[batch.source[row]].observe(batch.get(row));
         }
       });
+  warn_on_truncation(ingested.status);
 
   std::vector<const Evidence::value_type*> by_source;
   by_source.reserve(evidence.size());
@@ -408,7 +424,6 @@ int run_info(const std::vector<std::string>& args) {
     walk(reader);
   }
 
-  const auto& counters = sensor.counters();
   std::cout << "frames:       " << frames << " ("
             << (status == pcap::ReadStatus::kEndOfFile ? "clean end" : "truncated/corrupt")
             << ")\n";
@@ -419,18 +434,7 @@ int run_info(const std::vector<std::string>& args) {
                                3)
               << " days\n";
   }
-  report::Table table({"class", "frames"});
-  table.add_row({"scan probes", std::to_string(counters.scan_probes)});
-  table.add_row({"backscatter", std::to_string(counters.backscatter)});
-  table.add_row({"xmas/null", std::to_string(counters.xmas_or_null)});
-  table.add_row({"other tcp", std::to_string(counters.other_tcp)});
-  table.add_row({"udp", std::to_string(counters.udp)});
-  table.add_row({"icmp", std::to_string(counters.icmp)});
-  table.add_row({"not monitored", std::to_string(counters.not_monitored)});
-  table.add_row({"ingress blocked", std::to_string(counters.ingress_blocked)});
-  table.add_row({"malformed", std::to_string(counters.malformed)});
-  table.add_row({"spoofed source", std::to_string(counters.spoofed_source)});
-  std::cout << table;
+  std::cout << sensor_table(sensor.counters());
   return 0;
 }
 
@@ -488,20 +492,8 @@ int run_cache_stat(const std::string& path) {
             << "frames:         " << info->frame_count << "\n"
             << "probes:         " << info->probe_count << "\n"
             << "terminal:       " << status_name(info->terminal_status) << "\n"
-            << "checksum:       " << hex64(info->checksum) << "\n";
-  report::Table table({"class", "frames"});
-  const auto& counters = info->sensor;
-  table.add_row({"scan probes", std::to_string(counters.scan_probes)});
-  table.add_row({"backscatter", std::to_string(counters.backscatter)});
-  table.add_row({"xmas/null", std::to_string(counters.xmas_or_null)});
-  table.add_row({"other tcp", std::to_string(counters.other_tcp)});
-  table.add_row({"udp", std::to_string(counters.udp)});
-  table.add_row({"icmp", std::to_string(counters.icmp)});
-  table.add_row({"not monitored", std::to_string(counters.not_monitored)});
-  table.add_row({"ingress blocked", std::to_string(counters.ingress_blocked)});
-  table.add_row({"malformed", std::to_string(counters.malformed)});
-  table.add_row({"spoofed source", std::to_string(counters.spoofed_source)});
-  std::cout << table;
+            << "checksum:       " << hex64(info->checksum) << "\n"
+            << sensor_table(info->sensor);
   return 0;
 }
 
@@ -591,13 +583,13 @@ int run_rollup_build(const Args& parsed, std::span<const std::string> captures) 
             << "rollups saved:  " << stats.store_writes << "\n"
             << "campaigns:      " << result.analysis.result.campaigns.size() << "\n"
             << "scan probes:    " << result.analysis.result.sensor.scan_probes << "\n";
-  warn_on_truncation(result.analysis);
+  warn_on_truncation(result.analysis.final_status);
   return 0;
 }
 
 int run_rollup_query(const Args& parsed, std::span<const std::string> captures) {
   const auto result = run_rollup_shards(parsed, captures);
-  warn_on_truncation(result.analysis);
+  warn_on_truncation(result.analysis.final_status);
   // The exact byte stream `analyze --json` writes for the concatenated
   // captures: counters line, then one campaign per line.
   std::string payload;

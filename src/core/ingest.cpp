@@ -7,7 +7,7 @@
 
 #include "core/probe_cache.h"
 #include "obs/metrics.h"
-#include "pcap/mapped_reader.h"
+#include "pcap/pcap.h"
 #include "pcap/pcapng.h"
 
 namespace synscan::core {
@@ -153,7 +153,7 @@ IngestResult ingest_capture(const std::filesystem::path& path,
 
   // Open the capture once and sniff the bytes already in hand: a FIFO
   // hands its bytes to one reader only.
-  auto file = pcap::MappedFile::open(path);
+  const auto file = pcap::MappedFile::open(path);
   result.mapped = file.mapped();
   const bool pcapng = pcap::looks_like_pcapng(file.bytes());
   if (result.mapped && metrics.mmap_bytes != nullptr) {
@@ -173,11 +173,10 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   } else {
     // One walk over the whole record region, every record classified
     // straight off the mapping.
-    const pcap::MappedReader reader(std::move(file));
-    pcap::ChunkReader scanner(reader.bytes(), reader.info());
-    result.status = scanner.scan([&batcher](net::TimeUs timestamp_us,
-                                            const std::uint8_t* data,
-                                            std::uint32_t captured_length) {
+    auto reader = pcap::Reader::over(file.bytes());
+    result.status = reader.scan([&batcher](net::TimeUs timestamp_us,
+                                           const std::uint8_t* data,
+                                           std::uint32_t captured_length) {
       batcher.consume(timestamp_us, data, captured_length);
     });
   }

@@ -5,11 +5,11 @@
 //   1. a validated columnar probe cache (`.spc`, core/probe_cache.h):
 //      skip decode and classification entirely;
 //   2. a classic pcap walked in place: the capture is mmap'ed, or
-//      bulk-read when it cannot be (a FIFO), and one
-//      `pcap::ChunkReader::scan` over the whole record region hands every
-//      record straight to `FrameBatcher::consume`;
-//   3. pcapng input, read record-at-a-time from the same bytes and
-//      handed to `FrameBatcher::push` —
+//      bulk-read when it cannot be (a FIFO), into one `pcap::MappedFile`,
+//      and one `pcap::Reader::scan` over the whole record region hands
+//      every record straight to `FrameBatcher::consume`;
+//   3. pcapng input, read record-at-a-time from the same bytes by
+//      `pcap::NgReader` and handed to `FrameBatcher::push` —
 // and hands the probes to the caller one `ProbeBatch` at a time. Every
 // path streams on the calling thread: one batch is in flight, handed to
 // the `.spc` writer and the sink as it fills, and ingest starts no
@@ -71,7 +71,7 @@ using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 /// The one frame→batch classifier: every producer's frames become
 /// `ProbeBatch`es here, each classified by `telescope::detail::classify_raw`.
 /// Frames arrive in capture order through `consume` (record bytes, such
-/// as a mapped capture walked by `pcap::ChunkReader::scan`) or `push`
+/// as a mapped capture walked by `pcap::Reader::scan`) or `push`
 /// (a whole frame: pcapng records, the traffic generator). Both read a
 /// frame's bytes only during the call, so callers may reuse their
 /// buffer. Every `kIngestBatchFrames` frames the batch — possibly empty —
@@ -133,7 +133,8 @@ class FrameBatcher {
 /// ingest path and feeds every scan probe to `sink` in capture order.
 /// Throws what the underlying readers throw (unopenable file, bad
 /// global header). `result.status` carries the reader's terminal status
-/// exactly as `pcap::Reader` would have reported it.
+/// exactly as `pcap::Reader::next` (or `pcap::NgReader::next`) would
+/// have reported it.
 IngestResult ingest_capture(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
                             const IngestOptions& options, const ProbeBatchSink& sink);

@@ -73,7 +73,6 @@
 #include <vector>
 
 #include "net/endian.h"
-#include "pcap/mapped_reader.h"
 #include "pcap/pcap.h"
 #include "telescope/probe_batch.h"
 #include "telescope/sensor.h"

@@ -18,18 +18,20 @@ namespace synscan::core {
 namespace {
 
 /// Reads just far enough into a capture to learn its first record
-/// timestamp: the header plus one record, in either capture format.
-/// Unreadable, empty or unrecognized files report 0 — the plan still
-/// includes them, and `run_shards` surfaces the real error. Anything but
-/// a regular file reports 0 unread: a pipe hands its bytes to one reader
-/// only, and that reader must be the analysis.
+/// timestamp: the header plus one record, in either capture format, off
+/// one mapping. Unreadable, empty or unrecognized files report 0 — the
+/// plan still includes them, and `run_shards` surfaces the real error.
+/// Anything but a regular file reports 0 unread: a pipe hands its bytes
+/// to one reader only, and that reader must be the analysis.
 net::TimeUs peek_first_timestamp(const std::filesystem::path& path) {
   std::error_code ec;
   if (!std::filesystem::is_regular_file(path, ec)) return 0;
   try {
+    const auto file = pcap::MappedFile::open(path);
     net::RawFrame frame;
-    const auto status = pcap::looks_like_pcapng(path) ? pcap::NgReader::open(path).next(frame)
-                                                      : pcap::Reader::open(path).next(frame);
+    const auto status = pcap::looks_like_pcapng(file.bytes())
+                            ? pcap::NgReader::over(file.bytes()).next(frame)
+                            : pcap::Reader::over(file.bytes()).next(frame);
     return status == pcap::ReadStatus::kOk ? frame.timestamp_us : 0;
   } catch (const std::exception&) {
     return 0;

@@ -1,10 +1,18 @@
 #include "pcap/pcap.h"
 
 #include <array>
+#include <cerrno>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
-#include <streambuf>
+#include <utility>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#define SYNSCAN_HAVE_MMAP 1
+#endif
 
 #include "net/endian.h"
 
@@ -24,23 +32,28 @@ std::uint32_t load32(const std::uint8_t* p, bool big_endian) {
   return big_endian ? net::load_be32(p) : net::load_le32(p);
 }
 
-/// Read-only istream over borrowed bytes: parses a capture in memory
-/// without a copy.
-class ByteStream final : public std::istream {
- public:
-  explicit ByteStream(std::span<const std::uint8_t> bytes) : std::istream(nullptr) {
-    // The get area is `char*` by interface; reads never write through it.
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast)
-    auto* begin = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
-    buffer_.view(begin, begin + bytes.size());
-    rdbuf(&buffer_);
+#ifdef SYNSCAN_HAVE_MMAP
+/// Reads `fd` to end of input into `bytes`; false on a read error.
+bool drain_descriptor(int fd, std::vector<std::uint8_t>& bytes) {
+  std::array<std::uint8_t, 1 << 16> chunk{};
+  for (;;) {
+    const auto got = ::read(fd, chunk.data(), chunk.size());
+    if (got == 0) return true;
+    if (got > 0) bytes.insert(bytes.end(), chunk.data(), chunk.data() + got);
+    if (got < 0 && errno != EINTR) return false;
   }
-
- private:
-  struct Buffer final : std::streambuf {
-    void view(char* begin, char* end) { setg(begin, begin, end); }
-  } buffer_;
-};
+}
+#else
+std::vector<std::uint8_t> drain_stream(std::istream& stream) {
+  std::vector<std::uint8_t> bytes;
+  std::array<char, 1 << 16> chunk{};
+  while (stream.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
+         stream.gcount() > 0) {
+    bytes.insert(bytes.end(), chunk.data(), chunk.data() + stream.gcount());
+  }
+  return bytes;
+}
+#endif
 
 }  // namespace
 
@@ -101,18 +114,81 @@ ReadStatus parse_record_header(std::span<const std::uint8_t> record,
   return ReadStatus::kOk;
 }
 
-Reader::Reader(std::unique_ptr<std::istream> stream) : stream_(std::move(stream)) {
-  if (!stream_ || !*stream_) {
-    throw std::runtime_error("pcap: cannot read capture stream");
+MappedFile::~MappedFile() {
+#ifdef SYNSCAN_HAVE_MMAP
+  if (mapped_ && data_ != nullptr) {
+    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): munmap takes void*
+    ::munmap(const_cast<std::uint8_t*>(data_), size_);
   }
-  std::array<std::uint8_t, kGlobalHeaderSize> header{};
-  stream_->read(reinterpret_cast<char*>(header.data()),
-                static_cast<std::streamsize>(header.size()));
-  if (stream_->gcount() != static_cast<std::streamsize>(header.size())) {
-    throw std::runtime_error("pcap: capture shorter than the global header");
+#endif
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      mapped_(std::exchange(other.mapped_, false)),
+      fallback_(std::move(other.fallback_)) {
+  if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
+}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    this->~MappedFile();
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    mapped_ = std::exchange(other.mapped_, false);
+    fallback_ = std::move(other.fallback_);
+    if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
   }
-  const auto info = parse_global_header(header);
-  if (!info) throw std::runtime_error("pcap: unknown magic number");
+  return *this;
+}
+
+MappedFile MappedFile::open(const std::filesystem::path& path) {
+  MappedFile file;
+#ifdef SYNSCAN_HAVE_MMAP
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw std::runtime_error("pcap: cannot open " + path.string());
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    if (st.st_size == 0) {
+      ::close(fd);
+      return file;  // empty file: a valid, empty window
+    }
+    void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
+                        MAP_PRIVATE, fd, 0);
+    if (addr != MAP_FAILED) {
+      ::close(fd);
+      ::madvise(addr, static_cast<std::size_t>(st.st_size), MADV_SEQUENTIAL);
+      file.data_ = static_cast<const std::uint8_t*>(addr);
+      file.size_ = static_cast<std::size_t>(st.st_size);
+      file.mapped_ = true;
+      return file;
+    }
+  }
+  // Fallback: bulk-read this same descriptor (FIFO, /proc entry, mmap
+  // refusal). Opening the path again would lose every byte a FIFO has
+  // already handed to this reader.
+  const bool drained = drain_descriptor(fd, file.fallback_);
+  ::close(fd);
+  if (!drained) throw std::runtime_error("pcap: cannot read " + path.string());
+#else
+  std::ifstream stream(path, std::ios::binary);
+  if (!stream.is_open()) throw std::runtime_error("pcap: cannot open " + path.string());
+  file.fallback_ = drain_stream(stream);
+#endif
+  file.data_ = file.fallback_.data();
+  file.size_ = file.fallback_.size();
+  return file;
+}
+
+Reader::Reader(MappedFile file, std::span<const std::uint8_t> bytes)
+    : file_(std::move(file)), bytes_(bytes) {
+  const auto info = parse_global_header(bytes_);
+  if (!info) {
+    throw std::runtime_error(bytes_.size() < kGlobalHeaderSize
+                                 ? "pcap: capture shorter than the global header"
+                                 : "pcap: unknown magic number");
+  }
   info_ = *info;
 
   if (obs::enabled()) {
@@ -124,47 +200,40 @@ Reader::Reader(std::unique_ptr<std::istream> stream) : stream_(std::move(stream)
   }
 }
 
-std::unique_ptr<std::istream> borrowed_stream(std::span<const std::uint8_t> bytes) {
-  return std::make_unique<ByteStream>(bytes);
-}
-
 Reader Reader::open(const std::filesystem::path& path) {
-  auto stream = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!stream->is_open()) {
-    throw std::runtime_error("pcap: cannot open " + path.string());
-  }
-  return Reader(std::move(stream));
+  auto file = MappedFile::open(path);
+  const auto bytes = file.bytes();  // a move keeps the bytes where they are
+  return {std::move(file), bytes};
 }
 
-Reader Reader::over(std::span<const std::uint8_t> bytes) {
-  return Reader(borrowed_stream(bytes));
+Reader Reader::over(std::span<const std::uint8_t> bytes) { return {MappedFile{}, bytes}; }
+
+ReadStatus Reader::finish(ReadStatus status) noexcept {
+  done_ = true;
+  if (status == ReadStatus::kTruncated && obs_truncated_ != nullptr) obs_truncated_->add();
+  if (status == ReadStatus::kBadRecord && obs_bad_records_ != nullptr) {
+    obs_bad_records_->add();
+  }
+  return status;
 }
 
 ReadStatus Reader::next(net::RawFrame& out) {
-  std::array<std::uint8_t, kRecordHeaderSize> record{};
-  stream_->read(reinterpret_cast<char*>(record.data()),
-                static_cast<std::streamsize>(record.size()));
-  const auto got = stream_->gcount();
-  if (got == 0) return ReadStatus::kEndOfFile;
-  if (got != static_cast<std::streamsize>(record.size())) {
-    if (obs_truncated_ != nullptr) obs_truncated_->add();
-    return ReadStatus::kTruncated;
+  if (done_) return ReadStatus::kEndOfFile;
+  const auto left = bytes_.size() - offset_;
+  if (left < kRecordHeaderSize) {
+    return finish(left == 0 ? ReadStatus::kEndOfFile : ReadStatus::kTruncated);
   }
-
   RecordHeader header;
-  if (parse_record_header(record, info_, header) != ReadStatus::kOk) {
-    if (obs_bad_records_ != nullptr) obs_bad_records_->add();
-    return ReadStatus::kBadRecord;
+  if (parse_record_header(bytes_.subspan(offset_, kRecordHeaderSize), info_, header) !=
+      ReadStatus::kOk) {
+    return finish(ReadStatus::kBadRecord);
   }
+  if (left - kRecordHeaderSize < header.captured_length) return finish(ReadStatus::kTruncated);
 
-  out.bytes.resize(header.captured_length);
-  stream_->read(reinterpret_cast<char*>(out.bytes.data()),
-                static_cast<std::streamsize>(header.captured_length));
-  if (stream_->gcount() != static_cast<std::streamsize>(header.captured_length)) {
-    if (obs_truncated_ != nullptr) obs_truncated_->add();
-    return ReadStatus::kTruncated;
-  }
+  const auto* data = bytes_.data() + offset_ + kRecordHeaderSize;
+  out.bytes.assign(data, data + header.captured_length);
   out.timestamp_us = header.timestamp_us;
+  offset_ += kRecordHeaderSize + header.captured_length;
   ++frames_read_;
   if (obs_frames_ != nullptr) {
     obs_frames_->add();

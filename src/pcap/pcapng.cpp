@@ -1,11 +1,9 @@
 #include "pcap/pcapng.h"
 
-#include <array>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "net/endian.h"
 
@@ -60,62 +58,70 @@ std::optional<net::TimeUs> ticks_to_us(std::uint64_t ticks, std::uint64_t ticks_
 
 }  // namespace
 
-bool NgReader::read_exact(void* buffer, std::size_t size) {
-  stream_->read(static_cast<char*>(buffer), static_cast<std::streamsize>(size));
-  return stream_->gcount() == static_cast<std::streamsize>(size);
-}
-
-NgReader::NgReader(std::unique_ptr<std::istream> stream) : stream_(std::move(stream)) {
-  if (!stream_ || !*stream_) {
-    throw std::runtime_error("pcapng: cannot read capture stream");
-  }
+NgReader::NgReader(MappedFile file, std::span<const std::uint8_t> bytes)
+    : file_(std::move(file)), bytes_(bytes) {
   // The first block must be a Section Header Block. Its type field is
   // the palindromic 0x0A0D0D0A in either byte order; the byte-order
   // magic inside the body disambiguates endianness.
-  std::array<std::uint8_t, 8> head{};
-  if (!read_exact(head.data(), head.size())) {
+  if (bytes_.size() < 8) {
     throw std::runtime_error("pcapng: capture shorter than a block header");
   }
-  if (net::load_le32(head.data()) != kSectionHeaderBlock) {
+  if (!looks_like_pcapng(bytes_)) {
     throw std::runtime_error("pcapng: missing Section Header Block");
   }
-  // Peek the byte-order magic to learn endianness, then the total length.
-  std::array<std::uint8_t, 4> magic{};
-  if (!read_exact(magic.data(), magic.size())) {
+  Block section;
+  const auto framed = next_block(section);
+  if (framed == ReadStatus::kTruncated) {
     throw std::runtime_error("pcapng: truncated Section Header Block");
   }
-  if (net::load_le32(magic.data()) == kByteOrderMagic) {
-    big_endian_ = false;
-  } else if (net::load_be32(magic.data()) == kByteOrderMagic) {
-    big_endian_ = true;
-  } else {
-    throw std::runtime_error("pcapng: bad byte-order magic");
-  }
-  const auto total_length = load32(head.data() + 4, big_endian_);
-  if (total_length < 28 || total_length % 4 != 0 || total_length > kMaxBlockLength) {
-    throw std::runtime_error("pcapng: implausible SHB length");
-  }
-  // Skip the rest of the SHB (version, section length, options, trailing
-  // total length): total - 8 (head) - 4 (magic already read).
-  std::vector<std::uint8_t> rest(total_length - 12);
-  if (!read_exact(rest.data(), rest.size())) {
-    throw std::runtime_error("pcapng: truncated Section Header Block");
+  if (framed != ReadStatus::kOk) {
+    throw std::runtime_error("pcapng: corrupt Section Header Block");
   }
 }
 
 NgReader NgReader::open(const std::filesystem::path& path) {
-  auto stream = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!stream->is_open()) {
-    throw std::runtime_error("pcapng: cannot open " + path.string());
+  auto file = MappedFile::open(path);
+  const auto bytes = file.bytes();  // a move keeps the bytes where they are
+  return {std::move(file), bytes};
+}
+
+NgReader NgReader::over(std::span<const std::uint8_t> bytes) { return {MappedFile{}, bytes}; }
+
+ReadStatus NgReader::next_block(Block& block) {
+  const auto left = bytes_.size() - offset_;
+  if (left == 0) return ReadStatus::kEndOfFile;
+  if (left < 8) return ReadStatus::kTruncated;
+  const std::uint8_t* head = bytes_.data() + offset_;
+  const bool is_shb = net::load_le32(head) == kSectionHeaderBlock;
+  if (is_shb) {
+    // A new section may switch endianness: read its byte-order magic
+    // first, then interpret the length fields accordingly.
+    if (left < 12) return ReadStatus::kTruncated;
+    if (net::load_le32(head + 8) == kByteOrderMagic) {
+      big_endian_ = false;
+    } else if (net::load_be32(head + 8) == kByteOrderMagic) {
+      big_endian_ = true;
+    } else {
+      return ReadStatus::kBadRecord;
+    }
   }
-  return NgReader(std::move(stream));
+  const auto total_length = load32(head + 4, big_endian_);
+  if (total_length < (is_shb ? 28u : 12u) || total_length % 4 != 0 ||
+      total_length > kMaxBlockLength) {
+    return ReadStatus::kBadRecord;
+  }
+  if (left < total_length) return ReadStatus::kTruncated;
+  // Verify the redundant trailing length.
+  if (load32(head + total_length - 4, big_endian_) != total_length) {
+    return ReadStatus::kBadRecord;
+  }
+  block.type = load32(head, big_endian_);
+  block.body = bytes_.subspan(offset_ + 8, total_length - 12);
+  offset_ += total_length;
+  return ReadStatus::kOk;
 }
 
-NgReader NgReader::over(std::span<const std::uint8_t> bytes) {
-  return NgReader(borrowed_stream(bytes));
-}
-
-bool NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
+bool NgReader::parse_interface_block(std::span<const std::uint8_t> body) {
   Interface iface;
   if (body.size() >= 8) {
     iface.link_type = load16(body.data(), big_endian_);
@@ -140,52 +146,21 @@ bool NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
 }
 
 ReadStatus NgReader::next(net::RawFrame& out) {
+  if (done_) return ReadStatus::kEndOfFile;
+  const auto status = read_packet(out);
+  done_ = status != ReadStatus::kOk;
+  return status;
+}
+
+ReadStatus NgReader::read_packet(net::RawFrame& out) {
   for (;;) {
-    std::array<std::uint8_t, 8> head{};
-    stream_->read(reinterpret_cast<char*>(head.data()), 8);
-    const auto got = stream_->gcount();
-    if (got == 0) return ReadStatus::kEndOfFile;
-    if (got != 8) return ReadStatus::kTruncated;
-
-    const bool is_shb = net::load_le32(head.data()) == kSectionHeaderBlock;
-    if (is_shb) {
-      // A new section may switch endianness: read its byte-order magic
-      // first, then reinterpret the length field accordingly.
-      std::array<std::uint8_t, 4> magic{};
-      if (!read_exact(magic.data(), magic.size())) return ReadStatus::kTruncated;
-      if (net::load_le32(magic.data()) == kByteOrderMagic) {
-        big_endian_ = false;
-      } else if (net::load_be32(magic.data()) == kByteOrderMagic) {
-        big_endian_ = true;
-      } else {
-        return ReadStatus::kBadRecord;
-      }
-      const auto shb_length = load32(head.data() + 4, big_endian_);
-      if (shb_length < 28 || shb_length % 4 != 0 || shb_length > kMaxBlockLength) {
-        return ReadStatus::kBadRecord;
-      }
-      std::vector<std::uint8_t> rest(shb_length - 12);
-      if (!read_exact(rest.data(), rest.size())) return ReadStatus::kTruncated;
-      interfaces_.clear();  // interfaces are per-section
-      continue;
-    }
-
-    const auto block_type = load32(head.data(), big_endian_);
-    const auto total_length = load32(head.data() + 4, big_endian_);
-    if (total_length < 12 || total_length % 4 != 0 || total_length > kMaxBlockLength) {
-      return ReadStatus::kBadRecord;
-    }
-
-    std::vector<std::uint8_t> body(total_length - 12);
-    if (!read_exact(body.data(), body.size())) return ReadStatus::kTruncated;
-    std::array<std::uint8_t, 4> trailer{};
-    if (!read_exact(trailer.data(), trailer.size())) return ReadStatus::kTruncated;
-    // Verify the redundant trailing length.
-    if (load32(trailer.data(), big_endian_) != total_length) {
-      return ReadStatus::kBadRecord;
-    }
-
-    switch (block_type) {
+    Block block;
+    if (const auto framed = next_block(block); framed != ReadStatus::kOk) return framed;
+    const auto body = block.body;
+    switch (block.type) {
+      case kSectionHeaderBlock:
+        interfaces_.clear();  // interfaces are per-section
+        continue;
       case kInterfaceBlock:
         if (!parse_interface_block(body)) return ReadStatus::kBadRecord;
         continue;
@@ -206,7 +181,7 @@ ReadStatus NgReader::next(net::RawFrame& out) {
         const auto timestamp_us = ticks_to_us(ticks, resolution);
         if (!timestamp_us) return ReadStatus::kBadRecord;
         out.timestamp_us = *timestamp_us;
-        out.bytes.assign(body.begin() + 20, body.begin() + 20 + captured);
+        out.bytes.assign(body.data() + 20, body.data() + 20 + captured);
         return ReadStatus::kOk;
       }
       case kSimplePacketBlock: {
@@ -215,7 +190,7 @@ ReadStatus NgReader::next(net::RawFrame& out) {
         const auto captured =
             std::min<std::size_t>(original, body.size() - 4);
         out.timestamp_us = 0;  // SPBs carry no timestamp
-        out.bytes.assign(body.begin() + 4, body.begin() + 4 + static_cast<std::ptrdiff_t>(captured));
+        out.bytes.assign(body.data() + 4, body.data() + 4 + captured);
         return ReadStatus::kOk;
       }
       default:
@@ -239,20 +214,11 @@ bool looks_like_pcapng(std::span<const std::uint8_t> head) {
   return head.size() >= 4 && net::load_le32(head.data()) == kSectionHeaderBlock;
 }
 
-bool looks_like_pcapng(const std::filesystem::path& path) {
-  std::ifstream stream(path, std::ios::binary);
-  std::array<std::uint8_t, 4> head{};
-  stream.read(reinterpret_cast<char*>(head.data()), 4);
-  return stream.gcount() == 4 && looks_like_pcapng(head);
-}
-
 std::pair<std::vector<net::RawFrame>, ReadStatus> read_any_capture(
     const std::filesystem::path& path) {
-  if (looks_like_pcapng(path)) {
-    auto reader = NgReader::open(path);
-    return reader.read_all();
-  }
-  return read_file(path);
+  const auto file = MappedFile::open(path);
+  if (looks_like_pcapng(file.bytes())) return NgReader::over(file.bytes()).read_all();
+  return Reader::over(file.bytes()).read_all();
 }
 
 }  // namespace synscan::pcap

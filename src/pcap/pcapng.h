@@ -9,15 +9,19 @@
 //   - Enhanced Packet Block (6) and the obsolete Simple Packet Block (3)
 // Unknown block types are skipped by length, as the spec requires.
 // Timestamps are normalized to microseconds, matching `net::RawFrame`.
-// A corrupt block ends the capture with kBadRecord, the frames before it
-// kept; that includes an `if_tsresol` whose ticks per second do not fit
-// 64 bits and a packet timestamp that does not fit `net::TimeUs`.
+// Like `Reader`, it walks one byte window — a `MappedFile` it owns, or
+// bytes it borrows — and parses each block in place; only a packet's
+// bytes are copied, into the caller's frame. Every block, Section Header
+// Blocks included, passes one framing check: a plausible length and a
+// matching trailing copy of it. A corrupt block ends the capture with
+// kBadRecord, the frames before it kept; that includes an `if_tsresol`
+// whose ticks per second do not fit 64 bits and a packet timestamp that
+// does not fit `net::TimeUs`. The first defect is reported once, then
+// `next` returns kEndOfFile.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <istream>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,18 +30,22 @@
 
 namespace synscan::pcap {
 
-/// Streaming pcapng reader. Multiple sections per file are supported
+/// Pull-style pcapng reader. Multiple sections per file are supported
 /// (each introduced by its own Section Header Block).
 class NgReader {
  public:
-  /// Opens a pcapng stream; throws `std::runtime_error` when the first
-  /// block is not a valid Section Header Block.
-  explicit NgReader(std::unique_ptr<std::istream> stream);
+  /// Not copyable or movable: the window may live in `file_`, and a
+  /// moved-from reader would still view it.
+  NgReader(NgReader&&) = delete;
 
+  /// Maps a pcapng file (or reads it whole when it cannot be mapped).
+  /// Throws `std::runtime_error` when the file cannot be read or its
+  /// first block is not a valid Section Header Block.
   [[nodiscard]] static NgReader open(const std::filesystem::path& path);
 
   /// Reads a pcapng capture already in memory (a `MappedFile`'s bytes)
-  /// without copying it. The bytes must outlive the reader.
+  /// without copying it. The bytes must outlive the reader. Throws like
+  /// `open`.
   [[nodiscard]] static NgReader over(std::span<const std::uint8_t> bytes);
 
   /// Reads the next packet (from an EPB or SPB), skipping interleaved
@@ -45,7 +53,7 @@ class NgReader {
   /// Blocks, which carry none, get timestamp 0.
   [[nodiscard]] ReadStatus next(net::RawFrame& out);
 
-  /// Drains the stream.
+  /// Drains the capture.
   [[nodiscard]] std::pair<std::vector<net::RawFrame>, ReadStatus> read_all();
 
   [[nodiscard]] std::size_t interfaces_seen() const noexcept {
@@ -59,22 +67,36 @@ class NgReader {
     std::uint64_t ticks_per_second = 1'000'000;
   };
 
-  [[nodiscard]] bool read_exact(void* buffer, std::size_t size);
-  /// Records one interface; false when its `if_tsresol` is unusable.
-  [[nodiscard]] bool parse_interface_block(const std::vector<std::uint8_t>& body);
+  /// One block framed in place.
+  struct Block {
+    std::uint32_t type = 0;
+    std::span<const std::uint8_t> body;  ///< between the head and the trailing length
+  };
 
-  std::unique_ptr<std::istream> stream_;
+  NgReader(MappedFile file, std::span<const std::uint8_t> bytes);
+
+  /// Frames the block at the cursor and steps past it: kOk, kEndOfFile
+  /// at the end of the window, kTruncated when the window ends inside
+  /// the block, kBadRecord when its lengths disagree. A Section Header
+  /// Block's byte-order magic sets the byte order first.
+  [[nodiscard]] ReadStatus next_block(Block& block);
+  /// `next` without the terminal-status latch.
+  [[nodiscard]] ReadStatus read_packet(net::RawFrame& out);
+  /// Records one interface; false when its `if_tsresol` is unusable.
+  [[nodiscard]] bool parse_interface_block(std::span<const std::uint8_t> body);
+
+  MappedFile file_;  ///< owns the window after `open`; empty after `over`
+  std::span<const std::uint8_t> bytes_;  ///< the whole capture window
+  std::size_t offset_ = 0;
   bool big_endian_ = false;
+  bool done_ = false;
   std::vector<Interface> interfaces_;
 };
 
 /// True if the bytes start with the pcapng Section Header Block magic
-/// (use to dispatch between `Reader` and `NgReader`).
+/// (use to dispatch between `Reader` and `NgReader` over bytes already
+/// in hand: input that can be read only once, a FIFO, is read once).
 [[nodiscard]] bool looks_like_pcapng(std::span<const std::uint8_t> head);
-
-/// The same test on a file's first bytes. It opens the path, so use the
-/// bytes overload on input that can be read only once (a FIFO).
-[[nodiscard]] bool looks_like_pcapng(const std::filesystem::path& path);
 
 /// Format-dispatching convenience: reads classic pcap or pcapng.
 [[nodiscard]] std::pair<std::vector<net::RawFrame>, ReadStatus> read_any_capture(

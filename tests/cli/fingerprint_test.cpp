@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,9 +76,16 @@ std::vector<net::RawFrame> mixed_frames(const telescope::Telescope& telescope) {
   return frames;
 }
 
-/// `synscan fingerprint <capture>`'s stdout.
-std::string fingerprint_output(const fs::path& capture) {
+/// What `synscan fingerprint <capture>` printed.
+struct Output {
+  std::string out;
+  std::string err;
+};
+
+/// `synscan fingerprint <capture>`'s stdout and stderr.
+Output fingerprint_output(const fs::path& capture) {
   ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
   int code = -1;
   std::string error;
   try {
@@ -85,11 +93,13 @@ std::string fingerprint_output(const fs::path& capture) {
   } catch (const std::exception& thrown) {
     error = thrown.what();
   }
-  // Reported only once stdout is released, or the message is captured.
-  const auto out = ::testing::internal::GetCapturedStdout();
+  // Reported only once the streams are released, or the message is captured.
+  Output output;
+  output.err = ::testing::internal::GetCapturedStderr();
+  output.out = ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(error, "") << capture;
   EXPECT_EQ(code, 0) << capture;
-  return out;
+  return output;
 }
 
 std::vector<std::string> words(const std::string& line) {
@@ -97,6 +107,20 @@ std::vector<std::string> words(const std::string& line) {
   std::vector<std::string> out;
   for (std::string word; in >> word;) out.push_back(word);
   return out;
+}
+
+/// Each source's evidence from every scan probe among `frames`.
+Evidence reference_evidence(const telescope::Telescope& telescope,
+                            std::span<const net::RawFrame> frames) {
+  Evidence reference;
+  telescope::Sensor sensor(telescope);
+  telescope::ScanProbe probe;
+  for (const auto& frame : frames) {
+    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
+      reference[probe.source.value()].observe(probe);
+    }
+  }
+  return reference;
 }
 
 /// The report rows the command must print for `reference`: sources in
@@ -117,6 +141,33 @@ std::vector<std::vector<std::string>> expected_rows(const Evidence& reference) {
   return rows;
 }
 
+/// Runs the command on `capture` cold, then from the `.spc` the first
+/// run wrote: each run must print `reference`'s report on stdout and
+/// exactly `warning` on stderr.
+void expect_report(const fs::path& capture, const Evidence& reference,
+                   const std::string& warning) {
+  const auto want = expected_rows(reference);
+  for (const char* pass : {"cold", "cached"}) {
+    const auto output = fingerprint_output(capture);
+    EXPECT_EQ(output.err, warning) << pass;
+    std::istringstream out(output.out);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(out, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), want.size() + 3) << pass;
+    EXPECT_EQ(words(lines[0]),
+              (std::vector<std::string>{"source", "probes", "verdict", "zmap", "masscan",
+                                        "mirai", "nmap-pairs", "unicorn-pairs"}))
+        << pass;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(words(lines[i + 2]), want[i]) << pass << " row " << i;
+    }
+    EXPECT_EQ(lines.back(), "(" + std::to_string(reference.size()) +
+                                " sources total; showing up to 40 with >=3 probes)")
+        << pass;
+  }
+  EXPECT_TRUE(fs::exists(capture.string() + ".spc"));
+}
+
 TEST(CliFingerprint, ReportMatchesPerProbeReference) {
   const auto dir = fs::temp_directory_path() / "synscan_cli_fingerprint";
   fs::remove_all(dir);
@@ -125,14 +176,7 @@ TEST(CliFingerprint, ReportMatchesPerProbeReference) {
   const auto frames = mixed_frames(telescope);
   pcap::write_file(dir / "mixed.pcap", frames);
 
-  Evidence reference;
-  telescope::Sensor sensor(telescope);
-  telescope::ScanProbe probe;
-  for (const auto& frame : frames) {
-    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-      reference[probe.source.value()].observe(probe);
-    }
-  }
+  const auto reference = reference_evidence(telescope, frames);
   // The capture exercises what the report filters and caps: chatter
   // below three probes, more than 40 reportable sources, and a verdict
   // for every tool.
@@ -146,23 +190,36 @@ TEST(CliFingerprint, ReportMatchesPerProbeReference) {
   ASSERT_EQ(reportable, 48u);
   ASSERT_EQ(verdicts.size(), fingerprint::kToolCount);
 
-  const auto want = expected_rows(reference);
-  // Cold, then from the `.spc` the first run wrote.
-  for (const char* pass : {"cold", "cached"}) {
-    std::istringstream out(fingerprint_output(dir / "mixed.pcap"));
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(out, line);) lines.push_back(line);
-    ASSERT_EQ(lines.size(), want.size() + 3) << pass;
-    EXPECT_EQ(words(lines[0]),
-              (std::vector<std::string>{"source", "probes", "verdict", "zmap", "masscan",
-                                        "mirai", "nmap-pairs", "unicorn-pairs"}))
-        << pass;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(words(lines[i + 2]), want[i]) << pass << " row " << i;
-    }
-    EXPECT_EQ(lines.back(), "(60 sources total; showing up to 40 with >=3 probes)") << pass;
-  }
-  EXPECT_TRUE(fs::exists(dir / "mixed.pcap.spc"));
+  expect_report(dir / "mixed.pcap", reference, "");
+  fs::remove_all(dir);
+}
+
+TEST(CliFingerprint, TruncatedCaptureWarnsAndReportsReadablePrefix) {
+  // The mixed capture cut inside the body of its middle record, as a
+  // capture process killed mid-write leaves it: the report covers the
+  // records before the cut, and the terminal status — kept in the
+  // `.spc` — turns into a warning on both runs.
+  const auto dir = fs::temp_directory_path() / "synscan_cli_fingerprint_truncated";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto telescope = telescope::Telescope::paper_default();
+  const auto frames = mixed_frames(telescope);
+  const auto capture = dir / "mixed.pcap";
+  pcap::write_file(capture, frames);
+
+  const std::size_t kept = frames.size() / 2;
+  auto cut = pcap::kGlobalHeaderSize;
+  for (std::size_t i = 0; i < kept; ++i) cut += pcap::kRecordHeaderSize + frames[i].bytes.size();
+  cut += pcap::kRecordHeaderSize + frames[kept].bytes.size() / 2;
+  fs::resize_file(capture, cut);
+
+  const auto reference =
+      reference_evidence(telescope, std::span(frames).first(kept));
+  ASSERT_LT(reference.size(), 60u);
+  expect_report(capture,
+                reference,
+                "warning: capture ends mid-record (truncated write?); analyzed the "
+                "readable prefix\n");
   fs::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/ingest.h"
+#include "net/endian.h"
 #include "pcap/pcap.h"
 #include "telescope/probe_batch.h"
 #include "test_support.h"
@@ -138,6 +139,54 @@ TEST_F(PcapngTest, CorruptTrailerIsBadRecord) {
   EXPECT_EQ(status, ReadStatus::kBadRecord);
 }
 
+TEST_F(PcapngTest, CorruptBlockEndsTheCapture) {
+  // An EPB whose trailing length disagrees with its head, then a valid
+  // EPB: framing is lost, so the reader must not resume past it.
+  NgBuilder builder;
+  builder.section_header().interface_block().enhanced_packet(0, 1, {1, 2, 3, 4});
+  auto image = builder.bytes();
+  net::store_le32(image.data() + image.size() - 4, 0xdeadbeef);
+  NgBuilder valid;
+  valid.enhanced_packet(0, 2, {5, 6, 7, 8});
+  image.insert(image.end(), valid.bytes().begin(), valid.bytes().end());
+
+  auto reader = NgReader::over(image);
+  net::RawFrame frame;
+  EXPECT_EQ(reader.next(frame), ReadStatus::kBadRecord);
+  EXPECT_EQ(reader.next(frame), ReadStatus::kEndOfFile);
+  EXPECT_EQ(reader.next(frame), ReadStatus::kEndOfFile);
+}
+
+/// Where the trailing length of an `NgBuilder::section_header` block
+/// sits, from the block's first byte (the block is 28 bytes long).
+constexpr std::size_t kShbTrailer = 24;
+
+TEST_F(PcapngTest, CorruptFirstSectionTrailerThrows) {
+  // Section Header Blocks pass the same framing check as every other
+  // block; the first one failing it is not a pcapng capture.
+  NgBuilder builder;
+  builder.section_header().interface_block().enhanced_packet(0, 1, {0x01});
+  auto image = builder.bytes();
+  net::store_le32(image.data() + kShbTrailer, 0xdeadbeef);
+  EXPECT_THROW((void)NgReader::over(image), std::runtime_error);
+}
+
+TEST_F(PcapngTest, CorruptLaterSectionTrailerIsBadRecord) {
+  NgBuilder first;
+  first.section_header().interface_block().enhanced_packet(0, 10, {0x01});
+  NgBuilder second;
+  second.section_header().interface_block().enhanced_packet(0, 20, {0x02});
+  auto image = first.bytes();
+  const auto second_at = image.size();
+  image.insert(image.end(), second.bytes().begin(), second.bytes().end());
+  net::store_le32(image.data() + second_at + kShbTrailer, 0xdeadbeef);
+
+  auto [frames, status] = NgReader::over(image).read_all();
+  EXPECT_EQ(status, ReadStatus::kBadRecord);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].timestamp_us, 10);
+}
+
 TEST_F(PcapngTest, TsresolBeyondSixtyFourBitsIsBadRecord) {
   // 2^-64 and finer, and 10^-20 and finer, name more ticks per second
   // than 64 bits hold: the interface block is corrupt, and the capture
@@ -213,14 +262,14 @@ TEST_F(PcapngTest, FormatDispatchReadsBoth) {
   NgBuilder builder;
   builder.section_header().interface_block().enhanced_packet(0, 1, {0x77});
   builder.write(path("dispatch.pcapng"));
-  EXPECT_TRUE(looks_like_pcapng(path("dispatch.pcapng")));
+  EXPECT_TRUE(looks_like_pcapng(builder.bytes()));
   auto [ng_frames, ng_status] = read_any_capture(path("dispatch.pcapng"));
   EXPECT_EQ(ng_frames.size(), 1u);
 
   // ...and classic pcap through the same entry point.
   const std::vector<net::RawFrame> classic = {{123, {0x01, 0x02}}};
   write_file(path("dispatch.pcap"), classic);
-  EXPECT_FALSE(looks_like_pcapng(path("dispatch.pcap")));
+  EXPECT_FALSE(looks_like_pcapng(MappedFile::open(path("dispatch.pcap")).bytes()));
   auto [frames, status] = read_any_capture(path("dispatch.pcap"));
   EXPECT_EQ(status, ReadStatus::kEndOfFile);
   ASSERT_EQ(frames.size(), 1u);
@@ -229,8 +278,8 @@ TEST_F(PcapngTest, FormatDispatchReadsBoth) {
 
 TEST_F(PcapngTest, IngestBatchesMatchClassicPcap) {
   // pcapng records reach core::FrameBatcher through `push`; the same
-  // frames as a classic pcap through the mapped `ChunkReader::scan` walk
-  // into `consume`. Both must
+  // frames as a classic pcap through the mapped `Reader::scan` walk into
+  // `consume`. Both must
   // deliver identical probes, counters and batch boundaries. 5000 frames
   // span a full batch and a partial one.
   const telescope::Telescope telescope({{*net::Ipv4Prefix::parse("198.51.0.0/20"), 1000}},
