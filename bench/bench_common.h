@@ -1,7 +1,8 @@
 // Shared infrastructure for the experiment benches.
 //
-// Every bench binary regenerates one table or figure of the paper from a
-// fresh simulation of the relevant measurement window(s). Command line:
+// Every paper bench binary regenerates one table or figure of the paper
+// from a fresh simulation of the relevant measurement window(s).
+// Command line:
 //   --scale=<x>     divide volumes by x on top of the calibrated scale
 //                   (ecosystem.h documents kPacketScale/kScanScale)
 //   --year=<y>      restrict multi-year benches to one year
@@ -9,18 +10,29 @@
 //   --metrics[=<f>] emit an obs::RunReport at exit — machine-readable
 //                   JSON when a path is given, an ASCII table otherwise
 //                   (docs/OBSERVABILITY.md documents the schema)
+//
+// The four perf-smoke binaries (bench_ingest, bench_analyze,
+// bench_synscand, bench_rollup) share the scaffold at the end of this
+// file: their flag reader, scratch directory, telescope, burst-shaped
+// capture and peak-RSS probe.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <unistd.h>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/analysis_summary.h"
@@ -30,11 +42,18 @@
 #include "core/port_tally.h"
 #include "core/volatility.h"
 #include "enrich/registry.h"
+#include "net/packet.h"
 #include "obs/run_report.h"
 #include "obs/timer.h"
+#include "pcap/pcap.h"
 #include "simgen/ecosystem.h"
 #include "simgen/generator.h"
+#include "simgen/rng.h"
 #include "telescope/telescope.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
 
 namespace synscan::bench {
 
@@ -126,10 +145,10 @@ inline Options parse_options(int argc, char** argv) {
 /// Warmed median-of-N runner. Executes `run` `warmup` unmeasured times
 /// (absorbing cold-cache and first-touch page-fault effects), then
 /// `iterations` measured times, and returns the run whose duration —
-/// extracted by `seconds_of(result)` — is the median. BENCH_*.json is a
-/// trajectory compared across commits, so a single-shot sample's
-/// run-to-run swing reads as a phantom regression; the warmup + median
-/// pair is what makes one appended record comparable to the last.
+/// extracted by `seconds_of(result)` — is the median. A single-shot
+/// sample's run-to-run swing would read as a regression against a
+/// perf-smoke gate; the warmup + median pair is what makes one run
+/// comparable to the next.
 template <typename Run, typename SecondsOf>
 auto median_result(Run&& run, SecondsOf&& seconds_of, int iterations, int warmup) {
   for (int i = 0; i < warmup; ++i) (void)run();
@@ -266,6 +285,150 @@ inline void print_banner(std::string_view experiment, std::string_view paper_ref
             << "scale: packets 1/" << packet_upscale(options) << ", scans 1/"
             << scan_upscale(options) << " of the paper's telescope\n"
             << "================================================================\n";
+}
+
+// --- Perf-smoke scaffold ------------------------------------------------
+
+/// One command-line flag of a perf-smoke binary and the option it sets.
+/// A number or string is given as `--name=value` and converts the way
+/// strtoull, atoi and strtod do (an unparsable value reads as 0); a
+/// bool is a bare `--name` switch.
+struct Flag {
+  std::string_view name;
+  std::variant<std::uint64_t*, int*, double*, std::string*, bool*> target;
+};
+
+/// Sets the option of every flag named in argv. An argument that names
+/// no flag is reported on stderr and exits with status 2.
+inline void parse_flags(int argc, char** argv, std::initializer_list<Flag> flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto flag = std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+      const auto spelled = "--" + std::string(f.name);
+      return std::holds_alternative<bool*>(f.target)
+                 ? arg == spelled
+                 : arg.substr(0, spelled.size() + 1) == spelled + "=";
+    });
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::exit(2);
+    }
+    // What follows "--name="; empty for a switch.
+    const std::string value(arg.substr(std::min(arg.size(), flag->name.size() + 3)));
+    std::visit(
+        [&](auto* target) {
+          using T = std::remove_pointer_t<decltype(target)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            *target = true;
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            *target = value;
+          } else if constexpr (std::is_same_v<T, double>) {
+            *target = std::strtod(value.c_str(), nullptr);
+          } else if constexpr (std::is_same_v<T, int>) {
+            *target = std::atoi(value.c_str());
+          } else {
+            *target = std::strtoull(value.c_str(), nullptr, 10);
+          }
+        },
+        flag->target);
+  }
+}
+
+/// A fresh scratch directory for one run of a perf-smoke binary, removed
+/// when it goes out of scope. The process id in its name keeps
+/// concurrent runs of one binary from deleting each other's files.
+class ScratchDir {
+ public:
+  explicit ScratchDir(std::string_view binary)
+      : path_(std::filesystem::temp_directory_path() /
+              ("synscan_" + std::string(binary) + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ScratchDir(ScratchDir&&) = delete;
+  ScratchDir& operator=(ScratchDir&&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const noexcept { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// The perf-smoke telescope: 198.51.0.0/16, every address dark, 23/TCP
+/// dropped at the ingress.
+inline const telescope::Telescope& bench_telescope() {
+  static const telescope::Telescope telescope(
+      {{*net::Ipv4Prefix::parse("198.51.0.0/16"), 1000}},
+      {{23, 0}});
+  return telescope;
+}
+
+/// Writes a campaign-shaped capture of `frames` frames: a pool of 4096
+/// sources emitting *bursts* of SYN probes (scan traffic arrives in
+/// per-source runs — the access pattern the batched observers'
+/// memoization targets), with enough backscatter and off-telescope
+/// noise that the sensor branches stay on the measured ingest path.
+inline void write_burst_capture(const std::filesystem::path& path, std::uint64_t frames,
+                                std::uint64_t seed) {
+  simgen::Rng rng(seed);
+  auto writer = pcap::Writer::create(path);
+  net::RawFrame frame;
+  net::TimeUs now = 0;
+  constexpr std::uint32_t kSources = 4096;
+  std::uint32_t burst_source = 0;
+  std::uint16_t burst_port = 80;
+  std::uint32_t burst_left = 0;
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    now += 40;
+    const std::uint64_t draw = rng.next_u64() % 100;
+    net::TcpFrameSpec tcp;
+    if (burst_left == 0) {
+      // New scan burst: sources come from a few distinct /8-ish pools so
+      // the registry and geo lookups exercise different prefixes.
+      burst_source = 0x05000000u + (rng.next_u32() % kSources) * 977u;
+      burst_port = (rng.next_u64() % 4 == 0) ? 443 : 80;
+      burst_left = 16 + rng.next_u32() % 48;
+    }
+    --burst_left;
+    tcp.src_ip = net::Ipv4Address(burst_source);
+    tcp.dst_ip = net::Ipv4Address(0xc6330000u + rng.next_u32() % 65536);
+    tcp.src_port = static_cast<std::uint16_t>(40000 + rng.next_u32() % 20000);
+    tcp.dst_port = burst_port;
+    tcp.sequence = rng.next_u32();
+    tcp.ip_id = static_cast<std::uint16_t>(rng.next_u32());
+    if (draw < 88) {
+      // scan probe (defaults: SYN)
+    } else if (draw < 94) {
+      tcp.flags = net::flag_bit(net::TcpFlag::kSyn) | net::flag_bit(net::TcpFlag::kAck);
+    } else {
+      tcp.dst_ip = net::Ipv4Address(0x08080000u + rng.next_u32() % 65536);  // off-net
+    }
+    frame.timestamp_us = now;
+    frame.bytes = net::build_tcp_frame(tcp);
+    writer.write(frame);
+  }
+  writer.flush();
+}
+
+/// Peak resident set size in kilobytes, or 0 where unsupported.
+inline long peak_rss_kb() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+#if defined(__APPLE__)
+  return usage.ru_maxrss / 1024;  // bytes on macOS
+#else
+  return usage.ru_maxrss;  // kilobytes on Linux
+#endif
+#else
+  return 0;
+#endif
 }
 
 }  // namespace synscan::bench

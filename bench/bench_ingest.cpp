@@ -1,8 +1,9 @@
 // Ingest perf workload: pcap records -> classified ScanProbes, reported
-// as JSON (see scripts/bench_baseline.sh and BENCH_ingest.json).
+// as JSON. CI's perf-smoke job runs it as a gross-regression gate;
+// speed claims come from perfbench/ (docs/PERFORMANCE.md "Measuring").
 //
 // One run measures all three ingest paths over the same generated
-// capture, so a single record carries its own baseline:
+// capture, so a single run carries its own baseline:
 //   pre        — record at a time: pcap::Reader::next, the mapped pull
 //                reader (one byte-vector copy per record), + per-frame
 //                Sensor::classify through decode_frame;
@@ -11,11 +12,11 @@
 //   cache_warm — core::ingest_capture over the .spc probe cache the
 //                cold pass just wrote (decode and classify skipped).
 // The probe counts of all paths must agree; the binary exits non-zero
-// if they diverge, so the baseline doubles as a correctness smoke.
+// if they diverge, so the run doubles as a correctness smoke.
 //
 // Every measured path is reported as a warmed median-of-N
 // (bench::median_result) next to a memcpy GB/s baseline measured on the
-// same buffer size, so each record carries the machine's effective
+// same buffer size, so each run carries the machine's effective
 // memory bandwidth: frames/s numbers from different hosts (or a noisy
 // VM) become comparable as a fraction of memcpy. `--check-ratio=<min>`
 // turns that fraction into a CI gate — mmap_batch GB/s must clear
@@ -44,30 +45,12 @@
 #include "telescope/sensor.h"
 #include "telescope/telescope.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace {
 
 using namespace synscan;
+using bench::bench_telescope;
 
 namespace fs = std::filesystem;
-
-/// Peak resident set size in kilobytes, or 0 where unsupported.
-long peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-#if defined(__APPLE__)
-  return usage.ru_maxrss / 1024;  // bytes on macOS
-#else
-  return usage.ru_maxrss;  // kilobytes on Linux
-#endif
-#else
-  return 0;
-#endif
-}
 
 struct Options {
   std::uint64_t frames = 2'000'000;
@@ -82,33 +65,14 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--frames=", 0) == 0) {
-      options.frames = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--label=", 0) == 0) {
-      options.label = arg.substr(8);
-    } else if (arg.rfind("--iters=", 0) == 0) {
-      options.iterations = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--warmup=", 0) == 0) {
-      options.warmup = std::atoi(arg.c_str() + 9);
-    } else if (arg.rfind("--check-ratio=", 0) == 0) {
-      options.check_ratio = std::strtod(arg.c_str() + 14, nullptr);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {{"frames", &options.frames},
+                      {"seed", &options.seed},
+                      {"label", &options.label},
+                      {"iters", &options.iterations},
+                      {"warmup", &options.warmup},
+                      {"check-ratio", &options.check_ratio}});
   return options;
-}
-
-const telescope::Telescope& bench_telescope() {
-  static const telescope::Telescope telescope(
-      {{*net::Ipv4Prefix::parse("198.51.0.0/16"), 1000}},
-      {{23, 0}});
-  return telescope;
 }
 
 /// Writes a telescope-shaped capture: mostly SYN probes, with enough
@@ -225,10 +189,8 @@ PathResult run_ingest(const fs::path& path, bool use_cache, bool expect_hit) {
 int main(int argc, char** argv) {
   const auto options = parse(argc, argv);
 
-  const auto dir = fs::temp_directory_path() / "synscan_bench_ingest";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const auto capture = dir / "workload.pcap";
+  const bench::ScratchDir dir("bench_ingest");
+  const auto capture = dir.path() / "workload.pcap";
   write_capture(capture, options);
   const auto capture_bytes = fs::file_size(capture);
 
@@ -243,7 +205,6 @@ int main(int argc, char** argv) {
   const auto post = median([&] { return run_ingest(capture, false, false); });
   (void)run_ingest(capture, true, false);  // cold pass writes the .spc
   const auto warm = median([&] { return run_ingest(capture, true, true); });
-  fs::remove_all(dir);
 
   if (pre.probes != post.probes || pre.probes != warm.probes ||
       pre.frames != post.frames || pre.frames != warm.frames) {
@@ -277,7 +238,7 @@ int main(int argc, char** argv) {
       "\"mmap_speedup\":%.2f,\"cache_speedup\":%.2f,"
       "\"mmap_vs_memcpy\":%.3f}\n",
       options.label.c_str(), pre.frames, pre.probes,
-      static_cast<std::uint64_t>(capture_bytes), peak_rss_kb(), options.iterations,
+      static_cast<std::uint64_t>(capture_bytes), bench::peak_rss_kb(), options.iterations,
       options.warmup, memcpy_gbps, pre.seconds, fps(pre), gbps(pre), post.seconds,
       fps(post), gbps(post), warm.seconds, fps(warm), gbps(warm),
       fps(post) / fps(pre), fps(warm) / fps(pre), ratio);

@@ -1,6 +1,7 @@
 // Rollup perf workload: sharded multi-capture analysis through the
-// `.spr` rollup store, reported as JSON (see scripts/bench_baseline.sh
-// and BENCH_rollup.json).
+// `.spr` rollup store, reported as JSON. CI's perf-smoke job runs it as
+// a gross-regression gate; speed claims come from perfbench/
+// (docs/PERFORMANCE.md "Measuring").
 //
 // One run measures four execution modes over the same generated shard
 // set — a single probe stream split into S capture files, with sources
@@ -16,12 +17,11 @@
 //                 shard re-analyzes, the rest load, everything merges.
 // The warm merge must produce byte-identical report JSON (counters +
 // campaign JSONL) to the cold analysis; the binary exits non-zero if
-// they diverge, so the baseline doubles as a correctness smoke.
+// they diverge, so the run doubles as a correctness smoke.
 //
 // `--check-ratio=<min>` gates cold/warm: the warm merge must be at
-// least `min` times faster than cold re-analysis. CI passes a
-// conservative floor; healthy builds run far above it (the recorded
-// baseline shows the real ratio).
+// least `min` times faster than cold re-analysis. CI passes a floor of
+// 3; docs/PERFORMANCE.md records the spread the CI command measures.
 //
 // Usage: bench_rollup [--frames=N] [--shards=N] [--workers=N]
 //                     [--label=STR] [--seed=N] [--iters=N]
@@ -41,37 +41,18 @@
 #include "pcap/pcap.h"
 #include "report/json.h"
 #include "simgen/rng.h"
-#include "telescope/telescope.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace {
 
 using namespace synscan;
+using bench::bench_telescope;
 
 namespace fs = std::filesystem;
-
-/// Peak resident set size in kilobytes, or 0 where unsupported.
-long peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-#if defined(__APPLE__)
-  return usage.ru_maxrss / 1024;  // bytes on macOS
-#else
-  return usage.ru_maxrss;  // kilobytes on Linux
-#endif
-#else
-  return 0;
-#endif
-}
 
 struct Options {
   std::uint64_t frames = 2'000'000;
   std::uint64_t shards = 8;
-  std::size_t workers = 0;
+  std::uint64_t workers = 0;
   std::uint64_t seed = 20240809;
   std::string label = "rollup";
   int iterations = 5;
@@ -82,38 +63,17 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--frames=", 0) == 0) {
-      options.frames = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options.workers = std::strtoull(arg.c_str() + 10, nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--label=", 0) == 0) {
-      options.label = arg.substr(8);
-    } else if (arg.rfind("--iters=", 0) == 0) {
-      options.iterations = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--warmup=", 0) == 0) {
-      options.warmup = std::atoi(arg.c_str() + 9);
-    } else if (arg.rfind("--check-ratio=", 0) == 0) {
-      options.check_ratio = std::strtod(arg.c_str() + 14, nullptr);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {{"frames", &options.frames},
+                      {"shards", &options.shards},
+                      {"workers", &options.workers},
+                      {"seed", &options.seed},
+                      {"label", &options.label},
+                      {"iters", &options.iterations},
+                      {"warmup", &options.warmup},
+                      {"check-ratio", &options.check_ratio}});
   if (options.shards == 0) options.shards = 1;
   return options;
-}
-
-const telescope::Telescope& bench_telescope() {
-  static const telescope::Telescope telescope(
-      {{*net::Ipv4Prefix::parse("198.51.0.0/16"), 1000}},
-      {{23, 0}});
-  return telescope;
 }
 
 /// Writes one probe stream as `shards` consecutive capture files. The
@@ -200,10 +160,8 @@ void expect(bool condition, const char* what) {
 int main(int argc, char** argv) {
   const auto options = parse(argc, argv);
 
-  const auto dir = fs::temp_directory_path() / "synscan_bench_rollup";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const auto captures = write_shards(dir, options);
+  const bench::ScratchDir dir("bench_rollup");
+  const auto captures = write_shards(dir.path(), options);
   std::uint64_t capture_bytes = 0;
   for (const auto& capture : captures) capture_bytes += fs::file_size(capture);
   const auto plan = core::plan_shards(captures);
@@ -250,7 +208,6 @@ int main(int argc, char** argv) {
   expect(warm.report == cold.report, "warm merge diverged from cold analysis");
   expect(incremental.report == cold.report,
          "incremental merge diverged from cold analysis");
-  fs::remove_all(dir);
 
   const double warm_speedup = cold.seconds / warm.seconds;
   const double incremental_speedup = cold.seconds / incremental.seconds;
@@ -263,7 +220,7 @@ int main(int argc, char** argv) {
       "\"warm_speedup\":%.2f,\"incremental_speedup\":%.2f,"
       "\"build_overhead\":%.3f}\n",
       options.label.c_str(), options.frames, options.shards, capture_bytes,
-      peak_rss_kb(), options.iterations, options.warmup, cold.seconds,
+      bench::peak_rss_kb(), options.iterations, options.warmup, cold.seconds,
       build.seconds, warm.seconds, incremental.seconds, warm_speedup,
       incremental_speedup, build.seconds / cold.seconds);
   if (options.check_ratio >= 0.0 && warm_speedup < options.check_ratio) {

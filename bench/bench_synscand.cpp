@@ -1,5 +1,6 @@
 // synscand load harness: open-loop framed queries against an in-process
-// daemon (see scripts/bench_baseline.sh and BENCH_synscand.json).
+// daemon, reported as JSON. CI's perf-smoke job runs it as a
+// gross-regression gate (docs/SYNSCAND.md "Load harness").
 //
 // The harness self-hosts: it generates a campaign-shaped capture,
 // starts a `server::Daemon` on a private Unix socket with the capture
@@ -41,48 +42,28 @@
 #include <unistd.h>
 #include <vector>
 
+#include "bench_common.h"
 #include "enrich/registry.h"
-#include "net/packet.h"
-#include "pcap/pcap.h"
 #include "server/client.h"
 #include "server/daemon.h"
 #include "server/frame.h"
 #include "server/protocol.h"
-#include "simgen/rng.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace {
 
 using namespace synscan;
+using bench::bench_telescope;
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-long peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-#if defined(__APPLE__)
-  return usage.ru_maxrss / 1024;  // bytes on macOS
-#else
-  return usage.ru_maxrss;  // kilobytes on Linux
-#endif
-#else
-  return 0;
-#endif
-}
-
 struct Options {
-  double rate = 4000.0;           ///< target queries per second
-  std::size_t connections = 16;   ///< pipelined client sockets
-  double seconds = 5.0;           ///< send window
-  std::uint64_t frames = 200'000; ///< synthetic capture size
+  double rate = 4000.0;             ///< target queries per second
+  std::uint64_t connections = 16;   ///< pipelined client sockets
+  double seconds = 5.0;             ///< send window
+  std::uint64_t frames = 200'000;   ///< synthetic capture size
   std::uint64_t seed = 20250809;
-  std::size_t workers = 3;        ///< daemon analysis workers (preload)
-  std::size_t io_workers = 2;     ///< daemon query pool
+  std::uint64_t workers = 3;        ///< daemon analysis workers (preload)
+  std::uint64_t io_workers = 2;     ///< daemon query pool
   std::string command = "QUERY counters";
   std::string label = "synscand";
   double check_qps = 0.0;  ///< 0 = no gate
@@ -91,87 +72,23 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--rate=", 0) == 0) {
-      options.rate = std::strtod(arg.c_str() + 7, nullptr);
-    } else if (arg.rfind("--connections=", 0) == 0) {
-      options.connections = std::strtoull(arg.c_str() + 14, nullptr, 10);
-    } else if (arg.rfind("--seconds=", 0) == 0) {
-      options.seconds = std::strtod(arg.c_str() + 10, nullptr);
-    } else if (arg.rfind("--frames=", 0) == 0) {
-      options.frames = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options.workers = std::strtoull(arg.c_str() + 10, nullptr, 10);
-    } else if (arg.rfind("--io-workers=", 0) == 0) {
-      options.io_workers = std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg.rfind("--command=", 0) == 0) {
-      options.command = arg.substr(10);
-    } else if (arg.rfind("--label=", 0) == 0) {
-      options.label = arg.substr(8);
-    } else if (arg.rfind("--check-qps=", 0) == 0) {
-      options.check_qps = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg == "--poll") {
-      options.force_poll = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {{"rate", &options.rate},
+                      {"connections", &options.connections},
+                      {"seconds", &options.seconds},
+                      {"frames", &options.frames},
+                      {"seed", &options.seed},
+                      {"workers", &options.workers},
+                      {"io-workers", &options.io_workers},
+                      {"command", &options.command},
+                      {"label", &options.label},
+                      {"check-qps", &options.check_qps},
+                      {"poll", &options.force_poll}});
   if (options.rate <= 0.0 || options.connections == 0 || options.seconds <= 0.0) {
     std::fprintf(stderr, "bench_synscand: rate, connections and seconds must be > 0\n");
     std::exit(2);
   }
   return options;
-}
-
-/// Same burst-structured workload shape as bench_analyze: per-source
-/// SYN runs with backscatter and off-telescope noise mixed in.
-void write_capture(const fs::path& path, const Options& options) {
-  simgen::Rng rng(options.seed);
-  auto writer = pcap::Writer::create(path);
-  net::RawFrame frame;
-  net::TimeUs now = 0;
-  std::uint32_t burst_source = 0;
-  std::uint16_t burst_port = 80;
-  std::uint32_t burst_left = 0;
-  for (std::uint64_t i = 0; i < options.frames; ++i) {
-    now += 40;
-    const std::uint64_t draw = rng.next_u64() % 100;
-    net::TcpFrameSpec tcp;
-    if (burst_left == 0) {
-      burst_source = 0x05000000u + (rng.next_u32() % 4096) * 977u;
-      burst_port = (rng.next_u64() % 4 == 0) ? 443 : 80;
-      burst_left = 16 + rng.next_u32() % 48;
-    }
-    --burst_left;
-    tcp.src_ip = net::Ipv4Address(burst_source);
-    tcp.dst_ip = net::Ipv4Address(0xc6330000u + rng.next_u32() % 65536);
-    tcp.src_port = static_cast<std::uint16_t>(40000 + rng.next_u32() % 20000);
-    tcp.dst_port = burst_port;
-    tcp.sequence = rng.next_u32();
-    tcp.ip_id = static_cast<std::uint16_t>(rng.next_u32());
-    if (draw < 88) {
-      // scan probe (defaults: SYN)
-    } else if (draw < 94) {
-      tcp.flags = net::flag_bit(net::TcpFlag::kSyn) | net::flag_bit(net::TcpFlag::kAck);
-    } else {
-      tcp.dst_ip = net::Ipv4Address(0x08080000u + rng.next_u32() % 65536);  // off-net
-    }
-    frame.timestamp_us = now;
-    frame.bytes = net::build_tcp_frame(tcp);
-    writer.write(frame);
-  }
-  writer.flush();
-}
-
-const telescope::Telescope& bench_telescope() {
-  static const telescope::Telescope telescope(
-      {{*net::Ipv4Prefix::parse("198.51.0.0/16"), 1000}},
-      {{23, 0}});
-  return telescope;
 }
 
 /// One pipelined client socket. Responses come back in request order,
@@ -221,12 +138,10 @@ std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, double q) {
 int main(int argc, char** argv) {
   const auto options = parse(argc, argv);
 
-  const auto dir = fs::temp_directory_path() / "synscan_bench_synscand";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const auto capture = dir / "workload.pcap";
-  write_capture(capture, options);
-  const auto socket_path = (dir / "synscand.sock").string();
+  const bench::ScratchDir dir("bench_synscand");
+  const auto capture = dir.path() / "workload.pcap";
+  bench::write_burst_capture(capture, options.frames, options.seed);
+  const auto socket_path = (dir.path() / "synscand.sock").string();
 
   server::DaemonConfig config;
   config.unix_socket = socket_path;
@@ -357,7 +272,6 @@ int main(int argc, char** argv) {
   }
   server_thread.join();
   for (auto& conn : connections) ::close(conn.fd);
-  fs::remove_all(dir);
 
   if (completed == 0 || completed < sent || bad_responses != 0) {
     std::fprintf(stderr,
@@ -377,7 +291,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "{\"label\":\"%s\",\"rate_target\":%.0f,\"connections\":%zu,"
+      "{\"label\":\"%s\",\"rate_target\":%.0f,\"connections\":%" PRIu64 ","
       "\"send_seconds\":%.2f,\"duration_seconds\":%.4f,\"frames\":%" PRIu64 ","
       "\"sent\":%" PRIu64 ",\"completed\":%" PRIu64 ",\"queries_per_sec\":%.0f,"
       "\"response_bytes\":%" PRIu64 ",\"p50_us\":%" PRIu64 ",\"p90_us\":%" PRIu64 ","
@@ -387,6 +301,6 @@ int main(int argc, char** argv) {
       duration, options.frames, sent, completed, qps, response_bytes,
       percentile(latencies_us, 0.50), percentile(latencies_us, 0.90),
       percentile(latencies_us, 0.99), percentile(latencies_us, 0.999),
-      latencies_us.empty() ? 0 : latencies_us.back(), peak_rss_kb());
+      latencies_us.empty() ? 0 : latencies_us.back(), bench::peak_rss_kb());
   return 0;
 }

@@ -835,27 +835,30 @@ struct Daemon::Impl {
     dead_slots.clear();
   }
 
+  /// Reads one chunk, then answers every frame it completed and flushes.
+  /// Both poller backends are level-triggered, so a socket holding more
+  /// bytes is reported again on the next iteration. One chunk per event
+  /// keeps a peer that never stops sending from holding the loop, bounds
+  /// the reassembly buffer to one chunk plus a partial frame, and lets
+  /// `flush_outbox` check the outbox cap after each chunk's replies.
   void handle_readable(Connection& conn) {
     std::array<char, 16384> buffer{};
-    for (;;) {
-      const ssize_t n = ::recv(conn.fd, buffer.data(), buffer.size(), 0);
-      if (n > 0) {
-        conn.last_activity = Clock::now();
-        if (obs_bytes_in != nullptr) obs_bytes_in->add(static_cast<std::uint64_t>(n));
-        conn.decoder.absorb(
-            std::string_view(buffer.data(), static_cast<std::size_t>(n)));
-        continue;
-      }
-      if (n == 0) {
-        // Peer closed its end; any undelivered responses have no reader.
-        close_connection(conn);
-        return;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    const ssize_t n = ::recv(conn.fd, buffer.data(), buffer.size(), 0);
+    if (n == 0) {
+      // Peer closed its end; any undelivered responses have no reader.
       close_connection(conn);
       return;
     }
+    if (n < 0) {
+      // EINTR and EAGAIN: the poller reports the socket again.
+      if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        close_connection(conn);
+      }
+      return;
+    }
+    conn.last_activity = Clock::now();
+    if (obs_bytes_in != nullptr) obs_bytes_in->add(static_cast<std::uint64_t>(n));
+    conn.decoder.absorb(std::string_view(buffer.data(), static_cast<std::size_t>(n)));
     std::string payload;
     while (!conn.closing) {
       const auto status = conn.decoder.next(payload);

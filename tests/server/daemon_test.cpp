@@ -5,14 +5,17 @@
 // clients are the production `server::Client`. Covers the pinned
 // byte-equivalence between `QUERY analyze` and the offline analysis
 // emission, response ordering under pipelining, the robustness paths
-// (garbage frames, oversized frames, idle timeout), graceful shutdown
-// via SHUTDOWN and SIGTERM, and the poll(2) fallback event loop.
+// (garbage frames, oversized frames, a client that never reads, idle
+// timeout), graceful shutdown via SHUTDOWN and SIGTERM, and the poll(2)
+// fallback event loop.
 #include "server/daemon.h"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -291,6 +294,60 @@ TEST(Daemon, OversizedFrameAnswersErrThenCloses) {
   EXPECT_FALSE(parse_response(client.read_response(), body, error));
   EXPECT_NE(error.find("byte limit"), std::string::npos);
   EXPECT_THROW((void)client.read_response(), std::runtime_error);
+}
+
+TEST(Daemon, NonReadingClientIsDroppedAtTheOutboxCap) {
+  DaemonHarness harness;
+  harness.start();
+  auto pinger = harness.connect();
+  // Size the flood from one STATUS reply on this idle daemon: replies
+  // past the 64 MiB outbox cap (daemon.cpp kMaxOutboxBytes) must drop
+  // the client; four times that many unanswered means the cap failed.
+  constexpr std::size_t kOutboxCap = std::size_t{64} << 20;
+  const std::size_t reply_bytes = encode_frame(pinger.roundtrip("STATUS")).size();
+  std::string batch;
+  for (int i = 0; i < 1000; ++i) append_frame(batch, "STATUS");
+  const std::size_t request_bytes = batch.size() / 1000;
+  const std::size_t limit = 4 * (kOutboxCap / reply_bytes) * request_bytes;
+
+  auto flooder = harness.connect();
+  std::size_t sent = 0;
+  bool hung_up = false;
+  std::thread sender([&] {
+    while (sent < limit) {
+      const ssize_t n = ::send(flooder.fd(), batch.data() + sent % batch.size(),
+                               batch.size() - sent % batch.size(), MSG_NOSIGNAL);
+      if (n <= 0) {
+        hung_up = true;
+        return;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  // The loop serves other connections while the flood is in flight.
+  EXPECT_EQ(ok_body(pinger, "PING"), "");
+  sender.join();
+  ASSERT_TRUE(hung_up) << sent / request_bytes << " requests sent, no hangup";
+
+  // Reading only now, the flooder gets the replies that fit in the
+  // socket buffers before the drop, then the end of the stream (a reset
+  // on a Unix socket whose peer closed with requests unread).
+  FrameDecoder decoder(kMaxResponseBytes);
+  std::string buffer(65536, '\0');
+  std::string payload;
+  std::size_t replies = 0;
+  ssize_t n = 0;
+  while ((n = ::recv(flooder.fd(), buffer.data(), buffer.size(), 0)) > 0) {
+    decoder.absorb(std::string_view(buffer.data(), static_cast<std::size_t>(n)));
+    while (decoder.next(payload) == FrameDecoder::Status::kFrame) {
+      EXPECT_EQ(payload.substr(0, 11), "OK\n{\"state\"");
+      ++replies;
+    }
+  }
+  EXPECT_TRUE(n == 0 || errno == ECONNRESET) << "recv: " << std::strerror(errno);
+  EXPECT_GT(replies, 0u);
+  EXPECT_LT(replies, sent / request_bytes);
+  EXPECT_EQ(ok_body(pinger, "PING"), "");
 }
 
 TEST(Daemon, IdleConnectionsAreSweptAfterTimeout) {
