@@ -72,6 +72,13 @@ class FlatHashMap {
     for (const auto& [key, value] : entries_) f(key, value);
   }
 
+  /// Calls `f(key, Value&)` in insertion order; `f` may move the value
+  /// out (the keys and the index stay as they are).
+  template <typename F>
+  void for_each(F&& f) {
+    for (auto& [key, value] : entries_) f(std::as_const(key), value);
+  }
+
   void clear() noexcept {
     entries_.clear();
     for (auto& slot : slots_) slot.entry = kEmpty;

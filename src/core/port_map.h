@@ -11,8 +11,15 @@
 // the analysis layer uses: `operator[]`, `at`, `contains`, `size`,
 // `clear`, and range-for iteration yielding `(port, packets)` pairs.
 // `clear()` keeps the promoted backing store so pooled flows recycle it.
+//
+// Two bulk operations serve the rollup store, which moves whole maps:
+// `reserve(n)` sizes the table once for a known row count (a decoder
+// reading a stored map), and `sorted_rows` emits the rows in ascending
+// port order without a comparison sort (a writer, whose bytes must not
+// depend on the table layout).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
@@ -26,6 +33,8 @@ class PortPacketMap {
   /// Inline capacity before promotion. Eight entries cover everything
   /// but vertical/multi-service scanners.
   static constexpr std::uint32_t kInlineCapacity = 8;
+  /// Every 16-bit port: the most rows a map can hold.
+  static constexpr std::size_t kMaxPorts = 65536;
 
   using value_type = std::pair<std::uint16_t, std::uint64_t>;
 
@@ -76,6 +85,68 @@ class PortPacketMap {
     promoted_ = false;
     promoted_size_ = 0;
     slots_.clear();  // keeps capacity
+  }
+
+  /// Sizes the map so that it holds `n` ports in all without regrowing:
+  /// a map past its inline capacity gets the smallest table that adding
+  /// `n` ports one by one would have grown to. `n` is capped at
+  /// `kMaxPorts`, so a forged count cannot size a map past every port.
+  void reserve(std::size_t n) {
+    n = std::min(n, kMaxPorts);
+    if (!promoted_ && n <= kInlineCapacity) return;
+    std::size_t capacity = kMinSlots;
+    while (n * 10 >= capacity * 7) capacity *= 2;
+    if (!promoted_) {
+      promote(capacity);
+    } else if (capacity > slots_.size()) {
+      rehash(capacity);
+    }
+  }
+
+  /// Writes the rows into `rows` in ascending port order, replacing its
+  /// contents; `rows` is a buffer the caller reuses across maps. Inline
+  /// rows (at most eight) take an insertion sort; a promoted table takes
+  /// a two-pass LSD radix sort on the port's low and high byte through
+  /// the buffer's second half, skipping a pass whose byte is the same in
+  /// every row.
+  void sorted_rows(std::vector<value_type>& rows) const {
+    rows.clear();
+    if (!promoted_) {
+      for (std::uint32_t i = 0; i < inline_size_; ++i) {
+        const value_type row{inline_[i].port, inline_[i].packets};
+        rows.push_back(row);
+        auto at = rows.size() - 1;
+        for (; at > 0 && rows[at - 1].first > row.first; --at) rows[at] = rows[at - 1];
+        rows[at] = row;
+      }
+      return;
+    }
+    const std::size_t n = promoted_size_;
+    if (n == 0) return;
+    rows.resize(2 * n);
+    std::array<std::array<std::uint32_t, 256>, 2> counts{};
+    value_type* from = rows.data();
+    value_type* to = from + n;
+    std::size_t at = 0;
+    for (const auto& slot : slots_) {
+      if (slot.key == kEmptyKey) continue;
+      from[at++] = {static_cast<std::uint16_t>(slot.key), slot.packets};
+      ++counts[0][slot.key & 0xffu];
+      ++counts[1][slot.key >> 8];
+    }
+    for (std::uint32_t shift = 0; shift < 16; shift += 8) {
+      const auto digit = [shift](const value_type& row) {
+        return (std::uint32_t{row.first} >> shift) & 0xffu;
+      };
+      auto& offsets = counts[shift / 8];
+      if (offsets[digit(from[0])] == n) continue;
+      std::uint32_t offset = 0;
+      for (auto& count : offsets) offset += std::exchange(count, offset);
+      for (std::size_t i = 0; i < n; ++i) to[offsets[digit(from[i])]++] = from[i];
+      std::swap(from, to);
+    }
+    if (from != rows.data()) std::copy(from, from + n, rows.data());
+    rows.resize(n);
   }
 
   /// Forward iterator yielding `(port, packets)` pairs by value, in
@@ -145,6 +216,8 @@ class PortPacketMap {
     std::uint64_t packets = 0;
   };
   static constexpr std::uint32_t kEmptyKey = 0xffffffffu;
+  /// Slots of a freshly promoted table.
+  static constexpr std::size_t kMinSlots = 32;
 
   [[nodiscard]] static std::uint64_t hash(std::uint16_t port) noexcept {
     return (static_cast<std::uint64_t>(port) * 0x9e3779b97f4a7c15ull) >> 13;
@@ -175,9 +248,9 @@ class PortPacketMap {
         inline_[inline_size_] = {port, 0};
         return &inline_[inline_size_++].packets;
       }
-      promote();
+      promote(kMinSlots);
     }
-    if ((promoted_size_ + 1) * 10 >= slots_.size() * 7) grow();
+    if ((promoted_size_ + 1) * 10 >= slots_.size() * 7) rehash(slots_.size() * 2);
     const std::uint64_t mask = slots_.size() - 1;
     std::uint64_t index = hash(port) & mask;
     while (slots_[index].key != kEmptyKey) index = (index + 1) & mask;
@@ -186,10 +259,11 @@ class PortPacketMap {
     return &slots_[index].packets;
   }
 
-  void promote() {
+  /// Moves the inline entries into a table of at least `capacity` (a
+  /// power of two) slots.
+  void promote(std::size_t capacity) {
     // Reuse a recycled buffer when present, rounded down to a power of
     // two so the probe mask stays valid whatever the allocator did.
-    std::size_t capacity = 32;
     while (capacity * 2 <= slots_.capacity()) capacity *= 2;
     slots_.assign(capacity, Slot{});
     promoted_ = true;
@@ -204,10 +278,10 @@ class PortPacketMap {
     inline_size_ = 0;
   }
 
-  void grow() {
+  void rehash(std::size_t capacity) {
     std::vector<Slot> old;
     old.swap(slots_);
-    slots_.assign(old.size() * 2, Slot{});
+    slots_.assign(capacity, Slot{});
     const std::uint64_t mask = slots_.size() - 1;
     for (const auto& slot : old) {
       if (slot.key == kEmptyKey) continue;

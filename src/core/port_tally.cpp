@@ -1,6 +1,7 @@
 #include "core/port_tally.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace synscan::core {
 
@@ -30,12 +31,29 @@ void PortTally::add(std::uint32_t source, std::uint16_t port, std::uint64_t pack
   total_packets_ += packets;
 }
 
-void PortTally::merge(const PortTally& other) {
-  for (const auto& [source, ports] : other.per_source_) {
-    auto& mine = per_source_[source];
-    for (const auto [port, packets] : ports) mine.add(port, packets);
-  }
+void PortTally::add(std::uint32_t source, PortPacketMap ports) {
+  for (const auto [port, packets] : ports) total_packets_ += packets;
+  fold(source, std::move(ports));
+}
+
+void PortTally::merge(PortTally other) {
   total_packets_ += other.total_packets_;
+  if (per_source_.empty()) {
+    per_source_ = std::move(other.per_source_);
+    return;
+  }
+  other.per_source_.for_each(
+      [&](std::uint32_t source, PortPacketMap& ports) { fold(source, std::move(ports)); });
+}
+
+void PortTally::fold(std::uint32_t source, PortPacketMap&& ports) {
+  auto [mine, fresh] = per_source_.find_or_insert(source);
+  if (fresh) {
+    mine = std::move(ports);
+    return;
+  }
+  mine.reserve(mine.size() + ports.size());
+  for (const auto [port, packets] : ports) mine.add(port, packets);
 }
 
 namespace {

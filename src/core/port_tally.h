@@ -43,10 +43,21 @@ class PortTally final : public ProbeObserver {
   /// had been observed.
   void add(std::uint32_t source, std::uint16_t port, std::uint64_t packets);
 
+  /// Adds one source's whole port map, as if its packets had been
+  /// observed (the `.spr` decoder's path): a source new to the tally
+  /// takes the map as it is.
+  void add(std::uint32_t source, PortPacketMap ports);
+
   /// Folds another tally in. The state is a sum per (source, port), so
   /// merging per-shard tallies in any order equals tallying the whole
-  /// capture in one pass (the rollup invariant).
-  void merge(const PortTally& other);
+  /// capture in one pass (the rollup invariant). Whole maps move: a
+  /// source new to this tally takes `other`'s map, a source already
+  /// here sizes its map once for both and sums the rows in, and an
+  /// empty tally takes `other` whole. New sources append in `other`'s
+  /// order, as a per-probe tally of this tally's probes and then
+  /// `other`'s would insert them. Pass an rvalue to move; an lvalue
+  /// argument is copied.
+  void merge(PortTally other);
 
   /// The sufficient statistic itself.
   [[nodiscard]] const SourcePorts& per_source() const noexcept { return per_source_; }
@@ -90,6 +101,9 @@ class PortTally final : public ProbeObserver {
  private:
   /// Packets per port summed over sources.
   [[nodiscard]] PortPacketMap packets_per_port() const;
+
+  /// Folds one source's map in without touching `total_packets_`.
+  void fold(std::uint32_t source, PortPacketMap&& ports);
 
   // Flat inline-first maps (see docs/PERFORMANCE.md): the 83% of
   // sources that scan one port (Fig. 3) never allocate a port table.

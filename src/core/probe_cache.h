@@ -109,15 +109,22 @@ class ByteWriter {
   void u64(std::uint64_t v) { net::store_le64(grow(8), v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
-
- private:
+  /// Appends `n` zero bytes and returns where they start, for a run of
+  /// fixed-width fields stored in bulk; the pointer dies at the next
+  /// append.
   std::uint8_t* grow(std::size_t n) {
     const auto at = out_.size();
     out_.resize(at + n);
     return out_.data() + at;
   }
 
+  /// Sizes the buffer for `n` bytes in all, so a writer that knows its
+  /// size in advance appends without reallocating.
+  void reserve(std::size_t n) { out_.reserve(n); }
+
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
+
+ private:
   std::vector<std::uint8_t> out_;
 };
 
@@ -154,6 +161,15 @@ class ByteReader {
     return v;
   }
   double f64() { return std::bit_cast<double>(u64()); }
+
+  /// Consumes the next `n` bytes and returns where they start, for a
+  /// run of fixed-width fields read in bulk.
+  const std::uint8_t* take(std::size_t n) {
+    need(n);
+    const auto* at = p_;
+    p_ += n;
+    return at;
+  }
 
   /// A stored element count (u64; `count32` for a u32 field),
   /// sanity-bounded by the remaining bytes so a corrupt length cannot

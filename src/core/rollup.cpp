@@ -146,11 +146,7 @@ void RollupMerger::add(CaptureRollup&& shard) {
   merged_.result.campaigns.insert(merged_.result.campaigns.end(),
                                   std::make_move_iterator(shard.campaigns.begin()),
                                   std::make_move_iterator(shard.campaigns.end()));
-  if (any_shard_) {
-    merged_.ports.merge(shard.ports);
-  } else {
-    merged_.ports = std::move(shard.ports);  // same insertion order as a merge
-  }
+  merged_.ports.merge(std::move(shard.ports));
   any_shard_ = true;
 
   for (auto& exported : shard.segments) {

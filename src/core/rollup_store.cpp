@@ -47,27 +47,67 @@ telescope::ScanProbe get_probe(ByteReader& in) {
   return probe;
 }
 
-/// Emits a PortPacketMap as sorted (port, packets) rows — the map's own
-/// iteration order is a function of insertion history, which must never
-/// leak into the file bytes.
-void put_port_map(ByteWriter& out, const PortPacketMap& map) {
-  std::vector<std::pair<std::uint16_t, std::uint64_t>> rows;
-  rows.reserve(map.size());
-  for (const auto& [port, packets] : map) rows.emplace_back(port, packets);
-  std::sort(rows.begin(), rows.end());
+/// Sorted (port, packets) rows, the buffer `save_rollup` reuses for
+/// every map it writes.
+using PortRows = std::vector<PortPacketMap::value_type>;
+
+// Stored bytes of each fixed-width piece, as the put_* functions below
+// write it; `payload_size` adds them up, and the readers bound each
+// stored count by them.
+constexpr std::size_t kPortRowBytes = 2 + 8;
+constexpr std::size_t kProbeBytes = 8 + 4 + 4 + 2 + 2 + 4 + 4 + 2 + 2 + 1;
+/// Meta fields, ten sensor and eleven tracker counters.
+constexpr std::size_t kPrefixBytes = 8 + 4 + 1 + 8 + 8 + 10 * 8 + 11 * 8;
+/// A campaign before its port rows (their u32 count included).
+constexpr std::size_t kCampaignBytes = 8 + 4 + 8 + 8 + 8 + 4 + 1 + 3 * 8 + 4;
+/// A segment without its destinations and port rows (both counts and
+/// the fingerprint evidence included).
+constexpr std::size_t kSegmentBytes = 4 + 1 + 3 * 8 + 8 + 4 + 7 * 8 + 1 + 2 * kProbeBytes;
+/// A tally source before its port rows (their u32 count included).
+constexpr std::size_t kSourceBytes = 4 + 4;
+
+/// Emits a u32 row count, then the rows, in one bulk store.
+void put_port_rows(ByteWriter& out, std::span<const PortPacketMap::value_type> rows) {
   out.u32(static_cast<std::uint32_t>(rows.size()));
+  auto* at = out.grow(kPortRowBytes * rows.size());
   for (const auto& [port, packets] : rows) {
-    out.u16(port);
-    out.u64(packets);
+    net::store_le16(at, port);
+    net::store_le64(at + 2, packets);
+    at += kPortRowBytes;
   }
 }
 
-void get_port_map(ByteReader& in, PortPacketMap& map) {
-  const auto n = in.count32(10);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto port = in.u16();
-    map.add(port, in.u64());
+/// Emits a PortPacketMap as sorted (port, packets) rows — the map's own
+/// iteration order is a function of insertion history, which must never
+/// leak into the file bytes.
+void put_port_map(ByteWriter& out, const PortPacketMap& map, PortRows& rows) {
+  map.sorted_rows(rows);
+  put_port_rows(out, rows);
+}
+
+/// Reads `n` (port, packets) rows, passing each to `row`. Rows must be
+/// strictly ascending by port and carry packets, as the writer emits
+/// them, so a file that passes the checksum but repeats or reorders a
+/// row takes the fallback instead of loading a different statistic.
+template <typename Row>
+void get_port_rows(ByteReader& in, std::size_t n, Row&& row) {
+  const auto* at = in.take(kPortRowBytes * n);
+  std::uint16_t previous = 0;
+  for (std::size_t i = 0; i < n; ++i, at += kPortRowBytes) {
+    const auto port = net::load_le16(at);
+    const auto packets = net::load_le64(at + 2);
+    if ((i > 0 && port <= previous) || packets == 0) throw ParseError{};
+    previous = port;
+    row(port, packets);
   }
+}
+
+/// Reads a stored map into `map`, sized once from its row count.
+void get_port_map(ByteReader& in, PortPacketMap& map) {
+  const auto n = in.count32(kPortRowBytes);
+  map.reserve(n);
+  get_port_rows(in, n,
+                [&](std::uint16_t port, std::uint64_t packets) { map.add(port, packets); });
 }
 
 void put_tracker(ByteWriter& out, const TrackerCounters& counters) {
@@ -98,7 +138,7 @@ void get_tracker(ByteReader& in, TrackerCounters& counters) {
   counters.table_rehashes = in.u64();
 }
 
-void put_campaign(ByteWriter& out, const Campaign& campaign) {
+void put_campaign(ByteWriter& out, const Campaign& campaign, PortRows& rows) {
   out.u64(campaign.id);
   out.u32(campaign.source.value());
   out.u64(time_bits(campaign.first_seen_us));
@@ -109,7 +149,7 @@ void put_campaign(ByteWriter& out, const Campaign& campaign) {
   out.f64(campaign.extrapolated_pps);
   out.f64(campaign.coverage_fraction);
   out.f64(campaign.extrapolated_packets);
-  put_port_map(out, campaign.port_packets);
+  put_port_map(out, campaign.port_packets, rows);
 }
 
 Campaign get_campaign(ByteReader& in) {
@@ -137,12 +177,12 @@ void put_segment(ByteWriter& out, const FlowSegment& segment) {
   out.u64(time_bits(segment.last_seen_us));
   out.u64(segment.packets);
   out.u64(segment.destinations.size());
-  for (const auto destination : segment.destinations) out.u32(destination);
-  out.u32(static_cast<std::uint32_t>(segment.port_packets.size()));
-  for (const auto& [port, packets] : segment.port_packets) {
-    out.u16(port);
-    out.u64(packets);
+  auto* at = out.grow(4 * segment.destinations.size());
+  for (const auto destination : segment.destinations) {
+    net::store_le32(at, destination);
+    at += 4;
   }
+  put_port_rows(out, segment.port_packets);
   const auto& evidence = segment.evidence;
   out.u64(evidence.probes);
   out.u64(evidence.zmap_hits);
@@ -165,15 +205,20 @@ FlowSegment get_segment(ByteReader& in) {
   segment.first_seen_us = time_from(in.u64());
   segment.last_seen_us = time_from(in.u64());
   segment.packets = in.u64();
+  // Destinations and ports strictly ascending, as the writer emits
+  // them: the merger joins both lists as sorted sets.
   const auto destinations = in.count(4);
-  segment.destinations.reserve(destinations);
-  for (std::size_t i = 0; i < destinations; ++i) segment.destinations.push_back(in.u32());
-  const auto ports = in.count32(10);
-  segment.port_packets.reserve(ports);
-  for (std::size_t i = 0; i < ports; ++i) {
-    const auto port = in.u16();
-    segment.port_packets.emplace_back(port, in.u64());
+  const auto* at = in.take(4 * destinations);
+  segment.destinations.resize(destinations);
+  for (std::size_t i = 0; i < destinations; ++i, at += 4) {
+    segment.destinations[i] = net::load_le32(at);
+    if (i > 0 && segment.destinations[i] <= segment.destinations[i - 1]) throw ParseError{};
   }
+  const auto ports = in.count32(kPortRowBytes);
+  segment.port_packets.reserve(ports);
+  get_port_rows(in, ports, [&](std::uint16_t port, std::uint64_t packets) {
+    segment.port_packets.emplace_back(port, packets);
+  });
   auto& evidence = segment.evidence;
   evidence.probes = in.u64();
   evidence.zmap_hits = in.u64();
@@ -190,7 +235,7 @@ FlowSegment get_segment(ByteReader& in) {
 
 /// The tally section: sources in ascending order, each with its
 /// (port, packets) rows in ascending port order.
-void put_port_tally(ByteWriter& out, const PortTally& tally) {
+void put_port_tally(ByteWriter& out, const PortTally& tally, PortRows& rows) {
   std::vector<std::pair<std::uint32_t, const PortPacketMap*>> sources;
   sources.reserve(tally.per_source().size());
   for (const auto& [source, ports] : tally.per_source()) sources.emplace_back(source, &ports);
@@ -198,31 +243,25 @@ void put_port_tally(ByteWriter& out, const PortTally& tally) {
   out.u64(sources.size());
   for (const auto& [source, ports] : sources) {
     out.u32(source);
-    put_port_map(out, *ports);
+    put_port_map(out, *ports, rows);
   }
 }
 
-/// Reads the tally section. Rows must be strictly ascending by
-/// (source, port) and carry packets, so a file that passes the checksum
-/// but repeats or reorders a row takes the fallback instead of loading a
-/// different statistic.
+/// Reads the tally section. Sources must be strictly ascending and each
+/// must have a row; `get_port_rows` checks the rows. The source table
+/// is not reserved from the stored count: an entry costs about ten times
+/// the 18 bytes a source takes on disk.
 void get_port_tally(ByteReader& in, PortTally& tally) {
-  const auto sources = in.count(4 + 4 + 10);  // a source has at least one row
+  const auto sources = in.count(kSourceBytes + kPortRowBytes);  // one row at least
   std::uint64_t previous_source = 0;
   for (std::size_t i = 0; i < sources; ++i) {
     const auto source = in.u32();
     if (i > 0 && source <= previous_source) throw ParseError{};
     previous_source = source;
-    const auto rows = in.count32(10);
-    if (rows == 0) throw ParseError{};
-    std::uint32_t previous_port = 0;
-    for (std::size_t j = 0; j < rows; ++j) {
-      const auto port = in.u16();
-      const auto packets = in.u64();
-      if ((j > 0 && port <= previous_port) || packets == 0) throw ParseError{};
-      previous_port = port;
-      tally.add(source, port, packets);
-    }
+    PortPacketMap ports;
+    get_port_map(in, ports);
+    if (ports.empty()) throw ParseError{};
+    tally.add(source, std::move(ports));
   }
 }
 
@@ -242,6 +281,23 @@ bool parse_header(std::span<const std::uint8_t> bytes, RollupFileInfo& info) {
   info.checksum = in.u64();
   info.file_size = bytes.size();
   return true;
+}
+
+/// The payload's size in bytes: the layout is fixed-width, so the
+/// writer's buffer is sized once.
+std::size_t payload_size(const CaptureRollup& rollup) {
+  std::size_t size = kPrefixBytes + 8 + 8 + 8;  // and three section counts
+  for (const auto& campaign : rollup.campaigns) {
+    size += kCampaignBytes + kPortRowBytes * campaign.port_packets.size();
+  }
+  for (const auto& segment : rollup.segments) {
+    size += kSegmentBytes + 4 * segment.destinations.size() +
+            kPortRowBytes * segment.port_packets.size();
+  }
+  for (const auto& [source, ports] : rollup.ports.per_source()) {
+    size += kSourceBytes + kPortRowBytes * ports.size();
+  }
+  return size;
 }
 
 }  // namespace
@@ -275,6 +331,8 @@ std::optional<RollupFileInfo> rollup_stat(const std::filesystem::path& path) {
 bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
                  const CacheIdentity& identity, std::uint64_t fingerprint) {
   ByteWriter payload;
+  payload.reserve(payload_size(rollup));
+  PortRows rows;
   payload.u64(rollup.frames);
   payload.u32(static_cast<std::uint32_t>(rollup.final_status));
   payload.u8(rollup.from_cache ? 1 : 0);
@@ -283,10 +341,10 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   put_sensor(payload, rollup.sensor);
   put_tracker(payload, rollup.tracker);
   payload.u64(rollup.campaigns.size());
-  for (const auto& campaign : rollup.campaigns) put_campaign(payload, campaign);
+  for (const auto& campaign : rollup.campaigns) put_campaign(payload, campaign, rows);
   payload.u64(rollup.segments.size());
   for (const auto& segment : rollup.segments) put_segment(payload, segment);
-  put_port_tally(payload, rollup.ports);
+  put_port_tally(payload, rollup.ports, rows);
 
   ByteWriter header;
   header.u32(kMagic);
@@ -342,12 +400,12 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
     rollup.max_timestamp_us = time_from(in.u64());
     get_sensor(in, rollup.sensor);
     get_tracker(in, rollup.tracker);
-    const auto campaigns = in.count(8);
+    const auto campaigns = in.count(kCampaignBytes);
     rollup.campaigns.reserve(campaigns);
     for (std::size_t i = 0; i < campaigns; ++i) {
       rollup.campaigns.push_back(get_campaign(in));
     }
-    const auto segments = in.count(8);
+    const auto segments = in.count(kSegmentBytes);
     rollup.segments.reserve(segments);
     for (std::size_t i = 0; i < segments; ++i) {
       rollup.segments.push_back(get_segment(in));

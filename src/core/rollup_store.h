@@ -34,8 +34,10 @@
 //       u32 source, u32 row_count (>= 1), then row_count rows of
 //       u16 port, u64 packets (> 0) in ascending port order.
 //     Every map is emitted in sorted key order so the bytes are a pure
-//     function of the analysis result. No section names a scanner type
-//     or country, so a rollup is valid under any registry.
+//     function of the analysis result, and the reader checks that order
+//     (strictly ascending tally sources, port rows and segment
+//     destinations, every row with packets). No section names a scanner
+//     type or country, so a rollup is valid under any registry.
 //
 // Version 1 (three tally sections) and version 2 (no first probe time;
 // a head segment for every source) files load as misses and are

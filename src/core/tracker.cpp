@@ -146,11 +146,8 @@ void CampaignTracker::export_segment(net::Ipv4Address source, const Flow& flow,
   flow.destinations.for_each(
       [&](std::uint32_t dest) { segment.destinations.push_back(dest); });
   std::sort(segment.destinations.begin(), segment.destinations.end());
-  segment.port_packets.reserve(flow.port_packets.size());
-  for (const auto [port, packets] : flow.port_packets) {
-    segment.port_packets.emplace_back(port, packets);
-  }
-  std::sort(segment.port_packets.begin(), segment.port_packets.end());
+  flow.port_packets.sorted_rows(port_rows_);
+  segment.port_packets.assign(port_rows_.begin(), port_rows_.end());
   segment.evidence = flow.evidence.state();
   segments_.push_back(std::move(segment));
 }

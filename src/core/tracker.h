@@ -224,6 +224,8 @@ class CampaignTracker {
   std::vector<std::uint32_t> free_;  ///< recycled pool slots
   std::vector<std::uint32_t> sweep_keys_;  ///< scratch: sources expiring this sweep
   std::vector<FlowSegment> segments_;      ///< carry mode: exported boundary flows
+  /// Carry mode scratch: an exported flow's sorted port rows.
+  std::vector<PortPacketMap::value_type> port_rows_;
   HybridU32Set carried_sources_;  ///< carry mode: sources whose head was already exported
   TrackerCounters counters_;
   net::TimeUs now_ = 0;

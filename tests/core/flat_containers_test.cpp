@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/flow_table.h"
@@ -161,6 +163,105 @@ TEST(PortPacketMap, ClearRetainsPromotedCapacity) {
     map.add(static_cast<std::uint16_t>(p + 10000), 1);
   }
   EXPECT_EQ(map.slot_capacity(), capacity);
+}
+
+/// `n` distinct ports drawn from a seeded shuffle of all 65,536, each
+/// with a packet count of its own.
+std::vector<std::pair<std::uint16_t, std::uint64_t>> random_rows(std::size_t n,
+                                                                 std::uint64_t seed) {
+  std::vector<std::uint16_t> ports(PortPacketMap::kMaxPorts);
+  for (std::size_t p = 0; p < ports.size(); ++p) ports[p] = static_cast<std::uint16_t>(p);
+  simgen::Rng rng(seed);
+  for (std::size_t i = ports.size() - 1; i > 0; --i) {
+    std::swap(ports[i], ports[rng.uniform(i + 1)]);
+  }
+  std::vector<std::pair<std::uint16_t, std::uint64_t>> rows;
+  for (std::size_t i = 0; i < n; ++i) rows.emplace_back(ports[i], 1 + rng.uniform(1000));
+  return rows;
+}
+
+TEST(PortPacketMap, SortedRowsMatchSortReference) {
+  // One buffer for every map, as the `.spr` writer reuses it: sizes
+  // around the inline capacity and the radix digit, then every port,
+  // and back down, so stale rows must never leak into a shorter map.
+  std::vector<PortPacketMap::value_type> rows;
+  const std::size_t sizes[] = {0, 1, 8, 9, 255, 256, 257, 4096, 65536, 9, 1, 0};
+  std::uint64_t seed = 1;
+  for (const auto n : sizes) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    auto expected = random_rows(n, seed++);
+    PortPacketMap map;
+    for (const auto& [port, packets] : expected) map.add(port, packets);
+    std::sort(expected.begin(), expected.end());
+    map.sorted_rows(rows);
+    EXPECT_EQ(rows, expected);
+  }
+  // A byte shared by every row skips its radix pass: all ports below
+  // 256 (one high byte) and all multiples of 256 (one low byte).
+  for (const std::uint32_t stride : {1u, 256u}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    PortPacketMap map;
+    std::vector<PortPacketMap::value_type> expected;
+    for (std::uint32_t i = 256; i-- > 0;) {
+      map.add(static_cast<std::uint16_t>(i * stride), i + 1);
+      expected.emplace_back(static_cast<std::uint16_t>(i * stride), i + 1);
+    }
+    std::sort(expected.begin(), expected.end());
+    map.sorted_rows(rows);
+    EXPECT_EQ(rows, expected);
+  }
+}
+
+TEST(PortPacketMap, ReserveThenAddsEqualsAddsAlone) {
+  std::vector<PortPacketMap::value_type> reserved_rows;
+  std::vector<PortPacketMap::value_type> plain_rows;
+  for (const std::size_t n : {0u, 1u, 8u, 9u, 100u, 5000u}) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    const auto rows = random_rows(n, 40 + n);
+    PortPacketMap reserved;
+    reserved.reserve(n);
+    const auto capacity = reserved.slot_capacity();
+    PortPacketMap plain;
+    for (const auto& [port, packets] : rows) {
+      reserved.add(port, packets);
+      plain.add(port, packets);
+    }
+    // Sized once: the adds did not regrow the table, and it is the
+    // table the adds alone grew to.
+    EXPECT_EQ(reserved.slot_capacity(), capacity);
+    EXPECT_EQ(reserved.slot_capacity(), plain.slot_capacity());
+    EXPECT_EQ(reserved.size(), n);
+    reserved.sorted_rows(reserved_rows);
+    plain.sorted_rows(plain_rows);
+    EXPECT_EQ(reserved_rows, plain_rows);
+  }
+  // A reserve keeps what the map already holds, inline or promoted.
+  for (const std::size_t held : {3u, 20u}) {
+    SCOPED_TRACE("held " + std::to_string(held));
+    const auto rows = random_rows(held + 30, 7);
+    PortPacketMap reserved;
+    PortPacketMap plain;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (i == held) reserved.reserve(rows.size());
+      reserved.add(rows[i].first, rows[i].second);
+      plain.add(rows[i].first, rows[i].second);
+    }
+    reserved.sorted_rows(reserved_rows);
+    plain.sorted_rows(plain_rows);
+    EXPECT_EQ(reserved_rows, plain_rows);
+  }
+}
+
+TEST(PortPacketMap, ReservePastEveryPortIsCapped) {
+  PortPacketMap every_port;
+  for (std::uint32_t p = 0; p < PortPacketMap::kMaxPorts; ++p) {
+    every_port.add(static_cast<std::uint16_t>(p), 1);
+  }
+  for (const std::size_t n : {std::size_t{65536}, std::size_t{65537}, std::size_t{1} << 40}) {
+    PortPacketMap map;
+    map.reserve(n);
+    EXPECT_EQ(map.slot_capacity(), every_port.slot_capacity()) << n;
+  }
 }
 
 TEST(FlowIndexTable, InsertFindEraseChurnMatchesStdMap) {

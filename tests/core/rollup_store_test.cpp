@@ -37,9 +37,11 @@ const telescope::Telescope& test_telescope() {
   return telescope;
 }
 
-/// A capture with two sources: one qualifying campaign plus one small
-/// two-port flow left open at stream end, so the rollup exercises
-/// campaigns, boundary segments and the tally.
+/// A capture with four sources: a qualifying flow and a small two-port
+/// flow at its start (head segments), a two-port campaign that starts
+/// and ends more than the expiry inside it, and one late probe (a tail
+/// segment), so the rollup exercises campaigns, boundary segments and
+/// the tally.
 void write_capture(const fs::path& path) {
   auto writer = pcap::Writer::create(path);
   net::RawFrame frame;
@@ -62,6 +64,11 @@ void write_capture(const fs::path& path) {
     emit(0x05000002u, i, 2'600'000 + static_cast<net::TimeUs>(i) * 10'000,
          i % 2 == 0 ? 443 : 8080);
   }
+  for (std::uint32_t i = 0; i < 150; ++i) {
+    emit(0x05000003u, i, 90 * 60'000'000LL + static_cast<net::TimeUs>(i) * 10'000,
+         i % 2 == 0 ? 22 : 2222);
+  }
+  emit(0x04000001u, 0, 3 * 60 * 60'000'000LL, 25);
   writer.flush();
 }
 
@@ -285,26 +292,53 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   }
   const auto stored = load();
   ASSERT_TRUE(stored.has_value());
-  ASSERT_FALSE(stored->segments.empty());
-
-  // Payload offset of the first segment's u32 port count: the fixed
-  // prefix (frames, status, from_cache, first and max probe timestamps,
-  // 10 sensor and 11 tracker counters), the campaign count and rows,
-  // the segment count, then the segment's fixed fields and destination
-  // list.
-  std::size_t first_ports = 8 + 4 + 1 + 2 * 8 + 10 * 8 + 11 * 8 + 8;
-  for (const auto& campaign : stored->campaigns) {
-    first_ports += 69 + 10 * campaign.port_packets.size();
-  }
-  first_ports += 8 + 4 + 1 + 3 * 8 + 8 + 4 * stored->segments.front().destinations.size();
-  {
+  ASSERT_EQ(stored->campaigns.size(), 1u);
+  ASSERT_EQ(stored->segments.size(), 3u);
+  const auto stored_word = [&](std::size_t payload_offset, std::size_t width) {
     std::ifstream in(rollup_path, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(kHeader + first_ports));
-    std::uint8_t word[4] = {};
-    in.read(reinterpret_cast<char*>(word), 4);
-    ASSERT_EQ(net::load_le32(word), stored->segments.front().port_packets.size())
-        << "the .spr layout moved; re-derive the port count offset";
+    in.seekg(static_cast<std::streamoff>(kHeader + payload_offset));
+    std::uint8_t word[8] = {};
+    in.read(reinterpret_cast<char*>(word), static_cast<std::streamsize>(width));
+    return net::load_le64(word);
+  };
+
+  // Payload offsets of the campaign and the segments: the fixed prefix
+  // (frames, status, from_cache, first and max probe timestamps, 10
+  // sensor and 11 tracker counters) and the campaign count, then a
+  // campaign's 65 fixed bytes and its u32 port count; after the
+  // campaigns, the segment count, then per segment 37 fixed bytes (the
+  // last a u64 destination count), the destinations, a u32 port count
+  // and its rows, and 123 bytes of fingerprint evidence.
+  const std::size_t campaign_at = 8 + 4 + 1 + 2 * 8 + 10 * 8 + 11 * 8 + 8;
+  const auto& campaign = stored->campaigns.front();
+  std::vector<std::size_t> segment_at = {campaign_at + 69 +
+                                         10 * campaign.port_packets.size() + 8};
+  for (const auto& segment : stored->segments) {
+    segment_at.push_back(segment_at.back() + 37 + 4 * segment.destinations.size() + 4 +
+                         10 * segment.port_packets.size() + 123);
   }
+  const auto ports_at = [&](std::size_t k) {
+    return segment_at[k] + 37 + 4 * stored->segments[k].destinations.size();
+  };
+  const std::size_t first_ports = ports_at(0);
+  ASSERT_EQ(stored_word(first_ports, 4), stored->segments.front().port_packets.size())
+      << "the .spr layout moved; re-derive the port count offset";
+
+  // The campaign's two ports (22, 2222); the second flow's destinations;
+  // the third flow's two ports (443, 8080).
+  ASSERT_EQ(campaign.port_packets.size(), 2u);
+  ASSERT_EQ(stored_word(campaign_at + 65, 4), 2u);
+  ASSERT_EQ(stored_word(campaign_at + 69, 2), 22u)
+      << "the .spr layout moved; re-derive the campaign row offset";
+  const std::size_t campaign_second_port = campaign_at + 69 + 10;
+  ASSERT_GE(stored->segments[1].destinations.size(), 2u);
+  const std::size_t segment_first_destination = segment_at[1] + 37;
+  ASSERT_EQ(stored_word(segment_first_destination, 4), stored->segments[1].destinations[0])
+      << "the .spr layout moved; re-derive the destination offset";
+  ASSERT_EQ(stored->segments[2].port_packets.size(), 2u);
+  ASSERT_EQ(stored_word(ports_at(2) + 4, 2), 443u)
+      << "the .spr layout moved; re-derive the segment row offset";
+  const std::size_t segment_second_port = ports_at(2) + 4 + 10;
 
   // Payload offsets into the tally section, which ends the payload:
   // u64 source count, then per ascending source a u32 source, a u32 row
@@ -349,6 +383,12 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
        [&] { rewrite_payload(first_rows, 0xfffffff0u, 4); }},
       {"last tally source's last port repeated",
        [&] { rewrite_payload(last_port, repeated_port, 2); }},
+      {"a campaign's port repeated",
+       [&] { rewrite_payload(campaign_second_port, 22, 2); }},
+      {"a segment's destinations out of order",
+       [&] { rewrite_payload(segment_first_destination, 0xffffffffu, 4); }},
+      {"a segment's port repeated",
+       [&] { rewrite_payload(segment_second_port, 443, 2); }},
   };
   for (const auto& [label, corrupt] : defects) {
     SCOPED_TRACE(label);

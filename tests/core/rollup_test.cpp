@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/port_tally.h"
@@ -88,6 +89,87 @@ TEST(RollupMerge, PortTallyMergeWithEmptyIsIdentity) {
   fresh.merge(tally);  // empty left-hand side
   EXPECT_EQ(fresh.total_packets(), packets);
   EXPECT_EQ(fresh.total_sources(), sources);
+}
+
+/// Expects the same sources in the same insertion order, each with the
+/// same rows, and the same packet total.
+void expect_same_tally(const PortTally& actual, const PortTally& expected) {
+  EXPECT_EQ(actual.total_packets(), expected.total_packets());
+  ASSERT_EQ(actual.total_sources(), expected.total_sources());
+  std::vector<PortPacketMap::value_type> actual_rows;
+  std::vector<PortPacketMap::value_type> expected_rows;
+  auto other = expected.per_source().begin();
+  for (const auto& [source, ports] : actual.per_source()) {
+    EXPECT_EQ(source, other->first);
+    ports.sorted_rows(actual_rows);
+    other->second.sorted_rows(expected_rows);
+    EXPECT_EQ(actual_rows, expected_rows) << source;
+    ++other;
+  }
+}
+
+TEST(RollupMerge, PortTallyMergeMovesOrCopiesWholeMaps) {
+  // The right-hand tally holds a source the left has not seen (it moves
+  // in whole), and one the left already holds, with shared and new
+  // ports past the inline capacity (its map is sized once and summed).
+  std::vector<telescope::ScanProbe> left_probes;
+  std::vector<telescope::ScanProbe> right_probes;
+  const auto probe = [](std::uint32_t source, std::uint16_t port,
+                        std::size_t i) -> telescope::ScanProbe {
+    return ProbeBuilder()
+        .at(static_cast<net::TimeUs>(1'000'000 + i * 40))
+        .from(src(source))
+        .to(dst(static_cast<std::uint32_t>(i % 31)))
+        .port(port);
+  };
+  for (std::uint16_t p = 0; p < 12; ++p) {
+    left_probes.push_back(probe(1, static_cast<std::uint16_t>(1000 + p), p));
+    left_probes.push_back(probe(2, 22, p));
+  }
+  for (std::uint16_t p = 0; p < 20; ++p) {
+    right_probes.push_back(probe(3, static_cast<std::uint16_t>(60000 - p), p));
+    right_probes.push_back(probe(1, static_cast<std::uint16_t>(1006 + p), p));
+  }
+  PortTally reference;
+  for (const auto* half : {&left_probes, &right_probes}) {
+    for (const auto& each : *half) reference.on_probe(each);
+  }
+  const auto tally_of = [](const std::vector<telescope::ScanProbe>& probes) {
+    PortTally tally;
+    for (const auto& each : probes) tally.on_probe(each);
+    return tally;
+  };
+
+  {
+    SCOPED_TRACE("copied");
+    auto merged = tally_of(left_probes);
+    const auto right = tally_of(right_probes);
+    merged.merge(right);
+    expect_same_tally(merged, reference);
+    expect_same_tally(right, tally_of(right_probes));  // the copy left it whole
+  }
+  {
+    SCOPED_TRACE("moved");
+    auto merged = tally_of(left_probes);
+    merged.merge(tally_of(right_probes));
+    expect_same_tally(merged, reference);
+  }
+  for (const bool move : {false, true}) {
+    SCOPED_TRACE(move ? "moved into and out of an empty tally"
+                      : "copied into and out of an empty tally");
+    PortTally merged;
+    auto whole = tally_of(left_probes);
+    whole.merge(tally_of(right_probes));
+    PortTally empty;
+    if (move) {
+      merged.merge(std::move(whole));
+      merged.merge(std::move(empty));
+    } else {
+      merged.merge(whole);
+      merged.merge(empty);
+    }
+    expect_same_tally(merged, reference);
+  }
 }
 
 /// Probes from sources spread over the registry's records (every
