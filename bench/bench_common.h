@@ -123,16 +123,16 @@ inline Options parse_options(int argc, char** argv) {
       if (arg.substr(0, prefix.size()) != prefix) return std::nullopt;
       return std::string(arg.substr(prefix.size()));
     };
-    if (const auto v = value_of("--scale=")) {
-      options.scale = std::stod(*v);
-    } else if (const auto v = value_of("--year=")) {
-      options.year = std::stoi(*v);
-    } else if (const auto v = value_of("--metrics=")) {
-      options.metrics = *v;
+    if (const auto scale = value_of("--scale=")) {
+      options.scale = std::stod(*scale);
+    } else if (const auto year = value_of("--year=")) {
+      options.year = std::stoi(*year);
+    } else if (const auto metrics = value_of("--metrics=")) {
+      options.metrics = *metrics;
     } else if (arg == "--metrics") {
       options.metrics = std::string();
-    } else if (const auto v = value_of("--seed=")) {
-      options.seed = std::stoull(*v);
+    } else if (const auto seed = value_of("--seed=")) {
+      options.seed = std::stoull(*seed);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "options: --scale=<x> --year=<y> --seed=<s> --metrics[=<file>]\n";
       std::exit(0);

@@ -337,7 +337,7 @@ int run_fingerprint(const std::vector<std::string>& args) {
     throw std::invalid_argument("fingerprint requires a capture path");
   }
   const auto& telescope = shared_telescope();
-  // Each source's evidence under the default ClassifierConfig.
+  // Each source's evidence, judged under the default ClassifierConfig.
   using Evidence = core::FlatHashMap<std::uint32_t, fingerprint::ToolEvidence>;
   Evidence evidence;
 
@@ -361,9 +361,9 @@ int run_fingerprint(const std::vector<std::string>& args) {
   std::size_t shown = 0;
   for (const auto* entry : by_source) {
     const auto& [source, tool_evidence] = *entry;
-    if (tool_evidence.probes() < 3) continue;  // skip one-off chatter
+    if (tool_evidence.probes < 3) continue;  // skip one-off chatter
     table.add_row({net::Ipv4Address(source).to_string(),
-                   std::to_string(tool_evidence.probes()),
+                   std::to_string(tool_evidence.probes),
                    std::string(fingerprint::to_string(tool_evidence.verdict())),
                    std::to_string(tool_evidence.matches(fingerprint::Tool::kZmap)),
                    std::to_string(tool_evidence.matches(fingerprint::Tool::kMasscan)),

@@ -1,6 +1,7 @@
 #include "core/rollup.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -8,6 +9,32 @@
 #include "obs/timer.h"
 
 namespace synscan::core {
+namespace {
+
+/// Joins `later` (a head segment) onto `earlier` (the previous open tail
+/// of the same source), splicing the fingerprint evidence across the
+/// seam: the result is the flow the whole-capture tracker would hold.
+void join_segments(FlowSegment& earlier, const FlowSegment& later) {
+  earlier.tail = later.tail;
+  earlier.last_seen_us = std::max(earlier.last_seen_us, later.last_seen_us);
+  earlier.packets += later.packets;
+
+  std::vector<std::uint32_t> destinations;
+  destinations.reserve(earlier.destinations.size() + later.destinations.size());
+  std::set_union(earlier.destinations.begin(), earlier.destinations.end(),
+                 later.destinations.begin(), later.destinations.end(),
+                 std::back_inserter(destinations));
+  earlier.destinations = std::move(destinations);
+
+  earlier.port_packets.reserve(earlier.port_packets.size() + later.port_packets.size());
+  for (const auto [port, packets] : later.port_packets) {
+    earlier.port_packets.add(port, packets);
+  }
+  earlier.evidence.append(later.evidence);
+}
+
+}  // namespace
+
 CaptureRollup analyze_shard(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
                             const enrich::InternetRegistry& /*registry*/,
@@ -58,51 +85,6 @@ RollupMerger::RollupMerger(const telescope::Telescope& telescope,
       model_(telescope.monitored_count()),
       merged_(registry) {}
 
-FlowSegment RollupMerger::join_segments(FlowSegment&& earlier,
-                                        FlowSegment&& later) const {
-  FlowSegment joined = std::move(earlier);
-  joined.tail = later.tail;
-  joined.last_seen_us = std::max(joined.last_seen_us, later.last_seen_us);
-  joined.packets += later.packets;
-
-  std::vector<std::uint32_t> destinations;
-  destinations.reserve(joined.destinations.size() + later.destinations.size());
-  std::set_union(joined.destinations.begin(), joined.destinations.end(),
-                 later.destinations.begin(), later.destinations.end(),
-                 std::back_inserter(destinations));
-  joined.destinations = std::move(destinations);
-
-  // Both port lists are sorted; merge them summing counts of shared ports.
-  std::vector<std::pair<std::uint16_t, std::uint64_t>> ports;
-  ports.reserve(joined.port_packets.size() + later.port_packets.size());
-  auto a = joined.port_packets.begin();
-  auto b = later.port_packets.begin();
-  while (a != joined.port_packets.end() && b != later.port_packets.end()) {
-    if (a->first < b->first) {
-      ports.push_back(*a++);
-    } else if (b->first < a->first) {
-      ports.push_back(*b++);
-    } else {
-      ports.emplace_back(a->first, a->second + b->second);
-      ++a;
-      ++b;
-    }
-  }
-  ports.insert(ports.end(), a, joined.port_packets.end());
-  ports.insert(ports.end(), b, later.port_packets.end());
-  joined.port_packets = std::move(ports);
-
-  // Splice the fingerprint accumulators: counters add and the pairwise
-  // fingerprints are evaluated once across the seam, bit-identical to
-  // having observed the concatenated probe run in one tracker.
-  auto evidence = fingerprint::ToolEvidence::from_state(config_.classifier,
-                                                        joined.evidence);
-  evidence.append(
-      fingerprint::ToolEvidence::from_state(config_.classifier, later.evidence));
-  joined.evidence = evidence.state();
-  return joined;
-}
-
 void RollupMerger::finalize_segment(FlowSegment&& segment, bool gap_closed) {
   auto& counters = merged_.result.tracker;
   if (gap_closed || now_ - segment.last_seen_us > config_.expiry) {
@@ -112,11 +94,8 @@ void RollupMerger::finalize_segment(FlowSegment&& segment, bool gap_closed) {
                           segment.last_seen_us, segment.packets,
                           segment.destinations.size(), counters);
   if (!campaign) return;
-  for (const auto& [port, packets] : segment.port_packets) {
-    campaign->port_packets.add(port, packets);
-  }
-  campaign->tool =
-      fingerprint::ToolEvidence::from_state(config_.classifier, segment.evidence).verdict();
+  campaign->port_packets = std::move(segment.port_packets);
+  campaign->tool = segment.evidence.verdict(config_.classifier);
   merged_.result.campaigns.push_back(std::move(*campaign));
 }
 
@@ -149,29 +128,25 @@ void RollupMerger::add(CaptureRollup&& shard) {
   merged_.ports.merge(std::move(shard.ports));
   any_shard_ = true;
 
-  for (auto& exported : shard.segments) {
-    FlowSegment segment = std::move(exported);
-    const auto source = segment.source.value();
-    if (auto& slot = tail_index_[source]; slot != 0) {
-      FlowSegment previous = std::move(open_tails_[slot - 1]);
-      slot = 0;
-      if (segment.head && segment.first_seen_us - previous.last_seen_us <= config_.expiry) {
-        // The gap fits inside the expiry: the whole-capture tracker
-        // would have kept this flow alive across the boundary.
-        segment = join_segments(std::move(previous), std::move(segment));
-      } else {
-        // The source came back later than `expiry` after the tail
-        // (segments that are not heads start beyond the head horizon).
-        finalize_segment(std::move(previous), /*gap_closed=*/true);
-      }
-    }
-    if (segment.tail) {
-      open_tails_.push_back(std::move(segment));
-      tail_index_[source] = static_cast<std::uint32_t>(open_tails_.size());
+  for (auto& segment : shard.segments) {
+    auto& open = open_tails_[segment.source.value()];
+    if (open && segment.head &&
+        segment.first_seen_us - open->last_seen_us <= config_.expiry) {
+      // The gap fits inside the expiry: the whole-capture tracker
+      // would have kept this flow alive across the boundary.
+      join_segments(*open, segment);
     } else {
+      // An open tail is gap-closed: its source came back later than
+      // `expiry` after it (segments that are not heads start beyond the
+      // head horizon).
+      if (open) finalize_segment(std::move(*open), /*gap_closed=*/true);
+      open = std::move(segment);
+    }
+    if (!open->tail) {
       // Followed inside its own shard by same-source traffic after an
       // expiry gap, so the whole-capture tracker gap-closed it too.
-      finalize_segment(std::move(segment), /*gap_closed=*/true);
+      finalize_segment(std::move(*open), /*gap_closed=*/true);
+      open.reset();
     }
   }
 }
@@ -181,11 +156,9 @@ AnalyzedCapture RollupMerger::finish() {
   finished_ = true;
 
   const obs::ScopedTimer merge_timer("rollup.finish");
-  tail_index_.for_each([&](std::uint32_t, std::uint32_t slot) {
-    if (slot == 0) return;
-    finalize_segment(std::move(open_tails_[slot - 1]), /*gap_closed=*/false);
+  open_tails_.for_each([&](std::uint32_t, std::optional<FlowSegment>& open) {
+    if (open) finalize_segment(std::move(*open), /*gap_closed=*/false);
   });
-  open_tails_.clear();
 
   sort_canonical(merged_.result.campaigns);
   if (!any_shard_) merged_.from_cache = false;

@@ -5,8 +5,9 @@
 // probes again. The unit is a `CaptureRollup`: everything one capture's
 // analysis produced — counters, interior campaigns, tallies — plus the
 // tracker's boundary `FlowSegment`s (core/tracker.h), which carry enough
-// state (full destination set, port tally, fingerprint accumulator) that
-// flows spanning shard boundaries can be re-joined exactly.
+// state (full destination set, and the flow's own `PortPacketMap` and
+// `ToolEvidence`) that flows spanning shard boundaries can be re-joined
+// exactly.
 //
 // Shards must not overlap in time: each starts at or after the last
 // probe of every shard before it. A flow then crosses a cut only if it
@@ -28,6 +29,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
 #include "core/analysis_session.h"
@@ -47,7 +49,9 @@ struct CaptureRollup {
   std::filesystem::path capture;  ///< source capture path (diagnostics)
   std::uint64_t frames = 0;
   pcap::ReadStatus final_status = pcap::ReadStatus::kEndOfFile;
-  bool from_cache = false;         ///< probes came from a `.spc` cache
+  /// The result came from a cache: the probes from a `.spc`, or the
+  /// whole rollup from a `.spr` (core/rollup_store.h).
+  bool from_cache = false;
   /// The shard's first probe (0 without probes): its heads start
   /// within `expiry` of it, and no earlier shard may end after it.
   net::TimeUs first_probe_us = 0;
@@ -109,20 +113,12 @@ class RollupMerger {
   /// segment's last packet.
   void finalize_segment(FlowSegment&& segment, bool gap_closed);
 
-  /// Joins `later` (a head segment) onto `earlier` (the previous open
-  /// tail of the same source), splicing the fingerprint evidence across
-  /// the seam. Returns the combined segment.
-  [[nodiscard]] FlowSegment join_segments(FlowSegment&& earlier,
-                                          FlowSegment&& later) const;
-
   TrackerConfig config_;
   stats::TelescopeModel model_;
   AnalyzedCapture merged_;
-  /// Open tail flows between shards: slots in `open_tails_`, located by
-  /// `tail_index_` (source -> slot + 1; 0 = none). The index map never
-  /// erases, so consumed slots simply go dead.
-  FlatHashMap<std::uint32_t, std::uint32_t> tail_index_;
-  std::vector<FlowSegment> open_tails_;
+  /// The open tail flow between shards of every source seen in a
+  /// segment; empty once the tail was joined or finalized.
+  FlatHashMap<std::uint32_t, std::optional<FlowSegment>> open_tails_;
   net::TimeUs now_ = 0;  ///< max timestamp over all folded shards
   std::filesystem::path last_capture_;  ///< the shard whose last probe is `now_`
   bool any_shard_ = false;

@@ -66,8 +66,12 @@ constexpr std::size_t kSegmentBytes = 4 + 1 + 3 * 8 + 8 + 4 + 7 * 8 + 1 + 2 * kP
 /// A tally source before its port rows (their u32 count included).
 constexpr std::size_t kSourceBytes = 4 + 4;
 
-/// Emits a u32 row count, then the rows, in one bulk store.
-void put_port_rows(ByteWriter& out, std::span<const PortPacketMap::value_type> rows) {
+/// Emits a PortPacketMap as a u32 row count, then its (port, packets)
+/// rows in ascending port order, in one bulk store — the map's own
+/// iteration order is a function of insertion history, which must never
+/// leak into the file bytes.
+void put_port_map(ByteWriter& out, const PortPacketMap& map, PortRows& rows) {
+  map.sorted_rows(rows);
   out.u32(static_cast<std::uint32_t>(rows.size()));
   auto* at = out.grow(kPortRowBytes * rows.size());
   for (const auto& [port, packets] : rows) {
@@ -77,20 +81,14 @@ void put_port_rows(ByteWriter& out, std::span<const PortPacketMap::value_type> r
   }
 }
 
-/// Emits a PortPacketMap as sorted (port, packets) rows — the map's own
-/// iteration order is a function of insertion history, which must never
-/// leak into the file bytes.
-void put_port_map(ByteWriter& out, const PortPacketMap& map, PortRows& rows) {
-  map.sorted_rows(rows);
-  put_port_rows(out, rows);
-}
-
-/// Reads `n` (port, packets) rows, passing each to `row`. Rows must be
-/// strictly ascending by port and carry packets, as the writer emits
-/// them, so a file that passes the checksum but repeats or reorders a
-/// row takes the fallback instead of loading a different statistic.
-template <typename Row>
-void get_port_rows(ByteReader& in, std::size_t n, Row&& row) {
+/// Reads a stored map into `map`, sized once from its row count. Rows
+/// must be strictly ascending by port and carry packets, as the writer
+/// emits them, so a file that passes the checksum but repeats or
+/// reorders a row takes the fallback instead of loading a different
+/// statistic.
+void get_port_map(ByteReader& in, PortPacketMap& map) {
+  const auto n = in.count32(kPortRowBytes);
+  map.reserve(n);
   const auto* at = in.take(kPortRowBytes * n);
   std::uint16_t previous = 0;
   for (std::size_t i = 0; i < n; ++i, at += kPortRowBytes) {
@@ -98,16 +96,8 @@ void get_port_rows(ByteReader& in, std::size_t n, Row&& row) {
     const auto packets = net::load_le64(at + 2);
     if ((i > 0 && port <= previous) || packets == 0) throw ParseError{};
     previous = port;
-    row(port, packets);
+    map.add(port, packets);
   }
-}
-
-/// Reads a stored map into `map`, sized once from its row count.
-void get_port_map(ByteReader& in, PortPacketMap& map) {
-  const auto n = in.count32(kPortRowBytes);
-  map.reserve(n);
-  get_port_rows(in, n,
-                [&](std::uint16_t port, std::uint64_t packets) { map.add(port, packets); });
 }
 
 void put_tracker(ByteWriter& out, const TrackerCounters& counters) {
@@ -170,7 +160,7 @@ Campaign get_campaign(ByteReader& in) {
   return campaign;
 }
 
-void put_segment(ByteWriter& out, const FlowSegment& segment) {
+void put_segment(ByteWriter& out, const FlowSegment& segment, PortRows& rows) {
   out.u32(segment.source.value());
   out.u8(static_cast<std::uint8_t>((segment.head ? 1 : 0) | (segment.tail ? 2 : 0)));
   out.u64(time_bits(segment.first_seen_us));
@@ -182,7 +172,7 @@ void put_segment(ByteWriter& out, const FlowSegment& segment) {
     net::store_le32(at, destination);
     at += 4;
   }
-  put_port_rows(out, segment.port_packets);
+  put_port_map(out, segment.port_packets, rows);
   const auto& evidence = segment.evidence;
   out.u64(evidence.probes);
   out.u64(evidence.zmap_hits);
@@ -205,8 +195,8 @@ FlowSegment get_segment(ByteReader& in) {
   segment.first_seen_us = time_from(in.u64());
   segment.last_seen_us = time_from(in.u64());
   segment.packets = in.u64();
-  // Destinations and ports strictly ascending, as the writer emits
-  // them: the merger joins both lists as sorted sets.
+  // Destinations strictly ascending, as the writer emits them: the
+  // merger joins them as sorted sets.
   const auto destinations = in.count(4);
   const auto* at = in.take(4 * destinations);
   segment.destinations.resize(destinations);
@@ -214,11 +204,7 @@ FlowSegment get_segment(ByteReader& in) {
     segment.destinations[i] = net::load_le32(at);
     if (i > 0 && segment.destinations[i] <= segment.destinations[i - 1]) throw ParseError{};
   }
-  const auto ports = in.count32(kPortRowBytes);
-  segment.port_packets.reserve(ports);
-  get_port_rows(in, ports, [&](std::uint16_t port, std::uint64_t packets) {
-    segment.port_packets.emplace_back(port, packets);
-  });
+  get_port_map(in, segment.port_packets);
   auto& evidence = segment.evidence;
   evidence.probes = in.u64();
   evidence.zmap_hits = in.u64();
@@ -248,7 +234,7 @@ void put_port_tally(ByteWriter& out, const PortTally& tally, PortRows& rows) {
 }
 
 /// Reads the tally section. Sources must be strictly ascending and each
-/// must have a row; `get_port_rows` checks the rows. The source table
+/// must have a row; `get_port_map` checks the rows. The source table
 /// is not reserved from the stored count: an entry costs about ten times
 /// the 18 bytes a source takes on disk.
 void get_port_tally(ByteReader& in, PortTally& tally) {
@@ -335,7 +321,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   PortRows rows;
   payload.u64(rollup.frames);
   payload.u32(static_cast<std::uint32_t>(rollup.final_status));
-  payload.u8(rollup.from_cache ? 1 : 0);
+  payload.u8(0);  // reserved (see the layout in the header)
   payload.u64(time_bits(rollup.first_probe_us));
   payload.u64(time_bits(rollup.max_timestamp_us));
   put_sensor(payload, rollup.sensor);
@@ -343,7 +329,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   payload.u64(rollup.campaigns.size());
   for (const auto& campaign : rollup.campaigns) put_campaign(payload, campaign, rows);
   payload.u64(rollup.segments.size());
-  for (const auto& segment : rollup.segments) put_segment(payload, segment);
+  for (const auto& segment : rollup.segments) put_segment(payload, segment, rows);
   put_port_tally(payload, rollup.ports, rows);
 
   ByteWriter header;
@@ -395,7 +381,8 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
       return std::nullopt;  // as `.spc`: a corrupt terminal status
     }
     rollup.final_status = static_cast<pcap::ReadStatus>(status);
-    rollup.from_cache = in.u8() != 0;
+    (void)in.u8();  // reserved
+    rollup.from_cache = true;  // a store hit serves a cached result
     rollup.first_probe_us = time_from(in.u64());
     rollup.max_timestamp_us = time_from(in.u64());
     get_sensor(in, rollup.sensor);

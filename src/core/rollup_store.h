@@ -23,13 +23,13 @@
 //     u64 analysis_fingerprint (see `analysis_fingerprint`)
 //     u64 campaign_count      u64 segment_count
 //     u64 payload_size        u64 checksum (FNV-1a over the payload)
-//   payload: meta (frames, terminal status, from_cache, then the
+//   payload: meta (frames, terminal status, a reserved byte, then the
 //     shard's first and last probe times, which the merger's time-order
 //     check and the boundary horizons rest on), sensor counters, tracker
 //     counters, campaigns, boundary segments (only the flows within
-//     `expiry` of the shard's first or last probe, each with its full
-//     fingerprint accumulator state) and one tally section, the
-//     `PortTally`:
+//     `expiry` of the shard's first or last probe, each with its
+//     destinations, its port map and every field of its `ToolEvidence`)
+//     and one tally section, the `PortTally`:
 //       u64 source_count, then per source in ascending order:
 //       u32 source, u32 row_count (>= 1), then row_count rows of
 //       u16 port, u64 packets (> 0) in ascending port order.
@@ -38,6 +38,10 @@
 //     (strictly ascending tally sources, port rows and segment
 //     destinations, every row with packets). No section names a scanner
 //     type or country, so a rollup is valid under any registry.
+//     The reserved byte is written as 0 and ignored on load, so a
+//     shard's bytes do not depend on whether its probes came from a
+//     `.spc`; a loaded rollup reports `from_cache` true, since its result
+//     came from the store. The next version drops the byte.
 //
 // Version 1 (three tally sections) and version 2 (no first probe time;
 // a head segment for every source) files load as misses and are

@@ -32,7 +32,7 @@ void CampaignTracker::feed(const telescope::ScanProbe& probe) {
   if (inserted) {
     slot = acquire_flow();
     Flow& fresh = pool_[slot];
-    fresh.reset(config_.classifier);
+    fresh.reset();
     fresh.first_seen_us = probe.timestamp_us;
     // The first probe always opens a flow, so the shard start is set
     // here, off the per-probe path.
@@ -56,7 +56,7 @@ void CampaignTracker::feed(const telescope::ScanProbe& probe) {
       ++counters_.expired_flows;
     }
     ++counters_.flow_reuses;
-    flow.reset(config_.classifier);
+    flow.reset();
     flow.first_seen_us = probe.timestamp_us;
   }
 
@@ -119,7 +119,7 @@ void CampaignTracker::close_flow(net::Ipv4Address source, Flow& flow) {
   if (!campaign) return;
   campaign->id = next_id_++;
   campaign->port_packets = std::move(flow.port_packets);
-  campaign->tool = flow.evidence.verdict();
+  campaign->tool = flow.evidence.verdict(config_.classifier);
   sink_(std::move(*campaign));
   // The move stole the port map's backing store (it now belongs to the
   // campaign); leave the flow coherent for its next reuse.
@@ -146,9 +146,8 @@ void CampaignTracker::export_segment(net::Ipv4Address source, const Flow& flow,
   flow.destinations.for_each(
       [&](std::uint32_t dest) { segment.destinations.push_back(dest); });
   std::sort(segment.destinations.begin(), segment.destinations.end());
-  flow.port_packets.sorted_rows(port_rows_);
-  segment.port_packets.assign(port_rows_.begin(), port_rows_.end());
-  segment.evidence = flow.evidence.state();
+  segment.port_packets = flow.port_packets;
+  segment.evidence = flow.evidence;
   segments_.push_back(std::move(segment));
 }
 
@@ -170,7 +169,7 @@ void CampaignTracker::sweep(net::TimeUs now) {
       close_flow(net::Ipv4Address(source), flow);
       ++counters_.expired_flows;
     }
-    flow.reset(config_.classifier);
+    flow.reset();
     free_.push_back(*slot);
     table_.erase(source);
   }
@@ -191,7 +190,7 @@ void CampaignTracker::finish(net::TimeUs stream_end) {
       if (expired) ++counters_.expired_flows;
       close_flow(net::Ipv4Address(source), flow);
     }
-    flow.reset(config_.classifier);
+    flow.reset();
     free_.push_back(slot);
   });
   table_.clear();

@@ -59,10 +59,11 @@ struct TrackerConfig {
 };
 
 /// One source's flow state at a shard boundary, exported by a tracker
-/// running in carry mode. Holds everything `close_flow` needs —
-/// including the full destination set and fingerprint evidence — so
-/// that joining the segments of adjacent shards and then finalizing is
-/// bit-identical to having tracked the whole capture in one pass.
+/// running in carry mode. Holds everything `close_flow` needs — the
+/// full destination set, and the flow's own port map and fingerprint
+/// evidence — so that joining the segments of adjacent shards and then
+/// finalizing is bit-identical to having tracked the whole capture in
+/// one pass.
 struct FlowSegment {
   net::Ipv4Address source;
   /// The source's first flow, starting within `expiry` of the shard's
@@ -75,8 +76,8 @@ struct FlowSegment {
   net::TimeUs last_seen_us = 0;
   std::uint64_t packets = 0;
   std::vector<std::uint32_t> destinations;  ///< distinct, sorted
-  std::vector<std::pair<std::uint16_t, std::uint64_t>> port_packets;  ///< sorted by port
-  fingerprint::EvidenceState evidence;
+  PortPacketMap port_packets;
+  fingerprint::ToolEvidence evidence;
 };
 
 /// Counters describing everything the tracker saw, including traffic
@@ -193,13 +194,13 @@ class CampaignTracker {
 
     /// Restart in place for a new scan from the same or a recycled
     /// source: containers are emptied but keep their backing stores.
-    void reset(const fingerprint::ClassifierConfig& classifier) {
+    void reset() {
       first_seen_us = 0;
       last_seen_us = 0;
       packets = 0;
       destinations.clear();
       port_packets.clear();
-      evidence = fingerprint::ToolEvidence(classifier);
+      evidence = {};
     }
   };
 
@@ -224,8 +225,6 @@ class CampaignTracker {
   std::vector<std::uint32_t> free_;  ///< recycled pool slots
   std::vector<std::uint32_t> sweep_keys_;  ///< scratch: sources expiring this sweep
   std::vector<FlowSegment> segments_;      ///< carry mode: exported boundary flows
-  /// Carry mode scratch: an exported flow's sorted port rows.
-  std::vector<PortPacketMap::value_type> port_rows_;
   HybridU32Set carried_sources_;  ///< carry mode: sources whose head was already exported
   TrackerCounters counters_;
   net::TimeUs now_ = 0;

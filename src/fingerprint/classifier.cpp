@@ -3,109 +3,77 @@
 namespace synscan::fingerprint {
 
 void ToolEvidence::observe(const telescope::ScanProbe& probe) noexcept {
-  if (probes_ == 0) first_ = probe;
-  ++probes_;
-  if (matches_zmap(probe)) ++zmap_hits_;
-  if (matches_masscan(probe)) ++masscan_hits_;
-  if (matches_mirai(probe)) ++mirai_hits_;
+  if (probes == 0) first = probe;
+  ++probes;
+  if (matches_zmap(probe)) ++zmap_hits;
+  if (matches_masscan(probe)) ++masscan_hits;
+  if (matches_mirai(probe)) ++mirai_hits;
 
-  if (have_previous_) {
-    ++pairs_;
-    if (matches_nmap_pair(previous_.sequence, probe.sequence)) ++nmap_pair_hits_;
-    if (matches_unicorn_pair(previous_, probe)) ++unicorn_pair_hits_;
+  if (have_previous) {
+    ++pairs;
+    if (matches_nmap_pair(previous.sequence, probe.sequence)) ++nmap_pair_hits;
+    if (matches_unicorn_pair(previous, probe)) ++unicorn_pair_hits;
   }
-  previous_ = probe;
-  have_previous_ = true;
+  previous = probe;
+  have_previous = true;
 }
 
 void ToolEvidence::append(const ToolEvidence& later) noexcept {
-  if (later.probes_ == 0) return;
-  if (probes_ == 0) first_ = later.first_;
+  if (later.probes == 0) return;
+  if (probes == 0) first = later.first;
   // The pair spanning the seam: this run's last probe against the later
   // run's first. Everything else was already counted on either side.
-  if (have_previous_) {
-    ++pairs_;
-    if (matches_nmap_pair(previous_.sequence, later.first_.sequence)) ++nmap_pair_hits_;
-    if (matches_unicorn_pair(previous_, later.first_)) ++unicorn_pair_hits_;
+  if (have_previous) {
+    ++pairs;
+    if (matches_nmap_pair(previous.sequence, later.first.sequence)) ++nmap_pair_hits;
+    if (matches_unicorn_pair(previous, later.first)) ++unicorn_pair_hits;
   }
-  probes_ += later.probes_;
-  zmap_hits_ += later.zmap_hits_;
-  masscan_hits_ += later.masscan_hits_;
-  mirai_hits_ += later.mirai_hits_;
-  nmap_pair_hits_ += later.nmap_pair_hits_;
-  unicorn_pair_hits_ += later.unicorn_pair_hits_;
-  pairs_ += later.pairs_;
-  previous_ = later.previous_;
-  have_previous_ = later.have_previous_;
-}
-
-EvidenceState ToolEvidence::state() const noexcept {
-  EvidenceState state;
-  state.probes = probes_;
-  state.zmap_hits = zmap_hits_;
-  state.masscan_hits = masscan_hits_;
-  state.mirai_hits = mirai_hits_;
-  state.nmap_pair_hits = nmap_pair_hits_;
-  state.unicorn_pair_hits = unicorn_pair_hits_;
-  state.pairs = pairs_;
-  state.have_previous = have_previous_;
-  state.first = first_;
-  state.previous = previous_;
-  return state;
-}
-
-ToolEvidence ToolEvidence::from_state(ClassifierConfig config,
-                                      const EvidenceState& state) noexcept {
-  ToolEvidence evidence(config);
-  evidence.probes_ = state.probes;
-  evidence.zmap_hits_ = state.zmap_hits;
-  evidence.masscan_hits_ = state.masscan_hits;
-  evidence.mirai_hits_ = state.mirai_hits;
-  evidence.nmap_pair_hits_ = state.nmap_pair_hits;
-  evidence.unicorn_pair_hits_ = state.unicorn_pair_hits;
-  evidence.pairs_ = state.pairs;
-  evidence.have_previous_ = state.have_previous;
-  evidence.first_ = state.first;
-  evidence.previous_ = state.previous;
-  return evidence;
+  probes += later.probes;
+  zmap_hits += later.zmap_hits;
+  masscan_hits += later.masscan_hits;
+  mirai_hits += later.mirai_hits;
+  nmap_pair_hits += later.nmap_pair_hits;
+  unicorn_pair_hits += later.unicorn_pair_hits;
+  pairs += later.pairs;
+  previous = later.previous;
+  have_previous = later.have_previous;
 }
 
 std::uint64_t ToolEvidence::matches(Tool tool) const noexcept {
   switch (tool) {
     case Tool::kZmap:
-      return zmap_hits_;
+      return zmap_hits;
     case Tool::kMasscan:
-      return masscan_hits_;
+      return masscan_hits;
     case Tool::kMirai:
-      return mirai_hits_;
+      return mirai_hits;
     case Tool::kNmap:
-      return nmap_pair_hits_;
+      return nmap_pair_hits;
     case Tool::kUnicorn:
-      return unicorn_pair_hits_;
+      return unicorn_pair_hits;
     case Tool::kUnknown:
       return 0;
   }
   return 0;
 }
 
-Tool ToolEvidence::verdict() const noexcept {
+Tool ToolEvidence::verdict(const ClassifierConfig& config) const noexcept {
   const auto qualifies_single = [&](std::uint64_t hits) {
-    return probes_ > 0 && hits >= config_.min_matches &&
-           static_cast<double>(hits) >=
-               config_.min_fraction * static_cast<double>(probes_);
+    return probes > 0 && hits >= config.min_matches &&
+           static_cast<double>(hits) >= config.min_fraction * static_cast<double>(probes);
   };
   const auto qualifies_pair = [&](std::uint64_t hits) {
-    return pairs_ > 0 && hits >= config_.min_matches &&
-           static_cast<double>(hits) >= config_.min_fraction * static_cast<double>(pairs_);
+    return pairs > 0 && hits >= config.min_matches &&
+           static_cast<double>(hits) >= config.min_fraction * static_cast<double>(pairs);
   };
 
   // Single-packet fingerprints first: they are per-probe exact marks and
   // immune to the coincidences pairwise relations can produce.
-  if (qualifies_single(zmap_hits_)) return Tool::kZmap;
-  if (qualifies_single(masscan_hits_)) return Tool::kMasscan;
-  if (qualifies_single(mirai_hits_)) return Tool::kMirai;
-  if (qualifies_pair(nmap_pair_hits_)) return Tool::kNmap;
-  if (qualifies_pair(unicorn_pair_hits_)) return Tool::kUnicorn;
+  if (qualifies_single(zmap_hits)) return Tool::kZmap;
+  if (qualifies_single(masscan_hits)) return Tool::kMasscan;
+  if (qualifies_single(mirai_hits)) return Tool::kMirai;
+  if (qualifies_pair(nmap_pair_hits)) return Tool::kNmap;
+  if (qualifies_pair(unicorn_pair_hits)) return Tool::kUnicorn;
   return Tool::kUnknown;
 }
 

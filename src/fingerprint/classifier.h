@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "fingerprint/matchers.h"
 #include "fingerprint/tool.h"
@@ -25,13 +24,13 @@ struct ClassifierConfig {
   double min_fraction = 0.5;
 };
 
-/// The complete accumulator state of a `ToolEvidence`, exposed so
-/// evidence can be persisted (the `.spr` rollup store) and merged across
-/// shard boundaries. `first` is valid when `probes > 0`; `previous` when
-/// `have_previous` — both are needed to splice the pairwise fingerprints
-/// exactly when two evidence streams of the same source are concatenated.
-struct EvidenceState {
-  std::uint64_t probes = 0;
+/// Fingerprint evidence for one traffic source: the match counters plus
+/// the first and the previous probe. It is a plain value — the tracker
+/// keeps one per flow, a boundary segment carries it, the rollup store
+/// persists its fields, and the merger splices two with `append` — and it
+/// holds no thresholds: those are passed to `verdict`.
+struct ToolEvidence {
+  std::uint64_t probes = 0;  ///< probes observed so far
   std::uint64_t zmap_hits = 0;
   std::uint64_t masscan_hits = 0;
   std::uint64_t mirai_hits = 0;
@@ -39,15 +38,8 @@ struct EvidenceState {
   std::uint64_t unicorn_pair_hits = 0;
   std::uint64_t pairs = 0;
   bool have_previous = false;
-  telescope::ScanProbe first{};
-  telescope::ScanProbe previous{};
-};
-
-/// Accumulates fingerprint evidence for one traffic source.
-class ToolEvidence {
- public:
-  ToolEvidence() = default;
-  explicit ToolEvidence(ClassifierConfig config) : config_(config) {}
+  telescope::ScanProbe first{};     ///< valid when probes > 0
+  telescope::ScanProbe previous{};  ///< valid when have_previous
 
   /// Feeds the next probe of this source, in arrival order.
   void observe(const telescope::ScanProbe& probe) noexcept;
@@ -60,38 +52,15 @@ class ToolEvidence {
   /// consecutive runs — the shard-rollup merge relies on both properties.
   void append(const ToolEvidence& later) noexcept;
 
-  /// Snapshot of the full accumulator state (for the rollup store).
-  [[nodiscard]] EvidenceState state() const noexcept;
-
-  /// Rebuilds evidence from a stored state; inverse of `state()`.
-  [[nodiscard]] static ToolEvidence from_state(ClassifierConfig config,
-                                               const EvidenceState& state) noexcept;
-
-  /// Probes observed so far.
-  [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
-
-  /// The current best verdict. Single-packet fingerprints take priority
-  /// over pairwise ones (a Mirai probe stream can coincidentally satisfy
-  /// pairwise relations when ports repeat); ties break in the order
-  /// ZMap, Masscan, Mirai, NMap, Unicorn.
-  [[nodiscard]] Tool verdict() const noexcept;
+  /// The best verdict under `config`. Single-packet fingerprints take
+  /// priority over pairwise ones (a Mirai probe stream can coincidentally
+  /// satisfy pairwise relations when ports repeat); ties break in the
+  /// order ZMap, Masscan, Mirai, NMap, Unicorn.
+  [[nodiscard]] Tool verdict(const ClassifierConfig& config = {}) const noexcept;
 
   /// Matched-probe count for a single-packet tool, or matched-pair count
   /// for a pairwise tool.
   [[nodiscard]] std::uint64_t matches(Tool tool) const noexcept;
-
- private:
-  ClassifierConfig config_;
-  std::uint64_t probes_ = 0;
-  std::uint64_t zmap_hits_ = 0;
-  std::uint64_t masscan_hits_ = 0;
-  std::uint64_t mirai_hits_ = 0;
-  std::uint64_t nmap_pair_hits_ = 0;
-  std::uint64_t unicorn_pair_hits_ = 0;
-  std::uint64_t pairs_ = 0;
-  bool have_previous_ = false;
-  telescope::ScanProbe first_{};  ///< valid when probes_ > 0
-  telescope::ScanProbe previous_{};
 };
 
 /// Share-of-total accounting per tool, used for the Table 1 "Tools by

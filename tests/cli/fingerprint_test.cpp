@@ -128,8 +128,8 @@ Evidence reference_evidence(const telescope::Telescope& telescope,
 std::vector<std::vector<std::string>> expected_rows(const Evidence& reference) {
   std::vector<std::vector<std::string>> rows;
   for (const auto& [source, evidence] : reference) {
-    if (evidence.probes() < 3) continue;
-    rows.push_back({net::Ipv4Address(source).to_string(), std::to_string(evidence.probes()),
+    if (evidence.probes < 3) continue;
+    rows.push_back({net::Ipv4Address(source).to_string(), std::to_string(evidence.probes),
                     std::string(fingerprint::to_string(evidence.verdict())),
                     std::to_string(evidence.matches(fingerprint::Tool::kZmap)),
                     std::to_string(evidence.matches(fingerprint::Tool::kMasscan)),
@@ -184,7 +184,7 @@ TEST(CliFingerprint, ReportMatchesPerProbeReference) {
   std::size_t reportable = 0;
   for (const auto& [source, evidence] : reference) {
     verdicts.insert(evidence.verdict());
-    if (evidence.probes() >= 3) ++reportable;
+    if (evidence.probes >= 3) ++reportable;
   }
   ASSERT_EQ(reference.size(), 60u);
   ASSERT_EQ(reportable, 48u);

@@ -92,7 +92,7 @@ TEST(PortTally, PortsWithAtLeast) {
 TEST(PortTally, PrivilegedPortCoverage) {
   PortTally tally;
   // Heavy traffic on 3 privileged ports, nothing else: coverage ~ 3/1023.
-  for (const std::uint16_t port : {22, 80, 443}) {
+  for (const std::uint16_t port : {std::uint16_t{22}, std::uint16_t{80}, std::uint16_t{443}}) {
     for (int i = 0; i < 100; ++i) tally.on_probe(ProbeBuilder().from(src(1)).port(port));
   }
   EXPECT_NEAR(tally.privileged_port_coverage(0.01), 3.0 / 1023.0, 1e-9);

@@ -89,7 +89,7 @@ class ProbeCacheTest : public ::testing::Test {
       }
     };
     le(batch.size(), 8);
-    for (std::size_t i = 0; i < batch.size(); ++i) le(batch.timestamp_us[i], 8);
+    for (std::size_t i = 0; i < batch.size(); ++i) le(static_cast<std::uint64_t>(batch.timestamp_us[i]), 8);
     for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source[i], 4);
     for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination[i], 4);
     for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source_port[i], 2);

@@ -42,7 +42,6 @@ class ReferenceTracker {
     Flow& flow = it->second;
     if (inserted) {
       flow.first_seen_us = probe.timestamp_us;
-      flow.evidence = fingerprint::ToolEvidence(config_.classifier);
       counters_.peak_open_flows =
           std::max<std::uint64_t>(counters_.peak_open_flows, flows_.size());
     } else if (probe.timestamp_us - flow.last_seen_us > config_.expiry) {
@@ -50,7 +49,6 @@ class ReferenceTracker {
       ++counters_.expired_flows;
       flow = Flow{};
       flow.first_seen_us = probe.timestamp_us;
-      flow.evidence = fingerprint::ToolEvidence(config_.classifier);
     }
 
     flow.last_seen_us = std::max(flow.last_seen_us, probe.timestamp_us);
@@ -112,7 +110,7 @@ class ReferenceTracker {
       for (const auto& [port, packets] : flow.port_packets) {
         campaign.port_packets[port] = packets;
       }
-      campaign.tool = flow.evidence.verdict();
+      campaign.tool = flow.evidence.verdict(config_.classifier);
       campaign.extrapolated_pps = pps;
       campaign.extrapolated_packets = model_.extrapolate_probes(hits);
       campaign.coverage_fraction =

@@ -1,5 +1,6 @@
-// Allocation bound for the `.spr` decoder (core/rollup_store.h). A
-// stored count that passes the checksum sizes a container before the
+// Allocation bounds for the sidecar decoders: the `.spr` rollup store
+// (core/rollup_store.h) and the `.spc` probe cache (core/probe_cache.h).
+// A stored count that passes the checksum sizes a container before the
 // rows behind it are read, so a forged count must not buy an allocation
 // out of proportion to the file. A replaced global `operator new`
 // records the largest single request; it lives in a test binary of its
@@ -13,16 +14,23 @@
 #include <fstream>
 #include <iterator>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/probe_cache.h"
 #include "core/rollup_store.h"
 #include "net/endian.h"
 
 namespace {
 std::atomic<std::size_t> largest_request{0};
+
+/// Frees a block of the `operator new` below. Out of line: gcc reads a
+/// `free` inlined next to a pointer from `operator new` as a mismatched
+/// pair (-Wmismatched-new-delete), though here both sides use malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 // Every replaceable form but the aligned ones (left to the runtime, which
@@ -47,12 +55,12 @@ void* operator new(std::size_t size, const std::nothrow_t& /*tag*/) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t /*size*/) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t& /*tag*/) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t& /*tag*/) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { release(p); }
+void operator delete[](void* p, std::size_t /*size*/) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t& /*tag*/) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t& /*tag*/) noexcept { release(p); }
 
 namespace synscan::core {
 namespace {
@@ -90,7 +98,7 @@ CaptureRollup sample_rollup() {
   segment.packets = 60;
   for (std::uint32_t i = 0; i < 50; ++i) segment.destinations.push_back(0xc6330000u + i);
   for (std::uint16_t p = 0; p < 10; ++p) {
-    segment.port_packets.emplace_back(static_cast<std::uint16_t>(2000 + p), 6);
+    segment.port_packets.add(static_cast<std::uint16_t>(2000 + p), 6);
   }
   rollup.segments.push_back(std::move(segment));
   rollup.ports.add(0x04000001u, 23, 1);
@@ -206,6 +214,92 @@ TEST(RollupAllocation, ForgedCountsAllocateWithinAMultipleOfThePayload) {
           << "count " << count << " in a payload of " << payload << " bytes";
     }
   }
+  fs::remove_all(dir);
+}
+
+// `.spc` layout: the header's byte offsets that a forged chunk row count
+// must be matched in, and the chunk's fixed-width bytes per row.
+constexpr std::size_t kSpcHeader = 136;
+constexpr std::size_t kSpcFrameCount = 24;
+constexpr std::size_t kSpcProbeCount = 32;
+constexpr std::size_t kSpcScanProbes = 48;  ///< the first sensor counter
+constexpr std::size_t kSpcChecksum = 128;
+constexpr std::size_t kSpcFixedRowBytes = 2 + 2 + 4 + 4 + 2 + 2 + 1;
+
+TEST(CacheAllocation, ForgedChunkRowCountsAllocateWithinAMultipleOfTheFile) {
+  const auto dir = fs::temp_directory_path() / "synscan_spc_alloc";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto path = dir / "capture.pcap.spc";
+  const CacheIdentity identity{4096, 1'700'000'000'000'000'000ull};
+
+  // One chunk of 50 probes from three sources; five more frames were
+  // backscatter, so the sensor counters sum to 55 frames.
+  constexpr std::uint64_t kProbes = 50;
+  constexpr std::uint64_t kOtherFrames = 5;
+  {
+    telescope::ProbeBatch batch;
+    for (std::uint32_t i = 0; i < kProbes; ++i) {
+      telescope::ScanProbe probe;
+      probe.timestamp_us = 1'000'000 + static_cast<net::TimeUs>(i) * 10'000;
+      probe.source = net::Ipv4Address(0x05000001u + i % 3);
+      probe.destination = net::Ipv4Address(0xc6330000u + i);
+      probe.destination_port = static_cast<std::uint16_t>(80 + i % 4);
+      probe.sequence = 7 * i;
+      batch.push_back(probe);
+    }
+    telescope::SensorCounters sensor;
+    sensor.scan_probes = kProbes;
+    sensor.backscatter = kOtherFrames;
+    ProbeCacheWriter writer(path, identity);
+    writer.append(batch);
+    ASSERT_TRUE(writer.commit(kProbes + kOtherFrames, pcap::ReadStatus::kEndOfFile, sensor));
+  }
+  const auto original = read_file(path);
+  ASSERT_EQ(load_field(original, kSpcHeader, 8), kProbes)
+      << "the .spc layout moved; re-derive the row count offset";
+
+  // Opens the file and replays every chunk; nullopt when it does not
+  // validate, else the rows replayed.
+  const auto largest_replay = [&](const std::vector<std::uint8_t>& bytes) {
+    write_file(path, bytes);
+    largest_request.store(0);
+    std::optional<std::uint64_t> rows;
+    if (auto reader = ProbeCacheReader::open(path, identity)) {
+      telescope::ProbeBatch batch;
+      rows = 0;
+      while (reader->next_chunk(batch)) *rows += batch.size();
+    }
+    return std::pair{rows, largest_request.load()};
+  };
+
+  const auto [intact_rows, intact_largest] = largest_replay(original);
+  EXPECT_EQ(intact_rows, std::optional<std::uint64_t>(kProbes));
+  EXPECT_LE(intact_largest, kMaxAmplification * original.size());
+
+  // Every row count that `walk_chunks` lets through, below and above the
+  // stored one: the chunk's fixed-width tail is cut or zero-padded to the
+  // forged count, which the header's probe count, scan-probe counter and
+  // frame count then match, and the checksum is recomputed over the chunk.
+  std::size_t validated = 0;
+  for (std::uint64_t rows = 1; rows <= 2 * kProbes; ++rows) {
+    if (rows == kProbes) continue;
+    SCOPED_TRACE("row count " + std::to_string(rows));
+    auto forged = original;
+    forged.resize(original.size() - kSpcFixedRowBytes * kProbes + kSpcFixedRowBytes * rows);
+    store_field(forged, kSpcHeader, 8, rows);
+    store_field(forged, kSpcProbeCount, 8, rows);
+    store_field(forged, kSpcScanProbes, 8, rows);
+    store_field(forged, kSpcFrameCount, 8, rows + kOtherFrames);
+    store_field(forged, kSpcChecksum, 8, fnv1a(std::span(forged).subspan(kSpcHeader)));
+    const auto [replayed, largest] = largest_replay(forged);
+    if (replayed) ++validated;
+    EXPECT_LE(largest, kMaxAmplification * forged.size())
+        << "in a file of " << forged.size() << " bytes";
+  }
+  // The decode behind `next_chunk` must see forged counts, or the bound
+  // above covers only `open`.
+  EXPECT_GT(validated, 0u);
   fs::remove_all(dir);
 }
 

@@ -199,6 +199,43 @@ TEST_F(StoreFixture, SaveLoadRoundTrip) {
   }
 }
 
+TEST_F(StoreFixture, RollupBytesDoNotDependOnTheProbeCache) {
+  // A shard's `.spr` built cold (the run writes the `.spc` too) and one
+  // rebuilt from that `.spc` are the same bytes; a store hit then reports
+  // a cached result.
+  const auto run_store = [&] {
+    ShardRunOptions options;
+    options.workers = 1;
+    return run_shards(plan_shards(std::vector<fs::path>{capture}), test_telescope(),
+                      enrich::InternetRegistry::synthetic_default(), TrackerConfig{},
+                      options);
+  };
+  const auto read_rollup = [&] {
+    std::ifstream in(rollup_path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>());
+  };
+
+  const auto cold = run_store();
+  EXPECT_EQ(cold.stats.store_writes, 1u);
+  EXPECT_FALSE(cold.analysis.from_cache);
+  ASSERT_TRUE(fs::exists(capture.string() + ".spc"));
+  const auto cold_bytes = read_rollup();
+  ASSERT_FALSE(cold_bytes.empty());
+
+  fs::remove(rollup_path);
+  const auto warm = run_store();
+  EXPECT_EQ(warm.stats.store_misses, 1u);
+  EXPECT_EQ(warm.stats.store_writes, 1u);
+  EXPECT_TRUE(warm.analysis.from_cache);  // the probes came from the `.spc`
+  EXPECT_TRUE(read_rollup() == cold_bytes) << "the .spr rebuilt from the .spc differs";
+
+  const auto hit = run_store();
+  EXPECT_EQ(hit.stats.store_hits, 1u);
+  EXPECT_TRUE(hit.analysis.from_cache);
+  EXPECT_EQ(report_text(hit), report_text(cold));
+}
+
 TEST_F(StoreFixture, StatReportsStoredHeader) {
   const auto rollup = analyze();
   save(rollup);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -241,56 +242,24 @@ std::vector<telescope::ScanProbe> zmap_like_run(std::size_t n) {
 
 TEST(RollupMerge, EvidenceAppendMatchesContinuousObservation) {
   const auto probes = zmap_like_run(24);
-  const fingerprint::ClassifierConfig config;
 
-  fingerprint::ToolEvidence continuous(config);
+  fingerprint::ToolEvidence continuous;
   for (const auto& probe : probes) continuous.observe(probe);
 
   for (const std::size_t split : {std::size_t{1}, std::size_t{11}, probes.size() - 1}) {
-    fingerprint::ToolEvidence head(config);
-    fingerprint::ToolEvidence tail(config);
+    fingerprint::ToolEvidence head;
+    fingerprint::ToolEvidence tail;
     for (std::size_t i = 0; i < probes.size(); ++i) {
       (i < split ? head : tail).observe(probes[i]);
     }
     head.append(tail);
-    EXPECT_EQ(head.probes(), continuous.probes()) << "split " << split;
+    EXPECT_EQ(head.probes, continuous.probes) << "split " << split;
     EXPECT_EQ(head.verdict(), continuous.verdict()) << "split " << split;
     for (const auto tool : fingerprint::kAllTools) {
       EXPECT_EQ(head.matches(tool), continuous.matches(tool))
           << "split " << split << " tool " << to_string(tool);
     }
   }
-}
-
-TEST(RollupMerge, EvidenceStateRoundTripContinuesExactly) {
-  const auto probes = zmap_like_run(16);
-  const fingerprint::ClassifierConfig config;
-
-  fingerprint::ToolEvidence continuous(config);
-  fingerprint::ToolEvidence original(config);
-  for (std::size_t i = 0; i < 10; ++i) {
-    continuous.observe(probes[i]);
-    original.observe(probes[i]);
-  }
-  // Freeze, thaw (the `.spr` path), then keep observing on the thawed copy.
-  auto thawed = fingerprint::ToolEvidence::from_state(config, original.state());
-  for (std::size_t i = 10; i < probes.size(); ++i) {
-    continuous.observe(probes[i]);
-    thawed.observe(probes[i]);
-  }
-  EXPECT_EQ(thawed.probes(), continuous.probes());
-  EXPECT_EQ(thawed.verdict(), continuous.verdict());
-  for (const auto tool : fingerprint::kAllTools) {
-    EXPECT_EQ(thawed.matches(tool), continuous.matches(tool));
-  }
-}
-
-TEST(RollupMerge, EmptyEvidenceStateRoundTrip) {
-  const fingerprint::ClassifierConfig config;
-  const fingerprint::ToolEvidence empty(config);
-  const auto thawed = fingerprint::ToolEvidence::from_state(config, empty.state());
-  EXPECT_EQ(thawed.probes(), 0u);
-  EXPECT_EQ(thawed.verdict(), empty.verdict());
 }
 
 // ---- RollupMerger contracts -----------------------------------------
@@ -701,18 +670,89 @@ TEST(RollupMerger, ShardsThatOverlapInTimeAreRefused) {
   const auto dotted = fixture.dir / "." / fixture.first.filename();
   const std::vector<std::vector<fs::path>> twice{
       {fixture.first, fixture.first}, {fixture.first, dotted}, {udp, udp}};
-  for (const auto& captures : twice) {
+  for (const auto& pair : twice) {
     try {
-      (void)run_shards(plan_shards(captures), test_telescope(), registry, config, stored);
-      ADD_FAILURE() << "a repeated capture was merged: " << captures.back();
+      (void)run_shards(plan_shards(pair), test_telescope(), registry, config, stored);
+      ADD_FAILURE() << "a repeated capture was merged: " << pair.back();
     } catch (const std::invalid_argument& error) {
       const std::string message = error.what();
       EXPECT_NE(message.find("overlap in time"), std::string::npos) << message;
       EXPECT_NE(message.find("are the same capture"), std::string::npos) << message;
     }
-    for (const auto& capture : captures) {
+    for (const auto& capture : pair) {
       EXPECT_FALSE(fs::exists(capture.string() + ".spc")) << capture;
       EXPECT_FALSE(fs::exists(rollup_path_for(capture))) << capture;
+    }
+  }
+}
+
+TEST(RollupTimeOrder, SlightlyOutOfOrderCaptureIsTrackedInFileOrder) {
+  // One source's 150 probes 1 s apart, with the first two and the last
+  // two records swapped: out of time order by 1 s, far inside the
+  // expiry, and no gap comes near it. This pins what the code does with
+  // such a capture; no whole-vs-sharded identity is claimed for it.
+  const ShardFixture fixture("out_of_order");
+  constexpr std::uint32_t kProbes = 150;
+  const auto at = [](std::uint32_t i) {
+    return 1'000'000 + static_cast<net::TimeUs>(i) * 1'000'000;
+  };
+  std::vector<std::uint32_t> order(kProbes);
+  std::iota(order.begin(), order.end(), 0u);
+  std::swap(order[0], order[1]);
+  std::swap(order[kProbes - 2], order[kProbes - 1]);
+  const auto write_records = [&](const fs::path& path, std::size_t begin, std::size_t end) {
+    auto writer = pcap::Writer::create(path);
+    net::RawFrame frame;
+    for (std::size_t k = begin; k < end; ++k) {
+      net::TcpFrameSpec tcp;
+      tcp.src_ip = src(1);
+      tcp.dst_ip = dst(order[k]);
+      tcp.src_port = 44444;
+      tcp.dst_port = 80;
+      tcp.sequence = 1000 + order[k];
+      frame.timestamp_us = at(order[k]);
+      frame.bytes = net::build_tcp_frame(tcp);
+      writer.write(frame);
+    }
+    writer.flush();
+  };
+  const auto whole = fixture.dir / "whole.pcap";
+  write_records(whole, 0, kProbes);
+
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  IngestOptions ingest;
+  ingest.use_cache = false;
+  // The flow starts at its first probe in file order and ends at its
+  // latest probe.
+  const auto serial = analyze_capture(whole, test_telescope(), registry, 1, ingest);
+  ASSERT_EQ(serial.result.campaigns.size(), 1u);
+  EXPECT_EQ(serial.result.campaigns[0].first_seen_us, at(1));
+  EXPECT_EQ(serial.result.campaigns[0].last_seen_us, at(kProbes - 1));
+  EXPECT_EQ(serial.result.campaigns[0].packets, kProbes);
+  EXPECT_EQ(report_bytes(analyze_capture(whole, test_telescope(), registry, 3, ingest)),
+            report_bytes(serial));
+  // A shard's first probe is its first in file order, not its earliest.
+  EXPECT_EQ(analyze_shard(whole, test_telescope(), registry, TrackerConfig{}, ingest)
+                .first_probe_us,
+            at(1));
+
+  // Cut between either swapped pair, the two shards overlap in time.
+  ShardRunOptions options;
+  options.workers = 1;
+  options.use_rollup_store = false;
+  options.ingest = ingest;
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{kProbes - 1}}) {
+    SCOPED_TRACE("cut before record " + std::to_string(cut));
+    write_records(fixture.first, 0, cut);
+    write_records(fixture.second, cut, kProbes);
+    const std::vector<fs::path> shards{fixture.first, fixture.second};
+    try {
+      (void)run_shards(plan_shards(shards), test_telescope(), registry, TrackerConfig{},
+                       options);
+      ADD_FAILURE() << "shards that overlap in time were merged";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("shards overlap in time"), std::string::npos) << message;
     }
   }
 }

@@ -58,7 +58,7 @@ TEST(CampaignTracker, RepeatedDestinationsDoNotCountAsDistinct) {
   for (int i = 0; i < 300; ++i) {
     probes.push_back(ProbeBuilder()
                          .from(net::Ipv4Address::from_octets(5, 5, 5, 5))
-                         .to(net::Ipv4Address(0xc6330000u + (i % 50)))
+                         .to(net::Ipv4Address(0xc6330000u + static_cast<std::uint32_t>(i % 50)))
                          .at(i * kSecond));
   }
   const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);

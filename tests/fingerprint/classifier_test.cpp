@@ -41,7 +41,7 @@ TEST_P(ClassifierToolTest, StreamOfProbesYieldsExpectedVerdict) {
                                 static_cast<std::uint16_t>(1 + rng.uniform(65535))));
   }
   EXPECT_EQ(evidence.verdict(), GetParam().expected);
-  EXPECT_EQ(evidence.probes(), 50u);
+  EXPECT_EQ(evidence.probes, 50u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ToolEvidence, EmptyIsUnknown) {
   const ToolEvidence evidence;
   EXPECT_EQ(evidence.verdict(), Tool::kUnknown);
-  EXPECT_EQ(evidence.probes(), 0u);
+  EXPECT_EQ(evidence.probes, 0u);
 }
 
 TEST(ToolEvidence, SingleProbeIsInsufficient) {
@@ -99,11 +99,12 @@ TEST(ToolEvidence, SinglePacketToolsBeatPairwiseCoincidence) {
 TEST(ToolEvidence, ConfigurableThresholds) {
   ClassifierConfig config;
   config.min_matches = 10;
-  ToolEvidence evidence(config);
+  ToolEvidence evidence;
   for (int i = 0; i < 9; ++i) evidence.observe(ProbeBuilder().ipid(54321));
-  EXPECT_EQ(evidence.verdict(), Tool::kUnknown);
+  EXPECT_EQ(evidence.verdict(config), Tool::kUnknown);
+  EXPECT_EQ(evidence.verdict(), Tool::kZmap);  // the default needs two matches
   evidence.observe(ProbeBuilder().ipid(54321));
-  EXPECT_EQ(evidence.verdict(), Tool::kZmap);
+  EXPECT_EQ(evidence.verdict(config), Tool::kZmap);
 }
 
 TEST(ToolEvidence, MatchesPerToolAreTracked) {

@@ -47,7 +47,8 @@ simgen::YearConfig capture_config() {
   config.backscatter_fraction = 0.1;
 
   const auto add_group = [&](const char* name, simgen::WireTool tool,
-                             enrich::ScannerType pool, int sources, int campaigns) {
+                             enrich::ScannerType pool, std::uint32_t sources,
+                             std::uint32_t campaigns) {
     simgen::GroupSpec group;
     group.name = name;
     group.tool = tool;
@@ -185,7 +186,8 @@ TEST(BatchedObservers, DailySeriesMatchesPerProbeReference) {
 
   ASSERT_EQ(batched.days(), reference.days());
   EXPECT_EQ(batched.totals(), reference.totals());
-  for (const std::uint16_t port : {80, 23, 443, 8080}) {
+  for (const std::uint16_t port :
+       {std::uint16_t{80}, std::uint16_t{23}, std::uint16_t{443}, std::uint16_t{8080}}) {
     EXPECT_EQ(batched.series(port), reference.series(port)) << "port " << port;
   }
 }

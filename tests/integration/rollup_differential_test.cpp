@@ -226,6 +226,34 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
     SCOPED_TRACE("3 shards loaded from .spr");
     expect_reference_views(warm.analysis);
   }
+  // That merge joined flows from persisted state alone: a source leaves
+  // a tail in one stored shard and a head in the next, and the campaign
+  // across the cut carries the ZMap verdict of the one-pass analysis.
+  const auto analysis_key =
+      core::analysis_fingerprint(core::TrackerConfig{}, test_telescope().monitored_count());
+  const auto load = [&](const fs::path& shard) {
+    return core::load_rollup(core::rollup_path_for(shard), registry,
+                             *core::cache_identity(shard), analysis_key);
+  };
+  std::size_t joined_zmap = 0;
+  for (std::size_t k = 0; k + 1 < shards.size(); ++k) {
+    const auto earlier = load(shards[k]);
+    const auto later = load(shards[k + 1]);
+    ASSERT_TRUE(earlier.has_value() && later.has_value()) << "shard " << k;
+    for (const auto& tail : earlier->segments) {
+      for (const auto& head : later->segments) {
+        if (!tail.tail || !head.head || head.source != tail.source) continue;
+        for (const auto& campaign : whole.result.campaigns) {
+          if (campaign.source == tail.source && campaign.first_seen_us <= tail.last_seen_us &&
+              campaign.last_seen_us >= head.first_seen_us &&
+              campaign.tool == fingerprint::Tool::kZmap) {
+            ++joined_zmap;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(joined_zmap, 0u);
 
   // Incremental pass: one rollup dropped — only that shard re-analyzes,
   // and the mixed loaded/recomputed merge still matches exactly.

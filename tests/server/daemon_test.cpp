@@ -182,7 +182,7 @@ TEST(Daemon, RollupMatchesOfflineShardRunThenHitsTheStore) {
   harness.start();
   std::vector<fs::path> shards;
   std::string command = "ROLLUP";
-  for (const std::uint64_t seed : {11, 12, 13}) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
     // Shards must not overlap in time: each gets its own second
     // (6,000 frames span 0.24 s), close enough for flows to join.
     shards.push_back(harness.dir() / ("shard_" + std::to_string(seed) + ".pcap"));

@@ -31,7 +31,7 @@ TEST(Ecosystem, WindowsStartInTheRightYear) {
     // January 15 of `year`: between 45*365 and 55*365 days after epoch
     // for our range; verify the year via a coarse round trip.
     const auto days = config.start_time / net::kMicrosPerDay;
-    const auto approx_year = 1970 + static_cast<int>(days / 365.25);
+    const auto approx_year = 1970 + static_cast<int>(static_cast<double>(days) / 365.25);
     EXPECT_EQ(approx_year, config.year);
   }
 }
