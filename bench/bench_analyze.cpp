@@ -1,5 +1,5 @@
-// Analyze perf workload: warm probe cache -> campaigns + observer
-// tallies, reported as JSON. CI's perf-smoke job runs it as a
+// Analyze perf workload: warm probe cache -> campaigns + the port tally
+// and its views, reported as JSON. CI's perf-smoke job runs it as a
 // gross-regression gate; speed claims come from perfbench/
 // (docs/PERFORMANCE.md "Measuring").
 //
@@ -13,19 +13,17 @@
 //   warm_ingest — pure ingest from the cache, probes counted and
 //                 dropped: the absolute throughput floor;
 //   reference   — per-probe analytics: every batch row materialized via
-//                 `get(i)` into `Pipeline::feed_probe`, observers fed
-//                 through `on_probe` — the differential reference path;
+//                 `get(i)` into `Pipeline::feed_probe`, a `PortTally`
+//                 on `on_probe` — the differential reference path;
 //   batched     — the batch-native serial path: `Pipeline::feed_probes`,
-//                 observers on their column-direct `observe_batch`
-//                 overloads;
+//                 the tally folded from the tracker's flows;
 //   parallel    — the same path at `--workers`: `feed_probes` slicing
-//                 shared batches across worker trackers, observers on
-//                 the feeder as in the CLI.
-// All paths must agree on campaign count, tracker counters, observer
-// totals, and the `analyze --json` bytes — counters line plus campaign
-// JSONL — byte for byte (reference vs batched vs parallel); the binary
-// exits non-zero on divergence, so the run doubles as a correctness
-// smoke.
+//                 shared batches across worker trackers, as in the CLI.
+// All paths must agree on campaign count, tracker counters, tally and
+// view totals, and the `analyze --json` bytes — counters line plus
+// campaign JSONL — byte for byte (reference vs batched vs parallel);
+// the binary exits non-zero on divergence, so the run doubles as a
+// correctness smoke.
 //
 // Usage: bench_analyze [--frames=N] [--label=STR] [--seed=N]
 //                      [--workers=N] [--check-ratio=R]
@@ -118,7 +116,7 @@ PathResult run_ingest(const fs::path& path, bool use_cache) {
   return result;
 }
 
-void fill_result(PathResult& result, core::PipelineResult pipeline_result,
+void fill_result(PathResult& result, const core::PipelineResult& pipeline_result,
                  const core::PortTally& ports) {
   const auto& registry = enrich::InternetRegistry::synthetic_default();
   result.campaigns = pipeline_result.campaigns.size();
@@ -131,7 +129,7 @@ void fill_result(PathResult& result, core::PipelineResult pipeline_result,
   report::append_campaigns_jsonl(result.report, pipeline_result.campaigns);
 }
 
-/// Per-probe reference: every row materialized, observers on `on_probe`.
+/// Per-probe reference: every row materialized, the tally on `on_probe`.
 PathResult run_reference(const fs::path& path) {
   PathResult result;
   core::Pipeline pipeline(bench_telescope());
@@ -147,21 +145,19 @@ PathResult run_reference(const fs::path& path) {
                                              }
                                            });
   pipeline.absorb_sensor_counters(ingest.sensor);
-  auto pipeline_result = pipeline.finish();
+  const auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  fill_result(result, std::move(pipeline_result), ports);
+  fill_result(result, pipeline_result, ports);
   return result;
 }
 
-/// Batch-native path: `feed_probes` + `observe_batch`, serial at one
-/// worker; at more, tracking is sharded across workers with observers
-/// on the feeder (the CLI `analyze --workers=N` shape).
+/// Batch-native path: `feed_probes`, serial at one worker; at more,
+/// tracking is sharded across workers (the CLI `analyze --workers=N`
+/// shape). The tally comes folded from the trackers' flows.
 PathResult run_batched(const fs::path& path, std::size_t workers) {
   PathResult result;
   core::Pipeline pipeline(bench_telescope(), workers);
-  core::PortTally ports;
-  pipeline.add_observer(ports);
   const auto start = std::chrono::steady_clock::now();
   const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
                                            [&](const telescope::ProbeBatch& batch) {
@@ -169,10 +165,10 @@ PathResult run_batched(const fs::path& path, std::size_t workers) {
                                              pipeline.feed_probes(batch);
                                            });
   pipeline.absorb_sensor_counters(ingest.sensor);
-  auto pipeline_result = pipeline.finish();
+  const auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  fill_result(result, std::move(pipeline_result), ports);
+  fill_result(result, pipeline_result, pipeline_result.ports);
   return result;
 }
 

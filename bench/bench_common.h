@@ -39,7 +39,6 @@
 #include "core/daily_series.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
-#include "core/port_tally.h"
 #include "core/volatility.h"
 #include "enrich/registry.h"
 #include "net/packet.h"
@@ -176,8 +175,8 @@ double median_seconds(Body&& body, int iterations = 5, int warmup = 1) {
 }
 
 /// Which streaming observers a bench needs (each costs memory/time).
+/// The port tally needs none: the pipeline folds it (`result.ports`).
 struct Observers {
-  bool port_tally = true;
   bool volatility = false;
   bool daily_series = false;
 };
@@ -187,12 +186,11 @@ struct YearRun {
   simgen::YearConfig config;
   simgen::GeneratorStats generated;
   core::PipelineResult result;
-  core::PortTally tally;
   std::optional<core::VolatilityTracker> volatility;
   std::optional<core::DailyPortSeries> daily;
 
   [[nodiscard]] double packets_per_day() const {
-    return static_cast<double>(tally.total_packets()) / config.window_days;
+    return static_cast<double>(result.ports.total_packets()) / config.window_days;
   }
   [[nodiscard]] double scans_per_month() const {
     return static_cast<double>(result.campaigns.size()) / config.window_days * 30.44;
@@ -229,7 +227,6 @@ inline YearRun run_window(simgen::YearConfig config, const Observers& observers 
   run.config = config;
 
   core::Pipeline pipeline(shared_telescope());
-  if (observers.port_tally) pipeline.add_observer(run.tally);
   if (observers.volatility) {
     run.volatility.emplace(config.start_time);
     pipeline.add_observer(*run.volatility);

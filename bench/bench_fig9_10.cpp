@@ -26,12 +26,10 @@ int main(int argc, char** argv) {
     auto config = simgen::year_config(year, options.scale);
     if (options.seed) config.seed = *options.seed;
 
-    core::PortTally tally;
     core::Pipeline pipeline(bench::shared_telescope());
-    pipeline.add_observer(tally);
     bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
-    const core::TypeView types(tally, bench::shared_registry());
+    const core::TypeView types(result.ports, bench::shared_registry());
 
     const auto coverage =
         core::org_port_coverage(result.campaigns, bench::shared_registry());

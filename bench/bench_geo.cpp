@@ -18,12 +18,10 @@ int main(int argc, char** argv) {
     if (options.year && year != *options.year) continue;
     auto config = simgen::year_config(year, options.scale);
     if (options.seed) config.seed = *options.seed;
-    core::PortTally tally;
     core::Pipeline pipeline(bench::shared_telescope());
-    pipeline.add_observer(tally);
     bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
-    const core::GeoView geo(tally, bench::shared_registry());
+    const core::GeoView geo(result.ports, bench::shared_registry());
 
     std::vector<std::string> row{std::to_string(year)};
     for (const auto& share : geo.top_countries(5)) {

@@ -31,15 +31,15 @@ int main(int argc, char** argv) {
     const double floor_paper_units =
         1.0 * bench::packet_upscale(options) / run.config.window_days;
     std::uint64_t min_nonzero = 0;
-    const auto with_any = run.tally.ports_with_at_least(1);
+    const auto with_any = run.result.ports.ports_with_at_least(1);
     (void)min_nonzero;
     table.add_row({std::to_string(year),
-                   report::percent(run.tally.privileged_port_coverage()),
+                   report::percent(run.result.ports.privileged_port_coverage()),
                    std::to_string(with_any),
                    report::fixed(floor_paper_units, 0),
-                   report::percent(run.tally.co_scan_fraction(80, 8080)),
+                   report::percent(run.result.ports.co_scan_fraction(80, 8080)),
                    paper_coscan(year)});
-    last_tally = std::move(run.tally);
+    last_tally = std::move(run.result.ports);
     last_year = year;
   }
   std::cout << table;

@@ -19,14 +19,13 @@ int main(int argc, char** argv) {
   auto config = simgen::year_config(year, options.scale);
   if (options.seed) config.seed = *options.seed;
 
-  core::PortTally tally;
   core::Pipeline pipeline(bench::shared_telescope());
-  pipeline.add_observer(tally);
   bench::generate_into(pipeline, config);
   const auto result = pipeline.finish();
 
-  const auto table = core::type_share_table(core::TypeView(tally, bench::shared_registry()),
-                                            result.campaigns, bench::shared_registry());
+  const auto table =
+      core::type_share_table(core::TypeView(result.ports, bench::shared_registry()),
+                             result.campaigns, bench::shared_registry());
 
   // Paper values (full 10-year dataset).
   struct PaperRow {

@@ -13,7 +13,6 @@
 #include "core/analysis_summary.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
-#include "core/port_tally.h"
 #include "report/table.h"
 #include "simgen/ecosystem.h"
 #include "simgen/generator.h"
@@ -33,8 +32,6 @@ struct EraView {
 EraView study_of(int year, double scale) {
   const auto& telescope = telescope::Telescope::paper_default();
   core::Pipeline pipeline(telescope);
-  core::PortTally tally;
-  pipeline.add_observer(tally);
   simgen::TrafficGenerator generator(simgen::year_config(year, scale), telescope,
                                      enrich::InternetRegistry::synthetic_default());
   core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
@@ -47,7 +44,7 @@ EraView study_of(int year, double scale) {
   EraView view;
   view.year = year;
   view.summary = core::yearly_summary(year, simgen::year_config(year, scale).window_days,
-                                      tally, result.campaigns);
+                                      result.ports, result.campaigns);
   fingerprint::Tool best = fingerprint::Tool::kUnknown;
   double best_share = 0.0;
   for (const auto tool : fingerprint::kAllTools) {

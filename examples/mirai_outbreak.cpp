@@ -13,7 +13,6 @@
 #include "core/analysis_campaigns.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
-#include "core/port_tally.h"
 #include "report/table.h"
 #include "simgen/ecosystem.h"
 #include "simgen/generator.h"
@@ -29,8 +28,6 @@ int main(int argc, char** argv) {
 
   const auto& telescope = telescope::Telescope::paper_default();
   core::Pipeline pipeline(telescope);
-  core::PortTally tally;
-  pipeline.add_observer(tally);
 
   simgen::TrafficGenerator generator(simgen::year_config(2017, scale), telescope,
                                      enrich::InternetRegistry::synthetic_default());
@@ -43,7 +40,7 @@ int main(int argc, char** argv) {
 
   const auto shares = core::tool_shares(result.campaigns);
   std::cout << "2017 window: " << result.campaigns.size() << " campaigns, "
-            << tally.total_packets() << " probes\n\n";
+            << result.ports.total_packets() << " probes\n\n";
   std::cout << "Mirai share of scans:   "
             << report::percent(shares.by_scans.share(fingerprint::Tool::kMirai))
             << "   (paper: 46.5%)\n";

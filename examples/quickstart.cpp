@@ -12,7 +12,6 @@
 #include "core/analysis_summary.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
-#include "core/port_tally.h"
 #include "pcap/pcap.h"
 #include "report/table.h"
 #include "simgen/generator.h"
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
   // ingest_capture classifies the frames in batches (and leaves a `.spc`
   // probe cache next to the capture for the next replay).
   core::Pipeline pipeline(telescope);
-  core::PortTally tally;
-  pipeline.add_observer(tally);
 
   const auto ingested = core::ingest_capture(
       capture_path, telescope, core::IngestOptions{},
@@ -102,7 +99,7 @@ int main(int argc, char** argv) {
   std::cout << table;
 
   const auto summary =
-      core::yearly_summary(workload.year, workload.window_days, tally, result.campaigns);
+      core::yearly_summary(workload.year, workload.window_days, result.ports, result.campaigns);
   std::cout << "\ntool shares by scans: masscan "
             << report::percent(summary.tools.by_scans.share(fingerprint::Tool::kMasscan))
             << ", mirai "

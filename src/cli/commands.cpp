@@ -193,10 +193,10 @@ int run_analyze(const std::vector<std::string>& args) {
   std::cout << "-- tools --\n" << tools << "\n";
 
   report::Table ports({"port", "packets", "share", "sources"});
-  for (const auto& row : analysis.ports.top_ports_by_packets(top_n)) {
+  for (const auto& row : analysis.result.ports.top_ports_by_packets(top_n)) {
     ports.add_row({std::to_string(row.port), std::to_string(row.count),
                    report::percent(row.share),
-                   std::to_string(analysis.ports.sources_on_port(row.port))});
+                   std::to_string(analysis.result.ports.sources_on_port(row.port))});
   }
   std::cout << "-- top ports by packets --\n" << ports << "\n";
 

@@ -79,7 +79,7 @@ class GeoView {
 
 /// No-op observer. The traced benchmark tour (perfbench/harness/tour.cpp)
 /// still attaches one and times it as `observers.geo`; delete it when
-/// ROADMAP item 8 moves the tour onto `PortTally` alone.
+/// ROADMAP item 9 moves the tour onto the tally the pipeline folds.
 class GeoTally final : public ProbeObserver {
  public:
   explicit GeoTally(const enrich::InternetRegistry& /*registry*/) {}

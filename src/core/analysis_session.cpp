@@ -13,7 +13,6 @@ AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                 std::size_t workers, const IngestOptions& options) {
   AnalyzedCapture analysis(registry);
   Pipeline pipeline(telescope, std::max<std::size_t>(workers, 1));
-  pipeline.add_observer(analysis.ports);
   {
     obs::ScopedTimer ingest("analyze.ingest");
     const auto ingested = ingest_capture(

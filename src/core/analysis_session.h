@@ -2,8 +2,8 @@
 //
 // `analyze_capture` is the one shared definition of "run the paper's
 // analysis over a capture": batched ingest (mmap + `.spc` cache) feeding
-// the campaign pipeline plus the one probe-level tally (`PortTally`),
-// whose scanner-type and country views derive on read. The CLI
+// the campaign pipeline, which folds the one probe-level tally from its
+// flows; its scanner-type and country views derive on read. The CLI
 // `analyze` command and the `synscand` daemon both call it; the daemon
 // keeps the returned `AnalyzedCapture` resident behind a shared_ptr and
 // serves concurrent queries from it, so every query entry point takes
@@ -17,7 +17,6 @@
 #include "core/analysis_types.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
-#include "core/port_tally.h"
 #include "enrich/registry.h"
 #include "pcap/pcap.h"
 #include "telescope/telescope.h"
@@ -31,13 +30,12 @@ namespace synscan::core {
 struct AnalyzedCapture {
   explicit AnalyzedCapture(const enrich::InternetRegistry& internet) : registry(&internet) {}
 
-  /// Scanner-type view of `ports` (Table 2, Fig. 5).
-  [[nodiscard]] TypeView types() const { return {ports, *registry}; }
-  /// Country view of `ports` (§4.2, §5.4).
-  [[nodiscard]] GeoView geo() const { return {ports, *registry}; }
+  /// Scanner-type view of `result.ports` (Table 2, Fig. 5).
+  [[nodiscard]] TypeView types() const { return {result.ports, *registry}; }
+  /// Country view of `result.ports` (§4.2, §5.4).
+  [[nodiscard]] GeoView geo() const { return {result.ports, *registry}; }
 
   PipelineResult result;
-  PortTally ports;
   /// The registry the analysis ran with; the views attribute through it.
   const enrich::InternetRegistry* registry;
   std::uint64_t frames = 0;
@@ -45,7 +43,7 @@ struct AnalyzedCapture {
   bool from_cache = false;  ///< probes came from a validated `.spc` cache
 };
 
-/// Replays `path` through the pipeline with the `PortTally` observer.
+/// Replays `path` through the pipeline, attaching no observer.
 /// `workers` is the pipeline's tracker count (0 counts as 1); the
 /// report is the same at any worker count. The telescope and registry
 /// must outlive the returned value.

@@ -48,7 +48,7 @@ class TypeView {
 
 /// No-op observer. The traced benchmark tour (perfbench/harness/tour.cpp)
 /// still attaches one and times it as `observers.types`; delete it when
-/// ROADMAP item 8 moves the tour onto `PortTally` alone.
+/// ROADMAP item 9 moves the tour onto the tally the pipeline folds.
 class TypeTally final : public ProbeObserver {
  public:
   explicit TypeTally(const enrich::InternetRegistry& /*registry*/) {}

@@ -1,8 +1,8 @@
 // Flat accumulator map: open-addressing index over a dense entry array.
 //
-// The streaming accumulators (PortTally, DailyPortSeries,
-// VolatilityTracker) are insert-or-increment maps fed once per probe and
-// drained once per run — they never erase. `std::unordered_map`
+// The accumulators (PortTally, DailyPortSeries, VolatilityTracker) are
+// insert-or-increment maps fed per probe or per flow and drained once
+// per run — they never erase. `std::unordered_map`
 // pays a node allocation per key and chases pointers on every lookup;
 // this map keeps (key, value) entries contiguous in insertion order and
 // probes a flat slot array of (key, entry-index) pairs, so the feed path

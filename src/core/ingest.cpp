@@ -114,16 +114,25 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     if (exists) {
       if (auto reader = ProbeCacheReader::open(cache_path, *identity)) {
         telescope::ProbeBatch batch;
+        std::uint64_t replayed = 0;
         while (reader->next_chunk(batch)) {
           ++result.batches;
+          replayed += batch.size();
           if (metrics.batches != nullptr) metrics.batches->add();
           sink(batch);
         }
         result.sensor = reader->sensor();
         result.frames = reader->frame_count();
         result.status = reader->terminal_status();
-        result.from_cache = true;
-        if (metrics.cache_hits != nullptr) metrics.cache_hits->add();
+        // A replay cut short (validation rules it out) is a defect, no hit.
+        result.from_cache = replayed == result.sensor.scan_probes;
+        if (!result.from_cache) {
+          result.sensor.scan_probes = replayed;
+          result.frames = result.sensor.total();
+          result.status = pcap::ReadStatus::kBadRecord;
+        } else if (metrics.cache_hits != nullptr) {
+          metrics.cache_hits->add();
+        }
         return result;
       }
       if (metrics.cache_invalidations != nullptr) metrics.cache_invalidations->add();

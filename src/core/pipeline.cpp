@@ -166,11 +166,14 @@ PipelineResult Pipeline::finish() {
   for (const auto& shard : shards_) {
     shard->tracker.finish(stream_end);
     result.tracker.add(shard->tracker.counters());
+    // Workers track disjoint sources, so each residual appends its own.
+    result.ports.merge(shard->tracker.take_residual_ports());
     result.campaigns.insert(result.campaigns.end(),
                             std::make_move_iterator(shard->campaigns.begin()),
                             std::make_move_iterator(shard->campaigns.end()));
   }
   sort_canonical(result.campaigns);
+  for (const auto& c : result.campaigns) result.ports.add(c.source.value(), c.port_packets);
 
   if (shards_.size() > 1 && obs::enabled()) {
     auto& registry = obs::MetricsRegistry::global();

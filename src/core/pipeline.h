@@ -1,5 +1,5 @@
 // The analysis pipeline: classified probe batches -> campaign tracker
-// and streaming observers -> finalized campaigns.
+// and streaming observers -> finalized campaigns and the port tally.
 //
 // Probes arrive already sensed. Every producer classifies frames in
 // batches first — `core::ingest_capture` for capture files,
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/observers.h"
+#include "core/port_tally.h"
 #include "core/tracker.h"
 #include "obs/metrics.h"
 #include "telescope/probe_batch.h"
@@ -34,6 +35,9 @@ struct PipelineResult {
   std::vector<Campaign> campaigns;
   telescope::SensorCounters sensor;
   TrackerCounters tracker;
+  /// Packets per (source, port) of every probe, folded from the flows'
+  /// port maps (in carry mode, without the boundary segments').
+  PortTally ports;
 };
 
 /// Single-pass analysis driver. Attach observers, feed probe batches,

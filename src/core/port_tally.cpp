@@ -9,23 +9,6 @@ void PortTally::on_probe(const telescope::ScanProbe& probe) {
   add(probe.source.value(), probe.destination_port, 1);
 }
 
-void PortTally::observe_batch(const telescope::ProbeBatch& batch,
-                              std::span<const std::uint32_t> rows) {
-  total_packets_ += rows.size();
-  // The map reference dies at the next insertion, which only happens
-  // here, when the source changes.
-  PortPacketMap* ports = nullptr;
-  std::uint32_t current = 0;
-  for (const auto row : rows) {
-    const auto source = batch.source[row];
-    if (ports == nullptr || source != current) {
-      ports = &per_source_[source];
-      current = source;
-    }
-    ports->add(batch.destination_port[row], 1);
-  }
-}
-
 void PortTally::add(std::uint32_t source, std::uint16_t port, std::uint64_t packets) {
   per_source_[source].add(port, packets);
   total_packets_ += packets;

@@ -1,4 +1,6 @@
-// Packets per (source, destination port): the one probe-level tally.
+// Packets per (source, destination port): the one probe-level tally,
+// folded from the tracker's flows (`PipelineResult::ports`). `on_probe`
+// counts probe by probe: the reference the fold is tested against.
 //
 // Table 1's "top ports by packets / by sources" blocks, the port-space
 // coverage analysis (§5.1) and the ports-per-source CDF (Fig. 3) read
@@ -32,20 +34,13 @@ class PortTally final : public ProbeObserver {
 
   void on_probe(const telescope::ScanProbe& probe) override;
 
-  /// Column-direct tally over a batch slice: reads only the source and
-  /// destination-port columns, and looks a source up once per run of
-  /// its rows (scan probes arrive in per-source bursts). Must stay
-  /// bit-identical to the `on_probe` reference (differential-tested).
-  void observe_batch(const telescope::ProbeBatch& batch,
-                     std::span<const std::uint32_t> rows) override;
-
   /// Adds `packets` to one (source, port) pair, as if that many probes
   /// had been observed.
   void add(std::uint32_t source, std::uint16_t port, std::uint64_t packets);
 
   /// Adds one source's whole port map, as if its packets had been
-  /// observed (the `.spr` decoder's path): a source new to the tally
-  /// takes the map as it is.
+  /// observed (a flow's map, or a stored one): a source new to the
+  /// tally takes the map as it is.
   void add(std::uint32_t source, PortPacketMap ports);
 
   /// Folds another tally in. The state is a sum per (source, port), so

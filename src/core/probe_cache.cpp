@@ -89,19 +89,38 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-/// Bounds-checked LEB128 decode; false when the stream ends mid-varint
-/// or the value would not fit 64 bits.
+/// Bounds-checked LEB128 decode of a varint of any length, bits past the
+/// 64th dropped; false when the stream ends mid-varint.
 inline bool get_varint(const std::uint8_t*& p, const std::uint8_t* end,
                        std::uint64_t& v) {
   v = 0;
   unsigned shift = 0;
-  while (p < end && shift < 64) {
+  while (p < end) {
     const std::uint8_t byte = *p++;
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if (shift < 64) {
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      shift += 7;
+    }
     if ((byte & 0x80) == 0) return true;
-    shift += 7;
   }
   return false;
+}
+
+/// Whether a varint stream holds exactly `values` (at least one)
+/// varints: that many terminators, the last byte one of them.
+bool holds_varints(std::span<const std::uint8_t> stream, std::uint64_t values) {
+  if (stream.empty() || (stream.back() & 0x80) != 0) return false;
+  std::uint64_t terminators = 0;
+  std::size_t i = 0;
+  while (i + 8 <= stream.size()) {
+    std::uint64_t lanes = 0;  // per byte lane, at most 31: no popcount call
+    for (int word = 0; word < 31 && i + 8 <= stream.size(); ++word, i += 8) {
+      lanes += (~net::load_le64(stream.data() + i) >> 7) & 0x0101010101010101ull;
+    }
+    terminators += (lanes * 0x0101010101010101ull) >> 56;  // the lanes' sum, < 256
+  }
+  for (; i < stream.size(); ++i) terminators += stream[i] < 0x80 ? 1u : 0u;
+  return terminators == values;
 }
 
 /// Appends one delta+zigzag-varint column: `u64 byte_length` followed by
@@ -253,7 +272,7 @@ const char* check_header(const CacheFileInfo& info) {
 
 /// Walks and checksums the chunk region. A torn write must read as "no
 /// cache", not as partial data, so every framing field is validated
-/// before anything downstream trusts it.
+/// before anything downstream trusts it, each varint column's count too.
 const char* walk_chunks(std::span<const std::uint8_t> bytes, const CacheFileInfo& info,
                         std::uint64_t& chunks_seen, std::uint64_t& rows_seen) {
   chunks_seen = 0;
@@ -271,6 +290,7 @@ const char* walk_chunks(std::span<const std::uint8_t> bytes, const CacheFileInfo
       const auto length = net::load_le64(bytes.data() + at);
       at += 8;
       if (bytes.size() - at < length) return "truncated compressed column";
+      if (!holds_varints(bytes.subspan(at, length), rows)) return "column row count mismatch";
       at += static_cast<std::size_t>(length);
     }
     if (bytes.size() - at < rows * kFixedTailBytes) return "truncated column";

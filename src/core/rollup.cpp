@@ -46,7 +46,6 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
   TrackerConfig config = tracker_config;
   config.carry_boundary_flows = true;
   Pipeline pipeline(telescope, 1, config);
-  pipeline.add_observer(rollup.ports);
 
   {
     const obs::ScopedTimer ingest("rollup.analyze_shard");
@@ -63,7 +62,9 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
   rollup.sensor = result.sensor;
   rollup.tracker = result.tracker;
   rollup.campaigns = std::move(result.campaigns);
+  rollup.ports = std::move(result.ports);
   rollup.segments = pipeline.take_carried_segments();
+  for (const auto& s : rollup.segments) rollup.ports.add(s.source.value(), s.port_packets);
   rollup.first_probe_us = pipeline.first_timestamp();
   rollup.max_timestamp_us = pipeline.max_timestamp();
   // Export order depends on sweep timing and flow-table layout; the
@@ -125,7 +126,7 @@ void RollupMerger::add(CaptureRollup&& shard) {
   merged_.result.campaigns.insert(merged_.result.campaigns.end(),
                                   std::make_move_iterator(shard.campaigns.begin()),
                                   std::make_move_iterator(shard.campaigns.end()));
-  merged_.ports.merge(std::move(shard.ports));
+  merged_.result.ports.merge(std::move(shard.ports));
   any_shard_ = true;
 
   for (auto& segment : shard.segments) {

@@ -66,15 +66,15 @@ struct CaptureRollup {
   /// within `expiry` of `max_timestamp_us` — sorted by (source,
   /// first_seen) for deterministic `.spr` bytes and merge order.
   std::vector<FlowSegment> segments;
-  /// The shard's one probe-level tally. It names no scanner type or
-  /// country, so a rollup does not depend on the registry.
+  /// The shard's one probe-level tally, segments included. It names no
+  /// scanner type or country, so a rollup does not depend on the registry.
   PortTally ports;
 };
 
-/// Analyzes one capture as a shard: the serial batch-native pipeline
-/// with the `PortTally` observer, tracker in carry mode. The registry is
-/// not read (see `CaptureRollup::ports`); the benchmark harness still
-/// passes it, so it stays until ROADMAP item 8.
+/// Analyzes one capture as a shard: the serial batch-native pipeline,
+/// tracker in carry mode, no observer. The registry is not read (see
+/// `CaptureRollup::ports`); the benchmark harness still passes it, so it
+/// stays until ROADMAP item 9.
 [[nodiscard]] CaptureRollup analyze_shard(const std::filesystem::path& path,
                                           const telescope::Telescope& telescope,
                                           const enrich::InternetRegistry& registry,

@@ -105,7 +105,7 @@ struct RollupFileInfo {
 /// identity, analysis fingerprint, checksum and payload framing.
 /// nullopt on any defect — the caller re-analyzes and rewrites. The
 /// registry is not read (a rollup does not depend on it); the benchmark
-/// harness still passes it, so it stays until ROADMAP item 8.
+/// harness still passes it, so it stays until ROADMAP item 9.
 [[nodiscard]] std::optional<CaptureRollup> load_rollup(
     const std::filesystem::path& path, const enrich::InternetRegistry& registry,
     const CacheIdentity& expected, std::uint64_t fingerprint);

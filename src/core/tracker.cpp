@@ -116,13 +116,16 @@ std::optional<Campaign> qualify(const TrackerConfig& config,
 void CampaignTracker::close_flow(net::Ipv4Address source, Flow& flow) {
   auto campaign = qualify(config_, model_, source, flow.first_seen_us, flow.last_seen_us,
                           flow.packets, flow.destinations.size(), counters_);
-  if (!campaign) return;
-  campaign->id = next_id_++;
-  campaign->port_packets = std::move(flow.port_packets);
-  campaign->tool = flow.evidence.verdict(config_.classifier);
-  sink_(std::move(*campaign));
+  if (campaign) {
+    campaign->id = next_id_++;
+    campaign->port_packets = std::move(flow.port_packets);
+    campaign->tool = flow.evidence.verdict(config_.classifier);
+    sink_(std::move(*campaign));
+  } else {
+    residual_ports_.add(source.value(), std::move(flow.port_packets));
+  }
   // The move stole the port map's backing store (it now belongs to the
-  // campaign); leave the flow coherent for its next reuse.
+  // campaign or the residual); leave the flow coherent for its next reuse.
   flow.port_packets.clear();
 }
 

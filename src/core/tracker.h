@@ -7,7 +7,7 @@
 // rate of at least `min_internet_pps`, and expires after
 // `expiry` without a packet. Expired or stream-end state that meets the
 // thresholds is emitted as a Campaign; everything else is counted as
-// sub-threshold noise.
+// sub-threshold noise, its port map kept in a residual tally.
 //
 // Hot-path layout (see docs/PERFORMANCE.md): sources are keyed in an
 // open-addressing `FlowIndexTable` pointing into a pooled `Flow` vector;
@@ -27,6 +27,7 @@
 #include "core/flow_table.h"
 #include "core/hybrid_set.h"
 #include "core/port_map.h"
+#include "core/port_tally.h"
 #include "fingerprint/classifier.h"
 #include "stats/telescope_model.h"
 #include "telescope/probe_batch.h"
@@ -161,6 +162,9 @@ class CampaignTracker {
     return std::move(segments_);
   }
 
+  /// The sub-threshold flows' port maps, moved out; call after `finish()`.
+  [[nodiscard]] PortTally take_residual_ports() { return std::move(residual_ports_); }
+
   /// Maximum probe timestamp observed ("now" for expiry decisions).
   [[nodiscard]] net::TimeUs now() const noexcept { return now_; }
 
@@ -225,6 +229,7 @@ class CampaignTracker {
   std::vector<std::uint32_t> free_;  ///< recycled pool slots
   std::vector<std::uint32_t> sweep_keys_;  ///< scratch: sources expiring this sweep
   std::vector<FlowSegment> segments_;      ///< carry mode: exported boundary flows
+  PortTally residual_ports_;               ///< sub-threshold flows' port maps
   HybridU32Set carried_sources_;  ///< carry mode: sources whose head was already exported
   TrackerCounters counters_;
   net::TimeUs now_ = 0;

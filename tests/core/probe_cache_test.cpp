@@ -352,6 +352,38 @@ TEST_F(ProbeCacheTest, BitFlipInCompressedStreamIsRejected) {
   EXPECT_NE(report.error.find("checksum"), std::string::npos);
 }
 
+TEST_F(ProbeCacheTest, OverlongVarintReplaysEveryRow) {
+  // The first timestamp delta (0, one byte) rewritten as an 11-byte
+  // varint, with the column length and the checksum matched: the file
+  // validates, and a varint decodes to its terminator, so every row
+  // replays as written.
+  const auto id = identity();
+  const auto batch = sample_batch(64, 77);
+  write_cache(cache_, batch);
+  auto bytes = slurp(cache_);
+  constexpr std::size_t kLength = 136 + 8;  // header, then the row count
+  constexpr std::size_t kStream = kLength + 8;
+  ASSERT_EQ(bytes[kStream], 0u);
+  bytes.insert(bytes.begin() + kStream, 10, std::uint8_t{0x80});
+  net::store_le64(bytes.data() + kLength, net::load_le64(bytes.data() + kLength) + 10);
+  net::store_le64(bytes.data() + 128, fnv1a(std::span(bytes).subspan(136)));
+  {
+    std::ofstream out(cache_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto reader = ProbeCacheReader::open(cache_, id);
+  ASSERT_TRUE(reader.has_value());
+  telescope::ProbeBatch replayed;
+  telescope::ProbeBatch chunk;
+  while (reader->next_chunk(chunk)) {
+    for (std::size_t i = 0; i < chunk.size(); ++i) replayed.push_back(chunk.get(i));
+  }
+  ASSERT_EQ(replayed.size(), batch.size());
+  expect_rows_equal(replayed, 0, batch, 0, batch.size());
+}
+
 TEST_F(ProbeCacheTest, TruncatedCompressedColumnIsRejected) {
   const auto id = identity();
   write_cache(cache_, sample_batch(64, 3));

@@ -7,6 +7,9 @@
 // The `expect_*_view_matches` checks ask a derived view every question
 // it answers and compare with this reference, so a view is pinned to an
 // implementation whose correctness is easy to audit.
+// `expect_same_port_tally` compares two `core::PortTally`s source by
+// source and port by port: the pipeline folds its tally from flows, so
+// it inserts sources in another order than a per-probe tally does.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "core/analysis_geo.h"
 #include "core/analysis_types.h"
 #include "core/observers.h"
+#include "core/port_tally.h"
 #include "enrich/registry.h"
 
 namespace synscan::testing {
@@ -64,6 +68,23 @@ class ReferenceGeoTally final : public core::ProbeObserver {
  private:
   const enrich::InternetRegistry* registry_;
 };
+
+/// Expects `got` to hold exactly `want`'s sources, each with the same
+/// (port, packets) rows, and the same packet total, whatever order
+/// either tally inserted its sources and ports in.
+inline void expect_same_port_tally(const core::PortTally& got, const core::PortTally& want) {
+  EXPECT_EQ(got.total_packets(), want.total_packets());
+  ASSERT_EQ(got.total_sources(), want.total_sources());
+  std::vector<core::PortPacketMap::value_type> got_rows;
+  std::vector<core::PortPacketMap::value_type> want_rows;
+  for (const auto& [source, ports] : want.per_source()) {
+    const auto* found = got.per_source().find(source);
+    ASSERT_NE(found, nullptr) << "source " << source;
+    found->sorted_rows(got_rows);
+    ports.sorted_rows(want_rows);
+    EXPECT_EQ(got_rows, want_rows) << "source " << source;
+  }
+}
 
 /// A port no probe in `reference` targets, to ask the views about.
 template <typename Reference>

@@ -7,7 +7,9 @@
 // own so that no other suite runs under it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -226,6 +228,45 @@ constexpr std::size_t kSpcScanProbes = 48;  ///< the first sensor counter
 constexpr std::size_t kSpcChecksum = 128;
 constexpr std::size_t kSpcFixedRowBytes = 2 + 2 + 4 + 4 + 2 + 2 + 1;
 
+/// `original`'s one chunk of `stored` rows with its row count forged to
+/// `rows` and its fixed-width tail cut or zero-padded to match. With
+/// `columns_too`, each of the three varint columns is also cut to its
+/// first `rows` values or padded with zero deltas (one byte each), so the
+/// columns hold what the count claims.
+std::vector<std::uint8_t> forge_chunk_rows(const std::vector<std::uint8_t>& original,
+                                           std::uint64_t stored, std::uint64_t rows,
+                                           bool columns_too) {
+  std::vector<std::uint8_t> forged(original.begin(),
+                                   original.begin() + static_cast<std::ptrdiff_t>(kSpcHeader + 8));
+  store_field(forged, kSpcHeader, 8, rows);
+  std::size_t at = kSpcHeader + 8;
+  for (int column = 0; column < 3; ++column) {
+    const auto length = static_cast<std::size_t>(load_field(original, at, 8));
+    const auto* stream = original.data() + at + 8;
+    std::vector<std::uint8_t> values(stream, stream + length);
+    if (columns_too) {
+      std::uint64_t kept = 0;
+      std::size_t end = 0;
+      while (end < values.size() && kept < rows) {
+        if ((values[end++] & 0x80) == 0) ++kept;
+      }
+      values.resize(end);
+      values.resize(end + (rows - kept), 0);
+    }
+    const auto length_at = forged.size();
+    forged.resize(length_at + 8);
+    store_field(forged, length_at, 8, values.size());
+    forged.insert(forged.end(), values.begin(), values.end());
+    at += 8 + length;
+  }
+  const auto tail = original.begin() + static_cast<std::ptrdiff_t>(at);
+  const auto kept_tail = static_cast<std::ptrdiff_t>(std::min(stored, rows) * kSpcFixedRowBytes);
+  forged.insert(forged.end(), tail, tail + kept_tail);
+  forged.resize(forged.size() + (rows * kSpcFixedRowBytes - static_cast<std::size_t>(kept_tail)),
+                0);
+  return forged;
+}
+
 TEST(CacheAllocation, ForgedChunkRowCountsAllocateWithinAMultipleOfTheFile) {
   const auto dir = fs::temp_directory_path() / "synscan_spc_alloc";
   fs::remove_all(dir);
@@ -277,29 +318,39 @@ TEST(CacheAllocation, ForgedChunkRowCountsAllocateWithinAMultipleOfTheFile) {
   EXPECT_EQ(intact_rows, std::optional<std::uint64_t>(kProbes));
   EXPECT_LE(intact_largest, kMaxAmplification * original.size());
 
-  // Every row count that `walk_chunks` lets through, below and above the
-  // stored one: the chunk's fixed-width tail is cut or zero-padded to the
-  // forged count, which the header's probe count, scan-probe counter and
-  // frame count then match, and the checksum is recomputed over the chunk.
+  // Row counts below and above the stored one: the chunk's fixed-width
+  // tail is cut or zero-padded to the forged count, which the header's
+  // probe count, scan-probe counter and frame count then match, and the
+  // checksum is recomputed over the chunk. Every forged file is rejected
+  // at open or replays exactly the rows it claims; one whose varint
+  // columns still hold the stored 50 values is rejected.
   std::size_t validated = 0;
   for (std::uint64_t rows = 1; rows <= 2 * kProbes; ++rows) {
     if (rows == kProbes) continue;
-    SCOPED_TRACE("row count " + std::to_string(rows));
-    auto forged = original;
-    forged.resize(original.size() - kSpcFixedRowBytes * kProbes + kSpcFixedRowBytes * rows);
-    store_field(forged, kSpcHeader, 8, rows);
-    store_field(forged, kSpcProbeCount, 8, rows);
-    store_field(forged, kSpcScanProbes, 8, rows);
-    store_field(forged, kSpcFrameCount, 8, rows + kOtherFrames);
-    store_field(forged, kSpcChecksum, 8, fnv1a(std::span(forged).subspan(kSpcHeader)));
-    const auto [replayed, largest] = largest_replay(forged);
-    if (replayed) ++validated;
-    EXPECT_LE(largest, kMaxAmplification * forged.size())
-        << "in a file of " << forged.size() << " bytes";
+    for (const bool columns_too : {false, true}) {
+      SCOPED_TRACE("row count " + std::to_string(rows) +
+                   (columns_too ? ", columns cut or padded" : ""));
+      auto forged = forge_chunk_rows(original, kProbes, rows, columns_too);
+      store_field(forged, kSpcProbeCount, 8, rows);
+      store_field(forged, kSpcScanProbes, 8, rows);
+      store_field(forged, kSpcFrameCount, 8, rows + kOtherFrames);
+      store_field(forged, kSpcChecksum, 8, fnv1a(std::span(forged).subspan(kSpcHeader)));
+      const auto [replayed, largest] = largest_replay(forged);
+      if (replayed) {
+        EXPECT_EQ(*replayed, rows);
+        ++validated;
+      }
+      if (!columns_too) {
+        EXPECT_FALSE(replayed.has_value());
+      }
+      EXPECT_LE(largest, kMaxAmplification * forged.size())
+          << "in a file of " << forged.size() << " bytes";
+    }
   }
   // The decode behind `next_chunk` must see forged counts, or the bound
-  // above covers only `open`.
-  EXPECT_GT(validated, 0u);
+  // above covers only `open`: every file whose columns match its count
+  // validates.
+  EXPECT_EQ(validated, 2 * kProbes - 1);
   fs::remove_all(dir);
 }
 

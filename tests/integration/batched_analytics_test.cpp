@@ -1,24 +1,29 @@
 // Differential tests for the batch-native analytics path: every
 // column-direct fast path introduced by the ProbeBatch end-to-end
-// refactor — batched observers, the interval-indexed registry,
-// batch-slice sharding in the parallel analyzer, and the JSON report —
-// must be bit-identical to its per-probe (or linear-scan) reference on
-// a mixed capture.
+// refactor — batched observers, the port tally folded from the
+// tracker's flows, the interval-indexed registry, batch-slice sharding
+// in the parallel analyzer, and the JSON report — must be bit-identical
+// to its per-probe (or linear-scan) reference on a mixed capture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/analysis_geo.h"
 #include "core/analysis_types.h"
 #include "core/daily_series.h"
+#include "core/ingest.h"
 #include "core/pipeline.h"
 #include "core/port_tally.h"
 #include "core/reference_tallies.h"
+#include "core/rollup.h"
+#include "core/rollup_store.h"
 #include "core/volatility.h"
 #include "enrich/registry.h"
+#include "pcap/pcap.h"
 #include "report/json.h"
 #include "simgen/generator.h"
 #include "telescope/probe_batch.h"
@@ -118,63 +123,128 @@ void feed_reference(core::ProbeObserver& observer) {
   }
 }
 
-void expect_same_port_rows(const std::vector<core::PortCount>& got,
-                           const std::vector<core::PortCount>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].port, want[i].port) << "row " << i;
-    EXPECT_EQ(got[i].count, want[i].count) << "row " << i;
-    EXPECT_EQ(got[i].share, want[i].share) << "row " << i;
+/// The window's probes counted one by one through `PortTally::on_probe`:
+/// the per-probe reference every folded tally is held to.
+const core::PortTally& reference_tally() {
+  static const core::PortTally tally = [] {
+    core::PortTally reference;
+    feed_reference(reference);
+    return reference;
+  }();
+  return tally;
+}
+
+/// The tally the pipeline folds from its tracker's flows over the window.
+core::PortTally folded_tally() {
+  core::Pipeline pipeline(test_telescope());
+  for (const auto& batch : probe_batches()) pipeline.feed_probes(batch);
+  return pipeline.finish().ports;
+}
+
+/// The pipeline's tally — its workers' sub-threshold flows plus every
+/// campaign — equals the per-probe tally source by source and port by
+/// port at any worker count. With several workers the residuals are
+/// built on the worker threads and merged after the join.
+TEST(FoldedTally, MatchesPerProbeReferenceAtEveryWorkerCount) {
+  ASSERT_GT(reference_tally().total_packets(), 0u);
+  for (const std::size_t workers : {1u, 2u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    core::Pipeline pipeline(test_telescope(), workers);
+    for (const auto& batch : probe_batches()) pipeline.feed_probes(batch);
+    const auto result = pipeline.finish();
+    // Both ways a flow closes feed the tally.
+    ASSERT_GT(result.campaigns.size(), 0u);
+    ASSERT_GT(result.tracker.subthreshold_flows, 0u);
+    testing::expect_same_port_tally(result.ports, reference_tally());
   }
 }
 
-TEST(BatchedObservers, PortTallyMatchesPerProbeReference) {
-  core::PortTally batched;
-  core::PortTally reference;
-  feed_batched(batched);
-  feed_reference(reference);
-
-  ASSERT_GT(reference.total_packets(), 0u);
-  EXPECT_EQ(batched.total_packets(), reference.total_packets());
-  EXPECT_EQ(batched.total_sources(), reference.total_sources());
-  expect_same_port_rows(batched.top_ports_by_packets(100),
-                        reference.top_ports_by_packets(100));
-  expect_same_port_rows(batched.top_ports_by_sources(100),
-                        reference.top_ports_by_sources(100));
-  EXPECT_EQ(batched.ports_with_at_least(2), reference.ports_with_at_least(2));
-  EXPECT_EQ(batched.privileged_port_coverage(), reference.privileged_port_coverage());
-
-  auto got_sample = batched.ports_per_source_sample();
-  auto want_sample = reference.ports_per_source_sample();
-  std::sort(got_sample.begin(), got_sample.end());
-  std::sort(want_sample.begin(), want_sample.end());
-  EXPECT_EQ(got_sample, want_sample);
+/// In carry mode the flows at the window's edges leave as boundary
+/// segments instead; the pipeline's tally plus the segments' maps is the
+/// per-probe tally.
+TEST(FoldedTally, CarryModeTallyPlusSegmentsMatchesPerProbeReference) {
+  core::TrackerConfig config;
+  config.carry_boundary_flows = true;
+  for (const std::size_t workers : {1u, 2u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    core::Pipeline pipeline(test_telescope(), workers, config);
+    for (const auto& batch : probe_batches()) pipeline.feed_probes(batch);
+    auto result = pipeline.finish();
+    const auto segments = pipeline.take_carried_segments();
+    ASSERT_FALSE(segments.empty());
+    for (const auto& segment : segments) {
+      result.ports.add(segment.source.value(), segment.port_packets);
+    }
+    testing::expect_same_port_tally(result.ports, reference_tally());
+  }
 }
 
-/// The scanner-type view of the batched `PortTally` answers every
+/// `analyze_shard`'s tally (the pipeline's plus its segments') equals the
+/// per-probe tally of the same capture, before and after a `.spr` round
+/// trip.
+TEST(FoldedTally, ShardTallyMatchesPerProbeReferenceAfterSprRoundTrip) {
+  namespace fs = std::filesystem;
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  const auto dir = fs::temp_directory_path() / "synscan_folded_tally_shard";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto capture = dir / "window.pcap";
+  {
+    auto writer = pcap::Writer::create(capture);
+    simgen::TrafficGenerator generator(capture_config(), test_telescope(), registry);
+    (void)generator.run([&](const net::RawFrame& frame) { writer.write(frame); });
+    writer.flush();
+  }
+  core::IngestOptions ingest;
+  ingest.use_cache = false;
+  core::PortTally reference;
+  (void)core::ingest_capture(capture, test_telescope(), ingest,
+                             [&](const telescope::ProbeBatch& batch) {
+                               for (std::size_t i = 0; i < batch.size(); ++i) {
+                                 reference.on_probe(batch.get(i));
+                               }
+                             });
+  ASSERT_GT(reference.total_packets(), 0u);
+
+  const auto shard =
+      core::analyze_shard(capture, test_telescope(), registry, core::TrackerConfig{}, ingest);
+  ASSERT_FALSE(shard.segments.empty());
+  testing::expect_same_port_tally(shard.ports, reference);
+
+  const auto identity = core::cache_identity(capture);
+  ASSERT_TRUE(identity.has_value());
+  const auto fingerprint =
+      core::analysis_fingerprint(core::TrackerConfig{}, test_telescope().monitored_count());
+  const auto store = core::rollup_path_for(capture);
+  ASSERT_TRUE(core::save_rollup(store, shard, *identity, fingerprint));
+  const auto loaded = core::load_rollup(store, registry, *identity, fingerprint);
+  ASSERT_TRUE(loaded.has_value());
+  testing::expect_same_port_tally(loaded->ports, reference);
+  fs::remove_all(dir);
+}
+
+/// The scanner-type view of the pipeline's folded tally answers every
 /// question as the per-probe reference type tally does.
 TEST(BatchedObservers, TypeTallyMatchesPerProbeReference) {
   const auto& registry = enrich::InternetRegistry::synthetic_default();
-  core::PortTally batched;
+  const auto folded = folded_tally();
   testing::ReferenceTypeTally reference(registry);
-  feed_batched(batched);
   feed_reference(reference);
 
-  ASSERT_GT(batched.total_packets(), 0u);
-  testing::expect_type_view_matches(core::TypeView(batched, registry), reference);
+  ASSERT_GT(folded.total_packets(), 0u);
+  testing::expect_type_view_matches(core::TypeView(folded, registry), reference);
 }
 
-/// The country view of the batched `PortTally` answers every question
-/// as the per-probe reference country tally does.
+/// The country view of the pipeline's folded tally answers every
+/// question as the per-probe reference country tally does.
 TEST(BatchedObservers, GeoTallyMatchesPerProbeReference) {
   const auto& registry = enrich::InternetRegistry::synthetic_default();
-  core::PortTally batched;
+  const auto folded = folded_tally();
   testing::ReferenceGeoTally reference(registry);
-  feed_batched(batched);
   feed_reference(reference);
 
-  ASSERT_GT(batched.total_packets(), 0u);
-  testing::expect_geo_view_matches(core::GeoView(batched, registry), reference, registry);
+  ASSERT_GT(folded.total_packets(), 0u);
+  testing::expect_geo_view_matches(core::GeoView(folded, registry), reference, registry);
 }
 
 TEST(BatchedObservers, DailySeriesMatchesPerProbeReference) {
@@ -265,8 +335,6 @@ std::string report_json(const core::PipelineResult& result) {
 /// per-probe reference: same campaigns, same order, same formatting.
 TEST(BatchedPipelineDifferential, SerialJsonMatchesPerProbeReference) {
   core::Pipeline batched(test_telescope());
-  core::PortTally batched_ports;
-  batched.add_observer(batched_ports);
 
   core::Pipeline reference(test_telescope());
   core::PortTally reference_ports;
@@ -281,8 +349,8 @@ TEST(BatchedPipelineDifferential, SerialJsonMatchesPerProbeReference) {
   ASSERT_GT(reference_result.campaigns.size(), 0u);
 
   EXPECT_EQ(report_json(batched_result), report_json(reference_result));
-  EXPECT_EQ(batched_ports.total_packets(), reference_ports.total_packets());
-  EXPECT_EQ(batched_ports.total_sources(), reference_ports.total_sources());
+  testing::expect_same_port_tally(batched_result.ports, reference_ports);
+  testing::expect_same_port_tally(reference_result.ports, reference_ports);
 }
 
 /// Batch-slice sharding: the parallel analyzer fed whole batches must

@@ -170,11 +170,11 @@ TEST_F(RollupDifferential, MergedShardsMatchWholeCaptureByteForByte) {
     EXPECT_EQ(merged.stats.shards, count);
     EXPECT_EQ(report_bytes(merged.analysis), reference)
         << count << " shards diverged from the whole-capture analysis";
-    // The merged tally agrees too (the report surface only covers
-    // counters + campaigns; the tally feeds the analytics commands).
+    // The merged tally agrees too, source by source (the report surface
+    // only covers counters + campaigns; the tally feeds the analytics
+    // commands).
     EXPECT_EQ(merged.analysis.frames, whole.frames) << count << " shards";
-    EXPECT_EQ(merged.analysis.ports.total_packets(), whole.ports.total_packets());
-    EXPECT_EQ(merged.analysis.ports.total_sources(), whole.ports.total_sources());
+    testing::expect_same_port_tally(merged.analysis.result.ports, whole.result.ports);
     EXPECT_EQ(merged.analysis.types().total_sources(), whole.types().total_sources());
     EXPECT_EQ(merged.analysis.geo().total_packets(), whole.geo().total_packets());
   }
@@ -203,6 +203,7 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
                                }
                              });
   const auto expect_reference_views = [&](const core::AnalyzedCapture& analysis) {
+    testing::expect_same_port_tally(analysis.result.ports, whole.result.ports);
     testing::expect_type_view_matches(analysis.types(), whole_types);
     testing::expect_geo_view_matches(analysis.geo(), whole_geo, registry);
   };
@@ -263,6 +264,10 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
   EXPECT_EQ(incremental.stats.store_misses, 1u);
   EXPECT_EQ(incremental.stats.store_writes, 1u);
   EXPECT_EQ(report_bytes(incremental.analysis), reference);
+  {
+    SCOPED_TRACE("2 shards loaded, 1 re-analyzed");
+    expect_reference_views(incremental.analysis);
+  }
 }
 
 TEST_F(RollupDifferential, PcapngShardsPlanByCaptureTime) {
@@ -297,6 +302,7 @@ TEST_F(RollupDifferential, PcapngShardsPlanByCaptureTime) {
   const auto merged = run(shards, false, 2);
   EXPECT_EQ(merged.analysis.frames, whole.frames);
   EXPECT_EQ(report_bytes(merged.analysis), reference);
+  testing::expect_same_port_tally(merged.analysis.result.ports, whole.result.ports);
 }
 
 TEST_F(RollupDifferential, FifoShardMatchesRegularFile) {
@@ -307,6 +313,8 @@ TEST_F(RollupDifferential, FifoShardMatchesRegularFile) {
   const auto piped = run({fifo.path()}, true, 1);
   EXPECT_EQ(piped.analysis.frames, reference.analysis.frames);
   EXPECT_EQ(report_bytes(piped.analysis), report_bytes(reference.analysis));
+  testing::expect_same_port_tally(piped.analysis.result.ports,
+                                  reference.analysis.result.ports);
 }
 
 }  // namespace
