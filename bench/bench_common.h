@@ -175,7 +175,8 @@ double median_seconds(Body&& body, int iterations = 5, int warmup = 1) {
 }
 
 /// Which streaming observers a bench needs (each costs memory/time).
-/// The port tally needs none: the pipeline folds it (`result.ports`).
+/// The port tally needs none: the pipeline keeps it as the residual and
+/// the campaigns' maps, and `result.port_tally()` composes it.
 struct Observers {
   bool volatility = false;
   bool daily_series = false;
@@ -189,9 +190,6 @@ struct YearRun {
   std::optional<core::VolatilityTracker> volatility;
   std::optional<core::DailyPortSeries> daily;
 
-  [[nodiscard]] double packets_per_day() const {
-    return static_cast<double>(result.ports.total_packets()) / config.window_days;
-  }
   [[nodiscard]] double scans_per_month() const {
     return static_cast<double>(result.campaigns.size()) / config.window_days * 30.44;
   }

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const int last = options.year.value_or(simgen::kLastYear);
   for (int year = first; year <= last; ++year) {
     const auto run = bench::run_year(year, options);
-    const stats::Ecdf ecdf(run.result.ports.ports_per_source_sample());
+    const stats::Ecdf ecdf(run.result.port_tally().ports_per_source_sample());
     if (ecdf.empty()) continue;
     const double single = ecdf.fraction_at_or_below(1.0);
     const double ge3 = 1.0 - ecdf.fraction_at_or_below(2.0);

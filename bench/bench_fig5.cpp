@@ -20,10 +20,11 @@ int main(int argc, char** argv) {
   core::Pipeline pipeline(bench::shared_telescope());
   bench::generate_into(pipeline, config);
   const auto result = pipeline.finish();
-  const core::TypeView types(result.ports, bench::shared_registry());
+  const auto tally = result.port_tally();
+  const core::TypeView types(tally, bench::shared_registry());
 
   std::vector<std::uint16_t> ports;
-  for (const auto& row : result.ports.top_ports_by_packets(15)) ports.push_back(row.port);
+  for (const auto& row : tally.top_ports_by_packets(15)) ports.push_back(row.port);
   // Always include the paper's two call-out ports.
   for (const std::uint16_t wanted : {static_cast<std::uint16_t>(443),
                                      static_cast<std::uint16_t>(8545)}) {

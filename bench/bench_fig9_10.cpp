@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     core::Pipeline pipeline(bench::shared_telescope());
     bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
-    const core::TypeView types(result.ports, bench::shared_registry());
+    const core::TypeView types(result.port_tally(), bench::shared_registry());
 
     const auto coverage =
         core::org_port_coverage(result.campaigns, bench::shared_registry());

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     core::Pipeline pipeline(bench::shared_telescope());
     bench::generate_into(pipeline, config);
     const auto result = pipeline.finish();
-    const core::GeoView geo(result.ports, bench::shared_registry());
+    const core::GeoView geo(result.port_tally(), bench::shared_registry());
 
     std::vector<std::string> row{std::to_string(year)};
     for (const auto& share : geo.top_countries(5)) {

@@ -26,20 +26,21 @@ int main(int argc, char** argv) {
   int last_year = 0;
   for (const int year : {2015, 2018, 2020, 2022, 2024}) {
     if (options.year && year != *options.year) continue;
-    auto run = bench::run_year(year, options);
+    const auto run = bench::run_year(year, options);
     // Scaled floor -> paper units: multiply by the packet scale.
     const double floor_paper_units =
         1.0 * bench::packet_upscale(options) / run.config.window_days;
     std::uint64_t min_nonzero = 0;
-    const auto with_any = run.result.ports.ports_with_at_least(1);
+    auto tally = run.result.port_tally();
+    const auto with_any = tally.ports_with_at_least(1);
     (void)min_nonzero;
     table.add_row({std::to_string(year),
-                   report::percent(run.result.ports.privileged_port_coverage()),
+                   report::percent(tally.privileged_port_coverage()),
                    std::to_string(with_any),
                    report::fixed(floor_paper_units, 0),
-                   report::percent(run.result.ports.co_scan_fraction(80, 8080)),
+                   report::percent(tally.co_scan_fraction(80, 8080)),
                    paper_coscan(year)});
-    last_tally = std::move(run.result.ports);
+    last_tally = std::move(tally);
     last_year = year;
   }
   std::cout << table;

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   for (int year = first; year <= last; ++year) {
     const auto run = bench::run_year(year, options);
     const auto& paper = simgen::paper_row(year);
-    const auto summary = core::yearly_summary(year, run.config.window_days, run.result.ports,
-                                              run.result.campaigns);
+    const auto summary = core::yearly_summary(year, run.config.window_days,
+                                              run.result.port_tally(), run.result.campaigns);
 
     volume.add_row({std::to_string(year),
                     report::human_count(summary.packets_per_day *

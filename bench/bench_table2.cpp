@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const auto result = pipeline.finish();
 
   const auto table =
-      core::type_share_table(core::TypeView(result.ports, bench::shared_registry()),
+      core::type_share_table(core::TypeView(result.port_tally(), bench::shared_registry()),
                              result.campaigns, bench::shared_registry());
 
   // Paper values (full 10-year dataset).

@@ -44,7 +44,7 @@ EraView study_of(int year, double scale) {
   EraView view;
   view.year = year;
   view.summary = core::yearly_summary(year, simgen::year_config(year, scale).window_days,
-                                      result.ports, result.campaigns);
+                                      result.port_tally(), result.campaigns);
   fingerprint::Tool best = fingerprint::Tool::kUnknown;
   double best_share = 0.0;
   for (const auto tool : fingerprint::kAllTools) {

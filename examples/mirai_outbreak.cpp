@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   const auto shares = core::tool_shares(result.campaigns);
   std::cout << "2017 window: " << result.campaigns.size() << " campaigns, "
-            << result.ports.total_packets() << " probes\n\n";
+            << result.port_tally().total_packets() << " probes\n\n";
   std::cout << "Mirai share of scans:   "
             << report::percent(shares.by_scans.share(fingerprint::Tool::kMirai))
             << "   (paper: 46.5%)\n";

@@ -98,8 +98,8 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
 
-  const auto summary =
-      core::yearly_summary(workload.year, workload.window_days, result.ports, result.campaigns);
+  const auto summary = core::yearly_summary(workload.year, workload.window_days,
+                                            result.port_tally(), result.campaigns);
   std::cout << "\ntool shares by scans: masscan "
             << report::percent(summary.tools.by_scans.share(fingerprint::Tool::kMasscan))
             << ", mirai "

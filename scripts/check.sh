@@ -76,6 +76,34 @@ cmp "${workdir}/offline.jsonl" "${workdir}/daemon.jsonl" || {
 "${cli}" simulate --year=2021 --scale=128 --days=1 --out="${workdir}/window2021.pcap"
 "${cli}" rollup query "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
   --no-rollup-store --json="${workdir}/rollup_offline.jsonl" > /dev/null
+# The same query served from the `.spr` store: build it, query it, and
+# require the store-off bytes, v4 files and that both still load as hits.
+# The files are removed afterwards, so the daemon's ROLLUP writes its own.
+"${cli}" rollup build "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
+  > "${workdir}/rollup_store_build.txt"
+grep -qxF 'rollups saved:  2' "${workdir}/rollup_store_build.txt" || {
+  echo "rollup smoke: rollup build did not save both rollups" >&2
+  exit 1
+}
+"${cli}" rollup query "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
+  --json="${workdir}/rollup_store.jsonl" > /dev/null
+cmp "${workdir}/rollup_offline.jsonl" "${workdir}/rollup_store.jsonl" || {
+  echo "rollup smoke: the store-hit rollup query diverged from the store-off one" >&2
+  exit 1
+}
+"${cli}" rollup build "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
+  > "${workdir}/rollup_store_hits.txt"
+for needle in 'store hits:     2' 'rollups saved:  0'; do
+  grep -qxF "${needle}" "${workdir}/rollup_store_hits.txt" || {
+    echo "rollup smoke: the stored rollups lack '${needle}' on reload" >&2
+    exit 1
+  }
+done
+"${cli}" rollup stat "${workdir}/window.pcap.spr" | grep -qxF 'version:        4' || {
+  echo "rollup smoke: window.pcap.spr is not a version 4 rollup" >&2
+  exit 1
+}
+rm -f "${workdir}/window.pcap.spr" "${workdir}/window2021.pcap.spr"
 "${cli}" query --socket="${sock}" ROLLUP "${workdir}/window.pcap" \
   "${workdir}/window2021.pcap" > /dev/null
 "${cli}" query --socket="${sock}" QUERY analyze > "${workdir}/rollup_daemon.jsonl"

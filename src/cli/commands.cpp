@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/analysis_campaigns.h"
+#include "core/analysis_geo.h"
 #include "core/analysis_session.h"
 #include "core/analysis_summary.h"
 #include "core/analysis_types.h"
@@ -192,16 +193,18 @@ int run_analyze(const std::vector<std::string>& args) {
   }
   std::cout << "-- tools --\n" << tools << "\n";
 
+  // The three tables below read one tally, composed here once.
+  const auto tally = analysis.result.port_tally();
   report::Table ports({"port", "packets", "share", "sources"});
-  for (const auto& row : analysis.result.ports.top_ports_by_packets(top_n)) {
+  for (const auto& row : tally.top_ports_by_packets(top_n)) {
     ports.add_row({std::to_string(row.port), std::to_string(row.count),
                    report::percent(row.share),
-                   std::to_string(analysis.result.ports.sources_on_port(row.port))});
+                   std::to_string(tally.sources_on_port(row.port))});
   }
   std::cout << "-- top ports by packets --\n" << ports << "\n";
 
-  const auto type_table =
-      core::type_share_table(analysis.types(), campaigns, *analysis.registry);
+  const auto type_table = core::type_share_table(core::TypeView(tally, *analysis.registry),
+                                                 campaigns, *analysis.registry);
   report::Table types({"scanner type", "sources", "scans", "packets"});
   for (const auto& row : type_table) {
     types.add_row({std::string(enrich::to_string(row.type)),
@@ -212,7 +215,7 @@ int run_analyze(const std::vector<std::string>& args) {
   std::cout << "-- scanner types --\n" << types << "\n";
 
   report::Table countries({"country", "packets", "share"});
-  for (const auto& row : analysis.geo().top_countries(top_n)) {
+  for (const auto& row : core::GeoView(tally, *analysis.registry).top_countries(top_n)) {
     countries.add_row({row.country.to_string(), std::to_string(row.packets),
                        report::percent(row.share)});
   }

@@ -2,8 +2,10 @@
 //
 // `analyze_capture` is the one shared definition of "run the paper's
 // analysis over a capture": batched ingest (mmap + `.spc` cache) feeding
-// the campaign pipeline, which folds the one probe-level tally from its
-// flows; its scanner-type and country views derive on read. The CLI
+// the campaign pipeline. The result keeps the port tally as its two
+// disjoint parts, the sub-threshold residual and the campaigns' maps; a
+// reader composes it once with `result.port_tally()` and derives the
+// scanner-type and country views (`TypeView`, `GeoView`) from it. The CLI
 // `analyze` command and the `synscand` daemon both call it; the daemon
 // keeps the returned `AnalyzedCapture` resident behind a shared_ptr and
 // serves concurrent queries from it, so every query entry point takes
@@ -30,13 +32,9 @@ namespace synscan::core {
 struct AnalyzedCapture {
   explicit AnalyzedCapture(const enrich::InternetRegistry& internet) : registry(&internet) {}
 
-  /// Scanner-type view of `result.ports` (Table 2, Fig. 5).
-  [[nodiscard]] TypeView types() const { return {result.ports, *registry}; }
-  /// Country view of `result.ports` (§4.2, §5.4).
-  [[nodiscard]] GeoView geo() const { return {result.ports, *registry}; }
-
   PipelineResult result;
-  /// The registry the analysis ran with; the views attribute through it.
+  /// The registry the analysis ran with; the views of
+  /// `result.port_tally()` attribute through it.
   const enrich::InternetRegistry* registry;
   std::uint64_t frames = 0;
   pcap::ReadStatus final_status = pcap::ReadStatus::kEndOfFile;

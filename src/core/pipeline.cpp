@@ -25,6 +25,12 @@ struct Slice {
 
 }  // namespace
 
+PortTally PipelineResult::port_tally() const {
+  PortTally tally = residual_ports;
+  for (const auto& c : campaigns) tally.add(c.source.value(), c.port_packets);
+  return tally;
+}
+
 struct Pipeline::Shard {
   Shard(const TrackerConfig& config, std::uint64_t monitored_addresses)
       : tracker(config, monitored_addresses,
@@ -167,13 +173,12 @@ PipelineResult Pipeline::finish() {
     shard->tracker.finish(stream_end);
     result.tracker.add(shard->tracker.counters());
     // Workers track disjoint sources, so each residual appends its own.
-    result.ports.merge(shard->tracker.take_residual_ports());
+    result.residual_ports.merge(shard->tracker.take_residual_ports());
     result.campaigns.insert(result.campaigns.end(),
                             std::make_move_iterator(shard->campaigns.begin()),
                             std::make_move_iterator(shard->campaigns.end()));
   }
   sort_canonical(result.campaigns);
-  for (const auto& c : result.campaigns) result.ports.add(c.source.value(), c.port_packets);
 
   if (shards_.size() > 1 && obs::enabled()) {
     auto& registry = obs::MetricsRegistry::global();

@@ -1,5 +1,6 @@
 // The analysis pipeline: classified probe batches -> campaign tracker
-// and streaming observers -> finalized campaigns and the port tally.
+// and streaming observers -> finalized campaigns and the sub-threshold
+// residual of the port tally.
 //
 // Probes arrive already sensed. Every producer classifies frames in
 // batches first — `core::ingest_capture` for capture files,
@@ -35,9 +36,16 @@ struct PipelineResult {
   std::vector<Campaign> campaigns;
   telescope::SensorCounters sensor;
   TrackerCounters tracker;
-  /// Packets per (source, port) of every probe, folded from the flows'
-  /// port maps (in carry mode, without the boundary segments').
-  PortTally ports;
+  /// Packets per (source, port) of the flows that closed below the
+  /// campaign threshold: the tally's part no campaign holds. Every
+  /// count is stored once, here or in a campaign's `port_packets`.
+  PortTally residual_ports;
+
+  /// The full port tally (Table 1, Table 2, Fig. 5, §4.2): the residual,
+  /// then every campaign's map in canonical order. Composed on each
+  /// call, so a reader builds it once and derives its views from it. In
+  /// carry mode the boundary segments' maps are not in it.
+  [[nodiscard]] PortTally port_tally() const;
 };
 
 /// Single-pass analysis driver. Attach observers, feed probe batches,

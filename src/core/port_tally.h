@@ -1,6 +1,9 @@
-// Packets per (source, destination port): the one probe-level tally,
-// folded from the tracker's flows (`PipelineResult::ports`). `on_probe`
-// counts probe by probe: the reference the fold is tested against.
+// Packets per (source, destination port): the one probe-level tally.
+// The pipeline keeps it as two disjoint parts, the sub-threshold
+// residual (`PipelineResult::residual_ports`) and the campaigns' maps,
+// and `PipelineResult::port_tally()` composes it when a view reads it.
+// `on_probe` counts probe by probe: the reference the composed tally is
+// tested against.
 //
 // Table 1's "top ports by packets / by sources" blocks, the port-space
 // coverage analysis (§5.1) and the ports-per-source CDF (Fig. 3) read

@@ -62,9 +62,8 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
   rollup.sensor = result.sensor;
   rollup.tracker = result.tracker;
   rollup.campaigns = std::move(result.campaigns);
-  rollup.ports = std::move(result.ports);
+  rollup.residual_ports = std::move(result.residual_ports);
   rollup.segments = pipeline.take_carried_segments();
-  for (const auto& s : rollup.segments) rollup.ports.add(s.source.value(), s.port_packets);
   rollup.first_probe_us = pipeline.first_timestamp();
   rollup.max_timestamp_us = pipeline.max_timestamp();
   // Export order depends on sweep timing and flow-table layout; the
@@ -94,7 +93,11 @@ void RollupMerger::finalize_segment(FlowSegment&& segment, bool gap_closed) {
   auto campaign = qualify(config_, model_, segment.source, segment.first_seen_us,
                           segment.last_seen_us, segment.packets,
                           segment.destinations.size(), counters);
-  if (!campaign) return;
+  if (!campaign) {
+    merged_.result.residual_ports.add(segment.source.value(),
+                                      std::move(segment.port_packets));
+    return;
+  }
   campaign->port_packets = std::move(segment.port_packets);
   campaign->tool = segment.evidence.verdict(config_.classifier);
   merged_.result.campaigns.push_back(std::move(*campaign));
@@ -126,7 +129,7 @@ void RollupMerger::add(CaptureRollup&& shard) {
   merged_.result.campaigns.insert(merged_.result.campaigns.end(),
                                   std::make_move_iterator(shard.campaigns.begin()),
                                   std::make_move_iterator(shard.campaigns.end()));
-  merged_.result.ports.merge(std::move(shard.ports));
+  merged_.result.residual_ports.merge(std::move(shard.residual_ports));
   any_shard_ = true;
 
   for (auto& segment : shard.segments) {

@@ -3,11 +3,11 @@
 // A ten-year capture set is analyzed once, shard by shard, and every
 // later question is answered by *merging summaries* instead of touching
 // probes again. The unit is a `CaptureRollup`: everything one capture's
-// analysis produced — counters, interior campaigns, tallies — plus the
-// tracker's boundary `FlowSegment`s (core/tracker.h), which carry enough
-// state (full destination set, and the flow's own `PortPacketMap` and
-// `ToolEvidence`) that flows spanning shard boundaries can be re-joined
-// exactly.
+// analysis produced — counters, interior campaigns, the residual port
+// tally — plus the tracker's boundary `FlowSegment`s (core/tracker.h),
+// which carry enough state (full destination set, and the flow's own
+// `PortPacketMap` and `ToolEvidence`) that flows spanning shard
+// boundaries can be re-joined exactly.
 //
 // Shards must not overlap in time: each starts at or after the last
 // probe of every shard before it. A flow then crosses a cut only if it
@@ -21,9 +21,12 @@
 // tracker expiry, exactly as the whole-capture tracker would have kept
 // the flow alive; any other next segment of that source finalizes the
 // tail as gap-closed, and everything else finalizes through `qualify`
-// (core/tracker.h), the §3.4 rule the tracker applies. The result is an
-// `AnalyzedCapture` whose JSON report is byte-identical to analyzing
-// the concatenated captures in one pass (pinned by
+// (core/tracker.h), the §3.4 rule the tracker applies. A finalized
+// segment that qualifies becomes a campaign with its map; one that does
+// not moves its map into the merged residual tally, as the tracker moves
+// a sub-threshold flow's. The result is an `AnalyzedCapture` whose JSON
+// report is byte-identical to analyzing the concatenated captures in one
+// pass, and whose `port_tally()` holds the same counts (pinned by
 // tests/integration/rollup_differential_test.cpp).
 #pragma once
 
@@ -66,15 +69,18 @@ struct CaptureRollup {
   /// within `expiry` of `max_timestamp_us` — sorted by (source,
   /// first_seen) for deterministic `.spr` bytes and merge order.
   std::vector<FlowSegment> segments;
-  /// The shard's one probe-level tally, segments included. It names no
-  /// scanner type or country, so a rollup does not depend on the registry.
-  PortTally ports;
+  /// Packets per (source, port) of the flows that closed inside the
+  /// shard below the campaign threshold. The campaigns and segments
+  /// hold every other count, so the shard's full tally is this residual
+  /// plus their maps, and no count is stored twice. It names no scanner
+  /// type or country, so a rollup does not depend on the registry.
+  PortTally residual_ports;
 };
 
 /// Analyzes one capture as a shard: the serial batch-native pipeline,
 /// tracker in carry mode, no observer. The registry is not read (see
-/// `CaptureRollup::ports`); the benchmark harness still passes it, so it
-/// stays until ROADMAP item 9.
+/// `CaptureRollup::residual_ports`); the benchmark harness still passes
+/// it, so it stays until ROADMAP item 9.
 [[nodiscard]] CaptureRollup analyze_shard(const std::filesystem::path& path,
                                           const telescope::Telescope& telescope,
                                           const enrich::InternetRegistry& registry,
@@ -106,7 +112,8 @@ class RollupMerger {
   [[nodiscard]] AnalyzedCapture finish();
 
  private:
-  /// Judges a (possibly joined) boundary segment by `qualify`.
+  /// Judges a (possibly joined) boundary segment by `qualify`: a
+  /// campaign keeps its map, a sub-threshold flow's joins the residual.
   /// `gap_closed` marks segments that were followed by more same-source
   /// traffic after an expiry gap (always expired); stream-end closes are
   /// expired only when the final "now" is more than `expiry` past the

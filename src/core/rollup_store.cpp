@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -10,12 +11,19 @@ namespace synscan::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x31727073;  // "spr1" on disk
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 constexpr std::size_t kHeaderSize = 64;
 
 /// `TimeUs` is signed; timestamps store as their two's-complement bits.
 inline std::uint64_t time_bits(net::TimeUs t) { return static_cast<std::uint64_t>(t); }
 inline net::TimeUs time_from(std::uint64_t v) { return static_cast<net::TimeUs>(v); }
+
+/// `a + b` for stored packet counts, which must add up as true sums: a
+/// sum that wraps is a defect, not a match.
+std::uint64_t add_packets(std::uint64_t a, std::uint64_t b) {
+  if (b > std::numeric_limits<std::uint64_t>::max() - a) throw ParseError{};
+  return a + b;
+}
 
 // --- shared pieces ----------------------------------------------------
 
@@ -57,12 +65,12 @@ using PortRows = std::vector<PortPacketMap::value_type>;
 constexpr std::size_t kPortRowBytes = 2 + 8;
 constexpr std::size_t kProbeBytes = 8 + 4 + 4 + 2 + 2 + 4 + 4 + 2 + 2 + 1;
 /// Meta fields, ten sensor and eleven tracker counters.
-constexpr std::size_t kPrefixBytes = 8 + 4 + 1 + 8 + 8 + 10 * 8 + 11 * 8;
+constexpr std::size_t kPrefixBytes = 8 + 4 + 8 + 8 + 10 * 8 + 11 * 8;
 /// A campaign before its port rows (their u32 count included).
 constexpr std::size_t kCampaignBytes = 8 + 4 + 8 + 8 + 8 + 4 + 1 + 3 * 8 + 4;
 /// A segment without its destinations and port rows (both counts and
 /// the fingerprint evidence included).
-constexpr std::size_t kSegmentBytes = 4 + 1 + 3 * 8 + 8 + 4 + 7 * 8 + 1 + 2 * kProbeBytes;
+constexpr std::size_t kSegmentBytes = 4 + 1 + 3 * 8 + 8 + 4 + 7 * 8 + 2 * kProbeBytes;
 /// A tally source before its port rows (their u32 count included).
 constexpr std::size_t kSourceBytes = 4 + 4;
 
@@ -81,23 +89,26 @@ void put_port_map(ByteWriter& out, const PortPacketMap& map, PortRows& rows) {
   }
 }
 
-/// Reads a stored map into `map`, sized once from its row count. Rows
-/// must be strictly ascending by port and carry packets, as the writer
-/// emits them, so a file that passes the checksum but repeats or
-/// reorders a row takes the fallback instead of loading a different
-/// statistic.
-void get_port_map(ByteReader& in, PortPacketMap& map) {
+/// Reads a stored map into `map`, sized once from its row count, and
+/// returns its packets. Rows must be strictly ascending by port and
+/// carry packets, as the writer emits them, so a file that passes the
+/// checksum but repeats or reorders a row takes the fallback instead of
+/// loading a different statistic.
+std::uint64_t get_port_map(ByteReader& in, PortPacketMap& map) {
   const auto n = in.count32(kPortRowBytes);
   map.reserve(n);
   const auto* at = in.take(kPortRowBytes * n);
   std::uint16_t previous = 0;
+  std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i, at += kPortRowBytes) {
     const auto port = net::load_le16(at);
     const auto packets = net::load_le64(at + 2);
     if ((i > 0 && port <= previous) || packets == 0) throw ParseError{};
     previous = port;
+    total = add_packets(total, packets);
     map.add(port, packets);
   }
+  return total;
 }
 
 void put_tracker(ByteWriter& out, const TrackerCounters& counters) {
@@ -156,7 +167,8 @@ Campaign get_campaign(ByteReader& in) {
   campaign.extrapolated_pps = in.f64();
   campaign.coverage_fraction = in.f64();
   campaign.extrapolated_packets = in.f64();
-  get_port_map(in, campaign.port_packets);
+  // A campaign's map counts each of its packets once.
+  if (get_port_map(in, campaign.port_packets) != campaign.packets) throw ParseError{};
   return campaign;
 }
 
@@ -181,7 +193,6 @@ void put_segment(ByteWriter& out, const FlowSegment& segment, PortRows& rows) {
   out.u64(evidence.nmap_pair_hits);
   out.u64(evidence.unicorn_pair_hits);
   out.u64(evidence.pairs);
-  out.u8(evidence.have_previous ? 1 : 0);
   put_probe(out, evidence.first);
   put_probe(out, evidence.previous);
 }
@@ -204,16 +215,17 @@ FlowSegment get_segment(ByteReader& in) {
     segment.destinations[i] = net::load_le32(at);
     if (i > 0 && segment.destinations[i] <= segment.destinations[i - 1]) throw ParseError{};
   }
-  get_port_map(in, segment.port_packets);
+  // A segment's map and its evidence each count every packet once.
+  if (get_port_map(in, segment.port_packets) != segment.packets) throw ParseError{};
   auto& evidence = segment.evidence;
   evidence.probes = in.u64();
+  if (evidence.probes != segment.packets) throw ParseError{};
   evidence.zmap_hits = in.u64();
   evidence.masscan_hits = in.u64();
   evidence.mirai_hits = in.u64();
   evidence.nmap_pair_hits = in.u64();
   evidence.unicorn_pair_hits = in.u64();
   evidence.pairs = in.u64();
-  evidence.have_previous = in.u8() != 0;
   evidence.first = get_probe(in);
   evidence.previous = get_probe(in);
   return segment;
@@ -233,22 +245,24 @@ void put_port_tally(ByteWriter& out, const PortTally& tally, PortRows& rows) {
   }
 }
 
-/// Reads the tally section. Sources must be strictly ascending and each
-/// must have a row; `get_port_map` checks the rows. The source table
-/// is not reserved from the stored count: an entry costs about ten times
-/// the 18 bytes a source takes on disk.
-void get_port_tally(ByteReader& in, PortTally& tally) {
+/// Reads the tally section and returns its packets. Sources must be
+/// strictly ascending and each must have a row; `get_port_map` checks
+/// the rows. The source table is not reserved from the stored count: an
+/// entry costs about ten times the 18 bytes a source takes on disk.
+std::uint64_t get_port_tally(ByteReader& in, PortTally& tally) {
   const auto sources = in.count(kSourceBytes + kPortRowBytes);  // one row at least
   std::uint64_t previous_source = 0;
+  std::uint64_t total = 0;
   for (std::size_t i = 0; i < sources; ++i) {
     const auto source = in.u32();
     if (i > 0 && source <= previous_source) throw ParseError{};
     previous_source = source;
     PortPacketMap ports;
-    get_port_map(in, ports);
+    total = add_packets(total, get_port_map(in, ports));
     if (ports.empty()) throw ParseError{};
     tally.add(source, std::move(ports));
   }
+  return total;
 }
 
 /// Parses the 64-byte header; false when the file is shorter than it
@@ -280,7 +294,7 @@ std::size_t payload_size(const CaptureRollup& rollup) {
     size += kSegmentBytes + 4 * segment.destinations.size() +
             kPortRowBytes * segment.port_packets.size();
   }
-  for (const auto& [source, ports] : rollup.ports.per_source()) {
+  for (const auto& [source, ports] : rollup.residual_ports.per_source()) {
     size += kSourceBytes + kPortRowBytes * ports.size();
   }
   return size;
@@ -321,7 +335,6 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   PortRows rows;
   payload.u64(rollup.frames);
   payload.u32(static_cast<std::uint32_t>(rollup.final_status));
-  payload.u8(0);  // reserved (see the layout in the header)
   payload.u64(time_bits(rollup.first_probe_us));
   payload.u64(time_bits(rollup.max_timestamp_us));
   put_sensor(payload, rollup.sensor);
@@ -330,7 +343,7 @@ bool save_rollup(const std::filesystem::path& path, const CaptureRollup& rollup,
   for (const auto& campaign : rollup.campaigns) put_campaign(payload, campaign, rows);
   payload.u64(rollup.segments.size());
   for (const auto& segment : rollup.segments) put_segment(payload, segment, rows);
-  put_port_tally(payload, rollup.ports, rows);
+  put_port_tally(payload, rollup.residual_ports, rows);
 
   ByteWriter header;
   header.u32(kMagic);
@@ -381,23 +394,31 @@ std::optional<CaptureRollup> load_rollup(const std::filesystem::path& path,
       return std::nullopt;  // as `.spc`: a corrupt terminal status
     }
     rollup.final_status = static_cast<pcap::ReadStatus>(status);
-    (void)in.u8();  // reserved
     rollup.from_cache = true;  // a store hit serves a cached result
     rollup.first_probe_us = time_from(in.u64());
     rollup.max_timestamp_us = time_from(in.u64());
     get_sensor(in, rollup.sensor);
     get_tracker(in, rollup.tracker);
+    // Every probe the shard's tracker counted is in exactly one place:
+    // a campaign, a boundary segment or the residual tally.
+    const auto& tracker = rollup.tracker;
+    std::uint64_t packets = tracker.subthreshold_packets;
     const auto campaigns = in.count(kCampaignBytes);
     rollup.campaigns.reserve(campaigns);
     for (std::size_t i = 0; i < campaigns; ++i) {
       rollup.campaigns.push_back(get_campaign(in));
+      packets = add_packets(packets, rollup.campaigns.back().packets);
     }
     const auto segments = in.count(kSegmentBytes);
     rollup.segments.reserve(segments);
     for (std::size_t i = 0; i < segments; ++i) {
       rollup.segments.push_back(get_segment(in));
+      packets = add_packets(packets, rollup.segments.back().packets);
     }
-    get_port_tally(in, rollup.ports);
+    if (packets != tracker.probes) return std::nullopt;
+    if (get_port_tally(in, rollup.residual_ports) != tracker.subthreshold_packets) {
+      return std::nullopt;
+    }
     if (!in.exhausted()) return std::nullopt;
     if (rollup.campaigns.size() != info.campaigns ||
         rollup.segments.size() != info.segments) {

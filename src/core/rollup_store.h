@@ -18,34 +18,46 @@
 //
 // Layout (all integers little-endian):
 //   header (64 bytes):
-//     u32 magic "spr1"        u32 version (=3)
+//     u32 magic "spr1"        u32 version (=4)
 //     u64 source_size         u64 source_mtime_ns
 //     u64 analysis_fingerprint (see `analysis_fingerprint`)
 //     u64 campaign_count      u64 segment_count
 //     u64 payload_size        u64 checksum (FNV-1a over the payload)
-//   payload: meta (frames, terminal status, a reserved byte, then the
-//     shard's first and last probe times, which the merger's time-order
-//     check and the boundary horizons rest on), sensor counters, tracker
-//     counters, campaigns, boundary segments (only the flows within
-//     `expiry` of the shard's first or last probe, each with its
-//     destinations, its port map and every field of its `ToolEvidence`)
-//     and one tally section, the `PortTally`:
+//   payload: meta (frames, terminal status, then the shard's first and
+//     last probe times, which the merger's time-order check and the
+//     boundary horizons rest on), sensor counters, tracker counters,
+//     campaigns, boundary segments (only the flows within `expiry` of
+//     the shard's first or last probe, each with its destinations, its
+//     port map and its `ToolEvidence`: the counters and the first and
+//     previous probe) and one tally section, the residual `PortTally` of
+//     the flows that closed inside the shard below the campaign
+//     threshold:
 //       u64 source_count, then per source in ascending order:
 //       u32 source, u32 row_count (>= 1), then row_count rows of
 //       u16 port, u64 packets (> 0) in ascending port order.
+//     Every packet count is stored once: the shard's full tally is the
+//     residual plus the campaigns' and segments' maps, composed only
+//     where a view reads it.
 //     Every map is emitted in sorted key order so the bytes are a pure
 //     function of the analysis result, and the reader checks that order
 //     (strictly ascending tally sources, port rows and segment
-//     destinations, every row with packets). No section names a scanner
-//     type or country, so a rollup is valid under any registry.
-//     The reserved byte is written as 0 and ignored on load, so a
-//     shard's bytes do not depend on whether its probes came from a
-//     `.spc`; a loaded rollup reports `from_cache` true, since its result
-//     came from the store. The next version drops the byte.
+//     destinations, every row with packets). It also checks the packet
+//     identities the writer guarantees, so a tally never disagrees with
+//     the counters beside it: each campaign's and segment's rows sum to
+//     its packets, each segment's evidence counts its packets as probes,
+//     the residual sums to the tracker's sub-threshold packets, and the
+//     campaigns', segments' and sub-threshold packets sum to the
+//     tracker's probes. No section names a scanner type or country, so
+//     a rollup is valid under any registry. Nothing in the payload says
+//     whether the shard's probes came from a `.spc`, so those bytes
+//     match a cold build's; a loaded rollup reports `from_cache` true,
+//     since its result came from the store.
 //
-// Version 1 (three tally sections) and version 2 (no first probe time;
-// a head segment for every source) files load as misses and are
-// rewritten: the store is a disposable cache and keeps no old readers.
+// Version 1 (three tally sections), version 2 (no first probe time; a
+// head segment for every source) and version 3 (the full tally, a
+// reserved byte and a `have_previous` byte per segment) files load as
+// misses and are rewritten: the store is a disposable cache and keeps
+// no old readers.
 //
 // The analysis fingerprint hashes every configuration knob that can
 // change the result — tracker thresholds, expiry, classifier thresholds

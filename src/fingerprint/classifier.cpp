@@ -9,13 +9,12 @@ void ToolEvidence::observe(const telescope::ScanProbe& probe) noexcept {
   if (matches_masscan(probe)) ++masscan_hits;
   if (matches_mirai(probe)) ++mirai_hits;
 
-  if (have_previous) {
+  if (probes > 1) {
     ++pairs;
     if (matches_nmap_pair(previous.sequence, probe.sequence)) ++nmap_pair_hits;
     if (matches_unicorn_pair(previous, probe)) ++unicorn_pair_hits;
   }
   previous = probe;
-  have_previous = true;
 }
 
 void ToolEvidence::append(const ToolEvidence& later) noexcept {
@@ -23,7 +22,7 @@ void ToolEvidence::append(const ToolEvidence& later) noexcept {
   if (probes == 0) first = later.first;
   // The pair spanning the seam: this run's last probe against the later
   // run's first. Everything else was already counted on either side.
-  if (have_previous) {
+  if (probes > 0) {
     ++pairs;
     if (matches_nmap_pair(previous.sequence, later.first.sequence)) ++nmap_pair_hits;
     if (matches_unicorn_pair(previous, later.first)) ++unicorn_pair_hits;
@@ -36,7 +35,6 @@ void ToolEvidence::append(const ToolEvidence& later) noexcept {
   unicorn_pair_hits += later.unicorn_pair_hits;
   pairs += later.pairs;
   previous = later.previous;
-  have_previous = later.have_previous;
 }
 
 std::uint64_t ToolEvidence::matches(Tool tool) const noexcept {

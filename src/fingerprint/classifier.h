@@ -37,9 +37,8 @@ struct ToolEvidence {
   std::uint64_t nmap_pair_hits = 0;
   std::uint64_t unicorn_pair_hits = 0;
   std::uint64_t pairs = 0;
-  bool have_previous = false;
   telescope::ScanProbe first{};     ///< valid when probes > 0
-  telescope::ScanProbe previous{};  ///< valid when have_previous
+  telescope::ScanProbe previous{};  ///< the last probe; valid when probes > 0
 
   /// Feeds the next probe of this source, in arrival order.
   void observe(const telescope::ScanProbe& probe) noexcept;

@@ -78,7 +78,8 @@ constexpr std::size_t kHeader = 64;
 constexpr std::size_t kMaxAmplification = 8;
 
 /// A campaign with 20 ports, a boundary segment with 50 destinations
-/// and 10 ports, and a tally whose sources hold 1, 40 and 2 rows.
+/// and 10 ports, and a residual tally whose sources hold 1, 40 and 2
+/// rows; the packet counts agree as the loader checks.
 CaptureRollup sample_rollup() {
   CaptureRollup rollup;
   rollup.frames = 1000;
@@ -102,13 +103,16 @@ CaptureRollup sample_rollup() {
   for (std::uint16_t p = 0; p < 10; ++p) {
     segment.port_packets.add(static_cast<std::uint16_t>(2000 + p), 6);
   }
+  segment.evidence.probes = 60;
   rollup.segments.push_back(std::move(segment));
-  rollup.ports.add(0x04000001u, 23, 1);
+  rollup.residual_ports.add(0x04000001u, 23, 1);
   for (std::uint16_t p = 0; p < 40; ++p) {
-    rollup.ports.add(0x05000001u, static_cast<std::uint16_t>(1000 + p), 2);
+    rollup.residual_ports.add(0x05000001u, static_cast<std::uint16_t>(1000 + p), 2);
   }
-  rollup.ports.add(0x05000002u, 443, 5);
-  rollup.ports.add(0x05000002u, 8080, 5);
+  rollup.residual_ports.add(0x05000002u, 443, 5);
+  rollup.residual_ports.add(0x05000002u, 8080, 5);
+  rollup.tracker.subthreshold_packets = rollup.residual_ports.total_packets();
+  rollup.tracker.probes = 60 + 60 + rollup.tracker.subthreshold_packets;
   return rollup;
 }
 
@@ -164,20 +168,20 @@ TEST(RollupAllocation, ForgedCountsAllocateWithinAMultipleOfThePayload) {
   const std::size_t payload = original.size() - kHeader;
 
   // Payload offsets: the fixed prefix (meta, 10 sensor and 11 tracker
-  // counters) is 197 bytes, then the campaign count and the campaign
+  // counters) is 196 bytes, then the campaign count and the campaign
   // (65 fixed bytes, then its u32 port count and 10-byte rows), the
   // segment count and the segment (29 fixed bytes, the u64 destination
-  // count and the destinations, a u32 port count and its rows, 123
+  // count and the destinations, a u32 port count and its rows, 122
   // bytes of evidence), then the tally's u64 source count and its first
   // source (u32 source, u32 row count).
-  const std::size_t campaign = 197 + 8;
+  const std::size_t campaign = 196 + 8;
   const std::size_t segment = campaign + 69 + 10 * 20 + 8;
   const std::size_t segment_ports = segment + 37 + 4 * 50;
-  const std::size_t tally = segment_ports + 4 + 10 * 10 + 123;
+  const std::size_t tally = segment_ports + 4 + 10 * 10 + 122;
   const std::vector<CountField> fields = {
       {"campaign count", campaign - 8, 8, 69, 1},
       {"campaign port-row count", campaign + 65, 4, 10, 20},
-      {"segment count", segment - 8, 8, 164, 1},
+      {"segment count", segment - 8, 8, 163, 1},
       {"segment destination count", segment + 29, 8, 4, 50},
       {"segment port-row count", segment_ports, 4, 10, 10},
       {"tally source count", tally, 8, 18, 3},

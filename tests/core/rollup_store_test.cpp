@@ -37,11 +37,12 @@ const telescope::Telescope& test_telescope() {
   return telescope;
 }
 
-/// A capture with four sources: a qualifying flow and a small two-port
-/// flow at its start (head segments), a two-port campaign that starts
-/// and ends more than the expiry inside it, and one late probe (a tail
-/// segment), so the rollup exercises campaigns, boundary segments and
-/// the tally.
+/// A capture with five sources: a qualifying flow and a small two-port
+/// flow at its start (head segments), a small two-port flow and a
+/// two-port campaign that start and end more than the expiry inside it
+/// (the residual tally's one source and the one campaign), and one late
+/// probe (a tail segment), so the rollup exercises campaigns, boundary
+/// segments and the residual tally.
 void write_capture(const fs::path& path) {
   auto writer = pcap::Writer::create(path);
   net::RawFrame frame;
@@ -63,6 +64,10 @@ void write_capture(const fs::path& path) {
   for (std::uint32_t i = 0; i < 10; ++i) {
     emit(0x05000002u, i, 2'600'000 + static_cast<net::TimeUs>(i) * 10'000,
          i % 2 == 0 ? 443 : 8080);
+  }
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    emit(0x05000004u, i, 75 * 60'000'000LL + static_cast<net::TimeUs>(i) * 10'000,
+         i % 2 == 0 ? 3389 : 5900);
   }
   for (std::uint32_t i = 0; i < 150; ++i) {
     emit(0x05000003u, i, 90 * 60'000'000LL + static_cast<net::TimeUs>(i) * 10'000,
@@ -189,10 +194,11 @@ TEST_F(StoreFixture, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->sensor.scan_probes, rollup.sensor.scan_probes);
   EXPECT_EQ(loaded->campaigns.size(), rollup.campaigns.size());
   ASSERT_EQ(loaded->segments.size(), rollup.segments.size());
-  EXPECT_EQ(loaded->ports.total_packets(), rollup.ports.total_packets());
-  ASSERT_EQ(loaded->ports.total_sources(), rollup.ports.total_sources());
-  for (const auto& [source, ports] : rollup.ports.per_source()) {
-    const auto* stored = loaded->ports.per_source().find(source);
+  ASSERT_GT(rollup.residual_ports.total_sources(), 0u);
+  EXPECT_EQ(loaded->residual_ports.total_packets(), rollup.residual_ports.total_packets());
+  ASSERT_EQ(loaded->residual_ports.total_sources(), rollup.residual_ports.total_sources());
+  for (const auto& [source, ports] : rollup.residual_ports.per_source()) {
+    const auto* stored = loaded->residual_ports.per_source().find(source);
     ASSERT_NE(stored, nullptr) << source;
     EXPECT_EQ(stored->size(), ports.size()) << source;
     for (const auto [port, packets] : ports) EXPECT_EQ(stored->get(port), packets) << port;
@@ -241,7 +247,7 @@ TEST_F(StoreFixture, StatReportsStoredHeader) {
   save(rollup);
   const auto info = rollup_stat(rollup_path);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->version, 3u);
+  EXPECT_EQ(info->version, 4u);
   EXPECT_EQ(info->source_size, identity.source_size);
   EXPECT_EQ(info->source_mtime_ns, identity.source_mtime_ns);
   EXPECT_EQ(info->analysis_fingerprint, fingerprint);
@@ -339,23 +345,30 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
     return net::load_le64(word);
   };
 
-  // Payload offsets of the campaign and the segments: the fixed prefix
-  // (frames, status, from_cache, first and max probe timestamps, 10
-  // sensor and 11 tracker counters) and the campaign count, then a
-  // campaign's 65 fixed bytes and its u32 port count; after the
-  // campaigns, the segment count, then per segment 37 fixed bytes (the
-  // last a u64 destination count), the destinations, a u32 port count
-  // and its rows, and 123 bytes of fingerprint evidence.
-  const std::size_t campaign_at = 8 + 4 + 1 + 2 * 8 + 10 * 8 + 11 * 8 + 8;
+  // Payload offsets of the tracker counters, the campaign and the
+  // segments: the fixed prefix (frames, status, first and max probe
+  // timestamps, 10 sensor and 11 tracker counters, `probes` first) and
+  // the campaign count, then a campaign's 65 fixed bytes and its u32
+  // port count; after the campaigns, the segment count, then per segment
+  // 37 fixed bytes (the last a u64 destination count), the destinations,
+  // a u32 port count and its rows, and 122 bytes of fingerprint evidence
+  // (`probes` first).
+  const std::size_t tracker_probes_at = 8 + 4 + 2 * 8 + 10 * 8;
+  ASSERT_EQ(stored_word(tracker_probes_at, 8), stored->tracker.probes)
+      << "the .spr layout moved; re-derive the tracker offset";
+  const std::size_t campaign_at = tracker_probes_at + 11 * 8 + 8;
   const auto& campaign = stored->campaigns.front();
   std::vector<std::size_t> segment_at = {campaign_at + 69 +
                                          10 * campaign.port_packets.size() + 8};
   for (const auto& segment : stored->segments) {
     segment_at.push_back(segment_at.back() + 37 + 4 * segment.destinations.size() + 4 +
-                         10 * segment.port_packets.size() + 123);
+                         10 * segment.port_packets.size() + 122);
   }
   const auto ports_at = [&](std::size_t k) {
     return segment_at[k] + 37 + 4 * stored->segments[k].destinations.size();
+  };
+  const auto evidence_at = [&](std::size_t k) {
+    return ports_at(k) + 4 + 10 * stored->segments[k].port_packets.size();
   };
   const std::size_t first_ports = ports_at(0);
   ASSERT_EQ(stored_word(first_ports, 4), stored->segments.front().port_packets.size())
@@ -376,18 +389,22 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   ASSERT_EQ(stored_word(ports_at(2) + 4, 2), 443u)
       << "the .spr layout moved; re-derive the segment row offset";
   const std::size_t segment_second_port = ports_at(2) + 4 + 10;
+  ASSERT_EQ(stored_word(evidence_at(2), 8), stored->segments[2].packets)
+      << "the .spr layout moved; re-derive the evidence offset";
 
-  // Payload offsets into the tally section, which ends the payload:
-  // u64 source count, then per ascending source a u32 source, a u32 row
-  // count and (u16 port, u64 packets) rows in ascending port order.
+  // Payload offsets into the residual tally section, which ends the
+  // payload: u64 source count, then per ascending source a u32 source, a
+  // u32 row count and (u16 port, u64 packets) rows in ascending port
+  // order.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint16_t>>> sources;
-  for (const auto& [source, ports] : stored->ports.per_source()) {
+  for (const auto& [source, ports] : stored->residual_ports.per_source()) {
     std::vector<std::uint16_t> sorted;
     for (const auto [port, packets] : ports) sorted.push_back(port);
     std::sort(sorted.begin(), sorted.end());
     sources.emplace_back(source, std::move(sorted));
   }
   std::sort(sources.begin(), sources.end());
+  ASSERT_FALSE(sources.empty());
   ASSERT_GE(sources.back().second.size(), 2u);
   std::size_t tally_size = 8;
   for (const auto& [source, ports] : sources) tally_size += 8 + 10 * ports.size();
@@ -395,6 +412,9 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   const std::size_t first_rows = payload_size - tally_size + 8 + 4;
   const std::size_t last_port = payload_size - 10;
   const std::uint16_t repeated_port = sources.back().second.end()[-2];
+  const auto last_packets =
+      stored->residual_ports.per_source().find(sources.back().first)->get(
+          sources.back().second.back());
   {
     std::ifstream in(rollup_path, std::ios::binary);
     std::uint8_t word[4] = {};
@@ -426,6 +446,19 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
        [&] { rewrite_payload(segment_first_destination, 0xffffffffu, 4); }},
       {"a segment's port repeated",
        [&] { rewrite_payload(segment_second_port, 443, 2); }},
+      // Each packet identity broken alone, the counts beside it intact.
+      {"a campaign's rows sum past its packets",
+       [&] { rewrite_payload(campaign_at + 69 + 2, campaign.port_packets.get(22) + 1, 8); }},
+      {"a segment's rows sum past its packets",
+       [&] {
+         rewrite_payload(ports_at(2) + 4 + 2, stored->segments[2].port_packets.get(443) + 1, 8);
+       }},
+      {"a segment's evidence counts a probe more than its packets",
+       [&] { rewrite_payload(evidence_at(2), stored->segments[2].packets + 1, 8); }},
+      {"the residual sums past the sub-threshold packets",
+       [&] { rewrite_payload(last_port + 2, last_packets + 1, 8); }},
+      {"the tracker counts a probe no campaign, segment or residual holds",
+       [&] { rewrite_payload(tracker_probes_at, stored->tracker.probes + 1, 8); }},
   };
   for (const auto& [label, corrupt] : defects) {
     SCOPED_TRACE(label);
@@ -446,10 +479,10 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
 }
 
 TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
-  // Version 1 had three tally sections, version 2 no first probe time;
-  // the store keeps no reader for either, so the rest of the file does
-  // not matter.
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  // Version 1 had three tally sections, version 2 no first probe time,
+  // version 3 the full tally; the store keeps no reader for any of
+  // them, so the rest of the file does not matter.
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     SCOPED_TRACE("version " + std::to_string(old_version));
     save(analyze());
     {
@@ -472,7 +505,7 @@ TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
                                 TrackerConfig{}, options);
     EXPECT_EQ(run.stats.store_misses, 1u);
     EXPECT_EQ(run.stats.store_writes, 1u);
-    EXPECT_EQ(rollup_stat(rollup_path)->version, 3u);
+    EXPECT_EQ(rollup_stat(rollup_path)->version, 4u);
     EXPECT_TRUE(load().has_value());
   }
 }

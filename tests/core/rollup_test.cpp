@@ -425,7 +425,9 @@ struct MergedShards {
 
 /// Writes each shard's bursts (in time order) as one capture and all of
 /// them as one whole capture, then folds the shards' rollups and expects
-/// the report of `analyze_capture(workers=1)` of the whole capture.
+/// the report of `analyze_capture(workers=1)` of the whole capture, and
+/// its port tally source by source: the merged residual holds every
+/// segment the merger finalized below the threshold.
 MergedShards expect_merge_matches_whole(const char* name,
                                         const std::vector<std::vector<Burst>>& shards) {
   const ShardFixture fixture(name);
@@ -459,6 +461,7 @@ MergedShards expect_merge_matches_whole(const char* name,
   out.merged = merger.finish();
   const auto whole = analyze_capture(whole_path, test_telescope(), registry, 1, ingest);
   EXPECT_EQ(report_bytes(out.merged), report_bytes(whole));
+  testing::expect_same_port_tally(out.merged.result.port_tally(), whole.result.port_tally());
   return out;
 }
 

@@ -191,7 +191,9 @@ class SprSweep : public SidecarSweep {
     // Short expiry and low thresholds keep the file small while it still
     // holds every section: source 1's first flow is a head segment, its
     // second an interior campaign, its third open at the end (a tail);
-    // source 2 is one short flow; every probe lands in the tally.
+    // source 2 is one short flow at the start (a head); source 3 is one
+    // short two-port flow more than `expiry` from both edges, which
+    // closes below the threshold inside the shard (the residual tally).
     config_.min_distinct_destinations = 6;
     config_.expiry = 1'000'000;
     auto writer = pcap::Writer::create(capture_);
@@ -218,6 +220,10 @@ class SprSweep : public SidecarSweep {
     for (std::uint32_t i = 0; i < 3; ++i) {
       emit(0x05000002u, 500 + i, 2'000'000 + static_cast<net::TimeUs>(i) * 1'000, 443);
     }
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      emit(0x05000003u, 600 + i, 4'000'000 + static_cast<net::TimeUs>(i) * 1'000,
+           i % 2 == 0 ? 22 : 2222);
+    }
     writer.flush();
 
     identity_ = *cache_identity(capture_);
@@ -229,7 +235,7 @@ class SprSweep : public SidecarSweep {
                                       ingest);
     ASSERT_FALSE(rollup.campaigns.empty());
     ASSERT_FALSE(rollup.segments.empty());
-    ASSERT_GT(rollup.ports.total_sources(), 0u);
+    ASSERT_GT(rollup.residual_ports.total_sources(), 0u);
     rollup_ = rollup_path_for(capture_);
     ASSERT_TRUE(save_rollup(rollup_, rollup, identity_, fingerprint_));
     ASSERT_TRUE(load().has_value());

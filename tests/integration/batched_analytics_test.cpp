@@ -134,16 +134,25 @@ const core::PortTally& reference_tally() {
   return tally;
 }
 
-/// The tally the pipeline folds from its tracker's flows over the window.
+/// The tally composed from the pipeline's tracker flows over the window.
 core::PortTally folded_tally() {
   core::Pipeline pipeline(test_telescope());
   for (const auto& batch : probe_batches()) pipeline.feed_probes(batch);
-  return pipeline.finish().ports;
+  return pipeline.finish().port_tally();
 }
 
-/// The pipeline's tally — its workers' sub-threshold flows plus every
-/// campaign — equals the per-probe tally source by source and port by
-/// port at any worker count. With several workers the residuals are
+/// A shard's full tally: its residual plus its campaigns' and segments'
+/// maps, each count stored once.
+core::PortTally shard_tally(const core::CaptureRollup& shard) {
+  core::PortTally tally = shard.residual_ports;
+  for (const auto& c : shard.campaigns) tally.add(c.source.value(), c.port_packets);
+  for (const auto& s : shard.segments) tally.add(s.source.value(), s.port_packets);
+  return tally;
+}
+
+/// The pipeline's composed tally — its workers' sub-threshold flows plus
+/// every campaign — equals the per-probe tally source by source and port
+/// by port at any worker count. With several workers the residuals are
 /// built on the worker threads and merged after the join.
 TEST(FoldedTally, MatchesPerProbeReferenceAtEveryWorkerCount) {
   ASSERT_GT(reference_tally().total_packets(), 0u);
@@ -155,13 +164,14 @@ TEST(FoldedTally, MatchesPerProbeReferenceAtEveryWorkerCount) {
     // Both ways a flow closes feed the tally.
     ASSERT_GT(result.campaigns.size(), 0u);
     ASSERT_GT(result.tracker.subthreshold_flows, 0u);
-    testing::expect_same_port_tally(result.ports, reference_tally());
+    EXPECT_EQ(result.residual_ports.total_packets(), result.tracker.subthreshold_packets);
+    testing::expect_same_port_tally(result.port_tally(), reference_tally());
   }
 }
 
 /// In carry mode the flows at the window's edges leave as boundary
-/// segments instead; the pipeline's tally plus the segments' maps is the
-/// per-probe tally.
+/// segments instead; the pipeline's composed tally plus the segments'
+/// maps is the per-probe tally.
 TEST(FoldedTally, CarryModeTallyPlusSegmentsMatchesPerProbeReference) {
   core::TrackerConfig config;
   config.carry_boundary_flows = true;
@@ -169,19 +179,20 @@ TEST(FoldedTally, CarryModeTallyPlusSegmentsMatchesPerProbeReference) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     core::Pipeline pipeline(test_telescope(), workers, config);
     for (const auto& batch : probe_batches()) pipeline.feed_probes(batch);
-    auto result = pipeline.finish();
+    const auto result = pipeline.finish();
     const auto segments = pipeline.take_carried_segments();
     ASSERT_FALSE(segments.empty());
+    auto tally = result.port_tally();
     for (const auto& segment : segments) {
-      result.ports.add(segment.source.value(), segment.port_packets);
+      tally.add(segment.source.value(), segment.port_packets);
     }
-    testing::expect_same_port_tally(result.ports, reference_tally());
+    testing::expect_same_port_tally(tally, reference_tally());
   }
 }
 
-/// `analyze_shard`'s tally (the pipeline's plus its segments') equals the
-/// per-probe tally of the same capture, before and after a `.spr` round
-/// trip.
+/// `analyze_shard`'s tally (its residual plus its campaigns' and
+/// segments' maps) equals the per-probe tally of the same capture,
+/// before and after a `.spr` round trip.
 TEST(FoldedTally, ShardTallyMatchesPerProbeReferenceAfterSprRoundTrip) {
   namespace fs = std::filesystem;
   const auto& registry = enrich::InternetRegistry::synthetic_default();
@@ -209,7 +220,7 @@ TEST(FoldedTally, ShardTallyMatchesPerProbeReferenceAfterSprRoundTrip) {
   const auto shard =
       core::analyze_shard(capture, test_telescope(), registry, core::TrackerConfig{}, ingest);
   ASSERT_FALSE(shard.segments.empty());
-  testing::expect_same_port_tally(shard.ports, reference);
+  testing::expect_same_port_tally(shard_tally(shard), reference);
 
   const auto identity = core::cache_identity(capture);
   ASSERT_TRUE(identity.has_value());
@@ -219,7 +230,7 @@ TEST(FoldedTally, ShardTallyMatchesPerProbeReferenceAfterSprRoundTrip) {
   ASSERT_TRUE(core::save_rollup(store, shard, *identity, fingerprint));
   const auto loaded = core::load_rollup(store, registry, *identity, fingerprint);
   ASSERT_TRUE(loaded.has_value());
-  testing::expect_same_port_tally(loaded->ports, reference);
+  testing::expect_same_port_tally(shard_tally(*loaded), reference);
   fs::remove_all(dir);
 }
 
@@ -349,8 +360,8 @@ TEST(BatchedPipelineDifferential, SerialJsonMatchesPerProbeReference) {
   ASSERT_GT(reference_result.campaigns.size(), 0u);
 
   EXPECT_EQ(report_json(batched_result), report_json(reference_result));
-  testing::expect_same_port_tally(batched_result.ports, reference_ports);
-  testing::expect_same_port_tally(reference_result.ports, reference_ports);
+  testing::expect_same_port_tally(batched_result.port_tally(), reference_ports);
+  testing::expect_same_port_tally(reference_result.port_tally(), reference_ports);
 }
 
 /// Batch-slice sharding: the parallel analyzer fed whole batches must

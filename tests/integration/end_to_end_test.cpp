@@ -16,6 +16,7 @@ namespace {
 
 struct YearRun {
   core::PipelineResult result;
+  core::PortTally ports;  ///< `result.port_tally()`, composed once
   simgen::GeneratorStats generated;
   simgen::YearConfig config;
 };
@@ -34,15 +35,16 @@ const YearRun& run_year(int year) {
   core::Pipeline pipeline(telescope);
   run.generated = testing::generate_into(pipeline, telescope, run.config);
   run.result = pipeline.finish();
+  run.ports = run.result.port_tally();
   return run;
 }
 
 TEST(EndToEnd, TrafficGrowsAcrossTheDecade) {
   const auto& y2015 = run_year(2015);
   const auto& y2020 = run_year(2020);
-  const double rate_2015 = static_cast<double>(y2015.result.ports.total_packets()) /
+  const double rate_2015 = static_cast<double>(y2015.ports.total_packets()) /
                            y2015.config.window_days;
-  const double rate_2020 = static_cast<double>(y2020.result.ports.total_packets()) /
+  const double rate_2020 = static_cast<double>(y2020.ports.total_packets()) /
                            y2020.config.window_days;
   // The paper reports ~26x between 2015 and 2020. At the test suite's
   // extra 1/8 scale the fixed minimums (campaign qualification floor,
@@ -67,7 +69,7 @@ TEST(EndToEnd, MiraiEraIn2017) {
   const auto mirai = shares.by_scans.share(fingerprint::Tool::kMirai);
   EXPECT_GT(mirai, 0.35);  // paper: 46.5%
   // IoT-era ports dominate the source ranking.
-  const auto top_sources = run.result.ports.top_ports_by_sources(5);
+  const auto top_sources = run.ports.top_ports_by_sources(5);
   ASSERT_FALSE(top_sources.empty());
   bool iot_port_on_top = false;
   for (const auto& row : top_sources) {
@@ -103,9 +105,9 @@ TEST(EndToEnd, CampaignFragmentationAfter2022) {
   // Scans/day grow much faster than packets/day (paper: scans x5.9,
   // packets x1.2 between 2020 and 2024).
   const double pkts_rate_2020 =
-      static_cast<double>(y2020.result.ports.total_packets()) / y2020.config.window_days;
+      static_cast<double>(y2020.ports.total_packets()) / y2020.config.window_days;
   const double pkts_rate_2024 =
-      static_cast<double>(y2024.result.ports.total_packets()) / y2024.config.window_days;
+      static_cast<double>(y2024.ports.total_packets()) / y2024.config.window_days;
   EXPECT_GT(scans_rate_2024 / scans_rate_2020, 2.0 * pkts_rate_2024 / pkts_rate_2020);
 }
 
@@ -123,11 +125,11 @@ TEST(EndToEnd, PortSpreadIncreasesOverTime) {
 
 TEST(EndToEnd, IngressBlocksTelnetFrom2017) {
   EXPECT_EQ(run_year(2016).result.sensor.ingress_blocked, 0u);
-  EXPECT_EQ(run_year(2016).result.ports.packets_on_port(445), 0u);
+  EXPECT_EQ(run_year(2016).ports.packets_on_port(445), 0u);
   // From 2017 the generator still emits 23/tcp (Mirai), but the sensor
   // drops it.
   EXPECT_GT(run_year(2017).result.sensor.ingress_blocked, 0u);
-  EXPECT_EQ(run_year(2017).result.ports.packets_on_port(23), 0u);
+  EXPECT_EQ(run_year(2017).ports.packets_on_port(23), 0u);
 }
 
 TEST(EndToEnd, DetectedCampaignsMatchPlansApproximately) {
@@ -143,7 +145,7 @@ TEST(EndToEnd, DetectedCampaignsMatchPlansApproximately) {
 
 TEST(EndToEnd, SourcesPeakInMiraiEraThenDecline) {
   const auto sources_per_day = [](const YearRun& run) {
-    return static_cast<double>(run.result.ports.total_sources()) / run.config.window_days;
+    return static_cast<double>(run.ports.total_sources()) / run.config.window_days;
   };
   EXPECT_GT(sources_per_day(run_year(2017)), sources_per_day(run_year(2015)));
   EXPECT_GT(sources_per_day(run_year(2017)), sources_per_day(run_year(2024)));

@@ -215,7 +215,7 @@ TEST(GeneratorProperty, ObserversAndTrackerAgree) {
   EXPECT_EQ(campaign_packets + result.tracker.subthreshold_packets,
             tally.total_packets());
   // The tally the pipeline folds from the same flows agrees row by row.
-  testing::expect_same_port_tally(result.ports, tally);
+  testing::expect_same_port_tally(result.port_tally(), tally);
 }
 
 }  // namespace

@@ -162,6 +162,8 @@ TEST_F(RollupDifferential, MergedShardsMatchWholeCaptureByteForByte) {
   ASSERT_GT(whole.result.sensor.scan_probes, 0u);
   ASSERT_GT(whole.result.campaigns.size(), 1u);
   const auto reference = report_bytes(whole);
+  const auto whole_tally = whole.result.port_tally();
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
 
   for (const std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                   std::size_t{7}}) {
@@ -174,9 +176,12 @@ TEST_F(RollupDifferential, MergedShardsMatchWholeCaptureByteForByte) {
     // only covers counters + campaigns; the tally feeds the analytics
     // commands).
     EXPECT_EQ(merged.analysis.frames, whole.frames) << count << " shards";
-    testing::expect_same_port_tally(merged.analysis.result.ports, whole.result.ports);
-    EXPECT_EQ(merged.analysis.types().total_sources(), whole.types().total_sources());
-    EXPECT_EQ(merged.analysis.geo().total_packets(), whole.geo().total_packets());
+    const auto tally = merged.analysis.result.port_tally();
+    testing::expect_same_port_tally(tally, whole_tally);
+    EXPECT_EQ(core::TypeView(tally, registry).total_sources(),
+              core::TypeView(whole_tally, registry).total_sources());
+    EXPECT_EQ(core::GeoView(tally, registry).total_packets(),
+              core::GeoView(whole_tally, registry).total_packets());
   }
 }
 
@@ -202,10 +207,12 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
                                  whole_geo.on_probe(batch.get(i));
                                }
                              });
+  const auto whole_tally = whole.result.port_tally();
   const auto expect_reference_views = [&](const core::AnalyzedCapture& analysis) {
-    testing::expect_same_port_tally(analysis.result.ports, whole.result.ports);
-    testing::expect_type_view_matches(analysis.types(), whole_types);
-    testing::expect_geo_view_matches(analysis.geo(), whole_geo, registry);
+    const auto tally = analysis.result.port_tally();
+    testing::expect_same_port_tally(tally, whole_tally);
+    testing::expect_type_view_matches(core::TypeView(tally, registry), whole_types);
+    testing::expect_geo_view_matches(core::GeoView(tally, registry), whole_geo, registry);
   };
 
   // Build pass: every shard analyzed and persisted.
@@ -302,7 +309,8 @@ TEST_F(RollupDifferential, PcapngShardsPlanByCaptureTime) {
   const auto merged = run(shards, false, 2);
   EXPECT_EQ(merged.analysis.frames, whole.frames);
   EXPECT_EQ(report_bytes(merged.analysis), reference);
-  testing::expect_same_port_tally(merged.analysis.result.ports, whole.result.ports);
+  testing::expect_same_port_tally(merged.analysis.result.port_tally(),
+                                  whole.result.port_tally());
 }
 
 TEST_F(RollupDifferential, FifoShardMatchesRegularFile) {
@@ -313,8 +321,8 @@ TEST_F(RollupDifferential, FifoShardMatchesRegularFile) {
   const auto piped = run({fifo.path()}, true, 1);
   EXPECT_EQ(piped.analysis.frames, reference.analysis.frames);
   EXPECT_EQ(report_bytes(piped.analysis), report_bytes(reference.analysis));
-  testing::expect_same_port_tally(piped.analysis.result.ports,
-                                  reference.analysis.result.ports);
+  testing::expect_same_port_tally(piped.analysis.result.port_tally(),
+                                  reference.analysis.result.port_tally());
 }
 
 }  // namespace
