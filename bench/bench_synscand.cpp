@@ -21,7 +21,7 @@
 // Usage: bench_synscand [--rate=QPS] [--connections=N] [--seconds=S]
 //                       [--frames=N] [--seed=N] [--workers=N]
 //                       [--io-workers=N] [--command=STR] [--label=STR]
-//                       [--check-qps=QPS] [--poll]
+//                       [--check-qps=QPS]
 // Output: one JSON object on stdout.
 #include <algorithm>
 #include <array>
@@ -67,7 +67,6 @@ struct Options {
   std::string command = "QUERY counters";
   std::string label = "synscand";
   double check_qps = 0.0;  ///< 0 = no gate
-  bool force_poll = false;
 };
 
 Options parse(int argc, char** argv) {
@@ -82,8 +81,7 @@ Options parse(int argc, char** argv) {
                       {"io-workers", &options.io_workers},
                       {"command", &options.command},
                       {"label", &options.label},
-                      {"check-qps", &options.check_qps},
-                      {"poll", &options.force_poll}});
+                      {"check-qps", &options.check_qps}});
   if (options.rate <= 0.0 || options.connections == 0 || options.seconds <= 0.0) {
     std::fprintf(stderr, "bench_synscand: rate, connections and seconds must be > 0\n");
     std::exit(2);
@@ -147,7 +145,6 @@ int main(int argc, char** argv) {
   config.unix_socket = socket_path;
   config.workers = options.io_workers;
   config.analysis_workers = options.workers;
-  config.force_poll = options.force_poll;
   server::Daemon daemon(bench_telescope(), enrich::InternetRegistry::synthetic_default(),
                         std::move(config));
   daemon.preload(capture.string());

@@ -36,8 +36,10 @@ mkdir -p "${workdir}"
 cli="${build}/src/cli/synscan"
 "${cli}" simulate --year=2020 --scale=128 --days=1 --out="${workdir}/window.pcap"
 "${cli}" analyze "${workdir}/window.pcap" --metrics="${workdir}/metrics.json"
+# `analyze` runs a one-capture shard plan: its tracker workers publish
+# `parallel.*`, and the plan `rollup.*`.
 for needle in '"schema":"synscan.run_report/1"' 'sensor.scan_probes' \
-              'tracker.probes' 'parallel.items' '"timings"'; do
+              'tracker.probes' 'parallel.items' 'rollup.shards' '"timings"'; do
   grep -qF "${needle}" "${workdir}/metrics.json" || {
     echo "metrics smoke: missing ${needle} in metrics.json" >&2
     exit 1
@@ -77,7 +79,8 @@ cmp "${workdir}/offline.jsonl" "${workdir}/daemon.jsonl" || {
 "${cli}" rollup query "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
   --no-rollup-store --json="${workdir}/rollup_offline.jsonl" > /dev/null
 # The same query served from the `.spr` store: build it, query it, and
-# require the store-off bytes, v4 files and that both still load as hits.
+# require the store-off bytes, v5 files and that both still load as hits
+# (the query says so on stderr; its stdout is the report).
 # The files are removed afterwards, so the daemon's ROLLUP writes its own.
 "${cli}" rollup build "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
   > "${workdir}/rollup_store_build.txt"
@@ -86,7 +89,11 @@ grep -qxF 'rollups saved:  2' "${workdir}/rollup_store_build.txt" || {
   exit 1
 }
 "${cli}" rollup query "${workdir}/window.pcap" "${workdir}/window2021.pcap" \
-  --json="${workdir}/rollup_store.jsonl" > /dev/null
+  --json="${workdir}/rollup_store.jsonl" > /dev/null 2> "${workdir}/rollup_store_query.txt"
+grep -qxF 'store hits:     2' "${workdir}/rollup_store_query.txt" || {
+  echo "rollup smoke: the store-on rollup query did not report 2 store hits" >&2
+  exit 1
+}
 cmp "${workdir}/rollup_offline.jsonl" "${workdir}/rollup_store.jsonl" || {
   echo "rollup smoke: the store-hit rollup query diverged from the store-off one" >&2
   exit 1
@@ -99,8 +106,8 @@ for needle in 'store hits:     2' 'rollups saved:  0'; do
     exit 1
   }
 done
-"${cli}" rollup stat "${workdir}/window.pcap.spr" | grep -qxF 'version:        4' || {
-  echo "rollup smoke: window.pcap.spr is not a version 4 rollup" >&2
+"${cli}" rollup stat "${workdir}/window.pcap.spr" | grep -qxF 'version:        5' || {
+  echo "rollup smoke: window.pcap.spr is not a version 5 rollup" >&2
   exit 1
 }
 rm -f "${workdir}/window.pcap.spr" "${workdir}/window2021.pcap.spr"

@@ -94,9 +94,10 @@ core::IngestOptions ingest_options(const Args& args) {
 }
 
 /// The shared analysis entry point (core/analysis_session.h) bound to
-/// the CLI's fixed telescope and registry. The daemon's LOAD runs the
-/// exact same function, which is what makes `QUERY analyze` responses
-/// byte-identical to the offline `--json` file.
+/// the CLI's fixed telescope and registry: a one-capture `run_shards`
+/// plan, the path the daemon's LOAD takes too, which is what makes
+/// `QUERY analyze` responses byte-identical to the offline `--json`
+/// file.
 core::AnalyzedCapture analyze_capture(const std::string& path, std::size_t workers,
                                       const core::IngestOptions& options) {
   return core::analyze_capture(path, shared_telescope(),
@@ -276,7 +277,6 @@ int run_serve(const std::vector<std::string>& args) {
   config.workers = static_cast<std::size_t>(parsed.number("io-workers", 2));
   config.idle_timeout_ms =
       static_cast<std::uint64_t>(parsed.number("idle-timeout-ms", 0));
-  config.force_poll = parsed.flag("poll").has_value();
   config.install_signal_handlers = true;
   config.ingest = ingest_options(parsed);
 
@@ -577,14 +577,19 @@ int run_rollup_stat(const std::string& path) {
   return 0;
 }
 
+/// What a rollup run did with the store, as `rollup build` prints it
+/// on stdout and `rollup query` on stderr.
+void print_store_stats(std::ostream& out, const core::ShardRunStats& stats) {
+  out << "shards:         " << stats.shards << "\n"
+      << "store hits:     " << stats.store_hits << "\n"
+      << "re-analyzed:    " << stats.store_misses << "\n"
+      << "rollups saved:  " << stats.store_writes << "\n";
+}
+
 int run_rollup_build(const Args& parsed, std::span<const std::string> captures) {
   const auto result = run_rollup_shards(parsed, captures);
-  const auto& stats = result.stats;
-  std::cout << "shards:         " << stats.shards << "\n"
-            << "store hits:     " << stats.store_hits << "\n"
-            << "re-analyzed:    " << stats.store_misses << "\n"
-            << "rollups saved:  " << stats.store_writes << "\n"
-            << "campaigns:      " << result.analysis.result.campaigns.size() << "\n"
+  print_store_stats(std::cout, result.stats);
+  std::cout << "campaigns:      " << result.analysis.result.campaigns.size() << "\n"
             << "scan probes:    " << result.analysis.result.sensor.scan_probes << "\n";
   warn_on_truncation(result.analysis.final_status);
   return 0;
@@ -592,6 +597,8 @@ int run_rollup_build(const Args& parsed, std::span<const std::string> captures) 
 
 int run_rollup_query(const Args& parsed, std::span<const std::string> captures) {
   const auto result = run_rollup_shards(parsed, captures);
+  // Stdout carries the report bytes alone.
+  print_store_stats(std::cerr, result.stats);
   warn_on_truncation(result.analysis.final_status);
   // The exact byte stream `analyze --json` writes for the concatenated
   // captures: counters line, then one campaign per line.

@@ -57,7 +57,7 @@ void print_usage(std::ostream& os) {
         "            with per-stage timings (docs/OBSERVABILITY.md)\n"
         "  serve:    --socket=<path> and/or --port=<n> [--capture=<pcap>]\n"
         "            [--workers=<n>] [--io-workers=<n>] [--idle-timeout-ms=<n>]\n"
-        "            [--poll] [--metrics]   protocol spec: docs/SYNSCAND.md\n"
+        "            [--metrics]   protocol spec: docs/SYNSCAND.md\n"
         "  query:    --socket=<path> | --port=<n> [--host=<ip>] <command...>\n"
         "            e.g. PING | STATUS | LOAD <pcap> | ROLLUP <pcap...> |\n"
         "            QUERY analyze | SHUTDOWN\n"

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/timer.h"
-#include "telescope/probe_batch.h"
+#include "core/shard.h"
 
 namespace synscan::core {
 
@@ -11,21 +10,13 @@ AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                 const telescope::Telescope& telescope,
                                 const enrich::InternetRegistry& registry,
                                 std::size_t workers, const IngestOptions& options) {
-  AnalyzedCapture analysis(registry);
-  Pipeline pipeline(telescope, std::max<std::size_t>(workers, 1));
-  {
-    obs::ScopedTimer ingest("analyze.ingest");
-    const auto ingested = ingest_capture(
-        path, telescope, options,
-        [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
-    pipeline.absorb_sensor_counters(ingested.sensor);
-    analysis.frames = ingested.frames;
-    analysis.final_status = ingested.status;
-    analysis.from_cache = ingested.from_cache;
-  }
-  const obs::ScopedTimer finish("analyze.finish");
-  analysis.result = pipeline.finish();
-  return analysis;
+  const std::filesystem::path captures[] = {path};
+  ShardRunOptions run;
+  run.workers = std::max<std::size_t>(workers, 1);  // run_shards reads 0 as "all cores"
+  run.use_rollup_store = false;
+  run.ingest = options;
+  return run_shards(plan_shards(captures), telescope, registry, TrackerConfig{}, run)
+      .analysis;
 }
 
 }  // namespace synscan::core

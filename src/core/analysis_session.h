@@ -1,15 +1,17 @@
 // A full capture analysis as one resident, const-queryable value.
 //
 // `analyze_capture` is the one shared definition of "run the paper's
-// analysis over a capture": batched ingest (mmap + `.spc` cache) feeding
-// the campaign pipeline. The result keeps the port tally as its two
-// disjoint parts, the sub-threshold residual and the campaigns' maps; a
-// reader composes it once with `result.port_tally()` and derives the
-// scanner-type and country views (`TypeView`, `GeoView`) from it. The CLI
-// `analyze` command and the `synscand` daemon both call it; the daemon
-// keeps the returned `AnalyzedCapture` resident behind a shared_ptr and
-// serves concurrent queries from it, so every query entry point takes
-// `const&` — nothing here mutates after the analysis finishes.
+// analysis over a capture": a one-capture plan through `run_shards`
+// (core/shard.h) with the rollup store off, so a capture analyzed alone
+// takes the path of one shard of many — batched ingest (mmap + `.spc`
+// cache), the carry-mode pipeline, `RollupMerger`. The result keeps the
+// port tally as its two disjoint parts, the sub-threshold residual and
+// the campaigns' maps; a reader composes it once with
+// `result.port_tally()` and derives the scanner-type and country views
+// (`TypeView`, `GeoView`) from it. The daemon keeps an `AnalyzedCapture`
+// resident behind a shared_ptr and serves concurrent queries from it,
+// so every query entry point takes `const&` — nothing here mutates
+// after the analysis finishes.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +43,11 @@ struct AnalyzedCapture {
   bool from_cache = false;  ///< probes came from a validated `.spc` cache
 };
 
-/// Replays `path` through the pipeline, attaching no observer.
-/// `workers` is the pipeline's tracker count (0 counts as 1); the
-/// report is the same at any worker count. The telescope and registry
-/// must outlive the returned value.
+/// Analyzes `path` as a one-shard plan (`run_shards`, store off),
+/// attaching no observer. `workers` is the shard's tracker count (0
+/// counts as 1); the report is the same at any worker count. Throws
+/// what `run_shards` throws. The telescope and registry must outlive
+/// the returned value.
 [[nodiscard]] AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                               const telescope::Telescope& telescope,
                                               const enrich::InternetRegistry& registry,

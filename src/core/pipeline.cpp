@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -100,8 +99,17 @@ void Pipeline::join_workers() {
 
 void Pipeline::add_observer(ProbeObserver& observer) { observers_.push_back(&observer); }
 
+void Pipeline::start(net::TimeUs first_timestamp) {
+  started_ = true;
+  first_timestamp_ = first_timestamp;
+  // Written before the first dispatch, whose queue lock publishes it to
+  // the worker threads.
+  for (const auto& shard : shards_) shard->tracker.anchor(first_timestamp);
+}
+
 void Pipeline::feed_probe(const telescope::ScanProbe& probe) {
   if (shards_.size() != 1) throw std::logic_error("Pipeline::feed_probe needs one worker");
+  if (!started_) start(probe.timestamp_us);
   if (obs_probes_ != nullptr) obs_probes_->add();
   for (auto* observer : observers_) observer->on_probe(probe);
   shards_.front()->tracker.feed(probe);
@@ -110,6 +118,7 @@ void Pipeline::feed_probe(const telescope::ScanProbe& probe) {
 void Pipeline::feed_probes(const telescope::ProbeBatch& batch) {
   const auto n = batch.size();
   if (n == 0) return;
+  if (!started_) start(batch.timestamp_us.front());
   if (obs_probes_ != nullptr) obs_probes_->add(n);
   if (obs_batches_ != nullptr) obs_batches_->add();
   // Ingest batches have a fixed row budget, so this settles at once.
@@ -215,16 +224,6 @@ net::TimeUs Pipeline::max_timestamp() const noexcept {
   net::TimeUs latest = 0;
   for (const auto& shard : shards_) latest = std::max(latest, shard->tracker.now());
   return latest;
-}
-
-net::TimeUs Pipeline::first_timestamp() const noexcept {
-  std::optional<net::TimeUs> earliest;
-  for (const auto& shard : shards_) {
-    if (shard->tracker.counters().probes == 0) continue;
-    const auto first = shard->tracker.first_probe_us();
-    earliest = earliest ? std::min(*earliest, first) : first;
-  }
-  return earliest.value_or(0);
 }
 
 }  // namespace synscan::core

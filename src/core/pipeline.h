@@ -93,15 +93,19 @@ class Pipeline {
   /// The stream's last probe timestamp (its "now"). Call after `finish()`.
   [[nodiscard]] net::TimeUs max_timestamp() const noexcept;
 
-  /// The earliest of the trackers' first probe timestamps (0 when no
-  /// probe arrived): where carry mode's head horizon starts.
-  [[nodiscard]] net::TimeUs first_timestamp() const noexcept;
+  /// The stream's first probe timestamp (0 when no probe arrived):
+  /// where carry mode's head horizon starts. Every tracker is anchored
+  /// to it before its first probe (`CampaignTracker::anchor`).
+  [[nodiscard]] net::TimeUs first_timestamp() const noexcept { return first_timestamp_; }
 
  private:
   /// One worker: a tracker, its campaigns, and (with several workers)
   /// the thread and slice queue that drive it.
   struct Shard;
 
+  /// Records the stream's first probe time and anchors every tracker
+  /// to it; called once, before the first probe reaches any tracker.
+  void start(net::TimeUs first_timestamp);
   /// Queues each worker the slice of a shared copy of `batch` holding
   /// the rows of its sources.
   void dispatch(const telescope::ProbeBatch& batch);
@@ -116,6 +120,8 @@ class Pipeline {
   /// Per-worker row-index scratch, refilled for every dispatched batch.
   std::vector<std::vector<std::uint32_t>> slice_rows_;
   std::uint64_t slices_ = 0;  ///< probe slices queued across workers
+  net::TimeUs first_timestamp_ = 0;
+  bool started_ = false;  ///< a probe arrived; the trackers are anchored
   bool finished_ = false;
   // Resolved once at construction iff obs is enabled; null pointers keep
   // the per-batch cost at one predictable branch when it is off.

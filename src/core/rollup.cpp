@@ -39,16 +39,19 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
                             const enrich::InternetRegistry& /*registry*/,
                             const TrackerConfig& tracker_config,
-                            const IngestOptions& options) {
+                            const IngestOptions& options, std::size_t trackers) {
   CaptureRollup rollup;
   rollup.capture = path;
 
   TrackerConfig config = tracker_config;
   config.carry_boundary_flows = true;
-  Pipeline pipeline(telescope, 1, config);
+  Pipeline pipeline(telescope, trackers, config);
 
+  PipelineResult result;
   {
-    const obs::ScopedTimer ingest("rollup.analyze_shard");
+    // The finish is inside the span: with several trackers it waits for
+    // them to drain their queues.
+    const obs::ScopedTimer analyze("rollup.analyze_shard");
     const auto ingested = ingest_capture(
         path, telescope, options,
         [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
@@ -56,9 +59,9 @@ CaptureRollup analyze_shard(const std::filesystem::path& path,
     rollup.frames = ingested.frames;
     rollup.final_status = ingested.status;
     rollup.from_cache = ingested.from_cache;
+    result = pipeline.finish();
   }
 
-  auto result = pipeline.finish();
   rollup.sensor = result.sensor;
   rollup.tracker = result.tracker;
   rollup.campaigns = std::move(result.campaigns);

@@ -13,8 +13,10 @@
 // probe of every shard before it. A flow then crosses a cut only if it
 // comes within the tracker expiry of it, so a shard exports as heads
 // only flows starting within `expiry` of its first probe, and as tails
-// only flows last seen within `expiry` of its last probe (or that are
-// heads too); every other flow closes inside the shard.
+// only flows last seen within `expiry` of its last probe; every other
+// flow closes inside the shard. Both horizons read probe timestamps
+// alone, so a shard's rollup is a pure function of its probes: the
+// same at any tracker count and sweep schedule.
 //
 // `RollupMerger` left-folds rollups in capture-time order: a shard's
 // head segment joins the source's open tail when the gap is within the
@@ -77,15 +79,18 @@ struct CaptureRollup {
   PortTally residual_ports;
 };
 
-/// Analyzes one capture as a shard: the serial batch-native pipeline,
-/// tracker in carry mode, no observer. The registry is not read (see
+/// Analyzes one capture as a shard: the batch-native pipeline with
+/// `trackers` (>= 1) trackers splitting the sources, in carry mode, no
+/// observer. The rollup is the same at any tracker count; `run_shards`
+/// picks it from its plan. The registry is not read (see
 /// `CaptureRollup::residual_ports`); the benchmark harness still passes
 /// it, so it stays until ROADMAP item 9.
 [[nodiscard]] CaptureRollup analyze_shard(const std::filesystem::path& path,
                                           const telescope::Telescope& telescope,
                                           const enrich::InternetRegistry& registry,
                                           const TrackerConfig& tracker_config,
-                                          const IngestOptions& options);
+                                          const IngestOptions& options,
+                                          std::size_t trackers = 1);
 
 /// Left-fold reducer over shard rollups. `add` shards in capture-time
 /// order (ShardPlan order); `finish` closes the remaining open tails and

@@ -11,7 +11,7 @@ namespace synscan::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x31727073;  // "spr1" on disk
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 constexpr std::size_t kHeaderSize = 64;
 
 /// `TimeUs` is signed; timestamps store as their two's-complement bits.
@@ -64,8 +64,8 @@ using PortRows = std::vector<PortPacketMap::value_type>;
 // stored count by them.
 constexpr std::size_t kPortRowBytes = 2 + 8;
 constexpr std::size_t kProbeBytes = 8 + 4 + 4 + 2 + 2 + 4 + 4 + 2 + 2 + 1;
-/// Meta fields, ten sensor and eleven tracker counters.
-constexpr std::size_t kPrefixBytes = 8 + 4 + 8 + 8 + 10 * 8 + 11 * 8;
+/// Meta fields, ten sensor and five tracker counters.
+constexpr std::size_t kPrefixBytes = 8 + 4 + 8 + 8 + 10 * 8 + 5 * 8;
 /// A campaign before its port rows (their u32 count included).
 constexpr std::size_t kCampaignBytes = 8 + 4 + 8 + 8 + 8 + 4 + 1 + 3 * 8 + 4;
 /// A segment without its destinations and port rows (both counts and
@@ -111,18 +111,15 @@ std::uint64_t get_port_map(ByteReader& in, PortPacketMap& map) {
   return total;
 }
 
+/// The tracker counters that are functions of the probes. The sweep
+/// and allocation counters depend on the sweep schedule and the tracker
+/// count, so a stored shard leaves them 0.
 void put_tracker(ByteWriter& out, const TrackerCounters& counters) {
   out.u64(counters.probes);
   out.u64(counters.campaigns);
   out.u64(counters.subthreshold_flows);
   out.u64(counters.subthreshold_packets);
   out.u64(counters.expired_flows);
-  out.u64(counters.sweeps);
-  out.u64(counters.peak_open_flows);
-  out.u64(counters.flow_reuses);
-  out.u64(counters.dest_promotions);
-  out.u64(counters.port_promotions);
-  out.u64(counters.table_rehashes);
 }
 
 void get_tracker(ByteReader& in, TrackerCounters& counters) {
@@ -131,12 +128,6 @@ void get_tracker(ByteReader& in, TrackerCounters& counters) {
   counters.subthreshold_flows = in.u64();
   counters.subthreshold_packets = in.u64();
   counters.expired_flows = in.u64();
-  counters.sweeps = in.u64();
-  counters.peak_open_flows = in.u64();
-  counters.flow_reuses = in.u64();
-  counters.dest_promotions = in.u64();
-  counters.port_promotions = in.u64();
-  counters.table_rehashes = in.u64();
 }
 
 void put_campaign(ByteWriter& out, const Campaign& campaign, PortRows& rows) {

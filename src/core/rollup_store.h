@@ -18,15 +18,18 @@
 //
 // Layout (all integers little-endian):
 //   header (64 bytes):
-//     u32 magic "spr1"        u32 version (=4)
+//     u32 magic "spr1"        u32 version (=5)
 //     u64 source_size         u64 source_mtime_ns
 //     u64 analysis_fingerprint (see `analysis_fingerprint`)
 //     u64 campaign_count      u64 segment_count
 //     u64 payload_size        u64 checksum (FNV-1a over the payload)
 //   payload: meta (frames, terminal status, then the shard's first and
 //     last probe times, which the merger's time-order check and the
-//     boundary horizons rest on), sensor counters, tracker counters,
-//     campaigns, boundary segments (only the flows within `expiry` of
+//     boundary horizons rest on), sensor counters, the five tracker
+//     counters that are functions of the probes (probes, campaigns,
+//     sub-threshold flows and packets, expired flows; the sweep and
+//     allocation counters are scheduling, and a loaded shard has them
+//     0), campaigns, boundary segments (only the flows within `expiry` of
 //     the shard's first or last probe, each with its destinations, its
 //     port map and its `ToolEvidence`: the counters and the first and
 //     previous probe) and one tally section, the residual `PortTally` of
@@ -39,7 +42,8 @@
 //     residual plus the campaigns' and segments' maps, composed only
 //     where a view reads it.
 //     Every map is emitted in sorted key order so the bytes are a pure
-//     function of the analysis result, and the reader checks that order
+//     function of the shard's probes, the same at any tracker count and
+//     sweep schedule, and the reader checks that order
 //     (strictly ascending tally sources, port rows and segment
 //     destinations, every row with packets). It also checks the packet
 //     identities the writer guarantees, so a tally never disagrees with
@@ -54,10 +58,10 @@
 //     since its result came from the store.
 //
 // Version 1 (three tally sections), version 2 (no first probe time; a
-// head segment for every source) and version 3 (the full tally, a
-// reserved byte and a `have_previous` byte per segment) files load as
-// misses and are rewritten: the store is a disposable cache and keeps
-// no old readers.
+// head segment for every source), version 3 (the full tally, a
+// reserved byte and a `have_previous` byte per segment) and version 4
+// (eleven tracker counters) files load as misses and are rewritten: the
+// store is a disposable cache and keeps no old readers.
 //
 // The analysis fingerprint hashes every configuration knob that can
 // change the result — tracker thresholds, expiry, classifier thresholds

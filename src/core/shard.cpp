@@ -99,6 +99,17 @@ ShardRunResult run_shards(const ShardPlan& plan,
   const auto fingerprint =
       analysis_fingerprint(tracker_config, telescope.monitored_count());
 
+  auto workers = options.workers;
+  if (workers == 0) {
+    const auto hw = std::thread::hardware_concurrency();
+    workers = hw == 0 ? 1 : hw;
+  }
+  // Workers beyond one per shard track inside the shards: a lone
+  // capture tracks on all of them, and a decade of shards on one each.
+  const auto slots = std::max<std::size_t>(shard_count, 1);
+  const auto trackers = std::max<std::size_t>(1, workers / slots);
+  workers = std::min(workers, slots);
+
   std::vector<std::unique_ptr<CaptureRollup>> rollups(shard_count);
   ShardQueue queue;
 
@@ -117,7 +128,7 @@ ShardRunResult run_shards(const ShardPlan& plan,
       }
     }
     auto rollup = analyze_shard(capture, telescope, registry, tracker_config,
-                                options.ingest);
+                                options.ingest, trackers);
     bool wrote = false;
     if (identity) {
       wrote = save_rollup(store_path, rollup, *identity, fingerprint);
@@ -145,13 +156,6 @@ ShardRunResult run_shards(const ShardPlan& plan,
       }
     }
   };
-
-  auto workers = options.workers;
-  if (workers == 0) {
-    const auto hw = std::thread::hardware_concurrency();
-    workers = hw == 0 ? 1 : hw;
-  }
-  workers = std::min(workers, std::max<std::size_t>(shard_count, 1));
 
   if (workers <= 1) {
     worker_loop();

@@ -42,8 +42,14 @@ struct ShardPlan {
 [[nodiscard]] ShardPlan plan_shards(std::span<const std::filesystem::path> captures);
 
 struct ShardRunOptions {
-  /// Shard-level parallelism; 0 = one worker per hardware thread
-  /// (bounded by the shard count).
+  /// Sizes the run; 0 = one per hardware thread. The pool runs
+  /// min(workers, shards) shards at once (on the calling thread when
+  /// that is one), and each analyzed shard splits its sources over
+  /// max(1, workers / shards) trackers. A shard's trackers, when more
+  /// than one, run on threads of their own, fed by the thread analyzing
+  /// the shard: a lone capture at `workers` > 1 uses `workers` tracker
+  /// threads plus the calling thread. The result is the same at any
+  /// count.
   std::size_t workers = 0;
   /// Read and write the sibling `.spr` rollup store.
   bool use_rollup_store = true;

@@ -34,9 +34,6 @@ void CampaignTracker::feed(const telescope::ScanProbe& probe) {
     Flow& fresh = pool_[slot];
     fresh.reset();
     fresh.first_seen_us = probe.timestamp_us;
-    // The first probe always opens a flow, so the shard start is set
-    // here, off the per-probe path.
-    if (counters_.probes == 1) first_probe_us_ = probe.timestamp_us;
     // The table only grows on insertion, so the high-water mark can
     // only move here — keeps the per-probe path free of it.
     counters_.peak_open_flows =
@@ -184,11 +181,13 @@ void CampaignTracker::finish(net::TimeUs stream_end) {
     Flow& flow = pool_[slot];
     const bool expired = now_ - flow.last_seen_us > config_.expiry;
     // Carry mode: a flow seen within `expiry` of the end may continue
-    // into the next shard, and a head may continue a previous shard's
-    // flow; either leaves unjudged, as a tail.
+    // into the next shard (a tail), and a head may continue a previous
+    // shard's flow; either leaves unjudged. Whether a sweep already saw
+    // an expired head go is scheduling, so it leaves head-only either way.
     const bool head = config_.carry_boundary_flows && is_head(source, flow);
-    if (head || (config_.carry_boundary_flows && !expired)) {
-      export_segment(net::Ipv4Address(source), flow, head, /*tail=*/true);
+    const bool tail = config_.carry_boundary_flows && !expired;
+    if (head || tail) {
+      export_segment(net::Ipv4Address(source), flow, head, tail);
     } else {
       if (expired) ++counters_.expired_flows;
       close_flow(net::Ipv4Address(source), flow);

@@ -52,10 +52,12 @@ struct TrackerConfig {
   ///     shard's open flow);
   ///   - a tail: a flow still open at stream end whose last probe is
   ///     within `expiry` of the shard's last probe (it may continue
-  ///     into the next shard), or that is also a head.
+  ///     into the next shard). An expired flow is never a tail.
   /// Every other flow closes inside the shard, exactly as the
-  /// single-pass tracker closes it. `take_boundary_segments()` collects
-  /// the exports after `finish()`.
+  /// single-pass tracker closes it. Both rules read only probe
+  /// timestamps, so the exports do not depend on the sweep schedule or
+  /// on how trackers split the sources (see `anchor`).
+  /// `take_boundary_segments()` collects the exports after `finish()`.
   bool carry_boundary_flows = false;
 };
 
@@ -71,7 +73,7 @@ struct FlowSegment {
   /// first probe.
   bool head = false;
   /// Still open at stream end, last seen within `expiry` of the shard's
-  /// last probe (or a head).
+  /// last probe.
   bool tail = false;
   net::TimeUs first_seen_us = 0;
   net::TimeUs last_seen_us = 0;
@@ -168,9 +170,12 @@ class CampaignTracker {
   /// Maximum probe timestamp observed ("now" for expiry decisions).
   [[nodiscard]] net::TimeUs now() const noexcept { return now_; }
 
-  /// Timestamp of the first probe fed (0 before any): the shard start
-  /// that carry mode measures heads from.
-  [[nodiscard]] net::TimeUs first_probe_us() const noexcept { return first_probe_us_; }
+  /// Carry mode: sets the shard start that heads are measured from to
+  /// `first_probe_us`, the first probe of the whole stream; call before
+  /// any feed (`Pipeline` does). Trackers that split a shard's sources
+  /// each see only some of its probes; anchored alike, they export the
+  /// heads one tracker would.
+  void anchor(net::TimeUs first_probe_us) noexcept { first_probe_us_ = first_probe_us; }
 
   [[nodiscard]] const TrackerCounters& counters() const noexcept { return counters_; }
 
@@ -233,7 +238,7 @@ class CampaignTracker {
   HybridU32Set carried_sources_;  ///< carry mode: sources whose head was already exported
   TrackerCounters counters_;
   net::TimeUs now_ = 0;
-  net::TimeUs first_probe_us_ = 0;
+  net::TimeUs first_probe_us_ = 0;  ///< carry mode: the shard start (`anchor`)
   std::uint64_t next_id_ = 1;
   std::uint64_t feeds_since_sweep_ = 0;
 };

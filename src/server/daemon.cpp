@@ -1,9 +1,5 @@
 #include "server/daemon.h"
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -71,7 +67,7 @@ void set_cloexec(int fd) { (void)::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 /// thread, including one holding a lock):
 ///   - no locks, no allocation, no I/O beyond the async-signal-safe
 ///     write(2) — which is also what makes the wakeup reliable when the
-///     loop is parked in epoll_wait/poll;
+///     loop is parked in poll;
 ///   - both atomics must be lock-free, or the "atomic" op could take an
 ///     internal lock the interrupted thread already holds (deadlock).
 ///     The static_asserts make that assumption a compile-time fact.
@@ -96,152 +92,6 @@ void on_signal(int /*signum*/) {
     [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
 }
-
-/// One fd the loop watches plus the opaque pointer handed back with its
-/// events (null for listeners and the wake pipe, Connection* otherwise).
-struct Watch {
-  int fd = -1;
-  void* data = nullptr;
-  bool want_write = false;
-};
-
-/// What one fd reported this iteration. Translated eagerly out of the
-/// OS structures so that closing other fds mid-batch cannot dangle.
-struct PollEvent {
-  int fd = -1;
-  void* data = nullptr;
-  bool readable = false;
-  bool writable = false;
-  bool closed = false;
-};
-
-/// Readiness backend: epoll on Linux unless `force_poll`, poll(2)
-/// otherwise. The poll path is exercised on Linux too (tests and the
-/// `--poll` CLI switch) so the fallback cannot rot.
-class Poller {
- public:
-  explicit Poller(bool force_poll) {
-#ifdef __linux__
-    if (!force_poll) {
-      epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-      if (epoll_fd_ < 0) throw_errno("epoll_create1");
-    }
-#else
-    (void)force_poll;
-#endif
-  }
-
-  ~Poller() {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-
-  Poller(const Poller&) = delete;
-  Poller& operator=(const Poller&) = delete;
-
-  void add(int fd, void* data, bool want_write) {
-    auto watch = std::make_unique<Watch>();
-    watch->fd = fd;
-    watch->data = data;
-    watch->want_write = want_write;
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      epoll_event event{};
-      event.events = interest(want_write);
-      event.data.ptr = watch.get();
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
-        throw_errno("epoll_ctl(ADD)");
-      }
-    }
-#endif
-    watches_.push_back(std::move(watch));
-  }
-
-  void update(int fd, bool want_write) {
-    Watch* watch = find(fd);
-    if (watch == nullptr || watch->want_write == want_write) return;
-    watch->want_write = want_write;
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      epoll_event event{};
-      event.events = interest(want_write);
-      event.data.ptr = watch;
-      (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event);
-    }
-#endif
-  }
-
-  void remove(int fd) {
-#ifdef __linux__
-    if (epoll_fd_ >= 0) (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-    const auto it = std::find_if(watches_.begin(), watches_.end(),
-                                 [fd](const auto& w) { return w->fd == fd; });
-    if (it != watches_.end()) watches_.erase(it);
-  }
-
-  void wait(std::vector<PollEvent>& out, int timeout_ms) {
-    out.clear();
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      std::array<epoll_event, 64> events{};
-      const int count =
-          ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()), timeout_ms);
-      for (int i = 0; i < count; ++i) {
-        const auto& raw = events[static_cast<std::size_t>(i)];
-        const auto* watch = static_cast<const Watch*>(raw.data.ptr);
-        PollEvent event;
-        event.fd = watch->fd;
-        event.data = watch->data;
-        event.readable = (raw.events & EPOLLIN) != 0;
-        event.writable = (raw.events & EPOLLOUT) != 0;
-        event.closed = (raw.events & (EPOLLHUP | EPOLLERR)) != 0;
-        out.push_back(event);
-      }
-      return;
-    }
-#endif
-    pollfds_.clear();
-    for (const auto& watch : watches_) {
-      pollfd entry{};
-      entry.fd = watch->fd;
-      entry.events = static_cast<short>(POLLIN | (watch->want_write ? POLLOUT : 0));
-      pollfds_.push_back(entry);
-    }
-    const int count =
-        ::poll(pollfds_.data(), static_cast<nfds_t>(pollfds_.size()), timeout_ms);
-    if (count <= 0) return;
-    for (std::size_t i = 0; i < pollfds_.size(); ++i) {
-      const auto revents = pollfds_[i].revents;
-      if (revents == 0) continue;
-      PollEvent event;
-      event.fd = watches_[i]->fd;
-      event.data = watches_[i]->data;
-      event.readable = (revents & POLLIN) != 0;
-      event.writable = (revents & POLLOUT) != 0;
-      event.closed = (revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out.push_back(event);
-    }
-  }
-
- private:
-#ifdef __linux__
-  static std::uint32_t interest(bool want_write) {
-    return static_cast<std::uint32_t>(EPOLLIN) |
-           (want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-  }
-#endif
-
-  Watch* find(int fd) {
-    for (const auto& watch : watches_) {
-      if (watch->fd == fd) return watch.get();
-    }
-    return nullptr;
-  }
-
-  std::vector<std::unique_ptr<Watch>> watches_;
-  std::vector<pollfd> pollfds_;
-  int epoll_fd_ = -1;
-};
 
 /// A response finished out of request order, parked until its turn.
 struct ReadyResponse {
@@ -270,6 +120,16 @@ struct Connection {
   [[nodiscard]] bool responses_pending() const noexcept {
     return next_response != next_seq || outbox.size() != outbox_sent;
   }
+};
+
+/// What one fd reported this iteration. Translated eagerly out of the
+/// pollfd array so that closing other fds mid-batch cannot dangle.
+struct PollEvent {
+  int fd = -1;
+  Connection* conn = nullptr;  ///< null for the listeners and the wake pipe
+  bool readable = false;
+  bool writable = false;
+  bool closed = false;
 };
 
 struct Job {
@@ -497,54 +357,53 @@ struct Daemon::Impl {
     return resident_state.snapshot();
   }
 
-  /// Analyzes `path` and swaps it in as the resident capture. Runs on a
-  /// worker (LOAD) or the caller's thread (preload). Throws on failure.
-  std::shared_ptr<const ResidentCapture> load_capture(const std::string& path) {
-    auto resident = std::make_shared<ResidentCapture>(
-        path, core::analyze_capture(path, *telescope, *registry,
-                                    config.analysis_workers, config.ingest));
-    resident_state.publish(resident);
-    if (obs_loads != nullptr) obs_loads->add();
-    return resident;
-  }
+  struct Loaded {
+    std::shared_ptr<const ResidentCapture> resident;
+    core::ShardRunStats stats;
+  };
 
-  /// Analyzes a sharded capture set (ROLLUP) through the `.spr` rollup
-  /// store and swaps the merged result in as the resident capture.
-  /// Returns the summary body. Runs on a worker; throws on failure.
-  std::string load_rollup_set(const std::vector<std::string>& paths) {
-    std::vector<std::filesystem::path> captures;
-    captures.reserve(paths.size());
-    for (const auto& path : paths) captures.emplace_back(path);
-    const auto plan = core::plan_shards(captures);
+  /// The one way captures become resident: a `run_shards` plan over
+  /// `paths`, published as the new snapshot. LOAD and preload pass one
+  /// capture with the store off, so LOAD writes no `.spr`; ROLLUP passes
+  /// its set with the store on. Runs on a worker, or on the caller's
+  /// thread for preload. Throws on failure and leaves the old snapshot.
+  Loaded make_resident(const std::vector<std::string>& paths, bool use_store) {
+    const std::vector<std::filesystem::path> captures(paths.begin(), paths.end());
     core::ShardRunOptions options;
     options.workers = config.analysis_workers;
+    options.use_rollup_store = use_store;
     options.ingest = config.ingest;
-    auto run = core::run_shards(plan, *telescope, *registry, core::TrackerConfig{},
-                                options);
+    auto run = core::run_shards(core::plan_shards(captures), *telescope, *registry,
+                                core::TrackerConfig{}, options);
     std::string joined;
     for (const auto& path : paths) {
       if (!joined.empty()) joined.push_back(' ');
       joined.append(path);
     }
-    auto resident = std::make_shared<ResidentCapture>(std::move(joined),
-                                                      std::move(run.analysis));
+    auto resident = std::make_shared<const ResidentCapture>(std::move(joined),
+                                                            std::move(run.analysis));
     resident_state.publish(resident);
     if (obs_loads != nullptr) obs_loads->add();
+    return {std::move(resident), run.stats};
+  }
+
+  static std::string rollup_summary(const Loaded& loaded, std::size_t captures) {
+    const auto& analysis = loaded.resident->analysis;
     std::string body;
     body.append("{\"captures\":");
-    body.append(std::to_string(paths.size()));
+    body.append(std::to_string(captures));
     body.append(",\"store_hits\":");
-    body.append(std::to_string(run.stats.store_hits));
+    body.append(std::to_string(loaded.stats.store_hits));
     body.append(",\"store_misses\":");
-    body.append(std::to_string(run.stats.store_misses));
+    body.append(std::to_string(loaded.stats.store_misses));
     body.append(",\"frames\":");
-    body.append(std::to_string(resident->analysis.frames));
+    body.append(std::to_string(analysis.frames));
     body.append(",\"scan_probes\":");
-    body.append(std::to_string(resident->analysis.result.sensor.scan_probes));
+    body.append(std::to_string(analysis.result.sensor.scan_probes));
     body.append(",\"campaigns\":");
-    body.append(std::to_string(resident->analysis.result.campaigns.size()));
+    body.append(std::to_string(analysis.result.campaigns.size()));
     body.append(",\"from_cache\":");
-    body.append(resident->analysis.from_cache ? "true" : "false");
+    body.append(analysis.from_cache ? "true" : "false");
     body.append("}\n");
     return body;
   }
@@ -646,24 +505,18 @@ struct Daemon::Impl {
             payload = error_response(error);
           }
         }
-      } else if (job.request.kind == RequestKind::kRollup) {
+      } else {  // LOAD or ROLLUP
+        const bool rollup = job.request.kind == RequestKind::kRollup;
         try {
-          std::string summary = load_rollup_set(job.request.paths);
+          const auto loaded = rollup ? make_resident(job.request.paths, true)
+                                     : make_resident({job.request.argument}, false);
           payload.assign(kOkHeader);
-          payload.append(summary);
+          payload.append(rollup ? rollup_summary(loaded, job.request.paths.size())
+                                : load_summary(*loaded.resident));
           completion.ok = true;
         } catch (const std::exception& e) {
-          payload = error_response(std::string("rollup failed: ") + e.what());
-        }
-        loading.store(false, std::memory_order_release);
-      } else {  // RequestKind::kLoad
-        try {
-          const auto resident = load_capture(job.request.argument);
-          payload.assign(kOkHeader);
-          payload.append(load_summary(*resident));
-          completion.ok = true;
-        } catch (const std::exception& e) {
-          payload = error_response(std::string("load failed: ") + e.what());
+          payload = error_response(std::string(rollup ? "rollup failed: " : "load failed: ") +
+                                   e.what());
         }
         loading.store(false, std::memory_order_release);
       }
@@ -699,15 +552,10 @@ struct Daemon::Impl {
       (void)::sigaction(SIGTERM, &action, &previous_term);
     }
 
-    poller = std::make_unique<Poller>(config.force_poll);
-    poller->add(wake_read, nullptr, false);
-    if (unix_fd >= 0) poller->add(unix_fd, nullptr, false);
-    if (tcp_fd >= 0) poller->add(tcp_fd, nullptr, false);
-
     std::vector<PollEvent> events;
     auto last_sweep = Clock::now();
     for (;;) {
-      poller->wait(events, 250);
+      wait(events, 250);
       if (shutdown_requested.exchange(false) ||
           (signals && g_signal_pending.exchange(false))) {
         begin_shutdown();
@@ -715,10 +563,11 @@ struct Daemon::Impl {
       for (const auto& event : events) {
         if (event.fd == wake_read) {
           drain_wake_pipe();
-        } else if (event.fd == unix_fd || event.fd == tcp_fd) {
-          accept_pending(event.fd);
+        } else if (event.conn == nullptr) {
+          // A listener, unless SHUTDOWN closed it earlier this iteration.
+          if (event.fd == unix_fd || event.fd == tcp_fd) accept_pending(event.fd);
         } else {
-          auto* conn = static_cast<Connection*>(event.data);
+          auto* conn = event.conn;
           if (conn->fd < 0) continue;  // closed earlier this iteration
           if (event.closed) {
             close_connection(*conn);
@@ -748,7 +597,6 @@ struct Daemon::Impl {
       if (conn && conn->fd >= 0) close_connection(*conn);
     }
     reap_dead_slots();
-    poller.reset();
 
     if (signals) {
       g_signal_wake_fd.store(-1, std::memory_order_release);
@@ -761,13 +609,48 @@ struct Daemon::Impl {
     if (draining) return;
     draining = true;
     drain_deadline = Clock::now() + kDrainTimeout;
-    if (unix_fd >= 0) {
-      poller->remove(unix_fd);
-      close_fd(unix_fd);
+    close_fd(unix_fd);
+    close_fd(tcp_fd);
+  }
+
+  /// Waits up to `timeout_ms` for the wake pipe, the listeners and every
+  /// open connection — writable interest while its outbox holds unsent
+  /// bytes — and translates what fired into `events`. The pollfd array
+  /// is rebuilt from that state on each wait, so nothing registers or
+  /// unregisters an fd. poll(2) is level-triggered: a socket holding
+  /// more bytes is reported again on the next wait.
+  void wait(std::vector<PollEvent>& events, int timeout_ms) {
+    events.clear();
+    pollfds.clear();
+    polled.clear();
+    const auto watch = [&](int fd, Connection* conn, bool want_write) {
+      pollfd entry{};
+      entry.fd = fd;
+      entry.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
+      pollfds.push_back(entry);
+      polled.push_back(conn);
+    };
+    watch(wake_read, nullptr, false);
+    if (unix_fd >= 0) watch(unix_fd, nullptr, false);
+    if (tcp_fd >= 0) watch(tcp_fd, nullptr, false);
+    for (const auto& conn : connections) {
+      if (conn && conn->fd >= 0) {
+        watch(conn->fd, conn.get(), conn->outbox_sent < conn->outbox.size());
+      }
     }
-    if (tcp_fd >= 0) {
-      poller->remove(tcp_fd);
-      close_fd(tcp_fd);
+    const int count =
+        ::poll(pollfds.data(), static_cast<nfds_t>(pollfds.size()), timeout_ms);
+    if (count <= 0) return;
+    for (std::size_t i = 0; i < pollfds.size(); ++i) {
+      const auto revents = pollfds[i].revents;
+      if (revents == 0) continue;
+      PollEvent event;
+      event.fd = pollfds[i].fd;
+      event.conn = polled[i];
+      event.readable = (revents & POLLIN) != 0;
+      event.writable = (revents & POLLOUT) != 0;
+      event.closed = (revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
+      events.push_back(event);
     }
   }
 
@@ -803,7 +686,6 @@ struct Daemon::Impl {
       conn->slot = slot;
       conn->id = next_conn_id++;
       conn->last_activity = Clock::now();
-      poller->add(fd, conn.get(), false);
       connections[slot] = std::move(conn);
       ++open_connections;
       if (obs_accepts != nullptr) obs_accepts->add();
@@ -814,7 +696,6 @@ struct Daemon::Impl {
   }
 
   void close_connection(Connection& conn) {
-    poller->remove(conn.fd);
     ::close(conn.fd);
     conn.fd = -1;
     --open_connections;
@@ -836,8 +717,8 @@ struct Daemon::Impl {
   }
 
   /// Reads one chunk, then answers every frame it completed and flushes.
-  /// Both poller backends are level-triggered, so a socket holding more
-  /// bytes is reported again on the next iteration. One chunk per event
+  /// poll(2) is level-triggered, so a socket holding more bytes is
+  /// reported again on the next iteration. One chunk per event
   /// keeps a peer that never stops sending from holding the loop, bounds
   /// the reassembly buffer to one chunk plus a partial frame, and lets
   /// `flush_outbox` check the outbox cap after each chunk's replies.
@@ -850,7 +731,7 @@ struct Daemon::Impl {
       return;
     }
     if (n < 0) {
-      // EINTR and EAGAIN: the poller reports the socket again.
+      // EINTR and EAGAIN: poll reports the socket again.
       if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
         close_connection(conn);
       }
@@ -1003,20 +884,14 @@ struct Daemon::Impl {
     if (conn.outbox_sent == conn.outbox.size()) {
       conn.outbox.clear();
       conn.outbox_sent = 0;
-      if (conn.closing && !conn.responses_pending()) {
-        close_connection(conn);
-        return;
-      }
-      poller->update(conn.fd, false);
+      if (conn.closing && !conn.responses_pending()) close_connection(conn);
       return;
     }
     if (conn.outbox.size() - conn.outbox_sent > kMaxOutboxBytes) {
       // The client stopped reading; shedding it beats buffering forever.
       if (obs_errors != nullptr) obs_errors->add();
       close_connection(conn);
-      return;
     }
-    poller->update(conn.fd, true);
   }
 
   void sweep_idle(Clock::time_point now) {
@@ -1065,7 +940,8 @@ struct Daemon::Impl {
   CompletionQueue completion_queue;
 
   // Everything below is owned by the event loop thread.
-  std::unique_ptr<Poller> poller;
+  std::vector<pollfd> pollfds;      ///< scratch: the fds of one wait
+  std::vector<Connection*> polled;  ///< scratch: each pollfd's connection
   std::vector<std::unique_ptr<Connection>> connections;
   std::vector<std::uint32_t> free_slots;
   std::vector<std::uint32_t> dead_slots;
@@ -1103,7 +979,7 @@ Daemon::Daemon(const telescope::Telescope& telescope,
 Daemon::~Daemon() = default;
 
 void Daemon::preload(const std::string& capture) {
-  (void)impl_->load_capture(capture);
+  (void)impl_->make_resident({capture}, false);
   ++impl_->loads;
 }
 

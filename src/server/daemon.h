@@ -1,17 +1,18 @@
 // synscand: the resident analysis daemon.
 //
 // A `Daemon` owns one or two listening sockets (Unix and/or loopback
-// TCP), a single-threaded event loop (epoll on Linux, poll(2)
-// otherwise), and a small worker pool. Captures load once — through the
-// `.spc`-cached batched ingest — into an immutable
-// `core::AnalyzedCapture` held behind a shared_ptr; queries snapshot
-// that pointer and serialize reports concurrently without locks, so a
-// LOAD swapping in a new capture never stalls or corrupts in-flight
-// queries.
+// TCP), a single-threaded poll(2) event loop, and a small worker pool.
+// Captures become resident one way — a `core::run_shards` plan, one
+// capture with the `.spr` store off for LOAD, a capture set with it on
+// for ROLLUP — as an immutable `core::AnalyzedCapture` held behind a
+// shared_ptr; queries snapshot that pointer and serialize reports
+// concurrently without locks, so a LOAD swapping in a new capture never
+// stalls or corrupts in-flight queries.
 //
 // Threading rules (docs/SYNSCAND.md has the full model):
 //   - The event loop thread owns all connection state: buffers, frame
-//     decoders, response ordering, the poller. Nothing else touches it.
+//     decoders, response ordering, the pollfd array. Nothing else
+//     touches it.
 //   - Workers only (a) read an AnalyzedCapture snapshot and (b) push
 //     completed response bytes onto the completion queue, waking the
 //     loop through a pipe. A slow query therefore never stalls accepts
@@ -45,9 +46,12 @@ struct DaemonConfig {
   /// Query worker threads (>= 1). Queries and LOADs run here; the event
   /// loop never blocks on them.
   std::size_t workers = 2;
-  /// Worker count passed to `core::analyze_capture` during LOAD. It
-  /// changes only how fast a capture loads: reports are byte-identical
-  /// at any worker count, offline or resident.
+  /// `core::ShardRunOptions::workers` for LOAD and ROLLUP (0 = one per
+  /// hardware thread): a lone capture tracks on that many threads of
+  /// its own, fed by the thread running the load (a query worker, or
+  /// `preload`'s caller). It changes only how fast captures load:
+  /// reports are byte-identical at any worker count, offline or
+  /// resident.
   std::size_t analysis_workers = 2;
   /// Close connections with no traffic and no pending responses after
   /// this long. 0 disables the sweep.
@@ -56,9 +60,6 @@ struct DaemonConfig {
   /// trigger a graceful drain. At most one daemon per process may set
   /// this.
   bool install_signal_handlers = false;
-  /// Use the poll(2) event loop even where epoll is available (the
-  /// fallback path is differential-tested through this switch).
-  bool force_poll = false;
   /// Ingest switches for LOAD (probe cache, mmap).
   core::IngestOptions ingest;
 };
@@ -77,7 +78,8 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Analyzes `capture` on the calling thread and makes it the resident
-  /// state, exactly as a client LOAD would. Throws on ingest errors.
+  /// state through the loader a client LOAD uses. Throws on ingest
+  /// errors.
   void preload(const std::string& capture);
 
   /// Runs the event loop until SHUTDOWN, `request_shutdown()`, or a

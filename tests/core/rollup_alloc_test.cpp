@@ -167,14 +167,14 @@ TEST(RollupAllocation, ForgedCountsAllocateWithinAMultipleOfThePayload) {
   ASSERT_GT(original.size(), kHeader);
   const std::size_t payload = original.size() - kHeader;
 
-  // Payload offsets: the fixed prefix (meta, 10 sensor and 11 tracker
-  // counters) is 196 bytes, then the campaign count and the campaign
+  // Payload offsets: the fixed prefix (meta, 10 sensor and 5 tracker
+  // counters) is 148 bytes, then the campaign count and the campaign
   // (65 fixed bytes, then its u32 port count and 10-byte rows), the
   // segment count and the segment (29 fixed bytes, the u64 destination
   // count and the destinations, a u32 port count and its rows, 122
   // bytes of evidence), then the tally's u64 source count and its first
   // source (u32 source, u32 row count).
-  const std::size_t campaign = 196 + 8;
+  const std::size_t campaign = 148 + 8;
   const std::size_t segment = campaign + 69 + 10 * 20 + 8;
   const std::size_t segment_ports = segment + 37 + 4 * 50;
   const std::size_t tally = segment_ports + 4 + 10 * 10 + 122;

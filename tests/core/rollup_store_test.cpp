@@ -247,7 +247,7 @@ TEST_F(StoreFixture, StatReportsStoredHeader) {
   save(rollup);
   const auto info = rollup_stat(rollup_path);
   ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->version, 4u);
+  EXPECT_EQ(info->version, 5u);
   EXPECT_EQ(info->source_size, identity.source_size);
   EXPECT_EQ(info->source_mtime_ns, identity.source_mtime_ns);
   EXPECT_EQ(info->analysis_fingerprint, fingerprint);
@@ -347,7 +347,7 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
 
   // Payload offsets of the tracker counters, the campaign and the
   // segments: the fixed prefix (frames, status, first and max probe
-  // timestamps, 10 sensor and 11 tracker counters, `probes` first) and
+  // timestamps, 10 sensor and 5 tracker counters, `probes` first) and
   // the campaign count, then a campaign's 65 fixed bytes and its u32
   // port count; after the campaigns, the segment count, then per segment
   // 37 fixed bytes (the last a u64 destination count), the destinations,
@@ -356,7 +356,7 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   const std::size_t tracker_probes_at = 8 + 4 + 2 * 8 + 10 * 8;
   ASSERT_EQ(stored_word(tracker_probes_at, 8), stored->tracker.probes)
       << "the .spr layout moved; re-derive the tracker offset";
-  const std::size_t campaign_at = tracker_probes_at + 11 * 8 + 8;
+  const std::size_t campaign_at = tracker_probes_at + 5 * 8 + 8;
   const auto& campaign = stored->campaigns.front();
   std::vector<std::size_t> segment_at = {campaign_at + 69 +
                                          10 * campaign.port_packets.size() + 8};
@@ -480,9 +480,10 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
 
 TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
   // Version 1 had three tally sections, version 2 no first probe time,
-  // version 3 the full tally; the store keeps no reader for any of
-  // them, so the rest of the file does not matter.
-  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
+  // version 3 the full tally, version 4 eleven tracker counters; the
+  // store keeps no reader for any of them, so the rest of the file does
+  // not matter.
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(old_version));
     save(analyze());
     {
@@ -505,7 +506,7 @@ TEST_F(StoreFixture, VersionOneFileIsAMissAndIsRewritten) {
                                 TrackerConfig{}, options);
     EXPECT_EQ(run.stats.store_misses, 1u);
     EXPECT_EQ(run.stats.store_writes, 1u);
-    EXPECT_EQ(rollup_stat(rollup_path)->version, 4u);
+    EXPECT_EQ(rollup_stat(rollup_path)->version, 5u);
     EXPECT_TRUE(load().has_value());
   }
 }

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -425,9 +427,10 @@ struct MergedShards {
 
 /// Writes each shard's bursts (in time order) as one capture and all of
 /// them as one whole capture, then folds the shards' rollups and expects
-/// the report of `analyze_capture(workers=1)` of the whole capture, and
-/// its port tally source by source: the merged residual holds every
-/// segment the merger finalized below the threshold.
+/// the report of the whole capture's single pass
+/// (`testing::single_pass_analysis`), and its port tally source by
+/// source: the merged residual holds every segment the merger finalized
+/// below the threshold.
 MergedShards expect_merge_matches_whole(const char* name,
                                         const std::vector<std::vector<Burst>>& shards) {
   const ShardFixture fixture(name);
@@ -459,7 +462,8 @@ MergedShards expect_merge_matches_whole(const char* name,
     merger.add(std::move(rollup));
   }
   out.merged = merger.finish();
-  const auto whole = analyze_capture(whole_path, test_telescope(), registry, 1, ingest);
+  const auto whole =
+      testing::single_pass_analysis(whole_path, test_telescope(), registry, ingest);
   EXPECT_EQ(report_bytes(out.merged), report_bytes(whole));
   testing::expect_same_port_tally(out.merged.result.port_tally(), whole.result.port_tally());
   return out;
@@ -498,10 +502,11 @@ TEST(RollupHorizon, ShardExportsOnlyFlowsWithinExpiryOfItsEdges) {
   EXPECT_EQ(rollup.max_timestamp_us, closing.last());
   ASSERT_EQ(rollup.segments.size(), 2u);
   // The opening flow may continue a previous shard's, so it leaves as
-  // a head (and, still open at the end, a tail too).
+  // a head. It expired long before the end, so it is no tail, whether
+  // or not a sweep saw it go.
   EXPECT_EQ(rollup.segments[0].source, src(1));
   EXPECT_TRUE(rollup.segments[0].head);
-  EXPECT_TRUE(rollup.segments[0].tail);
+  EXPECT_FALSE(rollup.segments[0].tail);
   // The closing flow may continue into the next shard.
   EXPECT_EQ(rollup.segments[1].source, src(3));
   EXPECT_FALSE(rollup.segments[1].head);
@@ -597,6 +602,83 @@ TEST(RollupHorizon, SourceReturnsTwoShardsAfterClosingInsideTheMiddleOne) {
   ASSERT_NE(segment_of(run.segments[2], 1), nullptr);
   EXPECT_TRUE(segment_of(run.segments[2], 1)->head);
   EXPECT_EQ(campaigns_of(run.merged, 1), 3u);
+}
+
+TEST(RollupHorizon, ShardRollupIsAPureFunctionOfItsProbes) {
+  // Two campaigns open at the shard's first probe (heads) and one runs
+  // into its last (a tail). Nothing else starts in the first half
+  // expiry, so a tracker that holds neither early campaign sees its
+  // first probe later than the shard's; from then on a three-probe
+  // noise source starts every 1/32 expiry. The early heads expire long
+  // before the end, so a frequent sweep sees them go and the default
+  // sweep, which never runs here, leaves them to `finish`.
+  const ShardFixture fixture("pure_function");
+  struct Probe {
+    net::TimeUs at;
+    std::uint32_t source;
+    std::uint32_t dest;
+  };
+  std::vector<Probe> probes;
+  const net::TimeUs start = 1'000'000;
+  const net::TimeUs stagger = kExpiry / 32;
+  constexpr std::uint32_t kNoiseSources = 176;
+  for (std::uint32_t i = 0; i < 150; ++i) {
+    const auto step = static_cast<net::TimeUs>(i) * 10'000;
+    probes.push_back({start + step, 1, i});
+    probes.push_back({start + step, 2, 200 + i});
+  }
+  net::TimeUs end = 0;
+  for (std::uint32_t k = 0; k < kNoiseSources; ++k) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      end = start + kExpiry / 2 + static_cast<net::TimeUs>(k) * stagger +
+            static_cast<net::TimeUs>(i) * 1'000'000;
+      probes.push_back({end, 1000 + k, i});
+    }
+  }
+  for (std::uint32_t i = 0; i < 150; ++i) {
+    probes.push_back({end - static_cast<net::TimeUs>(i) * 10'000, 3, 400 + i});
+  }
+  std::stable_sort(probes.begin(), probes.end(),
+                   [](const Probe& a, const Probe& b) { return a.at < b.at; });
+  {
+    auto writer = pcap::Writer::create(fixture.first);
+    net::RawFrame frame;
+    for (const auto& probe : probes) {
+      net::TcpFrameSpec tcp;
+      tcp.src_ip = src(probe.source);
+      tcp.dst_ip = dst(probe.dest);
+      tcp.src_port = 44444;
+      tcp.dst_port = 80;
+      tcp.sequence = 1000 + probe.dest;
+      frame.timestamp_us = probe.at;
+      frame.bytes = net::build_tcp_frame(tcp);
+      writer.write(frame);
+    }
+    writer.flush();
+  }
+
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  IngestOptions ingest;
+  ingest.use_cache = false;
+  const CacheIdentity identity{1, 2};
+  const auto spr_bytes = [&](const TrackerConfig& config, std::size_t trackers) {
+    const auto rollup =
+        analyze_shard(fixture.first, test_telescope(), registry, config, ingest, trackers);
+    EXPECT_FALSE(rollup.segments.empty());
+    const auto path = fixture.dir / "shard.spr";
+    EXPECT_TRUE(save_rollup(path, rollup, identity, 3));
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  TrackerConfig frequent_sweeps;
+  frequent_sweeps.sweep_interval = 64;
+  const auto reference = spr_bytes(TrackerConfig{}, 1);
+  ASSERT_FALSE(reference.empty());
+  for (const std::size_t trackers : {1u, 2u, 3u}) {
+    SCOPED_TRACE("trackers=" + std::to_string(trackers));
+    EXPECT_TRUE(spr_bytes(TrackerConfig{}, trackers) == reference);
+    EXPECT_TRUE(spr_bytes(frequent_sweeps, trackers) == reference) << "sweep_interval 64";
+  }
 }
 
 // ---- time order ------------------------------------------------------
@@ -727,13 +809,16 @@ TEST(RollupTimeOrder, SlightlyOutOfOrderCaptureIsTrackedInFileOrder) {
   ingest.use_cache = false;
   // The flow starts at its first probe in file order and ends at its
   // latest probe.
-  const auto serial = analyze_capture(whole, test_telescope(), registry, 1, ingest);
+  const auto serial = testing::single_pass_analysis(whole, test_telescope(), registry, ingest);
   ASSERT_EQ(serial.result.campaigns.size(), 1u);
   EXPECT_EQ(serial.result.campaigns[0].first_seen_us, at(1));
   EXPECT_EQ(serial.result.campaigns[0].last_seen_us, at(kProbes - 1));
   EXPECT_EQ(serial.result.campaigns[0].packets, kProbes);
-  EXPECT_EQ(report_bytes(analyze_capture(whole, test_telescope(), registry, 3, ingest)),
-            report_bytes(serial));
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_EQ(report_bytes(analyze_capture(whole, test_telescope(), registry, workers, ingest)),
+              report_bytes(serial))
+        << "workers=" << workers;
+  }
   // A shard's first probe is its first in file order, not its earliest.
   EXPECT_EQ(analyze_shard(whole, test_telescope(), registry, TrackerConfig{}, ingest)
                 .first_probe_us,

@@ -2,9 +2,11 @@
 // capture into shards, analyzing each shard independently and merging
 // the rollups (core/rollup.h, core/shard.h) must produce a report that
 // is byte-for-byte identical to analyzing the whole capture in one
-// pass — for any shard count, at any split boundary (including
-// mid-campaign), and whether the shards were re-analyzed or served from
-// the persistent `.spr` store.
+// pass (`testing::single_pass_analysis`: one tracker, no carry mode, no
+// merger) — for any shard count including the lone shard `analyze`
+// runs, at any split boundary (including mid-campaign), at any worker
+// count, and whether the shards were re-analyzed or served from the
+// persistent `.spr` store.
 #include "core/shard.h"
 
 #include <gtest/gtest.h>
@@ -156,22 +158,16 @@ class RollupDifferential : public ::testing::Test {
 TEST_F(RollupDifferential, MergedShardsMatchWholeCaptureByteForByte) {
   core::IngestOptions ingest;
   ingest.use_cache = false;
-  const auto whole = core::analyze_capture(whole_, test_telescope(),
-                                           enrich::InternetRegistry::synthetic_default(),
-                                           1, ingest);
+  const auto& registry = enrich::InternetRegistry::synthetic_default();
+  const auto whole = testing::single_pass_analysis(whole_, test_telescope(), registry, ingest);
   ASSERT_GT(whole.result.sensor.scan_probes, 0u);
   ASSERT_GT(whole.result.campaigns.size(), 1u);
   const auto reference = report_bytes(whole);
   const auto whole_tally = whole.result.port_tally();
-  const auto& registry = enrich::InternetRegistry::synthetic_default();
-
-  for (const std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                                  std::size_t{7}}) {
-    const auto shards = split_capture(count);
-    const auto merged = run(shards, false, 2);
+  const auto expect_whole = [&](const core::ShardRunResult& merged, std::size_t count) {
     EXPECT_EQ(merged.stats.shards, count);
     EXPECT_EQ(report_bytes(merged.analysis), reference)
-        << count << " shards diverged from the whole-capture analysis";
+        << count << " shards diverged from the single pass";
     // The merged tally agrees too, source by source (the report surface
     // only covers counters + campaigns; the tally feeds the analytics
     // commands).
@@ -182,15 +178,45 @@ TEST_F(RollupDifferential, MergedShardsMatchWholeCaptureByteForByte) {
               core::TypeView(whole_tally, registry).total_sources());
     EXPECT_EQ(core::GeoView(tally, registry).total_packets(),
               core::GeoView(whole_tally, registry).total_packets());
+  };
+
+  // One shard is the plan `analyze_capture` runs: the workers track
+  // inside it (carry-mode trackers on worker threads), with the store
+  // off, building and hitting, and its `.spr` is the same at any count.
+  const std::vector<fs::path> lone{whole_};
+  const auto store = core::rollup_path_for(whole_);
+  std::vector<char> first_spr;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("1 shard, workers=" + std::to_string(workers));
+    EXPECT_EQ(report_bytes(core::analyze_capture(whole_, test_telescope(), registry, workers,
+                                                 ingest)),
+              reference);
+    const auto off = run(lone, false, workers);
+    EXPECT_EQ(off.stats.store_writes, 0u);
+    expect_whole(off, 1);
+    fs::remove(store);
+    const auto built = run(lone, true, workers);
+    EXPECT_EQ(built.stats.store_misses, 1u);
+    EXPECT_EQ(built.stats.store_writes, 1u);
+    expect_whole(built, 1);
+    const auto hit = run(lone, true, workers);
+    EXPECT_EQ(hit.stats.store_hits, 1u);
+    expect_whole(hit, 1);
+    const auto spr = testing::slurp(store);
+    if (first_spr.empty()) first_spr = spr;
+    EXPECT_TRUE(spr == first_spr) << "the .spr depends on the tracker count";
+  }
+
+  for (const std::size_t count : {std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
+    expect_whole(run(split_capture(count), false, 2), count);
   }
 }
 
 TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
   core::IngestOptions ingest;
   ingest.use_cache = false;
-  const auto whole = core::analyze_capture(whole_, test_telescope(),
-                                           enrich::InternetRegistry::synthetic_default(),
-                                           1, ingest);
+  const auto whole = testing::single_pass_analysis(
+      whole_, test_telescope(), enrich::InternetRegistry::synthetic_default(), ingest);
   const auto reference = report_bytes(whole);
 
   const auto shards = split_capture(3);
@@ -283,9 +309,8 @@ TEST_F(RollupDifferential, PcapngShardsPlanByCaptureTime) {
   // by path, for the merge to match the whole capture.
   core::IngestOptions ingest;
   ingest.use_cache = false;
-  const auto whole = core::analyze_capture(whole_, test_telescope(),
-                                           enrich::InternetRegistry::synthetic_default(),
-                                           1, ingest);
+  const auto whole = testing::single_pass_analysis(
+      whole_, test_telescope(), enrich::InternetRegistry::synthetic_default(), ingest);
   const auto reference = report_bytes(whole);
 
   const auto runs = split_frames(3);

@@ -385,17 +385,6 @@ TEST(Daemon, SigtermTriggersGracefulDrain) {
   harness.join();  // the handler wakes the loop, which drains and exits
 }
 
-TEST(Daemon, PollFallbackServesIdenticalBytes) {
-  DaemonConfig config;
-  config.force_poll = true;
-  DaemonHarness harness(std::move(config));
-  const auto capture = harness.capture();
-  harness.daemon().preload(capture);
-  harness.start();
-  auto client = harness.connect();
-  EXPECT_EQ(ok_body(client, "QUERY analyze"), offline_analyze_bytes(capture, 2));
-}
-
 TEST(Daemon, TcpLoopbackRoundtrip) {
   DaemonConfig config;
   config.tcp = true;  // port 0: ephemeral

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/analysis_session.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
 #include "enrich/registry.h"
@@ -132,6 +133,28 @@ inline void feed_per_frame(core::Pipeline& pipeline, const telescope::Telescope&
     }
   }
   pipeline.absorb_sensor_counters(sensor.counters());
+}
+
+/// The single-pass reference the shard plans are tested against: one
+/// tracker, carry mode off, fed by the batched front door straight from
+/// `ingest_capture` — the paper's analysis of a whole capture with no
+/// `run_shards`, `analyze_shard` or `RollupMerger` in the way.
+inline core::AnalyzedCapture single_pass_analysis(const std::filesystem::path& path,
+                                                  const telescope::Telescope& telescope,
+                                                  const enrich::InternetRegistry& registry,
+                                                  const core::IngestOptions& ingest) {
+  core::AnalyzedCapture analysis(registry);
+  core::Pipeline pipeline(telescope);
+  const auto ingested =
+      core::ingest_capture(path, telescope, ingest, [&](const telescope::ProbeBatch& batch) {
+        pipeline.feed_probes(batch);
+      });
+  pipeline.absorb_sensor_counters(ingested.sensor);
+  analysis.frames = ingested.frames;
+  analysis.final_status = ingested.status;
+  analysis.from_cache = ingested.from_cache;
+  analysis.result = pipeline.finish();
+  return analysis;
 }
 
 /// Byte-level pcapng builder for tests.
