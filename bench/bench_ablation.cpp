@@ -25,15 +25,16 @@ int main(int argc, char** argv) {
   // Capture the probe stream once, replay through each tracker config.
   std::vector<telescope::ScanProbe> probes;
   {
-    telescope::Sensor sensor(bench::shared_telescope());
+    core::FrameBatcher batcher(bench::shared_telescope(),
+                               [&](const telescope::ProbeBatch& batch) {
+                                 for (std::size_t i = 0; i < batch.size(); ++i) {
+                                   probes.push_back(batch.get(i));
+                                 }
+                               });
     simgen::TrafficGenerator generator(config, bench::shared_telescope(),
                                        bench::shared_registry());
-    telescope::ScanProbe probe;
-    (void)generator.run([&](const net::RawFrame& frame) {
-      if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-        probes.push_back(probe);
-      }
-    });
+    (void)generator.run([&](const net::RawFrame& frame) { batcher.push(frame); });
+    (void)batcher.finish();
   }
   std::cout << "window: " << year << ", " << probes.size() << " probes\n\n";
 

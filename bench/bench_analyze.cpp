@@ -13,8 +13,9 @@
 //   warm_ingest — pure ingest from the cache, probes counted and
 //                 dropped: the absolute throughput floor;
 //   reference   — per-probe analytics: every batch row materialized via
-//                 `get(i)` into `Pipeline::feed_probe`, a `PortTally`
-//                 on `on_probe` — the differential reference path;
+//                 `get(i)` into a `PortTally`'s `on_probe` and a
+//                 `CampaignTracker`'s `feed` — the differential
+//                 reference path;
 //   batched     — the batch-native serial path: `Pipeline::feed_probes`,
 //                 the tally folded from the tracker's flows;
 //   parallel    — the same path at `--workers`: `feed_probes` slicing
@@ -129,23 +130,32 @@ void fill_result(PathResult& result, const core::PipelineResult& pipeline_result
   report::append_campaigns_jsonl(result.report, pipeline_result.campaigns);
 }
 
-/// Per-probe reference: every row materialized, the tally on `on_probe`.
+/// Per-probe reference: every row materialized, the tally on `on_probe`,
+/// the tracker on `feed` — one tracker and no `Pipeline` in the way.
 PathResult run_reference(const fs::path& path) {
   PathResult result;
-  core::Pipeline pipeline(bench_telescope());
+  core::PipelineResult pipeline_result;
+  core::CampaignTracker tracker({}, bench_telescope().monitored_count(),
+                                [&](core::Campaign&& campaign) {
+                                  pipeline_result.campaigns.push_back(std::move(campaign));
+                                });
   core::PortTally ports;
-  pipeline.add_observer(ports);
   const auto start = std::chrono::steady_clock::now();
   const auto ingest = core::ingest_capture(path, bench_telescope(), warm_options(),
                                            [&](const telescope::ProbeBatch& batch) {
                                              result.probes += batch.size();
                                              for (std::size_t i = 0; i < batch.size();
                                                   ++i) {
-                                               pipeline.feed_probe(batch.get(i));
+                                               const auto probe = batch.get(i);
+                                               ports.on_probe(probe);
+                                               tracker.feed(probe);
                                              }
                                            });
-  pipeline.absorb_sensor_counters(ingest.sensor);
-  const auto pipeline_result = pipeline.finish();
+  tracker.finish();
+  pipeline_result.sensor = ingest.sensor;
+  pipeline_result.tracker = tracker.counters();
+  pipeline_result.residual_ports = tracker.take_residual_ports();
+  core::sort_canonical(pipeline_result.campaigns);
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   fill_result(result, pipeline_result, ports);

@@ -5,8 +5,8 @@
 // One run measures all three ingest paths over the same generated
 // capture, so a single run carries its own baseline:
 //   pre        — record at a time: pcap::Reader::next, the mapped pull
-//                reader (one byte-vector copy per record), + per-frame
-//                Sensor::classify through decode_frame;
+//                reader (one byte-vector copy per record), each frame
+//                pushed into core::FrameBatcher;
 //   mmap_batch — core::ingest_capture with the cache off: one mapped
 //                walk + batch classify, SoA ProbeBatch;
 //   cache_warm — core::ingest_capture over the .spc probe cache the
@@ -42,7 +42,6 @@
 #include "core/ingest.h"
 #include "pcap/pcap.h"
 #include "simgen/rng.h"
-#include "telescope/sensor.h"
 #include "telescope/telescope.h"
 
 namespace {
@@ -143,22 +142,22 @@ double measure_memcpy_gbps(const fs::path& capture, const Options& options) {
 }
 
 /// The record-at-a-time path: `pcap::Reader::next` over the mapped
-/// capture, copying each record into a frame for `Sensor::classify`.
+/// capture, copying each record into a frame for `FrameBatcher::push`.
 /// The row once read through a buffered istream; it now reads through
 /// the mapped pull reader, and stays measurable on every commit.
 PathResult run_reader_per_frame(const fs::path& path) {
   PathResult result;
   const auto start = std::chrono::steady_clock::now();
-  telescope::Sensor sensor(bench_telescope());
+  core::FrameBatcher batcher(bench_telescope(), [&](const telescope::ProbeBatch& batch) {
+    result.probes += batch.size();
+  });
   auto reader = pcap::Reader::open(path);
   net::RawFrame frame;
-  telescope::ScanProbe probe;
   while (reader.next(frame) == pcap::ReadStatus::kOk) {
     ++result.frames;
-    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-      ++result.probes;
-    }
+    batcher.push(frame);
   }
+  (void)batcher.finish();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;

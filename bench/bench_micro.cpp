@@ -17,7 +17,6 @@
 #include "simgen/permute.h"
 #include "simgen/rng.h"
 #include "simgen/wire.h"
-#include "telescope/sensor.h"
 
 namespace {
 
@@ -56,42 +55,22 @@ void BM_BuildTcpFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildTcpFrame);
 
-void BM_DecodeFrame(benchmark::State& state) {
-  const auto frames = sample_frames(1024);
-  std::size_t i = 0;
-  for (auto unused : state) {
-    (void)unused;
-    benchmark::DoNotOptimize(net::decode_frame(frames[i++ & 1023].bytes));
-  }
-  state.SetItemsProcessed(state.iterations());
+/// Frames -> `core::FrameBatcher` -> `sink`; returns the sensor counters.
+telescope::SensorCounters feed_batched(const telescope::Telescope& telescope,
+                                       const std::vector<net::RawFrame>& frames,
+                                       core::ProbeBatchSink sink) {
+  core::FrameBatcher batcher(telescope, std::move(sink));
+  for (const auto& frame : frames) batcher.push(frame);
+  return batcher.finish();
 }
-BENCHMARK(BM_DecodeFrame);
-
-void BM_SensorClassify(benchmark::State& state) {
-  const auto telescope = telescope::Telescope::paper_default();
-  telescope::Sensor sensor(telescope);
-  const auto frames = sample_frames(1024);
-  telescope::ScanProbe probe;
-  std::size_t i = 0;
-  for (auto unused : state) {
-    (void)unused;
-    benchmark::DoNotOptimize(sensor.classify(frames[i++ & 1023], probe));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SensorClassify);
 
 void BM_FingerprintEvidence(benchmark::State& state) {
   const auto frames = sample_frames(1024);
   std::vector<telescope::ScanProbe> probes;
   const auto telescope = telescope::Telescope::paper_default();
-  telescope::Sensor sensor(telescope);
-  for (const auto& frame : frames) {
-    telescope::ScanProbe probe;
-    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-      probes.push_back(probe);
-    }
-  }
+  (void)feed_batched(telescope, frames, [&](const telescope::ProbeBatch& batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) probes.push_back(batch.get(i));
+  });
   fingerprint::ToolEvidence evidence;
   std::size_t i = 0;
   for (auto unused : state) {
@@ -119,15 +98,6 @@ void BM_TrackerFeed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TrackerFeed);
-
-/// Frames -> `core::FrameBatcher` -> `sink`; returns the sensor counters.
-telescope::SensorCounters feed_batched(const telescope::Telescope& telescope,
-                                       const std::vector<net::RawFrame>& frames,
-                                       core::ProbeBatchSink sink) {
-  core::FrameBatcher batcher(telescope, std::move(sink));
-  for (const auto& frame : frames) batcher.push(frame);
-  return batcher.finish();
-}
 
 void BM_EndToEndPipeline(benchmark::State& state) {
   const auto telescope = telescope::Telescope::paper_default();

@@ -10,12 +10,12 @@
 #include <iostream>
 #include <string_view>
 
+#include "core/ingest.h"
 #include "core/tracker.h"
 #include "enrich/registry.h"
 #include "report/table.h"
 #include "simgen/ecosystem.h"
 #include "simgen/generator.h"
-#include "telescope/sensor.h"
 
 using namespace synscan;
 
@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   auto config = simgen::year_config(year, scale);
   config.window_days = std::min(config.window_days, 3.0);  // a short shift
 
-  telescope::Sensor sensor(telescope);
   std::uint64_t feed_entries = 0;
 
   core::CampaignTracker tracker(
@@ -54,16 +53,15 @@ int main(int argc, char** argv) {
                   << "\n";
       });
 
-  simgen::TrafficGenerator generator(config, telescope, registry);
-  telescope::ScanProbe probe;
-  (void)generator.run([&](const net::RawFrame& frame) {
-    if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-      tracker.feed(probe);
-    }
+  // Frames are classified in batches; the tracker takes every probe row.
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) tracker.feed(batch.get(i));
   });
+  simgen::TrafficGenerator generator(config, telescope, registry);
+  (void)generator.run([&](const net::RawFrame& frame) { batcher.push(frame); });
+  const auto counters = batcher.finish();
   tracker.finish();
 
-  const auto& counters = sensor.counters();
   std::cout << "\n--- shift report (" << year << ", " << config.window_days
             << " days at 1/" << simgen::kPacketScale * scale << " volume) ---\n"
             << "frames seen:        " << counters.total() << "\n"

@@ -1,11 +1,13 @@
 #include "cli/commands.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -63,6 +65,23 @@ class Args {
     const auto value = flag(key);
     return value ? std::stod(*value) : fallback;
   }
+  /// The flag as a whole base-10 integer in [min, max], or `fallback` when
+  /// absent; anything else throws `std::invalid_argument` naming the flag.
+  [[nodiscard]] std::uint64_t integer(
+      const std::string& key, std::uint64_t fallback, std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
+    const auto value = flag(key);
+    if (!value) return fallback;
+    std::uint64_t parsed = 0;
+    const char* end = value->data() + value->size();
+    const auto [stop, error] = std::from_chars(value->data(), end, parsed);
+    if (error == std::errc{} && stop == end && parsed >= min && parsed <= max) return parsed;
+    const auto range = max == std::numeric_limits<std::uint64_t>::max()
+                           ? ">= " + std::to_string(min)
+                           : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+    throw std::invalid_argument("--" + key + " expects an integer " + range + ", got '" +
+                                *value + "'");
+  }
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
@@ -71,6 +90,9 @@ class Args {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The most threads a worker flag may ask for: `--workers=5000` is a typo.
+constexpr std::uint64_t kMaxWorkers = 256;
 
 const telescope::Telescope& shared_telescope() {
   static const auto telescope = telescope::Telescope::paper_default();
@@ -166,14 +188,14 @@ int run_analyze(const std::vector<std::string>& args) {
   if (parsed.positional().empty()) {
     throw std::invalid_argument("analyze requires a capture path");
   }
-  const auto top_n = static_cast<std::size_t>(parsed.number("top", 10));
+  const auto top_n = static_cast<std::size_t>(parsed.integer("top", 10));
   // `--metrics` prints a run report; `--metrics=<file>` writes it as
   // JSON (schema in docs/OBSERVABILITY.md). Must be enabled before the
   // pipeline is built: instrumentation resolves its cells at construction.
   const auto metrics = parsed.flag("metrics");
   if (metrics) obs::set_enabled(true);
-  const auto workers = static_cast<std::size_t>(parsed.number(
-      "workers", static_cast<double>(default_workers())));
+  const auto workers =
+      static_cast<std::size_t>(parsed.integer("workers", default_workers(), 0, kMaxWorkers));
   auto analysis =
       analyze_capture(parsed.positional().front(), workers, ingest_options(parsed));
   warn_on_truncation(analysis.final_status);
@@ -263,20 +285,19 @@ int run_serve(const std::vector<std::string>& args) {
 
   server::DaemonConfig config;
   if (const auto socket = parsed.flag("socket")) config.unix_socket = *socket;
-  if (const auto port = parsed.flag("port")) {
+  if (parsed.flag("port")) {
     config.tcp = true;
-    config.tcp_port = static_cast<std::uint16_t>(std::stoul(*port));
+    config.tcp_port = static_cast<std::uint16_t>(parsed.integer("port", 0, 0, 65535));
   }
   if (config.unix_socket.empty() && !config.tcp) {
     throw std::invalid_argument("serve requires --socket=<path> and/or --port=<n>");
   }
   // `--workers` is analyze's flag and default: LOAD runs the same
   // analysis, whose bytes do not depend on the worker count.
-  config.analysis_workers = static_cast<std::size_t>(
-      parsed.number("workers", static_cast<double>(default_workers())));
-  config.workers = static_cast<std::size_t>(parsed.number("io-workers", 2));
-  config.idle_timeout_ms =
-      static_cast<std::uint64_t>(parsed.number("idle-timeout-ms", 0));
+  config.analysis_workers =
+      static_cast<std::size_t>(parsed.integer("workers", default_workers(), 0, kMaxWorkers));
+  config.workers = static_cast<std::size_t>(parsed.integer("io-workers", 2, 0, kMaxWorkers));
+  config.idle_timeout_ms = parsed.integer("idle-timeout-ms", 0);
   config.install_signal_handlers = true;
   config.ingest = ingest_options(parsed);
 
@@ -306,10 +327,11 @@ int run_serve(const std::vector<std::string>& args) {
 int run_query(const std::vector<std::string>& args) {
   const Args parsed(args);
   const auto socket = parsed.flag("socket");
-  const auto port = parsed.flag("port");
-  if (!socket && !port) {
+  const bool tcp = parsed.flag("port").has_value();
+  if (!socket && !tcp) {
     throw std::invalid_argument("query requires --socket=<path> or --port=<n>");
   }
+  const auto port = static_cast<std::uint16_t>(parsed.integer("port", 0, 1, 65535));
   std::string command;
   for (const auto& word : parsed.positional()) {
     if (!command.empty()) command.push_back(' ');
@@ -321,8 +343,7 @@ int run_query(const std::vector<std::string>& args) {
   }
   auto client = socket ? server::Client::connect_unix(*socket)
                        : server::Client::connect_tcp(
-                             parsed.flag("host").value_or("127.0.0.1"),
-                             static_cast<std::uint16_t>(std::stoul(*port)));
+                             parsed.flag("host").value_or("127.0.0.1"), port);
   const auto response = client.roundtrip(command);
   std::string_view body;
   std::string error;
@@ -391,19 +412,17 @@ int run_info(const std::vector<std::string>& args) {
   // reader only.
   const auto file = pcap::MappedFile::open(path);
 
-  const auto& telescope = shared_telescope();
-  telescope::Sensor sensor(telescope);
+  // The analysis's own classifier; its probe batches are not needed.
+  core::FrameBatcher batcher(shared_telescope(), [](const telescope::ProbeBatch&) {});
   net::RawFrame frame;
-  telescope::ScanProbe probe;
   net::TimeUs first = 0;
   net::TimeUs last = 0;
-  std::uint64_t frames = 0;
   pcap::ReadStatus status;
   const auto walk = [&](auto& reader) {
     while ((status = reader.next(frame)) == pcap::ReadStatus::kOk) {
-      (void)sensor.classify(frame, probe);
-      if (frames++ == 0) first = frame.timestamp_us;
+      if (batcher.frames() == 0) first = frame.timestamp_us;
       last = frame.timestamp_us;
+      batcher.push(frame);
     }
   };
   if (pcap::looks_like_pcapng(file.bytes())) {
@@ -421,12 +440,11 @@ int run_info(const std::vector<std::string>& args) {
               << "version:      " << info.version_major << "." << info.version_minor
               << "\n"
               << "snap length:  " << info.snap_length << "\n"
-              << "link type:    "
-              << (info.link_type == pcap::LinkType::kEthernet ? "ethernet" : "other")
-              << "\n";
+              << "link type:    ethernet\n";  // the reader refuses any other
     walk(reader);
   }
 
+  const auto frames = batcher.frames();
   std::cout << "frames:       " << frames << " ("
             << (status == pcap::ReadStatus::kEndOfFile ? "clean end" : "truncated/corrupt")
             << ")\n";
@@ -437,7 +455,7 @@ int run_info(const std::vector<std::string>& args) {
                                3)
               << " days\n";
   }
-  std::cout << sensor_table(sensor.counters());
+  std::cout << sensor_table(batcher.finish());
   return 0;
 }
 
@@ -547,10 +565,10 @@ int run_cache_build(const Args& parsed, const std::string& capture) {
 /// store.
 core::ShardRunResult run_rollup_shards(const Args& parsed,
                                        std::span<const std::string> captures) {
+  core::ShardRunOptions options;
+  options.workers = static_cast<std::size_t>(parsed.integer("workers", 0, 0, kMaxWorkers));
   std::vector<std::filesystem::path> paths(captures.begin(), captures.end());
   const auto plan = core::plan_shards(paths);
-  core::ShardRunOptions options;
-  options.workers = static_cast<std::size_t>(parsed.number("workers", 0));
   options.use_rollup_store = !parsed.flag("no-rollup-store");
   options.ingest = ingest_options(parsed);
   return core::run_shards(plan, shared_telescope(),

@@ -4,27 +4,19 @@
 
 namespace synscan::core {
 
-void DailyPortSeries::on_probe(const telescope::ScanProbe& probe) {
+void DailyPortSeries::count(net::TimeUs timestamp_us, std::uint16_t port) {
   const auto day =
-      probe.timestamp_us <= origin_
+      timestamp_us <= origin_
           ? std::size_t{0}
-          : static_cast<std::size_t>((probe.timestamp_us - origin_) / net::kMicrosPerDay);
+          : static_cast<std::size_t>((timestamp_us - origin_) / net::kMicrosPerDay);
   max_day_ = std::max(max_day_, day);
-  ++counts_[(static_cast<std::uint64_t>(probe.destination_port) << 32) | day];
+  ++counts_[(static_cast<std::uint64_t>(port) << 32) | day];
   ++day_totals_[static_cast<std::uint32_t>(day)];
 }
 
 void DailyPortSeries::observe_batch(const telescope::ProbeBatch& batch,
                                     std::span<const std::uint32_t> rows) {
-  for (const auto row : rows) {
-    const auto t = batch.timestamp_us[row];
-    const auto day = t <= origin_ ? std::size_t{0}
-                                  : static_cast<std::size_t>((t - origin_) /
-                                                             net::kMicrosPerDay);
-    max_day_ = std::max(max_day_, day);
-    ++counts_[(static_cast<std::uint64_t>(batch.destination_port[row]) << 32) | day];
-    ++day_totals_[static_cast<std::uint32_t>(day)];
-  }
+  for (const auto row : rows) count(batch.timestamp_us[row], batch.destination_port[row]);
 }
 
 std::vector<std::uint64_t> DailyPortSeries::series(std::uint16_t port) const {

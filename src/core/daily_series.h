@@ -17,10 +17,12 @@ class DailyPortSeries final : public ProbeObserver {
  public:
   explicit DailyPortSeries(net::TimeUs origin) : origin_(origin) {}
 
-  void on_probe(const telescope::ScanProbe& probe) override;
+  void on_probe(const telescope::ScanProbe& probe) override {
+    count(probe.timestamp_us, probe.destination_port);
+  }
 
   /// Column-direct tally over the timestamp and destination-port
-  /// columns; bit-identical to `on_probe`.
+  /// columns, through the same counting body as `on_probe`.
   void observe_batch(const telescope::ProbeBatch& batch,
                      std::span<const std::uint32_t> rows) override;
 
@@ -36,6 +38,8 @@ class DailyPortSeries final : public ProbeObserver {
   [[nodiscard]] net::TimeUs origin() const noexcept { return origin_; }
 
  private:
+  /// Counts one probe to `port` at `timestamp_us`.
+  void count(net::TimeUs timestamp_us, std::uint16_t port);
   net::TimeUs origin_;
   std::size_t max_day_ = 0;
   // (port << 32) | day

@@ -68,7 +68,7 @@ struct IngestResult {
 /// for the duration of the call (buffers are recycled).
 using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 
-/// The one frame→batch classifier: every producer's frames become
+/// The program's one frame classifier: every producer's frames become
 /// `ProbeBatch`es here, each classified by `telescope::detail::classify_raw`.
 /// Frames arrive in capture order through `consume` (record bytes, such
 /// as a mapped capture walked by `pcap::Reader::scan`) or `push`
@@ -83,8 +83,8 @@ using ProbeBatchSink = std::function<void(const telescope::ProbeBatch&)>;
 ///   generator.run([&](const net::RawFrame& f) { batcher.push(f); });
 ///   pipeline.absorb_sensor_counters(batcher.finish());
 ///
-/// Probes, probe order and counters are bit-identical to
-/// `Sensor::classify`.
+/// Probes keep frame order. Ethernet II frames only: the capture readers
+/// refuse any other link type before a frame reaches `consume`.
 class FrameBatcher {
  public:
   /// The batcher keeps a pointer to the telescope; a temporary would
@@ -132,9 +132,9 @@ class FrameBatcher {
 /// Replays `path` (classic pcap or pcapng) through the fastest available
 /// ingest path and feeds every scan probe to `sink` in capture order.
 /// Throws what the underlying readers throw (unopenable file, bad
-/// global header). `result.status` carries the reader's terminal status
-/// exactly as `pcap::Reader::next` (or `pcap::NgReader::next`) would
-/// have reported it.
+/// global header, a link type other than Ethernet). `result.status`
+/// carries the reader's terminal status exactly as `pcap::Reader::next`
+/// (or `pcap::NgReader::next`) would have reported it.
 IngestResult ingest_capture(const std::filesystem::path& path,
                             const telescope::Telescope& telescope,
                             const IngestOptions& options, const ProbeBatchSink& sink);

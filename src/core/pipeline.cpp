@@ -107,14 +107,6 @@ void Pipeline::start(net::TimeUs first_timestamp) {
   for (const auto& shard : shards_) shard->tracker.anchor(first_timestamp);
 }
 
-void Pipeline::feed_probe(const telescope::ScanProbe& probe) {
-  if (shards_.size() != 1) throw std::logic_error("Pipeline::feed_probe needs one worker");
-  if (!started_) start(probe.timestamp_us);
-  if (obs_probes_ != nullptr) obs_probes_->add();
-  for (auto* observer : observers_) observer->on_probe(probe);
-  shards_.front()->tracker.feed(probe);
-}
-
 void Pipeline::feed_probes(const telescope::ProbeBatch& batch) {
   const auto n = batch.size();
   if (n == 0) return;
@@ -169,9 +161,10 @@ void Pipeline::absorb_sensor_counters(const telescope::SensorCounters& counters)
 PipelineResult Pipeline::finish() {
   if (finished_) throw std::logic_error("Pipeline::finish called twice");
   finished_ = true;
+  // The span covers the feeder's wait for its trackers to drain, too.
+  const obs::ScopedTimer finish_timer("pipeline.finish");
   join_workers();
 
-  const obs::ScopedTimer finish_timer("pipeline.finish");
   // A worker's own last timestamp can trail the stream's: judging expiry
   // against it would keep flows open that a one-worker run counts as
   // expired.

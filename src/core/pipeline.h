@@ -65,12 +65,7 @@ class Pipeline {
   /// Registers a streaming observer; not owned, must outlive the run.
   void add_observer(ProbeObserver& observer);
 
-  /// Feeds one probe through `on_probe` and the tracker: the per-probe
-  /// reference the batched path is tested against. One worker only
-  /// (throws `std::logic_error` otherwise).
-  void feed_probe(const telescope::ScanProbe& probe);
-
-  /// Feeds a whole batch of probes — the one production entry point.
+  /// Feeds a whole batch of probes — the one way probes enter.
   /// Observers see the batch through `observe_batch`; trackers feed row
   /// by row (their state machine is inherently per-probe). Call from one
   /// thread only.

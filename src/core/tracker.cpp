@@ -198,15 +198,4 @@ void CampaignTracker::finish(net::TimeUs stream_end) {
   table_.clear();
 }
 
-std::vector<Campaign> CampaignTracker::collect(
-    TrackerConfig config, std::uint64_t monitored_addresses,
-    std::span<const telescope::ScanProbe> probes) {
-  std::vector<Campaign> campaigns;
-  CampaignTracker tracker(config, monitored_addresses,
-                          [&](Campaign&& c) { campaigns.push_back(std::move(c)); });
-  for (const auto& probe : probes) tracker.feed(probe);
-  tracker.finish();
-  return campaigns;
-}
-
 }  // namespace synscan::core

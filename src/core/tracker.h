@@ -186,12 +186,6 @@ class CampaignTracker {
   /// reuse); exposed for the capacity-recycling tests.
   [[nodiscard]] std::size_t pooled_free_flows() const noexcept { return free_.size(); }
 
-  /// Convenience: run a full probe vector through a fresh tracker and
-  /// return the campaigns.
-  [[nodiscard]] static std::vector<Campaign> collect(
-      TrackerConfig config, std::uint64_t monitored_addresses,
-      std::span<const telescope::ScanProbe> probes);
-
  private:
   struct Flow {
     net::TimeUs first_seen_us = 0;

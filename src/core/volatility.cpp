@@ -21,28 +21,19 @@ std::uint32_t VolatilityTracker::week_of(net::TimeUs t) const noexcept {
   return static_cast<std::uint32_t>((t - origin_) / week_);
 }
 
-void VolatilityTracker::on_probe(const telescope::ScanProbe& probe) {
-  const auto block = static_cast<std::uint32_t>(probe.source.slash16());
-  const auto week = week_of(probe.timestamp_us);
+void VolatilityTracker::count(std::uint32_t source, net::TimeUs timestamp_us) {
+  const auto block = static_cast<std::uint32_t>(net::Ipv4Address(source).slash16());
+  const auto week = week_of(timestamp_us);
   max_week_ = std::max(max_week_, week);
   const auto key = key_of(block, week);
   ++packets_[key];
-  sources_[key].insert(probe.source.value());
+  sources_[key].insert(source);
   active_blocks_.insert(block);
 }
 
 void VolatilityTracker::observe_batch(const telescope::ProbeBatch& batch,
                                       std::span<const std::uint32_t> rows) {
-  for (const auto row : rows) {
-    const auto source = batch.source[row];
-    const auto block = static_cast<std::uint32_t>(net::Ipv4Address(source).slash16());
-    const auto week = week_of(batch.timestamp_us[row]);
-    max_week_ = std::max(max_week_, week);
-    const auto key = key_of(block, week);
-    ++packets_[key];
-    sources_[key].insert(source);
-    active_blocks_.insert(block);
-  }
+  for (const auto row : rows) count(batch.source[row], batch.timestamp_us[row]);
 }
 
 void VolatilityTracker::on_campaign(const Campaign& campaign) {

@@ -23,10 +23,12 @@ class VolatilityTracker final : public ProbeObserver {
   /// window); `week` overrides the bucket width for tests.
   explicit VolatilityTracker(net::TimeUs origin, net::TimeUs week = net::kMicrosPerWeek);
 
-  void on_probe(const telescope::ScanProbe& probe) override;
+  void on_probe(const telescope::ScanProbe& probe) override {
+    count(probe.source.value(), probe.timestamp_us);
+  }
 
-  /// Column-direct tally over the source and timestamp columns;
-  /// bit-identical to `on_probe`.
+  /// Column-direct tally over the source and timestamp columns, through
+  /// the same counting body as `on_probe`.
   void observe_batch(const telescope::ProbeBatch& batch,
                      std::span<const std::uint32_t> rows) override;
 
@@ -45,6 +47,8 @@ class VolatilityTracker final : public ProbeObserver {
 
  private:
   [[nodiscard]] std::uint32_t week_of(net::TimeUs t) const noexcept;
+  /// Counts one probe from `source` at `timestamp_us`.
+  void count(std::uint32_t source, net::TimeUs timestamp_us);
 
   net::TimeUs origin_;
   net::TimeUs week_;

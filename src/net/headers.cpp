@@ -5,21 +5,6 @@
 
 namespace synscan::net {
 
-std::optional<EthernetHeader> decode_ethernet(std::span<const std::uint8_t> frame) noexcept {
-  if (frame.size() < EthernetHeader::kSize) return std::nullopt;
-  EthernetHeader h;
-  std::array<std::uint8_t, 6> dst{};
-  std::array<std::uint8_t, 6> src{};
-  for (std::size_t i = 0; i < 6; ++i) {
-    dst[i] = frame[i];
-    src[i] = frame[6 + i];
-  }
-  h.destination = MacAddress(dst);
-  h.source = MacAddress(src);
-  h.ether_type = load_be16(frame.data() + 12);
-  return h;
-}
-
 void encode_ethernet(const EthernetHeader& header, std::vector<std::uint8_t>& out) {
   const auto base = out.size();
   out.resize(base + EthernetHeader::kSize);
@@ -29,37 +14,6 @@ void encode_ethernet(const EthernetHeader& header, std::vector<std::uint8_t>& ou
     p[6 + i] = header.source.octets()[i];
   }
   store_be16(p + 12, header.ether_type);
-}
-
-std::optional<Ipv4Header> decode_ipv4(std::span<const std::uint8_t> data,
-                                      bool verify_checksum) noexcept {
-  if (data.size() < Ipv4Header::kMinSize) return std::nullopt;
-  Ipv4Header h;
-  h.version = data[0] >> 4;
-  h.ihl = data[0] & 0x0f;
-  if (h.version != 4 || h.ihl < 5) return std::nullopt;
-  if (data.size() < h.header_length()) return std::nullopt;
-  h.dscp_ecn = data[1];
-  h.total_length = load_be16(data.data() + 2);
-  if (h.total_length < h.header_length()) return std::nullopt;
-  h.identification = load_be16(data.data() + 4);
-  const std::uint16_t frag = load_be16(data.data() + 6);
-  h.dont_fragment = (frag & 0x4000) != 0;
-  h.more_fragments = (frag & 0x2000) != 0;
-  h.fragment_offset = frag & 0x1fff;
-  h.ttl = data[8];
-  h.protocol = data[9];
-  h.header_checksum = load_be16(data.data() + 10);
-  h.source = Ipv4Address(load_be32(data.data() + 12));
-  h.destination = Ipv4Address(load_be32(data.data() + 16));
-  if (verify_checksum) {
-    // Checksum over the header with the checksum field included must fold
-    // to zero (its one's-complement sum equals 0xffff).
-    ChecksumAccumulator acc;
-    acc.add(data.first(h.header_length()));
-    if (acc.finish() != 0) return std::nullopt;
-  }
-  return h;
 }
 
 void encode_ipv4(const Ipv4Header& header, std::vector<std::uint8_t>& out) {
@@ -84,23 +38,6 @@ void encode_ipv4(const Ipv4Header& header, std::vector<std::uint8_t>& out) {
   store_be16(p + 10, checksum);
 }
 
-std::optional<TcpHeader> decode_tcp(std::span<const std::uint8_t> data) noexcept {
-  if (data.size() < TcpHeader::kMinSize) return std::nullopt;
-  TcpHeader h;
-  h.source_port = load_be16(data.data());
-  h.destination_port = load_be16(data.data() + 2);
-  h.sequence = load_be32(data.data() + 4);
-  h.acknowledgment = load_be32(data.data() + 8);
-  h.data_offset = data[12] >> 4;
-  if (h.data_offset < 5) return std::nullopt;
-  if (data.size() < h.header_length()) return std::nullopt;
-  h.flags = data[13] & 0x3f;
-  h.window = load_be16(data.data() + 14);
-  h.checksum = load_be16(data.data() + 16);
-  h.urgent_pointer = load_be16(data.data() + 18);
-  return h;
-}
-
 void encode_tcp(const TcpHeader& header, std::vector<std::uint8_t>& out) {
   const auto base = out.size();
   const auto len = header.header_length();
@@ -117,17 +54,6 @@ void encode_tcp(const TcpHeader& header, std::vector<std::uint8_t>& out) {
   store_be16(p + 18, header.urgent_pointer);
 }
 
-std::optional<UdpHeader> decode_udp(std::span<const std::uint8_t> data) noexcept {
-  if (data.size() < UdpHeader::kSize) return std::nullopt;
-  UdpHeader h;
-  h.source_port = load_be16(data.data());
-  h.destination_port = load_be16(data.data() + 2);
-  h.length = load_be16(data.data() + 4);
-  if (h.length < UdpHeader::kSize) return std::nullopt;
-  h.checksum = load_be16(data.data() + 6);
-  return h;
-}
-
 void encode_udp(const UdpHeader& header, std::vector<std::uint8_t>& out) {
   const auto base = out.size();
   out.resize(base + UdpHeader::kSize);
@@ -136,16 +62,6 @@ void encode_udp(const UdpHeader& header, std::vector<std::uint8_t>& out) {
   store_be16(p + 2, header.destination_port);
   store_be16(p + 4, header.length);
   store_be16(p + 6, header.checksum);
-}
-
-std::optional<IcmpHeader> decode_icmp(std::span<const std::uint8_t> data) noexcept {
-  if (data.size() < IcmpHeader::kSize) return std::nullopt;
-  IcmpHeader h;
-  h.type = data[0];
-  h.code = data[1];
-  h.checksum = load_be16(data.data() + 2);
-  h.rest = load_be32(data.data() + 4);
-  return h;
 }
 
 void encode_icmp(const IcmpHeader& header, std::vector<std::uint8_t>& out) {

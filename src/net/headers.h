@@ -1,14 +1,11 @@
-// Wire-format codecs for the protocol headers the telescope sees.
+// Wire-format encoders for the protocol headers the telescope sees.
 //
-// Each header is a plain value struct with `encode`/`decode` functions.
-// Decoding is total: malformed or truncated input yields `std::nullopt`
-// rather than throwing, because the hot path of a telescope is parsing
-// billions of frames of untrusted input.
+// Each header is a plain value struct with an `encode` function, from
+// which the traffic generator builds frames (net/packet.h); the frame
+// classifier (telescope/classify_detail.h) reads raw bytes by its sizes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -39,10 +36,6 @@ struct EthernetHeader {
     return ether_type == static_cast<std::uint16_t>(EtherType::kIpv4);
   }
 };
-
-/// Decodes an Ethernet II header from the front of `frame`.
-[[nodiscard]] std::optional<EthernetHeader> decode_ethernet(
-    std::span<const std::uint8_t> frame) noexcept;
 
 /// Appends the 14-byte encoding of `header` to `out`.
 void encode_ethernet(const EthernetHeader& header, std::vector<std::uint8_t>& out);
@@ -81,19 +74,10 @@ struct Ipv4Header {
   [[nodiscard]] bool is_tcp() const noexcept {
     return protocol == static_cast<std::uint8_t>(IpProtocol::kTcp);
   }
-  [[nodiscard]] bool is_udp() const noexcept {
-    return protocol == static_cast<std::uint8_t>(IpProtocol::kUdp);
-  }
   /// True if this datagram is a fragment other than the first; such frames
   /// carry no transport header and are skipped by the sensor.
   [[nodiscard]] bool is_later_fragment() const noexcept { return fragment_offset != 0; }
 };
-
-/// Decodes and validates an IPv4 header from the front of `data`.
-/// Rejects: short input, version != 4, ihl < 5, total_length smaller than
-/// the header, or a header checksum mismatch (when `verify_checksum`).
-[[nodiscard]] std::optional<Ipv4Header> decode_ipv4(std::span<const std::uint8_t> data,
-                                                    bool verify_checksum = false) noexcept;
 
 /// Appends the (ihl*4)-byte encoding to `out`, computing the checksum.
 /// Options beyond the fixed 20 bytes are zero-filled.
@@ -150,16 +134,12 @@ struct TcpHeader {
   }
 };
 
-/// Decodes a TCP header from the front of `data`. Rejects short input and
-/// data offsets below 5 words or beyond the available bytes.
-[[nodiscard]] std::optional<TcpHeader> decode_tcp(std::span<const std::uint8_t> data) noexcept;
-
 /// Appends the (data_offset*4)-byte encoding to `out`; the checksum field
 /// is emitted as stored (call `transport_checksum` to fill it properly).
 void encode_tcp(const TcpHeader& header, std::vector<std::uint8_t>& out);
 
 // ---------------------------------------------------------------------------
-// UDP (decoded so the sensor can account for non-TCP background radiation)
+// UDP (the sensor counts non-TCP background radiation)
 // ---------------------------------------------------------------------------
 
 struct UdpHeader {
@@ -171,7 +151,6 @@ struct UdpHeader {
   std::uint16_t checksum = 0;
 };
 
-[[nodiscard]] std::optional<UdpHeader> decode_udp(std::span<const std::uint8_t> data) noexcept;
 void encode_udp(const UdpHeader& header, std::vector<std::uint8_t>& out);
 
 // ---------------------------------------------------------------------------
@@ -187,7 +166,6 @@ struct IcmpHeader {
   std::uint32_t rest = 0;  ///< type-specific (id/seq, gateway, unused)
 };
 
-[[nodiscard]] std::optional<IcmpHeader> decode_icmp(std::span<const std::uint8_t> data) noexcept;
 void encode_icmp(const IcmpHeader& header, std::vector<std::uint8_t>& out);
 
 }  // namespace synscan::net

@@ -5,50 +5,6 @@
 
 namespace synscan::net {
 
-std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) noexcept {
-  const auto eth = decode_ethernet(frame);
-  if (!eth || !eth->is_ipv4()) return std::nullopt;
-  const auto ip_bytes = frame.subspan(EthernetHeader::kSize);
-  const auto ip = decode_ipv4(ip_bytes);
-  if (!ip) return std::nullopt;
-
-  DecodedFrame out;
-  out.ethernet = *eth;
-  out.ip = *ip;
-
-  if (ip->is_later_fragment()) return out;  // no transport header present
-
-  // The IP total_length may be smaller than the captured bytes (padding to
-  // the Ethernet minimum); trust the smaller of the two.
-  const auto declared = static_cast<std::size_t>(ip->total_length);
-  const auto available = std::min(ip_bytes.size(), declared);
-  if (available < ip->header_length()) return out;
-  const auto transport_bytes = ip_bytes.subspan(ip->header_length(),
-                                                available - ip->header_length());
-
-  switch (static_cast<IpProtocol>(ip->protocol)) {
-    case IpProtocol::kTcp:
-      if (const auto tcp = decode_tcp(transport_bytes)) {
-        out.transport = *tcp;
-        out.payload_length = transport_bytes.size() - tcp->header_length();
-      }
-      break;
-    case IpProtocol::kUdp:
-      if (const auto udp = decode_udp(transport_bytes)) {
-        out.transport = *udp;
-        out.payload_length = transport_bytes.size() - UdpHeader::kSize;
-      }
-      break;
-    case IpProtocol::kIcmp:
-      if (const auto icmp = decode_icmp(transport_bytes)) {
-        out.transport = *icmp;
-        out.payload_length = transport_bytes.size() - IcmpHeader::kSize;
-      }
-      break;
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> build_tcp_frame(const TcpFrameSpec& spec) {
   std::vector<std::uint8_t> frame;
   frame.reserve(EthernetHeader::kSize + Ipv4Header::kMinSize + TcpHeader::kMinSize +
@@ -128,27 +84,6 @@ std::vector<std::uint8_t> build_udp_frame(const UdpFrameSpec& spec) {
                          static_cast<std::uint8_t>(IpProtocol::kUdp), segment);
   store_be16(frame.data() + udp_offset + 6, checksum);
   return frame;
-}
-
-bool verify_tcp_checksum(std::span<const std::uint8_t> frame) noexcept {
-  const auto decoded = decode_frame(frame);
-  if (!decoded || !decoded->tcp()) return false;
-  const auto& ip = decoded->ip;
-  // total_length comes off the wire; a corrupted value must not steer the
-  // span past the captured frame (or below the IP header).
-  if (ip.total_length < ip.header_length()) return false;
-  const auto segment_length = static_cast<std::size_t>(ip.total_length) - ip.header_length();
-  const auto segment_offset = EthernetHeader::kSize + ip.header_length();
-  if (segment_length > frame.size() - segment_offset) return false;
-  const auto segment = frame.subspan(segment_offset, segment_length);
-  // Including the stored checksum, the one's-complement sum must fold to 0.
-  ChecksumAccumulator acc;
-  acc.add_dword(ip.source.value());
-  acc.add_dword(ip.destination.value());
-  acc.add_word(ip.protocol);
-  acc.add_word(static_cast<std::uint16_t>(segment.size()));
-  acc.add(segment);
-  return acc.finish() == 0;
 }
 
 }  // namespace synscan::net

@@ -57,6 +57,12 @@ std::vector<std::uint8_t> drain_stream(std::istream& stream) {
 
 }  // namespace
 
+void require_ethernet(std::uint32_t link_type) {
+  if (link_type == static_cast<std::uint32_t>(LinkType::kEthernet)) return;
+  throw std::runtime_error("capture link type " + std::to_string(link_type) +
+                           " is not Ethernet (1); only Ethernet II captures are read");
+}
+
 std::optional<FileInfo> parse_global_header(
     std::span<const std::uint8_t> header) noexcept {
   if (header.size() < kGlobalHeaderSize) return std::nullopt;
@@ -189,6 +195,7 @@ Reader::Reader(MappedFile file, std::span<const std::uint8_t> bytes)
                                  ? "pcap: capture shorter than the global header"
                                  : "pcap: unknown magic number");
   }
+  require_ethernet(static_cast<std::uint32_t>(info->link_type));
   info_ = *info;
 
   if (obs::enabled()) {

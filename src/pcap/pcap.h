@@ -37,11 +37,14 @@
 
 namespace synscan::pcap {
 
-/// Data-link types we understand (values from the pcap LINKTYPE registry).
+/// Data-link types (values from the pcap LINKTYPE registry).
 enum class LinkType : std::uint32_t {
   kEthernet = 1,
-  kRawIp = 101,
 };
+
+/// Throws `std::runtime_error` naming `link_type` unless it is Ethernet,
+/// the one link layer the frame classifier decodes; both readers call it.
+void require_ethernet(std::uint32_t link_type);
 
 /// Global header metadata of an open capture.
 struct FileInfo {
@@ -223,7 +226,8 @@ class Reader {
 
   /// Maps a capture file (or reads it whole when it cannot be mapped).
   /// Throws `std::runtime_error` if the file cannot be read, or if the
-  /// global header is missing or carries an unknown magic.
+  /// global header is missing, carries an unknown magic or names a link
+  /// type other than Ethernet.
   [[nodiscard]] static Reader open(const std::filesystem::path& path);
 
   /// Reads a capture already in memory (a `MappedFile`'s bytes) without

@@ -124,7 +124,7 @@ ReadStatus NgReader::next_block(Block& block) {
 bool NgReader::parse_interface_block(std::span<const std::uint8_t> body) {
   Interface iface;
   if (body.size() >= 8) {
-    iface.link_type = load16(body.data(), big_endian_);
+    require_ethernet(load16(body.data(), big_endian_));
     // Walk options looking for if_tsresol (code 9, 1 byte).
     std::size_t offset = 8;
     while (offset + 4 <= body.size()) {
@@ -147,6 +147,7 @@ bool NgReader::parse_interface_block(std::span<const std::uint8_t> body) {
 
 ReadStatus NgReader::next(net::RawFrame& out) {
   if (done_) return ReadStatus::kEndOfFile;
+  done_ = true;  // a refused interface throws, and ends the capture too
   const auto status = read_packet(out);
   done_ = status != ReadStatus::kOk;
   return status;

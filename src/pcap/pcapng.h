@@ -4,8 +4,9 @@
 // rather than classic pcap; a telescope toolkit has to ingest both. This
 // reader handles the block types that carry packets:
 //   - Section Header Block (0x0A0D0D0A): byte order, section boundaries
-//   - Interface Description Block (1): link type and timestamp
-//     resolution (if_tsresol option, default microseconds)
+//   - Interface Description Block (1): link type, which must be
+//     Ethernet (`require_ethernet`), and timestamp resolution
+//     (if_tsresol option, default microseconds)
 //   - Enhanced Packet Block (6) and the obsolete Simple Packet Block (3)
 // Unknown block types are skipped by length, as the spec requires.
 // Timestamps are normalized to microseconds, matching `net::RawFrame`.
@@ -50,7 +51,8 @@ class NgReader {
 
   /// Reads the next packet (from an EPB or SPB), skipping interleaved
   /// non-packet blocks. Timestamps are normalized to µs; Simple Packet
-  /// Blocks, which carry none, get timestamp 0.
+  /// Blocks, which carry none, get timestamp 0. Throws at an interface
+  /// whose link type is not Ethernet, before any of its frames.
   [[nodiscard]] ReadStatus next(net::RawFrame& out);
 
   /// Drains the capture.
@@ -62,7 +64,6 @@ class NgReader {
 
  private:
   struct Interface {
-    std::uint16_t link_type = 1;
     /// Ticks per second of this interface's timestamps.
     std::uint64_t ticks_per_second = 1'000'000;
   };

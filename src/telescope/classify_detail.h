@@ -1,8 +1,8 @@
-// Internal plumbing of the batch classifier (`core::FrameBatcher`,
-// core/ingest.h). Not part of the telescope public surface: the batcher
-// classifies every frame with `classify_raw` and writes probes through
-// the raw cursor; `Sensor::classify` stays the per-frame reference the
-// differential tests pin it to.
+// Internal plumbing of the program's one frame classifier
+// (`core::FrameBatcher`, core/ingest.h). Not part of the telescope public
+// surface: the batcher classifies every frame with `classify_raw` and
+// writes probes through the raw cursor. The tests hold it to an
+// independent per-frame reference decoder kept in tests/.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +31,10 @@ struct ProbeCursor {
   std::size_t count = 0;
 };
 
-/// One frame of the batch classifier (defined in sensor.cpp). Every
-/// early return mirrors a rejection in decode_frame / `Sensor::classify`
-/// so the counter histogram stays bit-identical to the record-at-a-time
-/// path. Reads `bytes` only during the call.
+/// One frame of the batch classifier (defined in sensor.cpp): an
+/// Ethernet II frame is counted under exactly one `FrameClass`, and a
+/// scan probe is written through `out`. Reads `bytes` only during the
+/// call.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
                         std::span<const std::uint8_t> bytes, SensorCounters& counters,
                         ProbeCursor& out);

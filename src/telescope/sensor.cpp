@@ -8,76 +8,13 @@
 
 namespace synscan::telescope {
 
-FrameClass Sensor::classify(const net::RawFrame& raw, ScanProbe& probe) {
-  const auto decoded = net::decode_frame(raw.bytes);
-  if (!decoded) {
-    ++counters_.malformed;
-    return FrameClass::kMalformed;
-  }
-  const net::DecodedFrame& frame = *decoded;
-  const net::TimeUs timestamp_us = raw.timestamp_us;
-  if (!telescope_->monitors(frame.ip.destination)) {
-    ++counters_.not_monitored;
-    return FrameClass::kNotMonitored;
-  }
-
-  if (const auto* tcp = frame.tcp()) {
-    if (telescope_->ingress_blocked(tcp->destination_port, timestamp_us)) {
-      ++counters_.ingress_blocked;
-      return FrameClass::kIngressBlocked;
-    }
-    if (tcp->is_xmas() || tcp->is_null()) {
-      ++counters_.xmas_or_null;
-      return FrameClass::kXmasOrNull;
-    }
-    if (tcp->is_syn_probe()) {
-      if (frame.ip.source.is_reserved_source() || frame.ip.source.is_private()) {
-        ++counters_.spoofed_source;
-        return FrameClass::kSpoofedSource;
-      }
-      probe.timestamp_us = timestamp_us;
-      probe.source = frame.ip.source;
-      probe.destination = frame.ip.destination;
-      probe.source_port = tcp->source_port;
-      probe.destination_port = tcp->destination_port;
-      probe.sequence = tcp->sequence;
-      probe.acknowledgment = tcp->acknowledgment;
-      probe.ip_id = frame.ip.identification;
-      probe.window = tcp->window;
-      probe.ttl = frame.ip.ttl;
-      ++counters_.scan_probes;
-      return FrameClass::kScanProbe;
-    }
-    if (tcp->is_syn_ack() || tcp->has(net::TcpFlag::kRst)) {
-      ++counters_.backscatter;
-      return FrameClass::kBackscatter;
-    }
-    ++counters_.other_tcp;
-    return FrameClass::kOtherTcp;
-  }
-  if (frame.udp() != nullptr) {
-    ++counters_.udp;
-    return FrameClass::kUdp;
-  }
-  if (frame.icmp() != nullptr) {
-    ++counters_.icmp;
-    return FrameClass::kIcmp;
-  }
-  ++counters_.malformed;
-  return FrameClass::kMalformed;
-}
-
 namespace detail {
 
-// One frame of the batch classifier (core::FrameBatcher's only
-// classifier, via classify_detail.h). Every early return mirrors a
-// rejection in decode_frame/classify so the counter histogram stays
-// bit-identical to the record-at-a-time path.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
                         std::span<const std::uint8_t> bytes, SensorCounters& counters,
                         ProbeCursor& out) {
-  // Link layer: decode_ethernet rejects short frames; decode_frame then
-  // drops anything that is not IPv4.
+  // Link layer: Ethernet II only (the capture readers refuse any other
+  // link type); a short frame or any EtherType but IPv4 is malformed.
   if (bytes.size() < net::EthernetHeader::kSize ||
       net::load_be16(bytes.data() + 12) !=
           static_cast<std::uint16_t>(net::EtherType::kIpv4)) {
@@ -85,7 +22,8 @@ FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
     return FrameClass::kMalformed;
   }
 
-  // Network layer: the decode_ipv4 validation chain, minus field structs.
+  // Network layer: version 4, a header of at least 5 words that the
+  // captured bytes and the declared total length both cover.
   const std::uint8_t* ip = bytes.data() + net::EthernetHeader::kSize;
   const std::size_t ip_size = bytes.size() - net::EthernetHeader::kSize;
   if (ip_size < net::Ipv4Header::kMinSize) {
@@ -107,9 +45,9 @@ FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
     return FrameClass::kNotMonitored;
   }
 
-  // Transport presence rules from decode_frame: a later fragment carries no
-  // transport header, and the payload window is bounded by the smaller of
-  // the captured bytes and the declared total length (Ethernet padding).
+  // Transport presence: a later fragment carries no transport header,
+  // and the payload window is bounded by the smaller of the captured
+  // bytes and the declared total length (Ethernet padding).
   const bool later_fragment = (net::load_be16(ip + 6) & 0x1fff) != 0;
   const std::size_t available = std::min<std::size_t>(ip_size, total_length);
   const std::uint8_t protocol = ip[9];
@@ -161,7 +99,7 @@ FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
       ++counters.other_tcp;
       return FrameClass::kOtherTcp;
     }
-    // Truncated TCP header: decode_tcp would fail, leaving no transport.
+    // A data offset below 5 words or past the segment: no transport.
   } else if (!later_fragment &&
              protocol == static_cast<std::uint8_t>(net::IpProtocol::kUdp) &&
              transport_size >= net::UdpHeader::kSize) {
@@ -169,7 +107,7 @@ FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
       ++counters.udp;
       return FrameClass::kUdp;
     }
-    // A UDP length below 8 fails decode_udp: no transport header.
+    // A UDP length below 8 bytes: no transport header.
   } else if (!later_fragment &&
              protocol == static_cast<std::uint8_t>(net::IpProtocol::kIcmp) &&
              transport_size >= net::IcmpHeader::kSize) {

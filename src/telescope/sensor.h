@@ -1,16 +1,16 @@
-// The sensor front-end: raw frames in, classified scan probes out.
+// The sensor's vocabulary: raw frames in, classified scan probes out.
 //
 // Unused address space receives two kinds of traffic (§3.2): backscatter
 // of spoofed-source attacks (SYN/ACKs, RSTs, ICMP errors) and genuine
 // scanning probes. Following standard practice the sensor keeps only TCP
 // frames with SYN set and ACK clear as scan probes; everything else is
-// counted but not forwarded to the campaign pipeline.
+// counted but not forwarded to the campaign pipeline. One classifier,
+// `core::FrameBatcher` (core/ingest.h), applies that rule.
 #pragma once
 
 #include <cstdint>
 
 #include "net/packet.h"
-#include "telescope/telescope.h"
 
 namespace synscan::telescope {
 
@@ -74,29 +74,6 @@ struct SensorCounters {
     malformed += other.malformed;
     spoofed_source += other.spoofed_source;
   }
-};
-
-/// Stateless-per-frame classifier bound to a telescope. Thread-compatible:
-/// use one sensor per thread and merge counters.
-class Sensor {
- public:
-  explicit Sensor(const Telescope& telescope) : telescope_(&telescope) {}
-  /// The sensor keeps a pointer; a temporary telescope would dangle.
-  explicit Sensor(const Telescope&&) = delete;
-
-  /// Classifies a raw frame; fills `probe` when the result is kScanProbe.
-  /// The per-frame reference the batch classifier (`core::FrameBatcher`)
-  /// is tested against: it decodes every header into a `DecodedFrame`,
-  /// where the batch path reads the raw bytes, and the differential tests
-  /// in tests/telescope/probe_batch_test.cpp hold the two together.
-  FrameClass classify(const net::RawFrame& raw, ScanProbe& probe);
-
-  [[nodiscard]] const SensorCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = {}; }
-
- private:
-  const Telescope* telescope_;
-  SensorCounters counters_;
 };
 
 }  // namespace synscan::telescope

@@ -19,6 +19,7 @@
 #include "fingerprint/classifier.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
+#include "reference_decode.h"
 #include "simgen/rng.h"
 #include "simgen/wire.h"
 #include "telescope/sensor.h"
@@ -169,9 +170,7 @@ void expect_report(const fs::path& capture, const Evidence& reference,
 }
 
 TEST(CliFingerprint, ReportMatchesPerProbeReference) {
-  const auto dir = fs::temp_directory_path() / "synscan_cli_fingerprint";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::ScratchDir dir;
   const auto telescope = telescope::Telescope::paper_default();
   const auto frames = mixed_frames(telescope);
   pcap::write_file(dir / "mixed.pcap", frames);
@@ -191,7 +190,6 @@ TEST(CliFingerprint, ReportMatchesPerProbeReference) {
   ASSERT_EQ(verdicts.size(), fingerprint::kToolCount);
 
   expect_report(dir / "mixed.pcap", reference, "");
-  fs::remove_all(dir);
 }
 
 TEST(CliFingerprint, TruncatedCaptureWarnsAndReportsReadablePrefix) {
@@ -199,9 +197,7 @@ TEST(CliFingerprint, TruncatedCaptureWarnsAndReportsReadablePrefix) {
   // capture process killed mid-write leaves it: the report covers the
   // records before the cut, and the terminal status — kept in the
   // `.spc` — turns into a warning on both runs.
-  const auto dir = fs::temp_directory_path() / "synscan_cli_fingerprint_truncated";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::ScratchDir dir;
   const auto telescope = telescope::Telescope::paper_default();
   const auto frames = mixed_frames(telescope);
   const auto capture = dir / "mixed.pcap";
@@ -220,7 +216,6 @@ TEST(CliFingerprint, TruncatedCaptureWarnsAndReportsReadablePrefix) {
                 reference,
                 "warning: capture ends mid-record (truncated write?); analyzed the "
                 "readable prefix\n");
-  fs::remove_all(dir);
 }
 
 }  // namespace

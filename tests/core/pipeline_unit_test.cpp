@@ -21,10 +21,11 @@ const telescope::Telescope& tiny_telescope() {
 TEST(Pipeline, FinishIsTerminalAndMovesCampaigns) {
   Pipeline pipeline(tiny_telescope());
   for (int i = 0; i < 150; ++i) {
-    pipeline.feed_probe(testing::ProbeBuilder()
-                            .from(net::Ipv4Address::from_octets(9, 9, 9, 9))
-                            .to(net::Ipv4Address(0xcb007100u + static_cast<std::uint32_t>(i)))
-                            .at(i * net::kMicrosPerSecond));
+    testing::feed_one(pipeline,
+                      testing::ProbeBuilder()
+                          .from(net::Ipv4Address::from_octets(9, 9, 9, 9))
+                          .to(net::Ipv4Address(0xcb007100u + static_cast<std::uint32_t>(i)))
+                          .at(i * net::kMicrosPerSecond));
   }
   const auto first = pipeline.finish();
   EXPECT_EQ(first.campaigns.size(), 1u);
@@ -43,7 +44,7 @@ TEST(Pipeline, ObserversRunBeforeTracker) {
   Pipeline pipeline(tiny_telescope());
   pipeline.add_observer(counter);
   for (int i = 0; i < 25; ++i) {
-    pipeline.feed_probe(testing::ProbeBuilder().at(i));
+    testing::feed_one(pipeline, testing::ProbeBuilder().at(i));
   }
   const auto result = pipeline.finish();
   EXPECT_EQ(counter.count, 25u);
@@ -60,7 +61,7 @@ TEST(Pipeline, MultipleObserversAllInvoked) {
   pipeline.add_observer(a);
   pipeline.add_observer(b);
   pipeline.add_observer(c);
-  pipeline.feed_probe(testing::ProbeBuilder().at(1));
+  testing::feed_one(pipeline, testing::ProbeBuilder().at(1));
   (void)pipeline.finish();
   EXPECT_EQ(a.count, 1u);
   EXPECT_EQ(b.count, 1u);

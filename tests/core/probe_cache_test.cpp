@@ -24,12 +24,6 @@ namespace fs = std::filesystem;
 class ProbeCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, and
-    // a shared dir would let one case's TearDown delete another's files.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_probe_cache_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(dir_);
     source_ = dir_ / "capture.pcap";
     cache_ = dir_ / "capture.pcap.spc";
     // A real (tiny) capture, so invalid-cache cases can rescan it: five
@@ -46,7 +40,6 @@ class ProbeCacheTest : public ::testing::Test {
                                                80, net::flag_bit(net::TcpFlag::kRst))});
     pcap::write_file(source_, frames);
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   [[nodiscard]] CacheIdentity identity() const {
     const auto id = cache_identity(source_);
@@ -220,7 +213,8 @@ class ProbeCacheTest : public ::testing::Test {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
   fs::path source_;
   fs::path cache_;
 };

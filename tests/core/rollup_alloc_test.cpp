@@ -25,6 +25,7 @@
 #include "core/probe_cache.h"
 #include "core/rollup_store.h"
 #include "net/endian.h"
+#include "test_support.h"
 
 namespace {
 std::atomic<std::size_t> largest_request{0};
@@ -155,9 +156,7 @@ struct CountField {
 };
 
 TEST(RollupAllocation, ForgedCountsAllocateWithinAMultipleOfThePayload) {
-  const auto dir = fs::temp_directory_path() / "synscan_spr_alloc";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::ScratchDir dir;
   const auto path = dir / "capture.pcap.spr";
   const CacheIdentity identity{4096, 1'700'000'000'000'000'000ull};
   const std::uint64_t fingerprint = 0x5eed;
@@ -220,7 +219,6 @@ TEST(RollupAllocation, ForgedCountsAllocateWithinAMultipleOfThePayload) {
           << "count " << count << " in a payload of " << payload << " bytes";
     }
   }
-  fs::remove_all(dir);
 }
 
 // `.spc` layout: the header's byte offsets that a forged chunk row count
@@ -272,9 +270,7 @@ std::vector<std::uint8_t> forge_chunk_rows(const std::vector<std::uint8_t>& orig
 }
 
 TEST(CacheAllocation, ForgedChunkRowCountsAllocateWithinAMultipleOfTheFile) {
-  const auto dir = fs::temp_directory_path() / "synscan_spc_alloc";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::ScratchDir dir;
   const auto path = dir / "capture.pcap.spc";
   const CacheIdentity identity{4096, 1'700'000'000'000'000'000ull};
 
@@ -355,7 +351,6 @@ TEST(CacheAllocation, ForgedChunkRowCountsAllocateWithinAMultipleOfTheFile) {
   // above covers only `open`: every file whose columns match its count
   // validates.
   EXPECT_EQ(validated, 2 * kProbes - 1);
-  fs::remove_all(dir);
 }
 
 }  // namespace

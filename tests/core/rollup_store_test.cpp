@@ -78,18 +78,14 @@ void write_capture(const fs::path& path) {
 }
 
 struct StoreFixture : ::testing::Test {
-  fs::path dir;
+  const testing::ScratchDir scratch;
+  const fs::path dir = scratch.path();
   fs::path capture;
   fs::path rollup_path;
   CacheIdentity identity;
   std::uint64_t fingerprint = 0;
 
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir = fs::temp_directory_path() /
-          (std::string("synscan_spr_") + info->name());
-    fs::remove_all(dir);
-    fs::create_directories(dir);
     capture = dir / "capture.pcap";
     write_capture(capture);
     rollup_path = rollup_path_for(capture);
@@ -99,7 +95,6 @@ struct StoreFixture : ::testing::Test {
     fingerprint =
         analysis_fingerprint(TrackerConfig{}, test_telescope().monitored_count());
   }
-  void TearDown() override { fs::remove_all(dir); }
 
   [[nodiscard]] CaptureRollup analyze() const {
     IngestOptions ingest;

@@ -310,20 +310,13 @@ void write_burst(pcap::Writer& writer, net::Ipv4Address source, std::uint32_t de
   }
 }
 
-/// Unique temp dir per test so parallel ctest runs cannot collide.
+/// Two shard capture paths in a scratch directory of their own.
 struct ShardFixture {
-  fs::path dir;
-  fs::path first;
-  fs::path second;
+  explicit ShardFixture(const char* name) : dir(name) {}
 
-  explicit ShardFixture(const char* name) {
-    dir = fs::temp_directory_path() / (std::string("synscan_rollup_unit_") + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    first = dir / "a.pcap";
-    second = dir / "b.pcap";
-  }
-  ~ShardFixture() { fs::remove_all(dir); }
+  const testing::ScratchDir dir;
+  const fs::path first = dir / "a.pcap";
+  const fs::path second = dir / "b.pcap";
 };
 
 AnalyzedCapture merge_two(const fs::path& a, const fs::path& b) {

@@ -83,20 +83,8 @@ Bytes forged(const Bytes& good, std::size_t at, std::size_t header, std::size_t 
 
 class SidecarSweep : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per suite and case: SpcSweep and SprSweep share case names,
-    // and ctest runs cases as parallel processes.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() / (std::string("synscan_sidecar_sweep_") +
-                                        info->test_suite_name() + "_" + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    capture_ = dir_ / "capture.pcap";
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
-  fs::path capture_;
+  const testing::ScratchDir dir_;
+  const fs::path capture_ = dir_ / "capture.pcap";
 };
 
 // --- .spc ---------------------------------------------------------------

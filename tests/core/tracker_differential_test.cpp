@@ -9,6 +9,7 @@
 
 #include "core/pipeline.h"
 #include "core/tracker.h"
+#include "reference_decode.h"
 #include "reference_tracker.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"

@@ -31,7 +31,7 @@ std::vector<telescope::ScanProbe> burst(net::Ipv4Address src, std::size_t count,
 
 TEST(CampaignTracker, QualifyingBurstBecomesOneCampaign) {
   const auto probes = burst(net::Ipv4Address::from_octets(5, 5, 5, 5), 150, 0, kSecond);
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 1u);
   const auto& campaign = campaigns[0];
   EXPECT_EQ(campaign.packets, 150u);
@@ -61,7 +61,7 @@ TEST(CampaignTracker, RepeatedDestinationsDoNotCountAsDistinct) {
                          .to(net::Ipv4Address(0xc6330000u + static_cast<std::uint32_t>(i % 50)))
                          .at(i * kSecond));
   }
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   EXPECT_TRUE(campaigns.empty());  // only 50 distinct destinations
 }
 
@@ -72,7 +72,7 @@ TEST(CampaignTracker, SlowScanBelowRateThresholdIsNoise) {
                             50 * 60 * kSecond);
   TrackerConfig config;
   config.expiry = 2 * net::kMicrosPerHour;  // keep the flow alive between probes
-  const auto campaigns = CampaignTracker::collect(config, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns(config, kTelescopeSize, probes);
   EXPECT_TRUE(campaigns.empty());
 }
 
@@ -83,7 +83,7 @@ TEST(CampaignTracker, GapBeyondExpirySplitsCampaigns) {
             150 * kSecond + 2 * net::kMicrosPerHour, kSecond);
   probes.insert(probes.end(), second_burst.begin(), second_burst.end());
 
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 2u);
   EXPECT_EQ(campaigns[0].packets, 150u);
   EXPECT_EQ(campaigns[1].packets, 150u);
@@ -95,7 +95,7 @@ TEST(CampaignTracker, GapWithinExpiryStaysOneCampaign) {
   const auto second_burst = burst(net::Ipv4Address::from_octets(5, 5, 5, 5), 150,
                                   150 * kSecond + net::kMicrosPerHour / 2, kSecond);
   probes.insert(probes.end(), second_burst.begin(), second_burst.end());
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 1u);
   EXPECT_EQ(campaigns[0].packets, 300u);
 }
@@ -110,7 +110,7 @@ TEST(CampaignTracker, ConcurrentSourcesTrackedIndependently) {
                            .at(i * kSecond + s));
     }
   }
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   EXPECT_EQ(campaigns.size(), 3u);
 }
 
@@ -118,7 +118,7 @@ TEST(CampaignTracker, ExtrapolationMatchesModel) {
   // 600 hits over 600 seconds -> telescope hit rate 1/s -> Internet-wide
   // ~60,042 pps, coverage 600/71536 of the telescope.
   const auto probes = burst(net::Ipv4Address::from_octets(5, 5, 5, 5), 601, 0, kSecond);
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 1u);
   const auto& campaign = campaigns[0];
   const stats::TelescopeModel model(kTelescopeSize);
@@ -136,7 +136,7 @@ TEST(CampaignTracker, MultiPortCampaignTracksPortCounts) {
                          .port(i % 2 == 0 ? 80 : 8080)
                          .at(i * kSecond));
   }
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 1u);
   EXPECT_EQ(campaigns[0].distinct_ports(), 2u);
   EXPECT_EQ(campaigns[0].port_packets.at(80), 150u);
@@ -175,7 +175,7 @@ TEST(CampaignTracker, ToolVerdictAttachedToCampaign) {
                          .ipid(54321)
                          .at(i * kSecond));
   }
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 1u);
   EXPECT_EQ(campaigns[0].tool, fingerprint::Tool::kZmap);
 }
@@ -189,7 +189,7 @@ TEST(CampaignTracker, CampaignIdsAreUniqueAndIncreasing) {
   }
   std::sort(probes.begin(), probes.end(),
             [](const auto& a, const auto& b) { return a.timestamp_us < b.timestamp_us; });
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 4u);
   for (std::size_t i = 1; i < campaigns.size(); ++i) {
     EXPECT_GT(campaigns[i].id, 0u);
@@ -223,7 +223,7 @@ TEST(CampaignTracker, DurationFlooredAtOneSecond) {
                          .to(net::Ipv4Address(0xc6330000u + static_cast<std::uint32_t>(i)))
                          .at(1000));
   }
-  const auto campaigns = CampaignTracker::collect({}, kTelescopeSize, probes);
+  const auto campaigns = testing::collect_campaigns({}, kTelescopeSize, probes);
   ASSERT_EQ(campaigns.size(), 1u);
   EXPECT_DOUBLE_EQ(campaigns[0].duration_seconds(), 1.0);
 }

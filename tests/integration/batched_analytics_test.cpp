@@ -24,6 +24,7 @@
 #include "core/volatility.h"
 #include "enrich/registry.h"
 #include "pcap/pcap.h"
+#include "reference_decode.h"
 #include "report/json.h"
 #include "simgen/generator.h"
 #include "telescope/probe_batch.h"
@@ -196,9 +197,7 @@ TEST(FoldedTally, CarryModeTallyPlusSegmentsMatchesPerProbeReference) {
 TEST(FoldedTally, ShardTallyMatchesPerProbeReferenceAfterSprRoundTrip) {
   namespace fs = std::filesystem;
   const auto& registry = enrich::InternetRegistry::synthetic_default();
-  const auto dir = fs::temp_directory_path() / "synscan_folded_tally_shard";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::ScratchDir dir;
   const auto capture = dir / "window.pcap";
   {
     auto writer = pcap::Writer::create(capture);
@@ -231,7 +230,6 @@ TEST(FoldedTally, ShardTallyMatchesPerProbeReferenceAfterSprRoundTrip) {
   const auto loaded = core::load_rollup(store, registry, *identity, fingerprint);
   ASSERT_TRUE(loaded.has_value());
   testing::expect_same_port_tally(shard_tally(*loaded), reference);
-  fs::remove_all(dir);
 }
 
 /// The scanner-type view of the pipeline's folded tally answers every
@@ -353,7 +351,7 @@ TEST(BatchedPipelineDifferential, SerialJsonMatchesPerProbeReference) {
 
   for (const auto& batch : probe_batches()) {
     batched.feed_probes(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) reference.feed_probe(batch.get(i));
+    for (std::size_t i = 0; i < batch.size(); ++i) testing::feed_one(reference, batch.get(i));
   }
   const auto batched_result = batched.finish();
   const auto reference_result = reference.finish();

@@ -23,6 +23,7 @@
 #include "net/endian.h"
 #include "pcap/pcap.h"
 #include "pcap/pcapng.h"
+#include "reference_decode.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
 #include "test_support.h"
@@ -147,12 +148,6 @@ void expect_same_probes(const telescope::ProbeBatch& got, const telescope::Probe
 class IngestDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_ingest_differential_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
     capture_ = dir_ / "window.pcap";
 
     auto writer = pcap::Writer::create(capture_);
@@ -161,7 +156,6 @@ class IngestDifferential : public ::testing::Test {
     (void)generator.run([&](const net::RawFrame& f) { writer.write(f); });
     writer.flush();
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   /// The reference: pcap::Reader record-at-a-time, classified and fed
   /// frame by frame.
@@ -187,7 +181,8 @@ class IngestDifferential : public ::testing::Test {
     return {pipeline.finish(), ingest};
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
   fs::path capture_;
 };
 
@@ -286,16 +281,6 @@ TEST_F(IngestDifferential, ParallelProbeFeedMatchesSerialReference) {
 /// of them exactly like pcap::Reader, whole, cut short or corrupted.
 class IngestDialects : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_ingest_dialects_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   /// One SYN to the dark net.
   [[nodiscard]] static std::vector<std::uint8_t> probe_frame() {
     return testing::syn_frame(net::Ipv4Address::from_octets(93, 184, 216, 34),
@@ -419,7 +404,8 @@ class IngestDialects : public ::testing::Test {
     }
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
 };
 
 TEST_F(IngestDialects, MicrosecondNanosecondAndBigEndianCapturesAgree) {
@@ -483,7 +469,9 @@ void expect_same_outcome(const Outcome& got, const Outcome& want) {
 }
 
 /// The reference: `CaptureReader` (`pcap::Reader` or `pcap::NgReader`)
-/// record-at-a-time into `Sensor::classify`.
+/// record-at-a-time into the reference `Sensor::classify`. A throw — at
+/// open, or at a pcapng interface that is not Ethernet — leaves no
+/// result, as it leaves none from ingest.
 template <typename CaptureReader>
 Outcome reference_outcome(std::span<const std::uint8_t> image) {
   Outcome out;
@@ -500,6 +488,7 @@ Outcome reference_outcome(std::span<const std::uint8_t> image) {
     }
     out.sensor = sensor.counters();
   } catch (const std::runtime_error&) {
+    out = Outcome{};
     out.threw = true;
   }
   return out;
@@ -632,12 +621,6 @@ TEST_F(IngestDialects, EveryPcapngTruncationAndByteFlipMatchesNgReader) {
 class IngestMatrix : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_ingest_matrix_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
     capture_ = dir_ / "matrix.pcap";
 
     simgen::Rng rng(20250809);
@@ -680,14 +663,14 @@ class IngestMatrix : public ::testing::Test {
     writer.flush();
     ASSERT_GE(fs::file_size(capture_), std::size_t{4} << 20) << "capture below 4 MiB";
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   [[nodiscard]] Ingested run(const core::IngestOptions& options) const {
     return ingest_probes(capture_, options);
   }
 
   static constexpr std::uint64_t kFrames = 110'000;
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
   fs::path capture_;
 };
 

@@ -78,8 +78,7 @@ TEST(PipelineIntegration, ObserversSeeExactlyTheProbes) {
 
 TEST(PipelineIntegration, PcapRoundTripPreservesAnalysis) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "synscan_integration";
-  fs::create_directories(dir);
+  const testing::ScratchDir dir;
   const auto path = dir / "window.pcap";
 
   // Pass 1: generate straight into the pipeline AND onto disk.
@@ -115,7 +114,6 @@ TEST(PipelineIntegration, PcapRoundTripPreservesAnalysis) {
     EXPECT_EQ(replay_result.campaigns[i].packets, live_result.campaigns[i].packets);
     EXPECT_EQ(replay_result.campaigns[i].tool, live_result.campaigns[i].tool);
   }
-  fs::remove_all(dir);
 }
 
 TEST(PipelineIntegration, FeedProbeBypassesSensor) {
@@ -123,10 +121,11 @@ TEST(PipelineIntegration, FeedProbeBypassesSensor) {
   core::PortTally tally;
   pipeline.add_observer(tally);
   for (int i = 0; i < 150; ++i) {
-    pipeline.feed_probe(testing::ProbeBuilder()
-                            .from(net::Ipv4Address::from_octets(9, 9, 9, 9))
-                            .to(net::Ipv4Address(0xc6330000u + static_cast<std::uint32_t>(i)))
-                            .at(i * net::kMicrosPerSecond));
+    testing::feed_one(pipeline,
+                      testing::ProbeBuilder()
+                          .from(net::Ipv4Address::from_octets(9, 9, 9, 9))
+                          .to(net::Ipv4Address(0xc6330000u + static_cast<std::uint32_t>(i)))
+                          .at(i * net::kMicrosPerSecond));
   }
   const auto result = pipeline.finish();
   EXPECT_EQ(result.sensor.scan_probes, 0u);  // sensor untouched

@@ -8,6 +8,7 @@
 #include "core/port_tally.h"
 #include "core/reference_tallies.h"
 #include "pcap/pcap.h"
+#include "reference_decode.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
 #include "test_support.h"
@@ -60,7 +61,7 @@ TEST_P(TrackerPropertyTest, PacketsAreConserved) {
 
 TEST_P(TrackerPropertyTest, CampaignInvariantsHold) {
   const auto probes = random_probe_stream(GetParam() ^ 0xabcd, 8000);
-  const auto campaigns = core::CampaignTracker::collect({}, 71536, probes);
+  const auto campaigns = testing::collect_campaigns({}, 71536, probes);
   for (const auto& campaign : campaigns) {
     EXPECT_LE(campaign.first_seen_us, campaign.last_seen_us);
     EXPECT_GE(campaign.distinct_destinations, 100u);  // threshold respected
@@ -78,7 +79,7 @@ TEST_P(TrackerPropertyTest, FeedOrderWithinSourcesIsWhatMatters) {
   // Interleaving probes of different sources must not change per-source
   // campaign totals.
   auto probes = random_probe_stream(GetParam() ^ 0x77, 4000);
-  const auto campaigns_a = core::CampaignTracker::collect({}, 71536, probes);
+  const auto campaigns_a = testing::collect_campaigns({}, 71536, probes);
 
   // Stable-partition by source parity, preserving per-source order and
   // timestamps (the tracker keys expiry on per-source gaps).
@@ -86,7 +87,7 @@ TEST_P(TrackerPropertyTest, FeedOrderWithinSourcesIsWhatMatters) {
                    [](const telescope::ScanProbe& a, const telescope::ScanProbe& b) {
                      return (a.source.value() & 1) < (b.source.value() & 1);
                    });
-  const auto campaigns_b = core::CampaignTracker::collect({}, 71536, probes);
+  const auto campaigns_b = testing::collect_campaigns({}, 71536, probes);
 
   std::map<std::uint32_t, std::uint64_t> packets_a;
   std::map<std::uint32_t, std::uint64_t> packets_b;
@@ -116,11 +117,10 @@ TEST_P(PcapPropertyTest, ArbitraryFramesRoundTrip) {
     for (auto& b : frame.bytes) b = static_cast<std::uint8_t>(rng.next_u64());
     frames.push_back(std::move(frame));
   }
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("synscan_prop_" + std::to_string(GetParam()) + ".pcap");
+  const testing::ScratchDir dir;
+  const auto path = dir / "roundtrip.pcap";
   pcap::write_file(path, frames);
   const auto [read, status] = pcap::read_file(path);
-  std::filesystem::remove(path);
   ASSERT_EQ(status, pcap::ReadStatus::kEndOfFile);
   ASSERT_EQ(read.size(), frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {

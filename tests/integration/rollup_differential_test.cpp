@@ -76,13 +76,6 @@ std::string report_bytes(const core::AnalyzedCapture& analysis) {
 class RollupDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, and
-    // a shared dir would let one case's TearDown delete another's files.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_rollup_differential_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
     whole_ = dir_ / "whole.pcap";
 
     auto writer = pcap::Writer::create(whole_);
@@ -91,7 +84,6 @@ class RollupDifferential : public ::testing::Test {
     (void)generator.run([&](const net::RawFrame& f) { writer.write(f); });
     writer.flush();
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   /// Splits the whole capture's records into `count` consecutive runs
   /// at uneven boundaries (run i gets a slice proportional to i+1, so the
@@ -151,7 +143,8 @@ class RollupDifferential : public ::testing::Test {
                             core::TrackerConfig{}, options);
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
   fs::path whole_;
 };
 

@@ -1,8 +1,11 @@
-// Robustness sweeps: the decoder and sensor must never misbehave on
-// arbitrary bytes — a telescope parses billions of untrusted frames.
+// Robustness sweeps: the reference decoder and the program's classifier
+// must never misbehave on arbitrary bytes — a telescope parses billions
+// of untrusted frames.
 #include <gtest/gtest.h>
 
+#include "core/ingest.h"
 #include "net/packet.h"
+#include "reference_decode.h"
 #include "simgen/rng.h"
 #include "telescope/sensor.h"
 
@@ -60,17 +63,22 @@ TEST_P(DecodeFuzzTest, SensorTotalsStayConsistentUnderFuzz) {
   simgen::Rng rng(GetParam() ^ 0x5e50);
   const telescope::Telescope telescope(
       {{*Ipv4Prefix::parse("198.51.0.0/24"), 1000}}, {});
-  telescope::Sensor sensor(telescope);
-  telescope::ScanProbe probe;
+  std::uint64_t probes = 0;
+  core::FrameBatcher batcher(telescope, [&](const telescope::ProbeBatch& batch) {
+    probes += batch.size();
+  });
   constexpr int kTrials = 3000;
   for (int trial = 0; trial < kTrials; ++trial) {
     net::RawFrame frame;
     frame.timestamp_us = trial;
     frame.bytes.resize(rng.uniform(96));
     for (auto& b : frame.bytes) b = static_cast<std::uint8_t>(rng.next_u64());
-    (void)sensor.classify(frame, probe);
+    batcher.push(frame);
   }
-  EXPECT_EQ(sensor.counters().total(), static_cast<std::uint64_t>(kTrials));
+  const auto& counters = batcher.finish();
+  EXPECT_EQ(counters.total(), static_cast<std::uint64_t>(kTrials));
+  EXPECT_EQ(batcher.frames(), static_cast<std::uint64_t>(kTrials));
+  EXPECT_EQ(probes, counters.scan_probes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecodeFuzzTest, ::testing::Values(101u, 202u, 303u));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/checksum.h"
+#include "reference_decode.h"
 
 namespace synscan::net {
 namespace {

@@ -17,16 +17,6 @@ namespace fs = std::filesystem;
 
 class PcapTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, and
-    // a shared dir would let one case's TearDown delete another's files.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_pcap_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   [[nodiscard]] fs::path path(const char* name) const { return dir_ / name; }
 
   static net::RawFrame frame(net::TimeUs t, std::initializer_list<std::uint8_t> bytes) {
@@ -36,7 +26,8 @@ class PcapTest : public ::testing::Test {
     return f;
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
 };
 
 TEST_F(PcapTest, WriteReadRoundTrip) {
@@ -348,18 +339,6 @@ TEST_F(PcapTest, BadRecordEndsTheCapture) {
 /// walked in place by `scan`.
 class MappedReaderTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, so a
-    // shared directory would let one case's TearDown delete another's
-    // capture mid-read.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_mapped_reader_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   [[nodiscard]] fs::path path(const char* name) const { return dir_ / name; }
 
   static net::RawFrame frame(net::TimeUs t, std::initializer_list<std::uint8_t> bytes) {
@@ -377,7 +356,8 @@ class MappedReaderTest : public ::testing::Test {
     });
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
 };
 
 TEST_F(MappedReaderTest, MapsRegularFilesAndMatchesReader) {

@@ -22,17 +22,9 @@ using synscan::testing::NgBuilder;
 
 class PcapngTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, and
-    // a shared dir would let one case's TearDown delete another's files.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_pcapng_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
   [[nodiscard]] fs::path path(const char* name) const { return dir_ / name; }
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
+  const fs::path dir_ = scratch_.path();
 };
 
 TEST_F(PcapngTest, ReadsEnhancedPackets) {

@@ -118,7 +118,8 @@ TEST_F(ObsIntegration, ParallelAnalyzerPublishesWorkerMetrics) {
 }
 
 TEST_F(ObsIntegration, PcapReaderCountsFramesAndBytes) {
-  const auto path = std::filesystem::temp_directory_path() / "synscan_obs_test.pcap";
+  const testing::ScratchDir dir;
+  const auto path = dir / "obs_test.pcap";
   std::vector<net::RawFrame> frames;
   for (int i = 0; i < 32; ++i) {
     frames.push_back({static_cast<net::TimeUs>(i) * 1000,
@@ -130,7 +131,6 @@ TEST_F(ObsIntegration, PcapReaderCountsFramesAndBytes) {
 
   auto reader = pcap::Reader::open(path);
   const auto [read, status] = reader.read_all();
-  std::filesystem::remove(path);
 
   ASSERT_EQ(status, pcap::ReadStatus::kEndOfFile);
   EXPECT_EQ(global_counter("pcap.frames"), frames.size());

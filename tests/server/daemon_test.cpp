@@ -39,8 +39,7 @@ namespace fs = std::filesystem;
 
 class DaemonHarness {
  public:
-  explicit DaemonHarness(DaemonConfig config = {})
-      : dir_(testing::make_scratch_dir("daemon")) {
+  explicit DaemonHarness(DaemonConfig config = {}) {
     if (config.unix_socket.empty() && !config.tcp) {
       config.unix_socket = (dir_ / "synscand.sock").string();
     }
@@ -55,7 +54,6 @@ class DaemonHarness {
       thread_.join();
     }
     daemon_.reset();
-    fs::remove_all(dir_);
   }
 
   void start() {
@@ -65,7 +63,7 @@ class DaemonHarness {
   void join() { thread_.join(); }
 
   [[nodiscard]] Daemon& daemon() { return *daemon_; }
-  [[nodiscard]] const fs::path& dir() const { return dir_; }
+  [[nodiscard]] const fs::path& dir() const { return dir_.path(); }
 
   [[nodiscard]] Client connect() {
     return Client::connect_unix(daemon_->unix_socket_path());
@@ -79,7 +77,7 @@ class DaemonHarness {
   }
 
  private:
-  fs::path dir_;
+  testing::ScratchDir dir_;
   std::unique_ptr<Daemon> daemon_;
   std::thread thread_;
 };

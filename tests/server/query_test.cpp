@@ -23,7 +23,7 @@ namespace fs = std::filesystem;
 class QueryTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(testing::make_scratch_dir("query"));
+    dir_ = new testing::ScratchDir();
     const auto capture = *dir_ / "window.pcap";
     testing::write_server_capture(capture);
     analysis_ = new core::AnalyzedCapture(core::analyze_capture(
@@ -35,7 +35,6 @@ class QueryTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete analysis_;
     analysis_ = nullptr;
-    fs::remove_all(*dir_);
     delete dir_;
     dir_ = nullptr;
   }
@@ -59,11 +58,11 @@ class QueryTest : public ::testing::Test {
     return error;
   }
 
-  static fs::path* dir_;
+  static testing::ScratchDir* dir_;
   static core::AnalyzedCapture* analysis_;
 };
 
-fs::path* QueryTest::dir_ = nullptr;
+testing::ScratchDir* QueryTest::dir_ = nullptr;
 core::AnalyzedCapture* QueryTest::analysis_ = nullptr;
 
 TEST_F(QueryTest, CountersMatchesDirectEmission) {

@@ -1,17 +1,17 @@
-// Shared fixtures for the synscand server tests: a small telescope, a
-// deterministic campaign-shaped capture and per-test scratch space.
+// Shared fixtures for the synscand server tests: a small telescope and
+// a deterministic campaign-shaped capture. Scratch space comes from
+// `testing::ScratchDir` (test_support.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <unistd.h>
 
 #include "net/packet.h"
 #include "pcap/pcap.h"
 #include "simgen/rng.h"
 #include "telescope/telescope.h"
+#include "test_support.h"
 
 namespace synscan::testing {
 
@@ -62,17 +62,6 @@ inline void write_server_capture(const std::filesystem::path& path,
     writer.write(frame);
   }
   writer.flush();
-}
-
-/// A fresh scratch directory unique to this call (tests may run in
-/// parallel across processes, so the pid is part of the name).
-inline std::filesystem::path make_scratch_dir(const std::string& tag) {
-  static std::atomic<unsigned> counter{0};
-  auto dir = std::filesystem::temp_directory_path() /
-             ("synscan_server_" + tag + "_" + std::to_string(::getpid()) + "_" +
-              std::to_string(counter.fetch_add(1)));
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 }  // namespace synscan::testing

@@ -6,6 +6,7 @@
 
 #include "core/pipeline.h"
 #include "enrich/known_scanners.h"
+#include "reference_decode.h"
 #include "simgen/ecosystem.h"
 #include "test_support.h"
 

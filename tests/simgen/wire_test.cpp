@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fingerprint/matchers.h"
+#include "reference_decode.h"
 #include "simgen/rng.h"
 
 namespace synscan::simgen {

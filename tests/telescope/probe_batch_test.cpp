@@ -7,6 +7,7 @@
 
 #include "core/ingest.h"
 #include "net/endian.h"
+#include "reference_decode.h"
 #include "test_support.h"
 
 namespace synscan::telescope {

@@ -5,8 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -17,6 +20,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,10 +29,13 @@
 #include "core/analysis_session.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
+#include "core/tracker.h"
 #include "enrich/registry.h"
 #include "net/endian.h"
 #include "net/packet.h"
+#include "reference_decode.h"
 #include "simgen/generator.h"
+#include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
 
 namespace synscan::testing {
@@ -120,19 +128,41 @@ inline simgen::GeneratorStats generate_into(core::Pipeline& pipeline,
   return stats;
 }
 
+/// Feeds one probe as a one-row batch: the pipeline's only entry,
+/// `feed_probes`, a probe at a time.
+inline void feed_one(core::Pipeline& pipeline, const telescope::ScanProbe& probe) {
+  telescope::ProbeBatch batch;
+  batch.push_back(probe);
+  pipeline.feed_probes(batch);
+}
+
 /// The per-frame reference the batched front door is tested against:
-/// each frame through `Sensor::classify`, each probe through
-/// `Pipeline::feed_probe`, then the sensor counters are absorbed.
+/// each frame through the reference `Sensor::classify`
+/// (reference_decode.h), each probe through `feed_one`, then the sensor
+/// counters are absorbed.
 inline void feed_per_frame(core::Pipeline& pipeline, const telescope::Telescope& telescope,
                            std::span<const net::RawFrame> frames) {
   telescope::Sensor sensor(telescope);
   for (const auto& frame : frames) {
     telescope::ScanProbe probe;
     if (sensor.classify(frame, probe) == telescope::FrameClass::kScanProbe) {
-      pipeline.feed_probe(probe);
+      feed_one(pipeline, probe);
     }
   }
   pipeline.absorb_sensor_counters(sensor.counters());
+}
+
+/// Runs `probes` through a fresh tracker, probe by probe, and returns
+/// the campaigns it closed.
+[[nodiscard]] inline std::vector<core::Campaign> collect_campaigns(
+    const core::TrackerConfig& config, std::uint64_t monitored_addresses,
+    std::span<const telescope::ScanProbe> probes) {
+  std::vector<core::Campaign> campaigns;
+  core::CampaignTracker tracker(config, monitored_addresses,
+                                [&](core::Campaign&& c) { campaigns.push_back(std::move(c)); });
+  for (const auto& probe : probes) tracker.feed(probe);
+  tracker.finish();
+  return campaigns;
 }
 
 /// The single-pass reference the shard plans are tested against: one
@@ -173,9 +203,9 @@ class NgBuilder {
   }
 
   /// Adds an IDB; tsresol 6 = microseconds, 9 = nanoseconds, 0x80|n = 2^-n.
-  NgBuilder& interface_block(std::uint8_t tsresol = 6) {
+  NgBuilder& interface_block(std::uint8_t tsresol = 6, std::uint16_t link_type = 1) {
     std::vector<std::uint8_t> body;
-    u16(body, 1);  // LINKTYPE_ETHERNET
+    u16(body, link_type);  // 1: LINKTYPE_ETHERNET
     u16(body, 0);  // reserved
     u32(body, 65535);  // snaplen
     // if_tsresol option.
@@ -252,6 +282,59 @@ class NgBuilder {
 
   bool big_endian_;
   std::vector<std::uint8_t> bytes_;
+};
+
+/// A fresh directory for a test's files under the system temp
+/// directory, removed on scope exit. Its name carries the running
+/// test's name, an optional `tag`, the process id and a per-process
+/// sequence number, so no two directories of concurrent suite runs
+/// (ctest -j, two build trees of one checkout) or of one test ever
+/// coincide.
+class ScratchDir {
+ public:
+  explicit ScratchDir(std::string_view tag = {})
+      : path_(std::filesystem::temp_directory_path() / unique_name(tag)) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ScratchDir(ScratchDir&&) = delete;
+  ScratchDir& operator=(ScratchDir&&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const noexcept { return path_; }
+  [[nodiscard]] std::filesystem::path operator/(std::string_view name) const {
+    return path_ / name;
+  }
+
+ private:
+  /// "synscan_<suite.test>[_<tag>]_<pid>_<n>": the test (its suite alone
+  /// during suite setup) and tag cut to 48 characters of [A-Za-z0-9._-],
+  /// which keeps a socket path inside it under the 108-byte `sun_path`
+  /// limit.
+  static std::string unique_name(std::string_view tag) {
+    static std::atomic<unsigned> sequence{0};
+    const auto* unit = ::testing::UnitTest::GetInstance();
+    std::string test = "global";
+    if (const auto* info = unit->current_test_info()) {
+      test = std::string(info->test_suite_name()) + "." + info->name();
+    } else if (const auto* suite = unit->current_test_suite()) {
+      test = suite->name();
+    }
+    if (!tag.empty()) test.append("_").append(tag);
+    test.resize(std::min<std::size_t>(test.size(), 48));
+    for (auto& c : test) {
+      if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.' && c != '-') c = '_';
+    }
+    return "synscan_" + test + "_" + std::to_string(::getpid()) + "_" +
+           std::to_string(sequence.fetch_add(1));
+  }
+
+  std::filesystem::path path_;
 };
 
 /// The names in `dir`, sorted: a temp file of any name shows up here.
