@@ -1,8 +1,8 @@
 // Differential test for the batched ingest front-end: every ingest path
 // (mmap, bulk read of a FIFO, warm probe cache, multi-worker pipeline)
 // must produce the exact sensor counters, tracker counters and campaigns
-// that the per-frame reference — `Sensor::classify` into
-// `Pipeline::feed_probe` — produces.
+// that the per-frame reference — `Sensor::classify` (reference_decode.h)
+// into one-row batches, `testing::feed_one` — produces.
 #include "core/ingest.h"
 
 #include <gtest/gtest.h>
